@@ -17,6 +17,7 @@ import (
 	"clustersim/internal/faultinject"
 	"clustersim/internal/machine"
 	"clustersim/internal/metrics"
+	"clustersim/internal/predictor"
 	"clustersim/internal/trace"
 )
 
@@ -148,9 +149,10 @@ func (c *memCache) len() int { return c.ll.Len() }
 
 // diskCache persists artifacts across processes, keyed by the hash of
 // the canonical key string. Traces round-trip through the binary trace
-// codec; simulation results are stored as JSON envelopes. Live machines
-// and exact trackers are never persisted — a disk hit can only satisfy
-// NeedResult.
+// codec; simulation results are stored as JSON envelopes, with the exact
+// tracker's counts for TrackExact keys. Live machines are never
+// persisted — a disk hit can satisfy NeedResult and NeedExact, never
+// NeedMachine.
 //
 // The disk layer is an accelerator, never a dependency, and every
 // failure mode degrades instead of propagating:
@@ -339,10 +341,13 @@ func (d *diskCache) writeEntry(path string, payload []byte) {
 
 // resultEnvelope is the on-disk simulation-result format. The canonical
 // key is stored alongside the payload and verified on load, guarding
-// against hash collisions and scheme changes.
+// against hash collisions and scheme changes. Entries of TrackExact keys
+// also carry the exact tracker's counts, which is what lets a disk hit
+// serve NeedExact.
 type resultEnvelope struct {
 	Key    string
 	Result machine.Result
+	Exact  *predictor.ExactCounts `json:",omitempty"`
 }
 
 func (d *diskCache) resultPath(canon string) string {
@@ -423,24 +428,40 @@ func (d *diskCache) storeSched(canon string, ss *SchedSummary) {
 	d.writeEntry(d.schedPath(canon), payload)
 }
 
-func (d *diskCache) loadResult(key SimKey) (machine.Result, bool) {
+// loadResult returns the cached result for key and, when the entry
+// persisted one, the rebuilt exact tracker (nil otherwise).
+func (d *diskCache) loadResult(key SimKey) (machine.Result, *predictor.Exact, bool) {
 	canon := key.String()
 	path := d.resultPath(canon)
 	payload, ok := d.readEntry(path, maxJSONPayload)
 	if !ok {
-		return machine.Result{}, false
+		return machine.Result{}, nil, false
 	}
 	var env resultEnvelope
 	if err := json.Unmarshal(payload, &env); err != nil || env.Key != canon {
 		d.quarantine(path)
-		return machine.Result{}, false
+		return machine.Result{}, nil, false
 	}
-	return env.Result, true
+	var exact *predictor.Exact
+	if env.Exact != nil {
+		var err error
+		if exact, err = predictor.ExactFromCounts(*env.Exact); err != nil {
+			d.quarantine(path)
+			return machine.Result{}, nil, false
+		}
+	}
+	return env.Result, exact, true
 }
 
-func (d *diskCache) storeResult(key SimKey, res machine.Result) {
+// storeResult persists res, plus exact's counts when exact is non-nil.
+func (d *diskCache) storeResult(key SimKey, res machine.Result, exact *predictor.Exact) {
 	canon := key.String()
-	payload, err := json.Marshal(resultEnvelope{Key: canon, Result: res})
+	env := resultEnvelope{Key: canon, Result: res}
+	if exact != nil {
+		counts := exact.Counts()
+		env.Exact = &counts
+	}
+	payload, err := json.Marshal(env)
 	if err != nil {
 		d.fail(Fatal(err))
 		return

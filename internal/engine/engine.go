@@ -463,8 +463,9 @@ func (e *Engine) cacheStore(memKey string, st *trace.Store, resident int64) {
 
 // Sim returns the artifact for key, simulating with run on a cache miss.
 // need declares which products the caller will read: a result-only cache
-// entry (from disk, or demoted under memory pressure) satisfies
-// NeedResult but forces a re-simulation for NeedMachine/NeedExact.
+// entry (demoted under memory pressure) satisfies NeedResult but forces
+// a re-simulation for NeedMachine/NeedExact; a disk entry additionally
+// satisfies NeedExact when it persisted the exact tracker.
 // Concurrent submissions of one key — e.g. two figure drivers sharing a
 // focused-stack run — simulate once and share the artifact.
 func (e *Engine) Sim(key SimKey, need Need, run func() (*Artifact, error)) (*Artifact, error) {
@@ -494,18 +495,8 @@ func (e *Engine) SimCtx(ctx context.Context, key SimKey, need Need, run func() (
 		}
 		e.mu.Unlock()
 
-		// A result summary from disk can satisfy pure-result requests
-		// without simulating.
-		if need&^NeedResult == 0 && e.diskAvailable() {
-			if res, ok := e.disk.loadResult(key); ok {
-				a := resultArtifact(res)
-				e.mu.Lock()
-				e.mem.putSim(canon, a, key.Insts)
-				e.mu.Unlock()
-				e.cSimDiskHit.Inc()
-				e.journalResult(canon, key.Insts, res)
-				return a, nil
-			}
+		if a := e.diskSim(key, canon, need); a != nil {
+			return a, nil
 		}
 
 		v, err := e.doOnce(canon, e.cSimHit, func() (any, error) {
@@ -519,14 +510,7 @@ func (e *Engine) SimCtx(ctx context.Context, key SimKey, need Need, run func() (
 				return nil, err
 			}
 			e.tSim.Observe(time.Since(start))
-			e.cInsts.Add(a.Res.Insts)
-			e.mu.Lock()
-			e.mem.putSim(canon, a, key.Insts)
-			e.mu.Unlock()
-			if e.diskAvailable() {
-				e.disk.storeResult(key, a.Res)
-			}
-			e.journalResult(canon, key.Insts, a.Res)
+			e.storeSim(key, canon, a)
 			return a, nil
 		})
 		if err != nil {
@@ -549,6 +533,43 @@ func (e *Engine) SimCtx(ctx context.Context, key SimKey, need Need, run func() (
 		}
 		return a, nil
 	}
+}
+
+// diskSim serves key from the disk result cache when the entry can
+// satisfy need: never NeedMachine, and NeedExact only from entries that
+// persisted the exact tracker. A hit is cached in memory and journaled;
+// nil means a miss.
+func (e *Engine) diskSim(key SimKey, canon string, need Need) *Artifact {
+	if need&NeedMachine != 0 || !e.diskAvailable() {
+		return nil
+	}
+	res, exact, ok := e.disk.loadResult(key)
+	if !ok {
+		return nil
+	}
+	a := NewResultArtifact(res, exact)
+	if !a.satisfies(need) {
+		return nil
+	}
+	e.mu.Lock()
+	e.mem.putSim(canon, a, key.Insts)
+	e.mu.Unlock()
+	e.cSimDiskHit.Inc()
+	e.journalResult(canon, key.Insts, res)
+	return a
+}
+
+// storeSim caches a freshly computed artifact in memory and on disk
+// (with its exact tracker, if any) and journals its result.
+func (e *Engine) storeSim(key SimKey, canon string, a *Artifact) {
+	e.cInsts.Add(a.Res.Insts)
+	e.mu.Lock()
+	e.mem.putSim(canon, a, key.Insts)
+	e.mu.Unlock()
+	if e.diskAvailable() {
+		e.disk.storeResult(key, a.Res, a.Exact())
+	}
+	e.journalResult(canon, key.Insts, a.Res)
 }
 
 // doOnce collapses concurrent executions of one key into a single call;

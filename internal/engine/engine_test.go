@@ -3,13 +3,16 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"clustersim/internal/listsched"
 	"clustersim/internal/machine"
+	"clustersim/internal/predictor"
 	"clustersim/internal/steer"
 	"clustersim/internal/trace"
 	"clustersim/internal/workload"
@@ -486,5 +489,70 @@ func TestKeyCanonicalForms(t *testing.T) {
 	}
 	if h := hashKey(sk.String()); len(h) != 32 {
 		t.Errorf("hashKey length = %d, want 32 hex chars", len(h))
+	}
+	// The ablation and replication dimensions appear only when set, so
+	// every key that predates them keeps its canonical form and hash.
+	sk.Variant = "thr=0.15"
+	if got := sk.String(); got != want+"|variant=thr=0.15" {
+		t.Errorf("SimKey with variant = %q", got)
+	}
+	sched := SchedKey{Harvest: testSimKey(7), Config: listsched.Config{Clusters: 8, Width: 1, Int: 1, FP: 1, Mem: 1, Fwd: 2}, Pri: "oracle"}
+	plain := "v1|sim|bench=gzip|insts=300|seed=7|fwd=2|epoch=1024|clusters=1|stack=depbased|exact=false" +
+		"|sched=v1|sc=8|sw=1|si=1|sf=1|sm=1|sfwd=2|pri=oracle"
+	if got := sched.String(); got != plain {
+		t.Errorf("SchedKey = %q, want %q", got, plain)
+	}
+	sched.Replicate = true
+	if got := sched.String(); got != plain+"|repl=true" {
+		t.Errorf("replicated SchedKey = %q", got)
+	}
+}
+
+// TestDiskExactRoundTrip: a TrackExact key's disk entry persists the
+// exact tracker, so a fresh engine on the same dir serves NeedExact
+// without simulating, with identical per-PC counts.
+func TestDiskExactRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	key := testSimKey(1)
+	key.TrackExact = true
+	exact := predictor.NewExact()
+	for i := 0; i < 90; i++ {
+		exact.Train(uint64(i%11)*4, i%4 == 0)
+	}
+	e1 := New(Config{CacheDir: dir})
+	if _, err := e1.Sim(key, NeedExact, func() (*Artifact, error) {
+		return NewResultArtifact(machine.Result{ConfigName: "1x8w", Insts: 90, Cycles: 120}, exact), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e2 := New(Config{CacheDir: dir})
+	a, err := e2.Sim(key, NeedExact, func() (*Artifact, error) {
+		t.Error("run must not be called: the disk entry carries the exact tracker")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := a.Exact().Counts(), exact.Counts(); !reflect.DeepEqual(got, want) {
+		t.Errorf("disk exact counts = %+v, want %+v", got, want)
+	}
+	if s := e2.Summary(); s.SimDiskHits != 1 || s.SimMisses != 0 {
+		t.Errorf("disk-hits/misses = %d/%d, want 1/0", s.SimDiskHits, s.SimMisses)
+	}
+
+	// An exact key's entry written without counts (by an older binary)
+	// serves NeedResult but not NeedExact: that request re-simulates.
+	old := testSimKey(2)
+	old.TrackExact = true
+	e2.disk.storeResult(old, machine.Result{Insts: 90}, nil)
+	var runs atomic.Int64
+	if _, err := e2.Sim(old, NeedExact, func() (*Artifact, error) {
+		runs.Add(1)
+		return NewResultArtifact(machine.Result{Insts: 90}, exact), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 1 {
+		t.Errorf("NeedExact on a count-less entry ran %d times, want 1", runs.Load())
 	}
 }

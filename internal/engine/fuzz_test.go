@@ -7,12 +7,13 @@ import (
 
 	"clustersim/internal/machine"
 	"clustersim/internal/metrics"
+	"clustersim/internal/predictor"
 	"clustersim/internal/workload"
 )
 
 // The fuzz targets drive the four disk-cache decode paths (trace,
-// result, analysis, sched) plus the shared frame reader with arbitrary
-// bytes. The contract under fuzz is the cache's corruption promise: a
+// result with and without exact counts, analysis, sched) plus the
+// shared frame reader with arbitrary bytes. The contract under fuzz is the cache's corruption promise: a
 // loader may miss (and quarantine), but it must never panic and never
 // return ok for bytes that aren't a well-formed entry of its key. Seeds
 // are real encoded entries produced by the same writers that populate a
@@ -31,7 +32,7 @@ func seedEntries(tb testing.TB) (traceBytes, resultBytes, anaBytes, schedBytes [
 		tb.Fatal(err)
 	}
 	d.storeTrace(testTraceKey(1), tr)
-	d.storeResult(testSimKey(1), machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400})
+	d.storeResult(testSimKey(1), machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400}, nil)
 	d.storeAnalysis(analysisCanon(testSimKey(1)), &CritSummary{})
 	d.storeSched("sched-key", &SchedSummary{Insts: 300, Makespan: 99})
 	read := func(path string) []byte {
@@ -96,14 +97,49 @@ func FuzzLoadTrace(f *testing.F) {
 	})
 }
 
+// exactSimKey is testSimKey(1) with exact tracking: its result entries
+// carry the tracker's counts.
+func exactSimKey() SimKey {
+	k := testSimKey(1)
+	k.TrackExact = true
+	return k
+}
+
+// seedExactResult builds a genuine result entry carrying exact counts.
+func seedExactResult(tb testing.TB) []byte {
+	tb.Helper()
+	d, err := newDiskCache(tb.TempDir(), metrics.NewRegistry(), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	exact := predictor.NewExact()
+	for i := 0; i < 64; i++ {
+		exact.Train(uint64(i%7)*4, i%3 == 0)
+	}
+	key := exactSimKey()
+	d.storeResult(key, machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400}, exact)
+	data, err := os.ReadFile(d.resultPath(key.String()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// FuzzLoadResult loads each input under a plain and an exact-tracking
+// key, so seeds of either kind drive the whole envelope decode.
 func FuzzLoadResult(f *testing.F) {
 	_, resultBytes, _, _ := seedEntries(f)
 	addSeedVariants(f, resultBytes)
+	addSeedVariants(f, seedExactResult(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		key := testSimKey(1)
-		d := fuzzCache(t, data, func(d *diskCache) string { return d.resultPath(key.String()) })
-		if res, ok := d.loadResult(key); ok {
-			// An accepted entry must really carry the canonical key.
+		for _, key := range []SimKey{testSimKey(1), exactSimKey()} {
+			d := fuzzCache(t, data, func(d *diskCache) string { return d.resultPath(key.String()) })
+			res, exact, ok := d.loadResult(key)
+			if !ok {
+				continue
+			}
+			// An accepted entry must really carry the canonical key, and
+			// its exact counts iff it returned a tracker.
 			payload, err := decodeFrame(data, maxJSONPayload)
 			if err != nil {
 				t.Fatal("loadResult accepted a corrupt frame")
@@ -111,6 +147,9 @@ func FuzzLoadResult(f *testing.F) {
 			var env resultEnvelope
 			if json.Unmarshal(payload, &env) != nil || env.Key != key.String() {
 				t.Fatalf("loadResult accepted a foreign envelope: %+v", res)
+			}
+			if (env.Exact != nil) != (exact != nil) {
+				t.Fatalf("loadResult exact tracker %v for envelope counts %v", exact != nil, env.Exact != nil)
 			}
 		}
 	})

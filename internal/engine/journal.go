@@ -88,6 +88,8 @@ func (e *Engine) OpenJournal(path string, resume bool) (int, error) {
 }
 
 // CloseJournal syncs and closes the journal (a no-op when none is open).
+// A failed sync is reported even when the close succeeds: the records
+// it covered may not be durable.
 func (e *Engine) CloseJournal() error {
 	j := e.journal
 	if j == nil {
@@ -96,8 +98,8 @@ func (e *Engine) CloseJournal() error {
 	e.journal = nil
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.f.Sync()
-	return j.f.Close()
+	syncErr := j.f.Sync()
+	return errors.Join(syncErr, j.f.Close())
 }
 
 // JournalPath returns the open journal's path ("" when none).

@@ -178,3 +178,25 @@ func TestJournalDoubleOpenRejected(t *testing.T) {
 		t.Fatal("second OpenJournal succeeded")
 	}
 }
+
+// TestCloseJournalReportsSyncFailure: a journal whose final fsync fails
+// must say so even though its close succeeds. The journal is pointed at
+// a pipe, which closes cleanly but cannot be fsynced.
+func TestCloseJournalReportsSyncFailure(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := w.Sync(); err == nil {
+		t.Skip("this platform can fsync a pipe")
+	}
+	e := New(Config{})
+	e.journal = &journal{path: "pipe", f: w}
+	if err := e.CloseJournal(); err == nil {
+		t.Fatal("CloseJournal hid the failed sync")
+	}
+	if e.JournalPath() != "" {
+		t.Error("journal still attached after close")
+	}
+}

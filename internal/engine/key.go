@@ -44,12 +44,23 @@ type SimKey struct {
 	// Need) so a cached artifact always carries exactly the
 	// instrumentation its key promises.
 	TrackExact bool
+	// Variant names a perturbation of Stack (an ablation sweep point) in
+	// its canonical form; empty means the stack as is. Submitters
+	// canonicalize before keying, so a perturbation that reproduces the
+	// stack exactly keys as the stack itself.
+	Variant string
 }
 
-// String returns the canonical form used for dedup and hashing.
+// String returns the canonical form used for dedup and hashing. An
+// empty Variant is left out, so unperturbed keys (and their disk
+// hashes) read exactly as they did before the field existed.
 func (k SimKey) String() string {
-	return fmt.Sprintf("v%d|sim|bench=%s|insts=%d|seed=%d|fwd=%d|epoch=%d|clusters=%d|stack=%s|exact=%t",
+	s := fmt.Sprintf("v%d|sim|bench=%s|insts=%d|seed=%d|fwd=%d|epoch=%d|clusters=%d|stack=%s|exact=%t",
 		schemaVersion, k.Bench, k.Insts, k.Seed, k.Fwd, k.EpochLen, k.Clusters, k.Stack, k.TrackExact)
+	if k.Variant != "" {
+		s += "|variant=" + k.Variant
+	}
+	return s
 }
 
 // hashKey content-addresses a canonical key string for on-disk file
@@ -72,7 +83,8 @@ const (
 	// analysis, slack computation, list-scheduler harvesting).
 	NeedMachine
 	// NeedExact asks for the unlimited-precision criticality tracker;
-	// only meaningful with SimKey.TrackExact set.
+	// only meaningful with SimKey.TrackExact set. Disk result entries of
+	// TrackExact keys persist the tracker's counts, so they satisfy it.
 	NeedExact
 )
 

@@ -16,13 +16,16 @@ import (
 const schedVersion = 1
 
 // SchedSummary is the cacheable outcome of one idealized list-scheduling
-// variant. Drivers consume makespans and cross-edge counts, never
-// per-instruction placements, so only the scalars are cached.
+// variant. Drivers consume makespans, cross-edge and replica counts,
+// never per-instruction placements, so only the scalars are cached.
 type SchedSummary struct {
 	Insts       int
 	Makespan    int64
 	CrossEdges  int64
 	DyadicCross int64
+	// Replicas counts the producer copies a replicated schedule
+	// (SchedKey.Replicate) placed; always zero otherwise.
+	Replicas int64 `json:",omitempty"`
 }
 
 // SchedKey identifies one idealized schedule: the harvest run whose
@@ -37,13 +40,22 @@ type SchedKey struct {
 	Harvest SimKey
 	Config  listsched.Config
 	Pri     string
+	// Replicate selects the replicating list scheduler
+	// (listsched.RunReplicated) instead of the plain one.
+	Replicate bool
 }
 
-// String returns the canonical form used for dedup and hashing.
+// String returns the canonical form used for dedup and hashing. Like
+// SimKey.Variant, Replicate appears only when set, so plain schedule
+// keys keep their canonical form.
 func (k SchedKey) String() string {
-	return fmt.Sprintf("%s|sched=v%d|sc=%d|sw=%d|si=%d|sf=%d|sm=%d|sfwd=%d|pri=%s",
+	s := fmt.Sprintf("%s|sched=v%d|sc=%d|sw=%d|si=%d|sf=%d|sm=%d|sfwd=%d|pri=%s",
 		k.Harvest.String(), schedVersion, k.Config.Clusters, k.Config.Width,
 		k.Config.Int, k.Config.FP, k.Config.Mem, k.Config.Fwd, k.Pri)
+	if k.Replicate {
+		s += "|repl=true"
+	}
+	return s
 }
 
 // Schedules returns the schedule summaries for keys, positionally

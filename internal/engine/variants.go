@@ -7,15 +7,14 @@ import (
 )
 
 // SimVariants returns the simulation artifacts for keys, positionally
-// aligned. Hits are served from memory (or, for pure-result requests,
-// from the on-disk result summaries) under exactly the same rules as
-// Sim; compute receives the indices of the remaining misses (in key
-// order) and must return their artifacts in that order — typically one
-// fused machine.SimulateVariants call over the batch's shared trace,
-// which is why the misses are batched instead of resolved one key at a
-// time: the fused run decodes the trace, builds the producer index, and
-// trains the shared front-end exactly once for every geometry in the
-// sweep.
+// aligned. Hits are served from memory or from the on-disk result
+// entries under exactly the same rules as Sim; compute receives the
+// indices of the remaining misses (in key order) and must return their
+// artifacts in that order — typically one fused machine.SimulateVariants
+// call over the batch's shared trace, which is why the misses are
+// batched instead of resolved one key at a time: the fused run decodes
+// the trace, builds the producer index, and trains the shared front-end
+// exactly once for every variant in the sweep.
 //
 // Each returned artifact is cached and journaled under its own SimKey,
 // so later solo Sim submissions of any variant hit without recomputing,
@@ -55,19 +54,9 @@ func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, need Need, c
 		}
 		e.mu.Unlock()
 
-		// A result summary from disk can satisfy pure-result requests
-		// without simulating.
-		if need&^NeedResult == 0 && e.diskAvailable() {
-			if res, ok := e.disk.loadResult(key); ok {
-				a := resultArtifact(res)
-				e.mu.Lock()
-				e.mem.putSim(canon, a, key.Insts)
-				e.mu.Unlock()
-				e.cSimDiskHit.Inc()
-				e.journalResult(canon, key.Insts, res)
-				out[i] = a
-				continue
-			}
+		if a := e.diskSim(key, canon, need); a != nil {
+			out[i] = a
+			continue
 		}
 		miss = append(miss, i)
 	}
@@ -93,16 +82,7 @@ func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, need Need, c
 		if a == nil || !a.satisfies(need) {
 			return nil, fmt.Errorf("engine: variant compute artifact %d cannot serve %s", j, need)
 		}
-		key := keys[i]
-		canon := key.String()
-		e.cInsts.Add(a.Res.Insts)
-		e.mu.Lock()
-		e.mem.putSim(canon, a, key.Insts)
-		e.mu.Unlock()
-		if e.diskAvailable() {
-			e.disk.storeResult(key, a.Res)
-		}
-		e.journalResult(canon, key.Insts, a.Res)
+		e.storeSim(keys[i], keys[i].String(), a)
 		out[i] = a
 	}
 	return out, nil

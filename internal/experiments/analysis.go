@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/critpath"
-	"clustersim/internal/machine"
-	"clustersim/internal/predictor"
 	"clustersim/internal/stats"
-	"clustersim/internal/steer"
-	"clustersim/internal/xrand"
 )
 
 // SlackStudyResult quantifies Section 4's argument for LoC over slack:
@@ -64,53 +59,20 @@ type DetectorCompareResult struct {
 	TokenPenaltyDelta float64
 }
 
-// DetectorCompare runs both detectors.
+// DetectorCompare runs both detectors. The graph column is the
+// stall-over-steer stack itself, so it shares Figure 14's 8x1w "s" runs.
 func DetectorCompare(opts Options) (*DetectorCompareResult, error) {
 	opts = opts.withDefaults()
-	t := &stats.Table{Title: "Criticality detectors: epoch-graph vs token-passing (8x1w, stall-over-steer)",
-		Columns: []string{"graph", "token"}}
-	rows, err := parBench(opts, func(bench string) ([2]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		graph, err := runStack(opts, bench, tr, 8, StackStall, false)
-		if err != nil {
-			return [2]float64{}, err
-		}
-
-		// Token-detector-driven machine.
-		cfg := machine.NewConfig(8)
-		cfg.FwdLatency = opts.Fwd
-		cfg.SchedMode = machine.SchedLoC
-		binary := predictor.NewDefaultBinary()
-		loc := predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "tok-loc")))
-		det := critpath.NewTokenDetector(binary, loc, xrand.New(seedFor(opts.Seed, bench, "tok")))
-		m, err := machine.New(cfg, tr, &steer.StallOverSteer{}, machine.Hooks{
-			Binary: binary, LoC: loc, OnCommitInst: det.OnCommit,
-		})
-		if err != nil {
-			return [2]float64{}, err
-		}
-		det.Bind(m)
-		tokRes := m.Run()
-		return [2]float64{graph.res.CPI() / base.res.CPI(),
-			tokRes.CPI() / base.res.CPI()}, nil
+	rows, err := ablationSweep(opts, StackStall, []Ablation{
+		{},
+		{Detector: DetectorToken, LoCSeed: "tok-loc"},
 	})
 	if err != nil {
 		return nil, err
 	}
-	var deltas []float64
-	for i, bench := range opts.Benchmarks {
-		t.AddRow(bench, rows[i][0], rows[i][1])
-		deltas = append(deltas, rows[i][1]-rows[i][0])
-	}
-	t.AddRow("AVE", t.ColumnMeans()...)
-	return &DetectorCompareResult{Table: t, TokenPenaltyDelta: stats.Mean(deltas)}, nil
+	t, delta := pairTable("Criticality detectors: epoch-graph vs token-passing (8x1w, stall-over-steer)",
+		[]string{"graph", "token"}, opts, rows)
+	return &DetectorCompareResult{Table: t, TokenPenaltyDelta: delta}, nil
 }
 
 // Render writes the comparison.
@@ -133,36 +95,11 @@ type WindowSweepResult struct {
 func WindowSweep(opts Options) (*WindowSweepResult, error) {
 	opts = opts.withDefaults()
 	r := &WindowSweepResult{Windows: []int{8, 16, 32}}
-	rows, err := parBench(opts, func(bench string) ([]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(r.Windows))
-		for i, win := range r.Windows {
-			cfg := machine.NewConfig(8)
-			cfg.FwdLatency = opts.Fwd
-			cfg.SchedMode = machine.SchedLoC
-			cfg.WindowPerCluster = win
-			binary := predictor.NewDefaultBinary()
-			loc := predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "win-loc")))
-			det := critpath.NewDetector(binary, loc)
-			m, err := machine.New(cfg, tr, &steer.StallOverSteer{}, machine.Hooks{
-				Binary: binary, LoC: loc, OnEpoch: det.OnEpoch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			det.Bind(m)
-			res := m.Run()
-			vals[i] = res.CPI() / base.res.CPI()
-		}
-		return vals, nil
-	})
+	abs := make([]Ablation, len(r.Windows))
+	for i, win := range r.Windows {
+		abs[i] = Ablation{Window: win, LoCSeed: "win-loc"}
+	}
+	rows, err := ablationSweep(opts, StackStall, abs)
 	if err != nil {
 		return nil, err
 	}
@@ -204,36 +141,11 @@ type BandwidthSweepResult struct {
 func BandwidthSweep(opts Options) (*BandwidthSweepResult, error) {
 	opts = opts.withDefaults()
 	r := &BandwidthSweepResult{Limits: []int{0, 2, 1}}
-	rows, err := parBench(opts, func(bench string) ([]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(r.Limits))
-		for i, lim := range r.Limits {
-			cfg := machine.NewConfig(8)
-			cfg.FwdLatency = opts.Fwd
-			cfg.SchedMode = machine.SchedLoC
-			cfg.BypassPerCluster = lim
-			binary := predictor.NewDefaultBinary()
-			loc := predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "bw-loc")))
-			det := critpath.NewDetector(binary, loc)
-			m, err := machine.New(cfg, tr, &steer.StallOverSteer{}, machine.Hooks{
-				Binary: binary, LoC: loc, OnEpoch: det.OnEpoch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			det.Bind(m)
-			res := m.Run()
-			vals[i] = res.CPI() / base.res.CPI()
-		}
-		return vals, nil
-	})
+	abs := make([]Ablation, len(r.Limits))
+	for i, lim := range r.Limits {
+		abs[i] = Ablation{BypassLimit: lim, LoCSeed: "bw-loc"}
+	}
+	rows, err := ablationSweep(opts, StackStall, abs)
 	if err != nil {
 		return nil, err
 	}

@@ -19,9 +19,9 @@ import (
 // test runner never overlaps a sequential test with any other test in
 // the package.
 
-// chaosOpts is a fig2+Figure-4 sized mini-sweep: small enough to run
-// three times under fault injection, large enough to hit every artifact
-// kind (traces, sims, analyses, schedules) across parallel workers.
+// chaosOpts sizes the mini-sweep: small enough to run three times under
+// fault injection, large enough to hit every artifact kind (traces,
+// sims, analyses, schedules) across parallel workers.
 func chaosOpts(eng *engine.Engine) Options {
 	return Options{
 		Insts:      6_000,
@@ -30,21 +30,38 @@ func chaosOpts(eng *engine.Engine) Options {
 	}
 }
 
-// renderChaosSweep runs the mini-sweep (Figure 2 list-scheduling limits
-// + Figure 4 clustering stacks) on eng and returns the rendered bytes.
+// chaosDrivers is the mini-sweep: Figure 2's list-scheduling limits,
+// Figure 4's clustering stacks, and the engine-routed ablation sweeps,
+// whose ablation-variant sims, replicated schedules and exact-tracker
+// result entries must survive torn cache writes like every other entry.
+var chaosDrivers = []struct {
+	name string
+	run  func(Options) (renderer, error)
+}{
+	{"figure2", func(o Options) (renderer, error) { return Figure2(o) }},
+	{"figure4", func(o Options) (renderer, error) { return Figure4(o) }},
+	{"stall-sweep", func(o Options) (renderer, error) { return StallSweep(o) }},
+	{"window-sweep", func(o Options) (renderer, error) { return WindowSweep(o) }},
+	{"bandwidth-sweep", func(o Options) (renderer, error) { return BandwidthSweep(o) }},
+	{"predictor-sweep", func(o Options) (renderer, error) { return PredictorSweep(o) }},
+	{"group-steer", func(o Options) (renderer, error) { return GroupSteer(o) }},
+	{"detector-compare", func(o Options) (renderer, error) { return DetectorCompare(o) }},
+	{"replication", func(o Options) (renderer, error) { return Replication(o) }},
+	{"consumers", func(o Options) (renderer, error) { return Consumers(o) }},
+}
+
+// renderChaosSweep runs the mini-sweep on eng and returns the rendered
+// bytes.
 func renderChaosSweep(t *testing.T, eng *engine.Engine) string {
 	t.Helper()
 	var buf bytes.Buffer
-	f2, err := Figure2(chaosOpts(eng))
-	if err != nil {
-		t.Fatalf("figure2: %v", err)
+	for _, d := range chaosDrivers {
+		r, err := d.run(chaosOpts(eng))
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		r.Render(&buf)
 	}
-	f2.Render(&buf)
-	f4, err := Figure4(chaosOpts(eng))
-	if err != nil {
-		t.Fatalf("figure4: %v", err)
-	}
-	f4.Render(&buf)
 	return buf.String()
 }
 
@@ -176,7 +193,7 @@ func TestChaosVariantBatch(t *testing.T) {
 		opts := chaosOpts(eng)
 		var ipcs []float64
 		for _, bench := range opts.Benchmarks {
-			arts, err := simVariants(opts, bench, grid, StackFocused, false, engine.NeedResult)
+			arts, err := simVariants(opts, bench, stackVariants(StackFocused, grid...), false, engine.NeedResult)
 			if err != nil {
 				t.Fatalf("simVariants %s: %v", bench, err)
 			}

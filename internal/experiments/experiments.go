@@ -20,6 +20,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"clustersim/internal/critpath"
@@ -121,13 +122,6 @@ const (
 // Stacks returns the Figure 14 progression in order.
 func Stacks() []Stack { return []Stack{StackFocused, StackLoC, StackStall, StackProactive} }
 
-// runOut bundles one simulation's artifacts.
-type runOut struct {
-	m     *machine.Machine
-	res   machine.Result
-	exact *predictor.Exact
-}
-
 // seedFor derives a per-(benchmark, use) deterministic seed.
 func seedFor(base uint64, bench string, use string) uint64 {
 	h := base
@@ -206,81 +200,96 @@ func analysis(opts Options, bench string, clusters int, stack Stack) (engine.Cri
 	})
 }
 
-// runStack is the compatibility wrapper for drivers that still want the
-// raw (machine, result, exact) triple: it routes through the engine so
-// the run is cached and deduplicated, requesting the live machine (and
-// the exact tracker when trackExact).
-func runStack(opts Options, bench string, _ *trace.Trace, clusters int, stack Stack, trackExact bool) (runOut, error) {
-	need := engine.NeedResult | engine.NeedMachine
-	if trackExact {
-		need |= engine.NeedExact
-	}
-	a, err := sim(opts, bench, clusters, stack, trackExact, need)
-	if err != nil {
-		return runOut{}, err
-	}
-	return runOut{m: a.Machine(), res: a.Res, exact: a.Exact()}, nil
-}
-
 // stackSetup is the fully-built machine recipe for one (benchmark,
-// clusters, stack) job: everything in it is determined by (opts, bench,
-// clusters, stack, trackExact) — the purity contract the engine's
-// caching relies on.
+// clusters, stack, ablation) job: everything in it is determined by
+// (opts, bench, clusters, stack, ablation, trackExact) — the purity
+// contract the engine's caching relies on.
 type stackSetup struct {
 	cfg   machine.Config
 	pol   machine.SteerPolicy
 	hooks machine.Hooks
-	det   *critpath.Detector // nil for StackDepBased
-	exact *predictor.Exact   // nil unless trackExact (and never for depbased)
+	bind  func(*machine.Machine) // binds the detector; nil for StackDepBased
+	exact *predictor.Exact       // nil unless trackExact (and never for depbased)
 }
 
 // buildStack constructs the machine configuration, policy, hooks and
 // (for criticality stacks) the online detector for one job, without
 // running anything. simulate and simVariants share it so the solo and
-// fused submission paths build byte-identical machines.
-func buildStack(opts Options, bench string, clusters int, stack Stack, trackExact bool) (stackSetup, error) {
+// fused submission paths build byte-identical machines. ab perturbs the
+// stack; an axis the stack has no use for is an error, not a no-op, so
+// no two keys can name one machine.
+func buildStack(opts Options, bench string, clusters int, stack Stack, ab Ablation, trackExact bool) (stackSetup, error) {
 	cfg := machine.NewConfig(clusters)
 	cfg.FwdLatency = opts.Fwd
+	hooks := machine.Hooks{EpochLen: opts.EpochLen}
 
 	if stack == StackDepBased {
-		return stackSetup{cfg: cfg, pol: steer.DepBased{},
-			hooks: machine.Hooks{EpochLen: opts.EpochLen}}, nil
+		if ab != (Ablation{}) {
+			return stackSetup{}, fmt.Errorf("experiments: ablation %q on the %s stack", ab, stack)
+		}
+		return stackSetup{cfg: cfg, pol: steer.DepBased{}, hooks: hooks}, nil
+	}
+	if err := ab.check(stack, trackExact); err != nil {
+		return stackSetup{}, err
+	}
+	if ab.Window != 0 {
+		cfg.WindowPerCluster = ab.Window
+	}
+	cfg.BypassPerCluster = ab.BypassLimit
+	cfg.GroupSteering = ab.GroupSteer
+	bits := uint(predictor.DefaultBits)
+	if ab.PredictorBits != 0 {
+		bits = ab.PredictorBits
 	}
 
 	var pol machine.SteerPolicy
-	hooks := machine.Hooks{EpochLen: opts.EpochLen}
 	switch stack {
 	case StackFocused:
 		cfg.SchedMode = machine.SchedBinaryCritical
 		pol = steer.Focused{}
-		hooks.Binary = predictor.NewDefaultBinary()
 	case StackLoC:
 		cfg.SchedMode = machine.SchedLoC
 		pol = steer.LoC{}
 	case StackStall:
 		cfg.SchedMode = machine.SchedLoC
-		pol = &steer.StallOverSteer{}
+		pol = &steer.StallOverSteer{Threshold: ab.StallThreshold}
 	case StackProactive:
 		cfg.SchedMode = machine.SchedLoC
 		pol = steer.NewProactive()
+		if ab.ReadyBalance {
+			pol = steer.NewReadyBalance()
+		}
 	default:
 		return stackSetup{}, fmt.Errorf("experiments: unknown stack %q", stack)
 	}
+	// The binary predictor stays attached on every stack so Figure 6's
+	// predicted-critical attribution is meaningful everywhere.
+	hooks.Binary = predictor.NewBinary(bits)
 	if stack != StackFocused {
-		hooks.LoC = predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "loc")))
-		// The binary predictor stays attached so Figure 6's
-		// predicted-critical attribution is meaningful on every stack.
-		hooks.Binary = predictor.NewDefaultBinary()
+		locSeed := "loc"
+		if ab.LoCSeed != "" {
+			locSeed = ab.LoCSeed
+		}
+		hooks.LoC = predictor.NewLoC(bits, xrand.New(seedFor(opts.Seed, bench, locSeed)))
 	}
 
-	det := critpath.NewDetector(hooks.Binary, hooks.LoC)
-	var exact *predictor.Exact
-	if trackExact {
-		exact = predictor.NewExact()
-		det.TrackExact(exact)
+	su := stackSetup{cfg: cfg, pol: pol}
+	switch ab.Detector {
+	case DetectorGraph:
+		det := critpath.NewDetector(hooks.Binary, hooks.LoC)
+		if trackExact {
+			su.exact = predictor.NewExact()
+			det.TrackExact(su.exact)
+		}
+		hooks.OnEpoch = det.OnEpoch
+		su.bind = det.Bind
+	case DetectorToken:
+		det := critpath.NewTokenDetector(hooks.Binary, hooks.LoC, xrand.New(seedFor(opts.Seed, bench, "tok")))
+		hooks.OnCommitInst = det.OnCommit
+		su.bind = det.Bind
 	}
-	hooks.OnEpoch = det.OnEpoch
-	return stackSetup{cfg: cfg, pol: pol, hooks: hooks, det: det, exact: exact}, nil
+	su.hooks = hooks
+	return su, nil
 }
 
 // artifactFor wraps one finished run, recycling the machine into the
@@ -302,7 +311,7 @@ func artifactFor(m *machine.Machine, res machine.Result, exact *predictor.Exact,
 // per-instruction events let the run return a result-only artifact and
 // recycle the machine (with its megabytes of event log) into the pool.
 func simulate(opts Options, bench string, tr *trace.Trace, clusters int, stack Stack, trackExact, keepMachine bool) (*engine.Artifact, error) {
-	su, err := buildStack(opts, bench, clusters, stack, trackExact)
+	su, err := buildStack(opts, bench, clusters, stack, Ablation{}, trackExact)
 	if err != nil {
 		return nil, err
 	}
@@ -310,23 +319,45 @@ func simulate(opts Options, bench string, tr *trace.Trace, clusters int, stack S
 	if err != nil {
 		return nil, err
 	}
-	if su.det != nil {
-		su.det.Bind(m)
+	if su.bind != nil {
+		su.bind(m)
 	}
 	res := m.Run()
 	return artifactFor(m, res, su.exact, keepMachine), nil
 }
 
-// simVariants submits every cluster geometry of one (benchmark, stack)
-// sweep as a single batch: cached geometries are served individually
-// under their usual SimKeys, and whatever remains is computed by one
-// fused machine.SimulateVariants call that decodes the trace, builds the
+// simVariant is one simulation of a benchmark's sweep: a cluster count,
+// a policy stack and its ablation.
+type simVariant struct {
+	clusters int
+	stack    Stack
+	ab       Ablation
+}
+
+// stackVariants is the cluster sweep of one unperturbed stack.
+func stackVariants(stack Stack, clusters ...int) []simVariant {
+	vs := make([]simVariant, len(clusters))
+	for i, k := range clusters {
+		vs[i] = simVariant{clusters: k, stack: stack}
+	}
+	return vs
+}
+
+// simVariants submits every variant of one benchmark's sweep as a single
+// batch: cached variants are served individually under their usual
+// SimKeys, and whatever remains is computed by one fused
+// machine.SimulateVariants call that decodes the trace, builds the
 // producer index and trains the shared front-end once for the whole
-// sweep. The returned artifacts align with clustersList.
-func simVariants(opts Options, bench string, clustersList []int, stack Stack, trackExact bool, need engine.Need) ([]*engine.Artifact, error) {
-	keys := make([]engine.SimKey, len(clustersList))
-	for i, k := range clustersList {
-		keys[i] = simKey(opts, bench, k, stack, trackExact)
+// sweep. The returned artifacts align with vs.
+func simVariants(opts Options, bench string, vs []simVariant, trackExact bool, need engine.Need) ([]*engine.Artifact, error) {
+	// Canonical ablations only: a perturbation that reproduces its stack
+	// builds, and keys, as the stack itself.
+	vs = slices.Clone(vs)
+	keys := make([]engine.SimKey, len(vs))
+	for i := range vs {
+		vs[i].ab = vs[i].ab.canonical(vs[i].clusters)
+		keys[i] = simKey(opts, bench, vs[i].clusters, vs[i].stack, trackExact)
+		keys[i].Variant = vs[i].ab.String()
 	}
 	return opts.engine().SimVariantsCtx(opts.Ctx, keys, need, func(miss []int) ([]*engine.Artifact, error) {
 		tr, err := genTrace(opts, bench)
@@ -336,17 +367,13 @@ func simVariants(opts Options, bench string, clustersList []int, stack Stack, tr
 		variants := make([]machine.Variant, len(miss))
 		setups := make([]stackSetup, len(miss))
 		for j, i := range miss {
-			su, err := buildStack(opts, bench, clustersList[i], stack, trackExact)
+			v := vs[i]
+			su, err := buildStack(opts, bench, v.clusters, v.stack, v.ab, trackExact)
 			if err != nil {
 				return nil, err
 			}
 			setups[j] = su
-			v := machine.Variant{Config: su.cfg, Pol: su.pol, Hooks: su.hooks}
-			if su.det != nil {
-				det := su.det
-				v.Setup = func(m *machine.Machine) { det.Bind(m) }
-			}
-			variants[j] = v
+			variants[j] = machine.Variant{Config: su.cfg, Pol: su.pol, Hooks: su.hooks, Setup: su.bind}
 		}
 		// Fan the per-variant replays out over the engine's per-job
 		// worker share (results are order-stitched and byte-identical

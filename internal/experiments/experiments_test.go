@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"clustersim/internal/engine"
 )
 
 // Small but non-trivial scale: big enough for the predictors to train and
@@ -327,7 +329,7 @@ func TestUnknownBenchmarkPropagates(t *testing.T) {
 	if _, err := Figure4(opts); err == nil {
 		t.Error("Figure4 accepted unknown benchmark")
 	}
-	if _, err := runStack(opts.withDefaults(), "vpr", nil, 4, Stack("bogus"), false); err == nil {
-		t.Error("runStack accepted unknown stack")
+	if _, err := sim(opts.withDefaults(), "vpr", 4, Stack("bogus"), false, engine.NeedResult); err == nil {
+		t.Error("sim accepted unknown stack")
 	}
 }

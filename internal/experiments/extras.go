@@ -36,10 +36,10 @@ func LoCOracle(opts Options) (*LoCOracleResult, error) {
 		// monolithic machine, via the detector's exact tracker; all 13
 		// variants (mono baseline + 3 cluster counts × 4 priorities) go
 		// through the schedule cache as one fused batch.
-		specs := []schedSpec{{1, opts.Fwd, PriOracle}}
+		specs := []schedSpec{{clusters: 1, fwd: opts.Fwd, pri: PriOracle}}
 		for _, k := range clusterCounts {
 			for _, name := range names {
-				specs = append(specs, schedSpec{k, opts.Fwd, name})
+				specs = append(specs, schedSpec{clusters: k, fwd: opts.Fwd, pri: name})
 			}
 		}
 		ss, err := idealSchedules(opts, bench, StackFocused, true, specs)
@@ -113,6 +113,8 @@ func Consumers(opts Options) (*ConsumersResult, error) {
 		if err != nil {
 			return [3]float64{}, err
 		}
+		// Figure 8's run: a warm disk cache serves its persisted exact
+		// tracker without simulating.
 		out, err := sim(opts, bench, 4, StackFocused, true, engine.NeedExact)
 		if err != nil {
 			return [3]float64{}, err
@@ -151,7 +153,7 @@ func AttributeFigure2(opts Options) (*Figure2Attribution, error) {
 		// Same schedule key as Figure 2's 8x1w point, so with a shared
 		// engine this driver neither simulates nor reschedules anything.
 		ss, err := idealSchedules(opts, bench, StackDepBased, false,
-			[]schedSpec{{8, opts.Fwd, PriOracle}})
+			[]schedSpec{{clusters: 8, fwd: opts.Fwd, pri: PriOracle}})
 		if err != nil {
 			return [2]float64{}, err
 		}

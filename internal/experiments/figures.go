@@ -83,15 +83,13 @@ type Figure4Result struct {
 // Figure4 measures the state-of-the-art baseline.
 func Figure4(opts Options) (*Figure4Result, error) {
 	opts = opts.withDefaults()
-	t := &stats.Table{Title: "Figure 4: focused steering and scheduling (normalized CPI)",
-		Columns: []string{"2x4w", "4x2w", "8x1w"}}
 	rows, err := parBench(opts, func(bench string) ([]float64, error) {
 		// All four geometries of one benchmark run as a single fused
 		// batch: one trace decode, one producer index, one shared
 		// front-end profile — cached misses only, under the same SimKeys
 		// solo submissions use.
-		arts, err := simVariants(opts, bench, append([]int{1}, clusterCounts...),
-			StackFocused, false, engine.NeedResult)
+		arts, err := simVariants(opts, bench, stackVariants(StackFocused, append([]int{1}, clusterCounts...)...),
+			false, engine.NeedResult)
 		if err != nil {
 			return nil, err
 		}
@@ -105,11 +103,8 @@ func Figure4(opts Options) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, bench := range opts.Benchmarks {
-		t.AddRow(bench, rows[i]...)
-	}
-	t.AddRow("AVE", t.ColumnMeans()...)
-	return &Figure4Result{Table: t}, nil
+	return &Figure4Result{Table: sweepTable("Figure 4: focused steering and scheduling (normalized CPI)",
+		[]string{"2x4w", "4x2w", "8x1w"}, opts, rows)}, nil
 }
 
 // Render writes the result.

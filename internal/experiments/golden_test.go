@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
@@ -119,5 +122,24 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Fatalf("row %d col %d differs between identical runs", i, c)
 			}
 		}
+	}
+}
+
+// TestGoldenFutureWork pins the SHA-256 of the future-work study's
+// rendered output. The digest was generated while the study still built
+// its machines outside the engine, so a match proves the ablation-routed
+// driver renders the same bytes (the registry's sweeps are pinned the
+// same way by the server package's TestSweepGoldens).
+func TestGoldenFutureWork(t *testing.T) {
+	r, err := FutureWork(Options{Insts: 20_000, Benchmarks: []string{"gzip", "vpr", "mcf"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r.Render(&buf)
+	sum := sha256.Sum256(buf.Bytes())
+	const want = "082b815cf771754f86625ebbb168fa5145fd0a02d194dbfb5d8eacb0d0971388"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("future-work sha256 %s, want %s; output:\n%s", got, want, buf.String())
 	}
 }

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/critpath"
-	"clustersim/internal/machine"
-	"clustersim/internal/predictor"
 	"clustersim/internal/stats"
-	"clustersim/internal/steer"
-	"clustersim/internal/xrand"
 )
 
 // GroupSteerResult quantifies Section 8's implementation concern: "even
@@ -33,48 +28,16 @@ type GroupSteerResult struct {
 // stall-over-steer.
 func GroupSteer(opts Options) (*GroupSteerResult, error) {
 	opts = opts.withDefaults()
-	t := &stats.Table{Title: "Section 8: serial vs group (start-of-cycle) steering (8x1w, stall-over-steer)",
-		Columns: []string{"serial", "group"}}
-	rows, err := parBench(opts, func(bench string) ([2]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		var out [2]float64
-		for i, group := range []bool{false, true} {
-			cfg := machine.NewConfig(8)
-			cfg.FwdLatency = opts.Fwd
-			cfg.SchedMode = machine.SchedLoC
-			cfg.GroupSteering = group
-			binary := predictor.NewDefaultBinary()
-			loc := predictor.NewDefaultLoC(xrand.New(seedFor(opts.Seed, bench, "gs-loc")))
-			det := critpath.NewDetector(binary, loc)
-			m, err := machine.New(cfg, tr, &steer.StallOverSteer{}, machine.Hooks{
-				Binary: binary, LoC: loc, OnEpoch: det.OnEpoch,
-			})
-			if err != nil {
-				return [2]float64{}, err
-			}
-			det.Bind(m)
-			res := m.Run()
-			out[i] = res.CPI() / base.res.CPI()
-		}
-		return out, nil
+	rows, err := ablationSweep(opts, StackStall, []Ablation{
+		{LoCSeed: "gs-loc"},
+		{GroupSteer: true, LoCSeed: "gs-loc"},
 	})
 	if err != nil {
 		return nil, err
 	}
-	var deltas []float64
-	for i, bench := range opts.Benchmarks {
-		t.AddRow(bench, rows[i][0], rows[i][1])
-		deltas = append(deltas, rows[i][1]-rows[i][0])
-	}
-	t.AddRow("AVE", t.ColumnMeans()...)
-	return &GroupSteerResult{Table: t, Delta: stats.Mean(deltas)}, nil
+	t, delta := pairTable("Section 8: serial vs group (start-of-cycle) steering (8x1w, stall-over-steer)",
+		[]string{"serial", "group"}, opts, rows)
+	return &GroupSteerResult{Table: t, Delta: delta}, nil
 }
 
 // Render writes the comparison.

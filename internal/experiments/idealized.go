@@ -9,14 +9,16 @@ import (
 )
 
 // schedSpec names one idealized-schedule variant of a harvest run: the
-// clustered resource model, the scheduler's forwarding latency and the
-// priority source by name. The priority is resolved deterministically
+// clustered resource model, the scheduler's forwarding latency, the
+// priority source by name, and whether the scheduler may replicate
+// producers (footnote 4). The priority is resolved deterministically
 // from the harvest artifact (the purity rule engine.SchedKey documents),
 // so a spec fully identifies its schedule.
 type schedSpec struct {
-	clusters int
-	fwd      int
-	pri      string
+	clusters  int
+	fwd       int
+	pri       string
+	replicate bool
 }
 
 // config derives the list-scheduler resource model for the spec.
@@ -48,13 +50,14 @@ func schedPriority(name string, oracle *listsched.Oracle, a *engine.Artifact) (l
 // content-addressed schedule cache. On a warm cache nothing simulates
 // and nothing is rescheduled; on misses the harvest runs once
 // (requesting the exact tracker only when a missing priority needs it)
-// and every missing variant replays through a single pooled fused
-// ScheduleVariants call over the shared dependence structure.
+// and every missing plain variant replays through a single pooled fused
+// ScheduleVariants call over the shared dependence structure; missing
+// replicated variants run the replicating scheduler on the same input.
 func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, specs []schedSpec) ([]engine.SchedSummary, error) {
 	hk := simKey(opts, bench, 1, stack, trackExact)
 	keys := make([]engine.SchedKey, len(specs))
 	for i, sp := range specs {
-		keys[i] = engine.SchedKey{Harvest: hk, Config: sp.config(), Pri: sp.pri}
+		keys[i] = engine.SchedKey{Harvest: hk, Config: sp.config(), Pri: sp.pri, Replicate: sp.replicate}
 	}
 	return opts.engine().SchedulesCtx(opts.Ctx, keys, func(miss []int) ([]engine.SchedSummary, error) {
 		need := engine.NeedMachine
@@ -69,13 +72,36 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		}
 		in := listsched.FromMachineRun(a.Machine())
 		oracle := listsched.NewOracle(in)
-		variants := make([]listsched.Variant, len(miss))
+		summarize := func(s *listsched.Schedule) engine.SchedSummary {
+			return engine.SchedSummary{
+				Insts:       in.Trace.Len(),
+				Makespan:    s.Makespan,
+				CrossEdges:  s.CrossEdges,
+				DyadicCross: s.DyadicCross,
+			}
+		}
+		out := make([]engine.SchedSummary, len(miss))
+		var variants []listsched.Variant
+		var plain []int // out positions of the fused variants
 		for j, i := range miss {
 			pri, err := schedPriority(specs[i].pri, oracle, a)
 			if err != nil {
 				return nil, err
 			}
-			variants[j] = listsched.Variant{Config: keys[i].Config, Pri: pri}
+			if specs[i].replicate {
+				rs, err := listsched.RunReplicated(in, keys[i].Config, pri)
+				if err != nil {
+					return nil, err
+				}
+				out[j] = summarize(&rs.Schedule)
+				out[j].Replicas = int64(len(rs.Replicas))
+				continue
+			}
+			variants = append(variants, listsched.Variant{Config: keys[i].Config, Pri: pri})
+			plain = append(plain, j)
+		}
+		if len(variants) == 0 {
+			return out, nil
 		}
 		sch := listsched.NewScheduler()
 		defer sch.Recycle()
@@ -83,14 +109,8 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		if err != nil {
 			return nil, err
 		}
-		out := make([]engine.SchedSummary, len(miss))
-		for j := range scheds {
-			out[j] = engine.SchedSummary{
-				Insts:       in.Trace.Len(),
-				Makespan:    scheds[j].Makespan,
-				CrossEdges:  scheds[j].CrossEdges,
-				DyadicCross: scheds[j].DyadicCross,
-			}
+		for k, j := range plain {
+			out[j] = summarize(scheds[k])
 		}
 		return out, nil
 	})
@@ -101,9 +121,9 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 // forwarding latency fwd.
 func oracleSweepSpecs(fwd int) []schedSpec {
 	specs := make([]schedSpec, 0, 1+len(clusterCounts))
-	specs = append(specs, schedSpec{1, fwd, PriOracle})
+	specs = append(specs, schedSpec{clusters: 1, fwd: fwd, pri: PriOracle})
 	for _, k := range clusterCounts {
-		specs = append(specs, schedSpec{k, fwd, PriOracle})
+		specs = append(specs, schedSpec{clusters: k, fwd: fwd, pri: PriOracle})
 	}
 	return specs
 }

@@ -3,12 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"clustersim/internal/critpath"
-	"clustersim/internal/machine"
-	"clustersim/internal/predictor"
-	"clustersim/internal/steer"
-	"clustersim/internal/xrand"
 )
 
 // PredictorSweepResult is the predictor-capacity ablation: the paper
@@ -24,35 +18,11 @@ type PredictorSweepResult struct {
 func PredictorSweep(opts Options) (*PredictorSweepResult, error) {
 	opts = opts.withDefaults()
 	r := &PredictorSweepResult{Bits: []uint{6, 10, 16}}
-	rows, err := parBench(opts, func(bench string) ([]float64, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		base, err := runStack(opts, bench, tr, 1, StackLoC, false)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(r.Bits))
-		for i, bits := range r.Bits {
-			cfg := machine.NewConfig(8)
-			cfg.FwdLatency = opts.Fwd
-			cfg.SchedMode = machine.SchedLoC
-			binary := predictor.NewBinary(bits)
-			loc := predictor.NewLoC(bits, xrand.New(seedFor(opts.Seed, bench, "ps-loc")))
-			det := critpath.NewDetector(binary, loc)
-			m, err := machine.New(cfg, tr, &steer.StallOverSteer{}, machine.Hooks{
-				Binary: binary, LoC: loc, OnEpoch: det.OnEpoch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			det.Bind(m)
-			res := m.Run()
-			vals[i] = res.CPI() / base.res.CPI()
-		}
-		return vals, nil
-	})
+	abs := make([]Ablation, len(r.Bits))
+	for i, bits := range r.Bits {
+		abs[i] = Ablation{PredictorBits: bits, LoCSeed: "ps-loc"}
+	}
+	rows, err := ablationSweep(opts, StackStall, abs)
 	if err != nil {
 		return nil, err
 	}

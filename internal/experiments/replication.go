@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/engine"
-	"clustersim/internal/listsched"
 	"clustersim/internal/stats"
 )
 
@@ -41,33 +39,26 @@ func Replication(opts Options) (*ReplicationResult, error) {
 		o.gains = make([]float64, len(clusterCounts))
 		// The monolithic baseline and plain clustered schedules resolve
 		// to the same schedule-cache keys Figure 2 produces, so a shared
-		// engine replays none of them here. Replicated schedules stay on
-		// the direct path: they need per-instruction placements (replica
-		// sets), which the cache deliberately does not retain.
-		a, err := sim(opts, bench, 1, StackDepBased, false, engine.NeedMachine)
+		// engine replays none of them here; the replicated schedules are
+		// cached alongside them under their own keys.
+		specs := oracleSweepSpecs(opts.Fwd)
+		for _, k := range clusterCounts {
+			specs = append(specs, schedSpec{clusters: k, fwd: opts.Fwd, pri: PriOracle, replicate: true})
+		}
+		ss, err := idealSchedules(opts, bench, StackDepBased, false, specs)
 		if err != nil {
 			return o, err
 		}
-		in := listsched.FromMachineRun(a.Machine())
-		pri := listsched.NewOracle(in)
-		ss, err := idealSchedules(opts, bench, StackDepBased, false, oracleSweepSpecs(opts.Fwd))
-		if err != nil {
-			return o, err
-		}
-		mono := ss[0]
+		mono := float64(ss[0].Makespan)
 		for i, k := range clusterCounts {
-			sp := schedSpec{k, opts.Fwd, PriOracle}
-			repl, err := listsched.RunReplicated(in, sp.config(), pri)
-			if err != nil {
-				return o, err
-			}
-			p := float64(ss[i+1].Makespan) / float64(mono.Makespan)
-			r := float64(repl.Makespan) / float64(mono.Makespan)
+			plain, repl := ss[1+i], ss[1+len(clusterCounts)+i]
+			p := float64(plain.Makespan) / mono
+			r := float64(repl.Makespan) / mono
 			o.gains[i] = p - r
 			if k == 8 {
 				o.row = [2]float64{p, r}
-				o.replicas = float64(len(repl.Replicas))
-				o.insts = float64(ss[i+1].Insts)
+				o.replicas = float64(repl.Replicas)
+				o.insts = float64(plain.Insts)
 			}
 		}
 		return o, nil

@@ -18,6 +18,8 @@ package predictor
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 
 	"clustersim/internal/xrand"
 )
@@ -32,9 +34,10 @@ func hash(pc uint64, mask uint32) uint32 {
 	return uint32(x) & mask
 }
 
-// tableBits is the default predictor table size (64K entries, untagged,
-// direct-mapped — generously sized, as in the paper's limit-style study).
-const tableBits = 16
+// DefaultBits is the default predictor table index width (64K entries,
+// untagged, direct-mapped — generously sized, as in the paper's
+// limit-style study).
+const DefaultBits = 16
 
 // Binary is the Fields et al. binary criticality predictor.
 type Binary struct {
@@ -57,7 +60,7 @@ func NewBinary(bits uint) *Binary {
 }
 
 // NewDefaultBinary returns the default-sized binary predictor.
-func NewDefaultBinary() *Binary { return NewBinary(tableBits) }
+func NewDefaultBinary() *Binary { return NewBinary(DefaultBits) }
 
 // Train updates the counter for pc with one observed instance.
 func (b *Binary) Train(pc uint64, critical bool) {
@@ -131,7 +134,7 @@ func NewLoC(bits uint, rng *xrand.Rand) *LoC {
 }
 
 // NewDefaultLoC returns the default-sized LoC predictor.
-func NewDefaultLoC(rng *xrand.Rand) *LoC { return NewLoC(tableBits, rng) }
+func NewDefaultLoC(rng *xrand.Rand) *LoC { return NewLoC(DefaultBits, rng) }
 
 // Train updates the probabilistic counter for pc with one instance.
 func (l *LoC) Train(pc uint64, critical bool) {
@@ -227,6 +230,55 @@ func (e *Exact) PCs() []uint64 {
 		out = append(out, pc)
 	}
 	return out
+}
+
+// ExactCounts is an exact tracker's state as parallel columns, sorted by
+// PC: Critical[i] of Total[i] observed instances of PC[i] trained
+// critical. It is the tracker's persistent form.
+type ExactCounts struct {
+	PC       []uint64
+	Critical []uint64
+	Total    []uint64
+}
+
+// Counts exports the tracker's state.
+func (e *Exact) Counts() ExactCounts {
+	pcs := e.PCs()
+	slices.Sort(pcs)
+	c := ExactCounts{
+		PC:       pcs,
+		Critical: make([]uint64, len(pcs)),
+		Total:    make([]uint64, len(pcs)),
+	}
+	for i, pc := range pcs {
+		c.Critical[i] = e.critical[pc]
+		c.Total[i] = e.total[pc]
+	}
+	return c
+}
+
+// ExactFromCounts rebuilds a tracker from Counts' output. It rejects
+// ragged columns, unsorted or repeated PCs, and entries claiming more
+// critical instances than observed ones (or none observed).
+func ExactFromCounts(c ExactCounts) (*Exact, error) {
+	if len(c.Critical) != len(c.PC) || len(c.Total) != len(c.PC) {
+		return nil, fmt.Errorf("predictor: exact counts have ragged columns")
+	}
+	e := NewExact()
+	for i, pc := range c.PC {
+		if i > 0 && pc <= c.PC[i-1] {
+			return nil, fmt.Errorf("predictor: exact counts PCs not strictly increasing")
+		}
+		if c.Total[i] == 0 || c.Critical[i] > c.Total[i] {
+			return nil, fmt.Errorf("predictor: exact counts for pc %#x: %d critical of %d",
+				pc, c.Critical[i], c.Total[i])
+		}
+		e.total[pc] = c.Total[i]
+		if c.Critical[i] > 0 {
+			e.critical[pc] = c.Critical[i]
+		}
+	}
+	return e, nil
 }
 
 // Histogram buckets the dynamic-instance-weighted LoC distribution into

@@ -210,7 +210,7 @@ func TestPCsEnumeration(t *testing.T) {
 }
 
 func TestHashStaysInRange(t *testing.T) {
-	mask := uint32(1<<tableBits - 1)
+	mask := uint32(1<<DefaultBits - 1)
 	if err := quick.Check(func(pc uint64) bool {
 		return hash(pc, mask) <= mask
 	}, nil); err != nil {
@@ -240,5 +240,37 @@ func BenchmarkLoCTrain(b *testing.B) {
 	l := NewDefaultLoC(xrand.New(1))
 	for i := 0; i < b.N; i++ {
 		l.Train(uint64(i%1024)*4, i%3 == 0)
+	}
+}
+
+func TestExactCountsRoundTrip(t *testing.T) {
+	e := NewExact()
+	rng := xrand.New(3)
+	for i := 0; i < 500; i++ {
+		e.Train(uint64(rng.Intn(40))*4, rng.Intn(3) == 0)
+	}
+	back, err := ExactFromCounts(e.Counts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range e.PCs() {
+		if back.Seen(pc) != e.Seen(pc) || back.Frac(pc) != e.Frac(pc) {
+			t.Fatalf("pc %#x: round trip %d/%v, want %d/%v",
+				pc, back.Seen(pc), back.Frac(pc), e.Seen(pc), e.Frac(pc))
+		}
+	}
+	if len(back.PCs()) != len(e.PCs()) {
+		t.Fatalf("round trip has %d PCs, want %d", len(back.PCs()), len(e.PCs()))
+	}
+	for _, bad := range []ExactCounts{
+		{PC: []uint64{4}, Critical: []uint64{1}},
+		{PC: []uint64{8, 4}, Critical: []uint64{0, 0}, Total: []uint64{1, 1}},
+		{PC: []uint64{4, 4}, Critical: []uint64{0, 0}, Total: []uint64{1, 1}},
+		{PC: []uint64{4}, Critical: []uint64{2}, Total: []uint64{1}},
+		{PC: []uint64{4}, Critical: []uint64{0}, Total: []uint64{0}},
+	} {
+		if _, err := ExactFromCounts(bad); err == nil {
+			t.Errorf("ExactFromCounts accepted %+v", bad)
+		}
 	}
 }
