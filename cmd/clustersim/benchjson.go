@@ -17,8 +17,8 @@ import (
 )
 
 // benchPoint is one (benchmark, cluster count) cell of the Figure-4-style
-// machine sweep: the wakeup-driven scheduler with pooled machines against
-// the pre-optimization full-scan loop with per-run allocation.
+// machine sweep: the packed wakeup-driven engine with pooled machines
+// against the full-scan oracle with per-run allocation.
 type benchPoint struct {
 	Bench    string `json:"bench"`
 	Clusters int    `json:"clusters"`
@@ -32,15 +32,16 @@ type benchPoint struct {
 	// VariantsNsPerRun is this cell's share of one fused SimulateVariants
 	// call batching the whole cluster sweep of its benchmark (total fused
 	// time divided by the number of geometries); VariantsSpeedup compares
-	// it against running this cell alone on the wakeup scheduler. The
-	// fused run is gated byte-identical to the solo runs before timing.
+	// it against running this cell alone (New + Run). The fused run is
+	// gated byte-identical to scan-oracle runs before timing.
 	VariantsNsPerRun float64 `json:"variants_ns_per_run"`
 	VariantsSpeedup  float64 `json:"variants_speedup"`
 
 	// ParallelNsPerRun is the same fused batch replayed across
 	// ReplayWorkers workers (per-variant share); ParallelSpeedup is the
 	// serial-fused over parallel-fused ratio. The parallel path is gated
-	// byte-identical to solo runs before timing, same as the serial one.
+	// byte-identical to scan-oracle runs before timing, same as the
+	// serial one.
 	ReplayWorkers    int     `json:"replay_workers"`
 	ParallelNsPerRun float64 `json:"parallel_ns_per_run"`
 	ParallelSpeedup  float64 `json:"parallel_speedup"`
@@ -86,10 +87,10 @@ func measure(fn func(), minRuns int, minDuration time.Duration) (nsPerRun, alloc
 
 // gateVariants is the differential gate run before any fused timing: the
 // fused batch (built from fused, replayed across workers) must produce
-// results and per-event timelines byte-identical to solo wakeup runs of
-// the same variants (built independently via solo, so neither set
-// shares predictor state).
-func gateVariants(tr *trace.Trace, fused, solo []machine.Variant, workers int) error {
+// results and per-event timelines byte-identical to scan-oracle runs of
+// the same variants (built independently via ref, so neither set shares
+// predictor state).
+func gateVariants(tr *trace.Trace, fused, ref []machine.Variant, workers int) error {
 	outs, _, err := machine.SimulateVariantsOpts(tr, fused, machine.VariantsOptions{Workers: workers})
 	if err != nil {
 		return err
@@ -100,18 +101,19 @@ func gateVariants(tr *trace.Trace, fused, solo []machine.Variant, workers int) e
 		}
 	}()
 	for i := range outs {
-		m, err := machine.New(solo[i].Config, tr, solo[i].Pol, solo[i].Hooks)
+		m, err := machine.New(ref[i].Config, tr, ref[i].Pol, ref[i].Hooks)
 		if err != nil {
 			return err
 		}
+		m.UseOracleIssue(true)
 		res := m.Run()
 		if !reflect.DeepEqual(outs[i].Res, res) {
-			return fmt.Errorf("variants gate: geometry %d result diverged from solo run", i)
+			return fmt.Errorf("variants gate: geometry %d result diverged from the scan oracle", i)
 		}
-		sev, fev := m.Events(), outs[i].M.Events()
+		oev, fev := m.Events(), outs[i].M.Events()
 		for s := range fev {
-			if fev[s] != sev[s] {
-				return fmt.Errorf("variants gate: geometry %d event %d diverged from solo run", i, s)
+			if fev[s] != oev[s] {
+				return fmt.Errorf("variants gate: geometry %d event %d diverged from the scan oracle", i, s)
 			}
 		}
 	}
@@ -189,7 +191,7 @@ func runBenchJSON(path string, insts int, seed uint64, fwd int, benches []string
 		}
 
 		// The fused sweep: all geometries of this benchmark in one
-		// SimulateVariants call. Gate byte-identity against solo wakeup
+		// SimulateVariants call. Gate byte-identity against scan-oracle
 		// runs once, then time the fused call.
 		mkVariants := func() []machine.Variant {
 			vs := make([]machine.Variant, len(clusterList))

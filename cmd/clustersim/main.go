@@ -191,6 +191,14 @@ func main() {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")
 	}
 
+	// Whole-trace runs (every mode below except the streaming trace
+	// sweep) must fit the machine's limits; say so before any work.
+	if *benchTraceJSON == "" {
+		if err := opts.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "clustersim:", err)
+			os.Exit(1)
+		}
+	}
 	if *benchJSON != "" {
 		if err := runBenchJSON(*benchJSON, *n, *seed, *fwd, opts.Benchmarks); err != nil {
 			fmt.Fprintln(os.Stderr, "clustersim: bench-json:", err)

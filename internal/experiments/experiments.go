@@ -99,6 +99,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate reports options the machine cannot simulate — a forwarding
+// latency or instruction count past the engine's limits — as checked by
+// machine.Admit on the baseline configuration every driver builds on.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	cfg := machine.NewConfig(1)
+	cfg.FwdLatency = o.Fwd
+	return machine.Admit(cfg, o.Insts)
+}
+
 // Stack names a cumulative policy configuration from Figure 14.
 type Stack string
 

@@ -46,7 +46,7 @@ type Config struct {
 	PipelineDepth int // fetch-to-dispatch stages (13)
 
 	// FwdLatency is the inter-cluster forwarding latency in cycles. The
-	// paper models 1–4 and reports 2.
+	// paper models 1–4 and reports 2; Validate caps it at MaxFwdLatency.
 	FwdLatency int
 
 	// BypassPerCluster bounds how many produced values each cluster can
@@ -118,6 +118,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Clusters < 1:
 		return fmt.Errorf("machine: need at least one cluster")
+	case c.Clusters > MaxClusters:
+		return fmt.Errorf("machine: %d clusters exceeds the %d-cluster limit", c.Clusters, MaxClusters)
 	case c.IssuePerCluster < 1:
 		return fmt.Errorf("machine: issue width per cluster must be positive")
 	case c.IntPerCluster < 1 || c.FPPerCluster < 1 || c.MemPerCluster < 1:
@@ -133,6 +135,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: pipeline depth must be positive")
 	case c.FwdLatency < 0:
 		return fmt.Errorf("machine: forwarding latency must be non-negative")
+	case c.FwdLatency > MaxFwdLatency:
+		return fmt.Errorf("machine: forwarding latency %d exceeds the %d-cycle limit", c.FwdLatency, MaxFwdLatency)
 	case c.BypassPerCluster < 0:
 		return fmt.Errorf("machine: bypass bandwidth must be non-negative")
 	case c.GshareBits == 0:

@@ -1,79 +1,116 @@
 package machine
 
 import (
+	"fmt"
 	"sync"
 
 	"clustersim/internal/isa"
 	"clustersim/internal/predictor"
 )
 
-// This file is the packed issue engine for fused replays. The solo
-// wakeup loop (machine.go) walks 112-byte Event records and 32-byte
-// wakeEntry lists; profiling the fused sweep shows the issue machinery
-// dominated by exactly those random-access strides. Replays under
-// SimulateVariants therefore run on dense per-sequence state instead:
+// This file is the packed issue engine, the machine's only production
+// issue loop: every run outside UseOracleIssue replays here, on its own
+// (New/NewPooled + Run) or as one variant of a SimulateVariants batch.
+// It runs on dense per-sequence state instead of the 112-byte Event
+// records the scan oracle walks:
 //
-//   - fseq: a 32-byte record of the fields the wakeup/steering paths
+//   - fseq: a 16-byte record of the fields the wakeup/steering paths
 //     read at random (completion, remote availability, dispatch cycle,
-//     cluster, readiness, pending-producer count) — two instructions
-//     per cache line instead of ~0.5, with shift-add addressing.
+//     cluster, priority, pending-producer count) — four instructions per
+//     cache line instead of ~0.5.
 //   - producer and consumer adjacency come from the trace's CSR index
-//     and its transpose (built once per trace in traceSoA): issue walks
-//     the static consumer list and only touches consumers that have
-//     dispatched, replacing the solo path's per-run waiter registration
-//     rings with shared read-only arrays.
-//   - wake heaps and ready lists hold packed 8-byte keys. The heap key
-//     is ready<<32|seq ordered by the full word: that is (ready, seq)
-//     order, a refinement of the solo heap's ready-only order, and any
-//     order among equal ready cycles is behaviorally identical because
-//     the ready list re-sorts matured entries by (prio, seq). The ready
-//     list key is prio<<32|seq, whose uint64 order IS the solo list's
-//     (prio, seq) order, so the k-way merge compares one word.
+//     and its transpose (built per run in the pooled traceGraph): issue
+//     walks the static consumer list and only touches consumers that
+//     have dispatched, so no per-run waiter registration exists.
+//   - per-instruction facts (op, address) are read from the trace
+//     record itself: in-flight instructions span at most a ROB's worth
+//     of consecutive records, which stay cache-resident.
+//   - wake rings and ready lists hold packed keys. A wake bucket holds
+//     the seqs maturing at one cycle, and any order among equal ready
+//     cycles is behaviorally identical because the ready list sorts
+//     matured entries by (prio, seq). The ready list key is
+//     prio<<32|seq, whose uint64 order IS the scan oracle's (prio, seq)
+//     candidate order, so the k-way merge compares one word.
 //
-// Every event the solo path records is still written to m.events at the
-// same point with the same value — the packed arrays only change where
-// the hot loops *read* — so fused output stays byte-identical, which
-// the differential battery (variants_test.go, FuzzSimulateVariants and
-// the bench-json gate) enforces against the untouched solo oracle.
+// Every event the scan oracle records is written to m.events at the same
+// stage with the same value, so output stays byte-identical to the
+// oracle, which the differential battery
+// (oracle_test.go, variants_test.go, FuzzSimulateVariants and the
+// bench-json gate) and the oracle-generated goldens enforce.
 
-// fusedMaxInsts and fusedMaxClusters bound traces the packed engine
-// accepts: cycle values are stored in int32 (with fusedCycleCap slack),
-// clusters in uint8, and the merge keeps per-cluster cursors in stack
-// arrays of fusedMaxClusters. Larger runs — far past the paper's 8x1w
-// widest geometry — fall back to the generic fused path, which has no
-// such bounds.
+// MaxInsts, MaxClusters and MaxFwdLatency bound what the engine admits:
+// cycle values are stored in int32 (fusedCycleCap keeps them clear of
+// overflow), clusters in uint8, and the merge keeps per-cluster cursors
+// in stack arrays of MaxClusters. New, SimulateVariants and the windowed
+// store runs reject anything larger with an error; traces longer than
+// MaxInsts are simulated window by window (SimulateStore).
 const (
-	fusedMaxInsts    = 1 << 24
-	fusedMaxClusters = 16
-	fusedCycleCap    = int64(1) << 30
+	MaxInsts      = 1 << 24
+	MaxClusters   = 16
+	MaxFwdLatency = 1 << 10
+	fusedCycleCap = int64(1) << 30
 )
+
+// worstInstSlack covers the per-instruction steps worstInstCycles does
+// not name: a fetch redirect, dispatch, the ready cycle after dispatch,
+// commit, plus at most one cycle each of issue-port and broadcast-slot
+// contention, which amortize to one per instruction over a run.
+const worstInstSlack = 8
+
+// Admit reports whether the engine can simulate insts instructions
+// under cfg, with the error New and SimulateVariants would return: an
+// invalid configuration, more than MaxInsts instructions, or a worst
+// case (every instruction paying the longest latency the configuration
+// allows, one after another) past fusedCycleCap, the engine's int32
+// cycle headroom.
+func Admit(cfg Config, insts int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if insts > MaxInsts {
+		return fmt.Errorf("machine: trace of %d instructions exceeds the %d-instruction limit; simulate longer traces window by window (SimulateStore)", insts, MaxInsts)
+	}
+	if worst := int64(insts) * cfg.worstInstCycles(); worst > fusedCycleCap {
+		return fmt.Errorf("machine: %d instructions at up to %d cycles each may run %d cycles, past the %d-cycle limit; shorten the trace or the configured latencies",
+			insts, cfg.worstInstCycles(), worst, fusedCycleCap)
+	}
+	return nil
+}
+
+// worstInstCycles bounds how far one instruction can push the run's end
+// past its predecessor's: the front-end pipeline, the longest execution
+// latency (an L1-missing load or the slowest op), the forwarding hop,
+// and worstInstSlack.
+func (c Config) worstInstCycles() int64 {
+	exec := loadAgenCycles + int64(c.L1.HitCycles) + int64(c.L1.MissCycles)
+	for op := isa.Op(0); op < isa.NumOps; op++ {
+		exec = max(exec, int64(op.Latency()))
+	}
+	return int64(c.PipelineDepth) + exec + int64(c.FwdLatency) + worstInstSlack
+}
 
 // fseq flag bits.
 const (
 	fGlobalCounted uint8 = 1 << iota // value already charged as inter-cluster
-	fCritRemote                      // binding producer was in another cluster
 	fIssued                          // instruction has issued
-	fL1Miss                          // load missed in the L1
 )
 
-// fseq is the packed per-instruction state of one fused replay. Cycle
-// fields are -1 until the event happens, mirroring Unset.
+// fseq is the packed per-instruction state of one replay. Cycle fields
+// are -1 until the event happens, mirroring Unset. Readiness is not
+// stored: it is a function of the dispatch cycle and the producers'
+// final completion (readiness), recomputed where the event log needs it.
 type fseq struct {
 	complete    int32
 	remoteAvail int32
 	dispatch    int32
-	ready       int32 // data-ready cycle, fixed at wakeup
-	crit        int32 // binding producer, -1 when bounded by dispatch
-	issue       int32
-	pend        int32 // producers unissued at dispatch, not yet issued
-	prio        uint16
+	pend        uint8 // producers unissued at dispatch, not yet issued (at most 3)
+	prio        uint8 // scheduling priority (at most predictor.LoCLevels-1)
 	cluster     uint8
 	flags       uint8
 }
 
-// fusedRun is the packed engine's working set, shared by every variant
-// of one SimulateVariants batch (variants run sequentially) and pooled
-// across batches.
+// fusedRun is the packed engine's working set, pooled across runs and
+// shared by the variants a SimulateVariants worker replays in turn.
 type fusedRun struct {
 	// st is NOT cleared between runs: fusedEnqueue writes a record whole
 	// on first touch, dispatch is in order, and every reader of a record
@@ -102,51 +139,25 @@ type fusedRun struct {
 	// the whole tail left every cycle.
 	rdHead []int32
 
-	// Front-end, dispatch and commit facts a reset-elided (frNoReset)
-	// replay keeps out of the event log until fusedFinalize. Each entry
-	// is written exactly once per run before finalize reads it — every
-	// instruction fetches, dispatches and commits before Run returns —
-	// so none of these need clearing between runs.
-	fetchC   []int32 // fetch cycle
-	fetchBlk []int32 // FetchBlocker (-1 = Unset)
-	fetchRsn []uint8 // FetchReason
-	dispRsn  []uint8 // DispatchReason
-	dispBlk  []int32 // DispatchBlocker (-1 = Unset)
-	steerTg  []uint8 // SteerTag
-	commitC  []int32 // commit cycle
+	// fetchC is the fetch cycle per seq on elided replays, which have no
+	// event log to keep it in (sized by reset, only for those); each entry
+	// is written before it is read.
+	fetchC []int32
 
 	// Persistent merge scratch — written for [0:clusters) before use
 	// every call, kept across calls so the arrays are never re-zeroed.
-	mergeBudgets [fusedMaxClusters]issueBudget
-	mergeLists   [fusedMaxClusters][]uint64
-	mergeHeads   [fusedMaxClusters]uint64
+	mergeBudgets [MaxClusters]issueBudget
+	mergeLists   [MaxClusters][]uint64
+	mergeHeads   [MaxClusters]uint64
 }
 
 var fusedRunPool = sync.Pool{New: func() any { return new(fusedRun) }}
 
 // getFusedRun returns a pooled fusedRun sized for n instructions and
-// the batch's widest cluster count; putFusedRun returns it.
+// the widest cluster count it will replay; putFusedRun returns it.
 func getFusedRun(n, clusters int) *fusedRun {
 	fr := fusedRunPool.Get().(*fusedRun)
-	if cap(fr.st) < n {
-		fr.st = make([]fseq, n)
-		fr.fetchC = make([]int32, n)
-		fr.fetchBlk = make([]int32, n)
-		fr.fetchRsn = make([]uint8, n)
-		fr.dispRsn = make([]uint8, n)
-		fr.dispBlk = make([]int32, n)
-		fr.steerTg = make([]uint8, n)
-		fr.commitC = make([]int32, n)
-	} else {
-		fr.st = fr.st[:n]
-		fr.fetchC = fr.fetchC[:n]
-		fr.fetchBlk = fr.fetchBlk[:n]
-		fr.fetchRsn = fr.fetchRsn[:n]
-		fr.dispRsn = fr.dispRsn[:n]
-		fr.dispBlk = fr.dispBlk[:n]
-		fr.steerTg = fr.steerTg[:n]
-		fr.commitC = fr.commitC[:n]
-	}
+	fr.st = resize(fr.st, n)
 	for cap(fr.wring) < clusters {
 		fr.wring = append(fr.wring[:cap(fr.wring)], nil)
 		fr.wringCnt = append(fr.wringCnt[:cap(fr.wringCnt)], 0)
@@ -174,11 +185,7 @@ func getFusedRun(n, clusters int) *fusedRun {
 	return fr
 }
 
-func putFusedRun(fr *fusedRun) {
-	if fr != nil {
-		fusedRunPool.Put(fr)
-	}
-}
+func putFusedRun(fr *fusedRun) { fusedRunPool.Put(fr) }
 
 // reset restores the pre-run state: just the per-cluster lists — the
 // packed records are first-touch initialized at dispatch (fusedEnqueue)
@@ -232,9 +239,9 @@ func (m *Machine) fusedPushWake(c int, ready, seq int64) {
 }
 
 // fusedDrainWake matures every cluster-c wake entry with ready <= t into
-// the ready list. Bucket order is push order, not seq order like the old
-// heap pop — sound because fusedInsertReady builds the same sorted list
-// (unique keys) from any insertion order.
+// the ready list. Bucket order is push order, not seq order — sound
+// because fusedInsertReady builds the same sorted list (unique keys) from
+// any insertion order.
 func (m *Machine) fusedDrainWake(c int, t int64) {
 	fr := m.fr
 	st := fr.st
@@ -305,6 +312,14 @@ func (m *Machine) fusedInsertReady(c int, key uint64) {
 		fr.rdHead[c] = int32(head - 1)
 		return
 	}
+	if head > len(act) {
+		// More dropped prefix than live entries: slide the window to the
+		// front, so the list stays bounded by the scheduling window
+		// instead of growing with the run (amortized O(1) per insert).
+		rl = rl[:copy(rl, act)]
+		head = 0
+		fr.rdHead[c] = 0
+	}
 	rl = append(rl, 0)
 	act = rl[head:]
 	copy(act[lo+1:], act[lo:])
@@ -312,8 +327,9 @@ func (m *Machine) fusedInsertReady(c int, key uint64) {
 	fr.ready[c] = rl
 }
 
-// fusedIssue is issue() on the packed structures: mature wake-heap
-// entries into the ready lists, merge-select, compact issued prefixes.
+// fusedIssue is the packed engine's issue phase: mature wake-ring
+// entries into the per-cluster ready lists, merge-select under the
+// width and FU budgets, compact issued prefixes.
 func (m *Machine) fusedIssue() {
 	fr := m.fr
 	avail := 0
@@ -352,22 +368,24 @@ func (m *Machine) fusedIssue() {
 	m.ilpIssued[bucket] += int64(issued)
 }
 
-// fusedIssueMerge is issueMerge over packed keys: one uint64 compare
-// replaces the (prio, seq) pair compare, with identical order and the
-// same width/FU budget behavior (an FU-blocked head is skipped with the
-// cursor advanced and its width slot preserved, exactly as the solo
-// merge does).
+// fusedIssueMerge walks the per-cluster sorted ready lists in global
+// (prio, seq) order — always advancing the smallest head among clusters
+// with issue width left — under the scan oracle's width and FU budgets:
+// an FU-blocked head is skipped with the cursor advanced and its width
+// slot preserved, and a width-exhausted cluster's remaining entries are
+// skipped wholesale, exactly what the oracle's per-candidate checks do
+// to them one by one. One uint64 compare orders two keys.
 func (m *Machine) fusedIssueMerge(avail int) int {
 	fr := m.fr
 	nc := len(m.clusters)
-	// Persistent merge scratch (nc <= fusedMaxClusters by admission):
+	// Persistent merge scratch (nc <= MaxClusters by admission):
 	// heads[c] caches cluster c's next key, or noHead once the cluster is
 	// out of candidates or width, so the selection scan is compare-only.
 	const noHead = ^uint64(0) // above any real key (prio<<32|seq < 2^48)
 	budgets := &fr.mergeBudgets
 	lists := &fr.mergeLists
 	heads := &fr.mergeHeads
-	var cursors [fusedMaxClusters]int32
+	var cursors [MaxClusters]int32
 	widthLeft := 0
 	for c := 0; c < nc; c++ {
 		budgets[c] = issueBudget{m.cfg.IssuePerCluster, m.cfg.IntPerCluster, m.cfg.FPPerCluster, m.cfg.MemPerCluster}
@@ -378,7 +396,7 @@ func (m *Machine) fusedIssueMerge(avail int) int {
 			heads[c] = lists[c][0]
 		}
 	}
-	fu := m.soa.fu
+	insts := m.tr.Insts
 	issued := 0
 	for widthLeft > 0 && avail > 0 {
 		best, bestKey := -1, noHead
@@ -400,7 +418,7 @@ func (m *Machine) fusedIssueMerge(avail int) int {
 		avail-- // consumed from the merge's view, issued or FU-blocked
 		seq := int64(uint32(bestKey))
 		b := &budgets[best]
-		switch isa.FU(fu[seq]) {
+		switch insts[seq].Op.FU() {
 		case isa.FUInt:
 			if b.integer == 0 {
 				continue
@@ -436,13 +454,13 @@ func (m *Machine) fusedIssueMerge(avail int) int {
 // so selection is a linear walk under the same width and FU budgets.
 func (m *Machine) fusedIssueMergeMono() int {
 	rl := m.fr.ready[0][m.fr.rdHead[0]:]
-	fu := m.soa.fu
+	insts := m.tr.Insts
 	b := issueBudget{m.cfg.IssuePerCluster, m.cfg.IntPerCluster, m.cfg.FPPerCluster, m.cfg.MemPerCluster}
 	issued, cur := 0, 0
 	for cur < len(rl) && b.width > 0 {
 		seq := int64(uint32(rl[cur]))
 		cur++
-		switch isa.FU(fu[seq]) {
+		switch insts[seq].Op.FU() {
 		case isa.FUInt:
 			if b.integer == 0 {
 				continue
@@ -467,32 +485,27 @@ func (m *Machine) fusedIssueMergeMono() int {
 	return issued
 }
 
-// fusedIssueOne is issueOne reading packed state. Event-record fields
-// are written through at the same point as the solo path — or, for
-// deferred variants (frDeferred: a steering kernel and no mid-run event
-// readers), only recorded in the packed state and emitted once by
-// fusedFinalize's sequential pass, which removes the loop's only
-// scattered event-log writes. Either way the final log is byte-identical
-// to a solo run.
+// fusedIssueOne is the oracle's issueOne on packed state, writing the
+// same event fields at the same point (none on elided replays). L1Miss
+// is written unconditionally because an uncleared log may hold a stale
+// true.
 func (m *Machine) fusedIssueOne(seq int64, cluster int) {
 	fr := m.fr
 	fs := &fr.st[seq]
 
-	fl := m.soa.flags[seq]
-	lat := int64(m.soa.lat[seq])
+	in := &m.tr.Insts[seq]
+	lat := int64(in.Op.Latency())
 	l1miss := false
-	if fl&soaLoad != 0 {
-		accessLat, hit := m.l1.Access(m.soa.addr[seq])
-		if !hit {
-			l1miss = true
-		}
+	if in.Op == isa.Load {
+		accessLat, hit := m.l1.Access(in.Addr)
+		l1miss = !hit
 		lat = loadAgenCycles + int64(accessLat)
-	} else if fl&soaStore != 0 {
-		m.l1.Access(m.soa.addr[seq]) // write-allocate; latency hidden by commit
+	} else if in.Op == isa.Store {
+		m.l1.Access(in.Addr) // write-allocate; latency hidden by commit
 	}
 	complete := m.cycle + lat
 	var remoteAvail int64
-	if m.cfg.Clusters > 1 && fl&(soaHasDst|soaStore) != 0 {
+	if m.cfg.Clusters > 1 && (in.HasDst() || in.Op == isa.Store) {
 		bcast := complete
 		if m.cfg.BypassPerCluster > 0 {
 			bcast = m.broadcastSlot(cluster, bcast)
@@ -502,40 +515,32 @@ func (m *Machine) fusedIssueOne(seq int64, cluster int) {
 		remoteAvail = complete + int64(m.cfg.FwdLatency)
 	}
 	if remoteAvail >= fusedCycleCap {
-		// Unreachable under the fusedMaxInsts admission bound; a panic
-		// beats silently truncating a cycle into an int32.
+		// Unreachable under Admit's worst-case bound; a panic beats
+		// silently truncating a cycle into an int32.
 		panic("machine: fused issue engine cycle overflow")
 	}
 	fs.complete = int32(complete)
 	fs.remoteAvail = int32(remoteAvail)
-	fs.issue = int32(m.cycle)
 	fs.flags |= fIssued
-	if l1miss {
-		fs.flags |= fL1Miss
-	}
-	if !m.frDeferred {
+	if m.mode != modeElided {
 		ev := &m.events[seq]
-		ev.Ready = int64(fs.ready)
+		ev.Ready, ev.CritProducer, ev.CritProducerRemote = m.readiness(seq)
 		ev.Issue = m.cycle
-		ev.CritProducer = int64(fs.crit) // -1 is Unset
-		ev.CritProducerRemote = fs.flags&fCritRemote != 0
 		ev.Complete = complete
 		ev.RemoteAvail = remoteAvail
-		if l1miss {
-			ev.L1Miss = true
-		}
+		ev.L1Miss = l1miss
 	}
 
 	if m.cfg.Clusters > 1 {
 		// Global-value counting: a no-op on mono geometries (producer and
 		// consumer clusters always match), so the walk is skipped there.
 		myCl := fs.cluster
-		off := m.soa.prodOff
-		for _, p32 := range m.soa.prodIdx[off[seq]:off[seq+1]] {
+		off := m.graph.prodOff
+		for _, p32 := range m.graph.prodIdx[off[seq]:off[seq+1]] {
 			ps := &fr.st[p32]
 			if ps.cluster != myCl && ps.flags&fGlobalCounted == 0 {
 				ps.flags |= fGlobalCounted
-				if !m.frDeferred {
+				if m.mode != modeElided {
 					m.events[p32].markGlobalCounted()
 				}
 				m.globalValues++
@@ -557,131 +562,20 @@ func (m *Machine) fusedIssueOne(seq int64, cluster int) {
 	}
 }
 
-// fusedFinalize emits the issue-time event fields a deferred replay
-// kept only in packed state: one sequential pass over two dense arrays,
-// writing exactly what the live write-through would have written. Under
-// frNoReset (where NO stage touched the event log at all) it instead
-// materializes every event whole.
-func (m *Machine) fusedFinalize() {
-	if m.frNoReset {
-		m.fusedFinalizeFull()
-		return
-	}
-	fr := m.fr
-	for i := range m.events {
-		ev := &m.events[i]
-		fs := &fr.st[i]
-		ev.Ready = int64(fs.ready)
-		ev.Issue = int64(fs.issue)
-		ev.Complete = int64(fs.complete)
-		ev.RemoteAvail = int64(fs.remoteAvail)
-		ev.CritProducer = int64(fs.crit)
-		ev.CritProducerRemote = fs.flags&fCritRemote != 0
-		ev.L1Miss = fs.flags&fL1Miss != 0
-		ev.globalDone = fs.flags&fGlobalCounted != 0
-	}
-}
-
-// fusedFinalizeFull writes the entire event log in one streaming pass.
-// Under frNoReset the pipeline stages never touch m.events: fetch,
-// dispatch and commit facts live in the fusedRun side arrays, issue
-// facts in the packed fseq state, and the conditionally-written fields
-// are reconstructed — Mispredicted from the shared front-end profile
-// (fetch only ever set it when true; the reset used to supply the
-// false) and PredCritical/LoCLevel from the kernel memos, which
-// frDeferred guarantees exist whenever the respective predictor hook
-// does (buildKernel's memo condition is implied by frDeferred's). Each
-// event is stored exactly once as a whole struct, so nothing from the
-// elided pre-run clear can leak through.
-func (m *Machine) fusedFinalizeFull() {
-	fr := m.fr
-	st := fr.st
-	flags := m.soa.flags
-	memoCrit, memoLoC := m.kern.predCrit, m.kern.locLevel
-	hasCrit := m.binary != nil
-	hasLoC := m.loc != nil
-	for i := range m.events {
-		fs := &st[i]
-		ev := &m.events[i]
-		ev.Fetch = int64(fr.fetchC[i])
-		ev.Dispatch = int64(fs.dispatch)
-		ev.Ready = int64(fs.ready)
-		ev.Issue = int64(fs.issue)
-		ev.Complete = int64(fs.complete)
-		ev.Commit = int64(fr.commitC[i])
-		ev.RemoteAvail = int64(fs.remoteAvail)
-		ev.CritProducer = int64(fs.crit)
-		ev.CritProducerRemote = fs.flags&fCritRemote != 0
-		ev.DispatchBlocker = int64(fr.dispBlk[i])
-		ev.FetchBlocker = int64(fr.fetchBlk[i])
-		ev.Cluster = int16(fs.cluster)
-		ev.DispatchReason = DispatchReason(fr.dispRsn[i])
-		ev.FetchReason = FetchReason(fr.fetchRsn[i])
-		ev.SteerTag = SteerTag(fr.steerTg[i])
-		ev.Mispredicted = flags[i]&soaBranch != 0 && m.profile.mispredicted(int64(i))
-		ev.L1Miss = fs.flags&fL1Miss != 0
-		ev.PredCritical = hasCrit && memoCrit[i]
-		ev.LoCLevel = 0
-		if hasLoC {
-			ev.LoCLevel = memoLoC[i]
-		}
-		ev.globalDone = fs.flags&fGlobalCounted != 0
-	}
-}
-
-// fusedFetch is fetch for reset-elided replays: per-instruction facts
-// go to the fusedRun side arrays instead of the event log, and the
-// branch test reads the dense soa flag byte instead of the 64-byte
-// trace record (the shared profile already holds the outcome).
-func (m *Machine) fusedFetch() {
-	n := int64(m.tr.Len())
-	if m.nextFetch >= n || m.cycle < m.fetchResume {
-		return
-	}
-	fr := m.fr
-	flags := m.soa.flags
-	redirect := m.redirectFrom
-	m.redirectFrom = Unset
-	cyc := int32(m.cycle)
-	for w := 0; w < m.cfg.FetchWidth && m.nextFetch < n; w++ {
-		seq := m.nextFetch
-		fr.fetchC[seq] = cyc
-		if redirect != Unset {
-			fr.fetchRsn[seq] = uint8(FetchRedirect)
-			fr.fetchBlk[seq] = int32(redirect)
-		} else {
-			fr.fetchRsn[seq] = uint8(FetchBW)
-			if seq >= int64(m.cfg.FetchWidth) {
-				fr.fetchBlk[seq] = int32(seq - int64(m.cfg.FetchWidth))
-			} else {
-				fr.fetchBlk[seq] = -1
-			}
-		}
-		m.nextFetch++
-		if flags[seq]&soaBranch != 0 {
-			m.branches++
-			if m.profile.mispredicted(seq) {
-				m.mispredicts++
-				m.blockingBranch = seq
-				m.fetchResume = fetchBlocked
-				return
-			}
-		}
-	}
-}
-
-// fusedWakeConsumers mirrors wakeConsumers on the packed state, walking
-// the trace's static consumer list instead of a per-run waiter ring. A
-// consumer not yet dispatched is skipped — its enqueue will see this
-// producer's completion and not count it — and a dispatched consumer
-// counted this producer in pend, because issue (phase order) precedes
-// dispatch within a cycle; the two bookkeeping schemes are therefore
-// exactly equivalent.
+// fusedWakeConsumers decrements the outstanding-producer count of every
+// dispatched consumer of seq, walking the trace's static consumer list;
+// consumers reaching zero have their (now final) readiness computed and
+// join their cluster's wake ring. A consumer not yet dispatched is
+// skipped — its fusedEnqueue will see this producer's completion and not
+// count it — and a dispatched consumer counted this producer in pend,
+// because issue (phase order) precedes dispatch within a cycle. A
+// consumer naming seq twice is in the list twice and is decremented
+// twice, mirroring the double count taken at dispatch.
 func (m *Machine) fusedWakeConsumers(seq int64) {
 	fr := m.fr
-	off := m.soa.consOff
+	off := m.graph.consOff
 	dispHead := int32(m.dispHead)
-	for _, w := range m.soa.consIdx[off[seq]:off[seq+1]] {
+	for _, w := range m.graph.consIdx[off[seq]:off[seq+1]] {
 		if w >= dispHead {
 			// Not yet in a window — and since consumer lists are in
 			// program order and dispatch is in order, neither is any
@@ -697,61 +591,64 @@ func (m *Machine) fusedWakeConsumers(seq int64) {
 	}
 }
 
-// fusedWake computes seq's now-final readiness (readyAt on the packed
-// state — every producer has issued when this runs) and pushes it onto
-// its cluster's wake heap.
+// fusedWake pushes seq, whose producers have all issued, onto its
+// cluster's wake ring at its now-final ready cycle.
 func (m *Machine) fusedWake(seq int64) {
-	fr := m.fr
-	fs := &fr.st[seq]
-	ready := fs.dispatch + 1
-	crit := int32(-1)
-	remote := false
-	myCl := fs.cluster
-	off := m.soa.prodOff
-	for _, p32 := range m.soa.prodIdx[off[seq]:off[seq+1]] {
-		ps := &fr.st[p32]
+	ready, _, _ := m.readiness(seq)
+	m.fusedPushWake(int(m.fr.st[seq].cluster), ready, seq)
+}
+
+// readiness is the oracle's readyAt on the packed state: the cycle seq's
+// operands are all available at its cluster, the binding producer
+// (Unset when dispatch bounds it) and whether that operand crossed
+// clusters. Every producer must have issued; from then on the answer
+// never changes, so the wake ring and the event log may each ask for it.
+func (m *Machine) readiness(seq int64) (ready, crit int64, remote bool) {
+	st := m.fr.st
+	fs := &st[seq]
+	ready, crit = int64(fs.dispatch)+1, Unset
+	off := m.graph.prodOff
+	for _, p32 := range m.graph.prodIdx[off[seq]:off[seq+1]] {
+		ps := &st[p32]
 		avail := ps.complete
-		rem := ps.cluster != myCl
+		rem := ps.cluster != fs.cluster
 		if rem {
 			avail = ps.remoteAvail
 		}
-		if avail > ready || (avail == ready && crit < 0) {
-			ready, crit, remote = avail, int32(p32), rem
+		if int64(avail) > ready || (int64(avail) == ready && crit == Unset) {
+			ready, crit, remote = int64(avail), int64(p32), rem
 		}
 	}
-	fs.ready, fs.crit = ready, crit
-	if remote {
-		fs.flags |= fCritRemote
-	}
-	m.fusedPushWake(int(myCl), int64(ready), seq)
+	return ready, crit, remote
 }
 
-// fusedEnqueue mirrors enqueue: it also records the dispatch-time facts
-// (cycle, cluster, priority) in the packed state, which replaces the
-// prio ring — priorities live per sequence number here. No waiters are
-// registered: fusedWakeConsumers walks the static consumer lists. The
-// pend count comes from the steering walk of this same dispatch
-// iteration (m.steerPend) — every fused steering path records it, and
-// no issue can intervene between steer and enqueue.
+// fusedEnqueue registers a freshly dispatched instruction: it records
+// the dispatch-time facts (cycle, cluster, priority) in the packed state
+// and either starts waiting on its unissued producers or, when every
+// producer has already issued, goes straight onto its cluster's wake
+// ring. No waiters are registered: fusedWakeConsumers walks the static
+// consumer lists. The pend count comes from the steering walk of this
+// same dispatch iteration (m.steerPend) — every steering path records
+// it, and no issue can intervene between steer and enqueue.
 func (m *Machine) fusedEnqueue(seq int64, cluster int, prio uint16) {
 	fr := m.fr
 	fs := &fr.st[seq]
 	// First touch of this record in the run: write it whole (st carries
 	// the previous run's state; see the fusedRun.st comment).
 	*fs = fseq{complete: -1, remoteAvail: -1, dispatch: int32(m.cycle),
-		ready: -1, crit: -1, issue: -1, prio: prio, cluster: uint8(cluster)}
+		prio: uint8(prio), cluster: uint8(cluster)}
 	if m.steerPend == 0 {
 		m.fusedWake(seq)
 		return
 	}
-	fs.pend = m.steerPend
+	fs.pend = uint8(m.steerPend)
 }
 
 // fusedCompactReadyPrefix removes just-issued keys from the ready-window
-// prefixes the merge consumed (compactReadyPrefix on packed keys). The
-// consumed prefix is dropped by advancing rdHead; FU-blocked survivors
-// are right-compacted into the prefix end (order-preserving), so the
-// untouched tail never moves.
+// prefixes the merge consumed: everything issued this cycle lies before
+// the per-cluster merge cursors. The consumed prefix is dropped by
+// advancing rdHead; FU-blocked survivors are right-compacted into the
+// prefix end (order-preserving), so the untouched tail never moves.
 func (m *Machine) fusedCompactReadyPrefix() {
 	fr := m.fr
 	st := fr.st
@@ -773,10 +670,16 @@ func (m *Machine) fusedCompactReadyPrefix() {
 	}
 }
 
-// steerKernelPacked is steerKernel reading producer state from the
-// packed arrays instead of the event log. Producers are always
-// dispatched before their consumer reaches the steering stage (dispatch
-// is in order), so every packed field it reads is valid.
+// steerKernelPacked is the inlined dispatch-steering fast path: it
+// replicates gatherProducers' dedup, the steer package's first-maximum
+// scoring and tag derivation, the stall-over-steer hold, and
+// dependence-based placement — with no producer slice, no map, and no
+// interface calls, reading producer state from the packed arrays.
+// Producers are always dispatched before their consumer reaches the
+// steering stage (dispatch is in order), so every packed field it reads
+// is valid. An instruction has at most three producers (two register
+// sources and a forwarding store), so dedup and the distinct-cluster
+// (dyadic) test run over a fixed-size array.
 func (m *Machine) steerKernelPacked(seq int64) Decision {
 	if m.cfg.Clusters == 1 {
 		return m.steerKernelMono(seq)
@@ -794,8 +697,8 @@ func (m *Machine) steerKernelPacked(seq int64) Decision {
 	)
 	group := m.cfg.GroupSteering
 	pend := int32(0)
-	off := m.soa.prodOff
-	for _, p32 := range m.soa.prodIdx[off[seq]:off[seq+1]] {
+	off := m.graph.prodOff
+	for _, p32 := range m.graph.prodIdx[off[seq]:off[seq+1]] {
 		p := int64(p32)
 		ps := &fr.st[p]
 		// Piggyback the dispatch-pend count (unissued producers, raw
@@ -897,14 +800,14 @@ func (m *Machine) steerKernelPacked(seq int64) Decision {
 // has space (the stall) — plus the stall-over-steer hold, which with a
 // full window returns the same stall decision either way. This is
 // provably the generic kernel's output for Clusters == 1; the
-// differential battery checks it on every 1-cluster fused variant.
+// differential battery checks it on every 1-cluster kernel variant.
 func (m *Machine) steerKernelMono(seq int64) Decision {
 	fr := m.fr
 	group := m.cfg.GroupSteering
 	outstanding := false
 	pend := int32(0)
-	off := m.soa.prodOff
-	for _, p32 := range m.soa.prodIdx[off[seq]:off[seq+1]] {
+	off := m.graph.prodOff
+	for _, p32 := range m.graph.prodIdx[off[seq]:off[seq+1]] {
 		ps := &fr.st[p32]
 		// Same piggybacked pend count as steerKernelPacked: one walk
 		// serves both the steering question and fusedEnqueue.

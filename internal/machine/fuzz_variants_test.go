@@ -52,9 +52,9 @@ func fuzzVariantList(tr *trace.Trace, sel uint8) []machine.Variant {
 
 // FuzzSimulateVariants drives decoder output through the fused
 // multi-variant path: any byte stream the trace codec accepts is run
-// both fused and solo across three machine geometries, and the results
-// must be byte-identical with the invariant checker silent. This is the
-// machine-level mirror of listsched's FuzzScheduleVariants.
+// both fused and on the scan oracle across three machine geometries, and
+// the results must be byte-identical with the invariant checker silent.
+// This is the machine-level mirror of listsched's FuzzScheduleVariants.
 func FuzzSimulateVariants(f *testing.F) {
 	// Seed with a small valid trace exercising register and memory
 	// dependences plus branches (committed corpus entries in
@@ -98,23 +98,24 @@ func FuzzSimulateVariants(f *testing.F) {
 		if err != nil {
 			t.Fatalf("SimulateVariants failed on decoded trace: %v", err)
 		}
-		solo := fuzzVariantList(tr, sel)
+		ref := fuzzVariantList(tr, sel)
 		for i := range outs {
 			if err := machine.Check(outs[i].M); err != nil {
 				t.Fatalf("variant %d: invariants violated: %v", i, err)
 			}
-			m, err := machine.New(solo[i].Config, tr, solo[i].Pol, solo[i].Hooks)
+			m, err := machine.New(ref[i].Config, tr, ref[i].Pol, ref[i].Hooks)
 			if err != nil {
 				t.Fatal(err)
 			}
+			m.UseOracleIssue(true)
 			res := m.Run()
 			if outs[i].Res != res {
-				t.Fatalf("variant %d: fused result %+v != solo %+v", i, outs[i].Res, res)
+				t.Fatalf("variant %d: fused result %+v != oracle %+v", i, outs[i].Res, res)
 			}
-			sev, fev := m.Events(), outs[i].M.Events()
+			oev, fev := m.Events(), outs[i].M.Events()
 			for s := range fev {
-				if fev[s] != sev[s] {
-					t.Fatalf("variant %d: event %d differs:\nfused: %+v\n solo: %+v", i, s, fev[s], sev[s])
+				if fev[s] != oev[s] {
+					t.Fatalf("variant %d: event %d differs:\n fused: %+v\noracle: %+v", i, s, fev[s], oev[s])
 				}
 			}
 		}

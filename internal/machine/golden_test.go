@@ -16,17 +16,17 @@ import (
 	"clustersim/internal/xrand"
 )
 
-// updateGoldens regenerates the committed golden files using the
-// pre-optimization oracle issue loop:
+// updateGoldens regenerates the committed golden files using the scan
+// oracle issue loop:
 //
 //	go test ./internal/machine -run Golden -update-goldens
 //
-// The regular test run replays every scenario through the optimized
-// wakeup-driven machine and requires byte-for-byte equality, so the
-// goldens pin cycle-exact equivalence between the two schedulers across
+// The regular test run replays every scenario through the packed engine
+// (New + Run) and requires byte-for-byte equality, so the goldens pin
+// cycle-exact equivalence between the engine and the oracle across
 // machine shapes, steering policies, scheduling modes and bypass limits.
 var updateGoldens = flag.Bool("update-goldens", false,
-	"regenerate golden files with the oracle (pre-optimization) issue loop")
+	"regenerate golden files with the scan oracle issue loop")
 
 const goldenInsts = 1500
 
@@ -107,7 +107,7 @@ func TestGoldenReplication(t *testing.T) {
 // variants of one benchmark into a single call, and requires the rendered
 // output to match the committed goldens byte for byte. Combined with
 // TestGoldenReplication this pins a three-way equivalence: oracle scan
-// loop (which generated the goldens) == solo wakeup loop == fused
+// loop (which generated the goldens) == standalone run == fused
 // multi-variant run.
 func TestGoldenVariantsReplication(t *testing.T) {
 	if *updateGoldens {

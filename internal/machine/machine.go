@@ -41,15 +41,14 @@ type Hooks struct {
 // rebinds the machine to a new configuration/trace/policy while reusing
 // its allocations, which is what the NewPooled/Recycle pool builds on.
 //
-// The scheduler is wakeup-driven: instead of rescanning every window
-// entry every cycle, each dispatched instruction counts its unissued
-// producers and is pushed onto its cluster's wake heap (a min-heap on
-// ready cycle) the moment the last producer issues — the point at which
-// its ready time, binding producer and remoteness are fixed forever.
-// Matured entries move to per-cluster ready lists, and stretches of
-// cycles that provably perform no work are skipped by a next-event clock
-// (idleCycles). The pre-optimization full-scan loop is retained verbatim
-// behind UseOracleIssue as the reference for differential testing.
+// Every run replays on the packed issue engine (fusedissue.go): a run on
+// its own is a one-variant SimulateVariants batch, with pooled packed
+// state, the trace's consumer CSR and a front-end profile. The engine is
+// wakeup-driven — each dispatched instruction counts its unissued
+// producers and joins its cluster's wake ring the moment the last one
+// issues — and stretches of cycles that provably perform no work are
+// skipped by a next-event clock (idleCycles). The full-scan loop behind
+// UseOracleIssue (oracle.go) is the single reference it is gated against.
 type Machine struct {
 	cfg    Config
 	tr     *trace.Trace
@@ -70,23 +69,9 @@ type Machine struct {
 	bcastStamp [][]int64
 	bcastCount [][]int16
 
-	// oracle selects the reference full-scan issue loop and disables the
-	// next-event clock (UseOracleIssue).
-	oracle bool
-
-	// Wakeup rings, indexed by seq & ringMask. Sized to the next power of
-	// two above ROBSize, so two in-flight instructions can never share a
-	// slot: a slot's next occupant is at least ringMask+1 > ROBSize
-	// sequence numbers younger and cannot dispatch until the current one
-	// has committed (and therefore issued, clearing the slot).
-	//
-	// pend[s]: outstanding (unissued) producer count of the waiter in s.
-	// prioRing[s]: that waiter's scheduling priority, held until wakeup.
-	// waiters[s]: dispatched consumers blocked on the producer in s.
-	ringMask int64
-	pend     []int32
-	prioRing []uint16
-	waiters  [][]int32
+	// mode is how the run replays: the scan oracle, or the packed engine
+	// with a cleared, an uncleared or no event log.
+	mode replayMode
 
 	// Pipeline state.
 	cycle          int64
@@ -125,7 +110,7 @@ type Machine struct {
 	retireBuf RetireView
 	occSnap   []int // start-of-cycle occupancies (GroupSteering)
 	budgets   []issueBudget
-	cursors   []int // per-cluster ready-list cursors (issueMerge)
+	cursors   []int // per-cluster ready-list cursors (fusedIssueMerge)
 
 	// readyCount[c] is the number of data-ready-but-unissued entries in
 	// cluster c's window as of this cycle's issue phase. Steering runs
@@ -139,65 +124,63 @@ type Machine struct {
 	bpBits uint
 	l1cfg  cache.Config
 
-	// Fused-variant state (SimulateVariants; see variants.go). All
-	// nil/false on solo runs: Reinit clears them and SimulateVariants
-	// installs them between Reinit and Run. profile replaces live gshare
-	// updates with the shared precomputed outcomes, soa serves hot
-	// per-instruction facts from shared dense arrays, and kern replaces
-	// the SteerPolicy interface calls with an inlined kernel. fused
-	// additionally enables replay-only loop specializations (prefix
-	// ready-list compaction) that the solo path deliberately forgoes so
-	// it stays the verbatim differential oracle.
-	fused   bool
+	// Replay state (see variants.go and fusedissue.go), nil in oracle
+	// mode. profile replaces live gshare updates with precomputed
+	// outcomes, graph holds the trace's producer and consumer CSRs,
+	// kern (when the policy advertises a kernel) replaces the SteerPolicy
+	// interface calls with an inlined kernel, and fr is the packed
+	// engine's working set. graph and fr are pooled and attached only for
+	// the duration of a run.
 	profile *frontProfile
-	soa     *traceSoA
+	graph   *traceGraph
 	kern    *kernelState
-	// fr, when non-nil, routes the replay through the packed issue
-	// engine (fusedissue.go): dense per-seq state and 8-byte wake/ready
-	// keys in place of the solo loop's Event strides and 32-byte
-	// entries. Owned by the SimulateVariants batch, not the machine.
-	// frDeferred additionally defers the issue-time event-log writes to
-	// one sequential pass after the run; it is only set when nothing
-	// can read the event log mid-run (kernel steering, no hooks).
-	// frNoReset further skips the pre-run event-log clear: legal when
-	// every event field is rewritten unconditionally — live stages own
-	// theirs, fusedFinalize owns the rest (including the conditionals
-	// Mispredicted/PredCritical/LoCLevel/globalDone) — and the two
-	// mid-run Fetch sentinel tests switch to the in-order fetch cursor.
-	fr         *fusedRun
-	frDeferred bool
-	frNoReset  bool
-	// elide is the zero-materialization result path: the event log is
-	// never allocated, cleared, or finalized. Only legal on top of
-	// frNoReset (every mid-run event read already routes to the fused
-	// side arrays) for callers that consume the Result and nothing else;
-	// Events() returns an empty slice. Set before Reinit via the
-	// variants replay path, cleared by Recycle.
-	elide bool
+	fr      *fusedRun
+}
+
+// replayMode selects the issue loop and what the run does with the event
+// log. Each level above modeOracle implies the one before it: a replay
+// may skip the clear only if it is packed, and may drop the log only if
+// nothing reads it mid-run.
+type replayMode uint8
+
+const (
+	// modeOracle is the reference full-scan loop (UseOracleIssue): live
+	// gshare, the SteerPolicy interface, every event written in place.
+	modeOracle replayMode = iota
+	// modeLive replays on the packed engine over a cleared event log, so
+	// training hooks, Setup-bound detectors and SteerView producer lists
+	// may read in-flight events mid-run and see Unset where the oracle
+	// would.
+	modeLive
+	// modeNoReset skips the pre-run clear. Legal only when nothing reads
+	// the log mid-run (kernel steering, no training hooks, no Setup):
+	// fetch, dispatch and issue then write every field of every event
+	// exactly once, so the previous run's values never show.
+	modeNoReset
+	// modeElided never materializes the event log at all; Events()
+	// returns an empty slice. Only for callers that read the Result alone
+	// (VariantsOptions.ResultOnly).
+	modeElided
+)
+
+// replayModeFor is the highest mode a replay may use: a steering kernel
+// and no mid-run event readers allow skipping the clear, and a
+// result-only caller allows dropping the log.
+func replayModeFor(kernel, hookFree, resultOnly bool) replayMode {
+	switch {
+	case !kernel || !hookFree:
+		return modeLive
+	case !resultOnly:
+		return modeNoReset
+	}
+	return modeElided
 }
 
 type clusterState struct {
-	occ int // window occupancy (both issue modes)
-
-	// Wakeup mode: wake is a min-heap (on ready cycle) of entries whose
-	// producers have all issued; ready holds matured, unissued entries,
-	// kept sorted by (prio, seq) so selection never re-sorts.
-	// Entries still waiting on producers exist only in the waiter rings.
-	wake  []wakeEntry
-	ready []wakeEntry
+	occ int // window occupancy (every mode)
 
 	// Oracle mode: the flat window the reference loop scans per cycle.
 	entries []winEntry
-}
-
-// wakeEntry is a window entry whose readiness is fully determined: every
-// producer has issued, so ready/crit/remote are final.
-type wakeEntry struct {
-	seq    int64
-	ready  int64
-	crit   int64
-	prio   uint16
-	remote bool
 }
 
 type winEntry struct {
@@ -232,16 +215,24 @@ func New(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks) (*Machine, e
 }
 
 // Reinit rebinds m to (cfg, tr, pol, hooks), reusing the event log,
-// cluster state, wakeup rings and broadcast rings from previous runs
-// wherever capacities allow. It leaves m in the same state New leaves a
-// fresh machine in; NewPooled/Recycle build the allocation-free reuse
-// path on top of it.
+// cluster state and broadcast rings from previous runs wherever
+// capacities allow. It leaves m in the same state New leaves a fresh
+// machine in; NewPooled/Recycle build the allocation-free reuse path on
+// top of it.
 func (m *Machine) Reinit(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+	return m.bind(cfg, tr, pol, hooks, nil)
+}
+
+// bind is Reinit with an optional prepared replay: a SimulateVariants
+// batch passes each variant's shared profile, kernel and mode; a machine
+// built on its own (prep == nil) gets the mode a one-variant batch would
+// pick and prepares the rest when it runs.
+func (m *Machine) bind(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks, prep *variantPrep) error {
 	if tr == nil || tr.Len() == 0 {
 		return fmt.Errorf("machine: empty trace")
+	}
+	if err := Admit(cfg, tr.Len()); err != nil {
+		return err
 	}
 	if pol == nil {
 		return fmt.Errorf("machine: nil steering policy")
@@ -257,19 +248,20 @@ func (m *Machine) Reinit(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hoo
 		m.epochLen = DefaultEpochLen
 	}
 	m.onEpoch, m.onCommitInst = hooks.OnEpoch, hooks.OnCommitInst
-	m.oracle = false
-	m.fused, m.profile, m.soa, m.kern = false, nil, nil, nil
-	m.fr, m.frDeferred, m.frNoReset = nil, false, false
+	m.graph, m.fr = nil, nil
+	if prep != nil {
+		m.profile, m.kern, m.mode = prep.profile, prep.kern, prep.mode
+	} else {
+		m.profile, m.kern, m.mode = nil, nil, m.soloMode()
+	}
 
-	if m.elide {
+	if m.mode == modeElided {
 		// Zero-materialization replay: nothing reads the event log, so
 		// it is never allocated (cold machines) or resliced to length
 		// (warm ones) — the guarded stages index it only when non-elided.
 		m.events = m.events[:0]
-	} else if n := tr.Len(); cap(m.events) >= n {
-		m.events = m.events[:n]
 	} else {
-		m.events = make([]Event, n)
+		m.events = resize(m.events, tr.Len())
 	}
 	if m.bp == nil || m.bpBits != cfg.GshareBits {
 		m.bp, m.bpBits = bpred.NewGshare(cfg.GshareBits), cfg.GshareBits
@@ -290,17 +282,6 @@ func (m *Machine) Reinit(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hoo
 	m.budgets = resize(m.budgets, cfg.Clusters)
 	m.cursors = resize(m.cursors, cfg.Clusters)
 
-	ring := 1
-	for ring <= cfg.ROBSize {
-		ring <<= 1
-	}
-	if len(m.pend) < ring {
-		m.pend = make([]int32, ring)
-		m.prioRing = make([]uint16, ring)
-		m.waiters = make([][]int32, ring)
-	}
-	m.ringMask = int64(len(m.pend)) - 1
-
 	if cfg.BypassPerCluster > 0 {
 		for len(m.bcastStamp) < cfg.Clusters {
 			m.bcastStamp = append(m.bcastStamp, make([]int64, bcastRing))
@@ -308,6 +289,13 @@ func (m *Machine) Reinit(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hoo
 		}
 	}
 	return nil
+}
+
+// soloMode is the replay mode a one-variant batch of m's policy and
+// hooks (and no Setup) picks.
+func (m *Machine) soloMode() replayMode {
+	_, kernel := kernelSpecOf(m.pol)
+	return replayModeFor(kernel, m.onEpoch == nil && m.onCommitInst == nil, false)
 }
 
 // resize returns s with length n, reallocating only when capacity is
@@ -319,11 +307,19 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// UseOracleIssue switches m to the pre-optimization reference scheduler:
-// a per-cycle full scan over every window entry, with no cycle skipping.
-// It exists for the differential and golden tests (the wakeup-driven
-// loop must be cycle-exact against it) and must be called before Run.
-func (m *Machine) UseOracleIssue(on bool) { m.oracle = on }
+// UseOracleIssue switches m to the reference scheduler: a per-cycle full
+// scan over every window entry, with no cycle skipping, live gshare and
+// the SteerPolicy interface. It exists for the differential and golden
+// tests (the packed engine must be cycle-exact against it) and must be
+// called before Run; Reinit switches it off again.
+func (m *Machine) UseOracleIssue(on bool) {
+	m.profile, m.kern = nil, nil
+	if on {
+		m.mode = modeOracle
+	} else {
+		m.mode = m.soloMode()
+	}
+}
 
 // bcastRing sizes the broadcast-slot ring; broadcasts are scheduled at
 // most a few cycles past completion, far below this bound.
@@ -403,17 +399,55 @@ func (r Result) MispredictRate() float64 {
 	return float64(r.Mispredicts) / float64(r.Branches)
 }
 
-// Run simulates the whole trace and returns the run summary.
+// Run simulates the whole trace and returns the run summary. Outside
+// oracle mode a machine run on its own replays as a one-variant batch:
+// it builds its front-end profile and steering kernel and borrows a
+// pooled consumer CSR and packed working set for the duration of the run.
 func (m *Machine) Run() Result {
+	if m.mode == modeOracle {
+		return m.run()
+	}
+	hooks := Hooks{Binary: m.binary, LoC: m.loc, OnEpoch: m.onEpoch, OnCommitInst: m.onCommitInst}
+	var stats SharingStats
+	var bank memoBank
+	m.useFrontProfile(newFrontProfile(m.tr, m.cfg.GshareBits))
+	m.kern = buildKernel(m.pol, hooks, m.tr, &stats, &bank)
+	if m.kern == nil && m.mode > modeLive {
+		m.mode = modeLive // the policy stopped advertising its kernel
+	}
+	g := getTraceGraph(m.tr)
+	fr := getFusedRun(m.tr.Len(), m.cfg.Clusters)
+	res := m.replay(g, fr)
+	putFusedRun(fr)
+	putTraceGraph(g)
+	return res
+}
+
+// replay runs m on the packed engine with the given pooled working set,
+// detaching it again before returning: the machine outlives the run,
+// g and fr go back to their owner.
+func (m *Machine) replay(g *traceGraph, fr *fusedRun) Result {
+	m.graph, m.fr = g, fr
+	res := m.run()
+	m.graph, m.fr = nil, nil
+	return res
+}
+
+// run is the cycle loop shared by every mode.
+func (m *Machine) run() Result {
 	m.reset()
 	n := int64(m.tr.Len())
 	for m.commitIdx < n {
 		m.commit()
-		m.issue()
+		if m.mode == modeOracle {
+			m.issueScan()
+		} else {
+			m.fusedIssue()
+		}
 		m.dispatch()
 		m.fetch()
 		m.cycle++
-		if !m.oracle && m.commitIdx < n {
+		if m.mode != modeOracle && m.commitIdx < n {
 			if skip := m.idleCycles(); skip > 0 {
 				// The reference loop would burn these cycles with an empty
 				// issue phase; mirror its available-ILP accounting (the
@@ -425,9 +459,6 @@ func (m *Machine) Run() Result {
 				m.cycle += skip
 			}
 		}
-	}
-	if m.frDeferred && !m.elide {
-		m.fusedFinalize()
 	}
 	missRate, accesses := m.l1.MissRate()
 	return Result{
@@ -468,88 +499,53 @@ func (m *Machine) idleCycles() int64 {
 	}
 
 	// Commit: the head retires on the first cycle strictly after its
-	// completion. An unissued head is bounded by the issue conditions.
-	// Deferred replays read completion from the packed state, the only
-	// place it lives before fusedFinalize.
-	var headComplete int64
-	if m.frDeferred {
-		headComplete = Unset // undispatched: packed record is last run's
-		if m.commitIdx < m.dispHead {
-			headComplete = int64(m.fr.st[m.commitIdx].complete)
+	// completion. An unissued head is bounded by the issue conditions;
+	// an undispatched one's packed record is the previous run's.
+	if m.commitIdx < m.dispHead {
+		if c := int64(m.fr.st[m.commitIdx].complete); c != Unset {
+			if c+1 <= t {
+				return 0
+			}
+			consider(c + 1)
 		}
-	} else {
-		headComplete = m.events[m.commitIdx].Complete
-	}
-	if c := headComplete; c != Unset {
-		if c+1 <= t {
-			return 0
-		}
-		consider(c + 1)
 	}
 
 	// Issue: matured-but-unissued entries guarantee work next cycle (the
 	// first sorted candidate of a cluster always fits the issue budget);
 	// otherwise the earliest pending wake maturation bounds the skip.
 	// The packed engine tracks that minimum exactly per cluster
-	// (wringMin/wfarMin), so the bound is as tight as the solo heap's.
-	if m.fr != nil {
-		for c := range m.clusters {
-			if len(m.fr.ready[c]) > int(m.fr.rdHead[c]) {
-				return 0
-			}
-			if r := m.fr.wringMin[c]; r != wakeNone {
-				if r <= t {
-					return 0
-				}
-				consider(r)
-			}
-			if r := m.fr.wfarMin[c]; r != wakeNone {
-				if r <= t {
-					return 0
-				}
-				consider(r)
-			}
+	// (wringMin/wfarMin), so the bound is exact.
+	for c := range m.clusters {
+		if len(m.fr.ready[c]) > int(m.fr.rdHead[c]) {
+			return 0
 		}
-	} else {
-		for c := range m.clusters {
-			cs := &m.clusters[c]
-			if len(cs.ready) > 0 {
+		if r := m.fr.wringMin[c]; r != wakeNone {
+			if r <= t {
 				return 0
 			}
-			if len(cs.wake) > 0 {
-				if r := cs.wake[0].ready; r <= t {
-					return 0
-				} else {
-					consider(r)
-				}
+			consider(r)
+		}
+		if r := m.fr.wfarMin[c]; r != wakeNone {
+			if r <= t {
+				return 0
 			}
+			consider(r)
 		}
 	}
 
 	// Dispatch/steering.
-	if m.dispHead < n {
-		// With the event clear skipped, "has the head been fetched" comes
-		// from the in-order fetch cursor (equivalent: fetch sets Fetch in
-		// strict seq order) and the side-array fetch cycle.
-		headFetch := Unset
-		if m.frNoReset {
-			if m.dispHead < m.nextFetch {
-				headFetch = int64(m.fr.fetchC[m.dispHead])
-			}
-		} else {
-			headFetch = m.events[m.dispHead].Fetch
+	// "Has the head been fetched" comes from the in-order fetch cursor: an
+	// uncleared log holds the previous run's value for unfetched events.
+	if m.dispHead < m.nextFetch {
+		delivered := m.fetchCycle(m.dispHead) + int64(m.cfg.PipelineDepth)
+		switch {
+		case delivered > t:
+			consider(delivered)
+		case m.dispatched-m.commitIdx < int64(m.cfg.ROBSize):
+			return 0 // steering would run: never skip
 		}
-		if headFetch != Unset {
-			delivered := headFetch + int64(m.cfg.PipelineDepth)
-			switch {
-			case delivered > t:
-				consider(delivered)
-			case m.dispatched-m.commitIdx < int64(m.cfg.ROBSize):
-				return 0 // steering would run: never skip
-			}
-			// Delivered but ROB-full: stalled until the next commit,
-			// which the commit condition above already bounds.
-		}
+		// Delivered but ROB-full: stalled until the next commit, which
+		// the commit condition above already bounds.
 	}
 
 	// Fetch: blocked on an unresolved branch, it resumes only via an
@@ -568,21 +564,19 @@ func (m *Machine) idleCycles() int64 {
 }
 
 func (m *Machine) reset() {
-	if m.frNoReset {
-		// Every field is rewritten before anyone reads it (see the field
-		// comment); clearing 112 bytes per instruction here would be pure
-		// memory traffic.
-	} else if m.soa != nil && len(m.soa.evClear) >= len(m.events) {
-		// Fused replay: one bulk copy from the shared pre-reset template,
-		// field-for-field identical to the per-event reset below.
-		copy(m.events, m.soa.evClear[:len(m.events)])
-	} else {
+	// From modeNoReset on every event field is rewritten before anyone
+	// reads it (see replayMode); clearing 112 bytes per instruction there
+	// would be pure memory traffic.
+	if m.mode < modeNoReset {
 		for i := range m.events {
 			m.events[i].reset()
 		}
 	}
 	if m.fr != nil {
 		m.fr.reset()
+		if m.mode == modeElided {
+			m.fr.fetchC = resize(m.fr.fetchC, m.tr.Len())
+		}
 	}
 	m.cycle = 0
 	m.nextFetch = 0
@@ -596,15 +590,7 @@ func (m *Machine) reset() {
 		cs := &m.clusters[c]
 		cs.occ = 0
 		cs.entries = cs.entries[:0]
-		cs.wake = cs.wake[:0]
-		cs.ready = cs.ready[:0]
 		m.lastIssuedFrom[c] = Unset
-	}
-	for i := range m.pend {
-		m.pend[i] = 0
-	}
-	for i := range m.waiters {
-		m.waiters[i] = m.waiters[i][:0]
 	}
 	// A pooled machine may carry broadcast stamps from a previous run
 	// whose cycle numbers could collide with this run's.
@@ -623,8 +609,8 @@ func (m *Machine) reset() {
 	m.ilpAvail = [MaxILPBucket + 1]int64{}
 	m.ilpIssued = [MaxILPBucket + 1]int64{}
 	if m.profile == nil {
-		// With a shared front-end profile attached the live gshare is
-		// never consulted, so its state is irrelevant to the run.
+		// With a front-end profile attached the live gshare is never
+		// consulted, so its state is irrelevant to the run.
 		m.bp.Reset()
 	}
 	m.l1.Reset()
@@ -636,7 +622,12 @@ func (m *Machine) reset() {
 func (m *Machine) commit() {
 	n := int64(m.tr.Len())
 	for w := 0; w < m.cfg.CommitWidth && m.commitIdx < n; w++ {
-		if m.frDeferred {
+		if m.mode == modeOracle {
+			ev := &m.events[m.commitIdx]
+			if ev.Complete == Unset || ev.Complete >= m.cycle {
+				break
+			}
+		} else {
 			// The dispatch-cursor guard keeps this off packed records the
 			// run has not initialized yet (st is not cleared between runs).
 			if m.commitIdx >= m.dispHead {
@@ -645,20 +636,13 @@ func (m *Machine) commit() {
 			if c := m.fr.st[m.commitIdx].complete; c < 0 || int64(c) >= m.cycle {
 				break
 			}
-		} else {
-			ev := &m.events[m.commitIdx]
-			if ev.Complete == Unset || ev.Complete >= m.cycle {
-				break
-			}
 		}
-		if m.frNoReset {
-			m.fr.commitC[m.commitIdx] = int32(m.cycle)
-		} else {
+		if m.mode != modeElided {
 			m.events[m.commitIdx].Commit = m.cycle
 		}
 		if m.kern == nil {
 			// Kernel policies declare OnCommit a no-op (KernelSpec
-			// contract), so the fused path skips the interface call.
+			// contract), so the engine skips the interface call.
 			m.retireBuf.m, m.retireBuf.seq = m, m.commitIdx
 			m.pol.OnCommit(m.commitIdx, &m.retireBuf)
 		}
@@ -676,7 +660,7 @@ func (m *Machine) commit() {
 // available at its cluster, or Unset if some producer has not issued.
 // It also reports the last-arriving producer and whether that operand
 // crossed clusters. Once every producer has issued the answer is fixed
-// forever, which is what lets the wakeup path compute it exactly once.
+// forever, so the scan loop caches it per window entry.
 func (m *Machine) readyAt(seq int64) (ready, crit int64, remote bool) {
 	ev := &m.events[seq]
 	ready = ev.Dispatch + 1
@@ -701,141 +685,10 @@ func (m *Machine) readyAt(seq int64) (ready, crit int64, remote bool) {
 	return ready, crit, remote
 }
 
-// issue selects and issues ready instructions at every cluster, subject
-// to per-cluster issue width and functional-unit mix. The wakeup path
-// only touches entries whose readiness changed: wake-heap tops that
-// matured this cycle are binary-inserted into their cluster's ready list
-// (kept sorted by scheduling priority, then age), so selection is a
-// k-way merge over pre-sorted lists instead of the reference loop's
-// gather-everything-and-sort. The visited candidate order is identical
-// to the reference loop's sorted order by construction — (prio, seq) is
-// a total order — so the two paths issue exactly the same instructions.
-func (m *Machine) issue() {
-	if m.oracle {
-		m.issueScan()
-		return
-	}
-	if m.fr != nil {
-		m.fusedIssue()
-		return
-	}
-	avail := 0
-	for c := range m.clusters {
-		cs := &m.clusters[c]
-		for len(cs.wake) > 0 && cs.wake[0].ready <= m.cycle {
-			cs.insertReady(cs.popWake())
-		}
-		m.readyCount[c] = len(cs.ready)
-		avail += len(cs.ready)
-	}
-	if avail == 0 {
-		if m.dispatched > m.commitIdx || m.dispHead < int64(m.tr.Len()) {
-			m.ilpAvail[0]++
-		}
-		return
-	}
-	issued := m.issueMerge()
-	if issued > 0 {
-		if m.fused {
-			m.compactReadyPrefix()
-		} else {
-			for c := range m.clusters {
-				cs := &m.clusters[c]
-				kept := cs.ready[:0]
-				for _, e := range cs.ready {
-					if m.events[e.seq].Issue == Unset {
-						kept = append(kept, e)
-					}
-				}
-				cs.ready = kept
-			}
-		}
-	}
-	bucket := avail
-	if bucket > MaxILPBucket {
-		bucket = MaxILPBucket
-	}
-	m.ilpAvail[bucket]++
-	m.ilpIssued[bucket] += int64(issued)
-}
-
-// issueMerge walks the per-cluster sorted ready lists in global
-// (prio, seq) order — always advancing the smallest head among clusters
-// with issue width left — applying the same width and FU budgets as the
-// reference selection, and stops early once every cluster's width is
-// spent. Skipping a width-exhausted cluster's remaining entries wholesale
-// is exactly what the reference loop's per-candidate width check does to
-// them one by one.
-func (m *Machine) issueMerge() int {
-	budgets := m.budgets
-	widthLeft := 0
-	for c := range budgets {
-		budgets[c] = issueBudget{m.cfg.IssuePerCluster, m.cfg.IntPerCluster, m.cfg.FPPerCluster, m.cfg.MemPerCluster}
-		widthLeft += m.cfg.IssuePerCluster
-		m.cursors[c] = 0
-	}
-	issued := 0
-	for widthLeft > 0 {
-		best := -1
-		var bestPrio uint16
-		var bestSeq int64
-		for c := range m.clusters {
-			if budgets[c].width == 0 {
-				continue
-			}
-			cur := m.cursors[c]
-			rl := m.clusters[c].ready
-			if cur >= len(rl) {
-				continue
-			}
-			e := &rl[cur]
-			if best == -1 || e.prio < bestPrio || (e.prio == bestPrio && e.seq < bestSeq) {
-				best, bestPrio, bestSeq = c, e.prio, e.seq
-			}
-		}
-		if best == -1 {
-			break
-		}
-		e := &m.clusters[best].ready[m.cursors[best]]
-		m.cursors[best]++
-		b := &budgets[best]
-		var fu isa.FU
-		if m.soa != nil {
-			fu = isa.FU(m.soa.fu[e.seq])
-		} else {
-			fu = m.tr.Insts[e.seq].Op.FU()
-		}
-		switch fu {
-		case isa.FUInt:
-			if b.integer == 0 {
-				continue
-			}
-			b.integer--
-		case isa.FUFP:
-			if b.fp == 0 {
-				continue
-			}
-			b.fp--
-		case isa.FUMem:
-			if b.mem == 0 {
-				continue
-			}
-			b.mem--
-		}
-		b.width--
-		widthLeft--
-		cd := candidate{seq: e.seq, cluster: best, prio: e.prio, ready: e.ready, crit: e.crit, remote: e.remote}
-		m.issueOne(&cd)
-		issued++
-	}
-	return issued
-}
-
-// issueSelect issues from the gathered candidates (oldest-first within
-// priority class, subject to per-cluster width and FU budgets), keeps the
-// available/issued ILP histograms, and returns how many issued. Both
-// issue paths share it, so the selection function is identical by
-// construction.
+// issueSelect issues from the scan loop's gathered candidates
+// (oldest-first within priority class, subject to per-cluster width and
+// FU budgets), keeps the available/issued ILP histograms, and returns how
+// many issued.
 func (m *Machine) issueSelect() int {
 	avail := len(m.candBuf)
 	if avail == 0 {
@@ -900,9 +753,9 @@ func (m *Machine) issueSelect() int {
 	return issued
 }
 
-// issueOne executes one instruction: fixes its timestamps, accesses the
-// cache for memory operations, wakes its consumers, resolves blocking
-// branches, and counts global values.
+// issueOne executes one instruction for the scan loop: fixes its
+// timestamps, accesses the cache for memory operations, resolves
+// blocking branches, and counts global values.
 func (m *Machine) issueOne(cd *candidate) {
 	seq := cd.seq
 	ev := &m.events[seq]
@@ -912,30 +765,13 @@ func (m *Machine) issueOne(cd *candidate) {
 	ev.CritProducer = cd.crit
 	ev.CritProducerRemote = cd.remote
 
-	// Per-instruction facts come from the shared SoA on fused runs (the
-	// AoS trace record is then only touched for memory addresses) and
-	// from the trace record itself on solo runs; the values are
-	// identical by construction.
-	var (
-		lat             int64
-		isLoad, isStore bool
-		hasOut          bool // writes a register or drains a store value
-	)
-	if m.soa != nil {
-		fl := m.soa.flags[seq]
-		lat = int64(m.soa.lat[seq])
-		isLoad = fl&soaLoad != 0
-		isStore = fl&soaStore != 0
-		hasOut = fl&(soaHasDst|soaStore) != 0
-	} else {
-		in := &m.tr.Insts[seq]
-		lat = int64(in.Op.Latency())
-		isLoad = in.Op == isa.Load
-		isStore = in.Op == isa.Store
-		hasOut = in.HasDst() || isStore
-	}
+	in := &m.tr.Insts[seq]
+	lat := int64(in.Op.Latency())
+	isLoad := in.Op == isa.Load
+	isStore := in.Op == isa.Store
+	hasOut := in.HasDst() || isStore // writes a register or drains a store value
 	if isLoad {
-		accessLat, hit := m.l1.Access(m.tr.Insts[seq].Addr)
+		accessLat, hit := m.l1.Access(in.Addr)
 		if !hit {
 			ev.L1Miss = true
 		}
@@ -944,7 +780,7 @@ func (m *Machine) issueOne(cd *candidate) {
 		// the ISA latency on the default geometry).
 		lat = loadAgenCycles + int64(accessLat)
 	} else if isStore {
-		m.l1.Access(m.tr.Insts[seq].Addr) // write-allocate; latency hidden by commit
+		m.l1.Access(in.Addr) // write-allocate; latency hidden by commit
 	}
 	ev.Complete = m.cycle + lat
 	// The value becomes visible to other clusters after the forwarding
@@ -970,12 +806,6 @@ func (m *Machine) issueOne(cd *candidate) {
 		}
 	}
 
-	// Complete and RemoteAvail are final: wake the consumers waiting on
-	// this producer.
-	if !m.oracle {
-		m.wakeConsumers(seq)
-	}
-
 	if seq == m.blockingBranch {
 		m.fetchResume = ev.Complete + 1
 		m.redirectFrom = seq
@@ -983,118 +813,7 @@ func (m *Machine) issueOne(cd *candidate) {
 	}
 	m.clusters[cd.cluster].occ--
 	m.lastIssuedFrom[cd.cluster] = seq
-	if m.kern == nil {
-		// Kernel policies declare OnIssue a no-op (KernelSpec contract).
-		m.pol.OnIssue(seq, cd.cluster)
-	}
-}
-
-// wakeConsumers decrements the outstanding-producer count of every
-// consumer waiting on seq; consumers reaching zero have their (now
-// final) readiness computed and join their cluster's wake heap. A
-// consumer naming seq twice (both operands) is in the list twice and is
-// decremented twice, mirroring the double count taken at dispatch.
-func (m *Machine) wakeConsumers(seq int64) {
-	slot := seq & m.ringMask
-	ws := m.waiters[slot]
-	if len(ws) == 0 {
-		return
-	}
-	for _, w := range ws {
-		wseq := int64(w)
-		wslot := wseq & m.ringMask
-		m.pend[wslot]--
-		if m.pend[wslot] == 0 {
-			ready, crit, remote := m.readyAt(wseq)
-			m.clusters[m.events[wseq].Cluster].pushWake(wakeEntry{
-				seq: wseq, ready: ready, crit: crit,
-				prio: m.prioRing[wslot], remote: remote,
-			})
-		}
-	}
-	m.waiters[slot] = ws[:0]
-}
-
-// enqueue registers a freshly dispatched instruction with the wakeup
-// machinery: it either starts waiting on its unissued producers or, when
-// every producer has already issued, goes straight onto its cluster's
-// wake heap with its (already final) ready time.
-func (m *Machine) enqueue(seq int64, cluster int, prio uint16) {
-	pend := int32(0)
-	for _, p := range m.tr.ProducerSpan(int(seq)) {
-		if m.events[p].Complete == Unset {
-			pslot := int64(p) & m.ringMask
-			m.waiters[pslot] = append(m.waiters[pslot], int32(seq))
-			pend++
-		}
-	}
-	if pend == 0 {
-		ready, crit, remote := m.readyAt(seq)
-		m.clusters[cluster].pushWake(wakeEntry{
-			seq: seq, ready: ready, crit: crit, prio: prio, remote: remote,
-		})
-		return
-	}
-	slot := seq & m.ringMask
-	m.pend[slot] = pend
-	m.prioRing[slot] = prio
-}
-
-// pushWake adds e to the cluster's min-heap of maturing entries.
-// insertReady adds a matured entry to the ready list, preserving the
-// (prio, seq) order that issue selection consumes.
-func (cs *clusterState) insertReady(e wakeEntry) {
-	lo, hi := 0, len(cs.ready)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		r := &cs.ready[mid]
-		if r.prio < e.prio || (r.prio == e.prio && r.seq < e.seq) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	cs.ready = append(cs.ready, wakeEntry{})
-	copy(cs.ready[lo+1:], cs.ready[lo:])
-	cs.ready[lo] = e
-}
-
-func (cs *clusterState) pushWake(e wakeEntry) {
-	cs.wake = append(cs.wake, e)
-	i := len(cs.wake) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if cs.wake[p].ready <= cs.wake[i].ready {
-			break
-		}
-		cs.wake[p], cs.wake[i] = cs.wake[i], cs.wake[p]
-		i = p
-	}
-}
-
-// popWake removes and returns the earliest-maturing entry.
-func (cs *clusterState) popWake() wakeEntry {
-	top := cs.wake[0]
-	last := len(cs.wake) - 1
-	cs.wake[0] = cs.wake[last]
-	cs.wake = cs.wake[:last]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= last {
-			break
-		}
-		c := l
-		if r := l + 1; r < last && cs.wake[r].ready < cs.wake[l].ready {
-			c = r
-		}
-		if cs.wake[i].ready <= cs.wake[c].ready {
-			break
-		}
-		cs.wake[i], cs.wake[c] = cs.wake[c], cs.wake[i]
-		i = c
-	}
-	return top
+	m.pol.OnIssue(seq, cd.cluster)
 }
 
 // hasSpace reports real (not snapshot) window availability.
@@ -1115,21 +834,11 @@ func (m *Machine) dispatch() {
 	}
 	for w := 0; w < m.cfg.DispatchWidth && m.dispHead < n; w++ {
 		seq := m.dispHead
-		// Reset-elided replays never touch the event log here (it may not
-		// even be allocated under elide): the fetched test uses the
-		// in-order fetch cursor and the side-array fetch cycle, and the
-		// fetch cycle for the pipeline-latency test below comes from the
-		// same side array.
-		var fetchC int64
-		if m.frNoReset {
-			if seq >= m.nextFetch {
-				break
-			}
-			fetchC = int64(m.fr.fetchC[seq])
-		} else {
-			fetchC = m.events[seq].Fetch
+		if seq >= m.nextFetch {
+			break // not yet fetched
 		}
-		if fetchC == Unset || fetchC+int64(m.cfg.PipelineDepth) > m.cycle {
+		fetchC := m.fetchCycle(seq)
+		if fetchC+int64(m.cfg.PipelineDepth) > m.cycle {
 			break // not yet delivered by the front end
 		}
 		if m.dispatched-m.commitIdx >= int64(m.cfg.ROBSize) {
@@ -1139,14 +848,7 @@ func (m *Machine) dispatch() {
 
 		var dec Decision
 		if m.kern != nil {
-			switch {
-			case m.fr == nil:
-				dec = m.steerKernel(seq)
-			case m.cfg.Clusters == 1:
-				dec = m.steerKernelMono(seq)
-			default:
-				dec = m.steerKernelPacked(seq)
-			}
+			dec = m.steerKernelPacked(seq)
 		} else {
 			view := &m.viewBuf
 			view.m = m
@@ -1172,7 +874,7 @@ func (m *Machine) dispatch() {
 		if int(dec.Tag) < len(m.steerCounts) {
 			m.steerCounts[dec.Tag]++
 		}
-		// Dispatch-time prediction sampling. Fused runs with static
+		// Dispatch-time prediction sampling. Kernel replays with static
 		// predictors read the per-seq memos — the same values the live
 		// lookups would produce, without the PC load or hash.
 		var memoCrit []bool
@@ -1215,14 +917,7 @@ func (m *Machine) dispatch() {
 		}
 		m.havePending = false
 
-		if m.frNoReset {
-			// Reset-elided replay: all dispatch facts ride in the fusedRun
-			// side arrays (cycle, cluster and priority via fusedEnqueue's
-			// packed state) until fusedFinalize writes the event whole.
-			m.fr.steerTg[seq] = uint8(dec.Tag)
-			m.fr.dispRsn[seq] = uint8(reason)
-			m.fr.dispBlk[seq] = int32(blocker)
-		} else {
+		if m.mode != modeElided {
 			ev := &m.events[seq]
 			ev.Dispatch = m.cycle
 			ev.Cluster = int16(dec.Cluster)
@@ -1233,13 +928,11 @@ func (m *Machine) dispatch() {
 			ev.DispatchBlocker = blocker
 		}
 
-		if m.oracle {
+		if m.mode == modeOracle {
 			m.clusters[dec.Cluster].entries = append(m.clusters[dec.Cluster].entries,
 				winEntry{seq: seq, prio: prio, ready: Unset, crit: Unset})
-		} else if m.fr != nil {
-			m.fusedEnqueue(seq, dec.Cluster, prio)
 		} else {
-			m.enqueue(seq, dec.Cluster, prio)
+			m.fusedEnqueue(seq, dec.Cluster, prio)
 		}
 		m.clusters[dec.Cluster].occ++
 		m.dispHead++
@@ -1263,7 +956,7 @@ func (m *Machine) gatherProducers(seq int64, dst []ProducerInfo) []ProducerInfo 
 		p := int64(p32)
 		pev := &m.events[p]
 		// Piggybacked dispatch-pend count (raw multiplicity) for
-		// fusedEnqueue on generic fused runs; dead weight on solo runs.
+		// fusedEnqueue on live replays; dead weight in the scan loop.
 		if pev.Complete == Unset {
 			pend++
 		}
@@ -1298,10 +991,6 @@ func (m *Machine) gatherProducers(seq int64, dst []ProducerInfo) []ProducerInfo 
 // fetch advances the front end: up to FetchWidth instructions per cycle,
 // blocking at gshare mispredictions until the branch resolves.
 func (m *Machine) fetch() {
-	if m.frNoReset {
-		m.fusedFetch()
-		return
-	}
 	n := int64(m.tr.Len())
 	if m.nextFetch >= n || m.cycle < m.fetchResume {
 		return
@@ -1313,27 +1002,36 @@ func (m *Machine) fetch() {
 	m.redirectFrom = Unset
 	for w := 0; w < m.cfg.FetchWidth && m.nextFetch < n; w++ {
 		seq := m.nextFetch
-		ev := &m.events[seq]
-		ev.Fetch = m.cycle
-		if redirect != Unset {
-			ev.FetchReason = FetchRedirect
-			ev.FetchBlocker = redirect
+		var ev *Event
+		if m.mode == modeElided {
+			m.fr.fetchC[seq] = int32(m.cycle) // dispatch's one fetch-time read
 		} else {
-			ev.FetchReason = FetchBW
-			if seq >= int64(m.cfg.FetchWidth) {
-				ev.FetchBlocker = seq - int64(m.cfg.FetchWidth)
+			ev = &m.events[seq]
+			ev.Fetch = m.cycle
+			// Set to true later, if at all; an uncleared log (modeNoReset)
+			// needs the false written.
+			ev.Mispredicted, ev.globalDone = false, false
+			if redirect != Unset {
+				ev.FetchReason = FetchRedirect
+				ev.FetchBlocker = redirect
 			} else {
-				ev.FetchBlocker = Unset
+				ev.FetchReason = FetchBW
+				if seq >= int64(m.cfg.FetchWidth) {
+					ev.FetchBlocker = seq - int64(m.cfg.FetchWidth)
+				} else {
+					ev.FetchBlocker = Unset
+				}
 			}
 		}
 		m.nextFetch++
 		in := &m.tr.Insts[seq]
 		if in.Op.IsBranch() {
 			m.branches++
-			// The shared front-end profile replays the outcome this
-			// machine's own gshare would produce (fetch consults the
-			// predictor once per branch, in program order, so outcomes are
-			// config-independent up to GshareBits; see variants.go).
+			// The front-end profile replays the outcome this machine's own
+			// gshare would produce (fetch consults the predictor once per
+			// branch, in program order, so outcomes are config-independent
+			// up to GshareBits; see variants.go). Only the scan oracle
+			// trains the live gshare.
 			var correct bool
 			if m.profile != nil {
 				correct = !m.profile.mispredicted(seq)
@@ -1341,7 +1039,9 @@ func (m *Machine) fetch() {
 				correct = m.bp.Update(in.PC, in.Taken)
 			}
 			if !correct {
-				ev.Mispredicted = true
+				if ev != nil {
+					ev.Mispredicted = true
+				}
 				m.mispredicts++
 				m.blockingBranch = seq
 				m.fetchResume = fetchBlocked
@@ -1349,4 +1049,12 @@ func (m *Machine) fetch() {
 			}
 		}
 	}
+}
+
+// fetchCycle returns the fetch cycle of an already-fetched instruction.
+func (m *Machine) fetchCycle(seq int64) int64 {
+	if m.mode == modeElided {
+		return int64(m.fr.fetchC[seq])
+	}
+	return m.events[seq].Fetch
 }

@@ -1,13 +1,17 @@
 package machine
 
-// This file preserves the pre-optimization issue loop — a per-cycle full
-// scan over every window entry of every cluster, with lazily cached
-// readiness — as the differential oracle for the wakeup-driven scheduler.
-// Golden files are generated with it (go test -run Golden -update-goldens
-// ./internal/machine) and the property tests in oracle_test.go check that
-// both paths produce identical Events timelines and Results on random
-// traces and configurations. It is selected with UseOracleIssue and is
-// deliberately left untouched by performance work.
+// This file is the machine's single reference issue loop: a per-cycle
+// full scan over every window entry of every cluster, with lazily cached
+// readiness, live gshare training and the SteerPolicy interface — no
+// cycle skipping, no packed state, no kernels, no profiles. The packed
+// engine (fusedissue.go), which every production run uses, is gated
+// against it: the committed goldens are generated with it (go test -run
+// Golden -update-goldens ./internal/machine), and the differential tests
+// (oracle_test.go, variants_test.go, property_test.go,
+// FuzzSimulateVariants and the -bench-json gate) require identical
+// Events timelines and Results on random and benchmark traces. It is
+// selected with UseOracleIssue and is deliberately left untouched by
+// performance work.
 
 // issueScan is the reference issue phase: scan all entries, cache
 // readiness the first cycle it becomes computable, collect ready-now

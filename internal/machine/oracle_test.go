@@ -12,8 +12,8 @@ import (
 )
 
 // policyChoices builds the policy menu for differential trials. Stateful
-// policies (round-robin, mod-N) are deliberately included: the wakeup
-// loop's cycle-skipping must never skip a cycle on which the steering
+// policies (round-robin, mod-N) are deliberately included: the packed
+// engine's cycle-skipping must never skip a cycle on which the steering
 // stage would have been consulted, and a policy that mutates per Steer
 // call detects any violation immediately.
 func policyChoices(clusters int) []func() machine.SteerPolicy {
@@ -28,13 +28,13 @@ func policyChoices(clusters int) []func() machine.SteerPolicy {
 	}
 }
 
-// TestWakeupMatchesOracle is the differential property test guarding the
-// tentpole optimization: on seeded-random traces and configurations, the
-// wakeup-driven scheduler (with pooled machine reuse and the next-event
-// clock) must produce an Events() timeline and Result identical to the
-// pre-optimization full-scan loop, field for field. The wakeup machine is
-// drawn from the pool and recycled every trial, so Reinit's reuse across
-// changing cluster counts, ROB-ring sizes and bypass settings is
+// TestWakeupMatchesOracle is the engine's differential property test: on
+// seeded-random traces and configurations, a standalone run (New/
+// NewPooled + Run: the packed wakeup-driven engine with pooled machine
+// reuse and the next-event clock) must produce an Events() timeline and
+// Result identical to the full-scan oracle, field for field. The machine
+// under test is drawn from the pool and recycled every trial, so
+// Reinit's reuse across changing cluster counts and bypass settings is
 // exercised at the same time.
 func TestWakeupMatchesOracle(t *testing.T) {
 	r := xrand.New(777)

@@ -132,7 +132,8 @@ func TestSimulateVariantsParallelErrorWins(t *testing.T) {
 // TestFwdGridSharingBoundary pins the forwarding-latency fusion
 // boundary from both sides. Sharing side: variants differing only in
 // FwdLatency carry state-equal predictors, so the batch builds ONE
-// prediction memo group and still reproduces every solo run exactly.
+// prediction memo group and still reproduces every scan-oracle run
+// exactly.
 // Boundary side: those same variants' dispatch streams diverge — a
 // longer forwarding latency keeps producers outstanding longer, which
 // changes steering decisions — so fusing whole steering/dispatch images
@@ -171,11 +172,12 @@ func TestFwdGridSharingBoundary(t *testing.T) {
 		t.Errorf("grid fusion: groups=%d shared=%d, want 1 group serving %d variants",
 			stats.GridGroups, stats.GridShared, len(fwds))
 	}
-	// Differential half: every fused+memo-shared run equals its solo run.
+	// Differential half: every fused+memo-shared run equals the scan
+	// oracle, which consults the live predictor per dispatch.
 	for i := range variants {
-		solo, soloRes := runSolo(t, tr, variants[i], false)
+		oracle, oracleRes := runSolo(t, tr, variants[i], true)
 		sameRun(t, fmt.Sprintf("fwd=%d", fwds[i]),
-			outs[i].Res, outs[i].M.Events(), soloRes, solo.Events())
+			outs[i].Res, outs[i].M.Events(), oracleRes, oracle.Events())
 	}
 	// Boundary half: the fwd axis must actually change dispatch. If this
 	// ever fails, the model lost FwdLatency's feedback into steering and

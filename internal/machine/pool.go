@@ -7,7 +7,7 @@ import (
 )
 
 // pool recycles Machine allocation backbones (event log, cluster state,
-// wakeup and broadcast rings) across runs. A simulation at paper scale
+// broadcast rings) across runs. A simulation at paper scale
 // allocates megabytes of per-instruction event records; engine jobs churn
 // through thousands of such runs, so reusing them removes the dominant
 // allocation source from the experiment hot path.
@@ -18,19 +18,15 @@ var pool = sync.Pool{New: func() any { return new(Machine) }}
 // capacities fit. Call Recycle when done with the machine and everything
 // reachable from it (Events, Trace).
 func NewPooled(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks) (*Machine, error) {
-	return newPooledOpt(cfg, tr, pol, hooks, false)
+	return newPooled(cfg, tr, pol, hooks, nil)
 }
 
-// newPooledOpt is NewPooled with the zero-materialization switch: when
-// elide is set the machine never allocates its event log (Reinit keeps
-// it empty). Only the variants replay path sets it, and only for
-// variants whose whole run is proven event-log-free (frNoReset).
-func newPooledOpt(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks, elide bool) (*Machine, error) {
+// newPooled is NewPooled bound to a prepared replay (see bind); an
+// elided prep keeps the event log unallocated.
+func newPooled(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks, prep *variantPrep) (*Machine, error) {
 	m := pool.Get().(*Machine)
-	m.elide = elide
-	if err := m.Reinit(cfg, tr, pol, hooks); err != nil {
-		m.elide = false
-		pool.Put(m)
+	if err := m.bind(cfg, tr, pol, hooks, prep); err != nil {
+		Recycle(m)
 		return nil, err
 	}
 	return m, nil
@@ -51,10 +47,6 @@ func Recycle(m *Machine) {
 	m.binary, m.loc = nil, nil
 	m.onEpoch, m.onCommitInst = nil, nil
 	m.viewBuf = SteerView{producers: m.viewBuf.producers[:0]}
-	// Fused-run state is shared across a SimulateVariants batch and can
-	// pin megabytes (the event template); never carry it into the pool.
-	m.fused, m.profile, m.soa, m.kern = false, nil, nil, nil
-	m.fr, m.frDeferred, m.frNoReset = nil, false, false
-	m.elide = false
+	m.profile, m.graph, m.kern, m.fr = nil, nil, nil, nil
 	pool.Put(m)
 }

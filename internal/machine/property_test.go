@@ -86,7 +86,7 @@ func TestRandomTracesSatisfyInvariants(t *testing.T) {
 // companion to TestRandomTracesSatisfyInvariants: for random programs and
 // a random mix of geometries and policies, the fused SimulateVariants run
 // must be indistinguishable — result and full event timeline — from
-// running each variant alone.
+// running each variant alone on the scan oracle.
 func TestRandomTracesVariantsMatchSolo(t *testing.T) {
 	r := xrand.New(7031)
 	clusterChoices := []int{1, 2, 4, 8}
@@ -132,6 +132,7 @@ func TestRandomTracesVariantsMatchSolo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			m.UseOracleIssue(true)
 			res := m.Run()
 			sameRun(t, fmt.Sprintf("trial %d variant %d", trial, i), outs[i].Res, outs[i].M.Events(), res, m.Events())
 		}

@@ -94,8 +94,8 @@ func SimulateStore(st *trace.Store, windowInsts int64, mk SegmentFunc) (StreamRe
 // (nil means none); an observer error aborts the run.
 func SimulateStoreObserved(st *trace.Store, windowInsts int64, mk SegmentFunc, obs WindowObserver) (StreamResult, error) {
 	var sr StreamResult
-	if windowInsts <= 0 {
-		return sr, fmt.Errorf("machine: window of %d instructions", windowInsts)
+	if err := checkWindow(windowInsts, st.Len()); err != nil {
+		return sr, err
 	}
 	sr.WindowInsts = windowInsts
 	for lo := int64(0); lo < st.Len(); lo += windowInsts {
@@ -114,6 +114,18 @@ func SimulateStoreObserved(st *trace.Store, windowInsts int64, mk SegmentFunc, o
 		sr.accumulate(r)
 	}
 	return sr, nil
+}
+
+// checkWindow rejects a window length the engine cannot simulate before
+// any window of a total-instruction stream is materialized.
+func checkWindow(windowInsts, total int64) error {
+	if windowInsts <= 0 {
+		return fmt.Errorf("machine: window of %d instructions", windowInsts)
+	}
+	if min(windowInsts, total) > MaxInsts {
+		return fmt.Errorf("machine: window of %d instructions exceeds the %d-instruction limit; simulate with a window of at most %d instructions", windowInsts, MaxInsts, MaxInsts)
+	}
+	return nil
 }
 
 // streamInFlight tracks window simulations currently live across every
@@ -164,8 +176,8 @@ func SimulateStorePiped(st *trace.Store, windowInsts int64, mk SegmentFunc, obs 
 		return SimulateStoreObserved(st, windowInsts, mk, obs)
 	}
 	var sr StreamResult
-	if windowInsts <= 0 {
-		return sr, fmt.Errorf("machine: window of %d instructions", windowInsts)
+	if err := checkWindow(windowInsts, st.Len()); err != nil {
+		return sr, err
 	}
 	sr.WindowInsts = windowInsts
 
@@ -269,11 +281,11 @@ func simulateStreamJob(j *streamJob) (m *Machine, res Result, err error) {
 // SimulateStore == SimulateSliced on identical inputs.
 func SimulateSliced(tr *trace.Trace, windowInsts int64, mk SegmentFunc) (StreamResult, error) {
 	var sr StreamResult
-	if windowInsts <= 0 {
-		return sr, fmt.Errorf("machine: window of %d instructions", windowInsts)
+	total := int64(tr.Len())
+	if err := checkWindow(windowInsts, total); err != nil {
+		return sr, err
 	}
 	sr.WindowInsts = windowInsts
-	total := int64(tr.Len())
 	for lo := int64(0); lo < total; lo += windowInsts {
 		hi := lo + windowInsts
 		if hi > total {

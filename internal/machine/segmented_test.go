@@ -3,7 +3,9 @@ package machine_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+	"weak"
 
 	"clustersim/internal/machine"
 	"clustersim/internal/steer"
@@ -120,5 +122,64 @@ func TestSimulateStoreSegmentErrorPropagates(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped segment error", err)
+	}
+}
+
+// TestSimulateStoreFreesFinishedWindows pins SimulateStore's memory
+// promise: only the current window's trace, machine and event log are
+// live. Each window trace is held through a weak pointer; once a window
+// is finished (its machine recycled), a GC must be able to collect it —
+// nothing pooled (machines, packed state, dependence graphs) may keep it alive.
+func TestSimulateStoreFreesFinishedWindows(t *testing.T) {
+	tr, err := workload.Generate("gcc", 6000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openStoreFor(t, tr, 512)
+	const window = 1000
+	collected := func(ptrs []weak.Pointer[trace.Trace]) []int {
+		runtime.GC()
+		var live []int
+		for i, p := range ptrs {
+			if p.Value() != nil {
+				live = append(live, i)
+			}
+		}
+		return live
+	}
+
+	// Serial: at window k's observer call, windows before k are done.
+	var ptrs []weak.Pointer[trace.Trace]
+	sr, err := machine.SimulateStoreObserved(st, window, depBasedSegment(4), func(seg int, base int64, m *machine.Machine) error {
+		if live := collected(ptrs); len(live) > 0 {
+			t.Errorf("serial window %d: finished windows %v still reachable", seg, live)
+		}
+		ptrs = append(ptrs, weak.Make(m.Trace()))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := (tr.Len() + window - 1) / window
+	if sr.Windows != windows || len(ptrs) != windows {
+		t.Fatalf("simulated %d windows, observed %d, want %d", sr.Windows, len(ptrs), windows)
+	}
+	if live := collected(ptrs); len(live) > 0 {
+		t.Errorf("serial: windows %v still reachable after the run", live)
+	}
+
+	// Pipelined: after the run every window is finished.
+	ptrs = nil
+	if _, err := machine.SimulateStorePiped(st, window, depBasedSegment(4), func(seg int, base int64, m *machine.Machine) error {
+		ptrs = append(ptrs, weak.Make(m.Trace()))
+		return nil
+	}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if len(ptrs) != windows {
+		t.Fatalf("piped: observed %d windows, want %d", len(ptrs), windows)
+	}
+	if live := collected(ptrs); len(live) > 0 {
+		t.Errorf("piped: windows %v still reachable after the run", live)
 	}
 }

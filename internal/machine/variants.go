@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"clustersim/internal/bpred"
-	"clustersim/internal/isa"
 	"clustersim/internal/predictor"
 	"clustersim/internal/trace"
 )
@@ -16,8 +15,8 @@ import (
 // machine configurations over one trace. The listsched package proved
 // the shape for the idealized scheduler (prepare once, replay per
 // variant, validate against a retained reference); this is the same
-// fusion for the full machine. Three kinds of work are shared or
-// specialized, each behind its own guard with a fallback counter:
+// fusion for the full machine. A machine run on its own (New + Run) is a
+// one-variant batch. Three kinds of work are shared or specialized:
 //
 //  1. Front-end profile (frontProfile). Fetch processes instructions
 //     strictly in program order and consults gshare exactly once per
@@ -32,10 +31,9 @@ import (
 //     (and trains) its own cache. That asymmetry is the exact sharing
 //     boundary; TestFrontEndSharingBoundary pins it.
 //
-//  2. Trace SoA (traceSoA). Dense per-instruction arrays of the facts
-//     the issue loop reads per candidate (FU class, latency, op flags)
-//     plus a pre-reset event template, built once and shared read-only
-//     by every variant's replay.
+//  2. Dependence graph (traceGraph). The consumer transpose of the
+//     trace's producer CSR, built once per batch into pooled buffers and
+//     shared read-only by every variant's replay.
 //
 //  3. Steering kernel (kernelState). Stateless policies advertise a
 //     KernelSpec; the machine then replicates their Steer decision
@@ -43,12 +41,12 @@ import (
 //     map allocation — and skips their (no-op, per the Kernel contract)
 //     OnIssue/OnCommit notifications. When the variant's hooks carry no
 //     training callbacks the per-PC predictions are additionally
-//     memoized per sequence number. Stateful policies fall back to the
-//     interface path, counted in SharingStats.
+//     memoized per sequence number. Stateful policies use the interface
+//     path, counted in SharingStats.
 //
-// The solo wakeup loop stays behaviorally verbatim and is the oracle
-// every fused run is differentially gated against (variants_test.go),
-// with the retained full-scan loop (UseOracleIssue) behind both.
+// Every replay runs on the packed engine (fusedissue.go). The full-scan
+// loop behind UseOracleIssue is the reference every replay is
+// differentially gated against (oracle_test.go, variants_test.go).
 
 // Variant describes one configuration to fuse into a SimulateVariants
 // call. Each variant must bring its own predictor instances in Hooks —
@@ -111,7 +109,7 @@ type SharingStats struct {
 // The zero value reproduces the serial reference path exactly.
 type VariantsOptions struct {
 	// Workers bounds the replay fan-out: after the shared prepare
-	// (producer CSR, SoA columns, branch profiles, steering kernels),
+	// (consumer CSR, branch profiles, steering kernels),
 	// per-variant replays are stolen off a shared cursor by this many
 	// workers, each owning its own pooled packed-engine state. Results
 	// are stitched in input order, so output is byte-identical to the
@@ -119,22 +117,24 @@ type VariantsOptions struct {
 	Workers int
 	// ResultOnly declares that the caller consumes only each variant's
 	// Result (never Events): eligible variants skip event-log
-	// materialization entirely — no allocation, no clear, no finalize
-	// pass. Eligibility is per-variant and exactly the frNoReset
-	// predicate; ineligible variants still materialize, so the option is
-	// always safe. Elided machines return empty Events().
+	// materialization entirely — no allocation, no clear, no writes
+	// pass. Eligibility is per-variant: a steering kernel, no training
+	// hooks, no Setup; ineligible variants still materialize, so the
+	// option is always safe. Elided machines return empty Events().
 	ResultOnly bool
 }
 
 // SimulateVariants runs every variant over tr sequentially, sharing the
-// producer index, the front-end branch profile, and the trace SoA, and
+// producer index and its transpose and the front-end branch profile, and
 // returns the per-variant machines and results in variant order. It is
 // the serial reference for SimulateVariantsOpts.
 //
-// Output is byte-identical to running each variant solo (New/NewPooled +
-// Run): variants neither observe each other nor share mutable state, so
-// permuting the variant list permutes the results and nothing else. On
-// error, machines built so far are recycled and none are returned.
+// Output is byte-identical to running each variant on its own (New +
+// Run) and to the scan oracle: variants neither observe each other nor
+// share mutable state, so permuting the variant list permutes the
+// results and nothing else. A variant New would reject (see Config.
+// Validate and MaxInsts) fails the batch before anything runs. On error,
+// machines built so far are recycled and none are returned.
 func SimulateVariants(tr *trace.Trace, variants []Variant) ([]VariantResult, SharingStats, error) {
 	return SimulateVariantsOpts(tr, variants, VariantsOptions{})
 }
@@ -145,17 +145,12 @@ func SimulateVariants(tr *trace.Trace, variants []Variant) ([]VariantResult, Sha
 type variantPrep struct {
 	profile *frontProfile
 	kern    *kernelState
-	// noReset records, ahead of machine construction, whether the replay
-	// will run fully event-log-free (the frNoReset predicate): packed
-	// engine admitted, kernel steering, no training hooks, no Setup,
-	// shareable branch profile. Under ResultOnly this is exactly the
-	// zero-materialization eligibility.
-	noReset bool
+	mode    replayMode
 }
 
 // SimulateVariantsOpts is SimulateVariants with a bounded parallel
 // replay phase and the zero-materialization result path. The prepare
-// phase (CSR, SoA, branch profiles, kernels, memo grouping) always runs
+// phase (CSRs, branch profiles, kernels, memo grouping) always runs
 // serially in variant order, so SharingStats and all shared state are
 // identical under any worker count; replays share nothing mutable, so
 // results are byte-identical to the serial path regardless of Workers.
@@ -167,21 +162,21 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 	if len(variants) == 0 {
 		return nil, stats, nil
 	}
-	tr.EnsureProducerIndex()
-	soa := sharedTraceSoA(tr)
-
-	// Packed-engine admission (see fusedissue.go): batches past the
-	// bounds replay on the generic fused path.
-	maxClusters := 0
 	for i := range variants {
-		if c := variants[i].Config.Clusters; c > maxClusters {
-			maxClusters = c
+		if err := Admit(variants[i].Config, tr.Len()); err != nil {
+			return nil, stats, fmt.Errorf("machine: variant %d: %w", i, err)
 		}
 	}
-	packed := tr.Len() <= fusedMaxInsts && maxClusters <= fusedMaxClusters
+	tr.EnsureProducerIndex()
+	g := getTraceGraph(tr)
+	defer putTraceGraph(g)
+	maxClusters := 0
+	for i := range variants {
+		maxClusters = max(maxClusters, variants[i].Config.Clusters)
+	}
 
 	// Prepare phase: profiles per predictor geometry, kernels with
-	// cross-variant memo sharing, eligibility flags — all serial.
+	// cross-variant memo sharing, replay modes — all serial.
 	profiles := map[uint]*frontProfile{}
 	preps := make([]variantPrep, len(variants))
 	var bank memoBank
@@ -192,21 +187,17 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 			p = newFrontProfile(tr, v.Config.GshareBits)
 			profiles[v.Config.GshareBits] = p
 		}
-		preps[i].profile = p
-		// The profile sharing guard, evaluated here so the stats are a
-		// pure function of the prepare phase (useFrontProfile re-checks
-		// the same predicate when attaching).
-		if p.bits == v.Config.GshareBits && p.insts == tr.Len() {
+		// The profile sharing guard; profiles built here always pass it.
+		if p.fits(v.Config, tr) {
+			preps[i].profile = p
 			stats.BpredShared++
 		} else {
 			stats.BpredFallback++
 		}
-		preps[i].kern = buildKernel(v, soa, &stats, &bank)
+		preps[i].kern = buildKernel(v.Pol, v.Hooks, tr, &stats, &bank)
 		hookFree := v.Hooks.OnEpoch == nil && v.Hooks.OnCommitInst == nil && v.Setup == nil
-		// The profile guard (useFrontProfile) is deterministic from the
-		// config and trace alone; profiles built here always pass it.
-		preps[i].noReset = packed && preps[i].kern != nil && hookFree
-		if opt.ResultOnly && preps[i].noReset {
+		preps[i].mode = replayModeFor(preps[i].kern != nil, hookFree, opt.ResultOnly)
+		if preps[i].mode == modeElided {
 			stats.EventsElided += int64(tr.Len())
 		}
 	}
@@ -225,15 +216,12 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 	var firstErr error
 	if workers == 1 {
 		// Serial replay: one packed working set serves the whole batch
-		// (each Run resets it).
-		var fr *fusedRun
-		if packed {
-			fr = getFusedRun(tr.Len(), maxClusters)
-			defer putFusedRun(fr)
-		}
+		// (each run resets it).
+		fr := getFusedRun(tr.Len(), maxClusters)
+		defer putFusedRun(fr)
 		for i := range variants {
 			start := time.Now()
-			m, res, err := runVariant(tr, soa, &variants[i], &preps[i], fr, opt.ResultOnly)
+			m, res, err := runVariant(tr, g, &variants[i], &preps[i], fr)
 			busy.Add(time.Since(start).Nanoseconds())
 			if err != nil {
 				firstErr = fmt.Errorf("machine: variant %d: %w", i, err)
@@ -244,7 +232,7 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 	} else {
 		// Parallel fan-out: workers steal variant indices off a shared
 		// cursor; each owns its own pooled packed working set. All
-		// shared state (tr, soa, profiles, kernel memos) is read-only
+		// shared state (tr, g, profiles, kernel memos) is read-only
 		// during this phase; everything mutable is per-variant. The
 		// lowest-index error wins, matching engine.MapCtx.
 		var next atomic.Int64
@@ -254,18 +242,15 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var fr *fusedRun
-				if packed {
-					fr = getFusedRun(tr.Len(), maxClusters)
-					defer putFusedRun(fr)
-				}
+				fr := getFusedRun(tr.Len(), maxClusters)
+				defer putFusedRun(fr)
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(variants) {
 						return
 					}
 					start := time.Now()
-					m, res, err := runVariantSafe(tr, soa, &variants[i], &preps[i], fr, opt.ResultOnly)
+					m, res, err := runVariantSafe(tr, g, &variants[i], &preps[i], fr)
 					busy.Add(time.Since(start).Nanoseconds())
 					if err != nil {
 						errs[i] = err
@@ -293,38 +278,18 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 	return out, stats, nil
 }
 
-// runVariant replays one prepared variant on fr (nil outside packed
-// admission) and returns its machine and result. The machine outlives
-// the call; the batch-owned fr and flags are detached before returning.
-func runVariant(tr *trace.Trace, soa *traceSoA, v *Variant, prep *variantPrep, fr *fusedRun, resultOnly bool) (*Machine, Result, error) {
-	elide := resultOnly && prep.noReset
-	m, err := newPooledOpt(v.Config, tr, v.Pol, v.Hooks, elide)
+// runVariant replays one prepared variant on the batch's g and fr and
+// returns its machine and result. The machine outlives the call; g and
+// fr are detached before returning.
+func runVariant(tr *trace.Trace, g *traceGraph, v *Variant, prep *variantPrep, fr *fusedRun) (*Machine, Result, error) {
+	m, err := newPooled(v.Config, tr, v.Pol, v.Hooks, prep)
 	if err != nil {
 		return nil, Result{}, err
 	}
-	m.useFrontProfile(prep.profile)
-	m.fused = true
-	m.soa = soa
-	m.kern = prep.kern
 	if v.Setup != nil {
 		v.Setup(m)
 	}
-	m.fr = fr
-	// Defer the issue-time event writes to one sequential pass when
-	// nothing can read the event log mid-run: kernel steering (no
-	// SteerView), no training hooks, no Setup-bound detector.
-	m.frDeferred = fr != nil && m.kern != nil &&
-		v.Hooks.OnEpoch == nil && v.Hooks.OnCommitInst == nil && v.Setup == nil
-	// Elide the pre-run event clear too, and with it every mid-run
-	// event write: the stages keep fetch/dispatch/commit facts in the
-	// fusedRun side arrays and fusedFinalize materializes each event
-	// exactly once. Mispredicted is reconstructed from the shared
-	// profile, which is therefore the one extra requirement.
-	m.frNoReset = m.frDeferred && m.profile != nil
-	res := m.Run()
-	// The batch owns fr; the machine outlives the call.
-	m.fr, m.frDeferred, m.frNoReset = nil, false, false
-	return m, res, nil
+	return m, m.replay(g, fr), nil
 }
 
 // runVariantSafe is runVariant with panic containment for the parallel
@@ -332,13 +297,13 @@ func runVariant(tr *trace.Trace, soa *traceSoA, v *Variant, prep *variantPrep, f
 // crash the process from a goroutine the engine's job recovery cannot
 // see. The serial path keeps the raw panic (it unwinds through the
 // caller, where the engine's own containment applies).
-func runVariantSafe(tr *trace.Trace, soa *traceSoA, v *Variant, prep *variantPrep, fr *fusedRun, resultOnly bool) (m *Machine, res Result, err error) {
+func runVariantSafe(tr *trace.Trace, g *traceGraph, v *Variant, prep *variantPrep, fr *fusedRun) (m *Machine, res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m, err = nil, fmt.Errorf("machine: variant replay panicked: %v", r)
 		}
 	}()
-	return runVariant(tr, soa, v, prep, fr, resultOnly)
+	return runVariant(tr, g, v, prep, fr)
 }
 
 // frontProfile is the shared front-end replay: one program-order gshare
@@ -380,112 +345,66 @@ func (p *frontProfile) mispredicted(seq int64) bool {
 // geometry or trace than m's own, i.e. when sharing would violate the
 // front-end contract.
 func (m *Machine) useFrontProfile(p *frontProfile) bool {
-	if p == nil || p.bits != m.cfg.GshareBits || p.insts != m.tr.Len() {
+	if p == nil || !p.fits(m.cfg, m.tr) {
 		return false
 	}
 	m.profile = p
 	return true
 }
 
-// traceSoA holds config-independent per-instruction facts in dense
-// arrays so the per-variant replays read sequential bytes instead of
-// striding through the AoS trace, plus a pre-reset event template that
-// turns the per-run event-log reset into one copy. Built once per
-// SimulateVariants call and shared read-only across variants.
-type traceSoA struct {
-	fu      []uint8 // isa.FU class per seq
-	lat     []uint16
-	flags   []uint8
-	addr    []uint64 // memory address (loads/stores; 0 otherwise)
-	pc      []uint64
-	evClear []Event // every field in its pre-simulation state
+// fits reports whether p was recorded under cfg's predictor geometry
+// over tr.
+func (p *frontProfile) fits(cfg Config, tr *trace.Trace) bool {
+	return p.bits == cfg.GshareBits && p.insts == tr.Len()
+}
 
-	// Producer CSR (shared with the trace) plus its transpose: the
-	// consumers of p are consIdx[consOff[p]:consOff[p+1]], in program
-	// order. The packed engine walks consumers at issue time instead of
-	// registering waiters per run — the topology is a property of the
-	// trace, so it is built once here and shared by every variant.
+// traceGraph is a trace's dependence graph in the shape the packed
+// engine walks it: the producer CSR (the trace's own) plus its
+// transpose, so the consumers of p are consIdx[consOff[p]:consOff[p+1]],
+// in program order. Issue walks a producer's consumers instead of
+// registering waiters per run. It is built per batch (or per standalone
+// run) into pooled buffers and shared read-only across that batch's
+// variants; no copy outlives the run that built it.
+type traceGraph struct {
 	prodOff, prodIdx []int32
 	consOff, consIdx []int32
 }
 
-const (
-	soaLoad uint8 = 1 << iota
-	soaStore
-	soaHasDst
-	soaBranch
-)
+var graphPool = sync.Pool{New: func() any { return new(traceGraph) }}
 
-// soaCache memoizes the last trace's SoA: sweeps and benchmarks call
-// SimulateVariants many times over one trace, and the SoA (notably its
-// event template) is the per-call setup cost. One entry suffices — a
-// different trace just rebuilds — and keying by pointer is sound
-// because the cache's own reference keeps the keyed trace alive, so its
-// address cannot be recycled for a different trace.
-var soaCache struct {
-	sync.Mutex
-	tr  *trace.Trace
-	soa *traceSoA
-}
-
-func sharedTraceSoA(tr *trace.Trace) *traceSoA {
-	soaCache.Lock()
-	defer soaCache.Unlock()
-	if soaCache.tr != tr {
-		soaCache.tr, soaCache.soa = tr, newTraceSoA(tr)
-	}
-	return soaCache.soa
-}
-
-func newTraceSoA(tr *trace.Trace) *traceSoA {
+// getTraceGraph fills a pooled traceGraph for tr, whose producer index
+// must be built; putTraceGraph returns it.
+func getTraceGraph(tr *trace.Trace) *traceGraph {
+	g := graphPool.Get().(*traceGraph)
 	n := tr.Len()
-	s := &traceSoA{
-		fu:      make([]uint8, n),
-		lat:     make([]uint16, n),
-		flags:   make([]uint8, n),
-		addr:    make([]uint64, n),
-		pc:      make([]uint64, n),
-		evClear: make([]Event, n),
-	}
-	for i := range tr.Insts {
-		in := &tr.Insts[i]
-		s.fu[i] = uint8(in.Op.FU())
-		s.lat[i] = uint16(in.Op.Latency())
-		var fl uint8
-		if in.Op == isa.Load {
-			fl |= soaLoad
-		}
-		if in.Op == isa.Store {
-			fl |= soaStore
-		}
-		if in.HasDst() {
-			fl |= soaHasDst
-		}
-		if in.Op.IsBranch() {
-			fl |= soaBranch
-		}
-		s.flags[i] = fl
-		s.addr[i] = in.Addr
-		s.pc[i] = in.PC
-		s.evClear[i].reset()
-	}
-	s.prodOff, s.prodIdx = tr.ProducerIndex()
-	s.consOff = make([]int32, n+1)
-	for _, p := range s.prodIdx {
-		s.consOff[p+1]++
+	g.prodOff, g.prodIdx = tr.ProducerIndex()
+	// Transpose by counting sort: count consumers per producer, prefix
+	// sum, then scatter each consumer at its producer's cursor. The
+	// scatter advances consOff[p] to p+1's start, so shifting the array
+	// up one slot restores the offsets.
+	g.consOff = resize(g.consOff, n+1)
+	clear(g.consOff)
+	for _, p := range g.prodIdx {
+		g.consOff[p+1]++
 	}
 	for i := 0; i < n; i++ {
-		s.consOff[i+1] += s.consOff[i]
+		g.consOff[i+1] += g.consOff[i]
 	}
-	s.consIdx = make([]int32, len(s.prodIdx))
-	fill := make([]int32, n)
+	g.consIdx = resize(g.consIdx, len(g.prodIdx))
 	for i := 0; i < n; i++ {
-		for _, p := range s.prodIdx[s.prodOff[i]:s.prodOff[i+1]] {
-			s.consIdx[s.consOff[p]+fill[p]] = int32(i)
-			fill[p]++
+		for _, p := range g.prodIdx[g.prodOff[i]:g.prodOff[i+1]] {
+			g.consIdx[g.consOff[p]] = int32(i)
+			g.consOff[p]++
 		}
 	}
-	return s
+	copy(g.consOff[1:], g.consOff[:n])
+	g.consOff[0] = 0
+	return g
+}
+
+func putTraceGraph(g *traceGraph) {
+	g.prodOff, g.prodIdx = nil, nil // the trace's, not the pool's
+	graphPool.Put(g)
 }
 
 // KernelScore selects how a steering kernel scores candidate producers,
@@ -516,9 +435,9 @@ const (
 //     the stall-over-steer hold at StallThreshold, and
 //   - its OnIssue, OnCommit and Reset are no-ops,
 //
-// so the fused path may skip the interface calls entirely. The
-// differential battery enforces the promise: a spec that drifts from
-// the policy's Steer breaks byte-identity with the solo run.
+// so the engine may skip the interface calls entirely. The differential
+// battery enforces the promise: a spec that drifts from the policy's
+// Steer breaks byte-identity with the scan oracle, which calls Steer.
 type KernelSpec struct {
 	Score KernelScore
 	// Stall enables the stall-over-steer hold: when the desired
@@ -530,8 +449,8 @@ type KernelSpec struct {
 
 // SteerKernel is implemented by steering policies that can describe
 // themselves as a KernelSpec. Kernel returns ok=false when the policy
-// cannot currently be kernelized (SimulateVariants then falls back to
-// the interface path for that variant).
+// cannot currently be kernelized (the machine then steers that run
+// through the interface path).
 type SteerKernel interface {
 	Kernel() (spec KernelSpec, ok bool)
 }
@@ -575,16 +494,16 @@ type locMemo struct {
 
 // predCritFor returns the criticality memo for b, reusing a state-equal
 // group's array when one exists.
-func (mb *memoBank) predCritFor(b *predictor.Binary, soa *traceSoA, stats *SharingStats) []bool {
+func (mb *memoBank) predCritFor(b *predictor.Binary, tr *trace.Trace, stats *SharingStats) []bool {
 	for i := range mb.bins {
 		if mb.bins[i].pred == b || mb.bins[i].pred.StateEqual(b) {
 			stats.GridShared++
 			return mb.bins[i].arr
 		}
 	}
-	arr := make([]bool, len(soa.pc))
-	for s, pc := range soa.pc {
-		arr[s] = b.Predict(pc)
+	arr := make([]bool, tr.Len())
+	for s := range tr.Insts {
+		arr[s] = b.Predict(tr.Insts[s].PC)
 	}
 	mb.bins = append(mb.bins, binMemo{pred: b, arr: arr})
 	stats.GridGroups++
@@ -593,83 +512,57 @@ func (mb *memoBank) predCritFor(b *predictor.Binary, soa *traceSoA, stats *Shari
 
 // locLevelFor returns the LoC-level memo for l, reusing a state-equal
 // group's array when one exists.
-func (mb *memoBank) locLevelFor(l *predictor.LoC, soa *traceSoA, stats *SharingStats) []uint8 {
+func (mb *memoBank) locLevelFor(l *predictor.LoC, tr *trace.Trace, stats *SharingStats) []uint8 {
 	for i := range mb.locs {
 		if mb.locs[i].pred == l || mb.locs[i].pred.StateEqual(l) {
 			stats.GridShared++
 			return mb.locs[i].arr
 		}
 	}
-	arr := make([]uint8, len(soa.pc))
-	for s, pc := range soa.pc {
-		arr[s] = uint8(l.Level(pc))
+	arr := make([]uint8, tr.Len())
+	for s := range tr.Insts {
+		arr[s] = uint8(l.Level(tr.Insts[s].PC))
 	}
 	mb.locs = append(mb.locs, locMemo{pred: l, arr: arr})
 	stats.GridGroups++
 	return arr
 }
 
-// buildKernel resolves v's steering kernel, if any, updating stats.
+// kernelSpecOf returns pol's steering kernel spec, if it advertises one.
+func kernelSpecOf(pol SteerPolicy) (KernelSpec, bool) {
+	kp, ok := pol.(SteerKernel)
+	if !ok {
+		return KernelSpec{}, false
+	}
+	return kp.Kernel()
+}
+
+// buildKernel resolves pol's steering kernel, if any, updating stats.
 // Prediction memos are only safe when nothing trains the predictors
 // during the run: kernel policies never do (no-op notifications, per
 // the KernelSpec contract), so the remaining writers are the hooks'
 // training callbacks — any of those attached forces live lookups.
 // Memos are deduplicated through bank across the batch (grid fusion).
-func buildKernel(v *Variant, soa *traceSoA, stats *SharingStats, bank *memoBank) *kernelState {
-	kp, ok := v.Pol.(SteerKernel)
-	if !ok {
-		stats.KernelFallback++
-		return nil
-	}
-	spec, ok := kp.Kernel()
+func buildKernel(pol SteerPolicy, hooks Hooks, tr *trace.Trace, stats *SharingStats, bank *memoBank) *kernelState {
+	spec, ok := kernelSpecOf(pol)
 	if !ok {
 		stats.KernelFallback++
 		return nil
 	}
 	k := &kernelState{spec: spec}
 	stats.KernelUsed++
-	if v.Hooks.OnEpoch != nil || v.Hooks.OnCommitInst != nil {
+	if hooks.OnEpoch != nil || hooks.OnCommitInst != nil {
 		stats.MemoFallback++
 		return k
 	}
-	// The memo passes read the dense PC column instead of striding
-	// through the 64-byte trace records.
-	if v.Hooks.Binary != nil {
-		k.predCrit = bank.predCritFor(v.Hooks.Binary, soa, stats)
+	if hooks.Binary != nil {
+		k.predCrit = bank.predCritFor(hooks.Binary, tr, stats)
 	}
-	if v.Hooks.LoC != nil {
-		k.locLevel = bank.locLevelFor(v.Hooks.LoC, soa, stats)
+	if hooks.LoC != nil {
+		k.locLevel = bank.locLevelFor(hooks.LoC, tr, stats)
 	}
 	stats.MemoUsed++
 	return k
-}
-
-// compactReadyPrefix removes just-issued entries from the ready lists
-// after issueMerge. The merge consumes entries only at its per-cluster
-// cursors, so everything issued this cycle lies in ready[:cursors[c]];
-// scanning only that prefix and sliding the untouched tail down is
-// order-preserving and therefore behaviorally identical to the solo
-// path's full-list scan — the full scan stays as written because the
-// solo wakeup loop is the differential oracle for fused runs.
-func (m *Machine) compactReadyPrefix() {
-	for c := range m.clusters {
-		cs := &m.clusters[c]
-		cut := m.cursors[c]
-		if cut == 0 {
-			continue
-		}
-		kept := 0
-		for i := 0; i < cut; i++ {
-			if m.events[cs.ready[i].seq].Issue == Unset {
-				cs.ready[kept] = cs.ready[i]
-				kept++
-			}
-		}
-		if kept < cut {
-			n := copy(cs.ready[kept:], cs.ready[cut:])
-			cs.ready = cs.ready[:kept+n]
-		}
-	}
 }
 
 // kernOcc is the kernel's view of cluster c's occupancy — the
@@ -696,109 +589,4 @@ func (m *Machine) kernLeastLoaded() (int, bool) {
 		}
 	}
 	return best, found
-}
-
-// steerKernel is the inlined dispatch-steering fast path: it replicates
-// gatherProducers' dedup, pickDesired's first-maximum scoring and tag
-// derivation, the stall-over-steer hold, and steerDependence's
-// placement — with no producer slice, no map, and no interface calls.
-// An instruction has at most three producers (two register sources and
-// a forwarding store), so dedup and the distinct-cluster (dyadic) test
-// run over a fixed-size array.
-func (m *Machine) steerKernel(seq int64) Decision {
-	k := m.kern
-	var (
-		seen      [3]int64
-		nseen     int
-		bestScore = -1
-		bestCl    int
-		ok        bool
-		firstCl   = -1
-		multi     bool
-	)
-	group := m.cfg.GroupSteering
-	for _, p32 := range m.tr.ProducerSpan(int(seq)) {
-		p := int64(p32)
-		dup := false
-		for i := 0; i < nseen; i++ {
-			if seen[i] == p {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[nseen] = p
-		nseen++
-		pev := &m.events[p]
-		if pev.Complete != Unset && pev.RemoteAvail <= m.cycle {
-			continue // not outstanding: collocation no longer matters
-		}
-		if group && pev.Dispatch == m.cycle {
-			continue // placed this very cycle: unseen by a group-steering circuit
-		}
-		cl := int(pev.Cluster)
-		if firstCl < 0 {
-			firstCl = cl
-		} else if cl != firstCl {
-			multi = true
-		}
-		s := 0
-		switch k.spec.Score {
-		case KernelScoreBinary:
-			if k.predCrit != nil {
-				if k.predCrit[p] {
-					s = 1
-				}
-			} else if m.binary != nil && m.binary.Predict(m.tr.Insts[p].PC) {
-				s = 1
-			}
-		case KernelScoreLoC:
-			if k.locLevel != nil {
-				s = int(k.locLevel[p])
-			} else if m.loc != nil {
-				s = m.loc.Level(m.tr.Insts[p].PC)
-			}
-		}
-		if s > bestScore {
-			bestScore, bestCl, ok = s, cl, true
-		}
-	}
-	tag := SteerNoPref
-	if ok {
-		if multi {
-			tag = SteerDyadic
-		} else {
-			tag = SteerLocal
-		}
-	}
-
-	if k.spec.Stall && ok && m.kernOcc(bestCl) >= m.cfg.WindowPerCluster {
-		frac := 0.0
-		if k.locLevel != nil {
-			frac = float64(k.locLevel[seq]) / float64(predictor.LoCLevels-1)
-		} else if m.loc != nil {
-			frac = m.loc.Frac(m.tr.Insts[seq].PC)
-		}
-		if frac >= k.spec.StallThreshold {
-			return Decision{Cluster: bestCl, Stall: true, Tag: tag}
-		}
-	}
-
-	if !ok {
-		lb, space := m.kernLeastLoaded()
-		if !space {
-			return Decision{Cluster: 0, Stall: true, Tag: SteerNoPref}
-		}
-		return Decision{Cluster: lb, Tag: SteerNoPref}
-	}
-	if m.kernOcc(bestCl) < m.cfg.WindowPerCluster {
-		return Decision{Cluster: bestCl, Tag: tag}
-	}
-	lb, space := m.kernLeastLoaded()
-	if !space {
-		return Decision{Cluster: bestCl, Stall: true, Tag: tag}
-	}
-	return Decision{Cluster: lb, Tag: SteerLoadBalanced}
 }

@@ -27,8 +27,8 @@ func guardTrace(n int) *trace.Trace {
 
 // TestFrontProfileGuard exercises the sharing guard directly: a profile
 // recorded under a different gshare geometry or trace length must be
-// refused, leaving the machine on its live per-variant predictor — the
-// fallback SimulateVariants counts in SharingStats.BpredFallback.
+// refused — the fallback SimulateVariants counts in
+// SharingStats.BpredFallback.
 func TestFrontProfileGuard(t *testing.T) {
 	tr := guardTrace(200)
 	cfg := NewConfig(2)
@@ -57,7 +57,8 @@ func TestFrontProfileGuard(t *testing.T) {
 }
 
 // TestFrontProfileMatchesLiveGshare pins that the precomputed profile
-// reproduces the live predictor's per-branch outcomes exactly.
+// reproduces the live predictor's per-branch outcomes exactly (only the
+// scan oracle still trains a live gshare).
 func TestFrontProfileMatchesLiveGshare(t *testing.T) {
 	tr := guardTrace(400)
 	cfg := NewConfig(1)
@@ -65,6 +66,7 @@ func TestFrontProfileMatchesLiveGshare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.UseOracleIssue(true)
 	m.Run()
 	p := newFrontProfile(tr, cfg.GshareBits)
 	for s, ev := range m.Events() {

@@ -16,13 +16,13 @@ import (
 
 // The SimulateVariants differential battery. The contract under test:
 // a fused variant's Result and full event timeline are byte-identical
-// to (a) a solo wakeup run of the same configuration, (b) the retained
-// full-scan oracle, and to themselves under (c) any variant ordering
-// and (d) pooled-machine reuse after Recycle. Every fused facility —
-// shared front-end profile, steering kernel, prediction memos, SoA
-// replay — is covered because the spec list spans kernel and
-// non-kernel policies, static and detector-trained predictors, group
-// steering, bypass limits and every scheduling mode.
+// to (a) the full-scan oracle, the reference, (b) a standalone run of the
+// same configuration (New + Run, a one-variant batch), and to themselves
+// under (c) any variant ordering and (d) pooled-machine reuse after
+// Recycle. Every fused facility — shared front-end profile, steering
+// kernel, prediction memos, packed replay — is covered because the spec
+// list spans kernel and non-kernel policies, static and detector-trained
+// predictors, group steering, bypass limits and every scheduling mode.
 
 // vspec builds one variant fresh per call, so each simulation path
 // (fused, solo, oracle, permuted, recycled) gets its own predictor and
@@ -110,8 +110,8 @@ func variantSpecs() []vspec {
 	}
 }
 
-// runSolo executes one variant on a fresh non-pooled machine, optionally
-// on the full-scan oracle issue loop.
+// runSolo executes one variant on a fresh non-pooled machine, on its own
+// or on the full-scan oracle issue loop.
 func runSolo(t *testing.T, tr *trace.Trace, v machine.Variant, oracle bool) (*machine.Machine, machine.Result) {
 	t.Helper()
 	m, err := machine.New(v.Config, tr, v.Pol, v.Hooks)
@@ -305,14 +305,15 @@ func TestSimulateVariantsSharingStats(t *testing.T) {
 }
 
 // TestFrontEndSharingBoundary pins the front-end sharing contract: the
-// gshare outcome stream is identical across fetch widths and cluster
-// geometries (fetch consults the predictor exactly once per branch, in
-// program order, regardless of timing), which is precisely what lets
-// SimulateVariants train it once per GshareBits. The L1 sits on the
-// other side of the boundary — data-cache accesses happen at issue time
-// and issue order is config-dependent — so each variant keeps its own
-// cache; the differential tests above would fail on any config whose
-// L1MissRate drifted from its solo run, which is what sharing would do.
+// live gshare outcome stream of the scan oracle is identical across
+// fetch widths and cluster geometries (fetch consults the predictor
+// exactly once per branch, in program order, regardless of timing),
+// which is precisely what lets every replay train it once per
+// GshareBits. The L1 sits on the other side of the boundary — data-cache
+// accesses happen at issue time and issue order is config-dependent — so
+// each variant keeps its own cache; the differential tests above would
+// fail on any config whose L1MissRate drifted from its oracle run, which
+// is what sharing would do.
 func TestFrontEndSharingBoundary(t *testing.T) {
 	tr := testTraces(t)["gzip"]
 	type shape struct {
@@ -329,6 +330,7 @@ func TestFrontEndSharingBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.UseOracleIssue(true)
 		res := m.Run()
 		miss := make([]bool, tr.Len())
 		for s, ev := range m.Events() {

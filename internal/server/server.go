@@ -717,6 +717,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.forgetLocked(id)
 		s.mu.Unlock()
 	}
+	accepted := j.snapshot() // a runner may start the job once it is pushed
 	if err := s.q.push(j, weight); err != nil {
 		reject()
 		s.cRejected.Inc()
@@ -739,7 +740,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cSubmitted.Inc()
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // handleStatus reports a job's status; ?wait=5s long-polls until the job

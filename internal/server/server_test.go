@@ -37,6 +37,7 @@ func TestSubmitContract(t *testing.T) {
 		{"negative insts", `{"tenant":"alice","experiments":["fig2"],"insts":-1}`, http.StatusBadRequest, "negative insts"},
 		{"insts over limit", `{"tenant":"alice","experiments":["fig2"],"insts":50001}`, http.StatusBadRequest, "exceeds the server limit"},
 		{"negative fwd", `{"tenant":"alice","experiments":["fig2"],"fwd":-2}`, http.StatusBadRequest, "negative forwarding"},
+		{"fwd over limit", `{"tenant":"alice","experiments":["fig2"],"fwd":1073741824}`, http.StatusBadRequest, "exceeds the 1024-cycle limit"},
 		{"negative epoch", `{"tenant":"alice","experiments":["fig2"],"epoch_len":-8}`, http.StatusBadRequest, "negative epoch"},
 		{"negative replay workers", `{"tenant":"alice","experiments":["fig2"],"replay_workers":-3}`, http.StatusBadRequest, "negative replay workers"},
 		{"negative deadline", `{"tenant":"alice","experiments":["fig2"],"deadline_secs":-1}`, http.StatusBadRequest, "negative deadline"},

@@ -222,6 +222,9 @@ func validateSpec(sp Spec, maxInsts int) string {
 	if sp.Fwd < 0 {
 		return "negative forwarding latency"
 	}
+	if err := sp.options().Validate(); err != nil {
+		return err.Error()
+	}
 	if sp.EpochLen < 0 {
 		return "negative epoch length"
 	}
