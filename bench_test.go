@@ -217,8 +217,9 @@ func BenchmarkSim8x1wProactive(b *testing.B) { benchSim(b, 8, "proactive") }
 // benchMachine times the bare machine hot loop on the Figure-4 focused
 // stack, comparing the wakeup-driven scheduler with pooled machines
 // (oracle=false) against the preserved full-scan reference loop with a
-// fresh machine per run (oracle=true). BENCH_machine.json records the
-// same comparison via `clustersim -bench-json`.
+// fresh machine per run (oracle=true). The byte-identity of the two is
+// gated by TestSimulateVariantsMatchesSoloAndOracle (internal/machine);
+// end-to-end timing lives in perfbench/.
 func benchMachine(b *testing.B, clusters int, oracle bool) {
 	tr, err := GenerateTrace("vpr", 50_000, 1)
 	if err != nil {
@@ -261,9 +262,8 @@ func BenchmarkMachineOracle4x(b *testing.B) { benchMachine(b, 4, true) }
 // benchCritReplay times the full 2^4 zero-set lattice on a completed
 // run, comparing the fused single-pass replay on a pooled analyzer
 // (fused=true) against the per-scenario SimulatedTime oracle (16
-// independent forward passes, each allocating fresh scratch).
-// BENCH_critpath.json records the same comparison via
-// `clustersim -bench-crit-json`.
+// independent forward passes, each allocating fresh scratch). Their
+// equality is gated by TestFusedReplayMatchesOracle (internal/critpath).
 func benchCritReplay(b *testing.B, clusters int, fused bool) {
 	tr, err := GenerateTrace("vpr", 50_000, 1)
 	if err != nil {
@@ -360,9 +360,8 @@ func BenchmarkSchedRun(b *testing.B) {
 
 // BenchmarkSchedVariants times the pooled fused engine replaying the
 // oracle priority across all four cluster counts in one call — the
-// dependence CSR and region split are built once and shared.
-// BENCH_listsched.json records the fused-vs-Run comparison on the full
-// 13-variant workload via `clustersim -bench-sched-json`.
+// dependence CSR and region split are built once and shared. Fused-vs-
+// Run equality is gated by TestSchedulerMatchesOracle (internal/listsched).
 func BenchmarkSchedVariants(b *testing.B) {
 	in := benchSchedInput(b)
 	oracle := listsched.NewOracle(in)

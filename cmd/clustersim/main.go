@@ -6,7 +6,6 @@
 //
 //	clustersim [flags] <experiment> [<experiment> ...]
 //	clustersim serve [flags]      multi-tenant HTTP job API (see internal/server)
-//	clustersim loadbench [flags]  load-test the serve path and write BENCH_serve.json
 //
 // Experiments:
 //
@@ -33,19 +32,6 @@
 //	-cache-dir s   persist traces and results here across runs
 //	-cache-mem int in-memory cache budget in MiB (default 1024)
 //	-metrics addr  serve /metrics and /debug/pprof on this address
-//	-bench-json f  run the machine micro-benchmark sweep and write f
-//	               (wakeup vs oracle scheduler; ns/run and allocs/run)
-//	-bench-crit-json f  run the critical-path analysis sweep and write f
-//	               (fused 16-scenario replay vs per-scenario oracle)
-//	-bench-sched-json f  run the list-scheduler sweep and write f
-//	               (pooled fused ScheduleVariants vs reference Run)
-//	-bench-trace-json f  run the chunked trace-store sweep and write f
-//	               (generation/scan/windowed-sim throughput and peak heap
-//	               at the -bench-trace-insts scales; the streaming path is
-//	               differentially checked against the in-memory path first)
-//	-bench-trace-insts s comma-separated scales for the trace sweep
-//	               (default 1000000,10000000,100000000)
-//	-trace-dir s   keep the sweep's generated store files here
 //	-trace-window n  chunks kept resident per open trace store
 //
 // Robustness flags (see DESIGN.md "Failure model & recovery"):
@@ -84,14 +70,9 @@ import (
 )
 
 func main() {
-	// Subcommands dispatch before the experiment flags parse.
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "serve":
-			os.Exit(serveMain(os.Args[2:]))
-		case "loadbench":
-			os.Exit(loadbenchMain(os.Args[2:]))
-		}
+	// The serve subcommand dispatches before the experiment flags parse.
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		os.Exit(serveMain(os.Args[2:]))
 	}
 
 	n := flag.Int("n", 200_000, "instructions per benchmark")
@@ -104,12 +85,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "on-disk cache directory for traces and results (empty: memory only)")
 	cacheMem := flag.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, "in-memory cache budget in MiB (<0: unlimited)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
-	benchJSON := flag.String("bench-json", "", "run the machine micro-benchmark sweep (wakeup vs oracle scheduler) and write its JSON report here")
-	benchCritJSON := flag.String("bench-crit-json", "", "run the critical-path analysis sweep (fused multi-scenario replay vs per-scenario oracle) and write its JSON report here")
-	benchSchedJSON := flag.String("bench-sched-json", "", "run the list-scheduler sweep (pooled fused ScheduleVariants vs reference Run) and write its JSON report here")
-	benchTraceJSON := flag.String("bench-trace-json", "", "run the chunked trace-store sweep (generation/scan/windowed-sim throughput, peak heap) and write its JSON report here")
-	benchTraceInsts := flag.String("bench-trace-insts", "1000000,10000000,100000000", "comma-separated instruction scales for -bench-trace-json")
-	traceDir := flag.String("trace-dir", "", "directory for -bench-trace-json store files (empty: temp dir, removed after)")
 	traceWindow := flag.Int("trace-window", 0, "chunks kept resident per open trace store (0: default, currently 4 chunks of 65536 instructions)")
 	journalPath := flag.String("journal", "", "checkpoint journal path (default <cache-dir>/journal.wal when -resume is set)")
 	resume := flag.Bool("resume", false, "replay the checkpoint journal and recompute only missing results")
@@ -191,45 +166,10 @@ func main() {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")
 	}
 
-	// Whole-trace runs (every mode below except the streaming trace
-	// sweep) must fit the machine's limits; say so before any work.
-	if *benchTraceJSON == "" {
-		if err := opts.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim:", err)
-			os.Exit(1)
-		}
-	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *n, *seed, *fwd, opts.Benchmarks); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim: bench-json:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchCritJSON != "" {
-		if err := runBenchCritJSON(*benchCritJSON, *n, *seed, opts.Benchmarks); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim: bench-crit-json:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchSchedJSON != "" {
-		if err := runBenchSchedJSON(*benchSchedJSON, *n, *seed, *fwd, opts.Benchmarks); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim: bench-sched-json:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchTraceJSON != "" {
-		bench := ""
-		if len(opts.Benchmarks) > 0 {
-			bench = opts.Benchmarks[0]
-		}
-		if err := runBenchTraceJSON(*benchTraceJSON, bench, *benchTraceInsts, *seed, *traceDir, *traceWindow); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim: bench-trace-json:", err)
-			os.Exit(1)
-		}
-		return
+	// Every run must fit the machine's limits; say so before any work.
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "clustersim:", err)
+		os.Exit(1)
 	}
 
 	if *report != "" {

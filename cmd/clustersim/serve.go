@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"clustersim/internal/engine"
+	"clustersim/internal/faultinject"
 	"clustersim/internal/metrics"
 	"clustersim/internal/server"
 )
@@ -52,6 +53,12 @@ func serveMain(args []string) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clustersim serve:", err)
 		return 2
+	}
+
+	// The server injects faults under the same environment variables as
+	// the experiment CLI (see faultinject.EnableFromEnv).
+	if faultinject.EnableFromEnv() {
+		fmt.Fprintln(os.Stderr, "clustersim serve: chaos enabled from CLUSTERSIM_CHAOS_SEED/RATE")
 	}
 
 	reg := metrics.NewRegistry()

@@ -6,6 +6,11 @@
 //
 //	critpath -bench gzip -clusters 8 -policy stall-over-steer -n 200000
 //	critpath -trace vpr.trace -clusters 4 -policy focused
+//
+// -trace reads a CTR2 chunked store, the file `tracegen -o` writes (see
+// internal/trace), and materializes it for the simulation. Files in the
+// retired CTR1 whole-trace format are rejected with a message to
+// regenerate them with tracegen.
 package main
 
 import (
@@ -39,13 +44,12 @@ func run(bench, traceFile string, n int, seed uint64, clusters int, policy strin
 	var err error
 	switch {
 	case traceFile != "":
-		f, err := os.Open(traceFile)
+		st, err := trace.Open(traceFile, trace.OpenOptions{})
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		tr, err = trace.Read(f)
-		if err != nil {
+		defer st.Close()
+		if tr, err = st.Load(); err != nil {
 			return err
 		}
 	case bench != "":

@@ -3,10 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"clustersim"
 	"clustersim/internal/trace"
+	"clustersim/internal/workload"
 )
 
 func TestRunBenchmark(t *testing.T) {
@@ -16,35 +17,32 @@ func TestRunBenchmark(t *testing.T) {
 }
 
 func TestRunTraceFile(t *testing.T) {
-	tr, err := clustersim.GenerateTrace("vpr", 2000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "t.trace")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := workload.GenerateToFile("vpr", 2000, 1, path, trace.WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Write(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	if err := run("", path, 0, 1, 4, "focused", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "", 100, 1, 4, "focused", 0); err == nil {
-		t.Error("no input accepted")
+	ctr1 := filepath.Join(t.TempDir(), "old.trace")
+	if err := os.WriteFile(ctr1, []byte("CTR1\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := run("nope", "", 100, 1, 4, "focused", 0); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-	if err := run("vpr", "", 100, 1, 4, "bogus", 0); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if err := run("", "/nonexistent", 0, 1, 4, "focused", 0); err == nil {
-		t.Error("missing trace accepted")
+	for _, tc := range []struct {
+		name, bench, trace, policy, want string
+	}{
+		{name: "no input", policy: "focused"},
+		{name: "unknown benchmark", bench: "nope", policy: "focused"},
+		{name: "unknown policy", bench: "vpr", policy: "bogus"},
+		{name: "missing trace", trace: "/nonexistent", policy: "focused"},
+		{name: "CTR1 trace", trace: ctr1, policy: "focused", want: "regenerate it with tracegen"},
+	} {
+		err := run(tc.bench, tc.trace, 100, 1, 4, tc.policy, 0)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

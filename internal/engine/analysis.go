@@ -87,19 +87,8 @@ func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run func() (*Artif
 
 // analysisOnce is one lookup-or-compute attempt of AnalysisCtx.
 func (e *Engine) analysisOnce(ctx context.Context, canon string, key SimKey, run func() (*Artifact, error)) (CritSummary, error) {
-	e.mu.Lock()
-	if ent := e.mem.get(canon); ent != nil && ent.crit != nil {
-		fromJournal := ent.journal
-		e.mu.Unlock()
-		e.cAnaHit.Inc()
-		if fromJournal {
-			e.cResumeHit.Inc()
-		}
-		return *ent.crit, nil
-	}
-	e.mu.Unlock()
-
-	v, err := e.doOnce(canon, e.cAnaHit, func() (any, error) {
+	cached := func(ent *entry) (any, bool) { return ent.crit, ent.crit != nil }
+	v, err := e.doOnce(canon, e.cAnaHit, cached, func() (any, error) {
 		if e.diskAvailable() {
 			if cs, ok := e.disk.loadAnalysis(canon); ok {
 				e.cAnaDiskHit.Inc()

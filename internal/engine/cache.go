@@ -148,8 +148,8 @@ func (c *memCache) shrink() {
 func (c *memCache) len() int { return c.ll.Len() }
 
 // diskCache persists artifacts across processes, keyed by the hash of
-// the canonical key string. Traces round-trip through the binary trace
-// codec; simulation results are stored as JSON envelopes, with the exact
+// the canonical key string. Traces are stored as CTR2 chunked stores;
+// simulation results are stored as JSON envelopes, with the exact
 // tracker's counts for TrackExact keys. Live machines are never
 // persisted — a disk hit can satisfy NeedResult and NeedExact, never
 // NeedMachine.
@@ -190,7 +190,7 @@ const (
 )
 
 // Payload bounds for frame validation: derived summaries are small JSON,
-// traces carry the full binary codec stream.
+// traces carry a whole CTR2 store.
 const (
 	maxJSONPayload  = 8 << 20
 	maxTracePayload = 1 << 30

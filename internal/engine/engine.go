@@ -16,7 +16,7 @@
 //
 //  1. an in-memory LRU (byte-budgeted; entries holding live machines are
 //     demoted to result-only stubs under pressure),
-//  2. an optional on-disk cache (traces via the binary trace codec,
+//  2. an optional on-disk cache (traces as CTR2 stores,
 //     results as JSON, every entry CRC-framed; corrupt entries are
 //     quarantined and recomputed, and repeated I/O failures degrade the
 //     layer to memory-only) that survives across processes,
@@ -106,6 +106,11 @@ type Engine struct {
 	mem      *memCache
 	inflight map[string]*call
 	ctx      context.Context // nil means never cancelled
+
+	// beforeLookup, when set (tests only), runs before every cache lookup
+	// that can start a computation: doOnce's, and the recheck of
+	// Schedules' misses. The singleflight tests finish a leader inside it.
+	beforeLookup func(key string)
 
 	disk    *diskCache
 	diskErr error
@@ -294,16 +299,9 @@ func (e *Engine) Trace(key TraceKey, gen func() (*trace.Trace, error)) (*trace.T
 // per-submission cancellation (the engine-wide SetContext still applies).
 func (e *Engine) TraceCtx(ctx context.Context, key TraceKey, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
 	canon := key.String()
+	cached := func(ent *entry) (any, bool) { return ent.tr, ent.tr != nil }
 	for attempt := 0; ; attempt++ {
-		e.mu.Lock()
-		if ent := e.mem.get(canon); ent != nil {
-			e.mu.Unlock()
-			e.cTraceHit.Inc()
-			return ent.tr, nil
-		}
-		e.mu.Unlock()
-
-		v, err := e.doOnce(canon, e.cTraceHit, func() (any, error) {
+		v, err := e.doOnce(canon, e.cTraceHit, cached, func() (any, error) {
 			if e.diskAvailable() {
 				if tr, ok := e.disk.loadTrace(key); ok {
 					e.cTraceHit.Inc()
@@ -375,16 +373,9 @@ func (e *Engine) TraceStoreCtx(ctx context.Context, key TraceKey, gen func(*trac
 	// Store handles and materialized traces are distinct cache values for
 	// one trace key, so the memory cache (and singleflight) key them apart.
 	memKey := canon + "|store"
+	cached := func(ent *entry) (any, bool) { return ent.st, ent.st != nil }
 	for attempt := 0; ; attempt++ {
-		e.mu.Lock()
-		if ent := e.mem.get(memKey); ent != nil {
-			e.mu.Unlock()
-			e.cTraceHit.Inc()
-			return ent.st, nil
-		}
-		e.mu.Unlock()
-
-		v, err := e.doOnce(memKey, e.cTraceHit, func() (any, error) {
+		v, err := e.doOnce(memKey, e.cTraceHit, cached, func() (any, error) {
 			if e.diskAvailable() {
 				if st, ok := e.disk.loadTraceStore(key, e.traceWindow); ok {
 					e.cTraceHit.Inc()
@@ -482,24 +473,12 @@ func (e *Engine) SimCtx(ctx context.Context, key SimKey, need Need, run func() (
 		return nil, fmt.Errorf("engine: %s requested for key without TrackExact (%s)", need, key)
 	}
 	canon := key.String()
+	cached := func(ent *entry) (any, bool) { return ent.art, ent.art != nil && ent.art.satisfies(need) }
 	for attempt := 0; ; attempt++ {
-		e.mu.Lock()
-		if ent := e.mem.get(canon); ent != nil && ent.art.satisfies(need) {
-			fromJournal := ent.journal
-			e.mu.Unlock()
-			e.cSimHit.Inc()
-			if fromJournal {
-				e.cResumeHit.Inc()
+		v, err := e.doOnce(canon, e.cSimHit, cached, func() (any, error) {
+			if a := e.diskSim(key, canon, need); a != nil {
+				return a, nil
 			}
-			return ent.art, nil
-		}
-		e.mu.Unlock()
-
-		if a := e.diskSim(key, canon, need); a != nil {
-			return a, nil
-		}
-
-		v, err := e.doOnce(canon, e.cSimHit, func() (any, error) {
 			if err := e.checkCtx(ctx); err != nil {
 				return nil, err
 			}
@@ -572,12 +551,31 @@ func (e *Engine) storeSim(key SimKey, canon string, a *Artifact) {
 	e.journalResult(canon, key.Insts, a.Res)
 }
 
-// doOnce collapses concurrent executions of one key into a single call;
-// later arrivals block, share the leader's value, and count on hitCtr
-// (the work was deduplicated even though no cache entry existed yet).
-// Errors are not memoized — the key is retried on the next submission.
-func (e *Engine) doOnce(key string, hitCtr *metrics.Counter, fn func() (any, error)) (any, error) {
+// doOnce serves key from the memory cache or collapses concurrent
+// executions of it into a single call of fn. cached reports whether a
+// memory entry can serve this caller, and with what; it runs in the same
+// e.mu hold as the in-flight check, so a leader that stores its value
+// and leaves the flight is always seen one way or the other, never
+// recomputed. Cache hits and later arrivals that share the leader's
+// value count on hitCtr (the work was deduplicated even though no cache
+// entry existed yet). Errors are not memoized — the key is retried on
+// the next submission.
+func (e *Engine) doOnce(key string, hitCtr *metrics.Counter, cached func(*entry) (any, bool), fn func() (any, error)) (any, error) {
+	if e.beforeLookup != nil {
+		e.beforeLookup(key)
+	}
 	e.mu.Lock()
+	if ent := e.mem.get(key); ent != nil {
+		if v, ok := cached(ent); ok {
+			fromJournal := ent.journal
+			e.mu.Unlock()
+			hitCtr.Inc()
+			if fromJournal {
+				e.cResumeHit.Inc()
+			}
+			return v, nil
+		}
+	}
 	if c, ok := e.inflight[key]; ok {
 		e.mu.Unlock()
 		<-c.done

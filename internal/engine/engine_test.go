@@ -149,6 +149,95 @@ func TestSimConcurrentDedup(t *testing.T) {
 	}
 }
 
+// TestLeaderFinishingBeforeLookupIsShared opens the window between a
+// caller's decision to look a key up and the lookup itself, and lets
+// the key's leader store its value and leave the flight inside it. The
+// follower must be served that value, not compute the key again: the
+// cache lookup and the in-flight check share one lock hold (and
+// Schedules rechecks its misses under the lock before computing).
+func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
+	schedKeys := []SchedKey{testSchedKey("oracle", 2), testSchedKey("oracle", 4)}
+	for _, tc := range []struct {
+		name string
+		key  string // the key whose follower lookup the hook stalls
+		call func(e *Engine, work func()) error
+		// computed counts the engine's own computations of the key (an
+		// analysis may repeat without re-running its cached simulation).
+		computed func(Summary) int64
+	}{
+		{"trace", testTraceKey(1).String(), func(e *Engine, work func()) error {
+			_, err := e.Trace(testTraceKey(1), func() (*trace.Trace, error) {
+				work()
+				return workload.Generate("gzip", testInsts, 1)
+			})
+			return err
+		}, func(s Summary) int64 { return s.TraceMisses }},
+		{"store", testTraceKey(1).String() + "|store", func(e *Engine, work func()) error {
+			_, err := e.TraceStore(testTraceKey(1), func(w *trace.Writer) error {
+				work()
+				return workload.GenerateChunked("gzip", testInsts, 1, w)
+			})
+			return err
+		}, func(s Summary) int64 { return s.TraceMisses }},
+		{"sim", testSimKey(1).String(), func(e *Engine, work func()) error {
+			_, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) {
+				work()
+				return runTiny(1)
+			})
+			return err
+		}, func(s Summary) int64 { return s.SimMisses }},
+		{"analysis", analysisCanon(testSimKey(1)), func(e *Engine, work func()) error {
+			_, err := e.Analysis(testSimKey(1), func() (*Artifact, error) {
+				work()
+				return runTiny(1)
+			})
+			return err
+		}, func(s Summary) int64 { return s.AnaMisses }},
+		{"schedules", schedKeys[0].String(), func(e *Engine, work func()) error {
+			_, err := e.Schedules(schedKeys, func(miss []int) ([]SchedSummary, error) {
+				work()
+				return make([]SchedSummary, len(miss)), nil
+			})
+			return err
+		}, func(s Summary) int64 { return s.SchedMisses / int64(len(schedKeys)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Config{Workers: 2})
+			var works, lookups atomic.Int64
+			started, release := make(chan struct{}), make(chan struct{})
+			leaderDone := make(chan error, 1)
+			// The leader's work blocks until the follower reaches its
+			// lookup; any later work is the duplicate this test forbids.
+			work := func() {
+				if works.Add(1) == 1 {
+					close(started)
+					<-release
+				}
+			}
+			var leaderErr error
+			e.beforeLookup = func(key string) {
+				if key != tc.key || lookups.Add(1) != 2 {
+					return
+				}
+				close(release)
+				leaderErr = <-leaderDone
+			}
+			go func() { leaderDone <- tc.call(e, work) }()
+			<-started
+			if err := tc.call(e, work); err != nil {
+				t.Fatal(err)
+			}
+			if leaderErr != nil {
+				t.Fatal(leaderErr)
+			}
+			if n := tc.computed(e.Summary()); n != 1 || works.Load() != 1 {
+				t.Fatalf("computed %d times (%d runs): the follower missed the value its leader stored",
+					n, works.Load())
+			}
+		})
+	}
+}
+
 func TestSimErrorsNotCached(t *testing.T) {
 	e := New(Config{Workers: 2})
 	boom := errors.New("boom")

@@ -69,7 +69,9 @@ func (k SchedKey) String() string {
 // fused batch per harvest run, so concurrent duplicate schedules can
 // only arise across drivers racing the same figure — they would
 // duplicate a cheap replay, not corrupt state, and the second writer
-// simply overwrites the first's identical entry.
+// simply overwrites the first's identical entry. Only overlapping
+// computations duplicate: the misses are rechecked under the lock just
+// before compute runs, so a batch stored meanwhile is served from memory.
 func (e *Engine) Schedules(keys []SchedKey, compute func(miss []int) ([]SchedSummary, error)) ([]SchedSummary, error) {
 	return e.SchedulesCtx(nil, keys, compute)
 }
@@ -84,18 +86,11 @@ func (e *Engine) SchedulesCtx(ctx context.Context, keys []SchedKey, compute func
 	for i, k := range keys {
 		canon := k.String()
 		e.mu.Lock()
-		ent := e.mem.get(canon)
-		if ent != nil && ent.sched != nil {
-			out[i] = *ent.sched
-			fromJournal := ent.journal
-			e.mu.Unlock()
-			e.cSchedHit.Inc()
-			if fromJournal {
-				e.cResumeHit.Inc()
-			}
+		hit := e.memSched(canon, &out[i])
+		e.mu.Unlock()
+		if hit {
 			continue
 		}
-		e.mu.Unlock()
 		if e.diskAvailable() {
 			if ss, ok := e.disk.loadSched(canon); ok {
 				out[i] = *ss
@@ -110,6 +105,23 @@ func (e *Engine) SchedulesCtx(ctx context.Context, keys []SchedKey, compute func
 		miss = append(miss, i)
 	}
 	if len(miss) == 0 {
+		return out, nil
+	}
+	// Recheck the misses under one lock hold: with no flight to join, this
+	// is what keeps a batch that a concurrent caller finished meanwhile
+	// from being computed twice.
+	if e.beforeLookup != nil {
+		e.beforeLookup(keys[miss[0]].String())
+	}
+	e.mu.Lock()
+	still := miss[:0]
+	for _, i := range miss {
+		if !e.memSched(keys[i].String(), &out[i]) {
+			still = append(still, i)
+		}
+	}
+	e.mu.Unlock()
+	if miss = still; len(miss) == 0 {
 		return out, nil
 	}
 	if err := e.checkCtx(ctx); err != nil {
@@ -139,4 +151,19 @@ func (e *Engine) SchedulesCtx(ctx context.Context, keys []SchedKey, compute func
 		e.journalSched(canon, &ss)
 	}
 	return out, nil
+}
+
+// memSched serves one schedule key from the memory cache into out,
+// counting the hit; e.mu must be held.
+func (e *Engine) memSched(canon string, out *SchedSummary) bool {
+	ent := e.mem.get(canon)
+	if ent == nil || ent.sched == nil {
+		return false
+	}
+	*out = *ent.sched
+	e.cSchedHit.Inc()
+	if ent.journal {
+		e.cResumeHit.Inc()
+	}
+	return true
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"clustersim/internal/trace"
+	"clustersim/internal/trace/tracetest"
 	"clustersim/internal/workload"
 )
 
@@ -151,17 +152,15 @@ func TestTraceAndTraceStoreShareEntry(t *testing.T) {
 }
 
 // legacyTraceEntry encodes a trace the way pre-CTR2 binaries did: a CSF1
-// frame around a uvarint key envelope plus the CTR1 codec stream.
-func legacyTraceEntry(t *testing.T, canon string, tr *trace.Trace) []byte {
-	t.Helper()
+// frame around a uvarint key envelope plus the CTR1 record stream (the
+// layout tracetest encodes).
+func legacyTraceEntry(canon string, tr *trace.Trace) []byte {
 	var buf bytes.Buffer
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(canon)))
 	buf.Write(hdr[:n])
 	buf.WriteString(canon)
-	if err := trace.Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(tracetest.Encode(tr))
 	return encodeFrame(buf.Bytes())
 }
 
@@ -174,7 +173,7 @@ func TestLegacyTraceEntryQuarantinedAndRecomputed(t *testing.T) {
 	canon := testTraceKey(1).String()
 	e := New(Config{CacheDir: dir})
 	path := e.disk.tracePath(canon)
-	if err := os.WriteFile(path, legacyTraceEntry(t, canon, tr), 0o644); err != nil {
+	if err := os.WriteFile(path, legacyTraceEntry(canon, tr), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

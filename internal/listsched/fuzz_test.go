@@ -1,13 +1,13 @@
 package listsched_test
 
 import (
-	"bytes"
 	"testing"
 
 	"clustersim/internal/isa"
 	"clustersim/internal/listsched"
 	"clustersim/internal/machine"
 	"clustersim/internal/trace"
+	"clustersim/internal/trace/tracetest"
 )
 
 // fuzzSchedMaxInsts bounds trace length so each fuzz execution stays
@@ -15,15 +15,16 @@ import (
 const fuzzSchedMaxInsts = 2048
 
 // FuzzScheduleVariants feeds decoder output into both scheduler paths:
-// any byte stream the trace codec accepts becomes a synthetic scheduling
-// Input (trace-derived latencies, block releases, mispredict marks on a
-// subset of branches), scheduled by the retained oracle Run and by the
-// pooled batched fast path. Both must agree byte-for-byte and satisfy
-// the Check invariants — the decoder must never be able to produce a
-// trace that derails or desynchronizes the schedulers. This exercises
-// producer shapes the workload generator never emits (e.g. stores whose
-// forwarded value and register source are the same instruction), which
-// is exactly where the per-value dedup semantics must hold.
+// any byte stream the tracetest decoder accepts becomes a synthetic
+// scheduling Input (trace-derived latencies, block releases, mispredict
+// marks on a subset of branches), scheduled by the retained oracle Run
+// and by the pooled batched fast path. Both must agree byte-for-byte
+// and satisfy the Check invariants — the decoder must never be able to
+// produce a trace that derails or desynchronizes the schedulers. This
+// exercises producer shapes the workload generator never emits (e.g.
+// stores whose forwarded value and register source are the same
+// instruction), which is exactly where the per-value dedup semantics
+// must hold.
 func FuzzScheduleVariants(f *testing.F) {
 	// Seed with a small valid trace exercising register and memory
 	// dependences, same-producer dyadic reads, and branches.
@@ -47,15 +48,11 @@ func FuzzScheduleVariants(f *testing.F) {
 		}
 		b.Append(in)
 	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, b.Trace()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(tracetest.Encode(b.Trace()))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := trace.Read(bytes.NewReader(data))
+		tr, err := tracetest.Decode(data)
 		if err != nil || tr.Len() == 0 || tr.Len() > fuzzSchedMaxInsts {
 			return
 		}

@@ -42,6 +42,11 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Level count 0: unlimited LoC precision.
+			locUnl, err := listsched.NewLoCPriority(exact, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			binary, err := listsched.NewBinaryPriority(exact, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -51,7 +56,7 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 				for _, fwd := range []int{0, 2, 4} {
 					cfg := listsched.ConfigFor(machine.NewConfig(clusters))
 					cfg.Fwd = fwd
-					for _, pri := range []listsched.Priority{oracle, loc16, binary} {
+					for _, pri := range []listsched.Priority{oracle, loc16, locUnl, binary} {
 						variants = append(variants, listsched.Variant{Config: cfg, Pri: pri})
 					}
 				}
@@ -65,7 +70,11 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				diffSchedules(t, fmt.Sprintf("%s/%d v%d %+v", bench, n, j, v.Config), got[j], want)
+				label := fmt.Sprintf("%s/%d v%d %+v", bench, n, j, v.Config)
+				if err := listsched.Check(in, v.Config, got[j]); err != nil {
+					t.Fatalf("%s: fast schedule violates invariants: %v", label, err)
+				}
+				diffSchedules(t, label, got[j], want)
 			}
 		}
 	}

@@ -35,8 +35,8 @@ import (
 // Every event the scan oracle records is written to m.events at the same
 // stage with the same value, so output stays byte-identical to the
 // oracle, which the differential battery
-// (oracle_test.go, variants_test.go, FuzzSimulateVariants and the
-// bench-json gate) and the oracle-generated goldens enforce.
+// (oracle_test.go, variants_test.go, parallel_test.go and
+// FuzzSimulateVariants) and the oracle-generated goldens enforce.
 
 // MaxInsts, MaxClusters and MaxFwdLatency bound what the engine admits:
 // cycle values are stored in int32 (fusedCycleCap keeps them clear of

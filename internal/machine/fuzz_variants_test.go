@@ -1,7 +1,10 @@
 package machine_test
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"clustersim/internal/isa"
@@ -9,6 +12,7 @@ import (
 	"clustersim/internal/predictor"
 	"clustersim/internal/steer"
 	"clustersim/internal/trace"
+	"clustersim/internal/trace/tracetest"
 	"clustersim/internal/xrand"
 )
 
@@ -51,9 +55,10 @@ func fuzzVariantList(tr *trace.Trace, sel uint8) []machine.Variant {
 }
 
 // FuzzSimulateVariants drives decoder output through the fused
-// multi-variant path: any byte stream the trace codec accepts is run
-// both fused and on the scan oracle across three machine geometries, and
-// the results must be byte-identical with the invariant checker silent.
+// multi-variant path: any byte stream the tracetest decoder accepts is
+// run both fused and on the scan oracle across three machine geometries,
+// and the results must be byte-identical with the invariant checker
+// silent.
 // This is the machine-level mirror of listsched's FuzzScheduleVariants.
 func FuzzSimulateVariants(f *testing.F) {
 	// Seed with a small valid trace exercising register and memory
@@ -79,17 +84,14 @@ func FuzzSimulateVariants(f *testing.F) {
 		}
 		b.Append(in)
 	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, b.Trace()); err != nil {
-		f.Fatal(err)
-	}
+	seed := tracetest.Encode(b.Trace())
 	for sel := uint8(0); sel < 8; sel++ {
-		f.Add(buf.Bytes(), sel)
+		f.Add(seed, sel)
 	}
 	f.Add([]byte{}, uint8(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
-		tr, err := trace.Read(bytes.NewReader(data))
+		tr, err := tracetest.Decode(data)
 		if err != nil || tr.Len() == 0 || tr.Len() > fuzzVariantsMaxInsts {
 			return
 		}
@@ -123,4 +125,34 @@ func FuzzSimulateVariants(f *testing.F) {
 			machine.Recycle(o.M)
 		}
 	})
+}
+
+// TestFuzzCorpusDecodes: every committed FuzzSimulateVariants corpus
+// entry must decode to a non-empty trace, or the fuzz body returns early
+// and the entry silently stops testing anything.
+func TestFuzzCorpusDecodes(t *testing.T) {
+	paths, err := filepath.Glob("testdata/fuzz/FuzzSimulateVariants/*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed corpus entries (%v)", err)
+	}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Line 2 of a "go test fuzz v1" file holds the []byte argument.
+		lines := strings.Split(string(raw), "\n")
+		lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+		if !ok {
+			t.Fatalf("%s: unexpected corpus line %q", p, lines[1])
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		tr, err := tracetest.Decode([]byte(data))
+		if err != nil || tr.Len() == 0 {
+			t.Errorf("%s: decodes to no trace (%v)", p, err)
+		}
+	}
 }

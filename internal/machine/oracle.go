@@ -7,8 +7,8 @@ package machine
 // engine (fusedissue.go), which every production run uses, is gated
 // against it: the committed goldens are generated with it (go test -run
 // Golden -update-goldens ./internal/machine), and the differential tests
-// (oracle_test.go, variants_test.go, property_test.go,
-// FuzzSimulateVariants and the -bench-json gate) require identical
+// (oracle_test.go, variants_test.go, parallel_test.go, property_test.go
+// and FuzzSimulateVariants) require identical
 // Events timelines and Results on random and benchmark traces. It is
 // selected with UseOracleIssue and is deliberately left untouched by
 // performance work.

@@ -23,9 +23,8 @@ import (
 // runBattery executes the full variant battery at the given fan-out and
 // returns results plus events per variant (events copied so machines
 // can be recycled).
-func runBattery(t *testing.T, tr *trace.Trace, opt machine.VariantsOptions) ([]machine.Result, [][]machine.Event, machine.SharingStats) {
+func runBattery(t *testing.T, tr *trace.Trace, specs []vspec, opt machine.VariantsOptions) ([]machine.Result, [][]machine.Event, machine.SharingStats) {
 	t.Helper()
-	specs := variantSpecs()
 	variants := make([]machine.Variant, len(specs))
 	for i, s := range specs {
 		variants[i] = s.build(tr)
@@ -50,21 +49,30 @@ func runBattery(t *testing.T, tr *trace.Trace, opt machine.VariantsOptions) ([]m
 // not depend on the schedule.
 func TestSimulateVariantsParallelMatchesSerial(t *testing.T) {
 	for tname, tr := range testTraces(t) {
-		wantRes, wantEv, wantStats := runBattery(t, tr, machine.VariantsOptions{})
-		for _, workers := range []int{2, 3, runtime.NumCPU() + 1} {
-			gotRes, gotEv, gotStats := runBattery(t, tr, machine.VariantsOptions{Workers: workers})
-			for i := range wantRes {
-				sameRun(t, fmt.Sprintf("%s variant %d workers %d", tname, i, workers),
-					gotRes[i], gotEv[i], wantRes[i], wantEv[i])
-			}
-			// Stats are a pure function of the serial prepare phase;
-			// only the replay-phase bookkeeping may differ.
-			gotStats.ReplayWorkers, wantStats.ReplayWorkers = 0, 0
-			gotStats.ReplayBusyNs, wantStats.ReplayBusyNs = 0, 0
-			if gotStats != wantStats {
-				t.Errorf("%s workers %d: stats diverged:\n got: %+v\nwant: %+v",
-					tname, workers, gotStats, wantStats)
-			}
+		for _, specs := range [][]vspec{variantSpecs(), focusedSweepSpecs()} {
+			checkParallelMatchesSerial(t, tname, tr, specs)
+		}
+	}
+}
+
+// checkParallelMatchesSerial replays specs at several worker counts
+// against the serial replay of the same batch.
+func checkParallelMatchesSerial(t *testing.T, tname string, tr *trace.Trace, specs []vspec) {
+	t.Helper()
+	wantRes, wantEv, wantStats := runBattery(t, tr, specs, machine.VariantsOptions{})
+	for _, workers := range []int{2, 3, runtime.NumCPU() + 1} {
+		gotRes, gotEv, gotStats := runBattery(t, tr, specs, machine.VariantsOptions{Workers: workers})
+		for i := range wantRes {
+			sameRun(t, fmt.Sprintf("%s/%s workers %d", tname, specs[i].name, workers),
+				gotRes[i], gotEv[i], wantRes[i], wantEv[i])
+		}
+		// Stats are a pure function of the serial prepare phase;
+		// only the replay-phase bookkeeping may differ.
+		gotStats.ReplayWorkers, wantStats.ReplayWorkers = 0, 0
+		gotStats.ReplayBusyNs, wantStats.ReplayBusyNs = 0, 0
+		if gotStats != wantStats {
+			t.Errorf("%s workers %d: stats diverged:\n got: %+v\nwant: %+v",
+				tname, workers, gotStats, wantStats)
 		}
 	}
 }
@@ -74,9 +82,9 @@ func TestSimulateVariantsParallelMatchesSerial(t *testing.T) {
 // EventsElided count that matches the eligible set exactly.
 func TestSimulateVariantsResultOnly(t *testing.T) {
 	for tname, tr := range testTraces(t) {
-		wantRes, wantEv, _ := runBattery(t, tr, machine.VariantsOptions{})
+		wantRes, wantEv, _ := runBattery(t, tr, variantSpecs(), machine.VariantsOptions{})
 		for _, workers := range []int{1, 3} {
-			gotRes, gotEv, stats := runBattery(t, tr,
+			gotRes, gotEv, stats := runBattery(t, tr, variantSpecs(),
 				machine.VariantsOptions{Workers: workers, ResultOnly: true})
 			elided := 0
 			for i := range wantRes {

@@ -110,6 +110,22 @@ func variantSpecs() []vspec {
 	}
 }
 
+// focusedSweepSpecs is the Figure 4 cluster sweep: focused steering and
+// binary-critical scheduling with an untrained default binary predictor,
+// at 1, 2 and 4 clusters.
+func focusedSweepSpecs() []vspec {
+	var specs []vspec
+	for _, clusters := range []int{1, 2, 4} {
+		specs = append(specs, vspec{fmt.Sprintf("focused-%dx-untrained", clusters), func(*trace.Trace) machine.Variant {
+			cfg := machine.NewConfig(clusters)
+			cfg.SchedMode = machine.SchedBinaryCritical
+			return machine.Variant{Config: cfg, Pol: steer.Focused{},
+				Hooks: machine.Hooks{Binary: predictor.NewDefaultBinary()}}
+		}})
+	}
+	return specs
+}
+
 // runSolo executes one variant on a fresh non-pooled machine, on its own
 // or on the full-scan oracle issue loop.
 func runSolo(t *testing.T, tr *trace.Trace, v machine.Variant, oracle bool) (*machine.Machine, machine.Result) {
@@ -159,34 +175,42 @@ func testTraces(t *testing.T) map[string]*trace.Trace {
 
 func TestSimulateVariantsMatchesSoloAndOracle(t *testing.T) {
 	for tname, tr := range testTraces(t) {
-		specs := variantSpecs()
-		variants := make([]machine.Variant, len(specs))
-		for i, s := range specs {
-			variants[i] = s.build(tr)
+		for _, specs := range [][]vspec{variantSpecs(), focusedSweepSpecs()} {
+			checkMatchesSoloAndOracle(t, tname, tr, specs)
 		}
-		outs, stats, err := machine.SimulateVariants(tr, variants)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// checkMatchesSoloAndOracle runs specs as one fused batch and requires
+// every variant to match its standalone and scan-oracle runs.
+func checkMatchesSoloAndOracle(t *testing.T, tname string, tr *trace.Trace, specs []vspec) {
+	t.Helper()
+	variants := make([]machine.Variant, len(specs))
+	for i, s := range specs {
+		variants[i] = s.build(tr)
+	}
+	outs, stats, err := machine.SimulateVariants(tr, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(specs) {
+		t.Fatalf("%d results for %d variants", len(outs), len(specs))
+	}
+	if stats.KernelUsed == 0 || stats.BpredShared != len(specs) {
+		t.Fatalf("unexpected sharing stats: %+v", stats)
+	}
+	for i, s := range specs {
+		label := tname + "/" + s.name
+		if err := machine.Check(outs[i].M); err != nil {
+			t.Fatalf("%s: fused run violates invariants: %v", label, err)
 		}
-		if len(outs) != len(specs) {
-			t.Fatalf("%d results for %d variants", len(outs), len(specs))
-		}
-		if stats.KernelUsed == 0 || stats.BpredShared != len(specs) {
-			t.Fatalf("unexpected sharing stats: %+v", stats)
-		}
-		for i, s := range specs {
-			label := tname + "/" + s.name
-			if err := machine.Check(outs[i].M); err != nil {
-				t.Fatalf("%s: fused run violates invariants: %v", label, err)
-			}
-			solo, soloRes := runSolo(t, tr, s.build(tr), false)
-			sameRun(t, label+"/vs-solo", outs[i].Res, outs[i].M.Events(), soloRes, solo.Events())
-			oracle, oracleRes := runSolo(t, tr, s.build(tr), true)
-			sameRun(t, label+"/vs-oracle", outs[i].Res, outs[i].M.Events(), oracleRes, oracle.Events())
-		}
-		for _, o := range outs {
-			machine.Recycle(o.M)
-		}
+		solo, soloRes := runSolo(t, tr, s.build(tr), false)
+		sameRun(t, label+"/vs-solo", outs[i].Res, outs[i].M.Events(), soloRes, solo.Events())
+		oracle, oracleRes := runSolo(t, tr, s.build(tr), true)
+		sameRun(t, label+"/vs-oracle", outs[i].Res, outs[i].M.Events(), oracleRes, oracle.Events())
+	}
+	for _, o := range outs {
+		machine.Recycle(o.M)
 	}
 }
 

@@ -1,3 +1,7 @@
+// Package loadgen is the serve path's crash-chaos client: it drives jobs
+// against a clustersim server that is repeatedly SIGKILLed and restarted,
+// and verifies that no accepted job is lost and no result diverges from
+// a local run.
 package loadgen
 
 import (
@@ -28,8 +32,8 @@ import (
 //     (mismatches count in Divergence).
 //
 // The process-control callbacks (Kill, Start) are supplied by the
-// caller — the loadbench CLI SIGKILLs and re-execs a serve subprocess;
-// tests use a re-exec'd test binary.
+// caller: cmd/clustersim's TestCrashChaosKill9 SIGKILLs and re-execs its
+// test binary as `clustersim serve`.
 
 // CrashConfig configures one crash-chaos run.
 type CrashConfig struct {
@@ -293,6 +297,19 @@ terminal:
 		return false, true, retries, nil
 	}
 	return false, false, retries, nil
+}
+
+// artifactsEqual compares artifact lists byte for byte.
+func artifactsEqual(got, want []server.ResultArtifact) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // submitIdem POSTs the spec with an Idempotency-Key. retry reports

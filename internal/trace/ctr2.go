@@ -15,10 +15,10 @@ import (
 
 // CTR2 is the chunked, structure-of-arrays, optionally compressed trace
 // store: the format behind paper-scale (100M+ instruction) workloads.
-// Where CTR1 materializes a whole trace around one header, CTR2 is a
-// sequence of independently validated fixed-size chunks, so a writer
-// streams a trace to disk with bounded memory and a reader pages any
-// window of it back in without touching the rest.
+// It is the one on-disk trace format. A store is a sequence of
+// independently validated fixed-size chunks, so a writer streams a trace
+// to disk with bounded memory and a reader pages any window of it back
+// in without touching the rest.
 //
 // File layout (every frame uses the engine's CRC discipline — magic,
 // length, CRC32-C (Castagnoli) of the payload, payload):
@@ -56,7 +56,7 @@ import (
 //	    crc       uint32 (CRC32-C of footerOff bytes)
 //	    magic     uint32 "CTRE"
 //
-// Unlike CTR1, dependence annotations are stored: the writer computes
+// Dependence annotations are stored: the writer computes
 // them incrementally with the same last-writer/last-store state the
 // Builder uses (dependence edges spanning chunk boundaries included), and
 // storing them is what makes an arbitrary window self-describing — a

@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"clustersim/internal/isa"
@@ -468,30 +468,42 @@ func TestWriteStoreHelper(t *testing.T) {
 	tracesEqual(t, got, want, "WriteStore")
 }
 
-// TestCodecCountBoundary pins the CTR1 count ceiling: 2^31 exactly would
-// wrap the Builder's int32 instruction indices and must be rejected up
-// front, while math.MaxInt32 passes the bound check and then fails as a
-// truncated body (the records aren't there), never as an allocation.
+// TestCodecCountBoundary pins the materialization ceiling: a store whose
+// footer declares 2^31 instructions opens (the geometry is consistent)
+// but Load rejects it before allocating, because instruction indices are
+// int32.
 func TestCodecCountBoundary(t *testing.T) {
-	mk := func(count uint64) []byte {
-		var buf bytes.Buffer
-		buf.Write(magic[:])
-		var hdr [8]byte
-		binary.LittleEndian.PutUint64(hdr[:], count)
-		buf.Write(hdr[:])
-		return buf.Bytes()
+	var buf bytes.Buffer
+	hdr := []byte{ctr2KindHeader}
+	hdr = binary.LittleEndian.AppendUint16(hdr, ctr2Version)
+	hdr = binary.LittleEndian.AppendUint16(hdr, 0)
+	hdr = binary.LittleEndian.AppendUint32(hdr, maxChunkLen)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	ctr2EncodeFrame(&buf, hdr)
+	const total = 1 << 31
+	chunks := total / maxChunkLen
+	footer := []byte{ctr2KindFooter}
+	footer = binary.LittleEndian.AppendUint64(footer, total)
+	footer = binary.LittleEndian.AppendUint32(footer, maxChunkLen)
+	footer = binary.LittleEndian.AppendUint32(footer, uint32(chunks))
+	footer = append(footer, make([]byte, 8*chunks)...)
+	footerOff := buf.Len()
+	ctr2EncodeFrame(&buf, footer)
+	var tr [ctr2TrailerLen]byte
+	binary.LittleEndian.PutUint64(tr[0:8], uint64(footerOff))
+	binary.LittleEndian.PutUint32(tr[8:12], crc32c(tr[0:8]))
+	binary.LittleEndian.PutUint32(tr[12:16], ctr2TrailMagic)
+	buf.Write(tr[:])
+
+	st, err := OpenBytes(buf.Bytes(), OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(mk(1 << 31))); err == nil ||
-		!bytes.Contains([]byte(err.Error()), []byte("implausible")) {
-		t.Fatalf("count 2^31: %v, want implausible-count rejection", err)
+	if st.Len() != total {
+		t.Fatalf("store declares %d instructions, want %d", st.Len(), total)
 	}
-	if _, err := Read(bytes.NewReader(mk(math.MaxUint64))); err == nil ||
-		!bytes.Contains([]byte(err.Error()), []byte("implausible")) {
-		t.Fatalf("count 2^64-1: %v, want implausible-count rejection", err)
-	}
-	if _, err := Read(bytes.NewReader(mk(math.MaxInt32))); err == nil ||
-		!bytes.Contains([]byte(err.Error()), []byte("reading record")) {
-		t.Fatalf("count 2^31-1: %v, want truncation error", err)
+	if _, err := st.Load(); err == nil || !strings.Contains(err.Error(), "too large to materialize") {
+		t.Fatalf("Load of 2^31 instructions: %v, want the int32 ceiling rejection", err)
 	}
 }
 

@@ -5,12 +5,14 @@ package trace_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"clustersim/internal/isa"
 	"clustersim/internal/machine"
 	"clustersim/internal/steer"
 	"clustersim/internal/trace"
+	"clustersim/internal/trace/tracetest"
 )
 
 // fuzzMachineMaxInsts bounds simulated trace length so each fuzz
@@ -18,11 +20,12 @@ import (
 const fuzzMachineMaxInsts = 2048
 
 // FuzzMachineRoundTrip drives decoder output end-to-end: any byte stream
-// the codec accepts is re-encoded, decoded again, and executed on the
-// wakeup-driven machine (pooled, with a bypass-limited two-cluster
+// the tracetest decoder accepts is round-tripped through the CTR2 store
+// (WriteStore, OpenBytes, Load must give back a deep-equal trace) and
+// executed on the machine (pooled, with a bypass-limited two-cluster
 // configuration so the broadcast-slot path runs too). The invariant
-// checker must stay silent — the decoder must never be able to produce a
-// trace that derails the scheduler.
+// checker must stay silent — no decodable trace may derail the
+// scheduler.
 func FuzzMachineRoundTrip(f *testing.F) {
 	// Seed with a small valid trace exercising register and memory
 	// dependences plus branches.
@@ -46,27 +49,30 @@ func FuzzMachineRoundTrip(f *testing.F) {
 		}
 		b.Append(in)
 	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, b.Trace()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(tracetest.Encode(b.Trace()))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := trace.Read(bytes.NewReader(data))
+		tr, err := tracetest.Decode(data)
 		if err != nil || tr.Len() == 0 || tr.Len() > fuzzMachineMaxInsts {
 			return
 		}
-		// Round-trip through the codec once more; the machine runs the
-		// re-decoded copy.
+		// Round-trip through the CTR2 store, in small chunks so dependence
+		// edges cross chunk boundaries; the machine runs the loaded copy.
 		var out bytes.Buffer
-		if err := trace.Write(&out, tr); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
+		if err := trace.WriteStore(&out, tr, trace.WriterOptions{ChunkLen: 64}); err != nil {
+			t.Fatalf("CTR2 encode failed: %v", err)
 		}
-		tr2, err := trace.Read(&out)
+		st, err := trace.OpenBytes(out.Bytes(), trace.OpenOptions{})
 		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+			t.Fatalf("CTR2 open failed: %v", err)
+		}
+		tr2, err := st.Load()
+		if err != nil {
+			t.Fatalf("CTR2 load failed: %v", err)
+		}
+		if !reflect.DeepEqual(tr2, tr) {
+			t.Fatal("CTR2 round trip changed the trace")
 		}
 		cfg := machine.NewConfig(2)
 		cfg.BypassPerCluster = 1

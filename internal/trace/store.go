@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 
@@ -94,6 +95,10 @@ func NewStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 
 	hdr, err := ctr2ReadFrame(r, 0, 14+maxMetaLen)
 	if err != nil {
+		var m [4]byte
+		if _, rerr := r.ReadAt(m[:], 0); rerr == nil && string(m[:]) == "CTR1" {
+			return nil, fmt.Errorf("%w: a CTR1 whole-trace file, a format no longer read; regenerate it with tracegen -o", ErrBadFormat)
+		}
 		return nil, err
 	}
 	if len(hdr) < 13 || hdr[0] != ctr2KindHeader {
@@ -340,7 +345,7 @@ func (st *Store) Summarize() (Stats, error) {
 // Builder would) and prebuilding the producer index. The result is
 // deep-equal to building the same instruction stream with a Builder.
 func (st *Store) Load() (*Trace, error) {
-	if st.total > int64(maxCTR1Count) {
+	if st.total > maxInstIndex {
 		return nil, fmt.Errorf("trace: store holds %d instructions; too large to materialize", st.total)
 	}
 	tr := &Trace{
@@ -391,9 +396,9 @@ func (st *Store) WindowTrace(lo, hi int64) (*Trace, error) {
 	return b.Trace(), nil
 }
 
-// maxCTR1Count mirrors the codec's materialization ceiling: int32
-// instruction indices.
-const maxCTR1Count = int64(1<<31 - 1)
+// maxInstIndex is the materialization ceiling: DepInfo and the producer
+// index address instructions with int32.
+const maxInstIndex = int64(math.MaxInt32)
 
 // WriteStore streams an in-memory trace into CTR2 form — the engine's
 // disk tier uses it to persist cached traces chunked.

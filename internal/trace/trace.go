@@ -1,7 +1,7 @@
 // Package trace provides the dynamic instruction trace substrate: an
 // append-only container of committed instructions annotated with true
-// dataflow dependences (register last-writer and store-to-load), plus a
-// binary codec and summary statistics.
+// dataflow dependences (register last-writer and store-to-load), plus the
+// CTR2 chunked on-disk store and summary statistics.
 //
 // The timing simulator, the critical-path analyzer and the idealized list
 // scheduler all consume Traces; the workload package produces them.
@@ -63,7 +63,7 @@ func (t *Trace) Producers(i int, dst []int32) []int32 {
 // ProducerSpan returns instruction i's producers as a shared read-only
 // subslice of the pre-decoded producer index, in the same order Producers
 // reports them. It builds the index on first use if the trace was
-// assembled by hand; traces from Builder, Rebuild or the codec come with
+// assembled by hand; traces from Builder, Rebuild or Store.Load come with
 // the index prebuilt, which is what makes sharing one Trace across
 // concurrent simulations safe.
 func (t *Trace) ProducerSpan(i int) []int32 {
@@ -164,8 +164,8 @@ func (b *Builder) Trace() *Trace {
 }
 
 // Rebuild recomputes dependence annotations from the instruction stream.
-// It is used by the codec (dependences are derived data and not stored on
-// disk) and by tests to validate Builder incrementality.
+// It is used by window slicing, by the tracetest record decoder and by
+// tests to validate Builder incrementality.
 func Rebuild(insts []isa.Inst) *Trace {
 	b := NewBuilder(len(insts))
 	for _, in := range insts {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,79 +173,70 @@ func TestValidateDetectsBadMemDep(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	r := xrand.New(123)
-	tr := Rebuild(randomInsts(r, 2000))
+// storeRoundTrip writes tr as a CTR2 store and loads it back.
+func storeRoundTrip(tr *Trace, opts WriterOptions) (*Trace, error) {
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
+	if err := WriteStore(&buf, tr, opts); err != nil {
+		return nil, err
 	}
-	got, err := Read(&buf)
+	st, err := OpenBytes(buf.Bytes(), OpenOptions{})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round trip length %d, want %d", got.Len(), tr.Len())
-	}
-	for i := range tr.Insts {
-		if tr.Insts[i] != got.Insts[i] {
-			t.Fatalf("inst %d mismatch: %v vs %v", i, tr.Insts[i], got.Insts[i])
+	return st.Load()
+}
+
+// TestCodecRoundTrip: a random program survives the CTR2 store, raw and
+// compressed, deep-equal down to the producer index.
+func TestCodecRoundTrip(t *testing.T) {
+	tr := Rebuild(randomInsts(xrand.New(123), 2000))
+	for _, opts := range []WriterOptions{{ChunkLen: 300}, {ChunkLen: 300, Compress: true}} {
+		got, err := storeRoundTrip(tr, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
 		}
-		if tr.Deps[i] != got.Deps[i] {
-			t.Fatalf("dep %d mismatch: %v vs %v", i, tr.Deps[i], got.Deps[i])
+		if !reflect.DeepEqual(got, tr) {
+			t.Fatalf("%+v: round trip changed the trace", opts)
 		}
 	}
 }
 
 func TestCodecRoundTripProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
-	err := quick.Check(func(seed uint64, nRaw uint16) bool {
-		n := int(nRaw % 300)
-		tr := Rebuild(randomInsts(xrand.New(seed), n))
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
+	err := quick.Check(func(seed uint64, nRaw, chunkRaw uint16) bool {
+		tr := Rebuild(randomInsts(xrand.New(seed), int(nRaw%300)))
+		got, err := storeRoundTrip(tr, WriterOptions{ChunkLen: 1 + int(chunkRaw%128)})
+		if err != nil || got.Validate() != nil {
 			return false
 		}
-		got, err := Read(&buf)
-		if err != nil || got.Len() != tr.Len() {
-			return false
-		}
-		for i := range tr.Insts {
-			if tr.Insts[i] != got.Insts[i] {
-				return false
-			}
-		}
-		return got.Validate() == nil
+		// An empty trace loads with empty rather than nil slices.
+		return tr.Len() == 0 && got.Len() == 0 || reflect.DeepEqual(got, tr)
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestCodecRejectsGarbage: the store reader refuses non-CTR2 input, and a
+// retired CTR1 whole-trace file gets an error that says to regenerate it.
 func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Error("Read accepted bad magic")
+	for name, data := range map[string][]byte{"bad magic": []byte("nope"), "empty": nil} {
+		if _, err := OpenBytes(data, OpenOptions{}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("Read accepted empty input")
+	ctr1 := []byte("CTR1\x05\x00\x00\x00\x00\x00\x00\x00")
+	if _, err := OpenBytes(ctr1, OpenOptions{}); !errors.Is(err, ErrBadFormat) ||
+		!strings.Contains(err.Error(), "regenerate it with tracegen") {
+		t.Errorf("CTR1 file: err = %v, want ErrBadFormat with a regenerate-with-tracegen hint", err)
 	}
-	// Valid magic, truncated body.
+	// A sealed store cut short loses its trailer.
 	var buf bytes.Buffer
-	buf.Write(magic[:])
-	buf.Write([]byte{5, 0, 0, 0, 0, 0, 0, 0})
-	if _, err := Read(&buf); err == nil {
-		t.Error("Read accepted truncated trace")
-	}
-	// Invalid op value.
-	var buf2 bytes.Buffer
-	tr := Rebuild([]isa.Inst{mkInst(isa.IntALU, 1)})
-	if err := Write(&buf2, tr); err != nil {
+	if err := WriteStore(&buf, Rebuild([]isa.Inst{mkInst(isa.IntALU, 1)}), WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	data := buf2.Bytes()
-	data[len(data)-2] = 0xEE // op byte of sole record
-	if _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Error("Read accepted invalid op")
+	if _, err := OpenBytes(buf.Bytes()[:buf.Len()-3], OpenOptions{}); !errors.Is(err, ErrTornStore) {
+		t.Errorf("truncated store: err = %v, want ErrTornStore", err)
 	}
 }
 
