@@ -53,14 +53,11 @@ func analysisCanon(key SimKey) string {
 
 // Analysis returns the critical-path analysis for key's run, computing it
 // at most once per process (and at most once per CacheDir across
-// processes). On a full miss it obtains the run via Sim — sharing any
-// cached or in-flight artifact — and analyzes the live machine with a
-// pooled critpath.Analyzer. run simulates the key on a complete miss; it
-// must produce an artifact carrying the live machine (NeedMachine).
-//
-// The analysis is a value: unlike Artifact.Analysis, a cached CritSummary
-// never pins the machine's event log in memory.
-func (e *Engine) Analysis(key SimKey, run func() (*Artifact, error)) (CritSummary, error) {
+// processes). On a miss the analysis job simulates with run, analyzes
+// the live machine with a pooled critpath.Analyzer, and recycles it. The
+// run's artifact is cached under key's sim entry exactly as a Sim miss
+// would cache it, so a Sim of key after its Analysis hits.
+func (e *Engine) Analysis(key SimKey, run Run) (CritSummary, error) {
 	return e.AnalysisCtx(nil, key, run)
 }
 
@@ -69,26 +66,10 @@ func (e *Engine) Analysis(key SimKey, run func() (*Artifact, error)) (CritSummar
 // analyzing, while other submissions of the same engine are untouched. A
 // nil ctx means no per-submission cancellation (the engine-wide
 // SetContext still applies).
-func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run func() (*Artifact, error)) (CritSummary, error) {
+func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run Run) (CritSummary, error) {
 	canon := analysisCanon(key)
-	for attempt := 0; ; attempt++ {
-		cs, err := e.analysisOnce(ctx, canon, key, run)
-		if err != nil {
-			// A cancellation inherited from a foreign singleflight leader
-			// must not fail this live submission (see SimCtx).
-			if isCancellation(err) && e.checkCtx(ctx) == nil && attempt < maxForeignCancelRetries {
-				continue
-			}
-			return CritSummary{}, err
-		}
-		return cs, nil
-	}
-}
-
-// analysisOnce is one lookup-or-compute attempt of AnalysisCtx.
-func (e *Engine) analysisOnce(ctx context.Context, canon string, key SimKey, run func() (*Artifact, error)) (CritSummary, error) {
 	cached := func(ent *entry) (any, bool) { return ent.crit, ent.crit != nil }
-	v, err := e.doOnce(canon, e.cAnaHit, cached, func() (any, error) {
+	v, err := e.doOnce(ctx, canon, e.cAnaHit, cached, func() (any, error) {
 		if e.diskAvailable() {
 			if cs, ok := e.disk.loadAnalysis(canon); ok {
 				e.cAnaDiskHit.Inc()
@@ -103,20 +84,17 @@ func (e *Engine) analysisOnce(ctx context.Context, canon string, key SimKey, run
 			return nil, err
 		}
 		e.cAnaMiss.Inc()
-		a, err := e.SimCtx(ctx, key, NeedResult|NeedMachine, run)
+		var cs *CritSummary
+		_, err := e.simulate(ctx, key, run, func(m *machine.Machine) (err error) {
+			start := time.Now()
+			if cs, err = computeCritSummary(m); err == nil {
+				e.tAna.Observe(time.Since(start))
+			}
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		m := a.Machine()
-		if m == nil {
-			return nil, errNoMachine
-		}
-		start := time.Now()
-		cs, err := computeCritSummary(m)
-		if err != nil {
-			return nil, err
-		}
-		e.tAna.Observe(time.Since(start))
 		e.mu.Lock()
 		e.mem.putAnalysis(canon, cs)
 		e.mu.Unlock()

@@ -5,12 +5,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"clustersim/internal/machine"
 )
 
 func TestAnalysisCachesAndSharesSimArtifact(t *testing.T) {
 	e := New(Config{Workers: 2})
 	var runs atomic.Int64
-	run := func() (*Artifact, error) {
+	run := func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}
@@ -50,10 +52,10 @@ func TestAnalysisCachesAndSharesSimArtifact(t *testing.T) {
 		t.Errorf("analysis hits/misses/jobs = %d/%d/%d, want 1/1/1",
 			s.AnaHits, s.AnaMisses, s.AnaJobs)
 	}
-	// The simulation the analysis triggered is itself cached: a NeedResult
+	// The simulation the analysis triggered is itself cached: a Sim
 	// submission must hit without running.
 	before := runs.Load()
-	if _, err := e.Sim(testSimKey(1), NeedResult, run); err != nil {
+	if _, err := e.Sim(testSimKey(1), run); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != before {
@@ -71,7 +73,7 @@ func TestAnalysisConcurrentDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cs, err := e.Analysis(testSimKey(1), func() (*Artifact, error) {
+			cs, err := e.Analysis(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 				runs.Add(1)
 				return runTiny(1)
 			})
@@ -96,10 +98,38 @@ func TestAnalysisConcurrentDedup(t *testing.T) {
 	}
 }
 
+// TestAnalysisLeadsItsSimFlight: while an analysis job simulates, it
+// holds its key's sim flight, so a Sim of the key submitted meanwhile
+// joins that run (doOnce) instead of simulating again; the flight ends
+// with the simulation.
+func TestAnalysisLeadsItsSimFlight(t *testing.T) {
+	e := New(Config{Workers: 2})
+	canon := testSimKey(1).String()
+	var leading bool
+	run := func() (*machine.Machine, Artifact, error) {
+		e.mu.Lock()
+		_, leading = e.inflight[canon]
+		e.mu.Unlock()
+		return runTiny(1)
+	}
+	if _, err := e.Analysis(testSimKey(1), run); err != nil {
+		t.Fatal(err)
+	}
+	if !leading {
+		t.Error("the analysis simulated without leading its key's sim flight")
+	}
+	e.mu.Lock()
+	left := len(e.inflight)
+	e.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d flights still open after the analysis returned", left)
+	}
+}
+
 func TestAnalysisDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{Workers: 2, CacheDir: dir})
-	cs1, err := e1.Analysis(testSimKey(1), func() (*Artifact, error) { return runTiny(1) })
+	cs1, err := e1.Analysis(testSimKey(1), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +138,7 @@ func TestAnalysisDiskRoundTrip(t *testing.T) {
 	// disk without simulating or re-analyzing.
 	e2 := New(Config{Workers: 2, CacheDir: dir})
 	var runs atomic.Int64
-	cs2, err := e2.Analysis(testSimKey(1), func() (*Artifact, error) {
+	cs2, err := e2.Analysis(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	})

@@ -1,138 +1,66 @@
 package engine
 
 import (
-	"sync"
-
-	"clustersim/internal/critpath"
+	"clustersim/internal/listsched"
 	"clustersim/internal/machine"
 	"clustersim/internal/predictor"
 )
 
-// Artifact bundles everything one simulation job produced. Fresh runs
-// carry the live machine (and, for TrackExact keys, the exact tracker);
-// artifacts loaded from the on-disk result cache — or demoted by memory
-// pressure — carry only the Result summary plus any analysis that was
-// computed while the machine was alive.
-//
-// Artifacts are shared between figure drivers, so every accessor is safe
-// for concurrent use; the critical-path analysis is computed once and
-// memoized.
+// Artifact is the cached value of one simulation: the run's Result and,
+// for TrackExact keys, the unlimited-precision criticality tracker. It
+// is the same value whether it was just computed, loaded from the disk
+// cache or restored from the journal; an entry of a TrackExact key that
+// lacks the tracker (a journal record carries only the Result) is a
+// miss, never a partial hit.
 type Artifact struct {
-	Res machine.Result
-
-	mu       sync.Mutex
-	m        *machine.Machine
-	exact    *predictor.Exact
-	analysis *critpath.Analysis
-	anErr    error
-	analyzed bool
+	Res   machine.Result
+	Exact *predictor.Exact
 }
 
-// NewArtifact wraps a completed run.
-func NewArtifact(m *machine.Machine, res machine.Result, exact *predictor.Exact) *Artifact {
-	return &Artifact{Res: res, m: m, exact: exact}
+// complete reports whether a serves key: a TrackExact key's artifact is
+// complete only with its tracker.
+func (a *Artifact) complete(key SimKey) bool {
+	return a != nil && (!key.TrackExact || a.Exact != nil)
 }
 
-// resultArtifact wraps a summary loaded from the disk cache.
-func resultArtifact(res machine.Result) *Artifact {
-	return &Artifact{Res: res}
+// Run is one simulation job body. It builds and runs a machine and
+// returns it, still live, with the run's artifact. The engine derives
+// whatever product the request's key names from the machine (nothing,
+// a critical-path summary, a schedule harvest) and recycles it before
+// the job returns, so no cache entry ever holds a machine.
+type Run func() (*machine.Machine, Artifact, error)
+
+// Harvest is the idealized list scheduler's view of one run: the
+// retirement-trace Input (release, latency, misprediction and
+// completion per instruction) plus the exact criticality tracker of
+// TrackExact keys, which the LoC and binary schedule priorities read.
+// It is a memory-only engine product: on disk only the schedule
+// summaries derived from it persist.
+type Harvest struct {
+	In    listsched.Input
+	Exact *predictor.Exact
 }
 
-// NewResultArtifact wraps a run whose machine has already been released
-// — typically recycled to the machine pool by a job whose caller only
-// declared NeedResult. It serves the Result summary (and the exact
-// tracker when given) but cannot serve NeedMachine or Analysis; the
-// engine re-simulates if such a need arrives later.
-func NewResultArtifact(res machine.Result, exact *predictor.Exact) *Artifact {
-	return &Artifact{Res: res, exact: exact}
-}
-
-// Machine returns the live post-run machine, or nil for result-only
-// artifacts. The machine must be treated as read-only.
-func (a *Artifact) Machine() *machine.Machine {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.m
-}
-
-// Exact returns the unlimited-precision criticality tracker (nil unless
-// the job's key set TrackExact and the artifact still holds it).
-func (a *Artifact) Exact() *predictor.Exact {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.exact
-}
-
-// Analysis returns the critical-path analysis of the run, computing and
-// memoizing it on first call. Concurrent callers share one computation.
-func (a *Artifact) Analysis() (*critpath.Analysis, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.analyzed {
-		if a.m == nil {
-			a.anErr = errNoMachine
-		} else {
-			a.analysis, a.anErr = critpath.AnalyzeRun(a.m)
-		}
-		a.analyzed = true
-	}
-	return a.analysis, a.anErr
-}
-
-// satisfies reports whether the artifact can serve every requested need.
-// A memoized analysis lets a demoted artifact keep serving NeedMachine
-// callers that only wanted Analysis — but we cannot know that, so
-// NeedMachine strictly requires the live machine.
-func (a *Artifact) satisfies(need Need) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if need&NeedMachine != 0 && a.m == nil {
-		return false
-	}
-	if need&NeedExact != 0 && a.exact == nil {
-		return false
-	}
-	return true
-}
-
-// demote drops the live machine and exact tracker, keeping the compact
-// Result (and any already-memoized analysis). Returns the bytes freed.
-func (a *Artifact) demote(insts int) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	freed := int64(0)
-	if a.m != nil {
-		a.m = nil
-		freed += machineCost(insts)
-	}
-	if a.exact != nil {
-		a.exact = nil
-		freed += exactCost
-	}
-	return freed
-}
-
-// Cost accounting for the memory cache, in approximate bytes. The
-// dominant term is the machine's per-instruction event log.
+// Cost accounting for the memory cache, in approximate bytes.
 const (
-	bytesPerEvent = 128  // sizeof(machine.Event) rounded up
-	bytesPerInst  = 64   // trace record plus dependence annotations
-	baseCost      = 4096 // map entry, Result, bookkeeping
-	exactCost     = 1 << 16
+	bytesPerInst        = 64   // trace record plus dependence annotations
+	bytesPerHarvestInst = 25   // Release, Latency, Complete and Mispredicted
+	baseCost            = 4096 // map entry, Result, bookkeeping
+	exactCost           = 1 << 16
 )
 
-func machineCost(insts int) int64 { return int64(insts) * bytesPerEvent }
-
-// artifactCost estimates the resident size of an artifact for a run of
-// insts instructions.
-func artifactCost(a *Artifact, insts int) int64 {
-	cost := int64(baseCost)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.m != nil {
-		cost += machineCost(insts)
+// artifactCost estimates the resident size of a cached artifact.
+func artifactCost(a *Artifact) int64 {
+	if a.Exact != nil {
+		return baseCost + exactCost
 	}
-	if a.exact != nil {
+	return baseCost
+}
+
+// harvestCost estimates the resident size of a cached harvest.
+func harvestCost(h *Harvest) int64 {
+	cost := baseCost + int64(len(h.In.Release))*bytesPerHarvestInst
+	if h.Exact != nil {
 		cost += exactCost
 	}
 	return cost

@@ -21,41 +21,28 @@ import (
 	"clustersim/internal/trace"
 )
 
-// entryKind tags memory-cache entries.
-type entryKind uint8
-
-const (
-	kindTrace entryKind = iota
-	kindSim
-	kindAnalysis
-	kindSched
-	kindStore
-)
-
 // entry is one memory-cache slot.
 type entry struct {
-	key   string
-	kind  entryKind
-	tr    *trace.Trace
-	st    *trace.Store
-	art   *Artifact
-	crit  *CritSummary
-	sched *SchedSummary
-	insts int
-	cost  int64
-	elem  *list.Element
+	key     string
+	tr      *trace.Trace
+	st      *trace.Store
+	art     *Artifact
+	crit    *CritSummary
+	sched   *SchedSummary
+	harvest *Harvest
+	cost    int64
+	elem    *list.Element
 	// journal marks entries restored by journal replay; hits on them
 	// count as resume hits so -resume runs can prove they recomputed
 	// only the missing keys.
 	journal bool
 }
 
-// memCache is a byte-budgeted LRU over traces and simulation artifacts.
-// Under pressure it first demotes simulation entries to result-only
-// stubs (the machine's event log dominates their footprint), then drops
-// entries outright. Demotion replaces the cached artifact with a fresh
-// stub rather than mutating it, so drivers already holding the full
-// artifact are unaffected.
+// memCache is a byte-budgeted LRU over traces and the values derived
+// from simulations. Every entry is a value its holders only read, so
+// under pressure the least recently used entries are simply dropped:
+// callers already holding a value keep it, and the next request for a
+// dropped key recomputes it (or reloads it from disk).
 //
 // memCache is not internally locked; the Engine serializes access.
 type memCache struct {
@@ -80,24 +67,26 @@ func (c *memCache) get(key string) *entry {
 }
 
 func (c *memCache) putTrace(key string, tr *trace.Trace, insts int) {
-	c.put(&entry{key: key, kind: kindTrace, tr: tr, insts: insts, cost: traceCost(insts)})
+	c.put(&entry{key: key, tr: tr, cost: traceCost(insts)})
 }
 
-func (c *memCache) putSim(key string, a *Artifact, insts int) {
-	c.put(&entry{key: key, kind: kindSim, art: a, insts: insts, cost: artifactCost(a, insts)})
+func (c *memCache) putSim(key string, a *Artifact) {
+	c.put(&entry{key: key, art: a, cost: artifactCost(a)})
 }
 
-// putAnalysis caches a derived critical-path summary. Summaries are tiny
-// fixed-size values; under pressure shrink drops them outright (there is
-// nothing to demote).
+// putAnalysis caches a derived critical-path summary.
 func (c *memCache) putAnalysis(key string, cs *CritSummary) {
-	c.put(&entry{key: key, kind: kindAnalysis, crit: cs, cost: baseCost})
+	c.put(&entry{key: key, crit: cs, cost: baseCost})
 }
 
-// putSched caches a derived schedule summary — four scalars, so like
-// analyses it is dropped (not demoted) under pressure.
+// putSched caches a derived schedule summary.
 func (c *memCache) putSched(key string, ss *SchedSummary) {
-	c.put(&entry{key: key, kind: kindSched, sched: ss, cost: baseCost})
+	c.put(&entry{key: key, sched: ss, cost: baseCost})
+}
+
+// putHarvest caches a schedule harvest, charged per instruction.
+func (c *memCache) putHarvest(key string, h *Harvest) {
+	c.put(&entry{key: key, harvest: h, cost: harvestCost(h)})
 }
 
 // putStore caches an open chunked trace store. Its resident footprint is
@@ -107,7 +96,7 @@ func (c *memCache) putSched(key string, ss *SchedSummary) {
 // still hold the handle, and a file-backed store's descriptor is owned
 // by whoever opened it.
 func (c *memCache) putStore(key string, st *trace.Store, resident int64) {
-	c.put(&entry{key: key, kind: kindStore, st: st, cost: baseCost + st.WindowBytes() + resident})
+	c.put(&entry{key: key, st: st, cost: baseCost + st.WindowBytes() + resident})
 }
 
 func (c *memCache) put(e *entry) {
@@ -122,21 +111,14 @@ func (c *memCache) put(e *entry) {
 	c.shrink()
 }
 
-// shrink enforces the byte budget. Each pass either strictly reduces
-// resident bytes (demotion) or removes an entry, so it terminates.
+// shrink enforces the byte budget by dropping least recently used
+// entries.
 func (c *memCache) shrink() {
 	if c.max <= 0 {
 		return
 	}
 	for c.bytes > c.max && c.ll.Len() > 0 {
 		oldest := c.ll.Back().Value.(*entry)
-		if oldest.kind == kindSim && oldest.cost > baseCost {
-			c.bytes -= oldest.cost - baseCost
-			oldest.art = resultArtifact(oldest.art.Res)
-			oldest.cost = baseCost
-			c.evicted++
-			continue
-		}
 		c.bytes -= oldest.cost
 		c.ll.Remove(oldest.elem)
 		delete(c.entries, oldest.key)
@@ -150,9 +132,9 @@ func (c *memCache) len() int { return c.ll.Len() }
 // diskCache persists artifacts across processes, keyed by the hash of
 // the canonical key string. Traces are stored as CTR2 chunked stores;
 // simulation results are stored as JSON envelopes, with the exact
-// tracker's counts for TrackExact keys. Live machines are never
-// persisted — a disk hit can satisfy NeedResult and NeedExact, never
-// NeedMachine.
+// tracker's counts for TrackExact keys, so memory and disk hold the same
+// Artifact value. Schedule harvests are never persisted; the schedule
+// summaries derived from them are.
 //
 // The disk layer is an accelerator, never a dependency, and every
 // failure mode degrades instead of propagating:
@@ -342,8 +324,7 @@ func (d *diskCache) writeEntry(path string, payload []byte) {
 // resultEnvelope is the on-disk simulation-result format. The canonical
 // key is stored alongside the payload and verified on load, guarding
 // against hash collisions and scheme changes. Entries of TrackExact keys
-// also carry the exact tracker's counts, which is what lets a disk hit
-// serve NeedExact.
+// also carry the exact tracker's counts, without which they are misses.
 type resultEnvelope struct {
 	Key    string
 	Result machine.Result

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"clustersim/internal/machine"
 )
 
 // The per-submission context suite pins the fix for the shared-context
@@ -76,11 +78,11 @@ func TestSimCtxCancelledFailsFast(t *testing.T) {
 	cancel()
 
 	var runs atomic.Int64
-	run := func() (*Artifact, error) {
+	run := func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}
-	if _, err := e.SimCtx(cancelled, testSimKey(1), NeedResult, run); err == nil {
+	if _, err := e.SimCtx(cancelled, testSimKey(1), run); err == nil {
 		t.Fatal("SimCtx with cancelled context returned no error")
 	} else if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SimCtx error = %v, want context.Canceled", err)
@@ -90,7 +92,7 @@ func TestSimCtxCancelledFailsFast(t *testing.T) {
 	}
 	// The same key under a live context is unaffected by the earlier
 	// cancellation (errors are not memoized).
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), NeedResult, run); err != nil {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
 		t.Fatalf("live submission after cancelled one: %v", err)
 	}
 	if runs.Load() != 1 {
@@ -115,14 +117,14 @@ func TestForeignCancellationRetry(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, leaderErr = e.SimCtx(leaderCtx, key, NeedResult, func() (*Artifact, error) {
+		_, leaderErr = e.SimCtx(leaderCtx, key, func() (*machine.Machine, Artifact, error) {
 			close(leaderStarted)
 			<-releaseLeader
 			// The leader's driver observed its own cancellation mid-job
 			// (as a nested MapCtx/SimCtx inside a real driver would) and
 			// surfaces it.
 			cancelLeader()
-			return nil, Fatal(fmt.Errorf("engine: job cancelled: %w", leaderCtx.Err()))
+			return nil, Artifact{}, Fatal(fmt.Errorf("engine: job cancelled: %w", leaderCtx.Err()))
 		})
 	}()
 
@@ -131,11 +133,11 @@ func TestForeignCancellationRetry(t *testing.T) {
 	// its foreign cancellation. The follower must transparently re-run.
 	var followerRan atomic.Int64
 	var followerErr error
-	var followerArt *Artifact
+	var followerArt Artifact
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		followerArt, followerErr = e.SimCtx(context.Background(), key, NeedResult, func() (*Artifact, error) {
+		followerArt, followerErr = e.SimCtx(context.Background(), key, func() (*machine.Machine, Artifact, error) {
 			followerRan.Add(1)
 			return runTiny(1)
 		})
@@ -153,7 +155,7 @@ func TestForeignCancellationRetry(t *testing.T) {
 	if followerErr != nil {
 		t.Fatalf("follower inherited the leader's cancellation: %v", followerErr)
 	}
-	if followerArt == nil || followerArt.Res.Insts == 0 {
+	if followerArt.Res.Insts == 0 {
 		t.Fatal("follower got no artifact")
 	}
 }
@@ -168,7 +170,7 @@ func TestEngineWideContextStillApplies(t *testing.T) {
 	cancel()
 
 	var runs atomic.Int64
-	_, err := e.SimCtx(context.Background(), testSimKey(1), NeedResult, func() (*Artifact, error) {
+	_, err := e.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	})

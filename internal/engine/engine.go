@@ -1,10 +1,10 @@
 // Package engine is the sharded experiment engine: it decomposes figure
 // drivers into (benchmark, cluster-config, policy-stack, forwarding,
 // seed) simulation jobs, deduplicates identical jobs across figures via
-// a content-addressed cache of generated traces and simulation
-// artifacts, and executes work on a bounded worker pool with
-// deterministic result ordering regardless of GOMAXPROCS or the pool
-// size.
+// a content-addressed cache of generated traces, simulation results and
+// the summaries derived from them, and executes work on a bounded
+// worker pool with deterministic result ordering regardless of
+// GOMAXPROCS or the pool size.
 //
 // The contract that makes caching sound is purity: every job is fully
 // determined by its key (the workload generators, predictors and
@@ -14,8 +14,9 @@
 //
 // Three layers serve a lookup, in order:
 //
-//  1. an in-memory LRU (byte-budgeted; entries holding live machines are
-//     demoted to result-only stubs under pressure),
+//  1. an in-memory LRU of values (byte-budgeted; the least recently
+//     used entries are dropped under pressure and recomputed, or reloaded
+//     from disk, on their next request),
 //  2. an optional on-disk cache (traces as CTR2 stores,
 //     results as JSON, every entry CRC-framed; corrupt entries are
 //     quarantined and recomputed, and repeated I/O failures degrade the
@@ -45,14 +46,12 @@ import (
 	"clustersim/internal/trace"
 )
 
-// errNoMachine reports a derived-product request against a result-only
-// artifact (disk-loaded or demoted).
-var errNoMachine = errors.New("engine: artifact holds no machine (result-only cache entry)")
-
 // DefaultMaxCacheBytes bounds the in-memory cache when Config leaves it
-// unset: generous enough to share runs across an entire `clustersim all`
-// invocation at test scales, bounded enough not to retain every machine
-// of a full-scale run.
+// unset. The cache holds values, not machines: results and summaries
+// cost a few KiB each, so traces (64 B/inst) and schedule harvests
+// (25 B/inst) dominate. Rendering every paper experiment at 12,000
+// instructions per benchmark holds about 28 MiB, which scales to about
+// half the budget at the default 200,000.
 const DefaultMaxCacheBytes = 1 << 30
 
 // maxInjectedPanicRetries bounds how often Map re-runs a job killed by
@@ -109,7 +108,8 @@ type Engine struct {
 
 	// beforeLookup, when set (tests only), runs before every cache lookup
 	// that can start a computation: doOnce's, and the recheck of
-	// Schedules' misses. The singleflight tests finish a leader inside it.
+	// SimVariants' and Schedules' misses. The singleflight tests finish a
+	// leader inside it.
 	beforeLookup func(key string)
 
 	disk    *diskCache
@@ -300,39 +300,31 @@ func (e *Engine) Trace(key TraceKey, gen func() (*trace.Trace, error)) (*trace.T
 func (e *Engine) TraceCtx(ctx context.Context, key TraceKey, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
 	canon := key.String()
 	cached := func(ent *entry) (any, bool) { return ent.tr, ent.tr != nil }
-	for attempt := 0; ; attempt++ {
-		v, err := e.doOnce(canon, e.cTraceHit, cached, func() (any, error) {
-			if e.diskAvailable() {
-				if tr, ok := e.disk.loadTrace(key); ok {
-					e.cTraceHit.Inc()
-					e.storeTrace(canon, key, tr, false)
-					return tr, nil
-				}
+	v, err := e.doOnce(ctx, canon, e.cTraceHit, cached, func() (any, error) {
+		if e.diskAvailable() {
+			if tr, ok := e.disk.loadTrace(key); ok {
+				e.cTraceHit.Inc()
+				e.storeTrace(canon, key, tr, false)
+				return tr, nil
 			}
-			if err := e.checkCtx(ctx); err != nil {
-				return nil, err
-			}
-			e.cTraceMiss.Inc()
-			start := time.Now()
-			tr, err := gen()
-			if err != nil {
-				return nil, err
-			}
-			e.tTrace.Observe(time.Since(start))
-			e.storeTrace(canon, key, tr, true)
-			return tr, nil
-		})
-		if err != nil {
-			// A cancellation surfaced by a shared singleflight whose leader
-			// was cancelled by its own context is not ours: retry while our
-			// context (and the engine's) is still live.
-			if isCancellation(err) && e.checkCtx(ctx) == nil && attempt < maxForeignCancelRetries {
-				continue
-			}
+		}
+		if err := e.checkCtx(ctx); err != nil {
 			return nil, err
 		}
-		return v.(*trace.Trace), nil
+		e.cTraceMiss.Inc()
+		start := time.Now()
+		tr, err := gen()
+		if err != nil {
+			return nil, err
+		}
+		e.tTrace.Observe(time.Since(start))
+		e.storeTrace(canon, key, tr, true)
+		return tr, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return v.(*trace.Trace), nil
 }
 
 // storeTrace caches tr in memory and, for fresh generations, on disk.
@@ -365,45 +357,38 @@ func (e *Engine) TraceStore(key TraceKey, gen func(*trace.Writer) error) (*trace
 }
 
 // TraceStoreCtx is TraceStore with a per-submission context, with the
-// same semantics as TraceCtx: a cancelled ctx fails this submission's
-// misses fast, and a cancellation inherited from a foreign singleflight
-// leader is retried while our own context is live.
+// same semantics as TraceCtx.
 func (e *Engine) TraceStoreCtx(ctx context.Context, key TraceKey, gen func(*trace.Writer) error) (*trace.Store, error) {
 	canon := key.String()
 	// Store handles and materialized traces are distinct cache values for
 	// one trace key, so the memory cache (and singleflight) key them apart.
 	memKey := canon + "|store"
 	cached := func(ent *entry) (any, bool) { return ent.st, ent.st != nil }
-	for attempt := 0; ; attempt++ {
-		v, err := e.doOnce(memKey, e.cTraceHit, cached, func() (any, error) {
-			if e.diskAvailable() {
-				if st, ok := e.disk.loadTraceStore(key, e.traceWindow); ok {
-					e.cTraceHit.Inc()
-					e.cacheStore(memKey, st, 0)
-					return st, nil
-				}
+	v, err := e.doOnce(ctx, memKey, e.cTraceHit, cached, func() (any, error) {
+		if e.diskAvailable() {
+			if st, ok := e.disk.loadTraceStore(key, e.traceWindow); ok {
+				e.cTraceHit.Inc()
+				e.cacheStore(memKey, st, 0)
+				return st, nil
 			}
-			if err := e.checkCtx(ctx); err != nil {
-				return nil, err
-			}
-			e.cTraceMiss.Inc()
-			start := time.Now()
-			st, resident, err := e.generateStore(key, gen)
-			if err != nil {
-				return nil, err
-			}
-			e.tTrace.Observe(time.Since(start))
-			e.cacheStore(memKey, st, resident)
-			return st, nil
-		})
-		if err != nil {
-			if isCancellation(err) && e.checkCtx(ctx) == nil && attempt < maxForeignCancelRetries {
-				continue
-			}
+		}
+		if err := e.checkCtx(ctx); err != nil {
 			return nil, err
 		}
-		return v.(*trace.Store), nil
+		e.cTraceMiss.Inc()
+		start := time.Now()
+		st, resident, err := e.generateStore(key, gen)
+		if err != nil {
+			return nil, err
+		}
+		e.tTrace.Observe(time.Since(start))
+		e.cacheStore(memKey, st, resident)
+		return st, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return v.(*trace.Store), nil
 }
 
 // generateStore runs gen into a chunked store. With a live disk layer
@@ -452,15 +437,11 @@ func (e *Engine) cacheStore(memKey string, st *trace.Store, resident int64) {
 	e.mu.Unlock()
 }
 
-// Sim returns the artifact for key, simulating with run on a cache miss.
-// need declares which products the caller will read: a result-only cache
-// entry (demoted under memory pressure) satisfies NeedResult but forces
-// a re-simulation for NeedMachine/NeedExact; a disk entry additionally
-// satisfies NeedExact when it persisted the exact tracker.
-// Concurrent submissions of one key — e.g. two figure drivers sharing a
-// focused-stack run — simulate once and share the artifact.
-func (e *Engine) Sim(key SimKey, need Need, run func() (*Artifact, error)) (*Artifact, error) {
-	return e.SimCtx(nil, key, need, run)
+// Sim returns the artifact for key, simulating with run on a cache
+// miss. Concurrent submissions of one key — e.g. two figure drivers
+// sharing a focused-stack run — simulate once and share the artifact.
+func (e *Engine) Sim(key SimKey, run Run) (Artifact, error) {
+	return e.SimCtx(nil, key, run)
 }
 
 // SimCtx is Sim with a per-submission context: once ctx is cancelled this
@@ -468,87 +449,106 @@ func (e *Engine) Sim(key SimKey, need Need, run func() (*Artifact, error)) (*Art
 // submissions of the same engine (other tenants' jobs on a shared server
 // engine) are untouched. A nil ctx means no per-submission cancellation
 // (the engine-wide SetContext still applies).
-func (e *Engine) SimCtx(ctx context.Context, key SimKey, need Need, run func() (*Artifact, error)) (*Artifact, error) {
-	if need&NeedExact != 0 && !key.TrackExact {
-		return nil, fmt.Errorf("engine: %s requested for key without TrackExact (%s)", need, key)
-	}
+func (e *Engine) SimCtx(ctx context.Context, key SimKey, run Run) (Artifact, error) {
 	canon := key.String()
-	cached := func(ent *entry) (any, bool) { return ent.art, ent.art != nil && ent.art.satisfies(need) }
-	for attempt := 0; ; attempt++ {
-		v, err := e.doOnce(canon, e.cSimHit, cached, func() (any, error) {
-			if a := e.diskSim(key, canon, need); a != nil {
-				return a, nil
-			}
-			if err := e.checkCtx(ctx); err != nil {
-				return nil, err
-			}
-			e.cSimMiss.Inc()
-			start := time.Now()
-			a, err := run()
-			if err != nil {
-				return nil, err
-			}
-			e.tSim.Observe(time.Since(start))
-			e.storeSim(key, canon, a)
-			return a, nil
-		})
-		if err != nil {
-			// Sharing a singleflight with a leader that was cancelled by
-			// its own submission context must not fail this (live)
-			// submission: retry — this caller either becomes the new
-			// leader or joins a live one. Our own cancellation (or the
-			// engine-wide one) still fails fast via checkCtx.
-			if isCancellation(err) && e.checkCtx(ctx) == nil && attempt < maxForeignCancelRetries {
-				continue
-			}
-			return nil, err
+	cached := func(ent *entry) (any, bool) {
+		if !ent.art.complete(key) {
+			return nil, false
 		}
-		a := v.(*Artifact)
-		if !a.satisfies(need) {
-			// Shared a flight whose artifact cannot serve this need (it
-			// raced with a demotion, or joined a disk-loaded entry). Rare;
-			// retry resolves it.
-			return e.SimCtx(ctx, key, need, run)
-		}
-		return a, nil
+		return *ent.art, true
 	}
+	v, err := e.doOnce(ctx, canon, e.cSimHit, cached, func() (any, error) {
+		if a, ok := e.diskSim(key, canon); ok {
+			return a, nil
+		}
+		return e.simulate(ctx, key, run, nil)
+	})
+	if err != nil {
+		return Artifact{}, err
+	}
+	return v.(Artifact), nil
 }
 
-// diskSim serves key from the disk result cache when the entry can
-// satisfy need: never NeedMachine, and NeedExact only from entries that
-// persisted the exact tracker. A hit is cached in memory and journaled;
-// nil means a miss.
-func (e *Engine) diskSim(key SimKey, canon string, need Need) *Artifact {
-	if need&NeedMachine != 0 || !e.diskAvailable() {
-		return nil
+// diskSim serves key from the disk result cache; a TrackExact key's
+// entry serves only if it persisted the exact tracker. A hit is cached
+// in memory and journaled.
+func (e *Engine) diskSim(key SimKey, canon string) (Artifact, bool) {
+	if !e.diskAvailable() {
+		return Artifact{}, false
 	}
 	res, exact, ok := e.disk.loadResult(key)
-	if !ok {
-		return nil
-	}
-	a := NewResultArtifact(res, exact)
-	if !a.satisfies(need) {
-		return nil
+	a := Artifact{Res: res, Exact: exact}
+	if !ok || !a.complete(key) {
+		return Artifact{}, false
 	}
 	e.mu.Lock()
-	e.mem.putSim(canon, a, key.Insts)
+	e.mem.putSim(canon, &a)
 	e.mu.Unlock()
 	e.cSimDiskHit.Inc()
-	e.journalResult(canon, key.Insts, res)
-	return a
+	e.journalResult(canon, res)
+	return a, true
+}
+
+// simulate is the one job that runs a machine for key. It counts and
+// times a sim miss, runs run, lets derive (when non-nil) read the live
+// machine, caches the artifact under key's sim entry (memory, disk and
+// journal), and recycles the machine before returning.
+//
+// A derived-product job also leads key's sim flight when none is in
+// progress, so a Sim of key submitted meanwhile shares this run. (A Sim
+// already in flight cannot lend its machine; the job then runs alone.)
+func (e *Engine) simulate(ctx context.Context, key SimKey, run Run, derive func(*machine.Machine) error) (Artifact, error) {
+	if err := e.checkCtx(ctx); err != nil {
+		return Artifact{}, err
+	}
+	canon := key.String()
+	var flight *call
+	if derive != nil {
+		e.mu.Lock()
+		if _, busy := e.inflight[canon]; !busy {
+			flight = e.lead(canon)
+		}
+		e.mu.Unlock()
+	}
+	e.cSimMiss.Inc()
+	start := time.Now()
+	m, a, err := run()
+	defer machine.Recycle(m)
+	if err == nil {
+		e.tSim.Observe(time.Since(start))
+		err = e.storeSim(key, a)
+	}
+	if flight != nil {
+		e.land(canon, flight, a, err)
+	}
+	if err != nil {
+		return Artifact{}, err
+	}
+	if derive != nil {
+		if err := derive(m); err != nil {
+			return Artifact{}, err
+		}
+	}
+	return a, nil
 }
 
 // storeSim caches a freshly computed artifact in memory and on disk
-// (with its exact tracker, if any) and journals its result.
-func (e *Engine) storeSim(key SimKey, canon string, a *Artifact) {
+// (with its exact tracker, if any) and journals its result. An artifact
+// that is incomplete for its key is an error, never cached.
+func (e *Engine) storeSim(key SimKey, a Artifact) error {
+	if !a.complete(key) {
+		return fmt.Errorf("engine: artifact for %s lacks the exact tracker its key promises", key)
+	}
+	canon := key.String()
 	e.cInsts.Add(a.Res.Insts)
 	e.mu.Lock()
-	e.mem.putSim(canon, a, key.Insts)
+	e.mem.putSim(canon, &a)
 	e.mu.Unlock()
 	if e.diskAvailable() {
-		e.disk.storeResult(key, a.Res, a.Exact())
+		e.disk.storeResult(key, a.Res, a.Exact)
 	}
-	e.journalResult(canon, key.Insts, a.Res)
+	e.journalResult(canon, a.Res)
+	return nil
 }
 
 // doOnce serves key from the memory cache or collapses concurrent
@@ -560,7 +560,23 @@ func (e *Engine) storeSim(key SimKey, canon string, a *Artifact) {
 // value count on hitCtr (the work was deduplicated even though no cache
 // entry existed yet). Errors are not memoized — the key is retried on
 // the next submission.
-func (e *Engine) doOnce(key string, hitCtr *metrics.Counter, cached func(*entry) (any, bool), fn func() (any, error)) (any, error) {
+//
+// A cancellation shared from a leader that was cancelled by its own
+// submission context is not this caller's: while ctx (and the engine's
+// context) is live, the lookup retries, and this caller either becomes
+// the new leader or joins a live one.
+func (e *Engine) doOnce(ctx context.Context, key string, hitCtr *metrics.Counter, cached func(*entry) (any, bool), fn func() (any, error)) (any, error) {
+	for attempt := 0; ; attempt++ {
+		v, err := e.doOnceAttempt(key, hitCtr, cached, fn)
+		if err != nil && isCancellation(err) && e.checkCtx(ctx) == nil && attempt < maxForeignCancelRetries {
+			continue
+		}
+		return v, err
+	}
+}
+
+// doOnceAttempt is one lookup-or-compute attempt of doOnce.
+func (e *Engine) doOnceAttempt(key string, hitCtr *metrics.Counter, cached func(*entry) (any, bool), fn func() (any, error)) (any, error) {
 	if e.beforeLookup != nil {
 		e.beforeLookup(key)
 	}
@@ -584,17 +600,27 @@ func (e *Engine) doOnce(key string, hitCtr *metrics.Counter, cached func(*entry)
 		}
 		return c.val, c.err
 	}
+	c := e.lead(key)
+	e.mu.Unlock()
+	v, err := fn()
+	e.land(key, c, v, err)
+	return v, err
+}
+
+// lead registers a new flight for key; e.mu must be held.
+func (e *Engine) lead(key string) *call {
 	c := &call{done: make(chan struct{})}
 	e.inflight[key] = c
-	e.mu.Unlock()
+	return c
+}
 
-	c.val, c.err = fn()
-
+// land hands a leader's outcome to the flight's followers and ends it.
+func (e *Engine) land(key string, c *call, v any, err error) {
+	c.val, c.err = v, err
 	e.mu.Lock()
 	delete(e.inflight, key)
 	e.mu.Unlock()
 	close(c.done)
-	return c.val, c.err
 }
 
 // Map runs fn once per item on the engine's worker pool and returns the

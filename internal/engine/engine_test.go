@@ -29,19 +29,23 @@ func testSimKey(seed uint64) SimKey {
 		Fwd: 2, EpochLen: 1024, Clusters: 1, Stack: "depbased"}
 }
 
-// runTiny executes a real miniature simulation so the artifact carries a
-// live machine, as production jobs do.
-func runTiny(seed uint64) (*Artifact, error) {
+// runTiny executes a real miniature simulation and hands back the live
+// machine, as production jobs do.
+func runTiny(seed uint64) (*machine.Machine, Artifact, error) {
 	tr, err := workload.Generate("gzip", testInsts, seed)
 	if err != nil {
-		return nil, err
+		return nil, Artifact{}, err
 	}
 	m, err := machine.New(machine.NewConfig(1), tr, steer.DepBased{}, machine.Hooks{})
 	if err != nil {
-		return nil, err
+		return nil, Artifact{}, err
 	}
-	res := m.Run()
-	return NewArtifact(m, res, nil), nil
+	return m, Artifact{Res: m.Run()}, nil
+}
+
+// tinyRun is runTiny as a job body.
+func tinyRun(seed uint64) Run {
+	return func() (*machine.Machine, Artifact, error) { return runTiny(seed) }
 }
 
 func TestTraceCaching(t *testing.T) {
@@ -80,13 +84,13 @@ func TestTraceCaching(t *testing.T) {
 func TestSimCacheHitMissAccounting(t *testing.T) {
 	e := New(Config{Workers: 2})
 	var runs atomic.Int64
-	run := func() (*Artifact, error) {
+	run := func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}
-	var art *Artifact
+	var art Artifact
 	for i := 0; i < 3; i++ {
-		a, err := e.Sim(testSimKey(1), NeedResult, run)
+		a, err := e.Sim(testSimKey(1), run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,13 +117,13 @@ func TestSimConcurrentDedup(t *testing.T) {
 	e := New(Config{Workers: 8})
 	var runs atomic.Int64
 	const submitters = 16
-	arts := make([]*Artifact, submitters)
+	arts := make([]Artifact, submitters)
 	var wg sync.WaitGroup
 	for i := 0; i < submitters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a, err := e.Sim(testSimKey(1), NeedResult|NeedMachine, func() (*Artifact, error) {
+			a, err := e.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 				runs.Add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
 				return runTiny(1)
@@ -154,9 +158,11 @@ func TestSimConcurrentDedup(t *testing.T) {
 // the key's leader store its value and leave the flight inside it. The
 // follower must be served that value, not compute the key again: the
 // cache lookup and the in-flight check share one lock hold (and
-// Schedules rechecks its misses under the lock before computing).
+// SimVariants and Schedules recheck their misses under the lock before
+// computing).
 func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
 	schedKeys := []SchedKey{testSchedKey("oracle", 2), testSchedKey("oracle", 4)}
+	variantKeys := []SimKey{testSimKey(1), testSimKey(2)}
 	for _, tc := range []struct {
 		name string
 		key  string // the key whose follower lookup the hook stalls
@@ -180,14 +186,21 @@ func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
 			return err
 		}, func(s Summary) int64 { return s.TraceMisses }},
 		{"sim", testSimKey(1).String(), func(e *Engine, work func()) error {
-			_, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) {
+			_, err := e.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 				work()
 				return runTiny(1)
 			})
 			return err
 		}, func(s Summary) int64 { return s.SimMisses }},
+		{"variants", testSimKey(1).String(), func(e *Engine, work func()) error {
+			_, err := e.SimVariants(variantKeys, func(miss []int) ([]Artifact, error) {
+				work()
+				return make([]Artifact, len(miss)), nil
+			})
+			return err
+		}, func(s Summary) int64 { return s.SimMisses / int64(len(variantKeys)) }},
 		{"analysis", analysisCanon(testSimKey(1)), func(e *Engine, work func()) error {
-			_, err := e.Analysis(testSimKey(1), func() (*Artifact, error) {
+			_, err := e.Analysis(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 				work()
 				return runTiny(1)
 			})
@@ -242,18 +255,18 @@ func TestSimErrorsNotCached(t *testing.T) {
 	e := New(Config{Workers: 2})
 	boom := errors.New("boom")
 	var runs int
-	run := func() (*Artifact, error) {
+	run := func() (*machine.Machine, Artifact, error) {
 		runs++
 		if runs == 1 {
-			return nil, boom
+			return nil, Artifact{}, boom
 		}
 		return runTiny(1)
 	}
-	if _, err := e.Sim(testSimKey(1), NeedResult, run); !errors.Is(err, boom) {
+	if _, err := e.Sim(testSimKey(1), run); !errors.Is(err, boom) {
 		t.Fatalf("first Sim err = %v, want boom", err)
 	}
 	// The failure must not be memoized: the next submission retries.
-	if _, err := e.Sim(testSimKey(1), NeedResult, run); err != nil {
+	if _, err := e.Sim(testSimKey(1), run); err != nil {
 		t.Fatalf("second Sim err = %v, want success", err)
 	}
 	if runs != 2 {
@@ -264,32 +277,20 @@ func TestSimErrorsNotCached(t *testing.T) {
 	}
 }
 
-func TestSimNeedExactRequiresTrackExact(t *testing.T) {
-	e := New(Config{})
-	key := testSimKey(1) // TrackExact unset
-	_, err := e.Sim(key, NeedExact, func() (*Artifact, error) {
-		t.Error("run must not be called")
-		return nil, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "TrackExact") {
-		t.Fatalf("err = %v, want TrackExact complaint", err)
-	}
-}
-
 func TestDiskResultRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{CacheDir: dir})
-	a1, err := e1.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) })
+	a1, err := e1.Sim(testSimKey(1), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A second engine (fresh process, same cache dir) serves NeedResult
+	// A second engine (fresh process, same cache dir) serves the key
 	// from disk without simulating.
 	e2 := New(Config{CacheDir: dir})
-	a2, err := e2.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) {
+	a2, err := e2.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		t.Error("run must not be called on a disk hit")
-		return nil, nil
+		return nil, Artifact{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,31 +298,35 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	if a2.Res != a1.Res {
 		t.Errorf("disk result = %+v, want %+v", a2.Res, a1.Res)
 	}
-	if a2.Machine() != nil {
-		t.Error("disk-loaded artifact claims a live machine")
-	}
 	if s := e2.Summary(); s.SimDiskHits != 1 || s.SimMisses != 0 {
 		t.Errorf("disk-hits/misses = %d/%d, want 1/0", s.SimDiskHits, s.SimMisses)
 	}
 
-	// NeedMachine cannot be served by the result-only disk entry: the
-	// simulation re-runs and yields a live machine.
+	// An analysis of the key still simulates: the disk holds the run's
+	// Result, not the machine the analysis reads. The analysis job
+	// re-stores the same Result under the sim key.
 	var runs atomic.Int64
-	a3, err := e2.Sim(testSimKey(1), NeedResult|NeedMachine, func() (*Artifact, error) {
+	if _, err := e2.Analysis(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 1 {
+		t.Errorf("analysis after disk hit ran %d times, want 1", runs.Load())
+	}
+	a3, err := e2.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+		t.Error("run must not be called: the analysis job cached the result")
+		return nil, Artifact{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs.Load() != 1 {
-		t.Errorf("NeedMachine after disk hit ran %d times, want 1", runs.Load())
-	}
-	if a3.Machine() == nil {
-		t.Error("re-run artifact has no machine")
-	}
 	if a3.Res != a1.Res {
 		t.Errorf("re-run result differs: %+v vs %+v", a3.Res, a1.Res)
+	}
+	if s := e2.Summary(); s.SimMisses != 1 || s.SimHits != 1 {
+		t.Errorf("misses/hits = %d/%d, want 1/1", s.SimMisses, s.SimHits)
 	}
 }
 
@@ -368,62 +373,65 @@ func TestBadCacheDirNonFatal(t *testing.T) {
 	if e.Summary().DiskErr == nil {
 		t.Error("expected DiskErr for unusable cache dir")
 	}
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err != nil {
+	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatalf("engine without disk layer failed: %v", err)
 	}
 }
 
-// TestDemotionUnderPressure pins the memory-cache behavior: over budget,
-// sim entries lose their machine but keep serving results, and drivers
-// already holding the full artifact are unaffected.
-func TestDemotionUnderPressure(t *testing.T) {
-	e := New(Config{MaxCacheBytes: baseCost + 1}) // any machine demotes immediately
-	full, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) })
+// TestDroppedUnderPressure pins the memory-cache behavior: over budget,
+// entries are dropped outright, values callers already hold are
+// unaffected, and the next request for a dropped key recomputes it.
+func TestDroppedUnderPressure(t *testing.T) {
+	e := New(Config{MaxCacheBytes: baseCost + 1}) // room for one small value
+	var runs atomic.Int64
+	run := func() (*machine.Machine, Artifact, error) { runs.Add(1); return runTiny(1) }
+	h1, err := e.HarvestCtx(nil, testSimKey(1), run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Machine() == nil {
-		t.Fatal("returned artifact lost its machine (demotion must not mutate)")
-	}
 	s := e.Summary()
 	if s.Evictions == 0 {
-		t.Error("expected a demotion under a tiny budget")
+		t.Error("expected evictions under a tiny budget")
 	}
 	if s.CacheBytes > baseCost+1 {
 		t.Errorf("cache resident %d bytes over budget", s.CacheBytes)
 	}
+	if n := len(h1.In.Release); n != h1.In.Trace.Len() || n == 0 {
+		t.Fatalf("held harvest has %d releases for %d instructions", n, h1.In.Trace.Len())
+	}
 
-	// The demoted entry still serves NeedResult without re-running...
-	var runs atomic.Int64
-	run := func() (*Artifact, error) { runs.Add(1); return runTiny(1) }
-	if _, err := e.Sim(testSimKey(1), NeedResult, run); err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 0 {
-		t.Error("demoted entry did not serve NeedResult")
-	}
-	// ...but a NeedMachine request re-simulates.
-	a, err := e.Sim(testSimKey(1), NeedResult|NeedMachine, run)
+	// The dropped harvest recomputes on its next request, identically...
+	h2, err := e.HarvestCtx(nil, testSimKey(1), run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs.Load() != 1 {
-		t.Errorf("NeedMachine on demoted entry ran %d times, want 1", runs.Load())
+	if runs.Load() != 2 {
+		t.Errorf("dropped harvest ran %d times, want 2", runs.Load())
 	}
-	if a.Machine() == nil {
-		t.Error("re-run artifact has no machine")
+	if !reflect.DeepEqual(h1.In, h2.In) {
+		t.Error("recomputed harvest differs from the dropped one")
+	}
+	// ...and so does the sim entry the harvest's own insert pushed out;
+	// once resident, it serves without running.
+	for i := 0; i < 2; i++ {
+		if _, err := e.Sim(testSimKey(1), run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs.Load() != 3 {
+		t.Errorf("sim after dropped entries ran %d times in all, want 3", runs.Load())
 	}
 }
 
 func TestMemCacheEviction(t *testing.T) {
 	c := newMemCache(2 * baseCost)
-	c.put(&entry{key: "a", kind: kindSim, art: resultArtifact(machine.Result{}), cost: baseCost})
-	c.put(&entry{key: "b", kind: kindSim, art: resultArtifact(machine.Result{}), cost: baseCost})
+	c.put(&entry{key: "a", art: &Artifact{}, cost: baseCost})
+	c.put(&entry{key: "b", art: &Artifact{}, cost: baseCost})
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	c.get("a") // refresh a: b becomes LRU
-	c.put(&entry{key: "c", kind: kindSim, art: resultArtifact(machine.Result{}), cost: baseCost})
+	c.put(&entry{key: "c", art: &Artifact{}, cost: baseCost})
 	if c.get("b") != nil {
 		t.Error("LRU entry b survived over-budget insert")
 	}
@@ -535,32 +543,18 @@ func TestMapEmpty(t *testing.T) {
 
 func TestRenderSummary(t *testing.T) {
 	e := New(Config{Workers: 2})
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err != nil {
+	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err != nil {
+	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	e.RenderSummary(&sb)
 	out := sb.String()
-	for _, want := range []string{"Engine summary (2 workers)", "sim jobs run: 1", "cache: 1 entries"} {
+	for _, want := range []string{"Engine summary (2 workers)", "sim jobs run: 1", "cache: 1 entries", "resident, 0 evictions\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestNeedString(t *testing.T) {
-	cases := map[Need]string{
-		0:                                    "none",
-		NeedResult:                           "result",
-		NeedResult | NeedMachine:             "result+machine",
-		NeedResult | NeedMachine | NeedExact: "result+machine+exact",
-	}
-	for n, want := range cases {
-		if got := n.String(); got != want {
-			t.Errorf("Need(%d).String() = %q, want %q", n, got, want)
 		}
 	}
 }
@@ -598,7 +592,7 @@ func TestKeyCanonicalForms(t *testing.T) {
 }
 
 // TestDiskExactRoundTrip: a TrackExact key's disk entry persists the
-// exact tracker, so a fresh engine on the same dir serves NeedExact
+// exact tracker, so a fresh engine on the same dir serves the key
 // without simulating, with identical per-PC counts.
 func TestDiskExactRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -608,21 +602,22 @@ func TestDiskExactRoundTrip(t *testing.T) {
 	for i := 0; i < 90; i++ {
 		exact.Train(uint64(i%11)*4, i%4 == 0)
 	}
+	withExact := func() (*machine.Machine, Artifact, error) {
+		return nil, Artifact{Res: machine.Result{ConfigName: "1x8w", Insts: 90, Cycles: 120}, Exact: exact}, nil
+	}
 	e1 := New(Config{CacheDir: dir})
-	if _, err := e1.Sim(key, NeedExact, func() (*Artifact, error) {
-		return NewResultArtifact(machine.Result{ConfigName: "1x8w", Insts: 90, Cycles: 120}, exact), nil
-	}); err != nil {
+	if _, err := e1.Sim(key, withExact); err != nil {
 		t.Fatal(err)
 	}
 	e2 := New(Config{CacheDir: dir})
-	a, err := e2.Sim(key, NeedExact, func() (*Artifact, error) {
+	a, err := e2.Sim(key, func() (*machine.Machine, Artifact, error) {
 		t.Error("run must not be called: the disk entry carries the exact tracker")
-		return nil, nil
+		return nil, Artifact{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.Exact().Counts(), exact.Counts(); !reflect.DeepEqual(got, want) {
+	if got, want := a.Exact.Counts(), exact.Counts(); !reflect.DeepEqual(got, want) {
 		t.Errorf("disk exact counts = %+v, want %+v", got, want)
 	}
 	if s := e2.Summary(); s.SimDiskHits != 1 || s.SimMisses != 0 {
@@ -630,18 +625,18 @@ func TestDiskExactRoundTrip(t *testing.T) {
 	}
 
 	// An exact key's entry written without counts (by an older binary)
-	// serves NeedResult but not NeedExact: that request re-simulates.
+	// is incomplete, so it is a miss: the request re-simulates.
 	old := testSimKey(2)
 	old.TrackExact = true
 	e2.disk.storeResult(old, machine.Result{Insts: 90}, nil)
 	var runs atomic.Int64
-	if _, err := e2.Sim(old, NeedExact, func() (*Artifact, error) {
+	if _, err := e2.Sim(old, func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
-		return NewResultArtifact(machine.Result{Insts: 90}, exact), nil
+		return withExact()
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 1 {
-		t.Errorf("NeedExact on a count-less entry ran %d times, want 1", runs.Load())
+		t.Errorf("count-less exact entry served without running (%d runs, want 1)", runs.Load())
 	}
 }

@@ -180,7 +180,7 @@ func FuzzJournalReplay(f *testing.F) {
 	// A well-formed journal is a concatenation of frames; seed with a
 	// real record stream and with raw cache bytes (also framed).
 	rec, _ := json.Marshal(journalRecord{
-		Kind: recResult, Key: testSimKey(1).String(), Insts: testInsts, Result: &machine.Result{Insts: 300},
+		Kind: recResult, Key: testSimKey(1).String(), Result: &machine.Result{Insts: 300},
 	})
 	stream := append(encodeFrame(rec), encodeFrame(rec)...)
 	addSeedVariants(f, stream)

@@ -44,7 +44,6 @@ const (
 type journalRecord struct {
 	Kind   string
 	Key    string
-	Insts  int             `json:",omitempty"`
 	Result *machine.Result `json:",omitempty"`
 	Crit   *CritSummary    `json:",omitempty"`
 	Sched  *SchedSummary   `json:",omitempty"`
@@ -157,7 +156,7 @@ func (e *Engine) restoreRecord(rec journalRecord) bool {
 		if rec.Result == nil {
 			return false
 		}
-		e.mem.putSim(rec.Key, resultArtifact(*rec.Result), rec.Insts)
+		e.mem.putSim(rec.Key, &Artifact{Res: *rec.Result})
 	case recAnalysis:
 		if rec.Crit == nil {
 			return false
@@ -203,9 +202,9 @@ func (j *journal) append(e *Engine, rec journalRecord) {
 }
 
 // journalResult records one completed simulation result.
-func (e *Engine) journalResult(canon string, insts int, res machine.Result) {
+func (e *Engine) journalResult(canon string, res machine.Result) {
 	if j := e.journal; j != nil {
-		j.append(e, journalRecord{Kind: recResult, Key: canon, Insts: insts, Result: &res})
+		j.append(e, journalRecord{Kind: recResult, Key: canon, Result: &res})
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+
+	"clustersim/internal/machine"
+	"clustersim/internal/predictor"
 )
 
 // TestJournalResume is the checkpoint/resume core: keys completed under
@@ -17,11 +20,11 @@ func TestJournalResume(t *testing.T) {
 	if n, err := e1.OpenJournal(path, false); err != nil || n != 0 {
 		t.Fatalf("fresh journal: restored=%d err=%v", n, err)
 	}
-	a1, err := e1.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) })
+	a1, err := e1.Sim(testSimKey(1), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Sim(testSimKey(2), NeedResult, func() (*Artifact, error) { return runTiny(2) }); err != nil {
+	if _, err := e1.Sim(testSimKey(2), tinyRun(2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e1.CloseJournal(); err != nil {
@@ -40,11 +43,11 @@ func TestJournalResume(t *testing.T) {
 		t.Fatalf("restored %d records, want 2", restored)
 	}
 	var runs atomic.Int64
-	mustNotRun := func() (*Artifact, error) {
+	mustNotRun := func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}
-	a2, err := e2.Sim(testSimKey(1), NeedResult, mustNotRun)
+	a2, err := e2.Sim(testSimKey(1), mustNotRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func TestJournalResume(t *testing.T) {
 	if a2.Res != a1.Res {
 		t.Fatal("journal round trip changed the result")
 	}
-	if _, err := e2.Sim(testSimKey(3), NeedResult, func() (*Artifact, error) { return runTiny(3) }); err != nil {
+	if _, err := e2.Sim(testSimKey(3), tinyRun(3)); err != nil {
 		t.Fatal(err)
 	}
 	s := e2.Summary()
@@ -63,6 +66,45 @@ func TestJournalResume(t *testing.T) {
 	}
 	if s.SimMisses != 1 {
 		t.Errorf("SimMisses = %d, want 1 (only the new key)", s.SimMisses)
+	}
+}
+
+// TestJournalRestoredExactKeyIsAMiss: journal records carry only the
+// Result, so a restored entry of a TrackExact key is incomplete (its
+// artifact lacks the tracker) and the key re-simulates on request.
+func TestJournalRestoredExactKeyIsAMiss(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	key := testSimKey(1)
+	key.TrackExact = true
+	var runs atomic.Int64
+	run := func() (*machine.Machine, Artifact, error) {
+		runs.Add(1)
+		return nil, Artifact{Res: machine.Result{Insts: 90}, Exact: predictor.NewExact()}, nil
+	}
+	e1 := New(Config{})
+	if _, err := e1.OpenJournal(path, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e1.Sim(key, run); err != nil {
+		t.Fatal(err)
+	}
+	if err := e1.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := New(Config{})
+	if n, err := e2.OpenJournal(path, true); err != nil || n != 1 {
+		t.Fatalf("restored=%d err=%v, want 1 record", n, err)
+	}
+	defer e2.CloseJournal()
+	a, err := e2.Sim(key, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 2 || a.Exact == nil {
+		t.Errorf("restored exact key: %d runs (want 2), tracker %v", runs.Load(), a.Exact)
+	}
+	if s := e2.Summary(); s.ResumeHits != 0 || s.SimMisses != 1 {
+		t.Errorf("resume hits/sim misses = %d/%d, want 0/1", s.ResumeHits, s.SimMisses)
 	}
 }
 
@@ -77,7 +119,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		s := seed
-		if _, err := e1.Sim(testSimKey(s), NeedResult, func() (*Artifact, error) { return runTiny(s) }); err != nil {
+		if _, err := e1.Sim(testSimKey(s), tinyRun(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +144,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	// The lost key just recomputes and re-journals.
 	var runs atomic.Int64
-	if _, err := e2.Sim(testSimKey(3), NeedResult, func() (*Artifact, error) {
+	if _, err := e2.Sim(testSimKey(3), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(3)
 	}); err != nil || runs.Load() != 1 {
@@ -138,7 +180,7 @@ func TestJournalGarbage(t *testing.T) {
 	if restored != 0 {
 		t.Fatalf("restored %d from garbage", restored)
 	}
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err != nil {
+	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,7 +193,7 @@ func TestJournalWithoutResumeTruncates(t *testing.T) {
 	if _, err := e1.OpenJournal(path, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err != nil {
+	if _, err := e1.Sim(testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
 	e1.CloseJournal()

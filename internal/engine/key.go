@@ -40,9 +40,8 @@ type SimKey struct {
 	Clusters int
 	Stack    string
 	// TrackExact marks runs that additionally record unlimited-precision
-	// criticality frequencies. It is part of the key (rather than a
-	// Need) so a cached artifact always carries exactly the
-	// instrumentation its key promises.
+	// criticality frequencies. It is part of the key so a cached artifact
+	// always carries exactly the instrumentation its key promises.
 	TrackExact bool
 	// Variant names a perturbation of Stack (an ablation sweep point) in
 	// its canonical form; empty means the stack as is. Submitters
@@ -68,46 +67,4 @@ func (k SimKey) String() string {
 func hashKey(canonical string) string {
 	sum := sha256.Sum256([]byte(canonical))
 	return hex.EncodeToString(sum[:16])
-}
-
-// Need declares which artifacts of a simulation a submitter will read.
-// The engine uses it to decide whether a partially materialized cache
-// entry (for example a result loaded from disk, which has no live
-// machine) can satisfy a request or whether the simulation must run.
-type Need uint8
-
-const (
-	// NeedResult asks only for the machine.Result summary.
-	NeedResult Need = 1 << iota
-	// NeedMachine asks for the live post-run machine (critical-path
-	// analysis, slack computation, list-scheduler harvesting).
-	NeedMachine
-	// NeedExact asks for the unlimited-precision criticality tracker;
-	// only meaningful with SimKey.TrackExact set. Disk result entries of
-	// TrackExact keys persist the tracker's counts, so they satisfy it.
-	NeedExact
-)
-
-// String renders the need set (for errors and tests).
-func (n Need) String() string {
-	s := ""
-	add := func(name string) {
-		if s != "" {
-			s += "+"
-		}
-		s += name
-	}
-	if n&NeedResult != 0 {
-		add("result")
-	}
-	if n&NeedMachine != 0 {
-		add("machine")
-	}
-	if n&NeedExact != 0 {
-		add("exact")
-	}
-	if s == "" {
-		s = "none"
-	}
-	return s
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"clustersim/internal/faultinject"
+	"clustersim/internal/machine"
 	"clustersim/internal/trace"
 	"clustersim/internal/workload"
 )
@@ -133,7 +134,7 @@ func corruptOneEntry(t *testing.T, dir, pattern string) int {
 func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{CacheDir: dir})
-	a1, err := e1.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) })
+	a1, err := e1.Sim(testSimKey(1), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 
 	e2 := New(Config{CacheDir: dir})
 	var runs atomic.Int64
-	a2, err := e2.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) {
+	a2, err := e2.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	})
@@ -164,7 +165,7 @@ func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 	// The recompute rewrote a valid entry: a third engine gets a clean
 	// disk hit.
 	e3 := New(Config{CacheDir: dir})
-	if _, err := e3.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) {
+	if _, err := e3.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		t.Error("clean rewritten entry missed")
 		return runTiny(1)
 	}); err != nil {
@@ -223,7 +224,7 @@ func TestWriteFaultsNeverFailRuns(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Config{CacheDir: dir, DiskErrorBudget: 4})
 	faultinject.Enable(1234, 1)
-	a, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) })
+	a, err := e.Sim(testSimKey(1), tinyRun(1))
 	faultinject.Disable()
 	if err != nil {
 		t.Fatalf("write faults leaked into the run: %v", err)
@@ -247,7 +248,7 @@ func TestDegradedModeAfterBudget(t *testing.T) {
 	faultinject.Enable(99, 1)
 	for seed := uint64(1); seed <= 6; seed++ {
 		s := seed
-		if _, err := e.Sim(testSimKey(s), NeedResult, func() (*Artifact, error) { return runTiny(s) }); err != nil {
+		if _, err := e.Sim(testSimKey(s), tinyRun(s)); err != nil {
 			t.Fatalf("seed %d: %v", s, err)
 		}
 	}
@@ -261,7 +262,7 @@ func TestDegradedModeAfterBudget(t *testing.T) {
 	}
 	// Degraded means memory-only, not broken: cached entries still hit.
 	var runs atomic.Int64
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) {
+	if _, err := e.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}); err != nil || runs.Load() != 0 {
@@ -294,12 +295,12 @@ func TestContextCancellationDrains(t *testing.T) {
 		t.Fatalf("ran %d items after cancel, want 2", got)
 	}
 	// A cancelled engine also refuses new cache misses...
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err == nil {
+	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err == nil {
 		t.Fatal("Sim miss succeeded under a cancelled context")
 	}
 	// ...until the context is replaced.
 	e.SetContext(context.Background())
-	if _, err := e.Sim(testSimKey(1), NeedResult, func() (*Artifact, error) { return runTiny(1) }); err != nil {
+	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
 }

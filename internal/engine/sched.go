@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"clustersim/internal/listsched"
+	"clustersim/internal/machine"
 )
 
 // schedVersion versions the schedule-summary schema. It is folded into
@@ -56,6 +57,41 @@ func (k SchedKey) String() string {
 		s += "|repl=true"
 	}
 	return s
+}
+
+// harvestCanon derives the harvest cache key from the simulation key.
+func harvestCanon(key SimKey) string { return key.String() + "|harvest" }
+
+// HarvestCtx returns the schedule harvest of key's run, the input a
+// Schedules compute replays. On a miss the harvest job simulates with
+// run, copies the list scheduler's Input out of the live machine, and
+// recycles it; the run's artifact is cached under key's sim entry as a
+// Sim miss would cache it. A harvest hit is counted as a sim hit — it
+// serves the run without simulating. Harvests live in memory only and
+// are dropped, like every entry, under pressure; the next request
+// re-simulates. ctx behaves as in SimCtx.
+func (e *Engine) HarvestCtx(ctx context.Context, key SimKey, run Run) (*Harvest, error) {
+	canon := harvestCanon(key)
+	cached := func(ent *entry) (any, bool) { return ent.harvest, ent.harvest != nil }
+	v, err := e.doOnce(ctx, canon, e.cSimHit, cached, func() (any, error) {
+		h := &Harvest{}
+		a, err := e.simulate(ctx, key, run, func(m *machine.Machine) error {
+			h.In = listsched.FromMachineRun(m)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		h.Exact = a.Exact
+		e.mu.Lock()
+		e.mem.putHarvest(canon, h)
+		e.mu.Unlock()
+		return h, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*Harvest), nil
 }
 
 // Schedules returns the schedule summaries for keys, positionally

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"clustersim/internal/listsched"
+	"clustersim/internal/machine"
 )
 
 func testSchedKey(pri string, clusters int) SchedKey {
@@ -11,6 +14,39 @@ func testSchedKey(pri string, clusters int) SchedKey {
 		Harvest: SimKey{Bench: "vpr", Insts: 1000, Seed: 1, Fwd: 2, Clusters: 1, Stack: "dep"},
 		Config:  listsched.Config{Clusters: clusters, Width: 1, Int: 1, FP: 1, Mem: 1, Fwd: 2},
 		Pri:     pri,
+	}
+}
+
+// TestHarvestSharesItsRun: a harvest miss simulates once, copies the
+// scheduler input out of the live machine, and caches the run's result
+// under its sim key; later harvests and Sims of the key hit.
+func TestHarvestSharesItsRun(t *testing.T) {
+	e := New(Config{Workers: 2})
+	var runs atomic.Int64
+	run := func() (*machine.Machine, Artifact, error) { runs.Add(1); return runTiny(1) }
+	h1, err := e.HarvestCtx(nil, testSimKey(1), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := runTiny(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := listsched.FromMachineRun(m); !reflect.DeepEqual(h1.In, want) {
+		t.Error("harvest input differs from a fresh run's")
+	}
+	h2, err := e.HarvestCtx(nil, testSimKey(1), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2 != h1 {
+		t.Error("second harvest is not the cached one")
+	}
+	if _, err := e.Sim(testSimKey(1), run); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Summary(); runs.Load() != 1 || s.SimMisses != 1 || s.SimHits != 2 {
+		t.Errorf("runs/sim misses/hits = %d/%d/%d, want 1/1/2", runs.Load(), s.SimMisses, s.SimHits)
 	}
 }
 

@@ -189,7 +189,7 @@ func (e *Engine) RenderSummary(w io.Writer) {
 		s.TraceJobs, float64(s.TraceWallNs)/1e9,
 		s.AnaJobs, float64(s.AnaWallNs)/1e9,
 		s.SchedJobs, float64(s.SchedWallNs)/1e9)
-	fmt.Fprintf(w, "cache: %d entries, %.1f MiB resident, %d evictions/demotions\n",
+	fmt.Fprintf(w, "cache: %d entries, %.1f MiB resident, %d evictions\n",
 		s.CacheEntries, float64(s.CacheBytes)/(1<<20), s.Evictions)
 	if s.DiskErr != nil {
 		fmt.Fprintf(w, "disk cache disabled: %v\n", s.DiskErr)

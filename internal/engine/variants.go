@@ -14,7 +14,8 @@ import (
 // call over the batch's shared trace, which is why the misses are
 // batched instead of resolved one key at a time: the fused run decodes
 // the trace, builds the producer index, and trains the shared front-end
-// exactly once for every variant in the sweep.
+// exactly once for every variant in the sweep. compute owns the machines
+// it runs and recycles them before returning.
 //
 // Each returned artifact is cached and journaled under its own SimKey,
 // so later solo Sim submissions of any variant hit without recomputing,
@@ -24,43 +25,50 @@ import (
 // per (bench, seed) sweep, so concurrent duplicate variants can only
 // arise across drivers racing the same figure — the second computation
 // produces a byte-identical artifact (the purity contract) and simply
-// overwrites the first's entry. This mirrors Schedules.
-func (e *Engine) SimVariants(keys []SimKey, need Need, compute func(miss []int) ([]*Artifact, error)) ([]*Artifact, error) {
-	return e.SimVariantsCtx(nil, keys, need, compute)
+// overwrites the first's entry. Only overlapping computations
+// duplicate: the misses are rechecked under the lock just before
+// compute runs, so a batch stored meanwhile is served from memory.
+func (e *Engine) SimVariants(keys []SimKey, compute func(miss []int) ([]Artifact, error)) ([]Artifact, error) {
+	return e.SimVariantsCtx(nil, keys, compute)
 }
 
 // SimVariantsCtx is SimVariants with a per-submission context: once ctx
 // is cancelled the batch's misses fail fast without simulating, while
 // other submissions of the same engine are untouched. A nil ctx means no
 // per-submission cancellation (the engine-wide SetContext still applies).
-func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, need Need, compute func(miss []int) ([]*Artifact, error)) ([]*Artifact, error) {
-	out := make([]*Artifact, len(keys))
+func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, compute func(miss []int) ([]Artifact, error)) ([]Artifact, error) {
+	out := make([]Artifact, len(keys))
 	var miss []int
 	for i, key := range keys {
-		if need&NeedExact != 0 && !key.TrackExact {
-			return nil, fmt.Errorf("engine: %s requested for key without TrackExact (%s)", need, key)
-		}
 		canon := key.String()
 		e.mu.Lock()
-		if ent := e.mem.get(canon); ent != nil && ent.art.satisfies(need) {
-			fromJournal := ent.journal
-			out[i] = ent.art
-			e.mu.Unlock()
-			e.cSimHit.Inc()
-			if fromJournal {
-				e.cResumeHit.Inc()
-			}
+		hit := e.memSim(key, canon, &out[i])
+		e.mu.Unlock()
+		if hit {
 			continue
 		}
-		e.mu.Unlock()
-
-		if a := e.diskSim(key, canon, need); a != nil {
+		if a, ok := e.diskSim(key, canon); ok {
 			out[i] = a
 			continue
 		}
 		miss = append(miss, i)
 	}
 	if len(miss) == 0 {
+		return out, nil
+	}
+	// Recheck the misses under one lock hold, as Schedules does.
+	if e.beforeLookup != nil {
+		e.beforeLookup(keys[miss[0]].String())
+	}
+	e.mu.Lock()
+	still := miss[:0]
+	for _, i := range miss {
+		if !e.memSim(keys[i], keys[i].String(), &out[i]) {
+			still = append(still, i)
+		}
+	}
+	e.mu.Unlock()
+	if miss = still; len(miss) == 0 {
 		return out, nil
 	}
 	if err := e.checkCtx(ctx); err != nil {
@@ -78,12 +86,26 @@ func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, need Need, c
 			len(computed), len(miss))
 	}
 	for j, i := range miss {
-		a := computed[j]
-		if a == nil || !a.satisfies(need) {
-			return nil, fmt.Errorf("engine: variant compute artifact %d cannot serve %s", j, need)
+		if err := e.storeSim(keys[i], computed[j]); err != nil {
+			return nil, err
 		}
-		e.storeSim(keys[i], keys[i].String(), a)
-		out[i] = a
+		out[i] = computed[j]
 	}
 	return out, nil
+}
+
+// memSim serves one simulation key from the memory cache into out
+// through the entry check SimCtx uses, counting the hit; e.mu must be
+// held.
+func (e *Engine) memSim(key SimKey, canon string, out *Artifact) bool {
+	ent := e.mem.get(canon)
+	if ent == nil || !ent.art.complete(key) {
+		return false
+	}
+	*out = *ent.art
+	e.cSimHit.Inc()
+	if ent.journal {
+		e.cResumeHit.Inc()
+	}
+	return true
 }

@@ -19,11 +19,11 @@ func TestStallSweepHonoursEpochLen(t *testing.T) {
 	}.withDefaults()
 	want := make([]float64, len(opts.Benchmarks))
 	for i, bench := range opts.Benchmarks {
-		s, err := sim(opts, bench, 8, StackStall, false, engine.NeedResult)
+		s, err := sim(opts, bench, 8, StackStall, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := sim(opts, bench, 1, StackLoC, false, engine.NeedResult)
+		l, err := sim(opts, bench, 1, StackLoC, false)
 		if err != nil {
 			t.Fatal(err)
 		}

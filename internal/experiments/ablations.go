@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"clustersim/internal/engine"
 	"clustersim/internal/machine"
 	"clustersim/internal/predictor"
 	"clustersim/internal/stats"
@@ -133,7 +132,7 @@ func ablationSweep(opts Options, stack Stack, abs []Ablation) ([][]float64, erro
 		for _, ab := range abs {
 			vs = append(vs, simVariant{clusters: 8, stack: stack, ab: ab})
 		}
-		arts, err := simVariants(opts, bench, vs, false, engine.NeedResult)
+		arts, err := simVariants(opts, bench, vs, false)
 		if err != nil {
 			return nil, err
 		}

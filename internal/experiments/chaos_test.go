@@ -147,7 +147,7 @@ func TestChaosSurvivesFullFaultRate(t *testing.T) {
 		opts := chaosOpts(eng)
 		ipcs := make([]float64, len(grid))
 		for i, g := range grid {
-			a, err := sim(opts, g.bench, g.clusters, StackFocused, false, engine.NeedResult)
+			a, err := sim(opts, g.bench, g.clusters, StackFocused, false)
 			if err != nil {
 				t.Fatalf("sim %s x%d: %v", g.bench, g.clusters, err)
 			}
@@ -193,7 +193,7 @@ func TestChaosVariantBatch(t *testing.T) {
 		opts := chaosOpts(eng)
 		var ipcs []float64
 		for _, bench := range opts.Benchmarks {
-			arts, err := simVariants(opts, bench, stackVariants(StackFocused, grid...), false, engine.NeedResult)
+			arts, err := simVariants(opts, bench, stackVariants(StackFocused, grid...), false)
 			if err != nil {
 				t.Fatalf("simVariants %s: %v", bench, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/engine"
 	"clustersim/internal/isa"
 )
 
@@ -40,7 +39,7 @@ func Characterize(opts Options) (*CharacterizeResult, error) {
 		if err != nil {
 			return row, err
 		}
-		a, err := sim(opts, bench, 1, StackDepBased, false, engine.NeedResult)
+		a, err := sim(opts, bench, 1, StackDepBased, false)
 		if err != nil {
 			return row, err
 		}

@@ -176,6 +176,58 @@ func TestSharedEngineCacheHits(t *testing.T) {
 	t.Logf("shared engine: %d sim hits, %d misses, hit rate %.2f", s.SimHits, s.SimMisses, s.HitRate())
 }
 
+// TestMemoryPressureDifferential renders the drivers that read cached
+// analyses, schedule harvests and exact trackers on two engines: one
+// whose memory budget (1 MiB) is far below the run's working set, and
+// one without a budget. Under pressure, values drop out of the cache and
+// are recomputed on their next request — a dropped harvest re-simulates
+// its run — and none of that may change a byte.
+func TestMemoryPressureDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders six drivers on two engines")
+	}
+	drivers := []struct {
+		name string
+		run  func(Options) (renderer, error)
+	}{
+		{"fig2", func(o Options) (renderer, error) { return Figure2(o) }},
+		{"fig5", func(o Options) (renderer, error) { return Figure5(o) }},
+		{"fig14", func(o Options) (renderer, error) { return Figure14(o) }},
+		{"loc-oracle", func(o Options) (renderer, error) { return LoCOracle(o) }},
+		{"replication", func(o Options) (renderer, error) { return Replication(o) }},
+		{"consumers", func(o Options) (renderer, error) { return Consumers(o) }},
+	}
+	render := func(maxBytes int64) (string, engine.Summary) {
+		eng := engine.New(engine.Config{Workers: 2, MaxCacheBytes: maxBytes})
+		var buf bytes.Buffer
+		for _, d := range drivers {
+			r, err := d.run(determinismOpts(eng))
+			if err != nil {
+				t.Fatalf("%s (budget %d): %v", d.name, maxBytes, err)
+			}
+			r.Render(&buf)
+		}
+		return buf.String(), eng.Summary()
+	}
+	tiny, ts := render(1 << 20)
+	unlimited, us := render(-1)
+	if tiny != unlimited {
+		t.Errorf("output differs under memory pressure:\n--- 1 MiB\n%s\n--- unlimited\n%s", tiny, unlimited)
+	}
+	if ts.Evictions == 0 {
+		t.Error("the 1 MiB engine evicted nothing: the test exerts no pressure")
+	}
+	if ts.SimMisses <= us.SimMisses {
+		t.Errorf("the 1 MiB engine simulated %d times, the unlimited one %d: no dropped value was recomputed",
+			ts.SimMisses, us.SimMisses)
+	}
+	if us.Evictions != 0 {
+		t.Errorf("the unlimited engine evicted %d entries", us.Evictions)
+	}
+	t.Logf("1 MiB: %d evictions, %d sim misses; unlimited: %d sim misses",
+		ts.Evictions, ts.SimMisses, us.SimMisses)
+}
+
 // TestParBenchPanicSurfaces is the regression test for the old parBench
 // implementation, whose unbuffered dispatch channel deadlocked every
 // sibling worker when a job panicked. A panic must come back as an

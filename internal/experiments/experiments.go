@@ -178,20 +178,10 @@ func simKey(opts Options, bench string, clusters int, stack Stack, trackExact bo
 }
 
 // sim submits one (benchmark, clusters, stack) simulation job to the
-// engine. need declares which artifacts the caller reads — NeedResult
-// alone lets disk-cached summaries satisfy the job without simulating.
-// Identical jobs submitted by different figures simulate once.
-func sim(opts Options, bench string, clusters int, stack Stack, trackExact bool, need engine.Need) (*engine.Artifact, error) {
-	return opts.engine().SimCtx(opts.Ctx, simKey(opts, bench, clusters, stack, trackExact), need, func() (*engine.Artifact, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		// Result-only jobs recycle their machine into the pool the moment
-		// the run finishes; only callers that will actually read events
-		// keep the machine alive in the artifact.
-		return simulate(opts, bench, tr, clusters, stack, trackExact, need&engine.NeedMachine != 0)
-	})
+// engine. Identical jobs submitted by different figures simulate once.
+func sim(opts Options, bench string, clusters int, stack Stack, trackExact bool) (engine.Artifact, error) {
+	return opts.engine().SimCtx(opts.Ctx, simKey(opts, bench, clusters, stack, trackExact),
+		simulate(opts, bench, clusters, stack, trackExact))
 }
 
 // analysis submits one (benchmark, clusters, stack) run to the engine and
@@ -201,13 +191,8 @@ func sim(opts Options, bench string, clusters int, stack Stack, trackExact bool,
 // 16-scenario replay and the slack relaxation each happen once per run —
 // in any process with a warm disk cache, zero times.
 func analysis(opts Options, bench string, clusters int, stack Stack) (engine.CritSummary, error) {
-	return opts.engine().AnalysisCtx(opts.Ctx, simKey(opts, bench, clusters, stack, false), func() (*engine.Artifact, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		return simulate(opts, bench, tr, clusters, stack, false, true)
-	})
+	return opts.engine().AnalysisCtx(opts.Ctx, simKey(opts, bench, clusters, stack, false),
+		simulate(opts, bench, clusters, stack, false))
 }
 
 // stackSetup is the fully-built machine recipe for one (benchmark,
@@ -302,38 +287,32 @@ func buildStack(opts Options, bench string, clusters int, stack Stack, ab Ablati
 	return su, nil
 }
 
-// artifactFor wraps one finished run, recycling the machine into the
-// pool when the caller never reads per-instruction events.
-func artifactFor(m *machine.Machine, res machine.Result, exact *predictor.Exact, keepMachine bool) *engine.Artifact {
-	if !keepMachine {
-		machine.Recycle(m)
-		return engine.NewResultArtifact(res, exact)
-	}
-	return engine.NewArtifact(m, res, exact)
-}
-
-// simulate builds and runs one machine under the given policy stack,
+// simulate is the engine job body for one (benchmark, clusters, stack)
+// simulation: it builds and runs the machine under the policy stack,
 // with the online criticality detector training the appropriate
-// predictors. trackExact additionally records unlimited-precision
-// criticality frequencies. This is the engine job body; everything it
-// does is determined by (opts, bench, clusters, stack, trackExact).
-// keepMachine controls the machine's lifetime: callers that never read
-// per-instruction events let the run return a result-only artifact and
-// recycle the machine (with its megabytes of event log) into the pool.
-func simulate(opts Options, bench string, tr *trace.Trace, clusters int, stack Stack, trackExact, keepMachine bool) (*engine.Artifact, error) {
-	su, err := buildStack(opts, bench, clusters, stack, Ablation{}, trackExact)
-	if err != nil {
-		return nil, err
+// predictors, and hands the engine the live machine. trackExact
+// additionally records unlimited-precision criticality frequencies.
+// Everything the job does is determined by (opts, bench, clusters,
+// stack, trackExact).
+func simulate(opts Options, bench string, clusters int, stack Stack, trackExact bool) engine.Run {
+	return func() (*machine.Machine, engine.Artifact, error) {
+		tr, err := genTrace(opts, bench)
+		if err != nil {
+			return nil, engine.Artifact{}, err
+		}
+		su, err := buildStack(opts, bench, clusters, stack, Ablation{}, trackExact)
+		if err != nil {
+			return nil, engine.Artifact{}, err
+		}
+		m, err := machine.NewPooled(su.cfg, tr, su.pol, su.hooks)
+		if err != nil {
+			return nil, engine.Artifact{}, err
+		}
+		if su.bind != nil {
+			su.bind(m)
+		}
+		return m, engine.Artifact{Res: m.Run(), Exact: su.exact}, nil
 	}
-	m, err := machine.NewPooled(su.cfg, tr, su.pol, su.hooks)
-	if err != nil {
-		return nil, err
-	}
-	if su.bind != nil {
-		su.bind(m)
-	}
-	res := m.Run()
-	return artifactFor(m, res, su.exact, keepMachine), nil
 }
 
 // simVariant is one simulation of a benchmark's sweep: a cluster count,
@@ -359,7 +338,7 @@ func stackVariants(stack Stack, clusters ...int) []simVariant {
 // machine.SimulateVariants call that decodes the trace, builds the
 // producer index and trains the shared front-end once for the whole
 // sweep. The returned artifacts align with vs.
-func simVariants(opts Options, bench string, vs []simVariant, trackExact bool, need engine.Need) ([]*engine.Artifact, error) {
+func simVariants(opts Options, bench string, vs []simVariant, trackExact bool) ([]engine.Artifact, error) {
 	// Canonical ablations only: a perturbation that reproduces its stack
 	// builds, and keys, as the stack itself.
 	vs = slices.Clone(vs)
@@ -369,7 +348,7 @@ func simVariants(opts Options, bench string, vs []simVariant, trackExact bool, n
 		keys[i] = simKey(opts, bench, vs[i].clusters, vs[i].stack, trackExact)
 		keys[i].Variant = vs[i].ab.String()
 	}
-	return opts.engine().SimVariantsCtx(opts.Ctx, keys, need, func(miss []int) ([]*engine.Artifact, error) {
+	return opts.engine().SimVariantsCtx(opts.Ctx, keys, func(miss []int) ([]engine.Artifact, error) {
 		tr, err := genTrace(opts, bench)
 		if err != nil {
 			return nil, err
@@ -387,28 +366,27 @@ func simVariants(opts Options, bench string, vs []simVariant, trackExact bool, n
 		}
 		// Fan the per-variant replays out over the engine's per-job
 		// worker share (results are order-stitched and byte-identical
-		// under any fan-out), and skip event-log materialization when
-		// the caller keeps only Results — the NewResultArtifact case.
+		// under any fan-out), and skip event-log materialization: an
+		// artifact is a Result (plus the exact tracker, which rides on a
+		// detector and so keeps its variant elide-ineligible inside the
+		// machine layer).
 		eng := opts.engine()
 		workers := opts.ReplayWorkers
 		if workers <= 0 {
 			workers = eng.ReplayWorkers()
 		}
-		keepMachine := need&engine.NeedMachine != 0
-		// ResultOnly is safe even when NeedExact is set: exact tracking
-		// rides on a detector (Setup != nil), which makes those variants
-		// elide-ineligible per-variant inside the machine layer.
 		outs, stats, err := machine.SimulateVariantsOpts(tr, variants, machine.VariantsOptions{
 			Workers:    workers,
-			ResultOnly: !keepMachine,
+			ResultOnly: true,
 		})
 		if err != nil {
 			return nil, err
 		}
 		eng.NoteReplay(stats)
-		arts := make([]*engine.Artifact, len(miss))
+		arts := make([]engine.Artifact, len(miss))
 		for j := range outs {
-			arts[j] = artifactFor(outs[j].M, outs[j].Res, setups[j].exact, keepMachine)
+			machine.Recycle(outs[j].M)
+			arts[j] = engine.Artifact{Res: outs[j].Res, Exact: setups[j].exact}
 		}
 		return arts, nil
 	})

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"clustersim/internal/engine"
 )
 
 // Small but non-trivial scale: big enough for the predictors to train and
@@ -329,7 +327,7 @@ func TestUnknownBenchmarkPropagates(t *testing.T) {
 	if _, err := Figure4(opts); err == nil {
 		t.Error("Figure4 accepted unknown benchmark")
 	}
-	if _, err := sim(opts.withDefaults(), "vpr", 4, Stack("bogus"), false, engine.NeedResult); err == nil {
+	if _, err := sim(opts.withDefaults(), "vpr", 4, Stack("bogus"), false); err == nil {
 		t.Error("sim accepted unknown stack")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"clustersim/internal/critpath"
-	"clustersim/internal/engine"
 	"clustersim/internal/stats"
 )
 
@@ -115,11 +114,11 @@ func Consumers(opts Options) (*ConsumersResult, error) {
 		}
 		// Figure 8's run: a warm disk cache serves its persisted exact
 		// tracker without simulating.
-		out, err := sim(opts, bench, 4, StackFocused, true, engine.NeedExact)
+		out, err := sim(opts, bench, 4, StackFocused, true)
 		if err != nil {
 			return [3]float64{}, err
 		}
-		s := critpath.AnalyzeConsumers(tr, out.Exact())
+		s := critpath.AnalyzeConsumers(tr, out.Exact)
 		return [3]float64{s.MCCNotFirstFrac(), s.StaticallyUniqueFrac, s.BimodalFrac}, nil
 	})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/engine"
 	"clustersim/internal/stats"
 )
 
@@ -88,8 +87,7 @@ func Figure4(opts Options) (*Figure4Result, error) {
 		// batch: one trace decode, one producer index, one shared
 		// front-end profile — cached misses only, under the same SimKeys
 		// solo submissions use.
-		arts, err := simVariants(opts, bench, stackVariants(StackFocused, append([]int{1}, clusterCounts...)...),
-			false, engine.NeedResult)
+		arts, err := simVariants(opts, bench, stackVariants(StackFocused, append([]int{1}, clusterCounts...)...), false)
 		if err != nil {
 			return nil, err
 		}
@@ -170,14 +168,15 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		var bo benchOut
 		var monoCPI float64
 		for _, k := range configs {
-			// The analysis is requested first so its artifact (with the
-			// live machine) is what lands in the cache; the result lookup
-			// below then hits it without re-simulating.
+			// The analysis is requested first: its job stores the run's
+			// Result under the sim key, so the result lookup below hits.
+			// The other order would simulate twice — a Result alone
+			// cannot be analyzed.
 			a, err := analysis(opts, bench, k, StackFocused)
 			if err != nil {
 				return bo, err
 			}
-			out, err := sim(opts, bench, k, StackFocused, false, engine.NeedResult)
+			out, err := sim(opts, bench, k, StackFocused, false)
 			if err != nil {
 				return bo, err
 			}

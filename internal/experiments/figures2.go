@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"clustersim/internal/engine"
 	"clustersim/internal/machine"
 	"clustersim/internal/stats"
 )
@@ -27,11 +26,11 @@ func Figure8(opts Options) (*Figure8Result, error) {
 	opts = opts.withDefaults()
 	const bins = 20
 	hists, err := parBench(opts, func(bench string) ([]float64, error) {
-		out, err := sim(opts, bench, 4, StackFocused, true, engine.NeedExact)
+		out, err := sim(opts, bench, 4, StackFocused, true)
 		if err != nil {
 			return nil, err
 		}
-		return out.Exact().Histogram(bins), nil
+		return out.Exact.Histogram(bins), nil
 	})
 	if err != nil {
 		return nil, err
@@ -112,7 +111,7 @@ func Figure14(opts Options) (*Figure14Result, error) {
 	}
 	cells, err := parBench(opts, func(bench string) ([]cell, error) {
 		// Normalization baseline: monolithic with LoC-based scheduling.
-		base, err := sim(opts, bench, 1, StackLoC, false, engine.NeedResult)
+		base, err := sim(opts, bench, 1, StackLoC, false)
 		if err != nil {
 			return nil, err
 		}
@@ -120,11 +119,13 @@ func Figure14(opts Options) (*Figure14Result, error) {
 		var out []cell
 		for _, k := range clusterCounts {
 			for _, stack := range Stacks() {
+				// Analysis before sim, as in Figure 5: the analysis job
+				// caches the Result the sim lookup then hits.
 				a, err := analysis(opts, bench, k, stack)
 				if err != nil {
 					return nil, err
 				}
-				run, err := sim(opts, bench, k, stack, false, engine.NeedResult)
+				run, err := sim(opts, bench, k, stack, false)
 				if err != nil {
 					return nil, err
 				}
@@ -244,7 +245,7 @@ type Figure15Result struct {
 func Figure15(opts Options) (*Figure15Result, error) {
 	opts = opts.withDefaults()
 	results, err := parBench(opts, func(bench string) (machine.Result, error) {
-		out, err := sim(opts, bench, 8, StackProactive, false, engine.NeedResult)
+		out, err := sim(opts, bench, 8, StackProactive, false)
 		if err != nil {
 			return machine.Result{}, err
 		}

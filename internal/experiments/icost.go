@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"clustersim/internal/critpath"
-	"clustersim/internal/engine"
 	"clustersim/internal/stats"
 )
 
@@ -48,7 +47,7 @@ func ICost(opts Options) (*ICostResult, error) {
 		if err != nil {
 			return out{}, err
 		}
-		run, err := sim(opts, bench, 8, StackFocused, false, engine.NeedResult)
+		run, err := sim(opts, bench, 8, StackFocused, false)
 		if err != nil {
 			return out{}, err
 		}

@@ -28,19 +28,19 @@ func (sp schedSpec) config() listsched.Config {
 	return listsched.ConfigFor(mc)
 }
 
-// schedPriority resolves a spec's named priority against the harvest
-// artifact: the oracle comes from the scheduler input itself, the LoC
-// and binary priorities from the run's exact criticality tracker.
-func schedPriority(name string, oracle *listsched.Oracle, a *engine.Artifact) (listsched.Priority, error) {
+// schedPriority resolves a spec's named priority against the harvest:
+// the oracle comes from the scheduler input itself, the LoC and binary
+// priorities from the run's exact criticality tracker.
+func schedPriority(name string, oracle *listsched.Oracle, h *engine.Harvest) (listsched.Priority, error) {
 	switch name {
 	case PriOracle:
 		return oracle, nil
 	case PriLoC16:
-		return listsched.NewLoCPriority(a.Exact(), 16)
+		return listsched.NewLoCPriority(h.Exact, 16)
 	case PriLoCUnlimited:
-		return listsched.NewLoCPriority(a.Exact(), 0)
+		return listsched.NewLoCPriority(h.Exact, 0)
 	case PriBinary:
-		return listsched.NewBinaryPriority(a.Exact(), 0)
+		return listsched.NewBinaryPriority(h.Exact, 0)
 	}
 	return nil, fmt.Errorf("experiments: unknown schedule priority %q", name)
 }
@@ -48,11 +48,13 @@ func schedPriority(name string, oracle *listsched.Oracle, a *engine.Artifact) (l
 // idealSchedules returns summaries for the given schedule variants of
 // one harvest run, positionally aligned with specs, via the engine's
 // content-addressed schedule cache. On a warm cache nothing simulates
-// and nothing is rescheduled; on misses the harvest runs once
-// (requesting the exact tracker only when a missing priority needs it)
-// and every missing plain variant replays through a single pooled fused
-// ScheduleVariants call over the shared dependence structure; missing
-// replicated variants run the replicating scheduler on the same input.
+// and nothing is rescheduled; on misses the engine's harvest of the run
+// (simulated at most once while it stays cached) feeds a single pooled
+// fused ScheduleVariants call over the shared dependence structure for
+// every missing plain variant; missing replicated variants run the
+// replicating scheduler on the same input. The LoC and binary
+// priorities need the run's exact tracker, so their callers pass
+// trackExact.
 func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, specs []schedSpec) ([]engine.SchedSummary, error) {
 	hk := simKey(opts, bench, 1, stack, trackExact)
 	keys := make([]engine.SchedKey, len(specs))
@@ -60,17 +62,11 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		keys[i] = engine.SchedKey{Harvest: hk, Config: sp.config(), Pri: sp.pri, Replicate: sp.replicate}
 	}
 	return opts.engine().SchedulesCtx(opts.Ctx, keys, func(miss []int) ([]engine.SchedSummary, error) {
-		need := engine.NeedMachine
-		for _, i := range miss {
-			if specs[i].pri != PriOracle {
-				need |= engine.NeedExact
-			}
-		}
-		a, err := sim(opts, bench, 1, stack, trackExact, need)
+		h, err := opts.engine().HarvestCtx(opts.Ctx, hk, simulate(opts, bench, 1, stack, trackExact))
 		if err != nil {
 			return nil, err
 		}
-		in := listsched.FromMachineRun(a.Machine())
+		in := h.In
 		oracle := listsched.NewOracle(in)
 		summarize := func(s *listsched.Schedule) engine.SchedSummary {
 			return engine.SchedSummary{
@@ -84,7 +80,7 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		var variants []listsched.Variant
 		var plain []int // out positions of the fused variants
 		for j, i := range miss {
-			pri, err := schedPriority(specs[i].pri, oracle, a)
+			pri, err := schedPriority(specs[i].pri, oracle, h)
 			if err != nil {
 				return nil, err
 			}

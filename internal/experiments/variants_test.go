@@ -75,7 +75,7 @@ func TestVariantBatchPartialWarm(t *testing.T) {
 	solo := mkOpts()
 	var want []machine.Result
 	for _, k := range grid {
-		a, err := sim(solo, "gzip", k, StackFocused, false, engine.NeedResult)
+		a, err := sim(solo, "gzip", k, StackFocused, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestVariantBatchPartialWarm(t *testing.T) {
 
 	// Warm one cell solo, then batch the full grid on the same engine.
 	opts := mkOpts()
-	if _, err := sim(opts, "gzip", grid[2], StackFocused, false, engine.NeedResult); err != nil {
+	if _, err := sim(opts, "gzip", grid[2], StackFocused, false); err != nil {
 		t.Fatal(err)
 	}
 	missesBefore := opts.Engine.Summary().SimMisses
-	arts, err := simVariants(opts, "gzip", stackVariants(StackFocused, grid...), false, engine.NeedResult)
+	arts, err := simVariants(opts, "gzip", stackVariants(StackFocused, grid...), false)
 	if err != nil {
 		t.Fatal(err)
 	}
