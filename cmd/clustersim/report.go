@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"clustersim/internal/durable"
 	"clustersim/internal/experiments"
 )
 
@@ -40,26 +42,26 @@ var allExperiments = []struct {
 	{"future-work", "Future work — readiness-aware balancing"},
 }
 
-// writeReport runs every experiment and writes one markdown document.
+// writeReport runs every experiment and writes one markdown document,
+// replacing path atomically so a crash never leaves a torn report.
 func writeReport(path string, opts experiments.Options) error {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "# clustersim results report\n\n")
-	fmt.Fprintf(&buf, "Reproduction of Salverda & Zilles, MICRO 2005. ")
-	fmt.Fprintf(&buf, "Parameters: %d instructions/benchmark, seed %d, %d-cycle forwarding.\n",
-		opts.Insts, opts.Seed, opts.Fwd)
-	for _, exp := range allExperiments {
-		fmt.Fprintf(&buf, "\n## %s\n\n```\n", exp.title)
-		start := time.Now()
-		// run prints to stdout; capture via a pipe-free redirect by
-		// temporarily swapping the writer used in run().
-		out, err := captureRun(exp.name, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", exp.name, err)
+	return durable.WriteFileAtomic(path, func(w io.Writer) error {
+		fmt.Fprintf(w, "# clustersim results report\n\n")
+		fmt.Fprintf(w, "Reproduction of Salverda & Zilles, MICRO 2005. ")
+		fmt.Fprintf(w, "Parameters: %d instructions/benchmark, seed %d, %d-cycle forwarding.\n",
+			opts.Insts, opts.Seed, opts.Fwd)
+		for _, exp := range allExperiments {
+			fmt.Fprintf(w, "\n## %s\n\n```\n", exp.title)
+			start := time.Now()
+			out, err := captureRun(exp.name, opts)
+			if err != nil {
+				return fmt.Errorf("%s: %w", exp.name, err)
+			}
+			io.WriteString(w, out)
+			fmt.Fprintf(w, "```\n\n_%s took %.1fs._\n", exp.name, time.Since(start).Seconds())
 		}
-		buf.WriteString(out)
-		fmt.Fprintf(&buf, "```\n\n_%s took %.1fs._\n", exp.name, time.Since(start).Seconds())
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+		return nil // a failed write surfaces when the report is flushed
+	})
 }
 
 // captureRun runs one experiment and returns its rendered output.

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clustersim/internal/durable"
 	"clustersim/internal/faultinject"
 	"clustersim/internal/machine"
 	"clustersim/internal/metrics"
@@ -114,7 +115,7 @@ type Engine struct {
 
 	disk    *diskCache
 	diskErr error
-	journal *journal
+	journal *durable.Log
 
 	cTraceHit, cTraceMiss                *metrics.Counter
 	cSimHit, cSimDiskHit, cSimMiss       *metrics.Counter

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"clustersim/internal/durable"
 	"clustersim/internal/machine"
 	"clustersim/internal/metrics"
 	"clustersim/internal/predictor"
@@ -52,7 +53,7 @@ func seedEntries(tb testing.TB) (traceBytes, resultBytes, anaBytes, schedBytes [
 func addSeedVariants(f *testing.F, data []byte) {
 	f.Add(data)
 	f.Add(data[:len(data)/2])
-	f.Add(data[:frameHdrLen-1])
+	f.Add(data[:durable.FrameHeaderLen-1])
 	flipped := append([]byte{}, data...)
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
@@ -79,7 +80,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := decodeFrame(data, maxJSONPayload)
-		if err == nil && len(data) != frameHdrLen+len(payload) {
+		if err == nil && len(data) != durable.FrameHeaderLen+len(payload) {
 			t.Fatalf("frame accepted with wrong geometry: %d bytes, %d payload", len(data), len(payload))
 		}
 	})
@@ -182,7 +183,7 @@ func FuzzJournalReplay(f *testing.F) {
 	rec, _ := json.Marshal(journalRecord{
 		Kind: recResult, Key: testSimKey(1).String(), Result: &machine.Result{Insts: 300},
 	})
-	stream := append(encodeFrame(rec), encodeFrame(rec)...)
+	stream := append(durable.EncodeFrame(rec), durable.EncodeFrame(rec)...)
 	addSeedVariants(f, stream)
 	f.Add(resultBytes)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"clustersim/internal/faultinject"
 	"clustersim/internal/machine"
 	"clustersim/internal/predictor"
 )
@@ -164,6 +165,87 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalTornAppendKeepsLaterRecords: an append torn by a short
+// write is rolled back, so it never hides the records appended after it.
+// Every append that counted no disk error must restore on resume.
+func TestJournalTornAppendKeepsLaterRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	e1 := New(Config{})
+	if _, err := e1.OpenJournal(path, false); err != nil {
+		t.Fatal(err)
+	}
+	result := func(seed uint64) machine.Result { return machine.Result{Insts: int64(seed), Cycles: 7 * int64(seed)} }
+	faultinject.Enable(5, 0.4)
+	var kept []uint64
+	for seed := uint64(1); seed <= 40; seed++ {
+		before := e1.Summary().DiskErrors
+		if _, err := e1.Sim(testSimKey(seed), func() (*machine.Machine, Artifact, error) {
+			return nil, Artifact{Res: result(seed)}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if e1.Summary().DiskErrors == before {
+			kept = append(kept, seed)
+		}
+	}
+	torn := faultinject.Snapshot().Truncates
+	faultinject.Disable()
+	if torn == 0 || len(kept) == 0 {
+		t.Fatalf("%d short writes injected, %d appends kept: the test proves nothing", torn, len(kept))
+	}
+	if err := e1.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := New(Config{})
+	if _, err := e2.OpenJournal(path, true); err != nil {
+		t.Fatal(err)
+	}
+	defer e2.CloseJournal()
+	for _, seed := range kept {
+		a, err := e2.Sim(testSimKey(seed), func() (*machine.Machine, Artifact, error) {
+			t.Errorf("seed %d: acknowledged journal record lost", seed)
+			return nil, Artifact{Res: result(seed)}, nil
+		})
+		if err != nil || a.Res != result(seed) {
+			t.Fatalf("seed %d: restored %+v, err %v", seed, a.Res, err)
+		}
+	}
+}
+
+// TestJournalReplaysCommittedFixture: the on-disk format is stable. The
+// fixture holds three result records written by an earlier build, the
+// last one torn; the first two must restore with their values.
+func TestJournalReplaysCommittedFixture(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "journal-torn.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{})
+	restored, err := e.OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.CloseJournal()
+	if restored != 2 {
+		t.Fatalf("restored %d records from the fixture, want 2", restored)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		want := machine.Result{ConfigName: "1x8w", Insts: 100 * seed, Cycles: 150 * seed}
+		a, err := e.Sim(testSimKey(uint64(seed)), func() (*machine.Machine, Artifact, error) {
+			t.Errorf("seed %d: fixture record not restored", seed)
+			return nil, Artifact{Res: want}, nil
+		})
+		if err != nil || a.Res != want {
+			t.Fatalf("seed %d: restored %+v, want %+v (err %v)", seed, a.Res, want, err)
+		}
+	}
+}
+
 // TestJournalGarbage: a journal full of garbage restores nothing and
 // does not break the run.
 func TestJournalGarbage(t *testing.T) {
@@ -222,19 +304,23 @@ func TestJournalDoubleOpenRejected(t *testing.T) {
 }
 
 // TestCloseJournalReportsSyncFailure: a journal whose final fsync fails
-// must say so even though its close succeeds. The journal is pointed at
-// a pipe, which closes cleanly but cannot be fsynced.
+// must say so even though its close succeeds. The journal is /dev/null,
+// which opens and closes cleanly but cannot be fsynced; resuming from it
+// reads nothing, so nothing truncates, renames or writes it.
 func TestCloseJournalReportsSyncFailure(t *testing.T) {
-	r, w, err := os.Pipe()
+	f, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
-		t.Fatal(err)
+		t.Skipf("no %s: %v", os.DevNull, err)
 	}
-	defer r.Close()
-	if err := w.Sync(); err == nil {
-		t.Skip("this platform can fsync a pipe")
+	syncErr := f.Sync()
+	f.Close()
+	if syncErr == nil {
+		t.Skipf("this platform can fsync %s", os.DevNull)
 	}
 	e := New(Config{})
-	e.journal = &journal{path: "pipe", f: w}
+	if _, err := e.OpenJournal(os.DevNull, true); err != nil {
+		t.Skipf("cannot attach a journal at %s: %v", os.DevNull, err)
+	}
 	if err := e.CloseJournal(); err == nil {
 		t.Fatal("CloseJournal hid the failed sync")
 	}

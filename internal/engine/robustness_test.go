@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"clustersim/internal/durable"
 	"clustersim/internal/faultinject"
 	"clustersim/internal/machine"
 	"clustersim/internal/trace"
@@ -41,7 +42,7 @@ func TestErrorTaxonomy(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)} {
-		framed := encodeFrame(payload)
+		framed := durable.EncodeFrame(payload)
 		got, err := decodeFrame(framed, 1<<20)
 		if err != nil {
 			t.Fatalf("decode of valid frame failed: %v", err)
@@ -53,15 +54,15 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsCorruption(t *testing.T) {
-	framed := encodeFrame([]byte("the payload"))
+	framed := durable.EncodeFrame([]byte("the payload"))
 	cases := map[string][]byte{
-		"truncated header": framed[:frameHdrLen-1],
+		"truncated header": framed[:durable.FrameHeaderLen-1],
 		"truncated body":   framed[:len(framed)-2],
 		"bad magic":        append([]byte{0xFF}, framed[1:]...),
 		"trailing bytes":   append(append([]byte{}, framed...), 1),
 	}
 	flipped := append([]byte{}, framed...)
-	flipped[frameHdrLen+3] ^= 0x40
+	flipped[durable.FrameHeaderLen+3] ^= 0x40
 	cases["bit flip"] = flipped
 	for name, data := range cases {
 		if _, err := decodeFrame(data, 1<<20); err == nil {
@@ -374,13 +375,13 @@ func TestDiskCorruptAnalysisAndSched(t *testing.T) {
 	// are untouched; now corrupt the real payloads behind fresh CRCs.
 	for _, canon := range []string{"k-ana"} {
 		path := d.analysisPath(canon)
-		os.WriteFile(path, encodeFrame([]byte("{not json")), 0o644)
+		os.WriteFile(path, durable.EncodeFrame([]byte("{not json")), 0o644)
 		if _, ok := d.loadAnalysis(canon); ok {
 			t.Fatal("undecodable analysis served")
 		}
 	}
 	path := d.schedPath("k-sched")
-	os.WriteFile(path, encodeFrame([]byte("][")), 0o644)
+	os.WriteFile(path, durable.EncodeFrame([]byte("][")), 0o644)
 	if _, ok := d.loadSched("k-sched"); ok {
 		t.Fatal("undecodable sched served")
 	}

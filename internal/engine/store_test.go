@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"clustersim/internal/durable"
 	"clustersim/internal/trace"
 	"clustersim/internal/trace/tracetest"
 	"clustersim/internal/workload"
@@ -161,7 +162,7 @@ func legacyTraceEntry(canon string, tr *trace.Trace) []byte {
 	buf.Write(hdr[:n])
 	buf.WriteString(canon)
 	buf.Write(tracetest.Encode(tr))
-	return encodeFrame(buf.Bytes())
+	return durable.EncodeFrame(buf.Bytes())
 }
 
 func TestLegacyTraceEntryQuarantinedAndRecomputed(t *testing.T) {

@@ -1,249 +1,134 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
-	"clustersim/internal/faultinject"
+	"clustersim/internal/engine"
 )
 
-// logPath returns a fresh job-log path in a test temp dir.
-func logPath(t *testing.T) string {
+// newLogServer builds a server on the job log at path without starting
+// its runners, so restored jobs stay exactly as replay left them.
+func newLogServer(t *testing.T, path string) *Server {
 	t.Helper()
-	return filepath.Join(t.TempDir(), "joblog")
-}
-
-// appendAll appends recs, failing the test on any error.
-func appendAll(t *testing.T, l *jobLog, recs ...jlRecord) {
-	t.Helper()
-	for _, rec := range recs {
-		if err := l.append(rec); err != nil {
-			t.Fatalf("append %+v: %v", rec, err)
-		}
-	}
-}
-
-// reopen closes l and reopens the log, returning the replayed records.
-func reopen(t *testing.T, l *jobLog, path string) (*jobLog, []jlRecord) {
-	t.Helper()
-	if err := l.close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	l2, recs, _, err := openJobLog(path)
+	s, err := New(Config{Engine: engine.New(engine.Config{Workers: runtime.NumCPU()}), JobLog: path})
 	if err != nil {
-		t.Fatalf("reopen: %v", err)
+		t.Fatal(err)
 	}
-	return l2, recs
+	return s
 }
 
-// TestJobLogRoundTrip: records written through append come back intact
-// and in order from a replay, including a finished record's artifacts.
+// wantJob checks one replayed job's state, error and artifact outputs.
+func wantJob(t *testing.T, s *Server, id string, state State, errMsg string, outputs ...string) *Job {
+	t.Helper()
+	j := s.jobs[id]
+	if j == nil {
+		t.Fatalf("%s not restored", id)
+	}
+	arts, st, msg := j.results()
+	var got []string
+	for _, a := range arts {
+		got = append(got, a.Output)
+	}
+	if st != state || msg != errMsg || strings.Join(got, "|") != strings.Join(outputs, "|") {
+		t.Fatalf("%s: state %s, error %q, outputs %q; want %s, %q, %q", id, st, msg, got, state, errMsg, outputs)
+	}
+	return j
+}
+
+// TestJobLogRoundTrip: records a server appends come back intact from a
+// successor's replay, including a finished record's artifacts and the
+// accepted record's tenant and idempotency key.
 func TestJobLogRoundTrip(t *testing.T) {
-	path := logPath(t)
-	l, recs, torn, err := openJobLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 || torn != 0 {
-		t.Fatalf("fresh log: %d records, %d torn bytes", len(recs), torn)
-	}
+	path := filepath.Join(t.TempDir(), "joblog")
+	a := newLogServer(t, path)
 	sp := Spec{Tenant: "alice", Experiments: []string{"fig2"}, Insts: 500}
-	appendAll(t, l,
-		jlRecord{Kind: jlAccepted, ID: "job-000001", Tenant: "alice", Spec: &sp, IdemKey: "k1", SubmittedAt: time.Unix(100, 0).UTC()},
-		jlRecord{Kind: jlStarted, ID: "job-000001"},
-		jlRecord{Kind: jlFinished, ID: "job-000001", State: StateDone,
+	for _, rec := range []jlRecord{
+		{Kind: jlAccepted, ID: "job-000001", Tenant: "alice", Spec: &sp, IdemKey: "k1", SubmittedAt: time.Unix(100, 0).UTC()},
+		{Kind: jlStarted, ID: "job-000001"},
+		{Kind: jlFinished, ID: "job-000001", State: StateDone,
 			Artifacts: []ResultArtifact{{Experiment: "fig2", Output: "table\n"}}},
-	)
-	l, recs = reopen(t, l, path)
-	defer l.close()
-	if len(recs) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(recs))
-	}
-	if recs[0].Kind != jlAccepted || recs[0].Spec == nil || recs[0].Spec.Tenant != "alice" || recs[0].IdemKey != "k1" {
-		t.Fatalf("accepted record mangled: %+v", recs[0])
-	}
-	if recs[2].Kind != jlFinished || recs[2].State != StateDone || len(recs[2].Artifacts) != 1 ||
-		recs[2].Artifacts[0].Output != "table\n" {
-		t.Fatalf("finished record mangled: %+v", recs[2])
-	}
-}
-
-// TestJobLogTornTail: trailing garbage — a crash mid-append — is
-// truncated on open; the valid prefix replays and appends continue from
-// the repaired boundary.
-func TestJobLogTornTail(t *testing.T) {
-	path := logPath(t)
-	l, _, _, err := openJobLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := Spec{Tenant: "a", Experiments: []string{"fig2"}}
-	appendAll(t, l,
-		jlRecord{Kind: jlAccepted, ID: "job-000001", Spec: &sp},
-		jlRecord{Kind: jlAccepted, ID: "job-000002", Spec: &sp},
-	)
-	if err := l.close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte("CSF1\x40\x00\x00\x00torn-frame-missing-most-of-its-payload"))
-	f.Close()
-
-	l, recs, torn, err := openJobLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if torn == 0 {
-		t.Fatal("open did not report the torn tail")
-	}
-	if len(recs) != 2 || recs[1].ID != "job-000002" {
-		t.Fatalf("valid prefix replayed %d records (%+v), want the 2 good ones", len(recs), recs)
-	}
-	// The tail is repaired: appends land cleanly after it.
-	appendAll(t, l, jlRecord{Kind: jlStarted, ID: "job-000002"})
-	l, recs = reopen(t, l, path)
-	defer l.close()
-	if len(recs) != 3 || recs[2].Kind != jlStarted {
-		t.Fatalf("post-repair append lost: %d records %+v", len(recs), recs)
-	}
-}
-
-// TestJobLogAppendFaults: under heavy write-path fault injection every
-// append either succeeds (after internal retries) or fails cleanly; the
-// on-disk file never ends up with a mid-file torn frame, so every
-// successfully-appended record replays.
-func TestJobLogAppendFaults(t *testing.T) {
-	path := logPath(t)
-	l, _, _, err := openJobLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Enable(77, 0.3)
-	defer faultinject.Disable()
-
-	sp := Spec{Tenant: "a", Experiments: []string{"fig2"}}
-	var ok []string
-	for i := 0; i < 60; i++ {
-		id := "job-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-		err := l.append(jlRecord{Kind: jlAccepted, ID: id, Spec: &sp})
-		if err == nil {
-			ok = append(ok, id)
-		} else if errors.Is(err, errJobLogBroken) {
-			t.Fatalf("append %d: log declared broken: %v", i, err)
+	} {
+		if err := a.logAppend(rec, true); err != nil {
+			t.Fatal(err)
 		}
 	}
-	faultinject.Disable()
-	if len(ok) == 0 {
-		t.Fatal("no append survived 30% fault injection (4 retries each) — suspicious")
-	}
+	a.Close()
 
-	l, recs, torn, err := openJobLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.close()
-	if torn != 0 {
-		t.Fatalf("replay found %d torn bytes; rollback should have repaired every failed append", torn)
-	}
-	if len(recs) != len(ok) {
-		t.Fatalf("replayed %d records, want the %d successful appends", len(recs), len(ok))
-	}
-	for i, id := range ok {
-		if recs[i].ID != id {
-			t.Fatalf("record %d: ID %s, want %s", i, recs[i].ID, id)
-		}
+	b := newLogServer(t, path)
+	defer b.Close()
+	j := wantJob(t, b, "job-000001", StateDone, "", "table\n")
+	if j.Spec.Tenant != "alice" || j.idemKey != "k1" || !j.submitted.Equal(time.Unix(100, 0)) {
+		t.Fatalf("accepted record mangled: tenant %q, key %q, submitted %v", j.Spec.Tenant, j.idemKey, j.submitted)
 	}
 }
 
-// TestJobLogConcurrentAppendFaults: appends arrive concurrently — the
-// submit handler writes accepted records while every runner goroutine
-// writes started/finished — with the write path faulting. The log's
-// internal lock must serialize write+rollback, or a failed append's
-// rollback truncates to a stale size and cuts off a record another
-// goroutine had already fsynced (and whose 202 the client already
-// holds). Every append that reported success must replay after reopen.
-func TestJobLogConcurrentAppendFaults(t *testing.T) {
-	path := logPath(t)
-	l, _, _, err := openJobLog(path)
+// TestJobLogReplaysCommittedFixture: the on-disk format is stable. The
+// fixture is a job log written by an earlier build: job-000001 done,
+// job-000002 accepted and started, job-000003 failed.
+func TestJobLogReplaysCommittedFixture(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "joblog-parent.csf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultinject.Enable(41, 0.3)
-	sp := Spec{Tenant: "a", Experiments: []string{"fig2"}}
-	const writers, perWriter = 8, 25
-	var mu sync.Mutex
-	ok := map[string]bool{}
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				id := fmt.Sprintf("job-%d-%d", w, i)
-				if l.append(jlRecord{Kind: jlAccepted, ID: id, Spec: &sp}) == nil {
-					mu.Lock()
-					ok[id] = true
-					mu.Unlock()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	faultinject.Disable()
-	if len(ok) == 0 {
-		t.Fatal("no append survived 30% fault injection — suspicious")
-	}
-
-	if err := l.close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	l, recs, torn, err := openJobLog(path)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "joblog")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer l.close()
-	if torn != 0 {
-		t.Fatalf("replay found %d torn bytes; serialized rollback should leave no mid-file damage", torn)
+	s := newLogServer(t, path)
+	defer s.Close()
+	j := wantJob(t, s, "job-000001", StateDone, "", "table\n")
+	if j.Spec.Tenant != "alice" || j.idemKey != "k1" || s.idemIndex[idxKey("alice", "k1")] != "job-000001" {
+		t.Fatalf("job-000001: tenant %q, key %q not restored", j.Spec.Tenant, j.idemKey)
 	}
-	if len(recs) != len(ok) {
-		t.Fatalf("replayed %d records, want the %d successful appends", len(recs), len(ok))
+	j = wantJob(t, s, "job-000002", StateQueued, "")
+	if j.Spec.Insts != 700 || j.Spec.Seed != 2 || j.Spec.Benchmarks[0] != "mcf" {
+		t.Fatalf("job-000002 spec mangled: %+v", j.Spec)
 	}
-	for _, rec := range recs {
-		if !ok[rec.ID] {
-			t.Fatalf("replayed %s, which never reported a successful append", rec.ID)
-		}
+	wantJob(t, s, "job-000003", StateFailed, "boom")
+	if r, q := s.cRestored.Load(), s.cRequeued.Load(); r != 2 || q != 1 {
+		t.Fatalf("restored/requeued = %d/%d, want 2/1", r, q)
 	}
 }
 
-// TestJobLogCompact: compaction rewrites the log to exactly the given
-// records and the handle keeps appending afterwards.
-func TestJobLogCompact(t *testing.T) {
-	path := logPath(t)
-	l, _, _, err := openJobLog(path)
+// TestCloseCountsJobLogError: Close reports a job log that fails to
+// close in server.joblog.error. A log closed twice fails the second
+// close, as a failed final fsync would.
+func TestCloseCountsJobLogError(t *testing.T) {
+	s := newLogServer(t, filepath.Join(t.TempDir(), "joblog"))
+	if err := s.jlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if n := s.cLogErr.Load(); n != 1 {
+		t.Fatalf("server.joblog.error = %d after a failed close, want 1", n)
+	}
+}
+
+// TestNewClosesJobLogWhenCompactionFails: a start that fails after the
+// log is open must not leak the log's file. The log's 250-byte name
+// leaves no room for its compaction temp's suffix, so compaction fails.
+func TestNewClosesJobLogWhenCompactionFails(t *testing.T) {
+	dir, err := filepath.EvalSymlinks(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Spec{Tenant: "a", Experiments: []string{"fig2"}}
-	for i := 0; i < 10; i++ {
-		appendAll(t, l, jlRecord{Kind: jlAccepted, ID: "job-old", Spec: &sp})
+	path := filepath.Join(dir, strings.Repeat("j", 250))
+	if _, err := New(Config{Engine: engine.New(engine.Config{}), JobLog: path}); err == nil {
+		t.Fatal("New succeeded although compaction cannot create its temp")
 	}
-	keep := []jlRecord{{Kind: jlAccepted, ID: "job-keep", Spec: &sp}}
-	if err := l.compact(keep); err != nil {
-		t.Fatal(err)
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
 	}
-	appendAll(t, l, jlRecord{Kind: jlStarted, ID: "job-keep"})
-	l, recs := reopen(t, l, path)
-	defer l.close()
-	if len(recs) != 2 || recs[0].ID != "job-keep" || recs[1].Kind != jlStarted {
-		t.Fatalf("after compact+append: %+v, want [accepted job-keep, started job-keep]", recs)
+	for _, fd := range fds {
+		if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); target == path {
+			t.Fatalf("descriptor %s still open on the job log", fd.Name())
+		}
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clustersim/internal/durable"
 	"clustersim/internal/engine"
 	"clustersim/internal/faultinject"
 	"clustersim/internal/metrics"
@@ -110,7 +111,7 @@ type Server struct {
 	jobs      map[string]*Job
 	finished  []string // finish order, for pruning
 	nextID    uint64
-	jlog      *jobLog           // nil without Config.JobLog
+	jlog      *durable.Log      // nil without Config.JobLog
 	idemIndex map[string]string // tenant\x00Idempotency-Key → job ID
 	recovered map[string]string // tenant\x00spec.Key() → incomplete recovered job ID
 
@@ -120,12 +121,12 @@ type Server struct {
 	sseActive atomic.Int64
 	drainCh   chan struct{} // closed when draining starts
 
-	cSubmitted, cCompleted, cFailed   *metrics.Counter
-	cCanceled, cRejected, cInvalid    *metrics.Counter
-	cStuckKilled, cLogErr             *metrics.Counter
-	cRestored, cRequeued              *metrics.Counter
-	cDrainPersisted, cDrainAborted    *metrics.Counter
-	tJob                              *metrics.Timer
+	cSubmitted, cCompleted, cFailed *metrics.Counter
+	cCanceled, cRejected, cInvalid  *metrics.Counter
+	cStuckKilled, cLogErr           *metrics.Counter
+	cRestored, cRequeued            *metrics.Counter
+	cDrainPersisted, cDrainAborted  *metrics.Counter
+	tJob                            *metrics.Timer
 }
 
 // New builds a Server from cfg. The returned server accepts submissions
@@ -211,14 +212,20 @@ func New(cfg Config) (*Server, error) {
 // finished jobs as retrievable results, re-enqueue incomplete ones, and
 // compact the log to the live state.
 func (s *Server) openLog(path string) error {
-	jl, recs, torn, err := openJobLog(path)
+	jl, payloads, torn, err := durable.Open(path, "joblog", maxJobLogPayload)
 	if err != nil {
-		return err
+		return fmt.Errorf("server: open job log: %w", err)
 	}
 	if torn > 0 {
 		fmt.Fprintf(os.Stderr, "server: job log %s: truncated %d-byte torn tail\n", path, torn)
 	}
-	s.jlog = jl
+	var recs []jlRecord
+	for _, payload := range payloads {
+		var rec jlRecord
+		if json.Unmarshal(payload, &rec) == nil && rec.ID != "" {
+			recs = append(recs, rec)
+		}
+	}
 	order, merged := mergeRecords(recs)
 	live := make([]jlRecord, 0, 2*len(order))
 	for _, id := range order {
@@ -274,9 +281,15 @@ func (s *Server) openLog(path string) error {
 		s.forgetLocked(s.finished[0])
 		s.finished = s.finished[1:]
 	}
-	if err := jl.compact(live); err != nil {
+	compacted := make([][]byte, len(live))
+	for i, rec := range live {
+		compacted[i], _ = json.Marshal(rec) // decoded from JSON, so it encodes
+	}
+	if err := jl.Compact(compacted); err != nil {
+		jl.Close() // the compaction error is the one to report
 		return fmt.Errorf("server: compact job log: %w", err)
 	}
+	s.jlog = jl
 	return nil
 }
 
@@ -330,7 +343,9 @@ func (s *Server) Close() {
 	jl := s.jlog
 	s.jlog = nil
 	s.mu.Unlock()
-	jl.close()
+	if jl != nil && jl.Close() != nil {
+		s.cLogErr.Inc()
+	}
 }
 
 // DrainStats reports what a graceful drain did with in-flight work.
@@ -512,7 +527,11 @@ func (s *Server) logAppend(rec jlRecord, required bool) error {
 	if jl == nil {
 		return nil
 	}
-	if err := jl.append(rec); err != nil {
+	payload, err := json.Marshal(rec)
+	if err == nil {
+		err = jl.Append(payload)
+	}
+	if err != nil {
 		s.cLogErr.Inc()
 		if required {
 			return err

@@ -16,12 +16,11 @@
 package workload
 
 import (
-	"bufio"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"sort"
 
+	"clustersim/internal/durable"
 	"clustersim/internal/isa"
 	"clustersim/internal/trace"
 	"clustersim/internal/xrand"
@@ -271,38 +270,17 @@ func GenerateChunked(name string, n int, seed uint64, w *trace.Writer) error {
 }
 
 // GenerateToFile streams the named profile's trace into a sealed CTR2
-// store at path, creating it atomically (temp file + rename) so an
-// interrupted generation never leaves a half-written store behind.
+// store at path through durable.WriteFileAtomic, so an interrupted
+// generation never leaves a half-written store behind.
 func GenerateToFile(name string, n int, seed uint64, path string, opts trace.WriterOptions) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-trace-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	w, err := trace.NewWriter(bw, opts)
-	if err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := GenerateChunked(name, n, seed, w); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := w.Close(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return durable.WriteFileAtomic(path, func(out io.Writer) error {
+		w, err := trace.NewWriter(out, opts)
+		if err != nil {
+			return err
+		}
+		if err := GenerateChunked(name, n, seed, w); err != nil {
+			return err
+		}
+		return w.Close()
+	})
 }
