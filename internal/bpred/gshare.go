@@ -85,6 +85,9 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
+// Bits returns the log2 of the pattern-history table size.
+func (g *Gshare) Bits() uint { return g.bits }
+
 // Reset clears all predictor state and statistics.
 func (g *Gshare) Reset() {
 	for i := range g.pht {

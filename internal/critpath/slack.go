@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"clustersim/internal/machine"
 )
@@ -180,7 +180,8 @@ type SlackSummary struct {
 	BimodalBranchFrac float64
 }
 
-// SummarizeSlack computes SlackSummary for a finished run.
+// SummarizeSlack computes SlackSummary for a finished run. Equal inputs
+// give bit-identical summaries.
 func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 	ev := m.Events()
 	tr := m.Trace()
@@ -191,12 +192,17 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 		return s
 	}
 
-	sorted := make([]int64, n)
-	copy(sorted, slack)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(slack)
+	slices.Sort(sorted)
 	s.MedianSlack = sorted[n/2]
 
-	perPC := map[uint64][]int64{}
+	// Static instructions are numbered in first-seen order, which the
+	// trace fixes, so every floating-point sum below runs in one order and
+	// the summary is bit-reproducible (walking a map would not be).
+	group := map[uint64]int32{}
+	groupOf := make([]int32, n)
+	var count []int32
+	var mean []float64
 	var sum float64
 	var zero, geFwd, ge10 int
 	var misBr, misBrZero int
@@ -211,8 +217,16 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 		if slack[i] >= 10 {
 			ge10++
 		}
-		pc := tr.Insts[i].PC
-		perPC[pc] = append(perPC[pc], slack[i])
+		g, ok := group[tr.Insts[i].PC]
+		if !ok {
+			g = int32(len(count))
+			group[tr.Insts[i].PC] = g
+			count = append(count, 0)
+			mean = append(mean, 0)
+		}
+		groupOf[i] = g
+		count[g]++
+		mean[g] += float64(slack[i])
 		if ev[i].Mispredicted {
 			misBr++
 			if slack[i] == 0 {
@@ -228,24 +242,22 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 		s.BimodalBranchFrac = float64(misBrZero) / float64(misBr)
 	}
 
+	for g := range mean {
+		mean[g] /= float64(count[g])
+	}
+	varsum := make([]float64, len(count))
+	for i, g := range groupOf {
+		d := float64(slack[i]) - mean[g]
+		varsum[g] += d * d
+	}
 	var weighted, weight float64
-	for _, xs := range perPC {
-		if len(xs) < 8 {
+	for g, c := range count {
+		if c < 8 {
 			continue
 		}
-		var mean float64
-		for _, x := range xs {
-			mean += float64(x)
-		}
-		mean /= float64(len(xs))
-		var varsum float64
-		for _, x := range xs {
-			d := float64(x) - mean
-			varsum += d * d
-		}
-		sd := math.Sqrt(varsum / float64(len(xs)))
-		weighted += sd * float64(len(xs))
-		weight += float64(len(xs))
+		sd := math.Sqrt(varsum[g] / float64(c))
+		weighted += sd * float64(c)
+		weight += float64(c)
 	}
 	if weight > 0 {
 		s.StaticStdDev = weighted / weight

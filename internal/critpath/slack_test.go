@@ -2,6 +2,7 @@ package critpath_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"clustersim/internal/critpath"
@@ -216,6 +217,32 @@ func TestSlackSummaryOnWorkload(t *testing.T) {
 	// argument for LoC over slack).
 	if s.StaticStdDev < 1 {
 		t.Errorf("per-PC slack stddev %v — implausibly static", s.StaticStdDev)
+	}
+}
+
+// TestSlackSummaryReproducible: repeated summaries of one finished run
+// must be bit-identical, since they are cached and journaled as bytes.
+// Summing per-PC deviations in map order once gave several distinct
+// StaticStdDev values per benchmark over 200 calls.
+func TestSlackSummaryReproducible(t *testing.T) {
+	for _, bench := range []string{"gzip", "vpr", "mcf"} {
+		tr, _ := workload.Generate(bench, 12000, 1)
+		m, err := machine.New(machine.NewConfig(4), tr, steer.DepBased{}, machine.Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		slack, err := critpath.ComputeSlack(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := critpath.SummarizeSlack(m, slack)
+		for i := 0; i < 100; i++ {
+			got := critpath.SummarizeSlack(m, slack)
+			if got != want || math.Float64bits(got.StaticStdDev) != math.Float64bits(want.StaticStdDev) {
+				t.Fatalf("%s: call %d gave %+v, first call %+v", bench, i, got, want)
+			}
+		}
 	}
 }
 

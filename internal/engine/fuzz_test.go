@@ -13,18 +13,19 @@ import (
 )
 
 // The fuzz targets drive the four disk-cache decode paths (trace,
-// result with and without exact counts, analysis, sched) plus the
-// shared frame reader with arbitrary bytes. The contract under fuzz is the cache's corruption promise: a
-// loader may miss (and quarantine), but it must never panic and never
-// return ok for bytes that aren't a well-formed entry of its key. Seeds
-// are real encoded entries produced by the same writers that populate a
+// result with and without exact counts, analysis, sched), the summary
+// segment's scan, and the shared frame reader with arbitrary bytes. The
+// contract under fuzz is the cache's corruption promise: a loader may
+// miss (and quarantine), but it must never panic and never return ok
+// for bytes that aren't a well-formed entry of its key. Seeds are real
+// encoded entries produced by the same writers that populate a
 // production cache dir, plus their torn and bit-flipped variants.
 
-// seedEntries builds genuine on-disk bytes for all four artifact kinds.
+// seedEntries builds genuine on-disk bytes for all four artifact kinds:
+// the trace file, and each summary's frame from the segment.
 func seedEntries(tb testing.TB) (traceBytes, resultBytes, anaBytes, schedBytes []byte) {
 	tb.Helper()
-	dir := tb.TempDir()
-	d, err := newDiskCache(dir, metrics.NewRegistry(), 0)
+	d, err := newDiskCache(tb.TempDir(), metrics.NewRegistry(), 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -36,17 +37,26 @@ func seedEntries(tb testing.TB) (traceBytes, resultBytes, anaBytes, schedBytes [
 	d.storeResult(testSimKey(1), machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400}, nil)
 	d.storeAnalysis(analysisCanon(testSimKey(1)), &CritSummary{})
 	d.storeSched("sched-key", &SchedSummary{Insts: 300, Makespan: 99})
-	read := func(path string) []byte {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return data
+	traceBytes, err = os.ReadFile(d.tracePath(testTraceKey(1).String()))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return read(d.tracePath(testTraceKey(1).String())),
-		read(d.resultPath(testSimKey(1).String())),
-		read(d.analysisPath(analysisCanon(testSimKey(1)))),
-		read(d.schedPath("sched-key"))
+	frames := segmentFrames(tb, d)
+	if len(frames) != 3 {
+		tb.Fatalf("segment holds %d frames, want 3", len(frames))
+	}
+	return traceBytes, frames[0], frames[1], frames[2]
+}
+
+// segmentFrames returns the bytes of each valid frame in d's segment.
+func segmentFrames(tb testing.TB, d *diskCache) [][]byte {
+	tb.Helper()
+	data, spans := segmentSpans(tb, d.dir)
+	frames := make([][]byte, len(spans))
+	for i, sp := range spans {
+		frames[i] = data[sp.off : sp.off+int64(sp.n)]
+	}
+	return frames
 }
 
 // addSeedVariants seeds f with data plus classic corruptions of it.
@@ -60,8 +70,9 @@ func addSeedVariants(f *testing.F, data []byte) {
 	f.Add(append(append([]byte{}, data...), 0xFF))
 }
 
-// fuzzCache builds a throwaway disk cache holding data at path(canon)
-// and returns it; the registry keeps counters isolated per iteration.
+// fuzzCache builds a throwaway disk cache holding data at path(d) (the
+// segment, or a trace entry) and returns it; the registry keeps counters
+// isolated per iteration.
 func fuzzCache(t *testing.T, data []byte, path func(d *diskCache) string) *diskCache {
 	t.Helper()
 	d, err := newDiskCache(t.TempDir(), metrics.NewRegistry(), 0)
@@ -117,32 +128,41 @@ func seedExactResult(tb testing.TB) []byte {
 	for i := 0; i < 64; i++ {
 		exact.Train(uint64(i%7)*4, i%3 == 0)
 	}
-	key := exactSimKey()
-	d.storeResult(key, machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400}, exact)
-	data, err := os.ReadFile(d.resultPath(key.String()))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
+	d.storeResult(exactSimKey(), machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400}, exact)
+	return segmentFrames(tb, d)[0]
 }
 
-// FuzzLoadResult loads each input under a plain and an exact-tracking
-// key, so seeds of either kind drive the whole envelope decode.
+// newestFrame returns the payload of the last valid frame in a segment
+// whose envelope carries canon, or nil.
+func newestFrame(data []byte, canon string) []byte {
+	var newest []byte
+	durable.ScanFrames(data, maxJSONPayload, func(_ int, payload []byte) {
+		if key, ok := envelopeKey(payload); ok && key == canon {
+			newest = payload
+		}
+	}, func(int, int) {})
+	return newest
+}
+
+// FuzzLoadResult loads each input as a segment under a plain and an
+// exact-tracking key, so seeds of either kind drive the whole envelope
+// decode.
 func FuzzLoadResult(f *testing.F) {
 	_, resultBytes, _, _ := seedEntries(f)
 	addSeedVariants(f, resultBytes)
 	addSeedVariants(f, seedExactResult(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, key := range []SimKey{testSimKey(1), exactSimKey()} {
-			d := fuzzCache(t, data, func(d *diskCache) string { return d.resultPath(key.String()) })
+			d := fuzzCache(t, data, (*diskCache).segmentPath)
 			res, exact, ok := d.loadResult(key)
 			if !ok {
 				continue
 			}
-			// An accepted entry must really carry the canonical key, and
-			// its exact counts iff it returned a tracker.
-			payload, err := decodeFrame(data, maxJSONPayload)
-			if err != nil {
+			// An accepted entry must be the key's newest valid frame,
+			// really carry the canonical key, and its exact counts iff it
+			// returned a tracker.
+			payload := newestFrame(data, key.String())
+			if payload == nil {
 				t.Fatal("loadResult accepted a corrupt frame")
 			}
 			var env resultEnvelope
@@ -161,7 +181,7 @@ func FuzzLoadAnalysis(f *testing.F) {
 	addSeedVariants(f, anaBytes)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		canon := analysisCanon(testSimKey(1))
-		d := fuzzCache(t, data, func(d *diskCache) string { return d.analysisPath(canon) })
+		d := fuzzCache(t, data, (*diskCache).segmentPath)
 		d.loadAnalysis(canon)
 	})
 }
@@ -170,9 +190,64 @@ func FuzzLoadSched(f *testing.F) {
 	_, _, _, schedBytes := seedEntries(f)
 	addSeedVariants(f, schedBytes)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const canon = "sched-key"
-		d := fuzzCache(t, data, func(d *diskCache) string { return d.schedPath(canon) })
-		d.loadSched(canon)
+		d := fuzzCache(t, data, (*diskCache).segmentPath)
+		d.loadSched("sched-key")
+	})
+}
+
+// FuzzSegmentScan scans arbitrary bytes as a summary segment. The scan
+// must never panic; the frames it reports must validate and, with the
+// damaged runs, tile exactly the bytes it consumed; and a genuine entry
+// appended after the bytes must still load, with every indexed span
+// holding a valid frame of its key.
+func FuzzSegmentScan(f *testing.F) {
+	_, resultBytes, anaBytes, schedBytes := seedEntries(f)
+	segment := append(append(append([]byte{}, resultBytes...), anaBytes...), schedBytes...)
+	addSeedVariants(f, segment)
+	torn := append(append([]byte{}, resultBytes[:len(resultBytes)/2]...), schedBytes...)
+	f.Add(torn)
+	f.Add([]byte("CSF"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos := 0
+		consumed := durable.ScanFrames(data, maxJSONPayload, func(off int, payload []byte) {
+			n := durable.FrameHeaderLen + len(payload)
+			if off != pos {
+				t.Fatalf("frame at %d, want %d", off, pos)
+			}
+			if _, err := durable.DecodeFrame(data[off:off+n], maxJSONPayload); err != nil {
+				t.Fatalf("scan reported an invalid frame at %d: %v", off, err)
+			}
+			pos = off + n
+		}, func(off, end int) {
+			if off != pos || end <= off {
+				t.Fatalf("damage [%d, %d) after %d", off, end, pos)
+			}
+			pos = end
+		})
+		if consumed != pos || consumed > len(data) {
+			t.Fatalf("consumed %d of %d bytes, tiled %d", consumed, len(data), pos)
+		}
+
+		d := fuzzCache(t, data, (*diskCache).segmentPath)
+		key := testSimKey(7)
+		d.storeResult(key, machine.Result{ConfigName: "1x8w", Insts: 777}, nil)
+		if res, _, ok := d.loadResult(key); !ok || res.Insts != 777 {
+			t.Fatalf("genuine entry appended after the bytes: ok=%v insts=%d", ok, res.Insts)
+		}
+		seg, err := os.ReadFile(d.segmentPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for canon, sp := range d.index {
+			payload, err := durable.DecodeFrame(seg[sp.off:sp.off+int64(sp.n)], maxJSONPayload)
+			if err != nil {
+				t.Fatalf("index span of %q holds no valid frame: %v", canon, err)
+			}
+			if key, ok := envelopeKey(payload); !ok || key != canon {
+				t.Fatalf("index span of %q holds key %q", canon, key)
+			}
+		}
 	})
 }
 

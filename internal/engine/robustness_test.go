@@ -3,10 +3,12 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -89,7 +91,7 @@ func TestStaleTempSweep(t *testing.T) {
 		f.WriteString("orphaned partial write")
 		f.Close()
 	}
-	keeper := filepath.Join(dir, "sim-deadbeef.json")
+	keeper := filepath.Join(dir, segmentName)
 	os.WriteFile(keeper, []byte("not a temp"), 0o644)
 
 	e := New(Config{CacheDir: dir})
@@ -108,29 +110,39 @@ func TestStaleTempSweep(t *testing.T) {
 	}
 }
 
-// corruptOneEntry flips a byte in the middle of every file matching
-// pattern and returns how many files were damaged.
-func corruptOneEntry(t *testing.T, dir, pattern string) int {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, pattern))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no cache entries match %s", pattern)
+// segmentSpans reads the summary segment in dir and lists its valid
+// frames.
+func segmentSpans(tb testing.TB, dir string) (data []byte, spans []span) {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, segmentName))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0xFF
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return len(paths)
+	durable.ScanFrames(data, maxJSONPayload, func(off int, payload []byte) {
+		spans = append(spans, span{off: int64(off), n: durable.FrameHeaderLen + len(payload)})
+	}, func(int, int) {})
+	return data, spans
 }
 
-// TestCorruptResultQuarantinedAndRecomputed: a bit-flipped result entry
-// must read as a miss, land in quarantine/, and be transparently
+// corruptSegment flips a byte in the middle of every frame of the
+// summary segment in dir and returns how many frames were damaged.
+func corruptSegment(t *testing.T, dir string) int {
+	t.Helper()
+	data, spans := segmentSpans(t, dir)
+	if len(spans) == 0 {
+		t.Fatal("no summary frames in the segment")
+	}
+	for _, sp := range spans {
+		data[sp.off+int64(sp.n/2)] ^= 0xFF
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return len(spans)
+}
+
+// TestCorruptResultQuarantinedAndRecomputed: a bit-flipped result frame
+// must read as a miss, be copied to quarantine/, and be transparently
 // recomputed — never surfaced as an error.
 func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 	dir := t.TempDir()
@@ -139,7 +151,7 @@ func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := corruptOneEntry(t, dir, "sim-*.json")
+	n := corruptSegment(t, dir)
 
 	e2 := New(Config{CacheDir: dir})
 	var runs atomic.Int64
@@ -156,15 +168,15 @@ func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 	if a2.Res != a1.Res {
 		t.Fatal("recomputed result differs from original")
 	}
-	q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "sim-*.json"))
+	q, _ := filepath.Glob(filepath.Join(dir, "quarantine", segmentName+"@*"))
 	if len(q) != n {
 		t.Fatalf("quarantine holds %d files, want %d", len(q), n)
 	}
 	if s := e2.Summary(); s.Quarantines != int64(n) {
 		t.Errorf("Quarantines = %d, want %d", s.Quarantines, n)
 	}
-	// The recompute rewrote a valid entry: a third engine gets a clean
-	// disk hit.
+	// The recompute appended a valid frame: a third engine skips the
+	// damaged one and gets a clean disk hit.
 	e3 := New(Config{CacheDir: dir})
 	if _, err := e3.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		t.Error("clean rewritten entry missed")
@@ -364,28 +376,233 @@ func TestDiskCorruptAnalysisAndSched(t *testing.T) {
 	d.storeAnalysis("k-ana", &CritSummary{})
 	d.storeSched("k-sched", &SchedSummary{Insts: 1})
 
-	// Valid frames, wrong keys: identity check must quarantine.
+	// Probes of absent keys are plain misses, not quarantines.
 	if _, ok := d.loadAnalysis("other-key"); ok {
 		t.Fatal("analysis served under the wrong key")
 	}
 	if _, ok := d.loadSched("another-key"); ok {
 		t.Fatal("sched served under the wrong key")
 	}
-	// Wrong-key probes hash to different paths, so the stored entries
-	// are untouched; now corrupt the real payloads behind fresh CRCs.
-	for _, canon := range []string{"k-ana"} {
-		path := d.analysisPath(canon)
-		os.WriteFile(path, durable.EncodeFrame([]byte("{not json")), 0o644)
-		if _, ok := d.loadAnalysis(canon); ok {
-			t.Fatal("undecodable analysis served")
+	// Append undecodable payloads behind fresh CRCs as the keys' newest
+	// frames; a fresh engine indexes them and must quarantine both.
+	for _, payload := range []string{`{"Key":"k-ana","Summary":{not json`, `{"Key":"k-sched","Summary":][`} {
+		if err := appendFrame(d.segmentPath(), durable.EncodeFrame([]byte(payload))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	path := d.schedPath("k-sched")
-	os.WriteFile(path, durable.EncodeFrame([]byte("][")), 0o644)
+	d = New(Config{CacheDir: dir}).disk
+	if _, ok := d.loadAnalysis("k-ana"); ok {
+		t.Fatal("undecodable analysis served")
+	}
 	if _, ok := d.loadSched("k-sched"); ok {
 		t.Fatal("undecodable sched served")
 	}
 	if got := d.cQuarantine.Load(); got != 2 {
 		t.Errorf("quarantines = %d, want 2 (undecodable payloads only)", got)
+	}
+}
+
+// TestSegmentTornFrameQuarantined: a frame torn in the middle of the
+// segment (cut inside its header or its body) is skipped and quarantined,
+// and every frame appended after it still loads.
+func TestSegmentTornFrameQuarantined(t *testing.T) {
+	for _, cut := range []int{5, durable.FrameHeaderLen + 40} {
+		dir := t.TempDir()
+		e1 := New(Config{CacheDir: dir})
+		for seed := uint64(1); seed <= 2; seed++ {
+			if _, err := e1.Sim(testSimKey(seed), tinyRun(seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, res, _ := runTiny(3)
+		payload, err := json.Marshal(resultEnvelope{Key: testSimKey(3).String(), Result: res.Res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := appendFrame(e1.disk.segmentPath(), durable.EncodeFrame(payload)[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e1.Sim(testSimKey(4), tinyRun(4)); err != nil {
+			t.Fatal(err)
+		}
+
+		e2 := New(Config{CacheDir: dir})
+		for seed := uint64(1); seed <= 4; seed++ {
+			var runs atomic.Int64
+			if _, err := e2.Sim(testSimKey(seed), func() (*machine.Machine, Artifact, error) {
+				runs.Add(1)
+				return runTiny(seed)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(0)
+			if seed == 3 { // the torn entry
+				want = 1
+			}
+			if runs.Load() != want {
+				t.Errorf("cut %d: seed %d ran %d times, want %d", cut, seed, runs.Load(), want)
+			}
+		}
+		if s := e2.Summary(); s.Quarantines != 1 {
+			t.Errorf("cut %d: Quarantines = %d, want 1", cut, s.Quarantines)
+		}
+	}
+}
+
+// TestSegmentInFlightFrameRetried: a frame cut off by the end of the
+// segment may be an append still in flight, so a scan stops before it
+// without quarantining it and indexes it once its bytes have all landed.
+func TestSegmentInFlightFrameRetried(t *testing.T) {
+	dir := t.TempDir()
+	d := New(Config{CacheDir: dir}).disk
+	d.storeSched("k-a", &SchedSummary{Insts: 1})
+	payload, err := json.Marshal(schedEnvelope{Key: "k-b", Summary: SchedSummary{Insts: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := durable.EncodeFrame(payload)
+	half := len(frame) / 2
+	if err := appendFrame(d.segmentPath(), frame[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.loadSched("k-a"); !ok {
+		t.Fatal("complete frame before the partial one missed")
+	}
+	if _, ok := d.loadSched("k-b"); ok {
+		t.Fatal("partial frame served")
+	}
+	if err := appendFrame(d.segmentPath(), frame[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if ss, ok := d.loadSched("k-b"); !ok || ss.Insts != 2 {
+		t.Fatalf("completed frame: ok=%v summary=%+v", ok, ss)
+	}
+	if got := d.cQuarantine.Load(); got != 0 {
+		t.Errorf("quarantines = %d, want 0 for a frame in flight", got)
+	}
+}
+
+// TestSegmentSeesLaterAppends: an engine that opened (and scanned) the
+// segment before another engine wrote still hits the other's entries,
+// because a lookup miss scans the bytes appended since its last scan.
+func TestSegmentSeesLaterAppends(t *testing.T) {
+	dir := t.TempDir()
+	b := New(Config{CacheDir: dir})
+	a := New(Config{CacheDir: dir})
+	if _, err := a.Sim(testSimKey(1), tinyRun(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+		t.Error("b missed a's first entry")
+		return runTiny(1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(2); seed <= 3; seed++ {
+		if _, err := a.Analysis(testSimKey(seed), tinyRun(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := uint64(2); seed <= 3; seed++ {
+		if _, err := b.Analysis(testSimKey(seed), func() (*machine.Machine, Artifact, error) {
+			t.Errorf("b missed a's analysis of seed %d", seed)
+			return runTiny(seed)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := b.Summary(); s.SimDiskHits != 1 || s.AnaDiskHits != 2 || s.Quarantines != 0 {
+		t.Errorf("b: sim disk hits %d, analysis disk hits %d, quarantines %d; want 1, 2, 0",
+			s.SimDiskHits, s.AnaDiskHits, s.Quarantines)
+	}
+}
+
+// TestSegmentConcurrentEngines: several engines append to one segment at
+// once (run it under -race). No frame may interleave with another, so a
+// fresh engine hits every key without a single quarantine.
+func TestSegmentConcurrentEngines(t *testing.T) {
+	dir := t.TempDir()
+	const engines, keys = 4, 6
+	var wg sync.WaitGroup
+	errs := make(chan error, engines)
+	for i := 0; i < engines; i++ {
+		e := New(Config{CacheDir: dir, Workers: 2})
+		wg.Add(1)
+		go func(first int) {
+			defer wg.Done()
+			for j := 0; j < keys; j++ {
+				seed := uint64((first+j)%keys + 1)
+				if _, err := e.Analysis(testSimKey(seed), tinyRun(seed)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	fresh := New(Config{CacheDir: dir})
+	for seed := uint64(1); seed <= keys; seed++ {
+		run := func() (*machine.Machine, Artifact, error) {
+			t.Errorf("seed %d missed after concurrent appends", seed)
+			return runTiny(seed)
+		}
+		if _, err := fresh.Sim(testSimKey(seed), run); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Analysis(testSimKey(seed), run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := fresh.Summary(); s.Quarantines != 0 {
+		t.Errorf("Quarantines = %d after clean concurrent appends", s.Quarantines)
+	}
+}
+
+// TestCacheDirLayout: summaries of every kind share the one segment, and
+// only traces get files of their own.
+func TestCacheDirLayout(t *testing.T) {
+	dir := t.TempDir()
+	e := New(Config{CacheDir: dir})
+	if _, err := e.Trace(testTraceKey(1), func() (*trace.Trace, error) {
+		return workload.Generate("gzip", testInsts, 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Analysis(testSimKey(2), tinyRun(2)); err != nil {
+		t.Fatal(err)
+	}
+	keys := []SchedKey{testSchedKey("oracle", 2), testSchedKey("oracle", 4)}
+	if _, err := e.Schedules(keys, func(miss []int) ([]SchedSummary, error) {
+		return make([]SchedSummary, len(miss)), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces int
+	for _, name := range names {
+		switch base := filepath.Base(name); {
+		case base == segmentName:
+		case strings.HasPrefix(base, "trace-") && strings.HasSuffix(base, ".ctr"):
+			traces++
+		default:
+			t.Errorf("unexpected cache file %s", base)
+		}
+	}
+	if traces != 1 {
+		t.Errorf("%d trace files, want 1", traces)
+	}
+	// One result, one analysis plus its run's result, two schedules.
+	if _, spans := segmentSpans(t, dir); len(spans) != 5 {
+		t.Errorf("segment holds %d frames, want 5", len(spans))
 	}
 }

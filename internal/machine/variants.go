@@ -316,13 +316,23 @@ type frontProfile struct {
 	miss  []uint64 // bitset over seq: set iff that branch mispredicted
 }
 
-// newFrontProfile trains a fresh gshare over tr's branches in program
+// gsharePool recycles the predictors newFrontProfile trains: only their
+// miss bitmap outlives the batch, and a 16-bit table is 64 KiB.
+var gsharePool sync.Pool
+
+// newFrontProfile trains a reset gshare over tr's branches in program
 // order — exactly the update sequence fetch performs — and records the
 // outcome per branch.
 func newFrontProfile(tr *trace.Trace, bits uint) *frontProfile {
 	n := tr.Len()
 	p := &frontProfile{bits: bits, insts: n, miss: make([]uint64, (n+63)/64)}
-	bp := bpred.NewGshare(bits)
+	bp, ok := gsharePool.Get().(*bpred.Gshare)
+	if ok && bp.Bits() == bits {
+		bp.Reset()
+	} else {
+		bp = bpred.NewGshare(bits)
+	}
+	defer gsharePool.Put(bp)
 	for i := range tr.Insts {
 		in := &tr.Insts[i]
 		if in.Op.IsBranch() {

@@ -27,11 +27,11 @@ var ErrQueueClosed = errors.New("server: queue closed")
 // Depth is bounded: push fails with ErrQueueFull once maxDepth jobs wait,
 // which is the server's admission control (the caller answers 429).
 type wfq struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	items   jobHeap
-	vtime   float64            // virtual time: vft of the last popped job
-	lastVft map[string]float64 // per-tenant last assigned vft
+	mu       sync.Mutex
+	cond     *sync.Cond
+	items    jobHeap
+	vtime    float64            // virtual time: vft of the last popped job
+	lastVft  map[string]float64 // per-tenant last assigned vft
 	nextSeq  uint64
 	max      int
 	closed   bool

@@ -183,20 +183,21 @@ type WriterOptions struct {
 // capacity failures are sticky and surface from Err and Close (Append
 // stays error-free for the emit hot path).
 type Writer struct {
-	w        io.Writer
-	opts     WriterOptions
-	ds       depState
-	err      error
-	closed   bool
-	off      int64 // bytes written so far
-	offsets  []uint64
-	total    int64
-	buf      bytes.Buffer // scratch for the current frame
-	comp     *flate.Writer
-	compBuf  bytes.Buffer
-	chunkCap int
+	w       io.Writer
+	opts    WriterOptions
+	ds      depState
+	err     error
+	closed  bool
+	off     int64 // bytes written so far
+	offsets []uint64
+	total   int64
+	buf     bytes.Buffer // scratch for the current frame
+	comp    *flate.Writer
+	compBuf bytes.Buffer
 
-	// Current chunk columns (structure of arrays).
+	// Current chunk columns (structure of arrays). They start empty and
+	// grow with Append (see grow), so a short trace never pays for a full
+	// chunk; flushChunk keeps their capacity for the next chunk.
 	pc, addr                []uint64
 	src0, src1, dst, op, fl []uint8
 	dep0, dep1, depm        []int32
@@ -215,9 +216,8 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 	if len(opts.Meta) > maxMetaLen {
 		return nil, fmt.Errorf("trace: meta blob %d bytes exceeds %d", len(opts.Meta), maxMetaLen)
 	}
-	cw := &Writer{w: w, opts: opts, chunkCap: opts.ChunkLen}
+	cw := &Writer{w: w, opts: opts}
 	cw.ds.reset()
-	cw.growColumns()
 	var flags uint16
 	if opts.Compress {
 		flags |= FlagCompressed
@@ -234,20 +234,6 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 	ctr2EncodeFrame(&cw.buf, hdr)
 	cw.flushBuf()
 	return cw, cw.err
-}
-
-func (cw *Writer) growColumns() {
-	n := cw.chunkCap
-	cw.pc = make([]uint64, 0, n)
-	cw.addr = make([]uint64, 0, n)
-	cw.src0 = make([]uint8, 0, n)
-	cw.src1 = make([]uint8, 0, n)
-	cw.dst = make([]uint8, 0, n)
-	cw.op = make([]uint8, 0, n)
-	cw.fl = make([]uint8, 0, n)
-	cw.dep0 = make([]int32, 0, n)
-	cw.dep1 = make([]int32, 0, n)
-	cw.depm = make([]int32, 0, n)
 }
 
 // flushBuf writes the scratch frame buffer to the underlying writer,
@@ -282,6 +268,9 @@ func (cw *Writer) Append(in isa.Inst) {
 		return
 	}
 	d := cw.ds.annotate(&in, int32(cw.total))
+	if len(cw.pc) == cap(cw.pc) {
+		cw.grow()
+	}
 	cw.pc = append(cw.pc, in.PC)
 	cw.addr = append(cw.addr, in.Addr)
 	cw.src0 = append(cw.src0, uint8(in.Src[0]))
@@ -297,9 +286,31 @@ func (cw *Writer) Append(in isa.Inst) {
 	cw.dep1 = append(cw.dep1, d.Src[1])
 	cw.depm = append(cw.depm, d.Mem)
 	cw.total++
-	if len(cw.pc) == cw.chunkCap {
+	if len(cw.pc) == cw.opts.ChunkLen {
 		cw.flushChunk()
 	}
+}
+
+// minColumnCap is the first capacity grow gives the columns: 4,096
+// instructions are 132 KiB of columns.
+const minColumnCap = 4096
+
+// grow doubles every column's capacity together, from minColumnCap up to
+// one chunk. Growing them as one keeps a short trace's columns to one
+// allocation each, and a long stream reaches chunk size once.
+func (cw *Writer) grow() {
+	n := min(max(2*cap(cw.pc), minColumnCap), cw.opts.ChunkLen)
+	cw.pc, cw.addr = growColumn(cw.pc, n), growColumn(cw.addr, n)
+	cw.src0, cw.src1, cw.dst = growColumn(cw.src0, n), growColumn(cw.src1, n), growColumn(cw.dst, n)
+	cw.op, cw.fl = growColumn(cw.op, n), growColumn(cw.fl, n)
+	cw.dep0, cw.dep1, cw.depm = growColumn(cw.dep0, n), growColumn(cw.dep1, n), growColumn(cw.depm, n)
+}
+
+// growColumn returns a copy of col with capacity n.
+func growColumn[T any](col []T, n int) []T {
+	out := make([]T, len(col), n)
+	copy(out, col)
+	return out
 }
 
 // encodeColumns serializes the current chunk's columns into dst.
@@ -328,27 +339,26 @@ func (cw *Writer) encodeColumns(dst *bytes.Buffer) {
 	}
 }
 
-// flushChunk seals the current chunk as one frame.
+// flushChunk seals the current chunk as one frame, built in place in the
+// frame buffer: the frame header is reserved, the chunk record written
+// after it, and the header filled in once the payload is complete.
 func (cw *Writer) flushChunk() {
 	if cw.err != nil || len(cw.pc) == 0 {
 		return
 	}
-	cw.compBuf.Reset()
-	cw.encodeColumns(&cw.compBuf)
-	raw := cw.compBuf.Bytes()
-
-	payload := bytes.NewBuffer(make([]byte, 0, 13+len(raw)))
-	payload.WriteByte(ctr2KindChunk)
-	var u4 [4]byte
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(cw.offsets)))
-	payload.Write(u4[:])
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(cw.pc)))
-	payload.Write(u4[:])
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(raw)))
-	payload.Write(u4[:])
+	n := len(cw.pc)
+	cw.buf.Reset()
+	var rec [ctr2FrameHdrLen + 13]byte
+	rec[ctr2FrameHdrLen] = ctr2KindChunk
+	binary.LittleEndian.PutUint32(rec[ctr2FrameHdrLen+1:], uint32(len(cw.offsets)))
+	binary.LittleEndian.PutUint32(rec[ctr2FrameHdrLen+5:], uint32(n))
+	binary.LittleEndian.PutUint32(rec[ctr2FrameHdrLen+9:], uint32(n*chunkBytesPerInst))
+	cw.buf.Write(rec[:])
 	if cw.comp != nil {
-		cw.comp.Reset(payload)
-		if _, err := cw.comp.Write(raw); err == nil {
+		cw.compBuf.Reset()
+		cw.encodeColumns(&cw.compBuf)
+		cw.comp.Reset(&cw.buf)
+		if _, err := cw.comp.Write(cw.compBuf.Bytes()); err == nil {
 			cw.err = cw.comp.Close()
 		} else {
 			cw.err = err
@@ -357,12 +367,15 @@ func (cw *Writer) flushChunk() {
 			return
 		}
 	} else {
-		payload.Write(raw)
+		cw.encodeColumns(&cw.buf)
 	}
+	frame := cw.buf.Bytes()
+	payload := frame[ctr2FrameHdrLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], ctr2FrameMagic)
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[8:12], crc32c(payload))
 
 	cw.offsets = append(cw.offsets, uint64(cw.off))
-	cw.buf.Reset()
-	ctr2EncodeFrame(&cw.buf, payload.Bytes())
 	cw.flushBuf()
 
 	cw.pc, cw.addr = cw.pc[:0], cw.addr[:0]

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -466,6 +468,55 @@ func TestWriteStoreHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracesEqual(t, got, want, "WriteStore")
+}
+
+// TestWriteStoreDigests pins WriteStore's bytes: a 3,000-instruction
+// trace (the server's job size, shorter than one chunk), a trace longer
+// than one default chunk, and a compressed store of small chunks. The
+// digests were taken from the writer that allocated a full chunk of
+// columns up front; growing them on demand must not change a byte.
+func TestWriteStoreDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		opts WriterOptions
+		want string
+	}{
+		{"3000", 3000, WriterOptions{Meta: []byte("v1|trace|bench=gzip|insts=3000|seed=1")},
+			"0b975e296395d721e1b06bf06f36d83c245398cf60c0237da9fec2af0db0a3eb"},
+		{"over-one-chunk", DefaultChunkLen + 4464, WriterOptions{},
+			"e8b53b1f4b5c2b3d52ea759b6930c5a46559598675cb97e75b77ad0ffcd6dc13"},
+		{"compressed", 3000, WriterOptions{ChunkLen: 256, Compress: true},
+			"71f1d32a886f689e12338aaf9cb745432f6fa2e3a3093792584e7dc942c17df5"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteStore(&buf, Rebuild(randomInsts(xrand.New(19), tc.n)), tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: sha256 %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestWriteStoreAllocBound keeps a short store from paying for a full
+// default chunk of columns (33 B x 65,536 = 2.1 MiB).
+func TestWriteStoreAllocBound(t *testing.T) {
+	tr := Rebuild(randomInsts(xrand.New(19), 3000))
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := WriteStore(&buf, tr, WriterOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 512<<10 {
+		t.Fatalf("WriteStore of 3,000 instructions allocates %d B per store, want < 512 KiB", got)
+	}
 }
 
 // TestCodecCountBoundary pins the materialization ceiling: a store whose
