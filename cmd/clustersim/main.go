@@ -32,7 +32,6 @@
 //	-cache-dir s   persist traces and results here across runs
 //	-cache-mem int in-memory cache budget in MiB (default 1024)
 //	-metrics addr  serve /metrics and /debug/pprof on this address
-//	-trace-window n  chunks kept resident per open trace store
 //
 // Robustness flags (see DESIGN.md "Failure model & recovery"):
 //
@@ -85,7 +84,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "on-disk cache directory for traces and results (empty: memory only)")
 	cacheMem := flag.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, "in-memory cache budget in MiB (<0: unlimited)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
-	traceWindow := flag.Int("trace-window", 0, "chunks kept resident per open trace store (0: default, currently 4 chunks of 65536 instructions)")
 	journalPath := flag.String("journal", "", "checkpoint journal path (default <cache-dir>/journal.wal when -resume is set)")
 	resume := flag.Bool("resume", false, "replay the checkpoint journal and recompute only missing results")
 	deadline := flag.Duration("deadline", 0, "cancel the whole run after this duration (0: none)")
@@ -109,13 +107,12 @@ func main() {
 
 	reg := metrics.NewRegistry()
 	eng := engine.New(engine.Config{
-		Workers:           *jobs,
-		ReplayWorkers:     *replayWorkers,
-		CacheDir:          *cacheDir,
-		MaxCacheBytes:     *cacheMem * (1 << 20),
-		Metrics:           reg,
-		JobDeadline:       *jobDeadline,
-		TraceWindowChunks: *traceWindow,
+		Workers:       *jobs,
+		ReplayWorkers: *replayWorkers,
+		CacheDir:      *cacheDir,
+		MaxCacheBytes: *cacheMem * (1 << 20),
+		Metrics:       reg,
+		JobDeadline:   *jobDeadline,
 	})
 	if err := eng.Summary().DiskErr; err != nil {
 		fmt.Fprintf(os.Stderr, "clustersim: disk cache disabled: %v\n", err)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,7 +25,6 @@ import (
 type entry struct {
 	key     string
 	tr      *trace.Trace
-	st      *trace.Store
 	art     *Artifact
 	crit    *CritSummary
 	sched   *SchedSummary
@@ -88,16 +86,6 @@ func (c *memCache) putSched(key string, ss *SchedSummary) {
 // putHarvest caches a schedule harvest, charged per instruction.
 func (c *memCache) putHarvest(key string, h *Harvest) {
 	c.put(&entry{key: key, harvest: h, cost: harvestCost(h)})
-}
-
-// putStore caches an open chunked trace store. Its resident footprint is
-// the chunk window (bounded regardless of trace length) plus, for
-// memory-backed stores, the encoded bytes themselves — the caller passes
-// that extra as resident. Evicted stores are not closed: callers may
-// still hold the handle, and a file-backed store's descriptor is owned
-// by whoever opened it.
-func (c *memCache) putStore(key string, st *trace.Store, resident int64) {
-	c.put(&entry{key: key, st: st, cost: baseCost + st.WindowBytes() + resident})
 }
 
 func (c *memCache) put(e *entry) {
@@ -630,8 +618,8 @@ func (d *diskCache) storeResult(key SimKey, res machine.Result, exact *predictor
 // store: CTR2 geometry and key must check out and the trace must be
 // non-empty (an empty entry is worthless and would let a truncated
 // generation masquerade as a hit forever).
-func decodeTraceEntry(data []byte, canon string, windowChunks int) (*trace.Store, error) {
-	st, err := trace.OpenBytes(data, trace.OpenOptions{WindowChunks: windowChunks})
+func decodeTraceEntry(data []byte, canon string) (*trace.Store, error) {
+	st, err := trace.OpenBytes(data, trace.OpenOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -653,7 +641,7 @@ func (d *diskCache) loadTrace(key TraceKey) (*trace.Trace, bool) {
 	if !ok {
 		return nil, false
 	}
-	st, err := decodeTraceEntry(data, canon, 0)
+	st, err := decodeTraceEntry(data, canon)
 	if err != nil {
 		d.quarantine(path)
 		return nil, false
@@ -676,62 +664,6 @@ func (d *diskCache) storeTrace(key TraceKey, tr *trace.Trace) {
 	}
 	path := d.tracePath(canon)
 	d.retry(func() error { return atomicWrite(d.dir, path, buf.Bytes()) })
-}
-
-// loadTraceStore opens the cached trace for key as a windowed store
-// without materializing it: chunks page in on demand, bounded by
-// windowChunks. The store reads the entry file directly (file-backed, so
-// a 100M-instruction hit costs one window of memory); validation follows
-// loadTrace's contract — bad format, torn store, key mismatch or an
-// empty trace quarantines, I/O errors count against the budget, and the
-// caller sees only hit-or-miss.
-func (d *diskCache) loadTraceStore(key TraceKey, windowChunks int) (*trace.Store, bool) {
-	if !d.available() {
-		return nil, false
-	}
-	canon := key.String()
-	path := d.tracePath(canon)
-	st, err := trace.Open(path, trace.OpenOptions{WindowChunks: windowChunks})
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false
-		}
-		if errors.Is(err, trace.ErrBadFormat) || errors.Is(err, trace.ErrTornStore) {
-			d.quarantine(path)
-		} else {
-			d.fail(Transient(err))
-		}
-		return nil, false
-	}
-	if string(st.Meta()) != canon || st.Len() == 0 {
-		st.Close()
-		d.quarantine(path)
-		return nil, false
-	}
-	return st, true
-}
-
-// createTraceStore streams a freshly generated trace straight into the
-// cache entry for key through durable.WriteFileAtomic, holding one chunk
-// in memory. gen's own errors propagate verbatim; I/O failures come back
-// Transient, and the caller falls back to generating in memory.
-func (d *diskCache) createTraceStore(key TraceKey, gen func(*trace.Writer) error) error {
-	canon := key.String()
-	var genErr error
-	err := durable.WriteFileAtomic(d.tracePath(canon), func(out io.Writer) error {
-		w, err := trace.NewWriter(out, trace.WriterOptions{Meta: []byte(canon)})
-		if err != nil {
-			return err
-		}
-		if genErr = gen(w); genErr != nil {
-			return genErr
-		}
-		return w.Close()
-	})
-	if genErr != nil {
-		return genErr
-	}
-	return Transient(err)
 }
 
 // atomicWrite writes a trace entry to path via a temp file and rename,

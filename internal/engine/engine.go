@@ -17,10 +17,11 @@
 //  1. an in-memory LRU of values (byte-budgeted; the least recently
 //     used entries are dropped under pressure and recomputed, or reloaded
 //     from disk, on their next request),
-//  2. an optional on-disk cache (traces as CTR2 stores,
-//     results as JSON, every entry CRC-framed; corrupt entries are
-//     quarantined and recomputed, and repeated I/O failures degrade the
-//     layer to memory-only) that survives across processes,
+//  2. an optional on-disk cache that survives across processes: one
+//     CTR2 store file per trace, and results, analyses and schedules as
+//     CRC-framed JSON records appended to one segment file; corrupt
+//     entries are quarantined and recomputed, and repeated I/O failures
+//     degrade the layer to memory-only,
 //  3. a singleflight table so concurrent submissions of one key run the
 //     simulation exactly once.
 //
@@ -30,7 +31,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -79,9 +79,6 @@ type Config struct {
 	// breaking determinism. Whole-run deadlines belong on the context
 	// (SetContext).
 	JobDeadline time.Duration
-	// TraceWindowChunks bounds how many trace-store chunks TraceStore
-	// keeps resident per open store; <=0 means the trace package default.
-	TraceWindowChunks int
 	// ReplayWorkers bounds the intra-job variant fan-out
 	// (machine.SimulateVariantsOpts workers) each simulation job may
 	// use; <=0 means a per-job share of the socket,
@@ -100,7 +97,6 @@ type Engine struct {
 	replayWorkers int
 	met           *metrics.Registry
 	jobDeadline   time.Duration
-	traceWindow   int
 
 	mu       sync.Mutex
 	mem      *memCache
@@ -165,7 +161,6 @@ func New(cfg Config) *Engine {
 		replayWorkers: replayWorkers,
 		met:           met,
 		jobDeadline:   cfg.JobDeadline,
-		traceWindow:   cfg.TraceWindowChunks,
 		mem:           newMemCache(maxBytes),
 		inflight:      map[string]*call{},
 
@@ -195,7 +190,6 @@ func New(cfg Config) *Engine {
 		tSched:          met.Timer("engine.sched.run"),
 	}
 	met.Func("engine.faults.injected", func() int64 { return faultinject.Snapshot().Total() })
-	met.Func("machine.stream.windows_in_flight", machine.StreamWindowsInFlight)
 	if cfg.CacheDir != "" {
 		e.disk, e.diskErr = newDiskCache(cfg.CacheDir, met, cfg.DiskErrorBudget)
 		if e.diskErr != nil {
@@ -338,104 +332,6 @@ func (e *Engine) storeTrace(canon string, key TraceKey, tr *trace.Trace, persist
 	if persist && e.diskAvailable() {
 		e.disk.storeTrace(key, tr)
 	}
-}
-
-// TraceStore returns the trace for key as an open chunked store instead
-// of a materialized trace: callers page windows in via WindowTrace (see
-// machine.SimulateStore) and never hold more than
-// Config.TraceWindowChunks chunks resident, which is what makes
-// 100M-instruction runs fit in bounded memory. gen streams the
-// generation into a chunked writer; on a disk-cache hit gen never runs,
-// and the store pages straight out of the cache entry written by an
-// earlier TraceStore or Trace call (the two share one entry format).
-// Identical keys generate at most once per process.
-//
-// The returned store is shared across callers and cached; do not Close
-// it — it stays open for the life of the process (one descriptor per
-// distinct trace file).
-func (e *Engine) TraceStore(key TraceKey, gen func(*trace.Writer) error) (*trace.Store, error) {
-	return e.TraceStoreCtx(nil, key, gen)
-}
-
-// TraceStoreCtx is TraceStore with a per-submission context, with the
-// same semantics as TraceCtx.
-func (e *Engine) TraceStoreCtx(ctx context.Context, key TraceKey, gen func(*trace.Writer) error) (*trace.Store, error) {
-	canon := key.String()
-	// Store handles and materialized traces are distinct cache values for
-	// one trace key, so the memory cache (and singleflight) key them apart.
-	memKey := canon + "|store"
-	cached := func(ent *entry) (any, bool) { return ent.st, ent.st != nil }
-	v, err := e.doOnce(ctx, memKey, e.cTraceHit, cached, func() (any, error) {
-		if e.diskAvailable() {
-			if st, ok := e.disk.loadTraceStore(key, e.traceWindow); ok {
-				e.cTraceHit.Inc()
-				e.cacheStore(memKey, st, 0)
-				return st, nil
-			}
-		}
-		if err := e.checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		e.cTraceMiss.Inc()
-		start := time.Now()
-		st, resident, err := e.generateStore(key, gen)
-		if err != nil {
-			return nil, err
-		}
-		e.tTrace.Observe(time.Since(start))
-		e.cacheStore(memKey, st, resident)
-		return st, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*trace.Store), nil
-}
-
-// generateStore runs gen into a chunked store. With a live disk layer
-// the generation streams straight into the cache entry (bounded memory
-// end to end) and the entry is reopened file-backed; a transient I/O
-// failure there degrades to generating into memory — the cache is an
-// accelerator, never a dependency. Returns the store plus the resident
-// bytes the memory cache should charge beyond the chunk window.
-func (e *Engine) generateStore(key TraceKey, gen func(*trace.Writer) error) (*trace.Store, int64, error) {
-	if e.diskAvailable() {
-		err := e.disk.createTraceStore(key, gen)
-		if err == nil {
-			if st, ok := e.disk.loadTraceStore(key, e.traceWindow); ok {
-				return st, 0, nil
-			}
-			// Entry vanished or failed validation between write and open
-			// (another process, injected faults): fall through to memory.
-		} else if !errors.Is(err, ErrTransient) {
-			// gen itself failed; no fallback will fare better.
-			return nil, 0, err
-		}
-	}
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, trace.WriterOptions{Meta: []byte(key.String())})
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := gen(w); err != nil {
-		return nil, 0, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, 0, err
-	}
-	st, err := trace.OpenBytes(buf.Bytes(), trace.OpenOptions{WindowChunks: e.traceWindow})
-	if err != nil {
-		return nil, 0, err
-	}
-	return st, int64(buf.Len()), nil
-}
-
-// cacheStore parks an open store in the memory cache, charged for its
-// bounded chunk window plus any memory-backed encoded bytes.
-func (e *Engine) cacheStore(memKey string, st *trace.Store, resident int64) {
-	e.mu.Lock()
-	e.mem.putStore(memKey, st, resident)
-	e.mu.Unlock()
 }
 
 // Sim returns the artifact for key, simulating with run on a cache

@@ -178,13 +178,6 @@ func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
 			})
 			return err
 		}, func(s Summary) int64 { return s.TraceMisses }},
-		{"store", testTraceKey(1).String() + "|store", func(e *Engine, work func()) error {
-			_, err := e.TraceStore(testTraceKey(1), func(w *trace.Writer) error {
-				work()
-				return workload.GenerateChunked("gzip", testInsts, 1, w)
-			})
-			return err
-		}, func(s Summary) int64 { return s.TraceMisses }},
 		{"sim", testSimKey(1).String(), func(e *Engine, work func()) error {
 			_, err := e.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
 				work()

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"clustersim/internal/faultinject"
-	"clustersim/internal/machine"
 	"clustersim/internal/stats"
 )
 
@@ -70,12 +69,11 @@ type Summary struct {
 	// replay workers; EventsElided counts event-log writes skipped by
 	// the zero-materialization path; GridGroups/GridShared count
 	// prediction-memo groups built and reuses served (fwd-grid fusion).
-	ReplayWorkers   int
-	ReplayBusyNs    int64
-	EventsElided    int64
-	GridGroups      int64
-	GridShared      int64
-	WindowsInFlight int64
+	ReplayWorkers int
+	ReplayBusyNs  int64
+	EventsElided  int64
+	GridGroups    int64
+	GridShared    int64
 }
 
 // SimInstsPerSec is the simulated-instruction throughput of executed
@@ -129,12 +127,11 @@ func (e *Engine) Summary() Summary {
 		ResumeHits:        e.cResumeHit.Load(),
 		JobDeadlineMisses: e.cDeadlineMiss.Load(),
 
-		ReplayWorkers:   e.replayWorkers,
-		ReplayBusyNs:    e.cReplayBusy.Load(),
-		EventsElided:    e.cEventsElided.Load(),
-		GridGroups:      e.cGridGroups.Load(),
-		GridShared:      e.cGridShared.Load(),
-		WindowsInFlight: machine.StreamWindowsInFlight(),
+		ReplayWorkers: e.replayWorkers,
+		ReplayBusyNs:  e.cReplayBusy.Load(),
+		EventsElided:  e.cEventsElided.Load(),
+		GridGroups:    e.cGridGroups.Load(),
+		GridShared:    e.cGridShared.Load(),
 	}
 	if e.disk != nil {
 		s.DiskRetries = e.disk.cRetry.Load()

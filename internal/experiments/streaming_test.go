@@ -150,7 +150,7 @@ func TestStreamingDifferentialAllBenchmarks(t *testing.T) {
 			seg := func(int) (machine.Config, machine.SteerPolicy, machine.Hooks, error) {
 				return machine.NewConfig(4), &steer.DepBased{}, machine.Hooks{}, nil
 			}
-			srGot, err := machine.SimulateStore(st, 777, seg)
+			srGot, err := machine.SimulateStoreObserved(st, 777, seg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,40 +241,34 @@ func TestStreamingWindowedAnalysisAndSchedules(t *testing.T) {
 
 // TestStreamingDiskRoundTripDifferential closes the loop through the
 // actual file system: GenerateToFile → Open → Load must reproduce the
-// in-memory generation bit-for-bit (compressed and uncompressed).
+// in-memory generation bit-for-bit.
 func TestStreamingDiskRoundTripDifferential(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "raw"
-		if compress {
-			name = "compressed"
+	t.Run("raw", func(t *testing.T) {
+		want, err := workload.Generate("twolf", gateInsts, gateSeed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			want, err := workload.Generate("twolf", gateInsts, gateSeed)
-			if err != nil {
-				t.Fatal(err)
+		path := t.TempDir() + "/t.ctr"
+		opts := trace.WriterOptions{ChunkLen: gateChunk}
+		if err := workload.GenerateToFile("twolf", gateInsts, gateSeed, path, opts); err != nil {
+			t.Fatal(err)
+		}
+		st, err := trace.Open(path, trace.OpenOptions{WindowChunks: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		got, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("lengths differ: %d != %d", got.Len(), want.Len())
+		}
+		for i := range want.Insts {
+			if got.Insts[i] != want.Insts[i] || got.Deps[i] != want.Deps[i] {
+				t.Fatalf("inst %d diverged after disk round-trip", i)
 			}
-			path := t.TempDir() + "/t.ctr"
-			opts := trace.WriterOptions{ChunkLen: gateChunk, Compress: compress}
-			if err := workload.GenerateToFile("twolf", gateInsts, gateSeed, path, opts); err != nil {
-				t.Fatal(err)
-			}
-			st, err := trace.Open(path, trace.OpenOptions{WindowChunks: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			got, err := st.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Len() != want.Len() {
-				t.Fatalf("lengths differ: %d != %d", got.Len(), want.Len())
-			}
-			for i := range want.Insts {
-				if got.Insts[i] != want.Insts[i] || got.Deps[i] != want.Deps[i] {
-					t.Fatalf("inst %d diverged after disk round-trip", i)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -43,7 +43,7 @@ import (
 // overflow), clusters in uint8, and the merge keeps per-cluster cursors
 // in stack arrays of MaxClusters. New, SimulateVariants and the windowed
 // store runs reject anything larger with an error; traces longer than
-// MaxInsts are simulated window by window (SimulateStore).
+// MaxInsts are simulated window by window (SimulateStoreObserved).
 const (
 	MaxInsts      = 1 << 24
 	MaxClusters   = 16
@@ -68,7 +68,7 @@ func Admit(cfg Config, insts int) error {
 		return err
 	}
 	if insts > MaxInsts {
-		return fmt.Errorf("machine: trace of %d instructions exceeds the %d-instruction limit; simulate longer traces window by window (SimulateStore)", insts, MaxInsts)
+		return fmt.Errorf("machine: trace of %d instructions exceeds the %d-instruction limit; simulate longer traces window by window (machine.SimulateStoreObserved)", insts, MaxInsts)
 	}
 	if worst := int64(insts) * cfg.worstInstCycles(); worst > fusedCycleCap {
 		return fmt.Errorf("machine: %d instructions at up to %d cycles each may run %d cycles, past the %d-cycle limit; shorten the trace or the configured latencies",

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"clustersim/internal/trace"
 )
@@ -14,11 +13,12 @@ import (
 // back into the trace (a consumer may wake on a producer issued millions
 // of instructions earlier), so a single pass over a 100M-instruction
 // trace would have to keep the whole trace and event log resident — the
-// exact cost the chunked store exists to avoid. Instead, SimulateStore
-// simulates the trace as a sequence of independent window samples: each
-// window is materialized as a self-contained trace (dependences recomputed
-// from a cold register file and store set, exactly trace.Rebuild of the
-// window's instruction slice), simulated in isolation, and aggregated.
+// exact cost the chunked store exists to avoid. Instead,
+// SimulateStoreObserved simulates the trace as a sequence of independent
+// window samples: each window is materialized as a self-contained trace
+// (dependences recomputed from a cold register file and store set, exactly
+// trace.Rebuild of the window's instruction slice), simulated in
+// isolation, and aggregated.
 // This mirrors the paper's own methodology — its figures come from
 // detailed simulation of sampled instruction windows, not one unbroken
 // run — and makes the streaming path exactly reproducible from memory:
@@ -81,17 +81,13 @@ func (sr *StreamResult) accumulate(r Result) {
 // recycled after the observer returns; the observer must not retain it.
 type WindowObserver func(seg int, base int64, m *Machine) error
 
-// SimulateStore runs the store's instruction stream through the machine
-// window-at-a-time with bounded memory: at any moment only one window's
-// trace, machine and event log are live (plus the store's chunk window).
-// mk builds the stack for each segment. The final short window is
-// simulated as-is; an empty store yields a zero StreamResult.
-func SimulateStore(st *trace.Store, windowInsts int64, mk SegmentFunc) (StreamResult, error) {
-	return SimulateStoreObserved(st, windowInsts, mk, nil)
-}
-
-// SimulateStoreObserved is SimulateStore with a per-window observer
-// (nil means none); an observer error aborts the run.
+// SimulateStoreObserved runs the store's instruction stream through the
+// machine window-at-a-time with bounded memory: at any moment only one
+// window's trace, machine and event log are live (plus the store's chunk
+// window). mk builds the stack for each segment, and obs (nil means none)
+// sees each finished window; an observer error aborts the run. The final
+// short window is simulated as-is; an empty store yields a zero
+// StreamResult.
 func SimulateStoreObserved(st *trace.Store, windowInsts int64, mk SegmentFunc, obs WindowObserver) (StreamResult, error) {
 	var sr StreamResult
 	if err := checkWindow(windowInsts, st.Len()); err != nil {
@@ -127,16 +123,6 @@ func checkWindow(windowInsts, total int64) error {
 	}
 	return nil
 }
-
-// streamInFlight tracks window simulations currently live across every
-// pipelined run in the process: materialized but not yet aggregated.
-// Exported through StreamWindowsInFlight for the metrics layer.
-var streamInFlight atomic.Int64
-
-// StreamWindowsInFlight returns the number of streaming windows
-// currently in flight (materialized, queued, simulating, or awaiting
-// ordered aggregation) across all pipelined runs in the process.
-func StreamWindowsInFlight() int64 { return streamInFlight.Load() }
 
 // streamJob is one window moving through the pipelined store run.
 type streamJob struct {
@@ -207,7 +193,6 @@ func SimulateStorePiped(st *trace.Store, windowInsts int64, mk SegmentFunc, obs 
 			if j.err == nil {
 				j.tr, j.err = st.WindowTrace(lo, hi)
 			}
-			streamInFlight.Add(1)
 			if j.err != nil {
 				close(j.done) // never reaches a worker
 				order <- j
@@ -252,7 +237,6 @@ func SimulateStorePiped(st *trace.Store, windowInsts int64, mk SegmentFunc, obs 
 		}
 		Recycle(j.m) // Recycle(nil) is a no-op
 		j.m = nil
-		streamInFlight.Add(-1)
 	}
 	wg.Wait()
 	return sr, firstErr
@@ -275,10 +259,10 @@ func simulateStreamJob(j *streamJob) (m *Machine, res Result, err error) {
 	return m, m.Run(), nil
 }
 
-// SimulateSliced is the in-memory reference for SimulateStore: the same
-// window segmentation applied to a materialized trace (each window is
-// trace.Rebuild of the slice). The streaming differential gate pins
-// SimulateStore == SimulateSliced on identical inputs.
+// SimulateSliced is the in-memory reference for SimulateStoreObserved:
+// the same window segmentation applied to a materialized trace (each
+// window is trace.Rebuild of the slice). The streaming differential gate
+// pins SimulateStoreObserved == SimulateSliced on identical inputs.
 func SimulateSliced(tr *trace.Trace, windowInsts int64, mk SegmentFunc) (StreamResult, error) {
 	var sr StreamResult
 	total := int64(tr.Len())

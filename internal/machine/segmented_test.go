@@ -44,7 +44,7 @@ func TestSimulateStoreMatchesSliced(t *testing.T) {
 	}
 	st := openStoreFor(t, tr, 512)
 	for _, window := range []int64{512, 700, 1999, 6000, 10000} {
-		got, err := machine.SimulateStore(st, window, depBasedSegment(4))
+		got, err := machine.SimulateStoreObserved(st, window, depBasedSegment(4), nil)
 		if err != nil {
 			t.Fatalf("window %d: %v", window, err)
 		}
@@ -73,7 +73,7 @@ func TestSimulateStoreWholeTraceWindowIsPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := openStoreFor(t, tr, 256)
-	sr, err := machine.SimulateStore(st, int64(tr.Len()), depBasedSegment(4))
+	sr, err := machine.SimulateStoreObserved(st, int64(tr.Len()), depBasedSegment(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +92,17 @@ func TestSimulateStoreWholeTraceWindowIsPlainRun(t *testing.T) {
 
 func TestSimulateStoreEmptyAndInvalid(t *testing.T) {
 	empty := openStoreFor(t, trace.Rebuild(nil), 16)
-	sr, err := machine.SimulateStore(empty, 100, depBasedSegment(2))
+	sr, err := machine.SimulateStoreObserved(empty, 100, depBasedSegment(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.Windows != 0 || sr.Insts != 0 {
 		t.Fatalf("empty store simulated %d windows, %d insts", sr.Windows, sr.Insts)
 	}
-	if _, err := machine.SimulateStore(empty, 0, depBasedSegment(2)); err == nil {
+	if _, err := machine.SimulateStoreObserved(empty, 0, depBasedSegment(2), nil); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	if _, err := machine.SimulateStore(empty, -5, depBasedSegment(2)); err == nil {
+	if _, err := machine.SimulateStoreObserved(empty, -5, depBasedSegment(2), nil); err == nil {
 		t.Fatal("negative window accepted")
 	}
 }
@@ -114,18 +114,18 @@ func TestSimulateStoreSegmentErrorPropagates(t *testing.T) {
 	}
 	st := openStoreFor(t, tr, 256)
 	boom := errors.New("segment build failed")
-	_, err = machine.SimulateStore(st, 500, func(seg int) (machine.Config, machine.SteerPolicy, machine.Hooks, error) {
+	_, err = machine.SimulateStoreObserved(st, 500, func(seg int) (machine.Config, machine.SteerPolicy, machine.Hooks, error) {
 		if seg == 2 {
 			return machine.Config{}, nil, machine.Hooks{}, boom
 		}
 		return machine.NewConfig(2), &steer.DepBased{}, machine.Hooks{}, nil
-	})
+	}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped segment error", err)
 	}
 }
 
-// TestSimulateStoreFreesFinishedWindows pins SimulateStore's memory
+// TestSimulateStoreFreesFinishedWindows pins SimulateStoreObserved's memory
 // promise: only the current window's trace, machine and event log are
 // live. Each window trace is held through a weak pointer; once a window
 // is finished (its machine recycled), a GC must be able to collect it —

@@ -937,12 +937,11 @@ type Stats struct {
 	SchedMisses int64   `json:"sched_misses"`
 
 	// Parallel replay layer (see DESIGN.md "Parallel replay").
-	ReplayWorkers   int   `json:"replay_workers"`
-	ReplayBusyNs    int64 `json:"replay_busy_ns"`
-	EventsElided    int64 `json:"events_elided"`
-	GridGroups      int64 `json:"grid_groups"`
-	GridShared      int64 `json:"grid_shared"`
-	WindowsInFlight int64 `json:"windows_in_flight"`
+	ReplayWorkers int   `json:"replay_workers"`
+	ReplayBusyNs  int64 `json:"replay_busy_ns"`
+	EventsElided  int64 `json:"events_elided"`
+	GridGroups    int64 `json:"grid_groups"`
+	GridShared    int64 `json:"grid_shared"`
 }
 
 // StatsSnapshot returns the current Stats (also served at /v1/stats).
@@ -980,12 +979,11 @@ func (s *Server) StatsSnapshot() Stats {
 		SchedHits:   es.SchedHits,
 		SchedMisses: es.SchedMisses,
 
-		ReplayWorkers:   es.ReplayWorkers,
-		ReplayBusyNs:    es.ReplayBusyNs,
-		EventsElided:    es.EventsElided,
-		GridGroups:      es.GridGroups,
-		GridShared:      es.GridShared,
-		WindowsInFlight: es.WindowsInFlight,
+		ReplayWorkers: es.ReplayWorkers,
+		ReplayBusyNs:  es.ReplayBusyNs,
+		EventsElided:  es.EventsElided,
+		GridGroups:    es.GridGroups,
+		GridShared:    es.GridShared,
 	}
 }
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,12 +12,12 @@ import (
 	"clustersim/internal/isa"
 )
 
-// CTR2 is the chunked, structure-of-arrays, optionally compressed trace
-// store: the format behind paper-scale (100M+ instruction) workloads.
-// It is the one on-disk trace format. A store is a sequence of
-// independently validated fixed-size chunks, so a writer streams a trace
-// to disk with bounded memory and a reader pages any window of it back
-// in without touching the rest.
+// CTR2 is the chunked, structure-of-arrays trace store: the format
+// behind paper-scale (100M+ instruction) workloads. It is the one on-disk
+// trace format. A store is a sequence of independently validated
+// fixed-size chunks, so a writer streams a trace to disk with bounded
+// memory and a reader pages any window of it back in without touching
+// the rest.
 //
 // File layout (every frame uses the engine's CRC discipline — magic,
 // length, CRC32-C (Castagnoli) of the payload, payload):
@@ -26,15 +25,15 @@ import (
 //	header frame:
 //	    kind     uint8 (0 = header)
 //	    version  uint16 (currently 1)
-//	    flags    uint16 (bit 0: chunk columns are DEFLATE-compressed)
+//	    flags    uint16 (reserved; must be 0)
 //	    chunkLen uint32 (instructions per chunk; last chunk may be short)
 //	    metaLen  uint32, meta bytes (application blob, e.g. a cache key)
 //	chunk frames, in index order:
 //	    kind    uint8 (1 = chunk)
 //	    index   uint32
 //	    count   uint32 (instructions in this chunk)
-//	    rawLen  uint32 (uncompressed column bytes)
-//	    columns — structure-of-arrays, possibly compressed:
+//	    rawLen  uint32 (column bytes; must be count × 33)
+//	    columns — structure-of-arrays:
 //	        pc      count × uint64
 //	        addr    count × uint64
 //	        src0    count × uint8
@@ -64,11 +63,8 @@ import (
 // prefix of the stream. Decoded chunks are bounds-validated (op class,
 // dependence indices strictly older than their consumer), so a corrupt
 // or adversarial file can never induce out-of-range indexing downstream.
-//
 // A file whose tail was torn off by a crash (missing trailer, torn
-// footer, or a half-written chunk) is recoverable: OpenOptions.
-// RecoverTail scans the chunk sequence from the start and accepts the
-// longest valid prefix.
+// footer, or a half-written chunk) fails to open with ErrTornStore.
 const (
 	ctr2FrameMagic  = 0x32525443 // "CTR2" little-endian
 	ctr2TrailMagic  = 0x45525443 // "CTRE" little-endian
@@ -90,15 +86,9 @@ const (
 	ctr2KindFooter = 2
 )
 
-// Format flags.
-const (
-	// FlagCompressed marks chunk columns as DEFLATE-compressed.
-	FlagCompressed uint16 = 1 << 0
-)
-
 // DefaultChunkLen is the default instructions-per-chunk (64Ki ≈ 2.1 MiB
-// of raw columns): large enough to amortize framing and compression,
-// small enough that a handful of chunks is a fine-grained memory window.
+// of columns): large enough to amortize framing, small enough that a
+// handful of chunks is a fine-grained memory window.
 const DefaultChunkLen = 1 << 16
 
 // chunkBytesPerInst is the raw column footprint of one instruction:
@@ -116,8 +106,7 @@ const maxMetaLen = 1 << 16
 // these as corruption (quarantine and regenerate).
 var (
 	ErrBadFormat = errors.New("trace: not a CTR2 store")
-	// ErrTornStore marks a store whose tail is missing or invalid; Open
-	// with RecoverTail accepts the valid prefix instead.
+	// ErrTornStore marks a store whose tail is missing or invalid.
 	ErrTornStore = errors.New("trace: store tail torn or corrupt")
 )
 
@@ -156,22 +145,16 @@ func ctr2ReadFrame(r io.ReaderAt, off int64, maxLen int) ([]byte, error) {
 }
 
 // maxChunkPayload is the frame-length bound for a chunk of chunkLen
-// instructions: the raw columns plus the chunk record header, with slack
-// for the (rare) incompressible case where DEFLATE expands its input.
+// instructions: the chunk record header plus its columns.
 func maxChunkPayload(chunkLen int) int {
-	return 13 + chunkLen*chunkBytesPerInst + chunkLen/8 + 256
+	return 13 + chunkLen*chunkBytesPerInst
 }
 
 // WriterOptions configures a CTR2 Writer. The zero value is ready to
-// use: DefaultChunkLen chunks, no compression, no meta blob.
+// use: DefaultChunkLen chunks, no meta blob.
 type WriterOptions struct {
 	// ChunkLen is the instructions-per-chunk; 0 means DefaultChunkLen.
 	ChunkLen int
-	// Compress DEFLATE-compresses each chunk's columns. Synthetic traces
-	// compress extremely well (stable PCs, strided addresses) at the
-	// cost of encode throughput; leave it off when the store is a
-	// scratch spill and on when it is a long-lived artifact.
-	Compress bool
 	// Meta is an application blob stored in the header (the engine's
 	// disk tier records the content-addressed cache key here).
 	Meta []byte
@@ -192,8 +175,6 @@ type Writer struct {
 	offsets []uint64
 	total   int64
 	buf     bytes.Buffer // scratch for the current frame
-	comp    *flate.Writer
-	compBuf bytes.Buffer
 
 	// Current chunk columns (structure of arrays). They start empty and
 	// grow with Append (see grow), so a short trace never pays for a full
@@ -205,7 +186,7 @@ type Writer struct {
 
 // NewWriter builds a streaming CTR2 writer over w and writes the header
 // frame. The caller must Close the writer to seal the store (footer and
-// trailer); a store missing them is readable only via RecoverTail.
+// trailer); a store missing them fails to open with ErrTornStore.
 func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 	if opts.ChunkLen == 0 {
 		opts.ChunkLen = DefaultChunkLen
@@ -218,15 +199,10 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 	}
 	cw := &Writer{w: w, opts: opts}
 	cw.ds.reset()
-	var flags uint16
-	if opts.Compress {
-		flags |= FlagCompressed
-		cw.comp, _ = flate.NewWriter(io.Discard, flate.BestSpeed)
-	}
 	hdr := make([]byte, 0, 14+len(opts.Meta))
 	hdr = append(hdr, ctr2KindHeader)
 	hdr = binary.LittleEndian.AppendUint16(hdr, ctr2Version)
-	hdr = binary.LittleEndian.AppendUint16(hdr, flags)
+	hdr = binary.LittleEndian.AppendUint16(hdr, 0) // flags
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(opts.ChunkLen))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(opts.Meta)))
 	hdr = append(hdr, opts.Meta...)
@@ -354,21 +330,7 @@ func (cw *Writer) flushChunk() {
 	binary.LittleEndian.PutUint32(rec[ctr2FrameHdrLen+5:], uint32(n))
 	binary.LittleEndian.PutUint32(rec[ctr2FrameHdrLen+9:], uint32(n*chunkBytesPerInst))
 	cw.buf.Write(rec[:])
-	if cw.comp != nil {
-		cw.compBuf.Reset()
-		cw.encodeColumns(&cw.compBuf)
-		cw.comp.Reset(&cw.buf)
-		if _, err := cw.comp.Write(cw.compBuf.Bytes()); err == nil {
-			cw.err = cw.comp.Close()
-		} else {
-			cw.err = err
-		}
-		if cw.err != nil {
-			return
-		}
-	} else {
-		cw.encodeColumns(&cw.buf)
-	}
+	cw.encodeColumns(&cw.buf)
 	frame := cw.buf.Bytes()
 	payload := frame[ctr2FrameHdrLen:]
 	binary.LittleEndian.PutUint32(frame[0:4], ctr2FrameMagic)
@@ -386,8 +348,8 @@ func (cw *Writer) flushChunk() {
 
 // Close flushes the final partial chunk and seals the store with the
 // footer frame and trailer. It returns the writer's sticky error; a
-// store whose Close failed (or never ran) has a torn tail and is
-// readable only via OpenOptions.RecoverTail.
+// store whose Close failed (or never ran) has a torn tail and fails to
+// open with ErrTornStore.
 func (cw *Writer) Close() error {
 	if cw.closed {
 		return cw.err
@@ -452,7 +414,7 @@ func (c *Chunk) Dep(i int) DepInfo {
 // the decoded contents can be consumed safely: operation classes in
 // range, dependence indices strictly older than their (global) consumer
 // index. wantIndex and base pin the chunk's position in the stream.
-func decodeChunk(payload []byte, wantIndex int, base int64, chunkLen int, compressed bool, ch *Chunk) error {
+func decodeChunk(payload []byte, wantIndex int, base int64, chunkLen int, ch *Chunk) error {
 	if len(payload) < 13 || payload[0] != ctr2KindChunk {
 		return fmt.Errorf("%w: not a chunk record", ErrBadFormat)
 	}
@@ -469,20 +431,7 @@ func decodeChunk(payload []byte, wantIndex int, base int64, chunkLen int, compre
 		return fmt.Errorf("%w: chunk raw length %d for %d instructions", ErrBadFormat, rawLen, count)
 	}
 	cols := payload[13:]
-	if compressed {
-		fr := flate.NewReader(bytes.NewReader(cols))
-		buf := make([]byte, rawLen)
-		if _, err := io.ReadFull(fr, buf); err != nil {
-			return fmt.Errorf("%w: chunk decompression: %v", ErrTornStore, err)
-		}
-		// One extra read distinguishes exactly-rawLen streams from longer
-		// ones a corrupted file might carry.
-		var one [1]byte
-		if n, _ := fr.Read(one[:]); n != 0 {
-			return fmt.Errorf("%w: chunk decompresses past its raw length", ErrBadFormat)
-		}
-		cols = buf
-	} else if len(cols) != rawLen {
+	if len(cols) != rawLen {
 		return fmt.Errorf("%w: chunk carries %d column bytes, want %d", ErrBadFormat, len(cols), rawLen)
 	}
 

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -58,7 +59,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	}{
 		{"default", WriterOptions{}},
 		{"small-chunks", WriterOptions{ChunkLen: 64}},
-		{"compressed", WriterOptions{ChunkLen: 256, Compress: true}},
 		{"chunk-larger-than-trace", WriterOptions{ChunkLen: 1 << 20}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,9 +69,6 @@ func TestStoreRoundTrip(t *testing.T) {
 			}
 			if st.Len() != int64(len(insts)) {
 				t.Fatalf("Len = %d, want %d", st.Len(), len(insts))
-			}
-			if st.Recovered() {
-				t.Fatal("cleanly sealed store reported as recovered")
 			}
 			got, err := st.Load()
 			if err != nil {
@@ -178,7 +175,7 @@ func TestStoreScanOrderAndBases(t *testing.T) {
 
 func TestStoreSummarizeMatchesTrace(t *testing.T) {
 	insts := randomInsts(xrand.New(9), 2500)
-	data, want := buildStore(t, insts, WriterOptions{ChunkLen: 333, Compress: true})
+	data, want := buildStore(t, insts, WriterOptions{ChunkLen: 333})
 	st, err := OpenBytes(data, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -250,54 +247,71 @@ func TestStoreWindowEviction(t *testing.T) {
 			t.Fatalf("resident chunks = %d, window bound 2", resident)
 		}
 	}
-	if wb := st.WindowBytes(); wb != 2*128*chunkBytesPerInst {
-		t.Fatalf("WindowBytes = %d", wb)
+}
+
+// TestStoreTornTailRecovery pins that a torn store is never recovered:
+// truncated at every granularity (mid-trailer, mid-footer, mid-chunk,
+// mid-frame-header), it fails to open with ErrTornStore, so the engine
+// quarantines and regenerates it instead of reading a prefix.
+func TestStoreTornTailRecovery(t *testing.T) {
+	data, _ := buildStore(t, randomInsts(xrand.New(40), 640), WriterOptions{ChunkLen: 128})
+	for cut := len(data) - 1; cut >= 0; cut -= 7 {
+		if _, err := OpenBytes(data[:cut], OpenOptions{}); !errors.Is(err, ErrTornStore) {
+			t.Fatalf("truncation at %d: %v, want ErrTornStore", cut, err)
+		}
 	}
 }
 
-func TestStoreTornTailRecovery(t *testing.T) {
-	insts := randomInsts(xrand.New(40), 640)
-	data, want := buildStore(t, insts, WriterOptions{ChunkLen: 128})
-
-	// Truncate at every granularity: mid-trailer, mid-footer, mid-chunk,
-	// mid-frame-header. Strict opens must fail; RecoverTail must yield a
-	// valid prefix of the original stream (or fail cleanly while the
-	// header itself is torn).
-	headerEnd := ctr2FrameHdrLen + 13 // header frame of a meta-less store
-	for cut := len(data) - 1; cut >= 0; cut -= 7 {
-		trunc := data[:cut]
-		if _, err := OpenBytes(trunc, OpenOptions{}); err == nil {
-			t.Fatalf("strict open accepted truncation at %d", cut)
-		}
-		st, err := OpenBytes(trunc, OpenOptions{RecoverTail: true})
-		if err != nil {
-			if cut >= headerEnd {
-				t.Fatalf("recovery failed at cut %d with intact header: %v", cut, err)
-			}
-			continue
-		}
-		if !st.Recovered() {
-			t.Fatalf("cut %d: recovered store not flagged", cut)
-		}
-		if st.Len()%128 != 0 || st.Len() > 640 {
-			t.Fatalf("cut %d: recovered %d insts, want a whole-chunk prefix", cut, st.Len())
-		}
-		got, err := st.Load()
-		if err != nil {
-			t.Fatalf("cut %d: loading recovered prefix: %v", cut, err)
-		}
-		for i := range got.Insts {
-			if got.Insts[i] != want.Insts[i] || got.Deps[i] != want.Deps[i] {
-				t.Fatalf("cut %d: recovered inst %d diverges from original", cut, i)
-			}
+// TestStoreRejectsHeaderFlags pins that the header's flags field is
+// reserved: a store that sets any flag (bit 0 once meant DEFLATE-
+// compressed columns) fails to open with ErrBadFormat.
+func TestStoreRejectsHeaderFlags(t *testing.T) {
+	data, _ := buildStore(t, randomInsts(xrand.New(41), 300), WriterOptions{ChunkLen: 64})
+	for _, flags := range []uint16{1, 0x8000} {
+		bad := withHeaderFlags(data, flags)
+		if _, err := OpenBytes(bad, OpenOptions{}); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("flags %#x: %v, want ErrBadFormat", flags, err)
 		}
 	}
+}
 
-	// An untruncated file opened with RecoverTail must not degrade.
-	st, err := OpenBytes(data, OpenOptions{RecoverTail: true})
-	if err != nil || st.Recovered() || st.Len() != 640 {
-		t.Fatalf("intact store with RecoverTail: err=%v recovered=%v len=%d", err, st.Recovered(), st.Len())
+// TestFuzzCorpusRetiredStores pins what the committed FuzzReadChunked
+// corpus holds: a sealed store opens, a torn one fails with ErrTornStore,
+// and one written with the retired DEFLATE flag fails with ErrBadFormat.
+func TestFuzzCorpusRetiredStores(t *testing.T) {
+	for name, want := range map[string]error{
+		"seed-sealed-store":     nil,
+		"seed-torn-store":       ErrTornStore,
+		"seed-compressed-store": ErrBadFormat,
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzReadChunked", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Line 2 of a "go test fuzz v1" file holds the []byte argument.
+		lit, ok := strings.CutPrefix(strings.Split(string(raw), "\n")[1], "[]byte(")
+		if !ok {
+			t.Fatalf("%s: unexpected corpus line", name)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := OpenBytes([]byte(data), OpenOptions{}); !errors.Is(err, want) {
+			t.Errorf("%s: open: %v, want %v", name, err, want)
+		}
 	}
+}
+
+// withHeaderFlags returns a copy of a meta-less store with its header
+// flags set to flags and the header frame's CRC recomputed, so only the
+// flags make it invalid.
+func withHeaderFlags(data []byte, flags uint16) []byte {
+	out := append([]byte(nil), data...)
+	hdr := out[ctr2FrameHdrLen : ctr2FrameHdrLen+13]
+	binary.LittleEndian.PutUint16(hdr[3:5], flags)
+	binary.LittleEndian.PutUint32(out[8:12], crc32c(hdr))
+	return out
 }
 
 func TestStoreDetectsCorruption(t *testing.T) {
@@ -306,7 +320,7 @@ func TestStoreDetectsCorruption(t *testing.T) {
 
 	// Flip one byte inside the second chunk's columns: opening still
 	// succeeds (the footer is intact) but reading that chunk must fail
-	// the CRC, and recovery must stop before it.
+	// the CRC.
 	st, err := OpenBytes(data, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -326,23 +340,6 @@ func TestStoreDetectsCorruption(t *testing.T) {
 	if _, err := st2.Load(); err == nil {
 		t.Fatal("Load materialized a corrupt store")
 	}
-	// With an intact footer, RecoverTail changes nothing: the index is
-	// trusted and the corrupt chunk still fails at read time.
-	rec, err := OpenBytes(corrupt, OpenOptions{RecoverTail: true})
-	if err != nil || rec.Recovered() || rec.Len() != 512 {
-		t.Fatalf("recover with intact footer: err=%v recovered=%v len=%d", err, rec.Recovered(), rec.Len())
-	}
-	// Tear the tail as well: prefix recovery must stop before the corrupt
-	// chunk.
-	tornCorrupt := corrupt[:len(corrupt)-ctr2TrailerLen]
-	rec2, err := OpenBytes(tornCorrupt, OpenOptions{RecoverTail: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec2.Recovered() || rec2.Len() != 128 {
-		t.Fatalf("prefix recovery over corrupt chunk 1 kept %d insts, want 128", rec2.Len())
-	}
-
 	// Corrupt trailer magic: strict open fails as torn.
 	bad := append([]byte(nil), data...)
 	bad[len(bad)-1] ^= 0xFF
@@ -350,10 +347,10 @@ func TestStoreDetectsCorruption(t *testing.T) {
 		t.Fatalf("corrupt trailer: %v, want ErrTornStore", err)
 	}
 
-	// Corrupt header frame: unreadable even with recovery.
+	// Corrupt header frame.
 	hdrBad := append([]byte(nil), data...)
 	hdrBad[ctr2FrameHdrLen] ^= 0xFF
-	if _, err := OpenBytes(hdrBad, OpenOptions{RecoverTail: true}); err == nil {
+	if _, err := OpenBytes(hdrBad, OpenOptions{}); err == nil {
 		t.Fatal("corrupt header accepted")
 	}
 
@@ -425,7 +422,7 @@ func TestOpenFile(t *testing.T) {
 	path := filepath.Join(dir, "t.ctr2")
 	insts := randomInsts(xrand.New(6), 300)
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{ChunkLen: 64, Compress: true})
+	w, err := NewWriter(&buf, WriterOptions{ChunkLen: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,10 +468,10 @@ func TestWriteStoreHelper(t *testing.T) {
 }
 
 // TestWriteStoreDigests pins WriteStore's bytes: a 3,000-instruction
-// trace (the server's job size, shorter than one chunk), a trace longer
-// than one default chunk, and a compressed store of small chunks. The
-// digests were taken from the writer that allocated a full chunk of
-// columns up front; growing them on demand must not change a byte.
+// trace (the server's job size, shorter than one chunk) and a trace
+// longer than one default chunk. The digests were taken from the writer
+// that allocated a full chunk of columns up front; growing them on demand
+// must not change a byte.
 func TestWriteStoreDigests(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -486,8 +483,6 @@ func TestWriteStoreDigests(t *testing.T) {
 			"0b975e296395d721e1b06bf06f36d83c245398cf60c0237da9fec2af0db0a3eb"},
 		{"over-one-chunk", DefaultChunkLen + 4464, WriterOptions{},
 			"e8b53b1f4b5c2b3d52ea759b6930c5a46559598675cb97e75b77ad0ffcd6dc13"},
-		{"compressed", 3000, WriterOptions{ChunkLen: 256, Compress: true},
-			"71f1d32a886f689e12338aaf9cb745432f6fa2e3a3093792584e7dc942c17df5"},
 	} {
 		var buf bytes.Buffer
 		if err := WriteStore(&buf, Rebuild(randomInsts(xrand.New(19), tc.n)), tc.opts); err != nil {
@@ -560,8 +555,8 @@ func TestCodecCountBoundary(t *testing.T) {
 
 // FuzzReadChunked hammers the CTR2 store reader with arbitrary bytes:
 // opening, scanning, windowed reads and materialization must never panic
-// or index out of range, in both strict and tail-recovery modes, and
-// whatever is accepted must round-trip its instruction stream.
+// or index out of range, and whatever is accepted must round-trip its
+// instruction stream.
 func FuzzReadChunked(f *testing.F) {
 	seed := func(opts WriterOptions, n int) []byte {
 		var buf bytes.Buffer
@@ -579,7 +574,7 @@ func FuzzReadChunked(f *testing.F) {
 	}
 	valid := seed(WriterOptions{ChunkLen: 32, Meta: []byte("k")}, 100)
 	f.Add(valid)
-	f.Add(seed(WriterOptions{ChunkLen: 16, Compress: true}, 100))
+	f.Add(withHeaderFlags(seed(WriterOptions{ChunkLen: 16}, 100), 1))
 	f.Add(seed(WriterOptions{ChunkLen: 8}, 0))
 	f.Add(valid[:len(valid)-ctr2TrailerLen-3])
 	flip := append([]byte(nil), valid...)
@@ -589,64 +584,62 @@ func FuzzReadChunked(f *testing.F) {
 	f.Add([]byte("CTR1"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, recov := range []bool{false, true} {
-			st, err := OpenBytes(data, OpenOptions{WindowChunks: 2, RecoverTail: recov})
-			if err != nil {
-				continue
-			}
-			// Cap the work per input: a crafted footer may declare huge
-			// geometry; reads will fail on it, but don't let Load try to
-			// materialize the claim.
-			if st.Len() > 1<<20 || st.ChunkLen() > 1<<16 {
-				continue
-			}
-			tr, err := st.Load()
-			if err != nil {
-				continue // corrupt chunk behind a valid footer
-			}
-			if int64(tr.Len()) != st.Len() {
-				t.Fatalf("Load returned %d insts, store says %d", tr.Len(), st.Len())
-			}
-			// Stored dependences are only index-validated, not semantically
-			// trusted; pin exactly the bounds decodeChunk guarantees.
-			for i := range tr.Deps {
-				d := tr.Deps[i]
-				for _, p := range [3]int32{d.Src[0], d.Src[1], d.Mem} {
-					if p != None && (p < 0 || int(p) >= i) {
-						t.Fatalf("inst %d escaped with out-of-order dep %d", i, p)
-					}
-				}
-				if tr.Insts[i].Op >= isa.NumOps {
-					t.Fatalf("inst %d escaped with op %d", i, tr.Insts[i].Op)
-				}
-				tr.ProducerSpan(i) // must not panic
-			}
-			s, err := st.Summarize()
-			if err != nil {
-				t.Fatalf("Load succeeded but Summarize failed: %v", err)
-			}
-			if s.Total != tr.Len() {
-				t.Fatalf("Summarize counted %d, Load %d", s.Total, tr.Len())
-			}
-			if st.Len() > 0 {
-				mid := st.Len() / 2
-				if _, err := st.WindowTrace(0, mid); err != nil {
-					t.Fatalf("WindowTrace over loadable store: %v", err)
+		st, err := OpenBytes(data, OpenOptions{WindowChunks: 2})
+		if err != nil {
+			return
+		}
+		// Cap the work per input: a crafted footer may declare huge
+		// geometry; reads will fail on it, but don't let Load try to
+		// materialize the claim.
+		if st.Len() > 1<<20 || st.ChunkLen() > 1<<16 {
+			return
+		}
+		tr, err := st.Load()
+		if err != nil {
+			return // corrupt chunk behind a valid footer
+		}
+		if int64(tr.Len()) != st.Len() {
+			t.Fatalf("Load returned %d insts, store says %d", tr.Len(), st.Len())
+		}
+		// Stored dependences are only index-validated, not semantically
+		// trusted; pin exactly the bounds decodeChunk guarantees.
+		for i := range tr.Deps {
+			d := tr.Deps[i]
+			for _, p := range [3]int32{d.Src[0], d.Src[1], d.Mem} {
+				if p != None && (p < 0 || int(p) >= i) {
+					t.Fatalf("inst %d escaped with out-of-order dep %d", i, p)
 				}
 			}
-			// Re-encoding what we accepted must reproduce the instruction
-			// stream (dependences are recomputed by the writer).
-			var out bytes.Buffer
-			if err := WriteStore(&out, tr, WriterOptions{ChunkLen: st.ChunkLen()}); err != nil {
-				t.Fatalf("re-encode: %v", err)
+			if tr.Insts[i].Op >= isa.NumOps {
+				t.Fatalf("inst %d escaped with op %d", i, tr.Insts[i].Op)
 			}
-			st2, err := OpenBytes(out.Bytes(), OpenOptions{})
-			if err != nil {
-				t.Fatalf("re-open: %v", err)
+			tr.ProducerSpan(i) // must not panic
+		}
+		s, err := st.Summarize()
+		if err != nil {
+			t.Fatalf("Load succeeded but Summarize failed: %v", err)
+		}
+		if s.Total != tr.Len() {
+			t.Fatalf("Summarize counted %d, Load %d", s.Total, tr.Len())
+		}
+		if st.Len() > 0 {
+			mid := st.Len() / 2
+			if _, err := st.WindowTrace(0, mid); err != nil {
+				t.Fatalf("WindowTrace over loadable store: %v", err)
 			}
-			if st2.Len() != st.Len() {
-				t.Fatalf("round trip length %d, want %d", st2.Len(), st.Len())
-			}
+		}
+		// Re-encoding what we accepted must reproduce the instruction
+		// stream (dependences are recomputed by the writer).
+		var out bytes.Buffer
+		if err := WriteStore(&out, tr, WriterOptions{ChunkLen: st.ChunkLen()}); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		st2, err := OpenBytes(out.Bytes(), OpenOptions{})
+		if err != nil {
+			t.Fatalf("re-open: %v", err)
+		}
+		if st2.Len() != st.Len() {
+			t.Fatalf("round trip length %d, want %d", st2.Len(), st.Len())
 		}
 	})
 }

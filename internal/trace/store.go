@@ -17,16 +17,12 @@ import (
 // columns, regardless of how large the trace on disk is.
 const DefaultWindowChunks = 4
 
-// OpenOptions configures Open. The zero value is strict (a torn store
-// is an error) with the default window.
+// OpenOptions configures Open. The zero value uses the default window.
+// A torn store is always an error (ErrTornStore).
 type OpenOptions struct {
 	// WindowChunks bounds how many decoded chunks the store keeps
 	// resident; 0 means DefaultWindowChunks, negative means 1.
 	WindowChunks int
-	// RecoverTail accepts a store whose footer or trailer is missing or
-	// corrupt (an interrupted writer, a torn disk): the store exposes
-	// the longest valid prefix of chunks and reports Recovered() true.
-	RecoverTail bool
 }
 
 // Store is a read view of one CTR2 chunked trace: random access to any
@@ -37,11 +33,9 @@ type Store struct {
 	r        io.ReaderAt
 	closer   io.Closer
 	meta     []byte
-	flags    uint16
 	chunkLen int
 	total    int64
 	offsets  []uint64
-	recov    bool
 
 	mu     sync.Mutex
 	window int
@@ -107,7 +101,9 @@ func NewStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	if v := binary.LittleEndian.Uint16(hdr[1:3]); v != ctr2Version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
 	}
-	st.flags = binary.LittleEndian.Uint16(hdr[3:5])
+	if f := binary.LittleEndian.Uint16(hdr[3:5]); f != 0 {
+		return nil, fmt.Errorf("%w: unsupported header flags %#x", ErrBadFormat, f)
+	}
 	st.chunkLen = int(binary.LittleEndian.Uint32(hdr[5:9]))
 	if st.chunkLen < 1 || st.chunkLen > maxChunkLen {
 		return nil, fmt.Errorf("%w: chunk length %d out of range", ErrBadFormat, st.chunkLen)
@@ -117,16 +113,8 @@ func NewStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		return nil, fmt.Errorf("%w: header meta length %d", ErrBadFormat, metaLen)
 	}
 	st.meta = append([]byte(nil), hdr[13:]...)
-	headerEnd := int64(ctr2FrameHdrLen + len(hdr))
-
 	if err := st.loadFooter(size); err != nil {
-		if !opts.RecoverTail {
-			return nil, err
-		}
-		if err := st.recoverPrefix(headerEnd, size); err != nil {
-			return nil, err
-		}
-		st.recov = true
+		return nil, err
 	}
 	return st, nil
 }
@@ -177,39 +165,6 @@ func (st *Store) loadFooter(size int64) error {
 	return nil
 }
 
-// recoverPrefix rebuilds the chunk index by scanning frames forward from
-// the first chunk, accepting the longest fully valid prefix. A file with
-// a readable header and zero intact chunks recovers to an empty store.
-func (st *Store) recoverPrefix(start, size int64) error {
-	st.offsets = st.offsets[:0]
-	st.total = 0
-	var ch Chunk
-	off := start
-	for off < size {
-		payload, err := ctr2ReadFrame(st.r, off, maxChunkPayload(st.chunkLen))
-		if err != nil {
-			break
-		}
-		if len(payload) == 0 || payload[0] != ctr2KindChunk {
-			break // footer (or junk): the chunk run is over
-		}
-		if err := decodeChunk(payload, len(st.offsets), st.total, st.chunkLen, st.compressed(), &ch); err != nil {
-			break
-		}
-		// Only the last chunk of a store may be short; a short chunk mid-
-		// stream means the writer's tail, so stop after it.
-		st.offsets = append(st.offsets, uint64(off))
-		st.total += int64(ch.N)
-		off += int64(ctr2FrameHdrLen + len(payload))
-		if ch.N < st.chunkLen {
-			break
-		}
-	}
-	return nil
-}
-
-func (st *Store) compressed() bool { return st.flags&FlagCompressed != 0 }
-
 // Close releases the underlying file (if the store owns one).
 func (st *Store) Close() error {
 	if st.closer != nil {
@@ -220,10 +175,6 @@ func (st *Store) Close() error {
 
 // Meta returns the header's application blob.
 func (st *Store) Meta() []byte { return st.meta }
-
-// Recovered reports whether the store was opened by torn-tail recovery
-// (its contents are a valid prefix of the original stream).
-func (st *Store) Recovered() bool { return st.recov }
 
 // Len returns the total instruction count.
 func (st *Store) Len() int64 { return st.total }
@@ -236,12 +187,6 @@ func (st *Store) ChunkLen() int { return st.chunkLen }
 
 // WindowChunks returns the resident-window bound.
 func (st *Store) WindowChunks() int { return st.window }
-
-// WindowBytes estimates the resident window's peak column footprint:
-// the memory a caching consumer holds regardless of trace length.
-func (st *Store) WindowBytes() int64 {
-	return int64(st.window) * int64(st.chunkLen) * chunkBytesPerInst
-}
 
 // chunkBounds returns chunk i's global instruction range.
 func (st *Store) chunkBounds(i int) (base int64, count int) {
@@ -263,7 +208,7 @@ func (st *Store) readChunkInto(i int, ch *Chunk) error {
 		return err
 	}
 	base, count := st.chunkBounds(i)
-	if err := decodeChunk(payload, i, base, st.chunkLen, st.compressed(), ch); err != nil {
+	if err := decodeChunk(payload, i, base, st.chunkLen, ch); err != nil {
 		return err
 	}
 	if ch.N != count {

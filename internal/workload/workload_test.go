@@ -377,7 +377,7 @@ func TestGenerateChunkedUnknownName(t *testing.T) {
 func TestGenerateToFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "vpr.ctr2")
-	if err := GenerateToFile("vpr", 3000, 5, path, trace.WriterOptions{ChunkLen: 256, Compress: true}); err != nil {
+	if err := GenerateToFile("vpr", 3000, 5, path, trace.WriterOptions{ChunkLen: 256}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := trace.Open(path, trace.OpenOptions{})
