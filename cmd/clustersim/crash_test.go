@@ -22,10 +22,16 @@ import (
 // the test binary with `serve …` arguments: TestMain hands them to main,
 // which runs the production `clustersim serve` path. SIGKILL then lands
 // on a genuine OS process whose only persistent state is the job log and
-// cache directory — exactly the production crash.
+// cache directory — exactly the production crash. A first argument of
+// `clustersim` runs the experiment command on the arguments after it.
 
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		main()
+		return
+	}
+	if len(os.Args) > 1 && os.Args[1] == "clustersim" {
+		os.Args = os.Args[1:]
 		main()
 		return
 	}

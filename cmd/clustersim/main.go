@@ -5,49 +5,14 @@
 // Usage:
 //
 //	clustersim [flags] <experiment> [<experiment> ...]
+//	clustersim [flags] all
+//	clustersim [flags] -report out.md
 //	clustersim serve [flags]      multi-tenant HTTP job API (see internal/server)
 //
-// Experiments:
-//
-//	config      Table 1 (machine configurations)
-//	fig2        idealized list scheduling
-//	fig2-attrib convergent-dataflow attribution of Figure 2 (Section 2.2)
-//	fig4        focused steering & scheduling slowdowns
-//	fig5        critical-path CPI breakdown
-//	fig6        contention/forwarding event breakdowns
-//	fig8        LoC value distribution
-//	fig14       the three policies (l, s, p) and penalty reductions
-//	fig15       achieved vs available ILP (8x1w)
-//	loc-oracle  Section 4's list-scheduler knowledge study
-//	consumers   Section 6's producer/consumer statistics
-//	all         everything above, in paper order
-//
-// Flags:
-//
-//	-n int         instructions per benchmark (default 200000)
-//	-seed uint     workload seed (default 1)
-//	-fwd int       inter-cluster forwarding latency (default 2)
-//	-benchmarks s  comma-separated subset (default: all twelve)
-//	-j int         worker-pool size (default GOMAXPROCS)
-//	-cache-dir s   persist traces and results here across runs
-//	-cache-mem int in-memory cache budget in MiB (default 1024)
-//	-metrics addr  serve /metrics and /debug/pprof on this address
-//
-// Robustness flags (see DESIGN.md "Failure model & recovery"):
-//
-//	-journal f     append completed results to this checkpoint journal
-//	               (default <cache-dir>/journal.wal when -resume is set)
-//	-resume        replay the journal first and recompute only what is
-//	               missing; Ctrl-C + rerun with -resume picks up a sweep
-//	               where it died
-//	-deadline d    cancel the whole run after this duration; completed
-//	               results drain cleanly and the summary still prints
-//	-job-deadline d  count (not kill) simulation jobs exceeding this
-//	               soft per-job deadline in the engine summary
-//	-chaos-seed n  \ deterministic fault injection for testing: inject
-//	-chaos-rate p  / I/O errors, short writes, read latency and worker
-//	               panics at rate p (results must not change — only the
-//	               robustness counters do)
+// `clustersim -h` lists every experiment with its title and every flag;
+// the experiments come from experiments.Registry. DESIGN.md "Failure
+// model & recovery" covers the robustness flags (-journal, -resume,
+// -deadline, -job-deadline, -chaos-seed, -chaos-rate).
 package main
 
 import (
@@ -90,12 +55,15 @@ func main() {
 	jobDeadline := flag.Duration("job-deadline", 0, "count simulation jobs exceeding this soft deadline (0: none)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "fault-injection seed (testing; used with -chaos-rate)")
 	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection probability per site visit (testing; 0: disabled)")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: clustersim [flags] <experiment> ...")
-		fmt.Fprintln(os.Stderr, "experiments: config fig2 fig2-attrib fig4 fig5 fig6 fig8 fig14 fig14-detail fig15 loc-oracle consumers fwd-sweep stall-sweep slack detector-compare window-sweep bandwidth-sweep replication icost group-steer predictor-sweep workloads future-work all")
-		flag.PrintDefaults()
-	}
+	flag.Usage = usage
 	flag.Parse()
+	// Reject a bad name before any work: a later typo must not cost the
+	// earlier experiments' simulations first.
+	selected, err := resolve(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clustersim:", err)
+		os.Exit(2)
+	}
 
 	if *chaosRate > 0 {
 		faultinject.Enable(*chaosSeed, *chaosRate)
@@ -183,28 +151,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && args[0] == "all" {
-		args = []string{"config", "fig2", "fig2-attrib", "fig4", "fig5", "fig6",
-			"fig8", "fig14", "fig15", "loc-oracle", "consumers", "fwd-sweep", "stall-sweep",
-			"slack", "detector-compare", "window-sweep", "bandwidth-sweep", "replication", "icost", "group-steer", "predictor-sweep", "workloads", "future-work"}
-	}
 	failed := false
-	for _, exp := range args {
+	for _, exp := range selected {
 		start := time.Now()
-		if err := run(exp, opts); err != nil {
+		if err := exp.Render(opts, os.Stdout); err != nil {
 			failed = true
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintf(os.Stderr, "clustersim: %s: %v\n", exp, err)
+				fmt.Fprintf(os.Stderr, "clustersim: %s: %v\n", exp.Name, err)
 				if eng.JournalPath() != "" {
 					fmt.Fprintln(os.Stderr, "clustersim: completed results are journaled; rerun with -resume to continue")
 				}
 				break
 			}
-			fmt.Fprintf(os.Stderr, "clustersim: %s: %v\n", exp, err)
+			fmt.Fprintf(os.Stderr, "clustersim: %s: %v\n", exp.Name, err)
 			break
 		}
-		fmt.Printf("[%s took %.1fs]\n\n", exp, time.Since(start).Seconds())
+		fmt.Printf("[%s took %.1fs]\n\n", exp.Name, time.Since(start).Seconds())
 	}
 	eng.RenderSummary(os.Stderr)
 	if err := eng.CloseJournal(); err != nil {
@@ -216,167 +178,54 @@ func main() {
 	}
 }
 
-// fig5Cache shares the expensive focused-policy runs between fig5 and
-// fig6 when both are requested in one invocation.
-var fig5Cache *experiments.Figure5Result
-
-func fig5(opts experiments.Options) (*experiments.Figure5Result, error) {
-	if fig5Cache != nil {
-		return fig5Cache, nil
+// batch returns the experiments `all` and -report run, in registry order.
+func batch() []experiments.Experiment {
+	var exps []experiments.Experiment
+	for _, e := range experiments.Registry {
+		if e.Reach != experiments.NamedOnly {
+			exps = append(exps, e)
+		}
 	}
-	r, err := experiments.Figure5(opts)
-	if err == nil {
-		fig5Cache = r
-	}
-	return r, err
+	return exps
 }
 
-func run(exp string, opts experiments.Options) error {
-	w := os.Stdout
-	switch exp {
-	case "config":
-		experiments.ConfigTable(w)
-	case "fig2":
-		r, err := experiments.Figure2(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "fig2-attrib":
-		r, err := experiments.AttributeFigure2(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "fig4":
-		r, err := experiments.Figure4(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "fig5":
-		r, err := fig5(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "fig6":
-		r, err := fig5(opts)
-		if err != nil {
-			return err
-		}
-		r.RenderFigure6(w)
-	case "fig8":
-		r, err := experiments.Figure8(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "fig14":
-		r, err := experiments.Figure14(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "fig14-detail":
-		r, err := experiments.Figure14(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		r.RenderPerBench(w)
-	case "fig15":
-		r, err := experiments.Figure15(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "loc-oracle":
-		r, err := experiments.LoCOracle(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "consumers":
-		r, err := experiments.Consumers(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "fwd-sweep":
-		r, err := experiments.FwdSweep(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "stall-sweep":
-		r, err := experiments.StallSweep(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "slack":
-		r, err := experiments.SlackStudy(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "detector-compare":
-		r, err := experiments.DetectorCompare(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "window-sweep":
-		r, err := experiments.WindowSweep(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "bandwidth-sweep":
-		r, err := experiments.BandwidthSweep(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "replication":
-		r, err := experiments.Replication(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "icost":
-		r, err := experiments.ICost(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "group-steer":
-		r, err := experiments.GroupSteer(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "predictor-sweep":
-		r, err := experiments.PredictorSweep(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "workloads":
-		r, err := experiments.Characterize(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	case "future-work":
-		r, err := experiments.FutureWork(opts)
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-	default:
-		return fmt.Errorf("unknown experiment (see -h)")
+// resolve maps the command-line arguments to registry entries. `all` is
+// accepted only as the sole argument.
+func resolve(args []string) ([]experiments.Experiment, error) {
+	if len(args) == 1 && args[0] == "all" {
+		return batch(), nil
 	}
-	return nil
+	exps := make([]experiments.Experiment, 0, len(args))
+	for _, name := range args {
+		e, ok := experiments.Lookup(name)
+		if !ok {
+			if name == "all" {
+				return nil, errors.New("all must be the only experiment named")
+			}
+			var names []string
+			for _, known := range experiments.Registry {
+				names = append(names, known.Name)
+			}
+			return nil, fmt.Errorf("unknown experiment %q (have: %s all)", name, strings.Join(names, " "))
+		}
+		exps = append(exps, e)
+	}
+	return exps, nil
+}
+
+func usage() {
+	w := flag.CommandLine.Output()
+	fmt.Fprintln(w, "usage: clustersim [flags] <experiment> ...")
+	fmt.Fprintln(w, "       clustersim serve [flags]")
+	fmt.Fprintln(w, "experiments:")
+	for _, e := range experiments.Registry {
+		note := ""
+		if e.Reach == experiments.NamedOnly {
+			note = " (only when named)"
+		}
+		fmt.Fprintf(w, "  %-17s %s%s\n", e.Name, e.Title, note)
+	}
+	fmt.Fprintf(w, "  %-17s %s\n", "all", "every experiment above not marked (only when named), in this order")
+	fmt.Fprintln(w, "flags:")
+	flag.PrintDefaults()
 }

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
+	"clustersim/internal/engine"
 	"clustersim/internal/experiments"
 )
 
@@ -13,38 +18,70 @@ func tinyOpts() experiments.Options {
 }
 
 func TestRunAllExperimentNames(t *testing.T) {
-	for _, exp := range []string{
-		"config", "fig2", "fig2-attrib", "fig4", "fig5", "fig6", "fig8",
-		"fig14", "fig14-detail", "fig15", "loc-oracle", "consumers", "fwd-sweep",
-		"stall-sweep", "slack", "detector-compare", "window-sweep",
-		"bandwidth-sweep", "replication", "icost", "group-steer", "predictor-sweep", "workloads", "future-work",
-	} {
-		if err := run(exp, tinyOpts()); err != nil {
-			t.Errorf("%s: %v", exp, err)
+	for _, exp := range experiments.Registry {
+		if err := exp.Render(tinyOpts(), io.Discard); err != nil {
+			t.Errorf("%s: %v", exp.Name, err)
 		}
 	}
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	if err := run("nope", tinyOpts()); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, args := range [][]string{{"nope"}, {"fig4", "nope"}, {"fig2", "all"}} {
+		if _, err := resolve(args); err == nil {
+			t.Errorf("%q accepted", args)
+		}
+	}
+	all, err := resolve([]string{"all"})
+	if err != nil || len(all) != len(experiments.Registry)-1 {
+		t.Errorf("all resolved to %d experiments (err %v), want every registry entry but fig14-detail", len(all), err)
 	}
 }
 
+// TestBadNameFailsBeforeWork runs the real command with a valid
+// experiment followed by a typo: it must exit 2 naming the valid
+// experiments, and print no Figure 4.
+func TestBadNameFailsBeforeWork(t *testing.T) {
+	bin, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "clustersim", "-n", "3000", "-benchmarks", "gzip", "fig4", "nope")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2; stderr:\n%s", err, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("ran experiments before rejecting the name:\n%s", stdout.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, `"nope"`) || !strings.Contains(msg, "fig14-detail") {
+		t.Errorf("stderr does not name the bad experiment and the valid ones:\n%s", msg)
+	}
+}
+
+// TestFig6ReusesFig5Runs: fig6 renders from Figure5's runs, so after
+// fig5 on the same engine it simulates and analyses nothing new.
 func TestFig6ReusesFig5Runs(t *testing.T) {
-	fig5Cache = nil
-	if err := run("fig5", tinyOpts()); err != nil {
+	opts := tinyOpts()
+	opts.Engine = engine.New(engine.Config{Workers: 2})
+	fig5, _ := experiments.Lookup("fig5")
+	fig6, _ := experiments.Lookup("fig6")
+	if err := fig5.Render(opts, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if fig5Cache == nil {
-		t.Fatal("fig5 did not populate the cache")
+	before := opts.Engine.Summary()
+	if before.SimMisses == 0 || before.AnaMisses == 0 {
+		t.Fatalf("fig5 on a fresh engine ran %d simulations and %d analyses", before.SimMisses, before.AnaMisses)
 	}
-	cached := fig5Cache
-	if err := run("fig6", tinyOpts()); err != nil {
+	if err := fig6.Render(opts, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if fig5Cache != cached {
-		t.Error("fig6 re-ran the fig5 simulations")
+	after := opts.Engine.Summary()
+	if after.SimMisses != before.SimMisses || after.AnaMisses != before.AnaMisses {
+		t.Errorf("fig6 added %d sim misses and %d analysis misses, want 0 and 0",
+			after.SimMisses-before.SimMisses, after.AnaMisses-before.AnaMisses)
 	}
 }
 

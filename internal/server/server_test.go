@@ -33,6 +33,7 @@ func TestSubmitContract(t *testing.T) {
 		{"unknown tenant", `{"tenant":"mallory","experiments":["fig2"]}`, http.StatusForbidden, "unknown tenant"},
 		{"no experiments", `{"tenant":"alice"}`, http.StatusBadRequest, "no experiments"},
 		{"unknown experiment", `{"tenant":"alice","experiments":["fig99"]}`, http.StatusBadRequest, "unknown experiment"},
+		{"unserved experiment", `{"tenant":"alice","experiments":["config"]}`, http.StatusBadRequest, "unknown experiment"},
 		{"unknown benchmark", `{"tenant":"alice","experiments":["fig2"],"benchmarks":["quake"]}`, http.StatusBadRequest, "unknown benchmark"},
 		{"negative insts", `{"tenant":"alice","experiments":["fig2"],"insts":-1}`, http.StatusBadRequest, "negative insts"},
 		{"insts over limit", `{"tenant":"alice","experiments":["fig2"],"insts":50001}`, http.StatusBadRequest, "exceeds the server limit"},
@@ -270,5 +271,20 @@ func TestClampReplayWorkers(t *testing.T) {
 	// A huge request is still capped at the socket share.
 	if got := srv.clampReplayWorkers(10_000); got != procs {
 		t.Errorf("oversized request: got %d, want %d", got, procs)
+	}
+}
+
+// TestServedExperimentNames pins the served set: perfbench's paper
+// workload renders every ExperimentNames entry and checks each against a
+// recorded digest, and those digests cover exactly these names.
+func TestServedExperimentNames(t *testing.T) {
+	want := []string{
+		"bandwidth-sweep", "consumers", "detector-compare", "fig14", "fig15",
+		"fig2", "fig2-attrib", "fig4", "fig5", "fig6", "fig8", "fwd-sweep",
+		"group-steer", "icost", "loc-oracle", "predictor-sweep", "replication",
+		"slack", "stall-sweep", "window-sweep", "workloads",
+	}
+	if got := ExperimentNames(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("ExperimentNames() = %q\nwant %q", got, want)
 	}
 }

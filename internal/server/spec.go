@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -110,64 +109,22 @@ func (sp Spec) cost() float64 {
 	return c
 }
 
-// experimentRegistry maps an experiment name to a driver invocation that
-// returns the rendered table — the exact bytes `clustersim <name>`
-// prints, which is what makes the serve-vs-local differential test
-// byte-exact.
-var experimentRegistry = map[string]func(experiments.Options) (string, error){
-	"fig2":        render(experiments.Figure2),
-	"fig2-attrib": render(experiments.AttributeFigure2),
-	"fig4":        render(experiments.Figure4),
-	"fig5":        render(experiments.Figure5),
-	"fig6": func(o experiments.Options) (string, error) {
-		r, err := experiments.Figure5(o)
-		if err != nil {
-			return "", err
-		}
-		var buf bytes.Buffer
-		r.RenderFigure6(&buf)
-		return buf.String(), nil
-	},
-	"fig8":             render(experiments.Figure8),
-	"fig14":            render(experiments.Figure14),
-	"fig15":            render(experiments.Figure15),
-	"loc-oracle":       render(experiments.LoCOracle),
-	"consumers":        render(experiments.Consumers),
-	"fwd-sweep":        render(experiments.FwdSweep),
-	"stall-sweep":      render(experiments.StallSweep),
-	"slack":            render(experiments.SlackStudy),
-	"detector-compare": render(experiments.DetectorCompare),
-	"window-sweep":     render(experiments.WindowSweep),
-	"bandwidth-sweep":  render(experiments.BandwidthSweep),
-	"replication":      render(experiments.Replication),
-	"icost":            render(experiments.ICost),
-	"group-steer":      render(experiments.GroupSteer),
-	"predictor-sweep":  render(experiments.PredictorSweep),
-	"workloads":        render(experiments.Characterize),
-}
-
-// render adapts a driver returning a Render-able result to the registry
-// shape.
-func render[T interface{ Render(w io.Writer) }](drv func(experiments.Options) (T, error)) func(experiments.Options) (string, error) {
-	return func(o experiments.Options) (string, error) {
-		r, err := drv(o)
-		if err != nil {
-			return "", err
-		}
-		var buf bytes.Buffer
-		r.Render(&buf)
-		return buf.String(), nil
-	}
-}
-
 // ExperimentNames returns the servable experiment names, sorted.
 func ExperimentNames() []string {
-	names := make([]string, 0, len(experimentRegistry))
-	for name := range experimentRegistry {
-		names = append(names, name)
+	var names []string
+	for _, e := range experiments.Registry {
+		if e.Reach == experiments.Served {
+			names = append(names, e.Name)
+		}
 	}
 	sort.Strings(names)
 	return names
+}
+
+// served looks up a registry entry the server runs.
+func served(name string) (experiments.Experiment, bool) {
+	e, ok := experiments.Lookup(name)
+	return e, ok && e.Reach == experiments.Served
 }
 
 // RunLocal executes the spec directly on eng — no queue, no HTTP — and
@@ -188,14 +145,19 @@ func RunLocal(sp Spec, eng *engine.Engine) ([]ResultArtifact, error) {
 	return arts, nil
 }
 
-// runExperiment executes one named driver and returns its rendered
-// output.
+// runExperiment executes one served experiment and returns its rendered
+// output: the exact bytes `clustersim <name>` prints, which is what makes
+// the serve-vs-local differential test byte-exact.
 func runExperiment(name string, opts experiments.Options) (string, error) {
-	fn, ok := experimentRegistry[name]
+	e, ok := served(name)
 	if !ok {
 		return "", fmt.Errorf("server: unknown experiment %q", name)
 	}
-	return fn(opts)
+	var buf bytes.Buffer
+	if err := e.Render(opts, &buf); err != nil {
+		return "", err
+	}
+	return buf.String(), nil
 }
 
 // validateSpec checks everything about a spec except tenant existence
@@ -209,7 +171,7 @@ func validateSpec(sp Spec, maxInsts int) string {
 		return "no experiments requested"
 	}
 	for _, name := range sp.Experiments {
-		if _, ok := experimentRegistry[name]; !ok {
+		if _, ok := served(name); !ok {
 			return fmt.Sprintf("unknown experiment %q (have: %s)", name, strings.Join(ExperimentNames(), " "))
 		}
 	}
