@@ -6,13 +6,14 @@
 //
 //	clustersim [flags] <experiment> [<experiment> ...]
 //	clustersim [flags] all
-//	clustersim [flags] -report out.md
+//	clustersim [flags] -report out.md [<experiment> ...]
 //	clustersim serve [flags]      multi-tenant HTTP job API (see internal/server)
 //
 // `clustersim -h` lists every experiment with its title and every flag;
-// the experiments come from experiments.Registry. DESIGN.md "Failure
-// model & recovery" covers the robustness flags (-journal, -resume,
-// -deadline, -job-deadline, -chaos-seed, -chaos-rate).
+// the experiments come from experiments.Registry. An interrupted run
+// resumes by rerunning it with the same -cache-dir. DESIGN.md "Failure
+// model & recovery" covers the robustness flags (-deadline,
+// -job-deadline) and fault injection (CLUSTERSIM_CHAOS_SEED/RATE).
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -43,18 +43,14 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	fwd := flag.Int("fwd", 2, "inter-cluster forwarding latency (cycles)")
 	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark subset")
-	report := flag.String("report", "", "write a single markdown report of all experiments to this file")
+	report := flag.String("report", "", "write the named experiments (default: all) as one markdown report to this file")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker-pool size")
 	replayWorkers := flag.Int("replay-workers", 0, "intra-job variant fan-out width (0: a per-job share of GOMAXPROCS); results are byte-identical under any value")
-	cacheDir := flag.String("cache-dir", "", "on-disk cache directory for traces and results (empty: memory only)")
+	cacheDir := flag.String("cache-dir", "", "on-disk cache directory for traces and results; rerunning with it resumes an interrupted run (empty: memory only)")
 	cacheMem := flag.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, "in-memory cache budget in MiB (<0: unlimited)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
-	journalPath := flag.String("journal", "", "checkpoint journal path (default <cache-dir>/journal.wal when -resume is set)")
-	resume := flag.Bool("resume", false, "replay the checkpoint journal and recompute only missing results")
 	deadline := flag.Duration("deadline", 0, "cancel the whole run after this duration (0: none)")
 	jobDeadline := flag.Duration("job-deadline", 0, "count simulation jobs exceeding this soft deadline (0: none)")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "fault-injection seed (testing; used with -chaos-rate)")
-	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection probability per site visit (testing; 0: disabled)")
 	flag.Usage = usage
 	flag.Parse()
 	// Reject a bad name before any work: a later typo must not cost the
@@ -65,11 +61,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *chaosRate > 0 {
-		faultinject.Enable(*chaosSeed, *chaosRate)
-		fmt.Fprintf(os.Stderr, "clustersim: chaos enabled (seed=%d rate=%g) — results are unaffected, only robustness counters\n",
-			*chaosSeed, *chaosRate)
-	} else if faultinject.EnableFromEnv() {
+	if faultinject.EnableFromEnv() {
 		fmt.Fprintln(os.Stderr, "clustersim: chaos enabled from CLUSTERSIM_CHAOS_SEED/RATE")
 	}
 
@@ -87,8 +79,8 @@ func main() {
 	}
 
 	// Ctrl-C (and -deadline) cancel the run context: in-flight jobs
-	// finish, pending ones fail fast, and the summary still renders so a
-	// -resume rerun knows what survived.
+	// finish, pending ones fail fast, and the summary still renders; a
+	// rerun with the same -cache-dir recomputes only what is missing.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *deadline > 0 {
@@ -98,25 +90,6 @@ func main() {
 	}
 	eng.SetContext(ctx)
 
-	if *resume || *journalPath != "" {
-		path := *journalPath
-		if path == "" {
-			if *cacheDir != "" {
-				path = filepath.Join(*cacheDir, "journal.wal")
-			} else {
-				path = "clustersim.journal"
-			}
-		}
-		restored, err := eng.OpenJournal(path, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim: journal:", err)
-			os.Exit(1)
-		}
-		defer eng.CloseJournal()
-		if *resume {
-			fmt.Fprintf(os.Stderr, "clustersim: resumed %d completed results from %s\n", restored, path)
-		}
-	}
 	if *metricsAddr != "" {
 		addr, err := metrics.Serve(*metricsAddr, reg)
 		if err != nil {
@@ -138,7 +111,10 @@ func main() {
 	}
 
 	if *report != "" {
-		if err := writeReport(*report, opts); err != nil {
+		if len(selected) == 0 {
+			selected = batch()
+		}
+		if err := writeReport(*report, opts, selected); err != nil {
 			fmt.Fprintln(os.Stderr, "clustersim:", err)
 			os.Exit(1)
 		}
@@ -156,26 +132,28 @@ func main() {
 		start := time.Now()
 		if err := exp.Render(opts, os.Stdout); err != nil {
 			failed = true
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintf(os.Stderr, "clustersim: %s: %v\n", exp.Name, err)
-				if eng.JournalPath() != "" {
-					fmt.Fprintln(os.Stderr, "clustersim: completed results are journaled; rerun with -resume to continue")
-				}
-				break
-			}
 			fmt.Fprintf(os.Stderr, "clustersim: %s: %v\n", exp.Name, err)
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				resumeHint(eng, *cacheDir)
+			}
 			break
 		}
 		fmt.Printf("[%s took %.1fs]\n\n", exp.Name, time.Since(start).Seconds())
 	}
 	eng.RenderSummary(os.Stderr)
-	if err := eng.CloseJournal(); err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim: journal close:", err)
-		failed = true
-	}
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// resumeHint tells a cancelled run's user how to continue it: completed
+// work survives only in a usable disk cache.
+func resumeHint(eng *engine.Engine, cacheDir string) {
+	if s := eng.Summary(); cacheDir != "" && s.DiskErr == nil && !s.DiskDegraded {
+		fmt.Fprintf(os.Stderr, "clustersim: completed work is cached in %s; rerun with -cache-dir %s to resume\n", cacheDir, cacheDir)
+		return
+	}
+	fmt.Fprintln(os.Stderr, "clustersim: completed work was held in memory only; rerun with -cache-dir to keep it")
 }
 
 // batch returns the experiments `all` and -report run, in registry order.

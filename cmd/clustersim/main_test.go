@@ -87,7 +87,7 @@ func TestFig6ReusesFig5Runs(t *testing.T) {
 
 func TestWriteReport(t *testing.T) {
 	path := t.TempDir() + "/report.md"
-	if err := writeReport(path, tinyOpts()); err != nil {
+	if err := writeReport(path, tinyOpts(), batch()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -98,5 +98,27 @@ func TestWriteReport(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+}
+
+// TestReportRendersNamedExperiments runs the real command with -report
+// and one name: the report holds that experiment's section and no other.
+func TestReportRendersNamedExperiments(t *testing.T) {
+	bin, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/r.md"
+	cmd := exec.Command(bin, "clustersim", "-n", "400", "-benchmarks", "gzip", "-report", path, "fig2")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("%v:\n%s", err, out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig2, _ := experiments.Lookup("fig2")
+	if n := strings.Count(string(data), "\n## "); n != 1 || !strings.Contains(string(data), "\n## "+fig2.Title+"\n") {
+		t.Errorf("report has %d sections, want exactly fig2's %q:\n%s", n, fig2.Title, data)
 	}
 }

@@ -221,7 +221,7 @@ func TestSlackSummaryOnWorkload(t *testing.T) {
 }
 
 // TestSlackSummaryReproducible: repeated summaries of one finished run
-// must be bit-identical, since they are cached and journaled as bytes.
+// must be bit-identical, since they are cached as bytes.
 // Summing per-PC deviations in map order once gave several distinct
 // StaticStdDev values per benchmark over 200 calls.
 func TestSlackSummaryReproducible(t *testing.T) {

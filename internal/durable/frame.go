@@ -8,7 +8,7 @@ import (
 	"hash/crc32"
 )
 
-// Disk-cache entries, journal records and job-log records share one
+// Disk-cache entries and job-log records share one
 // self-validating frame (CSF1):
 //
 //	magic  uint32 (little endian, "CSF1")

@@ -126,9 +126,6 @@ func (l *Log) removeStaleTemps() {
 	}
 }
 
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
 // Append frames, writes and fsyncs one record, retrying with backoff.
 // Each failed attempt is rolled back to the last good frame; if a
 // rollback fails the log is broken and refuses appends.

@@ -41,7 +41,7 @@ func reopen(t *testing.T, l *Log) (*Log, []string) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	l2, recs, _ := openLog(t, l.Path())
+	l2, recs, _ := openLog(t, l.path)
 	return l2, strs(recs)
 }
 

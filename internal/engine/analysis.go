@@ -76,7 +76,6 @@ func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run Run) (CritSumm
 				e.mu.Lock()
 				e.mem.putAnalysis(canon, cs)
 				e.mu.Unlock()
-				e.journalAnalysis(canon, cs)
 				return cs, nil
 			}
 		}
@@ -101,7 +100,6 @@ func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run Run) (CritSumm
 		if e.diskAvailable() {
 			e.disk.storeAnalysis(canon, cs)
 		}
-		e.journalAnalysis(canon, cs)
 		return cs, nil
 	})
 	if err != nil {

@@ -8,9 +8,8 @@ import (
 
 // Artifact is the cached value of one simulation: the run's Result and,
 // for TrackExact keys, the unlimited-precision criticality tracker. It
-// is the same value whether it was just computed, loaded from the disk
-// cache or restored from the journal; an entry of a TrackExact key that
-// lacks the tracker (a journal record carries only the Result) is a
+// is the same value whether it was just computed or loaded from the
+// disk cache; an entry of a TrackExact key that lacks the tracker is a
 // miss, never a partial hit.
 type Artifact struct {
 	Res   machine.Result

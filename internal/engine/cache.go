@@ -31,10 +31,6 @@ type entry struct {
 	harvest *Harvest
 	cost    int64
 	elem    *list.Element
-	// journal marks entries restored by journal replay; hits on them
-	// count as resume hits so -resume runs can prove they recomputed
-	// only the missing keys.
-	journal bool
 }
 
 // memCache is a byte-budgeted LRU over traces and the values derived

@@ -26,7 +26,7 @@
 //     simulation exactly once.
 //
 // For failure semantics — the Transient/Corrupt/Fatal error taxonomy,
-// fault injection, the resume journal, and cancellation — see
+// fault injection, resuming from the disk cache, and cancellation — see
 // DESIGN.md's "Failure model & recovery".
 package engine
 
@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clustersim/internal/durable"
 	"clustersim/internal/faultinject"
 	"clustersim/internal/machine"
 	"clustersim/internal/metrics"
@@ -111,7 +110,6 @@ type Engine struct {
 
 	disk    *diskCache
 	diskErr error
-	journal *durable.Log
 
 	cTraceHit, cTraceMiss                *metrics.Counter
 	cSimHit, cSimDiskHit, cSimMiss       *metrics.Counter
@@ -119,7 +117,6 @@ type Engine struct {
 	cSchedHit, cSchedDiskHit, cSchedMiss *metrics.Counter
 	cDiskErr                             *metrics.Counter
 	cInsts                               *metrics.Counter
-	cResumeRestored, cResumeHit          *metrics.Counter
 	cDeadlineMiss                        *metrics.Counter
 	cReplayBusy, cEventsElided           *metrics.Counter
 	cGridGroups, cGridShared             *metrics.Counter
@@ -164,30 +161,28 @@ func New(cfg Config) *Engine {
 		mem:           newMemCache(maxBytes),
 		inflight:      map[string]*call{},
 
-		cTraceHit:       met.Counter("engine.trace.hit"),
-		cTraceMiss:      met.Counter("engine.trace.miss"),
-		cSimHit:         met.Counter("engine.sim.hit"),
-		cSimDiskHit:     met.Counter("engine.sim.disk_hit"),
-		cSimMiss:        met.Counter("engine.sim.miss"),
-		cAnaHit:         met.Counter("engine.analysis.hit"),
-		cAnaDiskHit:     met.Counter("engine.analysis.disk_hit"),
-		cAnaMiss:        met.Counter("engine.analysis.miss"),
-		cSchedHit:       met.Counter("engine.sched.hit"),
-		cSchedDiskHit:   met.Counter("engine.sched.disk_hit"),
-		cSchedMiss:      met.Counter("engine.sched.miss"),
-		cDiskErr:        met.Counter("engine.disk.error"),
-		cInsts:          met.Counter("engine.sim.insts"),
-		cResumeRestored: met.Counter("engine.resume.restored"),
-		cResumeHit:      met.Counter("engine.resume.hit"),
-		cDeadlineMiss:   met.Counter("engine.job.deadline_miss"),
-		cReplayBusy:     met.Counter("engine.replay.busy_ns"),
-		cEventsElided:   met.Counter("engine.replay.events_elided"),
-		cGridGroups:     met.Counter("engine.replay.grid_groups"),
-		cGridShared:     met.Counter("engine.replay.grid_shared"),
-		tSim:            met.Timer("engine.sim.run"),
-		tTrace:          met.Timer("engine.trace.gen"),
-		tAna:            met.Timer("engine.analysis.run"),
-		tSched:          met.Timer("engine.sched.run"),
+		cTraceHit:     met.Counter("engine.trace.hit"),
+		cTraceMiss:    met.Counter("engine.trace.miss"),
+		cSimHit:       met.Counter("engine.sim.hit"),
+		cSimDiskHit:   met.Counter("engine.sim.disk_hit"),
+		cSimMiss:      met.Counter("engine.sim.miss"),
+		cAnaHit:       met.Counter("engine.analysis.hit"),
+		cAnaDiskHit:   met.Counter("engine.analysis.disk_hit"),
+		cAnaMiss:      met.Counter("engine.analysis.miss"),
+		cSchedHit:     met.Counter("engine.sched.hit"),
+		cSchedDiskHit: met.Counter("engine.sched.disk_hit"),
+		cSchedMiss:    met.Counter("engine.sched.miss"),
+		cDiskErr:      met.Counter("engine.disk.error"),
+		cInsts:        met.Counter("engine.sim.insts"),
+		cDeadlineMiss: met.Counter("engine.job.deadline_miss"),
+		cReplayBusy:   met.Counter("engine.replay.busy_ns"),
+		cEventsElided: met.Counter("engine.replay.events_elided"),
+		cGridGroups:   met.Counter("engine.replay.grid_groups"),
+		cGridShared:   met.Counter("engine.replay.grid_shared"),
+		tSim:          met.Timer("engine.sim.run"),
+		tTrace:        met.Timer("engine.trace.gen"),
+		tAna:          met.Timer("engine.analysis.run"),
+		tSched:        met.Timer("engine.sched.run"),
 	}
 	met.Func("engine.faults.injected", func() int64 { return faultinject.Snapshot().Total() })
 	if cfg.CacheDir != "" {
@@ -228,8 +223,8 @@ func (e *Engine) Metrics() *metrics.Registry { return e.met }
 // SetContext attaches the engine-wide run context. Once ctx is cancelled
 // (Ctrl-C, a -deadline expiry) the engine stops starting new work: Map
 // skips pending items, and cache misses fail fast instead of simulating.
-// Completed results remain cached and journaled, so a later -resume run
-// recomputes only what was still missing.
+// Completed results remain cached (on disk too, with a CacheDir), so a
+// rerun with the same CacheDir recomputes only what was still missing.
 //
 // SetContext governs the whole engine: every submission from every
 // caller observes it. Work that has its own lifetime — one tenant's job
@@ -368,7 +363,7 @@ func (e *Engine) SimCtx(ctx context.Context, key SimKey, run Run) (Artifact, err
 
 // diskSim serves key from the disk result cache; a TrackExact key's
 // entry serves only if it persisted the exact tracker. A hit is cached
-// in memory and journaled.
+// in memory.
 func (e *Engine) diskSim(key SimKey, canon string) (Artifact, bool) {
 	if !e.diskAvailable() {
 		return Artifact{}, false
@@ -382,14 +377,13 @@ func (e *Engine) diskSim(key SimKey, canon string) (Artifact, bool) {
 	e.mem.putSim(canon, &a)
 	e.mu.Unlock()
 	e.cSimDiskHit.Inc()
-	e.journalResult(canon, res)
 	return a, true
 }
 
 // simulate is the one job that runs a machine for key. It counts and
 // times a sim miss, runs run, lets derive (when non-nil) read the live
-// machine, caches the artifact under key's sim entry (memory, disk and
-// journal), and recycles the machine before returning.
+// machine, caches the artifact under key's sim entry (memory and disk),
+// and recycles the machine before returning.
 //
 // A derived-product job also leads key's sim flight when none is in
 // progress, so a Sim of key submitted meanwhile shares this run. (A Sim
@@ -430,8 +424,8 @@ func (e *Engine) simulate(ctx context.Context, key SimKey, run Run, derive func(
 }
 
 // storeSim caches a freshly computed artifact in memory and on disk
-// (with its exact tracker, if any) and journals its result. An artifact
-// that is incomplete for its key is an error, never cached.
+// (with its exact tracker, if any). An artifact that is incomplete for
+// its key is an error, never cached.
 func (e *Engine) storeSim(key SimKey, a Artifact) error {
 	if !a.complete(key) {
 		return fmt.Errorf("engine: artifact for %s lacks the exact tracker its key promises", key)
@@ -444,7 +438,6 @@ func (e *Engine) storeSim(key SimKey, a Artifact) error {
 	if e.diskAvailable() {
 		e.disk.storeResult(key, a.Res, a.Exact)
 	}
-	e.journalResult(canon, a.Res)
 	return nil
 }
 
@@ -480,12 +473,8 @@ func (e *Engine) doOnceAttempt(key string, hitCtr *metrics.Counter, cached func(
 	e.mu.Lock()
 	if ent := e.mem.get(key); ent != nil {
 		if v, ok := cached(ent); ok {
-			fromJournal := ent.journal
 			e.mu.Unlock()
 			hitCtr.Inc()
-			if fromJournal {
-				e.cResumeHit.Inc()
-			}
 			return v, nil
 		}
 	}
@@ -531,7 +520,7 @@ func (e *Engine) land(key string, c *call, v any, err error) {
 // Two robustness behaviors ride on the dispatch loop: once the engine's
 // context is cancelled, not-yet-started items fail fast with the
 // cancellation error while already-running jobs drain (their results are
-// cached and journaled as usual); and a job killed by an injected
+// cached as usual); and a job killed by an injected
 // chaos-test panic is retried in place — injected faults are transient
 // by construction and must never change results.
 func Map[I, O any](e *Engine, items []I, fn func(i int, item I) (O, error)) ([]O, error) {

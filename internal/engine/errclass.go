@@ -19,7 +19,7 @@ import (
 //     never an error.
 //   - ErrFatal: the run cannot continue (cancellation, deadline expiry
 //     of the whole run, genuine job errors). Fatal errors propagate to
-//     the caller with partial results already journaled.
+//     the caller with partial results already cached.
 var (
 	ErrTransient = errors.New("engine: transient failure")
 	ErrCorrupt   = errors.New("engine: corrupt data")

@@ -250,30 +250,3 @@ func FuzzSegmentScan(f *testing.F) {
 		}
 	})
 }
-
-func FuzzJournalReplay(f *testing.F) {
-	_, resultBytes, _, _ := seedEntries(f)
-	// A well-formed journal is a concatenation of frames; seed with a
-	// real record stream and with raw cache bytes (also framed).
-	rec, _ := json.Marshal(journalRecord{
-		Kind: recResult, Key: testSimKey(1).String(), Result: &machine.Result{Insts: 300},
-	})
-	stream := append(durable.EncodeFrame(rec), durable.EncodeFrame(rec)...)
-	addSeedVariants(f, stream)
-	f.Add(resultBytes)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := t.TempDir() + "/j"
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		e := New(Config{})
-		restored, err := e.OpenJournal(path, true)
-		if err != nil {
-			t.Fatalf("replay errored on arbitrary bytes: %v", err)
-		}
-		e.CloseJournal()
-		if restored < 0 {
-			t.Fatal("negative restore count")
-		}
-	})
-}

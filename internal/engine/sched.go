@@ -134,7 +134,6 @@ func (e *Engine) SchedulesCtx(ctx context.Context, keys []SchedKey, compute func
 				e.mem.putSched(canon, ss)
 				e.mu.Unlock()
 				e.cSchedDiskHit.Inc()
-				e.journalSched(canon, ss)
 				continue
 			}
 		}
@@ -184,7 +183,6 @@ func (e *Engine) SchedulesCtx(ctx context.Context, keys []SchedKey, compute func
 		if e.diskAvailable() {
 			e.disk.storeSched(canon, &ss)
 		}
-		e.journalSched(canon, &ss)
 	}
 	return out, nil
 }
@@ -198,8 +196,5 @@ func (e *Engine) memSched(canon string, out *SchedSummary) bool {
 	}
 	*out = *ent.sched
 	e.cSchedHit.Inc()
-	if ent.journal {
-		e.cResumeHit.Inc()
-	}
 	return true
 }

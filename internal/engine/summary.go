@@ -59,8 +59,6 @@ type Summary struct {
 	Quarantines       int64
 	TmpSwept          int64
 	DiskDegraded      bool
-	ResumeRestored    int64
-	ResumeHits        int64
 	JobDeadlineMisses int64
 
 	// Parallel replay layer (see DESIGN.md "Parallel replay").
@@ -123,8 +121,6 @@ func (e *Engine) Summary() Summary {
 		DiskErr:       e.diskErr,
 
 		FaultsInjected:    faultinject.Snapshot().Total(),
-		ResumeRestored:    e.cResumeRestored.Load(),
-		ResumeHits:        e.cResumeHit.Load(),
 		JobDeadlineMisses: e.cDeadlineMiss.Load(),
 
 		ReplayWorkers: e.replayWorkers,
@@ -202,10 +198,6 @@ func (e *Engine) RenderSummary(w io.Writer) {
 			fmt.Fprintf(w, "; disk degraded to memory-only")
 		}
 		fmt.Fprintln(w)
-	}
-	if s.ResumeRestored > 0 || s.ResumeHits > 0 {
-		fmt.Fprintf(w, "resume: %d journal records restored, %d served from journal\n",
-			s.ResumeRestored, s.ResumeHits)
 	}
 	if s.JobDeadlineMisses > 0 {
 		fmt.Fprintf(w, "jobs over soft deadline: %d\n", s.JobDeadlineMisses)

@@ -17,7 +17,7 @@ import (
 // exactly once for every variant in the sweep. compute owns the machines
 // it runs and recycles them before returning.
 //
-// Each returned artifact is cached and journaled under its own SimKey,
+// Each returned artifact is cached under its own SimKey,
 // so later solo Sim submissions of any variant hit without recomputing,
 // and vice versa — a fused batch warms the same cache a solo run would.
 //
@@ -104,8 +104,5 @@ func (e *Engine) memSim(key SimKey, canon string, out *Artifact) bool {
 	}
 	*out = *ent.art
 	e.cSimHit.Inc()
-	if ent.journal {
-		e.cResumeHit.Inc()
-	}
 	return true
 }

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"clustersim/internal/durable"
 	"clustersim/internal/engine"
 	"clustersim/internal/faultinject"
 )
@@ -228,69 +230,82 @@ func TestChaosVariantBatch(t *testing.T) {
 	}
 }
 
-// TestKillAndResume simulates a killed sweep: a first process journals a
-// subset of the work, then a second process resumes and runs the full
-// sweep. The resumed run must serve the journaled keys without
-// re-simulating (recomputing only what is missing) and render exactly
-// what an uninterrupted run renders.
+// TestKillAndResume simulates a killed sweep resumed from its cache
+// dir: process one renders the gzip half of the sweep and dies in the
+// middle of appending one result, and process two reruns the full sweep
+// on the same cache dir. The resumed run must render exactly what an
+// uninterrupted run renders while recomputing only what process one
+// never finished, plus the torn result. (The split is by benchmark:
+// schedule harvests live in memory only, so a split between drivers
+// that share a harvest would re-simulate it.)
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite runs the mini-sweep three times")
 	}
-	journal := filepath.Join(t.TempDir(), "run.journal")
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	defer saveQuarantine(t, cacheDir)
 
-	// "Process one" completes only the gzip half of the sweep, then dies
-	// (we just close the journal; an abrupt kill is the torn-tail case,
-	// covered by the engine journal tests).
-	e1 := engine.New(engine.Config{Workers: runtime.NumCPU()})
-	if _, err := e1.OpenJournal(journal, false); err != nil {
-		t.Fatal(err)
-	}
-	partial := chaosOpts(e1)
-	partial.Benchmarks = []string{"gzip"}
-	if _, err := Figure4(partial); err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.CloseJournal(); err != nil {
-		t.Fatal(err)
+	e1 := engine.New(engine.Config{Workers: runtime.NumCPU(), CacheDir: cacheDir})
+	half := chaosOpts(e1)
+	half.Benchmarks = []string{"gzip"}
+	for _, d := range chaosDrivers {
+		if _, err := d.run(half); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
 	}
 	firstMisses := e1.Summary().SimMisses
+	torn := simKey(half.withDefaults(), "gzip", 8, StackFocused, false)
+	torn.Variant = Ablation{}.canonical(8).String()
+	tearFrame(t, cacheDir, torn.String())
 
-	// "Process two" resumes the journal and runs the full sweep.
-	e2 := engine.New(engine.Config{Workers: runtime.NumCPU()})
-	restored, err := e2.OpenJournal(journal, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.CloseJournal()
-	if restored == 0 {
-		t.Fatal("resume restored nothing from the journal")
-	}
+	e2 := engine.New(engine.Config{Workers: runtime.NumCPU(), CacheDir: cacheDir})
 	resumed := renderChaosSweep(t, e2)
 
-	// Reference: the same sweep, uninterrupted, on one fresh engine.
-	clean := renderChaosSweep(t, engine.New(engine.Config{Workers: runtime.NumCPU()}))
+	cleanEng := engine.New(engine.Config{Workers: runtime.NumCPU()})
+	clean := renderChaosSweep(t, cleanEng)
 	if resumed != clean {
 		t.Fatalf("resumed sweep diverged from uninterrupted sweep:\n--- clean\n%s\n--- resumed\n%s",
 			clean, resumed)
 	}
+	s, cleanMisses := e2.Summary(), cleanEng.Summary().SimMisses
+	if want := cleanMisses - firstMisses + 1; s.SimMisses != want {
+		t.Errorf("resumed run simulated %d jobs, want %d (uninterrupted %d - process one %d + 1 torn)",
+			s.SimMisses, want, cleanMisses, firstMisses)
+	}
+	if s.Quarantines != 1 {
+		t.Errorf("quarantined %d spans, want 1 (the torn frame)", s.Quarantines)
+	}
+}
 
-	s := e2.Summary()
-	if s.ResumeHits == 0 {
-		t.Error("resumed run never served a key from the journal")
+// tearFrame rewrites the cache's summary segment as a kill -9 in the
+// middle of appending canon's frame leaves it: every other frame intact,
+// and canon's frame cut short at the end.
+func tearFrame(t *testing.T, cacheDir, canon string) {
+	t.Helper()
+	path := filepath.Join(cacheDir, "summaries.csf")
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The resumed run recomputes only what process one never finished:
-	// its misses plus the restored keys must cover no more than the
-	// uninterrupted run's misses plus dedup slack — in practice, the
-	// journaled gzip/Figure-4 keys must all be hits.
-	if s.SimMisses+s.ResumeHits <= s.SimMisses {
-		t.Errorf("inconsistent accounting: misses=%d resumeHits=%d", s.SimMisses, s.ResumeHits)
+	key, _ := json.Marshal(canon)
+	prefix := append(append([]byte(`{"Key":`), key...), ',')
+	var kept, cut []byte
+	durable.ScanFrames(seg, len(seg), func(off int, payload []byte) {
+		frame := seg[off : off+durable.FrameHeaderLen+len(payload)]
+		if bytes.HasPrefix(payload, prefix) {
+			cut = frame[:len(frame)/2]
+		} else {
+			kept = append(kept, frame...)
+		}
+	}, func(off, end int) {
+		t.Fatalf("segment damaged at %d before the kill", off)
+	})
+	if cut == nil {
+		t.Fatalf("process one persisted no result for %s", canon)
 	}
-	if int64(restored) < firstMisses {
-		t.Errorf("journal restored %d keys but process one simulated %d", restored, firstMisses)
+	if err := os.WriteFile(path, append(kept, cut...), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("restored=%d resumeHits=%d misses=%d (first run misses=%d)",
-		restored, s.ResumeHits, s.SimMisses, firstMisses)
 }
 
 // TestChaosEnvGate documents the CLUSTERSIM_CHAOS_* env contract used by

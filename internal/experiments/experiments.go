@@ -4,17 +4,8 @@
 // result (for tests and benchmarks) that knows how to render itself as a
 // terminal table mirroring the figure.
 //
-// Experiment index (see DESIGN.md for the full mapping):
-//
-//	Figure2   — idealized list scheduling vs monolithic
-//	Figure4   — focused steering & scheduling slowdowns
-//	Figure5   — critical-path CPI breakdown
-//	Figure6   — contention-stall and forwarding-delay event breakdowns
-//	Figure8   — distribution of LoC values
-//	Figure14  — the three policies (l, s, p bars) and their breakdown
-//	Figure15  — achieved vs available ILP on 8x1w
-//	LoCOracle — Section 4's list-scheduler priority-knowledge study
-//	Consumers — Section 6's producer/consumer criticality statistics
+// Registry (registry.go) lists every experiment with its name, title
+// and driver; DESIGN.md maps each to the paper section it reproduces.
 package experiments
 
 import (

@@ -1,6 +1,6 @@
 // Package faultinject is a deterministic, seedable failpoint registry
 // for chaos-testing the experiment engine's I/O paths. Call sites name a
-// failpoint ("cache.read", "journal.append", ...) and ask whether a
+// failpoint ("cache.read", "joblog.append", ...) and ask whether a
 // fault fires there; when injection is disabled — the default — every
 // helper returns on a single atomic load, so instrumented paths cost
 // nothing in production.
@@ -12,10 +12,10 @@
 // scheduling; the engine's chaos tests only require that faults never
 // change results, not that they land on the same jobs.)
 //
-// Injection is enabled explicitly via Enable (the CLI's -chaos-seed and
-// -chaos-rate flags) or from the environment via EnableFromEnv
-// (CLUSTERSIM_CHAOS_SEED / CLUSTERSIM_CHAOS_RATE), which lets `go test`
-// runs chaos an unmodified binary.
+// Injection is enabled from the environment via EnableFromEnv
+// (CLUSTERSIM_CHAOS_SEED / CLUSTERSIM_CHAOS_RATE), which the CLI and
+// `clustersim serve` call at startup and which lets `go test` runs chaos
+// an unmodified binary; tests may also call Enable directly.
 package faultinject
 
 import (

@@ -8,7 +8,8 @@ import "time"
 // accepted (with tenant, spec and idempotency key), started, finished
 // (with the terminal state and, for done jobs, the rendered artifacts).
 // It makes the jobs themselves — accepted work the server said 202 to —
-// survive a crash, as the engine journal does for computed values.
+// survive a crash, as the disk cache's summary segment does for
+// computed values.
 //
 // Durability contract, in write order:
 //

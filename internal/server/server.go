@@ -1,4 +1,4 @@
-// Package server turns the cached, journaled, chaos-hardened experiment
+// Package server turns the cached, chaos-hardened experiment
 // engine into a long-running multi-tenant service: an HTTP/JSON job API
 // that accepts experiment specs, admits them behind a bounded weighted
 // fair queue keyed by tenant, executes everything through ONE shared
