@@ -15,7 +15,6 @@ import (
 
 	"clustersim/internal/engine"
 	"clustersim/internal/server"
-	"clustersim/internal/server/loadgen"
 )
 
 // The kill -9 differential needs a real process to kill, so it re-execs
@@ -68,14 +67,13 @@ func TestCrashChaosKill9(t *testing.T) {
 	base := "http://" + addr
 
 	mix := []server.Spec{
-		{Experiments: []string{"fig2"}, Benchmarks: []string{"gzip"}, Insts: 60_000},
-		{Experiments: []string{"fig2"}, Benchmarks: []string{"gzip"}, Insts: 60_000, Seed: 2},
-		{Experiments: []string{"fig4"}, Benchmarks: []string{"mcf"}, Insts: 60_000},
+		{Tenant: "default", Experiments: []string{"fig2"}, Benchmarks: []string{"gzip"}, Insts: 60_000},
+		{Tenant: "default", Experiments: []string{"fig2"}, Benchmarks: []string{"gzip"}, Insts: 60_000, Seed: 2},
+		{Tenant: "default", Experiments: []string{"fig4"}, Benchmarks: []string{"mcf"}, Insts: 60_000},
 	}
 	expected := map[string][]server.ResultArtifact{}
 	localEng := engine.New(engine.Config{Workers: runtime.GOMAXPROCS(0)})
 	for _, sp := range mix {
-		sp.Tenant = "default"
 		arts, err := server.RunLocal(sp, localEng)
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +115,7 @@ func TestCrashChaosKill9(t *testing.T) {
 		t.Fatal("server not healthy within 30s")
 	}
 
-	rep, err := loadgen.RunCrash(loadgen.CrashConfig{
+	rep, err := runCrash(crashConfig{
 		BaseURL:       base,
 		Clients:       4,
 		JobsPerClient: 3,

@@ -88,7 +88,6 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	eng.SetContext(ctx)
 
 	if *metricsAddr != "" {
 		addr, err := metrics.Serve(*metricsAddr, reg)
@@ -99,7 +98,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics (pprof on /debug/pprof)\n", addr)
 	}
 
-	opts := experiments.Options{Insts: *n, Seed: *seed, Fwd: *fwd, Engine: eng, ReplayWorkers: *replayWorkers}
+	opts := experiments.Options{Insts: *n, Seed: *seed, Fwd: *fwd, Engine: eng, Ctx: ctx, ReplayWorkers: *replayWorkers}
 	if *benchmarks != "" {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")
 	}

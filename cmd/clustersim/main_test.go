@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -120,5 +121,58 @@ func TestReportRendersNamedExperiments(t *testing.T) {
 	fig2, _ := experiments.Lookup("fig2")
 	if n := strings.Count(string(data), "\n## "); n != 1 || !strings.Contains(string(data), "\n## "+fig2.Title+"\n") {
 		t.Errorf("report has %d sections, want exactly fig2's %q:\n%s", n, fig2.Title, data)
+	}
+}
+
+// TestDeadlineRunResumesFromCacheDir runs the real command with a
+// -deadline that expires before any work: it must fail, tell the user to
+// rerun on its -cache-dir, and simulate nothing. The rerun on that dir
+// must print what an uninterrupted run prints, timing lines aside.
+func TestDeadlineRunResumesFromCacheDir(t *testing.T) {
+	bin, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "cache")
+	run := func(flags ...string) (stdout, stderr string, err error) {
+		args := append([]string{"clustersim", "-n", "3000", "-benchmarks", "gzip"}, flags...)
+		cmd := exec.Command(bin, append(args, "fig2")...)
+		var o, e bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &o, &e
+		err = cmd.Run()
+		return o.String(), e.String(), err
+	}
+	untimed := func(out string) string {
+		var kept []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.Contains(line, " took ") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+
+	_, stderr, err := run("-deadline", "1ns", "-cache-dir", dir)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("cancelled run: err = %v, want a non-zero exit; stderr:\n%s", err, stderr)
+	}
+	if !strings.Contains(stderr, "rerun with -cache-dir "+dir) {
+		t.Errorf("no resume hint naming %s:\n%s", dir, stderr)
+	}
+	if !strings.Contains(stderr, "sim jobs run: 0 ") {
+		t.Errorf("cancelled run simulated:\n%s", stderr)
+	}
+
+	resumed, stderr, err := run("-cache-dir", dir)
+	if err != nil {
+		t.Fatalf("resumed run: %v\n%s", err, stderr)
+	}
+	clean, stderr, err := run()
+	if err != nil {
+		t.Fatalf("uninterrupted run: %v\n%s", err, stderr)
+	}
+	if untimed(resumed) != untimed(clean) {
+		t.Errorf("resumed run printed\n%s\nuninterrupted run printed\n%s", resumed, clean)
 	}
 }

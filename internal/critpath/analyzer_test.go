@@ -282,7 +282,9 @@ func TestMemZeroingUsesConfiguredHitLatency(t *testing.T) {
 			got, want)
 	}
 	// And the fused path agrees on the same machine.
-	rs, err := critpath.ReplayScenarios(m, []critpath.ZeroSet{{}, {MemLatency: true}})
+	az := critpath.NewAnalyzer()
+	defer az.Recycle()
+	rs, err := az.ReplayScenarios(m, []critpath.ZeroSet{{}, {MemLatency: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,12 @@
 // it runs, so the walk is a linear pass over recorded state — no
 // re-simulation is needed.
 //
-// Analysis entry points come in two flavors: the package-level functions
-// (Analyze, AnalyzeRun, ReplayScenarios, AnalyzeInteraction) allocate
-// fresh result storage and are safe to retain, while the pooled Analyzer
-// reuses its scratch across calls for allocation-free analysis in hot
-// loops (the online detector, the experiment engine).
+// Analysis entry points come in two flavors: the package-level Analyze
+// and AnalyzeRun allocate fresh result storage and are safe to retain,
+// while the pooled Analyzer (its Analyze, ReplayScenarios,
+// AnalyzeInteraction and InteractionMatrix) reuses its scratch across
+// calls for allocation-free analysis in hot loops (the online detector,
+// the experiment engine).
 package critpath
 
 import (

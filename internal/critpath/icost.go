@@ -202,15 +202,6 @@ func SimulatedTime(m *machine.Machine, zero ZeroSet) (int64, error) {
 	return arrC[n-1], nil
 }
 
-// ReplayScenarios computes the idealized runtime of every zero-set in one
-// fused forward pass, using a pooled Analyzer. See
-// (*Analyzer).ReplayScenarios.
-func ReplayScenarios(m *machine.Machine, zeros []ZeroSet) ([]int64, error) {
-	az := NewAnalyzer()
-	defer az.Recycle()
-	return az.ReplayScenarios(m, zeros)
-}
-
 // InteractionCosts holds the pairwise analysis for the two clustering
 // penalties the paper attributes (forwarding delay and contention).
 type InteractionCosts struct {
@@ -252,20 +243,4 @@ func (im *InteractionMatrix) Interaction() InteractionCosts {
 		CostBoth: im.Cost[1<<CompFwd|1<<CompContention],
 		ICost:    im.Pair[CompFwd][CompContention],
 	}
-}
-
-// AnalyzeInteraction computes the forwarding/contention interaction cost
-// for a finished run in one fused event-log pass (pooled Analyzer).
-func AnalyzeInteraction(m *machine.Machine) (InteractionCosts, error) {
-	az := NewAnalyzer()
-	defer az.Recycle()
-	return az.AnalyzeInteraction(m)
-}
-
-// ComputeInteractionMatrix computes the full pairwise lattice for a
-// finished run in one fused event-log pass (pooled Analyzer).
-func ComputeInteractionMatrix(m *machine.Machine) (InteractionMatrix, error) {
-	az := NewAnalyzer()
-	defer az.Recycle()
-	return az.InteractionMatrix(m)
 }

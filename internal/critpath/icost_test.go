@@ -63,7 +63,9 @@ func TestZeroingFwdMatchesZeroLatencyMachineDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run()
-	ic, err := critpath.AnalyzeInteraction(m)
+	az := critpath.NewAnalyzer()
+	defer az.Recycle()
+	ic, err := az.AnalyzeInteraction(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestZeroingFwdMatchesZeroLatencyMachineDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.Run()
-	ic1, err := critpath.AnalyzeInteraction(m1)
+	ic1, err := az.AnalyzeInteraction(m1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,21 +51,15 @@ func analysisCanon(key SimKey) string {
 	return fmt.Sprintf("%s|analysis=v%d", key.String(), analysisVersion)
 }
 
-// Analysis returns the critical-path analysis for key's run, computing it
-// at most once per process (and at most once per CacheDir across
-// processes). On a miss the analysis job simulates with run, analyzes
-// the live machine with a pooled critpath.Analyzer, and recycles it. The
-// run's artifact is cached under key's sim entry exactly as a Sim miss
-// would cache it, so a Sim of key after its Analysis hits.
-func (e *Engine) Analysis(key SimKey, run Run) (CritSummary, error) {
-	return e.AnalysisCtx(nil, key, run)
-}
-
-// AnalysisCtx is Analysis with a per-submission context: once ctx is
-// cancelled this submission's misses fail fast without simulating or
-// analyzing, while other submissions of the same engine are untouched. A
-// nil ctx means no per-submission cancellation (the engine-wide
-// SetContext still applies).
+// AnalysisCtx returns the critical-path analysis for key's run,
+// computing it at most once per process (and at most once per CacheDir
+// across processes). On a miss the analysis job simulates with run,
+// analyzes the live machine with a pooled critpath.Analyzer, and
+// recycles it. The run's artifact is cached under key's sim entry
+// exactly as a SimCtx miss would cache it, so a SimCtx of key after its
+// AnalysisCtx hits. Once ctx is cancelled this submission's misses fail
+// fast without simulating or analyzing, while other submissions of the
+// same engine are untouched; a nil ctx is never cancelled.
 func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run Run) (CritSummary, error) {
 	canon := analysisCanon(key)
 	cached := func(ent *entry) (any, bool) { return ent.crit, ent.crit != nil }
@@ -79,7 +73,7 @@ func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run Run) (CritSumm
 				return cs, nil
 			}
 		}
-		if err := e.checkCtx(ctx); err != nil {
+		if err := checkCtx(ctx); err != nil {
 			return nil, err
 		}
 		e.cAnaMiss.Inc()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -16,11 +17,11 @@ func TestAnalysisCachesAndSharesSimArtifact(t *testing.T) {
 		runs.Add(1)
 		return runTiny(1)
 	}
-	cs1, err := e.Analysis(testSimKey(1), run)
+	cs1, err := e.AnalysisCtx(context.Background(), testSimKey(1), run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs2, err := e.Analysis(testSimKey(1), run)
+	cs2, err := e.AnalysisCtx(context.Background(), testSimKey(1), run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +53,14 @@ func TestAnalysisCachesAndSharesSimArtifact(t *testing.T) {
 		t.Errorf("analysis hits/misses/jobs = %d/%d/%d, want 1/1/1",
 			s.AnaHits, s.AnaMisses, s.AnaJobs)
 	}
-	// The simulation the analysis triggered is itself cached: a Sim
+	// The simulation the analysis triggered is itself cached: a SimCtx
 	// submission must hit without running.
 	before := runs.Load()
-	if _, err := e.Sim(testSimKey(1), run); err != nil {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != before {
-		t.Error("analysis did not share its simulation artifact with Sim")
+		t.Error("analysis did not share its simulation artifact with SimCtx")
 	}
 }
 
@@ -73,7 +74,7 @@ func TestAnalysisConcurrentDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cs, err := e.Analysis(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+			cs, err := e.AnalysisCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 				runs.Add(1)
 				return runTiny(1)
 			})
@@ -99,7 +100,7 @@ func TestAnalysisConcurrentDedup(t *testing.T) {
 }
 
 // TestAnalysisLeadsItsSimFlight: while an analysis job simulates, it
-// holds its key's sim flight, so a Sim of the key submitted meanwhile
+// holds its key's sim flight, so a SimCtx of the key submitted meanwhile
 // joins that run (doOnce) instead of simulating again; the flight ends
 // with the simulation.
 func TestAnalysisLeadsItsSimFlight(t *testing.T) {
@@ -112,7 +113,7 @@ func TestAnalysisLeadsItsSimFlight(t *testing.T) {
 		e.mu.Unlock()
 		return runTiny(1)
 	}
-	if _, err := e.Analysis(testSimKey(1), run); err != nil {
+	if _, err := e.AnalysisCtx(context.Background(), testSimKey(1), run); err != nil {
 		t.Fatal(err)
 	}
 	if !leading {
@@ -129,7 +130,7 @@ func TestAnalysisLeadsItsSimFlight(t *testing.T) {
 func TestAnalysisDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{Workers: 2, CacheDir: dir})
-	cs1, err := e1.Analysis(testSimKey(1), tinyRun(1))
+	cs1, err := e1.AnalysisCtx(context.Background(), testSimKey(1), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestAnalysisDiskRoundTrip(t *testing.T) {
 	// disk without simulating or re-analyzing.
 	e2 := New(Config{Workers: 2, CacheDir: dir})
 	var runs atomic.Int64
-	cs2, err := e2.Analysis(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	cs2, err := e2.AnalysisCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	})
@@ -156,7 +157,7 @@ func TestAnalysisDiskRoundTrip(t *testing.T) {
 		t.Errorf("disk-hits/jobs = %d/%d, want 1/0", s.AnaDiskHits, s.AnaJobs)
 	}
 	// And it is now memory-resident: a second lookup is a plain hit.
-	if _, err := e2.Analysis(testSimKey(1), nil); err != nil {
+	if _, err := e2.AnalysisCtx(context.Background(), testSimKey(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := e2.Summary(); s.AnaHits != 1 {

@@ -615,7 +615,7 @@ func (d *diskCache) storeResult(key SimKey, res machine.Result, exact *predictor
 // non-empty (an empty entry is worthless and would let a truncated
 // generation masquerade as a hit forever).
 func decodeTraceEntry(data []byte, canon string) (*trace.Store, error) {
-	st, err := trace.OpenBytes(data, trace.OpenOptions{})
+	st, err := trace.OpenBytes(data)
 	if err != nil {
 		return nil, err
 	}

@@ -12,13 +12,9 @@ import (
 	"clustersim/internal/machine"
 )
 
-// The per-submission context suite pins the fix for the shared-context
-// race: before the *Ctx variants, a server running concurrent jobs on one
-// engine had to route every job's cancellation through SetContext, so
-// cancelling tenant A's job would also kill tenant B's pending work (and
-// concurrent SetContext calls would silently overwrite each other's
-// deadlines). Per-submission contexts compose with the engine-wide one
-// and cancel alone.
+// The per-submission context suite: every engine submission carries its
+// own context, so a server running concurrent jobs on one engine can
+// cancel tenant A's job without touching tenant B's pending work.
 
 // TestPerJobContextIsolation cancels one of two concurrent MapCtx calls
 // sharing an engine; the other must complete every item.
@@ -157,27 +153,5 @@ func TestForeignCancellationRetry(t *testing.T) {
 	}
 	if followerArt.Res.Insts == 0 {
 		t.Fatal("follower got no artifact")
-	}
-}
-
-// TestEngineWideContextStillApplies verifies the engine-wide SetContext
-// keeps governing *Ctx submissions: cancelling it fails even submissions
-// whose own context is live.
-func TestEngineWideContextStillApplies(t *testing.T) {
-	e := New(Config{Workers: 2})
-	ectx, cancel := context.WithCancel(context.Background())
-	e.SetContext(ectx)
-	cancel()
-
-	var runs atomic.Int64
-	_, err := e.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
-		runs.Add(1)
-		return runTiny(1)
-	})
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("engine-wide cancellation not observed: err=%v", err)
-	}
-	if runs.Load() != 0 {
-		t.Fatalf("job body ran %d times under cancelled engine context", runs.Load())
 	}
 }

@@ -54,13 +54,13 @@ import (
 // half the budget at the default 200,000.
 const DefaultMaxCacheBytes = 1 << 30
 
-// maxInjectedPanicRetries bounds how often Map re-runs a job killed by
+// maxInjectedPanicRetries bounds how often MapCtx re-runs a job killed by
 // an injected worker panic before surfacing the (transient) error.
 const maxInjectedPanicRetries = 6
 
 // Config configures an Engine.
 type Config struct {
-	// Workers bounds concurrently executing jobs in Map; <=0 means
+	// Workers bounds concurrently executing jobs in MapCtx; <=0 means
 	// runtime.GOMAXPROCS(0) at construction time.
 	Workers int
 	// CacheDir, when non-empty, enables the on-disk cache.
@@ -75,8 +75,8 @@ type Config struct {
 	// JobDeadline, when positive, is the soft per-job deadline: jobs
 	// exceeding it are counted (engine.job.deadline_miss) but their
 	// results stand — simulations cannot be preempted mid-run without
-	// breaking determinism. Whole-run deadlines belong on the context
-	// (SetContext).
+	// breaking determinism. Whole-run deadlines belong on the
+	// submissions' context.
 	JobDeadline time.Duration
 	// ReplayWorkers bounds the intra-job variant fan-out
 	// (machine.SimulateVariantsOpts workers) each simulation job may
@@ -100,12 +100,11 @@ type Engine struct {
 	mu       sync.Mutex
 	mem      *memCache
 	inflight map[string]*call
-	ctx      context.Context // nil means never cancelled
 
 	// beforeLookup, when set (tests only), runs before every cache lookup
 	// that can start a computation: doOnce's, and the recheck of
-	// SimVariants' and Schedules' misses. The singleflight tests finish a
-	// leader inside it.
+	// SimVariantsCtx' and SchedulesCtx' misses. The singleflight tests
+	// finish a leader inside it.
 	beforeLookup func(key string)
 
 	disk    *diskCache
@@ -220,43 +219,22 @@ func (e *Engine) NoteReplay(st machine.SharingStats) {
 // Metrics returns the engine's registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.met }
 
-// SetContext attaches the engine-wide run context. Once ctx is cancelled
-// (Ctrl-C, a -deadline expiry) the engine stops starting new work: Map
-// skips pending items, and cache misses fail fast instead of simulating.
-// Completed results remain cached (on disk too, with a CacheDir), so a
-// rerun with the same CacheDir recomputes only what was still missing.
+// checkCtx returns a Fatal-classified cancellation error once the
+// submission's context (nil means none) is cancelled, nil otherwise.
 //
-// SetContext governs the whole engine: every submission from every
-// caller observes it. Work that has its own lifetime — one tenant's job
-// on a shared server engine — must NOT route its cancellation through
-// SetContext (concurrent jobs would overwrite each other's contexts, and
-// cancelling one would kill the others' pending work). Use the *Ctx
-// submission variants (TraceCtx, SimCtx, AnalysisCtx, SchedulesCtx,
-// MapCtx) instead: their per-submission context composes with the
-// engine-wide one, and cancelling it fails only that submission.
-func (e *Engine) SetContext(ctx context.Context) {
-	e.mu.Lock()
-	e.ctx = ctx
-	e.mu.Unlock()
-}
-
-// checkCtx returns a Fatal-classified cancellation error once either the
-// per-submission context (nil means none) or the engine-wide context
-// from SetContext is cancelled, nil otherwise.
-func (e *Engine) checkCtx(ctx context.Context) error {
+// Every submission (TraceCtx, SimCtx, AnalysisCtx, SimVariantsCtx,
+// SchedulesCtx, HarvestCtx, MapCtx) carries its own context, so
+// cancelling one — a tenant's job on a shared server engine, or a CLI
+// run's Ctrl-C — fails only that submission's pending work: MapCtx skips
+// its not-yet-started items and its cache misses fail fast instead of
+// computing. Completed results stay cached (on disk too, with a
+// CacheDir), so a rerun with the same CacheDir recomputes only what was
+// still missing.
+func checkCtx(ctx context.Context) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return Fatal(fmt.Errorf("engine: job cancelled: %w", err))
 		}
-	}
-	e.mu.Lock()
-	ectx := e.ctx
-	e.mu.Unlock()
-	if ectx == nil {
-		return nil
-	}
-	if err := ectx.Err(); err != nil {
-		return Fatal(fmt.Errorf("engine: run cancelled: %w", err))
 	}
 	return nil
 }
@@ -276,17 +254,17 @@ const maxForeignCancelRetries = 16
 // degraded to memory-only.
 func (e *Engine) diskAvailable() bool { return e.disk.available() }
 
-// Trace returns the trace for key, generating it with gen on a cache
-// miss. Identical keys generate at most once per process (and at most
-// once per CacheDir across processes).
+// Trace is TraceCtx with no cancellation.
 func (e *Engine) Trace(key TraceKey, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
 	return e.TraceCtx(nil, key, gen)
 }
 
-// TraceCtx is Trace with a per-submission context: once ctx is cancelled
-// this submission's misses fail fast without generating, while other
-// submissions of the same engine are untouched. A nil ctx means no
-// per-submission cancellation (the engine-wide SetContext still applies).
+// TraceCtx returns the trace for key, generating it with gen on a cache
+// miss. Identical keys generate at most once per process (and at most
+// once per CacheDir across processes). Once ctx is cancelled this
+// submission's misses fail fast without generating, while other
+// submissions of the same engine are untouched; a nil ctx is never
+// cancelled.
 func (e *Engine) TraceCtx(ctx context.Context, key TraceKey, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
 	canon := key.String()
 	cached := func(ent *entry) (any, bool) { return ent.tr, ent.tr != nil }
@@ -298,7 +276,7 @@ func (e *Engine) TraceCtx(ctx context.Context, key TraceKey, gen func() (*trace.
 				return tr, nil
 			}
 		}
-		if err := e.checkCtx(ctx); err != nil {
+		if err := checkCtx(ctx); err != nil {
 			return nil, err
 		}
 		e.cTraceMiss.Inc()
@@ -329,18 +307,13 @@ func (e *Engine) storeTrace(canon string, key TraceKey, tr *trace.Trace, persist
 	}
 }
 
-// Sim returns the artifact for key, simulating with run on a cache
+// SimCtx returns the artifact for key, simulating with run on a cache
 // miss. Concurrent submissions of one key — e.g. two figure drivers
 // sharing a focused-stack run — simulate once and share the artifact.
-func (e *Engine) Sim(key SimKey, run Run) (Artifact, error) {
-	return e.SimCtx(nil, key, run)
-}
-
-// SimCtx is Sim with a per-submission context: once ctx is cancelled this
-// submission's misses fail fast without simulating, while concurrent
-// submissions of the same engine (other tenants' jobs on a shared server
-// engine) are untouched. A nil ctx means no per-submission cancellation
-// (the engine-wide SetContext still applies).
+// Once ctx is cancelled this submission's misses fail fast without
+// simulating, while concurrent submissions of the same engine (other
+// tenants' jobs on a shared server engine) are untouched; a nil ctx is
+// never cancelled.
 func (e *Engine) SimCtx(ctx context.Context, key SimKey, run Run) (Artifact, error) {
 	canon := key.String()
 	cached := func(ent *entry) (any, bool) {
@@ -386,10 +359,11 @@ func (e *Engine) diskSim(key SimKey, canon string) (Artifact, bool) {
 // and recycles the machine before returning.
 //
 // A derived-product job also leads key's sim flight when none is in
-// progress, so a Sim of key submitted meanwhile shares this run. (A Sim
-// already in flight cannot lend its machine; the job then runs alone.)
+// progress, so a SimCtx of key submitted meanwhile shares this run. (A
+// sim already in flight cannot lend its machine; the job then runs
+// alone.)
 func (e *Engine) simulate(ctx context.Context, key SimKey, run Run, derive func(*machine.Machine) error) (Artifact, error) {
-	if err := e.checkCtx(ctx); err != nil {
+	if err := checkCtx(ctx); err != nil {
 		return Artifact{}, err
 	}
 	canon := key.String()
@@ -458,7 +432,7 @@ func (e *Engine) storeSim(key SimKey, a Artifact) error {
 func (e *Engine) doOnce(ctx context.Context, key string, hitCtr *metrics.Counter, cached func(*entry) (any, bool), fn func() (any, error)) (any, error) {
 	for attempt := 0; ; attempt++ {
 		v, err := e.doOnceAttempt(key, hitCtr, cached, fn)
-		if err != nil && isCancellation(err) && e.checkCtx(ctx) == nil && attempt < maxForeignCancelRetries {
+		if err != nil && isCancellation(err) && checkCtx(ctx) == nil && attempt < maxForeignCancelRetries {
 			continue
 		}
 		return v, err
@@ -509,28 +483,21 @@ func (e *Engine) land(key string, c *call, v any, err error) {
 	close(c.done)
 }
 
-// Map runs fn once per item on the engine's worker pool and returns the
-// results in item order — output i is fn(i, items[i]) regardless of
+// MapCtx runs fn once per item on the engine's worker pool and returns
+// the results in item order — output i is fn(i, items[i]) regardless of
 // completion order, so aggregation over the results is deterministic. A
 // panicking fn is recovered and surfaced as that item's error; the pool
 // keeps draining, so a panic can neither deadlock the dispatch loop nor
 // strand sibling jobs. When multiple items fail, the lowest-indexed
 // error wins (again for determinism).
 //
-// Two robustness behaviors ride on the dispatch loop: once the engine's
-// context is cancelled, not-yet-started items fail fast with the
+// Two robustness behaviors ride on the dispatch loop: once ctx is
+// cancelled, this call's not-yet-started items fail fast with the
 // cancellation error while already-running jobs drain (their results are
-// cached as usual); and a job killed by an injected
-// chaos-test panic is retried in place — injected faults are transient
-// by construction and must never change results.
-func Map[I, O any](e *Engine, items []I, fn func(i int, item I) (O, error)) ([]O, error) {
-	return MapCtx(nil, e, items, fn)
-}
-
-// MapCtx is Map with a per-submission context: once ctx is cancelled,
-// this call's not-yet-started items fail fast while other Map calls on
-// the same engine keep running. A nil ctx means no per-submission
-// cancellation (the engine-wide SetContext still applies).
+// cached as usual) and other MapCtx calls on the same engine keep
+// running; and a job killed by an injected chaos-test panic is retried
+// in place — injected faults are transient by construction and must
+// never change results. A nil ctx is never cancelled.
 func MapCtx[I, O any](ctx context.Context, e *Engine, items []I, fn func(i int, item I) (O, error)) ([]O, error) {
 	n := len(items)
 	out := make([]O, n)
@@ -553,7 +520,7 @@ func MapCtx[I, O any](ctx context.Context, e *Engine, items []I, fn func(i int, 
 				if i >= n {
 					return
 				}
-				if err := e.checkCtx(ctx); err != nil {
+				if err := checkCtx(ctx); err != nil {
 					errs[i] = err
 					continue
 				}

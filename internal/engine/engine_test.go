@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -90,7 +91,7 @@ func TestSimCacheHitMissAccounting(t *testing.T) {
 	}
 	var art Artifact
 	for i := 0; i < 3; i++ {
-		a, err := e.Sim(testSimKey(1), run)
+		a, err := e.SimCtx(context.Background(), testSimKey(1), run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestSimConcurrentDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a, err := e.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+			a, err := e.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 				runs.Add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
 				return runTiny(1)
@@ -158,7 +159,7 @@ func TestSimConcurrentDedup(t *testing.T) {
 // the key's leader store its value and leave the flight inside it. The
 // follower must be served that value, not compute the key again: the
 // cache lookup and the in-flight check share one lock hold (and
-// SimVariants and Schedules recheck their misses under the lock before
+// SimVariantsCtx and SchedulesCtx recheck their misses under the lock before
 // computing).
 func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
 	schedKeys := []SchedKey{testSchedKey("oracle", 2), testSchedKey("oracle", 4)}
@@ -179,28 +180,28 @@ func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
 			return err
 		}, func(s Summary) int64 { return s.TraceMisses }},
 		{"sim", testSimKey(1).String(), func(e *Engine, work func()) error {
-			_, err := e.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+			_, err := e.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 				work()
 				return runTiny(1)
 			})
 			return err
 		}, func(s Summary) int64 { return s.SimMisses }},
 		{"variants", testSimKey(1).String(), func(e *Engine, work func()) error {
-			_, err := e.SimVariants(variantKeys, func(miss []int) ([]Artifact, error) {
+			_, err := e.SimVariantsCtx(context.Background(), variantKeys, func(miss []int) ([]Artifact, error) {
 				work()
 				return make([]Artifact, len(miss)), nil
 			})
 			return err
 		}, func(s Summary) int64 { return s.SimMisses / int64(len(variantKeys)) }},
 		{"analysis", analysisCanon(testSimKey(1)), func(e *Engine, work func()) error {
-			_, err := e.Analysis(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+			_, err := e.AnalysisCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 				work()
 				return runTiny(1)
 			})
 			return err
 		}, func(s Summary) int64 { return s.AnaMisses }},
 		{"schedules", schedKeys[0].String(), func(e *Engine, work func()) error {
-			_, err := e.Schedules(schedKeys, func(miss []int) ([]SchedSummary, error) {
+			_, err := e.SchedulesCtx(context.Background(), schedKeys, func(miss []int) ([]SchedSummary, error) {
 				work()
 				return make([]SchedSummary, len(miss)), nil
 			})
@@ -255,11 +256,11 @@ func TestSimErrorsNotCached(t *testing.T) {
 		}
 		return runTiny(1)
 	}
-	if _, err := e.Sim(testSimKey(1), run); !errors.Is(err, boom) {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); !errors.Is(err, boom) {
 		t.Fatalf("first Sim err = %v, want boom", err)
 	}
 	// The failure must not be memoized: the next submission retries.
-	if _, err := e.Sim(testSimKey(1), run); err != nil {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
 		t.Fatalf("second Sim err = %v, want success", err)
 	}
 	if runs != 2 {
@@ -273,7 +274,7 @@ func TestSimErrorsNotCached(t *testing.T) {
 func TestDiskResultRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{CacheDir: dir})
-	a1, err := e1.Sim(testSimKey(1), tinyRun(1))
+	a1, err := e1.SimCtx(context.Background(), testSimKey(1), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	// A second engine (fresh process, same cache dir) serves the key
 	// from disk without simulating.
 	e2 := New(Config{CacheDir: dir})
-	a2, err := e2.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	a2, err := e2.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		t.Error("run must not be called on a disk hit")
 		return nil, Artifact{}, nil
 	})
@@ -299,7 +300,7 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	// Result, not the machine the analysis reads. The analysis job
 	// re-stores the same Result under the sim key.
 	var runs atomic.Int64
-	if _, err := e2.Analysis(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	if _, err := e2.AnalysisCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}); err != nil {
@@ -308,7 +309,7 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	if runs.Load() != 1 {
 		t.Errorf("analysis after disk hit ran %d times, want 1", runs.Load())
 	}
-	a3, err := e2.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	a3, err := e2.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		t.Error("run must not be called: the analysis job cached the result")
 		return nil, Artifact{}, nil
 	})
@@ -366,7 +367,7 @@ func TestBadCacheDirNonFatal(t *testing.T) {
 	if e.Summary().DiskErr == nil {
 		t.Error("expected DiskErr for unusable cache dir")
 	}
-	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatalf("engine without disk layer failed: %v", err)
 	}
 }
@@ -407,7 +408,7 @@ func TestDroppedUnderPressure(t *testing.T) {
 	// ...and so does the sim entry the harvest's own insert pushed out;
 	// once resident, it serves without running.
 	for i := 0; i < 2; i++ {
-		if _, err := e.Sim(testSimKey(1), run); err != nil {
+		if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -442,7 +443,7 @@ func TestMapDeterministicOrder(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	out, err := Map(e, items, func(i, item int) (int, error) {
+	out, err := MapCtx(context.Background(), e, items, func(i, item int) (int, error) {
 		if i%7 == 0 {
 			time.Sleep(time.Millisecond) // scramble completion order
 		}
@@ -462,7 +463,7 @@ func TestMapBoundsWorkers(t *testing.T) {
 	const bound = 3
 	e := New(Config{Workers: bound})
 	var cur, high atomic.Int64
-	_, err := Map(e, make([]int, 50), func(i, _ int) (int, error) {
+	_, err := MapCtx(context.Background(), e, make([]int, 50), func(i, _ int) (int, error) {
 		n := cur.Add(1)
 		for {
 			h := high.Load()
@@ -484,7 +485,7 @@ func TestMapBoundsWorkers(t *testing.T) {
 
 func TestMapErrorPropagation(t *testing.T) {
 	e := New(Config{Workers: 4})
-	_, err := Map(e, make([]int, 20), func(i, _ int) (int, error) {
+	_, err := MapCtx(context.Background(), e, make([]int, 20), func(i, _ int) (int, error) {
 		if i == 7 || i == 13 {
 			return 0, fmt.Errorf("job %d failed", i)
 		}
@@ -505,7 +506,7 @@ func TestMapPanicRecovered(t *testing.T) {
 	var completed atomic.Int64
 	go func() {
 		defer close(done)
-		_, err := Map(e, make([]int, 30), func(i, _ int) (int, error) {
+		_, err := MapCtx(context.Background(), e, make([]int, 30), func(i, _ int) (int, error) {
 			if i == 3 {
 				panic("kaboom")
 			}
@@ -528,7 +529,7 @@ func TestMapPanicRecovered(t *testing.T) {
 
 func TestMapEmpty(t *testing.T) {
 	e := New(Config{Workers: 4})
-	out, err := Map(e, []int(nil), func(i, item int) (int, error) { return item, nil })
+	out, err := MapCtx(context.Background(), e, []int(nil), func(i, item int) (int, error) { return item, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("Map(empty) = %v, %v", out, err)
 	}
@@ -536,10 +537,10 @@ func TestMapEmpty(t *testing.T) {
 
 func TestRenderSummary(t *testing.T) {
 	e := New(Config{Workers: 2})
-	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -599,11 +600,11 @@ func TestDiskExactRoundTrip(t *testing.T) {
 		return nil, Artifact{Res: machine.Result{ConfigName: "1x8w", Insts: 90, Cycles: 120}, Exact: exact}, nil
 	}
 	e1 := New(Config{CacheDir: dir})
-	if _, err := e1.Sim(key, withExact); err != nil {
+	if _, err := e1.SimCtx(context.Background(), key, withExact); err != nil {
 		t.Fatal(err)
 	}
 	e2 := New(Config{CacheDir: dir})
-	a, err := e2.Sim(key, func() (*machine.Machine, Artifact, error) {
+	a, err := e2.SimCtx(context.Background(), key, func() (*machine.Machine, Artifact, error) {
 		t.Error("run must not be called: the disk entry carries the exact tracker")
 		return nil, Artifact{}, nil
 	})
@@ -623,7 +624,7 @@ func TestDiskExactRoundTrip(t *testing.T) {
 	old.TrackExact = true
 	e2.disk.storeResult(old, machine.Result{Insts: 90}, nil)
 	var runs atomic.Int64
-	if _, err := e2.Sim(old, func() (*machine.Machine, Artifact, error) {
+	if _, err := e2.SimCtx(context.Background(), old, func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return withExact()
 	}); err != nil {

@@ -147,7 +147,7 @@ func corruptSegment(t *testing.T, dir string) int {
 func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{CacheDir: dir})
-	a1, err := e1.Sim(testSimKey(1), tinyRun(1))
+	a1, err := e1.SimCtx(context.Background(), testSimKey(1), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 
 	e2 := New(Config{CacheDir: dir})
 	var runs atomic.Int64
-	a2, err := e2.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	a2, err := e2.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	})
@@ -178,7 +178,7 @@ func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 	// The recompute appended a valid frame: a third engine skips the
 	// damaged one and gets a clean disk hit.
 	e3 := New(Config{CacheDir: dir})
-	if _, err := e3.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	if _, err := e3.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		t.Error("clean rewritten entry missed")
 		return runTiny(1)
 	}); err != nil {
@@ -237,7 +237,7 @@ func TestWriteFaultsNeverFailRuns(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Config{CacheDir: dir, DiskErrorBudget: 4})
 	faultinject.Enable(1234, 1)
-	a, err := e.Sim(testSimKey(1), tinyRun(1))
+	a, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1))
 	faultinject.Disable()
 	if err != nil {
 		t.Fatalf("write faults leaked into the run: %v", err)
@@ -261,7 +261,7 @@ func TestDegradedModeAfterBudget(t *testing.T) {
 	faultinject.Enable(99, 1)
 	for seed := uint64(1); seed <= 6; seed++ {
 		s := seed
-		if _, err := e.Sim(testSimKey(s), tinyRun(s)); err != nil {
+		if _, err := e.SimCtx(context.Background(), testSimKey(s), tinyRun(s)); err != nil {
 			t.Fatalf("seed %d: %v", s, err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestDegradedModeAfterBudget(t *testing.T) {
 	}
 	// Degraded means memory-only, not broken: cached entries still hit.
 	var runs atomic.Int64
-	if _, err := e.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}); err != nil || runs.Load() != 0 {
@@ -283,15 +283,14 @@ func TestDegradedModeAfterBudget(t *testing.T) {
 	}
 }
 
-// TestContextCancellationDrains: cancelling the run context mid-Map
-// fails pending items fast while completed results stand.
+// TestContextCancellationDrains: cancelling a MapCtx call's context
+// mid-run fails its pending items fast while completed results stand.
 func TestContextCancellationDrains(t *testing.T) {
 	e := New(Config{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
-	e.SetContext(ctx)
 	items := make([]int, 8)
 	var ran atomic.Int64
-	_, err := Map(e, items, func(i int, _ int) (int, error) {
+	_, err := MapCtx(ctx, e, items, func(i int, _ int) (int, error) {
 		ran.Add(1)
 		if i == 1 {
 			cancel()
@@ -307,13 +306,12 @@ func TestContextCancellationDrains(t *testing.T) {
 	if got := ran.Load(); got != 2 {
 		t.Fatalf("ran %d items after cancel, want 2", got)
 	}
-	// A cancelled engine also refuses new cache misses...
-	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err == nil {
-		t.Fatal("Sim miss succeeded under a cancelled context")
+	// The cancelled context also refuses new cache misses...
+	if _, err := e.SimCtx(ctx, testSimKey(1), tinyRun(1)); err == nil {
+		t.Fatal("SimCtx miss succeeded under a cancelled context")
 	}
-	// ...until the context is replaced.
-	e.SetContext(context.Background())
-	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
+	// ...while a live one on the same engine still computes.
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -325,7 +323,7 @@ func TestInjectedWorkerPanicRetried(t *testing.T) {
 	e := New(Config{Workers: 4})
 	faultinject.Enable(7, 0.3)
 	items := make([]int, 64)
-	out, err := Map(e, items, func(i int, _ int) (int, error) { return i * i, nil })
+	out, err := MapCtx(context.Background(), e, items, func(i int, _ int) (int, error) { return i * i, nil })
 	faultinject.Disable()
 	if err != nil {
 		t.Fatalf("Map under injected panics failed: %v", err)
@@ -344,7 +342,7 @@ func TestInjectedWorkerPanicRetried(t *testing.T) {
 // bug keeps its stack trace and fails the Map.
 func TestGenuinePanicStillFails(t *testing.T) {
 	e := New(Config{Workers: 2})
-	_, err := Map(e, []int{0}, func(int, int) (int, error) { panic("real bug") })
+	_, err := MapCtx(context.Background(), e, []int{0}, func(int, int) (int, error) { panic("real bug") })
 	if err == nil || !strings.Contains(err.Error(), "real bug") {
 		t.Fatalf("genuine panic not surfaced: %v", err)
 	}
@@ -354,7 +352,7 @@ func TestGenuinePanicStillFails(t *testing.T) {
 // but their results stand.
 func TestSoftJobDeadlineCounted(t *testing.T) {
 	e := New(Config{Workers: 2, JobDeadline: time.Nanosecond})
-	out, err := Map(e, []int{1, 2}, func(i int, v int) (int, error) {
+	out, err := MapCtx(context.Background(), e, []int{1, 2}, func(i int, v int) (int, error) {
 		time.Sleep(time.Millisecond)
 		return v, nil
 	})
@@ -410,7 +408,7 @@ func TestSegmentTornFrameQuarantined(t *testing.T) {
 		dir := t.TempDir()
 		e1 := New(Config{CacheDir: dir})
 		for seed := uint64(1); seed <= 2; seed++ {
-			if _, err := e1.Sim(testSimKey(seed), tinyRun(seed)); err != nil {
+			if _, err := e1.SimCtx(context.Background(), testSimKey(seed), tinyRun(seed)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -422,14 +420,14 @@ func TestSegmentTornFrameQuarantined(t *testing.T) {
 		if err := appendFrame(e1.disk.segmentPath(), durable.EncodeFrame(payload)[:cut]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e1.Sim(testSimKey(4), tinyRun(4)); err != nil {
+		if _, err := e1.SimCtx(context.Background(), testSimKey(4), tinyRun(4)); err != nil {
 			t.Fatal(err)
 		}
 
 		e2 := New(Config{CacheDir: dir})
 		for seed := uint64(1); seed <= 4; seed++ {
 			var runs atomic.Int64
-			if _, err := e2.Sim(testSimKey(seed), func() (*machine.Machine, Artifact, error) {
+			if _, err := e2.SimCtx(context.Background(), testSimKey(seed), func() (*machine.Machine, Artifact, error) {
 				runs.Add(1)
 				return runTiny(seed)
 			}); err != nil {
@@ -489,22 +487,22 @@ func TestSegmentSeesLaterAppends(t *testing.T) {
 	dir := t.TempDir()
 	b := New(Config{CacheDir: dir})
 	a := New(Config{CacheDir: dir})
-	if _, err := a.Sim(testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := a.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Sim(testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	if _, err := b.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
 		t.Error("b missed a's first entry")
 		return runTiny(1)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for seed := uint64(2); seed <= 3; seed++ {
-		if _, err := a.Analysis(testSimKey(seed), tinyRun(seed)); err != nil {
+		if _, err := a.AnalysisCtx(context.Background(), testSimKey(seed), tinyRun(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for seed := uint64(2); seed <= 3; seed++ {
-		if _, err := b.Analysis(testSimKey(seed), func() (*machine.Machine, Artifact, error) {
+		if _, err := b.AnalysisCtx(context.Background(), testSimKey(seed), func() (*machine.Machine, Artifact, error) {
 			t.Errorf("b missed a's analysis of seed %d", seed)
 			return runTiny(seed)
 		}); err != nil {
@@ -532,7 +530,7 @@ func TestSegmentConcurrentEngines(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < keys; j++ {
 				seed := uint64((first+j)%keys + 1)
-				if _, err := e.Analysis(testSimKey(seed), tinyRun(seed)); err != nil {
+				if _, err := e.AnalysisCtx(context.Background(), testSimKey(seed), tinyRun(seed)); err != nil {
 					errs <- err
 					return
 				}
@@ -550,10 +548,10 @@ func TestSegmentConcurrentEngines(t *testing.T) {
 			t.Errorf("seed %d missed after concurrent appends", seed)
 			return runTiny(seed)
 		}
-		if _, err := fresh.Sim(testSimKey(seed), run); err != nil {
+		if _, err := fresh.SimCtx(context.Background(), testSimKey(seed), run); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fresh.Analysis(testSimKey(seed), run); err != nil {
+		if _, err := fresh.AnalysisCtx(context.Background(), testSimKey(seed), run); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -572,14 +570,14 @@ func TestCacheDirLayout(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Sim(testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Analysis(testSimKey(2), tinyRun(2)); err != nil {
+	if _, err := e.AnalysisCtx(context.Background(), testSimKey(2), tinyRun(2)); err != nil {
 		t.Fatal(err)
 	}
 	keys := []SchedKey{testSchedKey("oracle", 2), testSchedKey("oracle", 4)}
-	if _, err := e.Schedules(keys, func(miss []int) ([]SchedSummary, error) {
+	if _, err := e.SchedulesCtx(context.Background(), keys, func(miss []int) ([]SchedSummary, error) {
 		return make([]SchedSummary, len(miss)), nil
 	}); err != nil {
 		t.Fatal(err)

@@ -63,10 +63,10 @@ func (k SchedKey) String() string {
 func harvestCanon(key SimKey) string { return key.String() + "|harvest" }
 
 // HarvestCtx returns the schedule harvest of key's run, the input a
-// Schedules compute replays. On a miss the harvest job simulates with
+// SchedulesCtx compute replays. On a miss the harvest job simulates with
 // run, copies the list scheduler's Input out of the live machine, and
 // recycles it; the run's artifact is cached under key's sim entry as a
-// Sim miss would cache it. A harvest hit is counted as a sim hit — it
+// SimCtx miss would cache it. A harvest hit is counted as a sim hit — it
 // serves the run without simulating. Harvests live in memory only and
 // are dropped, like every entry, under pressure; the next request
 // re-simulates. ctx behaves as in SimCtx.
@@ -94,28 +94,23 @@ func (e *Engine) HarvestCtx(ctx context.Context, key SimKey, run Run) (*Harvest,
 	return v.(*Harvest), nil
 }
 
-// Schedules returns the schedule summaries for keys, positionally
+// SchedulesCtx returns the schedule summaries for keys, positionally
 // aligned. Hits are served from memory or disk; compute receives the
 // indices of the remaining misses (in key order) and must return their
 // summaries in that order — typically one pooled ScheduleVariants call
 // over the shared harvest, which is exactly why the misses are batched
 // instead of resolved one key at a time.
 //
-// Unlike Sim and Analysis there is no singleflight: drivers submit one
+// Unlike SimCtx and AnalysisCtx there is no singleflight: drivers submit one
 // fused batch per harvest run, so concurrent duplicate schedules can
 // only arise across drivers racing the same figure — they would
 // duplicate a cheap replay, not corrupt state, and the second writer
 // simply overwrites the first's identical entry. Only overlapping
 // computations duplicate: the misses are rechecked under the lock just
 // before compute runs, so a batch stored meanwhile is served from memory.
-func (e *Engine) Schedules(keys []SchedKey, compute func(miss []int) ([]SchedSummary, error)) ([]SchedSummary, error) {
-	return e.SchedulesCtx(nil, keys, compute)
-}
-
-// SchedulesCtx is Schedules with a per-submission context: once ctx is
-// cancelled the batch's misses fail fast without computing, while other
-// submissions of the same engine are untouched. A nil ctx means no
-// per-submission cancellation (the engine-wide SetContext still applies).
+// Once ctx is cancelled the batch's misses fail fast without computing,
+// while other submissions of the same engine are untouched; a nil ctx is
+// never cancelled.
 func (e *Engine) SchedulesCtx(ctx context.Context, keys []SchedKey, compute func(miss []int) ([]SchedSummary, error)) ([]SchedSummary, error) {
 	out := make([]SchedSummary, len(keys))
 	var miss []int
@@ -159,7 +154,7 @@ func (e *Engine) SchedulesCtx(ctx context.Context, keys []SchedKey, compute func
 	if miss = still; len(miss) == 0 {
 		return out, nil
 	}
-	if err := e.checkCtx(ctx); err != nil {
+	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
 	e.cSchedMiss.Add(int64(len(miss)))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -42,7 +43,7 @@ func TestHarvestSharesItsRun(t *testing.T) {
 	if h2 != h1 {
 		t.Error("second harvest is not the cached one")
 	}
-	if _, err := e.Sim(testSimKey(1), run); err != nil {
+	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Summary(); runs.Load() != 1 || s.SimMisses != 1 || s.SimHits != 2 {
@@ -62,7 +63,7 @@ func TestSchedulesBatchesMissesAndCaches(t *testing.T) {
 		}
 		return out, nil
 	}
-	got, err := e.Schedules(keys, compute)
+	got, err := e.SchedulesCtx(context.Background(), keys, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestSchedulesBatchesMissesAndCaches(t *testing.T) {
 	}
 
 	// Second submission is all memory hits; compute must not run.
-	again, err := e.Schedules(keys, func(miss []int) ([]SchedSummary, error) {
+	again, err := e.SchedulesCtx(context.Background(), keys, func(miss []int) ([]SchedSummary, error) {
 		t.Fatalf("computed %v despite warm cache", miss)
 		return nil, nil
 	})
@@ -89,7 +90,7 @@ func TestSchedulesBatchesMissesAndCaches(t *testing.T) {
 
 	// A superset batch recomputes only the new key.
 	wider := append(append([]SchedKey(nil), keys...), testSchedKey("binary", 8))
-	_, err = e.Schedules(wider, func(miss []int) ([]SchedSummary, error) {
+	_, err = e.SchedulesCtx(context.Background(), wider, func(miss []int) ([]SchedSummary, error) {
 		if len(miss) != 1 || miss[0] != 3 {
 			t.Fatalf("misses %v, want [3]", miss)
 		}
@@ -111,7 +112,7 @@ func TestSchedulesDiskRoundTrip(t *testing.T) {
 	want := []SchedSummary{{Insts: 7, Makespan: 41, CrossEdges: 3, DyadicCross: 1}, {Insts: 7, Makespan: 52}}
 
 	e1 := New(Config{Workers: 1, CacheDir: dir})
-	if _, err := e1.Schedules(keys, func(miss []int) ([]SchedSummary, error) {
+	if _, err := e1.SchedulesCtx(context.Background(), keys, func(miss []int) ([]SchedSummary, error) {
 		return want, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -119,7 +120,7 @@ func TestSchedulesDiskRoundTrip(t *testing.T) {
 
 	// A fresh engine over the same directory serves from disk.
 	e2 := New(Config{Workers: 1, CacheDir: dir})
-	got, err := e2.Schedules(keys, func(miss []int) ([]SchedSummary, error) {
+	got, err := e2.SchedulesCtx(context.Background(), keys, func(miss []int) ([]SchedSummary, error) {
 		t.Fatalf("computed %v despite disk cache", miss)
 		return nil, nil
 	})
@@ -138,7 +139,7 @@ func TestSchedulesDiskRoundTrip(t *testing.T) {
 
 func TestSchedulesComputeSizeMismatch(t *testing.T) {
 	e := New(Config{Workers: 1})
-	_, err := e.Schedules([]SchedKey{testSchedKey("oracle", 2)}, func(miss []int) ([]SchedSummary, error) {
+	_, err := e.SchedulesCtx(context.Background(), []SchedKey{testSchedKey("oracle", 2)}, func(miss []int) ([]SchedSummary, error) {
 		return nil, nil
 	})
 	if err == nil {

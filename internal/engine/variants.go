@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// SimVariants returns the simulation artifacts for keys, positionally
+// SimVariantsCtx returns the simulation artifacts for keys, positionally
 // aligned. Hits are served from memory or from the on-disk result
-// entries under exactly the same rules as Sim; compute receives the
+// entries under exactly the same rules as SimCtx; compute receives the
 // indices of the remaining misses (in key order) and must return their
 // artifacts in that order — typically one fused machine.SimulateVariants
 // call over the batch's shared trace, which is why the misses are
@@ -18,24 +18,20 @@ import (
 // it runs and recycles them before returning.
 //
 // Each returned artifact is cached under its own SimKey,
-// so later solo Sim submissions of any variant hit without recomputing,
+// so later solo SimCtx submissions of any variant hit without recomputing,
 // and vice versa — a fused batch warms the same cache a solo run would.
 //
-// Unlike Sim there is no singleflight: drivers submit one fused batch
+// Unlike SimCtx there is no singleflight: drivers submit one fused batch
 // per (bench, seed) sweep, so concurrent duplicate variants can only
 // arise across drivers racing the same figure — the second computation
 // produces a byte-identical artifact (the purity contract) and simply
 // overwrites the first's entry. Only overlapping computations
 // duplicate: the misses are rechecked under the lock just before
 // compute runs, so a batch stored meanwhile is served from memory.
-func (e *Engine) SimVariants(keys []SimKey, compute func(miss []int) ([]Artifact, error)) ([]Artifact, error) {
-	return e.SimVariantsCtx(nil, keys, compute)
-}
-
-// SimVariantsCtx is SimVariants with a per-submission context: once ctx
-// is cancelled the batch's misses fail fast without simulating, while
-// other submissions of the same engine are untouched. A nil ctx means no
-// per-submission cancellation (the engine-wide SetContext still applies).
+//
+// Once ctx is cancelled the batch's misses fail fast without simulating,
+// while other submissions of the same engine are untouched; a nil ctx is
+// never cancelled.
 func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, compute func(miss []int) ([]Artifact, error)) ([]Artifact, error) {
 	out := make([]Artifact, len(keys))
 	var miss []int
@@ -56,7 +52,7 @@ func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, compute func
 	if len(miss) == 0 {
 		return out, nil
 	}
-	// Recheck the misses under one lock hold, as Schedules does.
+	// Recheck the misses under one lock hold, as SchedulesCtx does.
 	if e.beforeLookup != nil {
 		e.beforeLookup(keys[miss[0]].String())
 	}
@@ -71,7 +67,7 @@ func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, compute func
 	if miss = still; len(miss) == 0 {
 		return out, nil
 	}
-	if err := e.checkCtx(ctx); err != nil {
+	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
 	e.cSimMiss.Add(int64(len(miss)))

@@ -26,7 +26,7 @@ import (
 
 // Options configures an experiment run.
 type Options struct {
-	// Benchmarks to run; nil means the paper's full twelve.
+	// Benchmarks to run; empty means the paper's full twelve.
 	Benchmarks []string
 	// Insts is the dynamic instruction count per benchmark (the paper
 	// uses 3×100M samples; the default here keeps the full suite
@@ -44,11 +44,11 @@ type Options struct {
 	// engine simulates each (benchmark, config, stack) exactly once.
 	// Nil uses a process-wide default engine.
 	Engine *engine.Engine
-	// Ctx, when non-nil, is this run's per-submission context: once it
-	// is cancelled the drivers' pending engine work fails fast, without
-	// affecting other runs sharing the same engine (one tenant's job on
-	// a server engine cancels alone). Nil means no per-run cancellation;
-	// the engine-wide context from engine.SetContext still applies.
+	// Ctx, when non-nil, is this run's context (the CLI's Ctrl-C and
+	// -deadline, a server job's cancel): once it is cancelled the
+	// drivers' pending engine work fails fast, without affecting other
+	// runs sharing the same engine (one tenant's job on a server engine
+	// cancels alone). Nil means the run is never cancelled.
 	Ctx context.Context
 	// ReplayWorkers overrides the engine's intra-job variant fan-out
 	// bound for this run (machine.SimulateVariantsOpts workers); <=0
@@ -75,7 +75,7 @@ func (o Options) engine() *engine.Engine {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Benchmarks == nil {
+	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = workload.Names()
 	}
 	if o.Insts <= 0 {

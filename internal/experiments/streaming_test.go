@@ -31,8 +31,9 @@ const (
 )
 
 // streamedTrace generates bench through the chunked writer into an
-// in-memory CTR2 store and returns the store (windowed to 2 chunks, so
-// paging is real) plus its fully materialized trace.
+// in-memory CTR2 store and returns the store (its gateInsts/gateChunk = 8
+// chunks overflow the store's 4-chunk window, so paging is real) plus
+// its fully materialized trace.
 func streamedTrace(t *testing.T, bench string) (*trace.Store, *trace.Trace) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -46,7 +47,7 @@ func streamedTrace(t *testing.T, bench string) (*trace.Store, *trace.Trace) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := trace.OpenBytes(buf.Bytes(), trace.OpenOptions{WindowChunks: 2})
+	st, err := trace.OpenBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestStreamingDiskRoundTripDifferential(t *testing.T) {
 		if err := workload.GenerateToFile("twolf", gateInsts, gateSeed, path, opts); err != nil {
 			t.Fatal(err)
 		}
-		st, err := trace.Open(path, trace.OpenOptions{WindowChunks: 2})
+		st, err := trace.Open(path, trace.OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,15 +13,17 @@ import (
 	"clustersim/internal/workload"
 )
 
-// openStoreFor writes tr into an in-memory CTR2 store and opens it with
-// a small chunk window so segmented reads cross chunk boundaries.
+// openStoreFor writes tr into an in-memory CTR2 store of chunkLen-long
+// chunks; callers pick a chunkLen that gives more chunks than the
+// store's 4-chunk window, so segmented reads cross chunk boundaries and
+// page chunks out.
 func openStoreFor(t *testing.T, tr *trace.Trace, chunkLen int) *trace.Store {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.WriteStore(&buf, tr, trace.WriterOptions{ChunkLen: chunkLen}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := trace.OpenBytes(buf.Bytes(), trace.OpenOptions{WindowChunks: 2})
+	st, err := trace.OpenBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@
 //
 // Fairness: see the wfq type. Cancellation: every job runs under its own
 // context (engine *Ctx submissions), so cancelling one tenant's job
-// never touches another's — the regression suite for the old shared
-// SetContext race lives in internal/engine/context_test.go.
+// never touches another's — internal/engine/context_test.go is the
+// regression suite.
 package server
 
 import (

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -286,5 +287,33 @@ func TestServedExperimentNames(t *testing.T) {
 	}
 	if got := ExperimentNames(); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("ExperimentNames() = %q\nwant %q", got, want)
+	}
+}
+
+// TestEmptyBenchmarkListIsTheFullSuite: a spec with "benchmarks": [] has
+// the same Key as one that omits the field, so it must render the same
+// bytes — the paper's twelve benchmarks, not an empty figure.
+func TestEmptyBenchmarkListIsTheFullSuite(t *testing.T) {
+	var empty, omitted Spec
+	if err := json.Unmarshal([]byte(`{"tenant":"default","experiments":["fig2"],"benchmarks":[],"insts":2000}`), &empty); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(`{"tenant":"default","experiments":["fig2"],"insts":2000}`), &omitted); err != nil {
+		t.Fatal(err)
+	}
+	if empty.Benchmarks == nil || empty.Key() != omitted.Key() {
+		t.Fatalf("setup: benchmarks %#v, keys %q vs %q", empty.Benchmarks, empty.Key(), omitted.Key())
+	}
+	eng := engine.New(engine.Config{Workers: runtime.NumCPU()})
+	want, err := RunLocal(omitted, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunLocal(empty, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("\"benchmarks\": [] rendered\n%s\nwant (field omitted)\n%s", got[0].Output, want[0].Output)
 	}
 }

@@ -63,7 +63,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data, want := buildStore(t, insts, tc.opts)
-			st, err := OpenBytes(data, OpenOptions{})
+			st, err := OpenBytes(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,12 +84,12 @@ func TestStoreRoundTrip(t *testing.T) {
 
 func TestStoreEmptyTrace(t *testing.T) {
 	data, _ := buildStore(t, nil, WriterOptions{ChunkLen: 8})
-	st, err := OpenBytes(data, OpenOptions{})
+	st, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 0 || st.Chunks() != 0 {
-		t.Fatalf("empty store: Len=%d Chunks=%d", st.Len(), st.Chunks())
+	if st.Len() != 0 || len(st.offsets) != 0 {
+		t.Fatalf("empty store: Len=%d chunks=%d", st.Len(), len(st.offsets))
 	}
 	tr, err := st.Load()
 	if err != nil || tr.Len() != 0 {
@@ -116,12 +116,12 @@ func TestStoreCrossChunkDeps(t *testing.T) {
 	insts = append(insts, ld) // 9: consumes r1 (inst 0), forwards from store 7
 
 	data, want := buildStore(t, insts, WriterOptions{ChunkLen: 4})
-	st, err := OpenBytes(data, OpenOptions{})
+	st, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Chunks() != 3 {
-		t.Fatalf("Chunks = %d, want 3", st.Chunks())
+	if len(st.offsets) != 3 {
+		t.Fatalf("chunks = %d, want 3", len(st.offsets))
 	}
 	got, err := st.Load()
 	if err != nil {
@@ -148,7 +148,7 @@ func TestStoreCrossChunkDeps(t *testing.T) {
 func TestStoreScanOrderAndBases(t *testing.T) {
 	insts := randomInsts(xrand.New(3), 1000)
 	data, want := buildStore(t, insts, WriterOptions{ChunkLen: 128})
-	st, err := OpenBytes(data, OpenOptions{})
+	st, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestStoreScanOrderAndBases(t *testing.T) {
 func TestStoreSummarizeMatchesTrace(t *testing.T) {
 	insts := randomInsts(xrand.New(9), 2500)
 	data, want := buildStore(t, insts, WriterOptions{ChunkLen: 333})
-	st, err := OpenBytes(data, OpenOptions{})
+	st, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestStoreSummarizeMatchesTrace(t *testing.T) {
 func TestStoreWindowTraceMatchesRebuild(t *testing.T) {
 	insts := randomInsts(xrand.New(21), 2000)
 	data, _ := buildStore(t, insts, WriterOptions{ChunkLen: 256})
-	st, err := OpenBytes(data, OpenOptions{WindowChunks: 2})
+	st, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +218,12 @@ func TestStoreWindowTraceMatchesRebuild(t *testing.T) {
 func TestStoreWindowEviction(t *testing.T) {
 	insts := randomInsts(xrand.New(5), 1024)
 	data, want := buildStore(t, insts, WriterOptions{ChunkLen: 128})
-	st, err := OpenBytes(data, OpenOptions{WindowChunks: 2})
+	st, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Chunks() != 8 || st.WindowChunks() != 2 {
-		t.Fatalf("geometry: %d chunks, window %d", st.Chunks(), st.WindowChunks())
+	if len(st.offsets) != 8 || len(st.offsets) <= windowChunks {
+		t.Fatalf("geometry: %d chunks, window %d", len(st.offsets), windowChunks)
 	}
 	// Touch every chunk twice in a pattern that forces evictions; the
 	// resident set must never exceed the window and every access must
@@ -243,8 +243,8 @@ func TestStoreWindowEviction(t *testing.T) {
 		st.mu.Lock()
 		resident := len(st.cache)
 		st.mu.Unlock()
-		if resident > 2 {
-			t.Fatalf("resident chunks = %d, window bound 2", resident)
+		if resident > windowChunks {
+			t.Fatalf("resident chunks = %d, window bound %d", resident, windowChunks)
 		}
 	}
 }
@@ -256,7 +256,7 @@ func TestStoreWindowEviction(t *testing.T) {
 func TestStoreTornTailRecovery(t *testing.T) {
 	data, _ := buildStore(t, randomInsts(xrand.New(40), 640), WriterOptions{ChunkLen: 128})
 	for cut := len(data) - 1; cut >= 0; cut -= 7 {
-		if _, err := OpenBytes(data[:cut], OpenOptions{}); !errors.Is(err, ErrTornStore) {
+		if _, err := OpenBytes(data[:cut]); !errors.Is(err, ErrTornStore) {
 			t.Fatalf("truncation at %d: %v, want ErrTornStore", cut, err)
 		}
 	}
@@ -269,7 +269,7 @@ func TestStoreRejectsHeaderFlags(t *testing.T) {
 	data, _ := buildStore(t, randomInsts(xrand.New(41), 300), WriterOptions{ChunkLen: 64})
 	for _, flags := range []uint16{1, 0x8000} {
 		bad := withHeaderFlags(data, flags)
-		if _, err := OpenBytes(bad, OpenOptions{}); !errors.Is(err, ErrBadFormat) {
+		if _, err := OpenBytes(bad); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("flags %#x: %v, want ErrBadFormat", flags, err)
 		}
 	}
@@ -297,7 +297,7 @@ func TestFuzzCorpusRetiredStores(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := OpenBytes([]byte(data), OpenOptions{}); !errors.Is(err, want) {
+		if _, err := OpenBytes([]byte(data)); !errors.Is(err, want) {
 			t.Errorf("%s: open: %v, want %v", name, err, want)
 		}
 	}
@@ -321,13 +321,13 @@ func TestStoreDetectsCorruption(t *testing.T) {
 	// Flip one byte inside the second chunk's columns: opening still
 	// succeeds (the footer is intact) but reading that chunk must fail
 	// the CRC.
-	st, err := OpenBytes(data, OpenOptions{})
+	st, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	corrupt := append([]byte(nil), data...)
 	corrupt[st.offsets[1]+ctr2FrameHdrLen+20] ^= 0xFF
-	st2, err := OpenBytes(corrupt, OpenOptions{})
+	st2, err := OpenBytes(corrupt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,19 +343,19 @@ func TestStoreDetectsCorruption(t *testing.T) {
 	// Corrupt trailer magic: strict open fails as torn.
 	bad := append([]byte(nil), data...)
 	bad[len(bad)-1] ^= 0xFF
-	if _, err := OpenBytes(bad, OpenOptions{}); !errors.Is(err, ErrTornStore) {
+	if _, err := OpenBytes(bad); !errors.Is(err, ErrTornStore) {
 		t.Fatalf("corrupt trailer: %v, want ErrTornStore", err)
 	}
 
 	// Corrupt header frame.
 	hdrBad := append([]byte(nil), data...)
 	hdrBad[ctr2FrameHdrLen] ^= 0xFF
-	if _, err := OpenBytes(hdrBad, OpenOptions{}); err == nil {
+	if _, err := OpenBytes(hdrBad); err == nil {
 		t.Fatal("corrupt header accepted")
 	}
 
 	// Not a CTR2 file at all.
-	if _, err := OpenBytes([]byte("CTR1 is a different animal"), OpenOptions{}); !errors.Is(err, ErrBadFormat) {
+	if _, err := OpenBytes([]byte("CTR1 is a different animal")); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("foreign bytes: %v, want ErrBadFormat", err)
 	}
 }
@@ -363,7 +363,7 @@ func TestStoreDetectsCorruption(t *testing.T) {
 func TestStoreMetaRoundTrip(t *testing.T) {
 	meta := []byte("v3|trace|bench=vpr|insts=100|seed=1")
 	data, _ := buildStore(t, randomInsts(xrand.New(2), 10), WriterOptions{ChunkLen: 4, Meta: meta})
-	st, err := OpenBytes(data, OpenOptions{})
+	st, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestWriteStoreHelper(t *testing.T) {
 	if err := WriteStore(&buf, want, WriterOptions{ChunkLen: 100}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenBytes(buf.Bytes(), OpenOptions{})
+	st, err := OpenBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestCodecCountBoundary(t *testing.T) {
 	binary.LittleEndian.PutUint32(tr[12:16], ctr2TrailMagic)
 	buf.Write(tr[:])
 
-	st, err := OpenBytes(buf.Bytes(), OpenOptions{})
+	st, err := OpenBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,14 +584,14 @@ func FuzzReadChunked(f *testing.F) {
 	f.Add([]byte("CTR1"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := OpenBytes(data, OpenOptions{WindowChunks: 2})
+		st, err := OpenBytes(data)
 		if err != nil {
 			return
 		}
 		// Cap the work per input: a crafted footer may declare huge
 		// geometry; reads will fail on it, but don't let Load try to
 		// materialize the claim.
-		if st.Len() > 1<<20 || st.ChunkLen() > 1<<16 {
+		if st.Len() > 1<<20 || st.chunkLen > 1<<16 {
 			return
 		}
 		tr, err := st.Load()
@@ -631,10 +631,10 @@ func FuzzReadChunked(f *testing.F) {
 		// Re-encoding what we accepted must reproduce the instruction
 		// stream (dependences are recomputed by the writer).
 		var out bytes.Buffer
-		if err := WriteStore(&out, tr, WriterOptions{ChunkLen: st.ChunkLen()}); err != nil {
+		if err := WriteStore(&out, tr, WriterOptions{ChunkLen: st.chunkLen}); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		st2, err := OpenBytes(out.Bytes(), OpenOptions{})
+		st2, err := OpenBytes(out.Bytes())
 		if err != nil {
 			t.Fatalf("re-open: %v", err)
 		}

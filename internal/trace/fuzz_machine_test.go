@@ -63,7 +63,7 @@ func FuzzMachineRoundTrip(f *testing.F) {
 		if err := trace.WriteStore(&out, tr, trace.WriterOptions{ChunkLen: 64}); err != nil {
 			t.Fatalf("CTR2 encode failed: %v", err)
 		}
-		st, err := trace.OpenBytes(out.Bytes(), trace.OpenOptions{})
+		st, err := trace.OpenBytes(out.Bytes())
 		if err != nil {
 			t.Fatalf("CTR2 open failed: %v", err)
 		}

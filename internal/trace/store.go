@@ -12,22 +12,18 @@ import (
 	"clustersim/internal/isa"
 )
 
-// DefaultWindowChunks is the default bound on decoded chunks a Store
-// keeps resident: with DefaultChunkLen chunks this is ≈ 8.4 MiB of
-// columns, regardless of how large the trace on disk is.
-const DefaultWindowChunks = 4
+// windowChunks bounds the decoded chunks a Store keeps resident: with
+// DefaultChunkLen chunks this is ≈ 8.4 MiB of columns, regardless of how
+// large the trace on disk is.
+const windowChunks = 4
 
-// OpenOptions configures Open. The zero value uses the default window.
-// A torn store is always an error (ErrTornStore).
-type OpenOptions struct {
-	// WindowChunks bounds how many decoded chunks the store keeps
-	// resident; 0 means DefaultWindowChunks, negative means 1.
-	WindowChunks int
-}
+// OpenOptions configures Open; no option is defined. A torn store is
+// always an error (ErrTornStore).
+type OpenOptions struct{}
 
 // Store is a read view of one CTR2 chunked trace: random access to any
-// chunk through a bounded window of decoded chunks (an LRU over chunk
-// indexes), sequential scans, and window materialization for the
+// chunk through a window of windowChunks decoded chunks (an LRU over
+// chunk indexes), sequential scans, and window materialization for the
 // simulators. A Store is safe for concurrent use.
 type Store struct {
 	r        io.ReaderAt
@@ -37,10 +33,9 @@ type Store struct {
 	total    int64
 	offsets  []uint64
 
-	mu     sync.Mutex
-	window int
-	cache  map[int]*storeChunk
-	clock  int64
+	mu    sync.Mutex
+	cache map[int]*storeChunk
+	clock int64
 }
 
 // storeChunk is one resident decoded chunk with its LRU stamp.
@@ -61,7 +56,7 @@ func Open(path string, opts OpenOptions) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	st, err := NewStore(f, fi.Size(), opts)
+	st, err := newStore(f, fi.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -72,20 +67,13 @@ func Open(path string, opts OpenOptions) (*Store, error) {
 
 // OpenBytes opens a CTR2 store held fully in memory (a cache entry that
 // was read and CRC-validated elsewhere, a fuzzing input).
-func OpenBytes(data []byte, opts OpenOptions) (*Store, error) {
-	return NewStore(bytes.NewReader(data), int64(len(data)), opts)
+func OpenBytes(data []byte) (*Store, error) {
+	return newStore(bytes.NewReader(data), int64(len(data)))
 }
 
-// NewStore builds a store over any ReaderAt of the given size.
-func NewStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
-	window := opts.WindowChunks
-	if window == 0 {
-		window = DefaultWindowChunks
-	}
-	if window < 1 {
-		window = 1
-	}
-	st := &Store{r: r, window: window, cache: make(map[int]*storeChunk, window)}
+// newStore builds a store over any ReaderAt of the given size.
+func newStore(r io.ReaderAt, size int64) (*Store, error) {
+	st := &Store{r: r, cache: make(map[int]*storeChunk, windowChunks)}
 
 	hdr, err := ctr2ReadFrame(r, 0, 14+maxMetaLen)
 	if err != nil {
@@ -179,15 +167,6 @@ func (st *Store) Meta() []byte { return st.meta }
 // Len returns the total instruction count.
 func (st *Store) Len() int64 { return st.total }
 
-// Chunks returns the number of chunks.
-func (st *Store) Chunks() int { return len(st.offsets) }
-
-// ChunkLen returns the instructions-per-chunk geometry.
-func (st *Store) ChunkLen() int { return st.chunkLen }
-
-// WindowChunks returns the resident-window bound.
-func (st *Store) WindowChunks() int { return st.window }
-
 // chunkBounds returns chunk i's global instruction range.
 func (st *Store) chunkBounds(i int) (base int64, count int) {
 	base = int64(i) * int64(st.chunkLen)
@@ -234,7 +213,7 @@ func (st *Store) Chunk(i int) (*Chunk, error) {
 	if err := st.readChunkInto(i, &sc.ch); err != nil {
 		return nil, err
 	}
-	for len(st.cache) >= st.window {
+	for len(st.cache) >= windowChunks {
 		evict, oldest := -1, st.clock+1
 		for idx, c := range st.cache {
 			if c.used < oldest {

@@ -179,7 +179,7 @@ func storeRoundTrip(tr *Trace, opts WriterOptions) (*Trace, error) {
 	if err := WriteStore(&buf, tr, opts); err != nil {
 		return nil, err
 	}
-	st, err := OpenBytes(buf.Bytes(), OpenOptions{})
+	st, err := OpenBytes(buf.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -219,12 +219,12 @@ func TestCodecRoundTripProperty(t *testing.T) {
 // retired CTR1 whole-trace file gets an error that says to regenerate it.
 func TestCodecRejectsGarbage(t *testing.T) {
 	for name, data := range map[string][]byte{"bad magic": []byte("nope"), "empty": nil} {
-		if _, err := OpenBytes(data, OpenOptions{}); err == nil {
+		if _, err := OpenBytes(data); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	ctr1 := []byte("CTR1\x05\x00\x00\x00\x00\x00\x00\x00")
-	if _, err := OpenBytes(ctr1, OpenOptions{}); !errors.Is(err, ErrBadFormat) ||
+	if _, err := OpenBytes(ctr1); !errors.Is(err, ErrBadFormat) ||
 		!strings.Contains(err.Error(), "regenerate it with tracegen") {
 		t.Errorf("CTR1 file: err = %v, want ErrBadFormat with a regenerate-with-tracegen hint", err)
 	}
@@ -233,7 +233,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if err := WriteStore(&buf, Rebuild([]isa.Inst{mkInst(isa.IntALU, 1)}), WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenBytes(buf.Bytes()[:buf.Len()-3], OpenOptions{}); !errors.Is(err, ErrTornStore) {
+	if _, err := OpenBytes(buf.Bytes()[:buf.Len()-3]); !errors.Is(err, ErrTornStore) {
 		t.Errorf("truncated store: err = %v, want ErrTornStore", err)
 	}
 }

@@ -342,7 +342,7 @@ func TestGenerateChunkedMatchesGenerate(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		st, err := trace.OpenBytes(buf.Bytes(), trace.OpenOptions{})
+		st, err := trace.OpenBytes(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
