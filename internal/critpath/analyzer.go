@@ -9,7 +9,8 @@ import (
 )
 
 // Analyzer holds reusable analysis state: the walk result (with its
-// OnPath bitset), the fused-replay arrival arrays, and producer scratch.
+// OnPath bitset), the fused-replay arrival arrays, producer scratch, and
+// the slack pass's buffers.
 // It is the analysis-side analogue of machine.NewPooled — experiment jobs
 // churn through thousands of walks and replays, and recycling the arrays
 // removes the three trace-length []int64 (and one []bool) allocations
@@ -37,6 +38,15 @@ type Analyzer struct {
 	contKeep []int64
 	memKeep  []int64
 	brKeep   []int64
+
+	// Slack-pass scratch (the relaxation itself reuses arrD/arrE/arrC):
+	// each instruction's slack, a sorted copy for the median, and the
+	// per-static-instruction grouping with its accumulators.
+	slack, sorted []int64
+	group         map[uint64]int32
+	groupOf       []int32
+	count         []int32
+	mean, varsum  []float64
 }
 
 // analyzerPool recycles Analyzers process-wide, like the machine pool.
@@ -140,9 +150,9 @@ func (az *Analyzer) InteractionMatrix(m *machine.Machine) (InteractionMatrix, er
 }
 
 // grow returns s resized to n, reusing capacity. Contents are undefined.
-func grow(s []int64, n int) []int64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -3,7 +3,6 @@ package critpath
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"clustersim/internal/machine"
@@ -23,8 +22,27 @@ import (
 // the latest completion time that would not delay the final commit,
 // computed by a backward relaxation over the full recorded constraint
 // graph (all dependence, pipeline, window and misprediction edges — not
-// just the last-arriving ones).
+// just the last-arriving ones). The returned slice is freshly allocated.
 func ComputeSlack(m *machine.Machine) ([]int64, error) {
+	return new(Analyzer).computeSlack(m)
+}
+
+// Slack computes the slack summary of a finished run with the
+// analyzer's pooled storage: equal to SummarizeSlack(m, ComputeSlack(m))
+// bit for bit, without allocating once the analyzer has seen a run as
+// long.
+func (az *Analyzer) Slack(m *machine.Machine) (SlackSummary, error) {
+	slack, err := az.computeSlack(m)
+	if err != nil {
+		return SlackSummary{}, err
+	}
+	return az.summarizeSlack(m, slack), nil
+}
+
+// computeSlack is ComputeSlack over the analyzer's storage: the replay's
+// arrival arrays double as the latest-completion arrays, and the returned
+// slice aliases the analyzer until its next slack pass or Recycle.
+func (az *Analyzer) computeSlack(m *machine.Machine) ([]int64, error) {
 	ev := m.Events()
 	n := len(ev)
 	if n == 0 {
@@ -37,9 +55,8 @@ func ComputeSlack(m *machine.Machine) ([]int64, error) {
 	tr := m.Trace()
 
 	const inf = int64(math.MaxInt64 / 4)
-	lctD := make([]int64, n)
-	lctE := make([]int64, n)
-	lctC := make([]int64, n)
+	az.arrD, az.arrE, az.arrC = grow(az.arrD, n), grow(az.arrE, n), grow(az.arrC, n)
+	lctD, lctE, lctC := az.arrD, az.arrE, az.arrC
 	for i := range lctD {
 		lctD[i] = inf
 		lctE[i] = inf
@@ -60,7 +77,7 @@ func ComputeSlack(m *machine.Machine) ([]int64, error) {
 	// The latter keeps the true critical chain tight (zero slack along
 	// it, matching the walker), while the former lets off-path work show
 	// its real tolerance.
-	var prodBuf []int32
+	prodBuf := az.prodBuf
 	for i := n - 1; i >= 0; i-- {
 		e := &ev[i]
 
@@ -130,7 +147,9 @@ func ComputeSlack(m *machine.Machine) ([]int64, error) {
 		}
 	}
 
-	slack := make([]int64, n)
+	az.prodBuf = prodBuf
+	az.slack = grow(az.slack, n)
+	slack := az.slack
 	for i := range slack {
 		s := lctE[i] - ev[i].Complete
 		if s < 0 {
@@ -142,23 +161,6 @@ func ComputeSlack(m *machine.Machine) ([]int64, error) {
 		slack[i] = s
 	}
 	return slack, nil
-}
-
-// SlackBuckets labels HistogramSlack's bins.
-var SlackBuckets = [8]string{"0", "1", "2-3", "4-7", "8-15", "16-31", "32-63", "64+"}
-
-// HistogramSlack bins slack values into power-of-two buckets (see
-// SlackBuckets) — a compact, cacheable view of the distribution.
-func HistogramSlack(slack []int64) [8]int64 {
-	var h [8]int64
-	for _, s := range slack {
-		b := bits.Len64(uint64(s))
-		if b > 7 {
-			b = 7
-		}
-		h[b]++
-	}
-	return h
 }
 
 // SlackSummary aggregates a run's slack distribution and its per-static-
@@ -183,6 +185,13 @@ type SlackSummary struct {
 // SummarizeSlack computes SlackSummary for a finished run. Equal inputs
 // give bit-identical summaries.
 func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
+	return new(Analyzer).summarizeSlack(m, slack)
+}
+
+// summarizeSlack is SummarizeSlack over the analyzer's storage: the
+// sorted copy, the per-instruction group numbers and the per-group
+// accumulators are reused across runs.
+func (az *Analyzer) summarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 	ev := m.Events()
 	tr := m.Trace()
 	cfg := m.Config()
@@ -192,17 +201,21 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 		return s
 	}
 
-	sorted := slices.Clone(slack)
-	slices.Sort(sorted)
-	s.MedianSlack = sorted[n/2]
+	az.sorted = append(az.sorted[:0], slack...)
+	slices.Sort(az.sorted)
+	s.MedianSlack = az.sorted[n/2]
 
 	// Static instructions are numbered in first-seen order, which the
 	// trace fixes, so every floating-point sum below runs in one order and
 	// the summary is bit-reproducible (walking a map would not be).
-	group := map[uint64]int32{}
-	groupOf := make([]int32, n)
-	var count []int32
-	var mean []float64
+	if az.group == nil {
+		az.group = map[uint64]int32{}
+	}
+	clear(az.group)
+	group := az.group
+	az.groupOf = grow(az.groupOf, n)
+	groupOf := az.groupOf
+	count, mean := az.count[:0], az.mean[:0]
 	var sum float64
 	var zero, geFwd, ge10 int
 	var misBr, misBrZero int
@@ -242,10 +255,13 @@ func SummarizeSlack(m *machine.Machine, slack []int64) SlackSummary {
 		s.BimodalBranchFrac = float64(misBrZero) / float64(misBr)
 	}
 
+	az.count, az.mean = count, mean
 	for g := range mean {
 		mean[g] /= float64(count[g])
 	}
-	varsum := make([]float64, len(count))
+	az.varsum = grow(az.varsum, len(count))
+	varsum := az.varsum
+	clear(varsum)
 	for i, g := range groupOf {
 		d := float64(slack[i]) - mean[g]
 		varsum[g] += d * d

@@ -256,3 +256,42 @@ func TestSlackErrorsOnEmptyRun(t *testing.T) {
 		t.Fatal("ComputeSlack accepted an unrun machine")
 	}
 }
+
+// TestAnalyzerSlackMatchesPackageSlack: one pooled analyzer reused across
+// runs of different lengths, after fused replays that grow its arrays,
+// summarizes slack bit for bit as the package-level allocating functions
+// do, and allocates nothing once it has seen a run as long.
+func TestAnalyzerSlackMatchesPackageSlack(t *testing.T) {
+	az := critpath.NewAnalyzer()
+	defer az.Recycle()
+	for _, c := range []struct {
+		bench    string
+		n        int
+		clusters int
+	}{{"gcc", 9000, 4}, {"vpr", 2000, 1}, {"mcf", 6000, 8}, {"gcc", 9000, 4}} {
+		tr, _ := workload.Generate(c.bench, c.n, 1)
+		m, err := machine.New(machine.NewConfig(c.clusters), tr, steer.DepBased{}, machine.Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		if _, err := az.InteractionMatrix(m); err != nil {
+			t.Fatal(err)
+		}
+		slack, err := critpath.ComputeSlack(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := critpath.SummarizeSlack(m, slack)
+		got, err := az.Slack(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || math.Float64bits(got.StaticStdDev) != math.Float64bits(want.StaticStdDev) {
+			t.Fatalf("%s/%d: pooled summary %+v, package summary %+v", c.bench, c.n, got, want)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { az.Slack(m) }); allocs != 0 {
+			t.Errorf("%s/%d: warm pooled slack allocated %.0f times per run", c.bench, c.n, allocs)
+		}
+	}
+}

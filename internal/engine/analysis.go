@@ -13,15 +13,15 @@ import (
 // the analysis cache key (alongside schemaVersion), so changing what a
 // CritSummary contains — or how critpath computes it — invalidates cached
 // analyses without touching the simulation artifacts they derive from.
-const analysisVersion = 1
+const analysisVersion = 2
 
 // CritSummary is the cacheable critical-path analysis of one simulation:
-// the Figure 5 breakdown, the Figure 6 event counters, the full
-// interaction-cost lattice, and the slack distribution. It is a pure
-// value derived deterministically from the run, so it is cached alongside
-// the run's own artifacts (memory and disk) and shared by every driver
-// that needs any part of it — Figure 5, Figure 6, the icost table and the
-// slack study stop recomputing each other's walks.
+// the Figure 5 breakdown and the Figure 6 event counters from the
+// last-arriving-edge walk, plus, for Full keys only, the interaction-cost
+// lattice and the slack summary. It is a pure value derived
+// deterministically from the run, so it is cached alongside the run's own
+// artifacts (memory and disk) and shared by every experiment that analyzes
+// the same key.
 type CritSummary struct {
 	Breakdown critpath.Breakdown
 
@@ -32,40 +32,48 @@ type CritSummary struct {
 	FwdDyadic          int64
 	FwdOther           int64
 
-	// Matrix is the full 2^4 interaction-cost lattice (one fused replay).
-	Matrix critpath.InteractionMatrix
-
-	// Slack summarizes the global-slack distribution; SlackHist bins it
-	// (see critpath.SlackBuckets).
-	Slack     critpath.SlackSummary
-	SlackHist [8]int64
+	// Matrix is the full 2^4 interaction-cost lattice (one fused replay)
+	// and Slack summarizes the global-slack distribution. Both are
+	// computed for Full keys only and nil in walk-only entries, so
+	// reading one that was never computed fails instead of reading zeros.
+	Matrix *critpath.InteractionMatrix `json:",omitempty"`
+	Slack  *critpath.SlackSummary      `json:",omitempty"`
 }
 
-// Interaction returns the legacy forwarding/contention pairwise analysis.
-func (cs *CritSummary) Interaction() critpath.InteractionCosts {
-	return cs.Matrix.Interaction()
+// AnalysisKey identifies one critical-path analysis: the run it walks
+// and how much it computes. A walk-only analysis (Full false) runs the
+// last-arriving-edge walk; a Full one adds the 16-scenario interaction
+// lattice and the slack relaxation. Depth is part of the canonical key,
+// so a walk-only entry never answers a Full request.
+type AnalysisKey struct {
+	Sim  SimKey
+	Full bool
 }
 
-// analysisCanon derives the analysis cache key from the simulation key.
-func analysisCanon(key SimKey) string {
-	return fmt.Sprintf("%s|analysis=v%d", key.String(), analysisVersion)
+// String returns the canonical form used for dedup and hashing.
+func (k AnalysisKey) String() string {
+	depth := "walk"
+	if k.Full {
+		depth = "full"
+	}
+	return fmt.Sprintf("%s|analysis=v%d|depth=%s", k.Sim.String(), analysisVersion, depth)
 }
 
-// AnalysisCtx returns the critical-path analysis for key's run,
+// AnalysisCtx returns the critical-path analysis that key names,
 // computing it at most once per process (and at most once per CacheDir
 // across processes). On a miss the analysis job simulates with run,
 // analyzes the live machine with a pooled critpath.Analyzer, and
-// recycles it. The run's artifact is cached under key's sim entry
-// exactly as a SimCtx miss would cache it, so a SimCtx of key after its
-// AnalysisCtx hits. Once ctx is cancelled this submission's misses fail
-// fast without simulating or analyzing, while other submissions of the
-// same engine are untouched; a nil ctx is never cancelled.
-func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run Run) (CritSummary, error) {
-	canon := analysisCanon(key)
+// recycles it. The run's artifact is cached under key.Sim's entry
+// exactly as a SimCtx miss would cache it, so a SimCtx of key.Sim after
+// its AnalysisCtx hits. Once ctx is cancelled this submission's misses
+// fail fast without simulating or analyzing, while other submissions of
+// the same engine are untouched; a nil ctx is never cancelled.
+func (e *Engine) AnalysisCtx(ctx context.Context, key AnalysisKey, run Run) (CritSummary, error) {
+	canon := key.String()
 	cached := func(ent *entry) (any, bool) { return ent.crit, ent.crit != nil }
 	v, err := e.doOnce(ctx, canon, e.cAnaHit, cached, func() (any, error) {
 		if e.diskAvailable() {
-			if cs, ok := e.disk.loadAnalysis(canon); ok {
+			if cs, ok := e.disk.loadAnalysis(key); ok {
 				e.cAnaDiskHit.Inc()
 				e.mu.Lock()
 				e.mem.putAnalysis(canon, cs)
@@ -78,9 +86,9 @@ func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run Run) (CritSumm
 		}
 		e.cAnaMiss.Inc()
 		var cs *CritSummary
-		_, err := e.simulate(ctx, key, run, func(m *machine.Machine) (err error) {
+		_, err := e.simulate(ctx, key.Sim, run, func(m *machine.Machine) (err error) {
 			start := time.Now()
-			if cs, err = computeCritSummary(m); err == nil {
+			if cs, err = computeCritSummary(m, key.Full); err == nil {
 				e.tAna.Observe(time.Since(start))
 			}
 			return err
@@ -92,7 +100,7 @@ func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run Run) (CritSumm
 		e.mem.putAnalysis(canon, cs)
 		e.mu.Unlock()
 		if e.diskAvailable() {
-			e.disk.storeAnalysis(canon, cs)
+			e.disk.storeAnalysis(key, cs)
 		}
 		return cs, nil
 	})
@@ -102,10 +110,10 @@ func (e *Engine) AnalysisCtx(ctx context.Context, key SimKey, run Run) (CritSumm
 	return *v.(*CritSummary), nil
 }
 
-// computeCritSummary runs every analysis pass over a finished machine
-// with one pooled analyzer: the backward walk, the fused 16-scenario
-// interaction replay, and the slack relaxation.
-func computeCritSummary(m *machine.Machine) (*CritSummary, error) {
+// computeCritSummary analyzes a finished machine with one pooled
+// analyzer: the backward walk always, and for full analyses the fused
+// 16-scenario interaction replay and the slack relaxation as well.
+func computeCritSummary(m *machine.Machine, full bool) (*CritSummary, error) {
 	az := critpath.NewAnalyzer()
 	defer az.Recycle()
 	a, err := az.AnalyzeRun(m)
@@ -120,14 +128,17 @@ func computeCritSummary(m *machine.Machine) (*CritSummary, error) {
 		FwdDyadic:          a.FwdDyadic,
 		FwdOther:           a.FwdOther,
 	}
-	if cs.Matrix, err = az.InteractionMatrix(m); err != nil {
-		return nil, err
+	if !full {
+		return cs, nil
 	}
-	slack, err := critpath.ComputeSlack(m)
+	matrix, err := az.InteractionMatrix(m)
 	if err != nil {
 		return nil, err
 	}
-	cs.Slack = critpath.SummarizeSlack(m, slack)
-	cs.SlackHist = critpath.HistogramSlack(slack)
+	slack, err := az.Slack(m)
+	if err != nil {
+		return nil, err
+	}
+	cs.Matrix, cs.Slack = &matrix, &slack
 	return cs, nil
 }

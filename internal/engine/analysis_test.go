@@ -17,11 +17,11 @@ func TestAnalysisCachesAndSharesSimArtifact(t *testing.T) {
 		runs.Add(1)
 		return runTiny(1)
 	}
-	cs1, err := e.AnalysisCtx(context.Background(), testSimKey(1), run)
+	cs1, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs2, err := e.AnalysisCtx(context.Background(), testSimKey(1), run)
+	cs2, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +41,8 @@ func TestAnalysisCachesAndSharesSimArtifact(t *testing.T) {
 		t.Fatalf("walk attributed %d cycles but the run took %d",
 			cs1.Breakdown.Total(), cs1.Matrix.Runtime[0])
 	}
-	var hist int64
-	for _, c := range cs1.SlackHist {
-		hist += c
-	}
-	if hist <= 0 {
-		t.Fatalf("slack histogram empty (sum %d)", hist)
+	if cs1.Slack == nil || cs1.Slack.MeanSlack < 0 {
+		t.Fatalf("full analysis slack summary = %+v", cs1.Slack)
 	}
 	s := e.Summary()
 	if s.AnaHits != 1 || s.AnaMisses != 1 || s.AnaJobs != 1 {
@@ -74,7 +70,7 @@ func TestAnalysisConcurrentDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cs, err := e.AnalysisCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+			cs, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), func() (*machine.Machine, Artifact, error) {
 				runs.Add(1)
 				return runTiny(1)
 			})
@@ -113,7 +109,7 @@ func TestAnalysisLeadsItsSimFlight(t *testing.T) {
 		e.mu.Unlock()
 		return runTiny(1)
 	}
-	if _, err := e.AnalysisCtx(context.Background(), testSimKey(1), run); err != nil {
+	if _, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), run); err != nil {
 		t.Fatal(err)
 	}
 	if !leading {
@@ -130,7 +126,7 @@ func TestAnalysisLeadsItsSimFlight(t *testing.T) {
 func TestAnalysisDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{Workers: 2, CacheDir: dir})
-	cs1, err := e1.AnalysisCtx(context.Background(), testSimKey(1), tinyRun(1))
+	cs1, err := e1.AnalysisCtx(context.Background(), testAnaKey(1, true), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +135,7 @@ func TestAnalysisDiskRoundTrip(t *testing.T) {
 	// disk without simulating or re-analyzing.
 	e2 := New(Config{Workers: 2, CacheDir: dir})
 	var runs atomic.Int64
-	cs2, err := e2.AnalysisCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	cs2, err := e2.AnalysisCtx(context.Background(), testAnaKey(1, true), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	})
@@ -157,10 +153,77 @@ func TestAnalysisDiskRoundTrip(t *testing.T) {
 		t.Errorf("disk-hits/jobs = %d/%d, want 1/0", s.AnaDiskHits, s.AnaJobs)
 	}
 	// And it is now memory-resident: a second lookup is a plain hit.
-	if _, err := e2.AnalysisCtx(context.Background(), testSimKey(1), nil); err != nil {
+	if _, err := e2.AnalysisCtx(context.Background(), testAnaKey(1, true), nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := e2.Summary(); s.AnaHits != 1 {
 		t.Errorf("analysis hits = %d, want 1", s.AnaHits)
+	}
+}
+
+// TestAnalysisDepth: a walk-only analysis computes the walk and nothing
+// else, and shares its run with the full analysis of the same sim key
+// without either answering for the other.
+func TestAnalysisDepth(t *testing.T) {
+	e := New(Config{Workers: 2})
+	var runs atomic.Int64
+	run := func() (*machine.Machine, Artifact, error) {
+		runs.Add(1)
+		return runTiny(1)
+	}
+	walk, err := e.AnalysisCtx(context.Background(), testAnaKey(1, false), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walk.Matrix != nil || walk.Slack != nil {
+		t.Fatalf("walk-only analysis carries matrix %v, slack %v", walk.Matrix, walk.Slack)
+	}
+	full, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Matrix == nil || full.Slack == nil {
+		t.Fatal("full analysis is missing its matrix or slack")
+	}
+	if walk.Breakdown != full.Breakdown || walk.FwdOther != full.FwdOther {
+		t.Error("walk-only and full analyses disagree on the walk")
+	}
+	if s := e.Summary(); s.AnaMisses != 2 || s.AnaHits != 0 {
+		t.Errorf("analysis misses/hits = %d/%d, want 2/0: one depth answered for the other",
+			s.AnaMisses, s.AnaHits)
+	}
+	if runs.Load() != 2 {
+		t.Errorf("sim ran %d times, want 2 (the engine caches values, not machines)", runs.Load())
+	}
+}
+
+// TestWalkOnlyDiskEntryCannotAnswerFull: a walk-only analysis reloaded
+// from a cache dir is a miss for the full request of its run, and an
+// entry whose products disagree with its key's depth is not served.
+func TestWalkOnlyDiskEntryCannotAnswerFull(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := New(Config{CacheDir: dir}).AnalysisCtx(context.Background(), testAnaKey(1, false), tinyRun(1)); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{CacheDir: dir})
+	full, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), tinyRun(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Matrix == nil || full.Slack == nil {
+		t.Fatal("full request answered without a matrix or slack")
+	}
+	if s := e.Summary(); s.AnaDiskHits != 0 || s.AnaMisses != 1 {
+		t.Errorf("analysis disk hits/misses = %d/%d, want 0/1", s.AnaDiskHits, s.AnaMisses)
+	}
+	if _, err := e.AnalysisCtx(context.Background(), testAnaKey(1, false), nil); err != nil {
+		t.Fatalf("walk-only entry lost: %v", err)
+	}
+
+	// A walk-only summary framed under a full key's canon is refused.
+	d := e.disk
+	d.storeAnalysis(testAnaKey(2, true), &CritSummary{})
+	if _, ok := d.loadAnalysis(testAnaKey(2, true)); ok {
+		t.Error("a full key was served a summary without matrix or slack")
 	}
 }

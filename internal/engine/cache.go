@@ -527,23 +527,29 @@ func (d *diskCache) tracePath(canon string) string {
 }
 
 // analysisEnvelope is the on-disk derived-analysis format, keyed and
-// verified like resultEnvelope (the canon already folds in both
-// schemaVersion and analysisVersion).
+// verified like resultEnvelope (the canon already folds in
+// schemaVersion, analysisVersion and the analysis depth).
 type analysisEnvelope struct {
 	Key     string
 	Summary CritSummary
 }
 
-func (d *diskCache) loadAnalysis(canon string) (*CritSummary, bool) {
+// loadAnalysis returns key's cached analysis. An entry whose products
+// disagree with key's depth is a miss.
+func (d *diskCache) loadAnalysis(key AnalysisKey) (*CritSummary, bool) {
+	canon := key.String()
 	var env analysisEnvelope
-	if !d.loadSummary(canon, &env, func() bool { return env.Key == canon }) {
+	if !d.loadSummary(canon, &env, func() bool {
+		cs := &env.Summary
+		return env.Key == canon && (cs.Matrix != nil) == key.Full && (cs.Slack != nil) == key.Full
+	}) {
 		return nil, false
 	}
 	return &env.Summary, true
 }
 
-func (d *diskCache) storeAnalysis(canon string, cs *CritSummary) {
-	d.storeSummary(analysisEnvelope{Key: canon, Summary: *cs})
+func (d *diskCache) storeAnalysis(key AnalysisKey, cs *CritSummary) {
+	d.storeSummary(analysisEnvelope{Key: key.String(), Summary: *cs})
 }
 
 // schedEnvelope is the on-disk schedule-summary format, keyed and

@@ -30,6 +30,12 @@ func testSimKey(seed uint64) SimKey {
 		Fwd: 2, EpochLen: 1024, Clusters: 1, Stack: "depbased"}
 }
 
+// testAnaKey is the analysis of testSimKey(seed)'s run at the given
+// depth.
+func testAnaKey(seed uint64, full bool) AnalysisKey {
+	return AnalysisKey{Sim: testSimKey(seed), Full: full}
+}
+
 // runTiny executes a real miniature simulation and hands back the live
 // machine, as production jobs do.
 func runTiny(seed uint64) (*machine.Machine, Artifact, error) {
@@ -193,8 +199,8 @@ func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
 			})
 			return err
 		}, func(s Summary) int64 { return s.SimMisses / int64(len(variantKeys)) }},
-		{"analysis", analysisCanon(testSimKey(1)), func(e *Engine, work func()) error {
-			_, err := e.AnalysisCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+		{"analysis", testAnaKey(1, true).String(), func(e *Engine, work func()) error {
+			_, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), func() (*machine.Machine, Artifact, error) {
 				work()
 				return runTiny(1)
 			})
@@ -300,7 +306,7 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	// Result, not the machine the analysis reads. The analysis job
 	// re-stores the same Result under the sim key.
 	var runs atomic.Int64
-	if _, err := e2.AnalysisCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	if _, err := e2.AnalysisCtx(context.Background(), testAnaKey(1, true), func() (*machine.Machine, Artifact, error) {
 		runs.Add(1)
 		return runTiny(1)
 	}); err != nil {

@@ -35,7 +35,7 @@ func seedEntries(tb testing.TB) (traceBytes, resultBytes, anaBytes, schedBytes [
 	}
 	d.storeTrace(testTraceKey(1), tr)
 	d.storeResult(testSimKey(1), machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400}, nil)
-	d.storeAnalysis(analysisCanon(testSimKey(1)), &CritSummary{})
+	d.storeAnalysis(testAnaKey(1, false), &CritSummary{})
 	d.storeSched("sched-key", &SchedSummary{Insts: 300, Makespan: 99})
 	traceBytes, err = os.ReadFile(d.tracePath(testTraceKey(1).String()))
 	if err != nil {
@@ -180,9 +180,8 @@ func FuzzLoadAnalysis(f *testing.F) {
 	_, _, anaBytes, _ := seedEntries(f)
 	addSeedVariants(f, anaBytes)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		canon := analysisCanon(testSimKey(1))
 		d := fuzzCache(t, data, (*diskCache).segmentPath)
-		d.loadAnalysis(canon)
+		d.loadAnalysis(testAnaKey(1, false))
 	})
 }
 

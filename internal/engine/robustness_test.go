@@ -371,11 +371,12 @@ func TestDiskCorruptAnalysisAndSched(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Config{CacheDir: dir})
 	d := e.disk
-	d.storeAnalysis("k-ana", &CritSummary{})
+	ana := testAnaKey(1, false)
+	d.storeAnalysis(ana, &CritSummary{})
 	d.storeSched("k-sched", &SchedSummary{Insts: 1})
 
 	// Probes of absent keys are plain misses, not quarantines.
-	if _, ok := d.loadAnalysis("other-key"); ok {
+	if _, ok := d.loadAnalysis(testAnaKey(2, false)); ok {
 		t.Fatal("analysis served under the wrong key")
 	}
 	if _, ok := d.loadSched("another-key"); ok {
@@ -383,13 +384,13 @@ func TestDiskCorruptAnalysisAndSched(t *testing.T) {
 	}
 	// Append undecodable payloads behind fresh CRCs as the keys' newest
 	// frames; a fresh engine indexes them and must quarantine both.
-	for _, payload := range []string{`{"Key":"k-ana","Summary":{not json`, `{"Key":"k-sched","Summary":][`} {
+	for _, payload := range []string{`{"Key":"` + ana.String() + `","Summary":{not json`, `{"Key":"k-sched","Summary":][`} {
 		if err := appendFrame(d.segmentPath(), durable.EncodeFrame([]byte(payload))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	d = New(Config{CacheDir: dir}).disk
-	if _, ok := d.loadAnalysis("k-ana"); ok {
+	if _, ok := d.loadAnalysis(ana); ok {
 		t.Fatal("undecodable analysis served")
 	}
 	if _, ok := d.loadSched("k-sched"); ok {
@@ -497,12 +498,12 @@ func TestSegmentSeesLaterAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(2); seed <= 3; seed++ {
-		if _, err := a.AnalysisCtx(context.Background(), testSimKey(seed), tinyRun(seed)); err != nil {
+		if _, err := a.AnalysisCtx(context.Background(), testAnaKey(seed, true), tinyRun(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for seed := uint64(2); seed <= 3; seed++ {
-		if _, err := b.AnalysisCtx(context.Background(), testSimKey(seed), func() (*machine.Machine, Artifact, error) {
+		if _, err := b.AnalysisCtx(context.Background(), testAnaKey(seed, true), func() (*machine.Machine, Artifact, error) {
 			t.Errorf("b missed a's analysis of seed %d", seed)
 			return runTiny(seed)
 		}); err != nil {
@@ -530,7 +531,7 @@ func TestSegmentConcurrentEngines(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < keys; j++ {
 				seed := uint64((first+j)%keys + 1)
-				if _, err := e.AnalysisCtx(context.Background(), testSimKey(seed), tinyRun(seed)); err != nil {
+				if _, err := e.AnalysisCtx(context.Background(), testAnaKey(seed, true), tinyRun(seed)); err != nil {
 					errs <- err
 					return
 				}
@@ -551,7 +552,7 @@ func TestSegmentConcurrentEngines(t *testing.T) {
 		if _, err := fresh.SimCtx(context.Background(), testSimKey(seed), run); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fresh.AnalysisCtx(context.Background(), testSimKey(seed), run); err != nil {
+		if _, err := fresh.AnalysisCtx(context.Background(), testAnaKey(seed, true), run); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -573,7 +574,7 @@ func TestCacheDirLayout(t *testing.T) {
 	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AnalysisCtx(context.Background(), testSimKey(2), tinyRun(2)); err != nil {
+	if _, err := e.AnalysisCtx(context.Background(), testAnaKey(2, true), tinyRun(2)); err != nil {
 		t.Fatal(err)
 	}
 	keys := []SchedKey{testSchedKey("oracle", 2), testSchedKey("oracle", 4)}

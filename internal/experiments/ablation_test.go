@@ -16,7 +16,7 @@ func TestStallSweepHonoursEpochLen(t *testing.T) {
 		Benchmarks: []string{"gzip", "vpr", "mcf"},
 		EpochLen:   2048,
 		Engine:     engine.New(engine.Config{}),
-	}.withDefaults()
+	}.WithDefaults()
 	want := make([]float64, len(opts.Benchmarks))
 	for i, bench := range opts.Benchmarks {
 		s, err := sim(opts, bench, 8, StackStall, false)

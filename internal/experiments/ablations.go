@@ -177,7 +177,7 @@ type FwdSweepResult struct {
 
 // FwdSweep runs the idealized study at several forwarding latencies.
 func FwdSweep(opts Options) (*FwdSweepResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	r := &FwdSweepResult{Avg: map[int][]float64{}, Lats: []int{1, 2, 4}}
 	// rows[bench][latIdx][clusterIdx]
 	rows, err := parBench(opts, func(bench string) ([][]float64, error) {
@@ -239,7 +239,7 @@ type StallSweepResult struct {
 // column is the stall-over-steer stack itself, so it shares Figure 14's
 // 8x1w "s" runs.
 func StallSweep(opts Options) (*StallSweepResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	thresholds := []float64{0.15, 0.30, 0.50}
 	cols := make([]string, len(thresholds))
 	abs := make([]Ablation, len(thresholds))

@@ -22,15 +22,15 @@ type SlackStudyResult struct {
 
 // SlackStudy measures slack distributions on the 4x2w focused machine.
 func SlackStudy(opts Options) (*SlackStudyResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &stats.Table{Title: "Slack analysis (4x2w, focused): why LoC beats slack as a static metric",
 		Columns: []string{"mean", "zero-frac", ">=fwd", ">=10", "perPC-sd", "misbr-zero"}}
 	rows, err := parBench(opts, func(bench string) ([]float64, error) {
-		cs, err := analysis(opts, bench, 4, StackFocused)
+		cs, err := analysis(opts, bench, slackClusters, StackFocused)
 		if err != nil {
 			return nil, err
 		}
-		s := cs.Slack
+		s := *cs.Slack
 		return []float64{s.MeanSlack, s.ZeroFrac, s.GEFwdFrac, s.GE10Frac,
 			s.StaticStdDev, s.BimodalBranchFrac}, nil
 	})
@@ -62,7 +62,7 @@ type DetectorCompareResult struct {
 // DetectorCompare runs both detectors. The graph column is the
 // stall-over-steer stack itself, so it shares Figure 14's 8x1w "s" runs.
 func DetectorCompare(opts Options) (*DetectorCompareResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	rows, err := ablationSweep(opts, StackStall, []Ablation{
 		{},
 		{Detector: DetectorToken, LoCSeed: "tok-loc"},
@@ -93,7 +93,7 @@ type WindowSweepResult struct {
 // WindowSweep runs the 8-cluster machine with progressively larger
 // per-cluster windows under stall-over-steer.
 func WindowSweep(opts Options) (*WindowSweepResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	r := &WindowSweepResult{Windows: []int{8, 16, 32}}
 	abs := make([]Ablation, len(r.Windows))
 	for i, win := range r.Windows {
@@ -139,7 +139,7 @@ type BandwidthSweepResult struct {
 
 // BandwidthSweep runs the 8x1w final policy stack across bypass limits.
 func BandwidthSweep(opts Options) (*BandwidthSweepResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	r := &BandwidthSweepResult{Limits: []int{0, 2, 1}}
 	abs := make([]Ablation, len(r.Limits))
 	for i, lim := range r.Limits {

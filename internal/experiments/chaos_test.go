@@ -254,7 +254,7 @@ func TestKillAndResume(t *testing.T) {
 		}
 	}
 	firstMisses := e1.Summary().SimMisses
-	torn := simKey(half.withDefaults(), "gzip", 8, StackFocused, false)
+	torn := simKey(half.WithDefaults(), "gzip", 8, StackFocused, false)
 	torn.Variant = Ablation{}.canonical(8).String()
 	tearFrame(t, cacheDir, torn.String())
 

@@ -31,7 +31,7 @@ type CharacterRow struct {
 
 // Characterize measures every benchmark on the monolithic machine.
 func Characterize(opts Options) (*CharacterizeResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	rows, err := parBench(opts, func(bench string) (CharacterRow, error) {
 		var row CharacterRow
 		row.Bench = bench

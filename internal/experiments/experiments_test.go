@@ -327,7 +327,7 @@ func TestUnknownBenchmarkPropagates(t *testing.T) {
 	if _, err := Figure4(opts); err == nil {
 		t.Error("Figure4 accepted unknown benchmark")
 	}
-	if _, err := sim(opts.withDefaults(), "vpr", 4, Stack("bogus"), false); err == nil {
+	if _, err := sim(opts.WithDefaults(), "vpr", 4, Stack("bogus"), false); err == nil {
 		t.Error("sim accepted unknown stack")
 	}
 }

@@ -28,7 +28,7 @@ const (
 
 // LoCOracle runs the list scheduler with each priority source.
 func LoCOracle(opts Options) (*LoCOracleResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	names := []string{PriOracle, PriLoC16, PriLoCUnlimited, PriBinary}
 	losses, err := parBench(opts, func(bench string) (map[string][]float64, error) {
 		// The LoC/binary priorities use past criticality observed on the
@@ -104,7 +104,7 @@ type ConsumersResult struct {
 
 // Consumers runs the dataflow analysis on every benchmark.
 func Consumers(opts Options) (*ConsumersResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &stats.Table{Title: "Section 6: producer/consumer criticality analysis",
 		Columns: []string{"mcc-not-first", "static-unique", "bimodal"}}
 	rows, err := parBench(opts, func(bench string) ([3]float64, error) {
@@ -145,7 +145,7 @@ type Figure2Attribution struct {
 // AttributeFigure2 computes per-benchmark dyadic-cross shares on the
 // 8x1w idealized schedule.
 func AttributeFigure2(opts Options) (*Figure2Attribution, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &stats.Table{Title: "Section 2.2: convergent dataflow in idealized schedules (8x1w)",
 		Columns: []string{"cross/1kinst", "dyadic-share"}}
 	rows, err := parBench(opts, func(bench string) ([2]float64, error) {

@@ -23,7 +23,7 @@ type Figure2Result struct {
 
 // Figure2 runs the idealized study.
 func Figure2(opts Options) (*Figure2Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &stats.Table{Title: "Figure 2: idealized list scheduling (normalized CPI vs monolithic schedule)",
 		Columns: []string{"2x4w", "4x2w", "8x1w"}}
 	type row struct {
@@ -81,7 +81,7 @@ type Figure4Result struct {
 
 // Figure4 measures the state-of-the-art baseline.
 func Figure4(opts Options) (*Figure4Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	rows, err := parBench(opts, func(bench string) ([]float64, error) {
 		// All four geometries of one benchmark run as a single fused
 		// batch: one trace decode, one producer index, one shared
@@ -148,7 +148,7 @@ type Figure5Result struct {
 // Figure5 runs focused steering on every configuration and attributes
 // the critical path.
 func Figure5(opts Options) (*Figure5Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	r := &Figure5Result{
 		ContCritical: map[string][]float64{}, ContOther: map[string][]float64{},
 		FwdLoadBal: map[string][]float64{}, FwdDyadic: map[string][]float64{},

@@ -23,7 +23,7 @@ type Figure8Result struct {
 // Figure8 measures observed LoC distributions on the 4x2w machine under
 // focused steering (the configuration Section 4 analyzes).
 func Figure8(opts Options) (*Figure8Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	const bins = 20
 	hists, err := parBench(opts, func(bench string) ([]float64, error) {
 		out, err := sim(opts, bench, 4, StackFocused, true)
@@ -93,7 +93,7 @@ type Figure14Result struct {
 
 // Figure14 runs the full policy progression.
 func Figure14(opts Options) (*Figure14Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	r := &Figure14Result{
 		NormCPI:             map[string]map[Stack][]float64{},
 		Fwd:                 map[string]map[Stack][]float64{},
@@ -243,7 +243,7 @@ type Figure15Result struct {
 
 // Figure15 measures the ILP extraction profile.
 func Figure15(opts Options) (*Figure15Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	results, err := parBench(opts, func(bench string) (machine.Result, error) {
 		out, err := sim(opts, bench, 8, StackProactive, false)
 		if err != nil {

@@ -20,7 +20,7 @@ type FutureWorkResult struct {
 
 // FutureWork compares proactive and readiness-aware load balancing.
 func FutureWork(opts Options) (*FutureWorkResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	rows, err := ablationSweep(opts, StackProactive, []Ablation{
 		{LoCSeed: "fw-loc"},
 		{ReadyBalance: true, LoCSeed: "fw-loc"},

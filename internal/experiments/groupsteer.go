@@ -27,7 +27,7 @@ type GroupSteerResult struct {
 // GroupSteer runs the comparison on the 8x1w machine with
 // stall-over-steer.
 func GroupSteer(opts Options) (*GroupSteerResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	rows, err := ablationSweep(opts, StackStall, []Ablation{
 		{LoCSeed: "gs-loc"},
 		{GroupSteer: true, LoCSeed: "gs-loc"},

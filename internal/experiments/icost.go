@@ -33,7 +33,7 @@ type ICostResult struct {
 
 // ICost runs the interaction analysis.
 func ICost(opts Options) (*ICostResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &stats.Table{Title: "Interaction costs on 8x1w focused (CPI units): fwd vs contention",
 		Columns: []string{"cost-fwd", "cost-cont", "cost-both", "icost"}}
 	r := &ICostResult{}
@@ -43,15 +43,15 @@ func ICost(opts Options) (*ICostResult, error) {
 		ni int64
 	}
 	outs, err := parBench(opts, func(bench string) (out, error) {
-		cs, err := analysis(opts, bench, 8, StackFocused)
+		cs, err := analysis(opts, bench, icostClusters, StackFocused)
 		if err != nil {
 			return out{}, err
 		}
-		run, err := sim(opts, bench, 8, StackFocused, false)
+		run, err := sim(opts, bench, icostClusters, StackFocused, false)
 		if err != nil {
 			return out{}, err
 		}
-		return out{m: cs.Matrix, n: float64(run.Res.Insts), ni: run.Res.Insts}, nil
+		return out{m: *cs.Matrix, n: float64(run.Res.Insts), ni: run.Res.Insts}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ type PredictorSweepResult struct {
 
 // PredictorSweep varies the LoC/binary table size (2^bits entries).
 func PredictorSweep(opts Options) (*PredictorSweepResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	r := &PredictorSweepResult{Bits: []uint{6, 10, 16}}
 	abs := make([]Ablation, len(r.Bits))
 	for i, bits := range r.Bits {

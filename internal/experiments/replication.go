@@ -23,7 +23,7 @@ type ReplicationResult struct {
 
 // Replication runs the idealized study with and without replication.
 func Replication(opts Options) (*ReplicationResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &stats.Table{Title: "Footnote 4: instruction replication in idealized schedules (8x1w normalized CPI)",
 		Columns: []string{"plain", "replicated"}}
 	gains := make([]float64, len(clusterCounts))

@@ -317,3 +317,22 @@ func TestEmptyBenchmarkListIsTheFullSuite(t *testing.T) {
 		t.Fatalf("\"benchmarks\": [] rendered\n%s\nwant (field omitted)\n%s", got[0].Output, want[0].Output)
 	}
 }
+
+// TestSpelledDefaultsKeyAsOmitted: a spec that spells out the
+// experiments-package defaults and one that omits them name the same
+// work, so they have equal Keys and run with equal options.
+func TestSpelledDefaultsKeyAsOmitted(t *testing.T) {
+	d := experiments.Options{}.WithDefaults()
+	omitted := Spec{Tenant: "default", Experiments: []string{"fig2"}}
+	spelled := Spec{Tenant: "default", Experiments: []string{"fig2"},
+		Benchmarks: d.Benchmarks, Insts: d.Insts, Seed: d.Seed, Fwd: d.Fwd}
+	if spelled.Key() != omitted.Key() {
+		t.Errorf("keys differ:\n spelled %s\n omitted %s", spelled.Key(), omitted.Key())
+	}
+	if !reflect.DeepEqual(spelled.options(), omitted.options()) {
+		t.Errorf("options differ:\n spelled %+v\n omitted %+v", spelled.options(), omitted.options())
+	}
+	if o := omitted.options(); len(o.Benchmarks) == 0 || o.Insts == 0 || o.Seed == 0 || o.Fwd == 0 {
+		t.Errorf("omitted spec runs without defaults: %+v", o)
+	}
+}

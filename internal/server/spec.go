@@ -28,11 +28,11 @@ type Spec struct {
 	// full twelve.
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Insts is the dynamic instruction count per benchmark (0 means the
-	// experiments default of 200k).
+	// experiments default; see experiments.Options.WithDefaults).
 	Insts int `json:"insts,omitempty"`
-	// Seed selects the workload seed (0 means 1).
+	// Seed selects the workload seed (0 means the default).
 	Seed uint64 `json:"seed,omitempty"`
-	// Fwd is the inter-cluster forwarding latency (0 means 2).
+	// Fwd is the inter-cluster forwarding latency (0 means the default).
 	Fwd int `json:"fwd,omitempty"`
 	// EpochLen overrides the criticality-detector epoch (0 means the
 	// machine default).
@@ -54,38 +54,20 @@ type Spec struct {
 	DeadlineSecs float64 `json:"deadline_secs,omitempty"`
 }
 
-// normalized returns the spec with the experiments-package defaults
-// applied, so equal work always has an equal Key regardless of whether
-// the client spelled the defaults out.
-func (sp Spec) normalized() Spec {
-	if sp.Insts <= 0 {
-		sp.Insts = 200_000
-	}
-	if sp.Seed == 0 {
-		sp.Seed = 1
-	}
-	if sp.Fwd <= 0 {
-		sp.Fwd = 2
-	}
-	if len(sp.Benchmarks) == 0 {
-		sp.Benchmarks = workload.Names()
-	}
-	return sp
-}
-
 // Key is the tenant-independent identity of the spec's work: two specs
-// with equal keys produce byte-identical result artifacts. The load
-// generator uses it to pre-compute expected outputs for divergence
-// checking.
+// with equal keys produce byte-identical result artifacts. It keys the
+// spec's options with the experiments-package defaults applied, so equal
+// work has an equal Key whether or not the client spelled the defaults
+// out; the server matches recovered jobs to resubmissions by it.
 func (sp Spec) Key() string {
-	n := sp.normalized()
+	o := sp.options()
 	return fmt.Sprintf("exps=%s|bench=%s|insts=%d|seed=%d|fwd=%d|epoch=%d",
-		strings.Join(n.Experiments, ","), strings.Join(n.Benchmarks, ","),
-		n.Insts, n.Seed, n.Fwd, n.EpochLen)
+		strings.Join(sp.Experiments, ","), strings.Join(o.Benchmarks, ","),
+		o.Insts, o.Seed, o.Fwd, o.EpochLen)
 }
 
-// options derives the experiments.Options for this spec (engine and
-// context are attached by the runner).
+// options derives the experiments.Options for this spec, defaults
+// applied (engine and context are attached by the runner).
 func (sp Spec) options() experiments.Options {
 	return experiments.Options{
 		Benchmarks: sp.Benchmarks,
@@ -93,7 +75,7 @@ func (sp Spec) options() experiments.Options {
 		Seed:       sp.Seed,
 		Fwd:        sp.Fwd,
 		EpochLen:   sp.EpochLen,
-	}
+	}.WithDefaults()
 }
 
 // cost estimates the spec's work in simulated instructions, the unit the
@@ -101,8 +83,8 @@ func (sp Spec) options() experiments.Options {
 // cache hits — admission happens before the cache is consulted — but
 // relative fairness only needs costs to be comparable across specs.
 func (sp Spec) cost() float64 {
-	n := sp.normalized()
-	c := float64(n.Insts) * float64(len(n.Benchmarks)) * float64(len(n.Experiments))
+	o := sp.options()
+	c := float64(o.Insts) * float64(len(o.Benchmarks)) * float64(len(sp.Experiments))
 	if c <= 0 {
 		c = 1
 	}
