@@ -16,7 +16,7 @@ import (
 // exact cost the chunked store exists to avoid. Instead,
 // SimulateStoreObserved simulates the trace as a sequence of independent
 // window samples: each window is materialized as a self-contained trace
-// (dependences recomputed from a cold register file and store set, exactly
+// (the store's dependences cut at the window, which is exactly
 // trace.Rebuild of the window's instruction slice), simulated in
 // isolation, and aggregated.
 // This mirrors the paper's own methodology — its figures come from
@@ -78,13 +78,15 @@ func (sr *StreamResult) accumulate(r Result) {
 // window-at-a-time consumption hook for the critical-path walker
 // (critpath.AnalyzeRun) and the list scheduler (listsched.FromMachineRun),
 // which both read a finished run, not a live stream. The machine is
-// recycled after the observer returns; the observer must not retain it.
+// recycled after the observer returns, and its trace's storage is reused
+// for a later window; the observer must retain neither.
 type WindowObserver func(seg int, base int64, m *Machine) error
 
 // SimulateStoreObserved runs the store's instruction stream through the
 // machine window-at-a-time with bounded memory: at any moment only one
-// window's trace, machine and event log are live (plus the store's chunk
-// window). mk builds the stack for each segment, and obs (nil means none)
+// window's trace, machine and event log are live (plus the store's
+// scratch chunk), and every window reuses one trace buffer. mk builds
+// the stack for each segment, and obs (nil means none)
 // sees each finished window; an observer error aborts the run. The final
 // short window is simulated as-is; an empty store yields a zero
 // StreamResult.
@@ -94,12 +96,14 @@ func SimulateStoreObserved(st *trace.Store, windowInsts int64, mk SegmentFunc, o
 		return sr, err
 	}
 	sr.WindowInsts = windowInsts
+	var tr *trace.Trace // every window's buffer
 	for lo := int64(0); lo < st.Len(); lo += windowInsts {
 		hi := lo + windowInsts
 		if hi > st.Len() {
 			hi = st.Len()
 		}
-		tr, err := st.WindowTrace(lo, hi)
+		var err error
+		tr, err = st.WindowTrace(lo, hi, tr)
 		if err != nil {
 			return sr, fmt.Errorf("machine: window [%d,%d): %w", lo, hi, err)
 		}
@@ -154,9 +158,11 @@ type streamJob struct {
 // deliberately threads state across windows through mk or its hooks
 // must use the serial path.
 //
-// Memory stays window-bounded: at most depth windows sit decoded in the
-// read-ahead queue, depth simulate, and depth await aggregation, so the
-// peak heap scales with depth — never with trace length.
+// Memory stays window-bounded: at most depth windows await aggregation,
+// one is being aggregated and one decoded, so the peak heap scales with
+// depth — never with trace length. A window's trace goes back on a free
+// list once its machine is recycled, and the feeder decodes later
+// windows into it, so a run allocates at most depth+2 traces.
 func SimulateStorePiped(st *trace.Store, windowInsts int64, mk SegmentFunc, obs WindowObserver, depth int) (StreamResult, error) {
 	if depth <= 1 {
 		return SimulateStoreObserved(st, windowInsts, mk, obs)
@@ -170,6 +176,7 @@ func SimulateStorePiped(st *trace.Store, windowInsts int64, mk SegmentFunc, obs 
 	jobs := make(chan *streamJob, depth)  // read-ahead buffer feeding the workers
 	order := make(chan *streamJob, depth) // aggregation order (feeder enqueue order)
 	stop := make(chan struct{})           // closed by the aggregator on first error
+	free := make(chan *trace.Trace, depth+2)
 
 	// Feeder: builds each window's stack (mk, in segment order) and
 	// materializes its trace, then hands the job to both queues. A
@@ -191,7 +198,12 @@ func SimulateStorePiped(st *trace.Store, windowInsts int64, mk SegmentFunc, obs 
 			j := &streamJob{seg: seg, lo: lo, hi: hi, done: make(chan struct{})}
 			j.cfg, j.pol, j.hooks, j.err = mk(seg)
 			if j.err == nil {
-				j.tr, j.err = st.WindowTrace(lo, hi)
+				var tr *trace.Trace
+				select {
+				case tr = <-free:
+				default:
+				}
+				j.tr, j.err = st.WindowTrace(lo, hi, tr)
 			}
 			if j.err != nil {
 				close(j.done) // never reaches a worker
@@ -237,6 +249,13 @@ func SimulateStorePiped(st *trace.Store, windowInsts int64, mk SegmentFunc, obs 
 		}
 		Recycle(j.m) // Recycle(nil) is a no-op
 		j.m = nil
+		if j.tr != nil {
+			select {
+			case free <- j.tr:
+			default:
+			}
+			j.tr = nil
+		}
 	}
 	wg.Wait()
 	return sr, firstErr

@@ -13,10 +13,12 @@ import (
 	"clustersim/internal/workload"
 )
 
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
 // openStoreFor writes tr into an in-memory CTR2 store of chunkLen-long
-// chunks; callers pick a chunkLen that gives more chunks than the
-// store's 4-chunk window, so segmented reads cross chunk boundaries and
-// page chunks out.
+// chunks; callers pick a chunkLen that gives several chunks, so
+// segmented reads cross chunk boundaries.
 func openStoreFor(t *testing.T, tr *trace.Trace, chunkLen int) *trace.Store {
 	t.Helper()
 	var buf bytes.Buffer
@@ -127,11 +129,14 @@ func TestSimulateStoreSegmentErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestSimulateStoreFreesFinishedWindows pins SimulateStoreObserved's memory
-// promise: only the current window's trace, machine and event log are
-// live. Each window trace is held through a weak pointer; once a window
-// is finished (its machine recycled), a GC must be able to collect it —
-// nothing pooled (machines, packed state, dependence graphs) may keep it alive.
+// TestSimulateStoreFreesFinishedWindows pins the streaming paths' memory
+// promise under buffer reuse. Each window's trace is held through a weak
+// pointer; at window k's observer call, the finished windows' traces
+// that a GC cannot collect must be buffers the run is still reusing —
+// the current window's alone on the serial path, at most depth+2 on the
+// pipelined one — and once the run returns, a GC must collect them all:
+// nothing pooled (machines, packed state, dependence graphs) may keep a
+// window trace alive.
 func TestSimulateStoreFreesFinishedWindows(t *testing.T) {
 	tr, err := workload.Generate("gcc", 6000, 2)
 	if err != nil {
@@ -139,49 +144,83 @@ func TestSimulateStoreFreesFinishedWindows(t *testing.T) {
 	}
 	st := openStoreFor(t, tr, 512)
 	const window = 1000
-	collected := func(ptrs []weak.Pointer[trace.Trace]) []int {
+	windows := (tr.Len() + window - 1) / window
+	live := func(ptrs []weak.Pointer[trace.Trace]) map[*trace.Trace]bool {
 		runtime.GC()
-		var live []int
-		for i, p := range ptrs {
-			if p.Value() != nil {
-				live = append(live, i)
+		set := map[*trace.Trace]bool{}
+		for _, p := range ptrs {
+			if v := p.Value(); v != nil {
+				set[v] = true
 			}
 		}
-		return live
+		return set
 	}
-
-	// Serial: at window k's observer call, windows before k are done.
-	var ptrs []weak.Pointer[trace.Trace]
-	sr, err := machine.SimulateStoreObserved(st, window, depBasedSegment(4), func(seg int, base int64, m *machine.Machine) error {
-		if live := collected(ptrs); len(live) > 0 {
-			t.Errorf("serial window %d: finished windows %v still reachable", seg, live)
+	for _, tc := range []struct {
+		name  string
+		depth int
+		bound int // distinct window traces live at once
+	}{{"serial", 1, 1}, {"piped", 3, 3 + 2}} {
+		var ptrs []weak.Pointer[trace.Trace]
+		sr, err := machine.SimulateStorePiped(st, window, depBasedSegment(4), func(seg int, base int64, m *machine.Machine) error {
+			ptrs = append(ptrs, weak.Make(m.Trace()))
+			set := live(ptrs)
+			if !set[m.Trace()] || len(set) > tc.bound {
+				t.Errorf("%s window %d: %d window traces reachable, want the current one among at most %d",
+					tc.name, seg, len(set), tc.bound)
+			}
+			return nil
+		}, tc.depth)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ptrs = append(ptrs, weak.Make(m.Trace()))
-		return nil
-	})
+		if sr.Windows != windows || len(ptrs) != windows {
+			t.Fatalf("%s: simulated %d windows, observed %d, want %d", tc.name, sr.Windows, len(ptrs), windows)
+		}
+		if set := live(ptrs); len(set) > 0 {
+			t.Errorf("%s: %d window traces still reachable after the run", tc.name, len(set))
+		}
+	}
+}
+
+// TestSimulateStoreSecondPassAllocBound pins that windows decode into
+// reused buffers: once a first pass has warmed the machine pools and the
+// store's scratch chunk, a second serial pass over the same store
+// allocates one window trace (at most 64 B per instruction of the
+// window) plus a few KiB per window for its segment stack, front-end
+// profile and result — not a trace, producer index or decoded chunk per
+// window, which came to ~108 B per instruction.
+func TestSimulateStoreSecondPassAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	// One P: a sync.Pool item parked in another P's private slot would
+	// read as a miss.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr, err := workload.Generate("gcc", 40000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows := (tr.Len() + window - 1) / window
-	if sr.Windows != windows || len(ptrs) != windows {
-		t.Fatalf("simulated %d windows, observed %d, want %d", sr.Windows, len(ptrs), windows)
+	st := openStoreFor(t, tr, 1536) // windows straddle chunk boundaries
+	const window = 2048
+	pass := func() machine.StreamResult {
+		sr, err := machine.SimulateStoreObserved(st, window, depBasedSegment(4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
 	}
-	if live := collected(ptrs); len(live) > 0 {
-		t.Errorf("serial: windows %v still reachable after the run", live)
+	first := pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second := pass()
+	runtime.ReadMemStats(&after)
+	if second != first {
+		t.Fatalf("second pass %+v != first %+v", second, first)
 	}
-
-	// Pipelined: after the run every window is finished.
-	ptrs = nil
-	if _, err := machine.SimulateStorePiped(st, window, depBasedSegment(4), func(seg int, base int64, m *machine.Machine) error {
-		ptrs = append(ptrs, weak.Make(m.Trace()))
-		return nil
-	}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if len(ptrs) != windows {
-		t.Fatalf("piped: observed %d windows, want %d", len(ptrs), windows)
-	}
-	if live := collected(ptrs); len(live) > 0 {
-		t.Errorf("piped: windows %v still reachable after the run", live)
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(64*window + 4<<10*second.Windows)
+	t.Logf("second pass: %d B over %d windows of %d instructions", got, second.Windows, window)
+	if got > limit {
+		t.Fatalf("second pass allocates %d B over %d windows, want at most %d", got, second.Windows, limit)
 	}
 }

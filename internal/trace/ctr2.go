@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"clustersim/internal/isa"
 )
@@ -120,9 +121,10 @@ func ctr2EncodeFrame(dst *bytes.Buffer, payload []byte) {
 	dst.Write(payload)
 }
 
-// ctr2ReadFrame reads and validates one frame at offset off of r.
-// maxLen bounds the declared payload length.
-func ctr2ReadFrame(r io.ReaderAt, off int64, maxLen int) ([]byte, error) {
+// ctr2ReadFrame reads and validates one frame at offset off of r into
+// dst's storage (growing it if the payload does not fit) and returns the
+// payload. maxLen bounds the declared payload length.
+func ctr2ReadFrame(r io.ReaderAt, off int64, maxLen int, dst []byte) ([]byte, error) {
 	var hdr [ctr2FrameHdrLen]byte
 	if _, err := r.ReadAt(hdr[:], off); err != nil {
 		return nil, fmt.Errorf("%w: frame header at %d: %v", ErrTornStore, off, err)
@@ -134,7 +136,7 @@ func ctr2ReadFrame(r io.ReaderAt, off int64, maxLen int) ([]byte, error) {
 	if n < 0 || n > maxLen {
 		return nil, fmt.Errorf("%w: frame length %d at %d out of bounds", ErrBadFormat, n, off)
 	}
-	payload := make([]byte, n)
+	payload := slices.Grow(dst[:0], n)[:n]
 	if _, err := r.ReadAt(payload, off+ctr2FrameHdrLen); err != nil {
 		return nil, fmt.Errorf("%w: frame payload at %d: %v", ErrTornStore, off, err)
 	}
@@ -391,6 +393,8 @@ type Chunk struct {
 	Src0, Src1, Dst       []uint8
 	Op, Flags             []uint8
 	DepSrc0, DepSrc1, Mem []int32
+
+	frame []byte // the frame payload buffer, reused by the next decode
 }
 
 // Inst reassembles the i-th instruction of the chunk.
@@ -436,8 +440,8 @@ func decodeChunk(payload []byte, wantIndex int, base int64, chunkLen int, ch *Ch
 	}
 
 	ch.Base, ch.N = base, count
-	ch.PC = growU64(ch.PC, count)
-	ch.Addr = growU64(ch.Addr, count)
+	ch.PC = resize(ch.PC, count)
+	ch.Addr = resize(ch.Addr, count)
 	for i := 0; i < count; i++ {
 		ch.PC[i] = binary.LittleEndian.Uint64(cols[i*8:])
 	}
@@ -456,45 +460,32 @@ func decodeChunk(payload []byte, wantIndex int, base int64, chunkLen int, ch *Ch
 	cols = cols[count:]
 	ch.Flags = append(ch.Flags[:0], cols[:count]...)
 	cols = cols[count:]
-	ch.DepSrc0 = growI32(ch.DepSrc0, count)
-	ch.DepSrc1 = growI32(ch.DepSrc1, count)
-	ch.Mem = growI32(ch.Mem, count)
-	for i := 0; i < count; i++ {
-		ch.DepSrc0[i] = int32(binary.LittleEndian.Uint32(cols[i*4:]))
-	}
-	cols = cols[count*4:]
-	for i := 0; i < count; i++ {
-		ch.DepSrc1[i] = int32(binary.LittleEndian.Uint32(cols[i*4:]))
-	}
-	cols = cols[count*4:]
-	for i := 0; i < count; i++ {
-		ch.Mem[i] = int32(binary.LittleEndian.Uint32(cols[i*4:]))
-	}
-
-	for i := 0; i < count; i++ {
-		if ch.Op[i] >= uint8(isa.NumOps) {
-			return fmt.Errorf("%w: instruction %d has invalid op %d", ErrBadFormat, base+int64(i), ch.Op[i])
+	for i, op := range ch.Op {
+		if op >= uint8(isa.NumOps) {
+			return fmt.Errorf("%w: instruction %d has invalid op %d", ErrBadFormat, base+int64(i), op)
 		}
-		gi := base + int64(i)
-		for _, d := range [3]int32{ch.DepSrc0[i], ch.DepSrc1[i], ch.Mem[i]} {
-			if d != None && (d < 0 || int64(d) >= gi) {
-				return fmt.Errorf("%w: instruction %d has out-of-order dependence %d", ErrBadFormat, gi, d)
-			}
+	}
+	ch.DepSrc0 = resize(ch.DepSrc0, count)
+	ch.DepSrc1 = resize(ch.DepSrc1, count)
+	ch.Mem = resize(ch.Mem, count)
+	for k, col := range [3][]int32{ch.DepSrc0, ch.DepSrc1, ch.Mem} {
+		if err := decodeDeps(col, cols[4*count*k:], base); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
+// decodeDeps decodes one little-endian dependence column into col,
+// checking that every entry is None or strictly older than its
+// consumer, global index base+i.
+func decodeDeps(col []int32, src []byte, base int64) error {
+	for i := range col {
+		d := int32(binary.LittleEndian.Uint32(src[4*i:]))
+		if d != None && (d < 0 || int64(d) >= base+int64(i)) {
+			return fmt.Errorf("%w: instruction %d has out-of-order dependence %d", ErrBadFormat, base+int64(i), d)
+		}
+		col[i] = d
 	}
-	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
+	return nil
 }

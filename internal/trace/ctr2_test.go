@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -133,15 +134,22 @@ func TestStoreCrossChunkDeps(t *testing.T) {
 	}
 	// The raw chunk columns themselves must carry the cross-chunk global
 	// indices (chunk 2 base is 8; its second instruction is global 9).
-	ch, err := st.Chunk(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Base != 8 || ch.N != 2 {
-		t.Fatalf("chunk 2 base/N = %d/%d, want 8/2", ch.Base, ch.N)
-	}
-	if ch.DepSrc0[1] != 0 || ch.Mem[1] != 7 {
-		t.Fatalf("chunk 2 stored deps = src0 %d mem %d, want 0 and 7", ch.DepSrc0[1], ch.Mem[1])
+	chunks := 0
+	err = st.Scan(func(ch *Chunk) error {
+		chunks++
+		if chunks != 3 {
+			return nil
+		}
+		if ch.Base != 8 || ch.N != 2 {
+			return fmt.Errorf("chunk 2 base/N = %d/%d, want 8/2", ch.Base, ch.N)
+		}
+		if ch.DepSrc0[1] != 0 || ch.Mem[1] != 7 {
+			return fmt.Errorf("chunk 2 stored deps = src0 %d mem %d, want 0 and 7", ch.DepSrc0[1], ch.Mem[1])
+		}
+		return nil
+	})
+	if err != nil || chunks != 3 {
+		t.Fatalf("scan of %d chunks: %v", chunks, err)
 	}
 }
 
@@ -189,6 +197,23 @@ func TestStoreSummarizeMatchesTrace(t *testing.T) {
 	}
 }
 
+// sameTrace fails unless got holds want's instructions, dependences and
+// producer index; a reused buffer's empty slices equal Rebuild's nil ones.
+func sameTrace(t *testing.T, got, want *Trace, label string) {
+	t.Helper()
+	tracesEqual(t, got, want, label)
+	gotOff, gotIdx := got.ProducerIndex()
+	wantOff, wantIdx := want.ProducerIndex()
+	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotIdx, wantIdx) {
+		t.Fatalf("%s: producer index differs from Rebuild's", label)
+	}
+}
+
+// TestStoreWindowTraceMatchesRebuild checks every window both into a
+// fresh trace and into one trace reused across all of them, in an order
+// where windows grow, shrink, are empty, span three chunks, sit inside
+// one chunk, straddle chunk boundaries and revisit earlier chunks: each
+// result holds exactly Rebuild of the slice, producer index included.
 func TestStoreWindowTraceMatchesRebuild(t *testing.T) {
 	insts := randomInsts(xrand.New(21), 2000)
 	data, _ := buildStore(t, insts, WriterOptions{ChunkLen: 256})
@@ -196,56 +221,32 @@ func TestStoreWindowTraceMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range [][2]int64{{0, 2000}, {0, 100}, {100, 900}, {255, 769}, {1999, 2000}, {500, 500}} {
-		got, err := st.WindowTrace(w[0], w[1])
-		if err != nil {
-			t.Fatalf("window %v: %v", w, err)
-		}
+	reused := new(Trace)
+	for _, w := range [][2]int64{
+		{0, 10}, {10, 700}, {700, 760}, {760, 760}, {760, 1030}, {1024, 1280},
+		{0, 2000}, {1999, 2000}, {300, 301}, {255, 769}, {500, 500}, {2000, 2000},
+	} {
 		want := Rebuild(insts[w[0]:w[1]])
-		tracesEqual(t, got, want, fmt.Sprintf("window %v", w))
+		for _, dst := range []*Trace{nil, reused} {
+			label := fmt.Sprintf("window %v (reused %t)", w, dst != nil)
+			got, err := st.WindowTrace(w[0], w[1], dst)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if dst != nil && got != dst {
+				t.Fatalf("%s: a new trace, not the reused one", label)
+			}
+			sameTrace(t, got, want, label)
+		}
 	}
-	if _, err := st.WindowTrace(-1, 5); err == nil {
+	if _, err := st.WindowTrace(-1, 5, nil); err == nil {
 		t.Error("negative lo accepted")
 	}
-	if _, err := st.WindowTrace(0, 2001); err == nil {
+	if _, err := st.WindowTrace(0, 2001, nil); err == nil {
 		t.Error("hi past end accepted")
 	}
-	if _, err := st.WindowTrace(7, 3); err == nil {
+	if _, err := st.WindowTrace(7, 3, nil); err == nil {
 		t.Error("inverted window accepted")
-	}
-}
-
-func TestStoreWindowEviction(t *testing.T) {
-	insts := randomInsts(xrand.New(5), 1024)
-	data, want := buildStore(t, insts, WriterOptions{ChunkLen: 128})
-	st, err := OpenBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.offsets) != 8 || len(st.offsets) <= windowChunks {
-		t.Fatalf("geometry: %d chunks, window %d", len(st.offsets), windowChunks)
-	}
-	// Touch every chunk twice in a pattern that forces evictions; the
-	// resident set must never exceed the window and every access must
-	// still return the right contents.
-	order := []int{0, 1, 2, 3, 7, 0, 6, 5, 4, 3, 2, 1, 0, 7}
-	for _, i := range order {
-		ch, err := st.Chunk(i)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", i, err)
-		}
-		if ch.Base != int64(i)*128 {
-			t.Fatalf("chunk %d base = %d", i, ch.Base)
-		}
-		if ch.Inst(0) != want.Insts[ch.Base] {
-			t.Fatalf("chunk %d first inst mismatch after eviction churn", i)
-		}
-		st.mu.Lock()
-		resident := len(st.cache)
-		st.mu.Unlock()
-		if resident > windowChunks {
-			t.Fatalf("resident chunks = %d, window bound %d", resident, windowChunks)
-		}
 	}
 }
 
@@ -331,10 +332,10 @@ func TestStoreDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st2.Chunk(1); !errors.Is(err, ErrTornStore) {
+	if _, err := st2.WindowTrace(128, 256, nil); !errors.Is(err, ErrTornStore) {
 		t.Fatalf("corrupt chunk read: %v, want ErrTornStore", err)
 	}
-	if _, err := st2.Chunk(0); err != nil {
+	if _, err := st2.WindowTrace(0, 128, nil); err != nil {
 		t.Fatalf("sibling chunk must stay readable: %v", err)
 	}
 	if _, err := st2.Load(); err == nil {
@@ -516,8 +517,8 @@ func TestWriteStoreAllocBound(t *testing.T) {
 
 // TestCodecCountBoundary pins the materialization ceiling: a store whose
 // footer declares 2^31 instructions opens (the geometry is consistent)
-// but Load rejects it before allocating, because instruction indices are
-// int32.
+// but Load and a whole-store window reject it before allocating, because
+// instruction indices are int32.
 func TestCodecCountBoundary(t *testing.T) {
 	var buf bytes.Buffer
 	hdr := []byte{ctr2KindHeader}
@@ -550,6 +551,9 @@ func TestCodecCountBoundary(t *testing.T) {
 	}
 	if _, err := st.Load(); err == nil || !strings.Contains(err.Error(), "too large to materialize") {
 		t.Fatalf("Load of 2^31 instructions: %v, want the int32 ceiling rejection", err)
+	}
+	if _, err := st.WindowTrace(0, total, nil); err == nil || !strings.Contains(err.Error(), "too large to materialize") {
+		t.Fatalf("window of 2^31 instructions: %v, want the int32 ceiling rejection", err)
 	}
 }
 
@@ -622,10 +626,25 @@ func FuzzReadChunked(f *testing.F) {
 		if s.Total != tr.Len() {
 			t.Fatalf("Summarize counted %d, Load %d", s.Total, tr.Len())
 		}
-		if st.Len() > 0 {
-			mid := st.Len() / 2
-			if _, err := st.WindowTrace(0, mid); err != nil {
-				t.Fatalf("WindowTrace over loadable store: %v", err)
+		// Windows cut the stored dependences: whatever the store claims,
+		// every kept producer is inside the window and strictly older.
+		var win *Trace
+		mid := st.Len() / 2
+		for _, w := range [][2]int64{{0, mid}, {mid, st.Len()}, {mid / 2, mid + mid/2}} {
+			win, err = st.WindowTrace(w[0], w[1], win)
+			if err != nil {
+				t.Fatalf("WindowTrace %v over loadable store: %v", w, err)
+			}
+			if int64(win.Len()) != w[1]-w[0] {
+				t.Fatalf("window %v holds %d insts", w, win.Len())
+			}
+			for k, d := range win.Deps {
+				for _, p := range [3]int32{d.Src[0], d.Src[1], d.Mem} {
+					if p != None && (p < 0 || int(p) >= k) {
+						t.Fatalf("window %v inst %d kept dep %d", w, k, p)
+					}
+				}
+				win.ProducerSpan(k) // must not panic
 			}
 		}
 		// Re-encoding what we accepted must reproduce the instruction

@@ -12,19 +12,15 @@ import (
 	"clustersim/internal/isa"
 )
 
-// windowChunks bounds the decoded chunks a Store keeps resident: with
-// DefaultChunkLen chunks this is ≈ 8.4 MiB of columns, regardless of how
-// large the trace on disk is.
-const windowChunks = 4
-
 // OpenOptions configures Open; no option is defined. A torn store is
 // always an error (ErrTornStore).
 type OpenOptions struct{}
 
-// Store is a read view of one CTR2 chunked trace: random access to any
-// chunk through a window of windowChunks decoded chunks (an LRU over
-// chunk indexes), sequential scans, and window materialization for the
-// simulators. A Store is safe for concurrent use.
+// Store is a read view of one CTR2 chunked trace: sequential scans,
+// whole-trace loads, and window materialization for the simulators.
+// Windows decode into one store-owned scratch chunk, so a store keeps at
+// most one decoded chunk resident however large the trace on disk is. A
+// Store is safe for concurrent use.
 type Store struct {
 	r        io.ReaderAt
 	closer   io.Closer
@@ -33,15 +29,9 @@ type Store struct {
 	total    int64
 	offsets  []uint64
 
-	mu    sync.Mutex
-	cache map[int]*storeChunk
-	clock int64
-}
-
-// storeChunk is one resident decoded chunk with its LRU stamp.
-type storeChunk struct {
-	ch   Chunk
-	used int64
+	mu      sync.Mutex
+	scratch Chunk // WindowTrace's decode target
+	held    int   // index of the chunk scratch holds, or -1
 }
 
 // Open opens the CTR2 store at path. The returned store holds the file
@@ -73,9 +63,9 @@ func OpenBytes(data []byte) (*Store, error) {
 
 // newStore builds a store over any ReaderAt of the given size.
 func newStore(r io.ReaderAt, size int64) (*Store, error) {
-	st := &Store{r: r, cache: make(map[int]*storeChunk, windowChunks)}
+	st := &Store{r: r, held: -1}
 
-	hdr, err := ctr2ReadFrame(r, 0, 14+maxMetaLen)
+	hdr, err := ctr2ReadFrame(r, 0, 14+maxMetaLen, nil)
 	if err != nil {
 		var m [4]byte
 		if _, rerr := r.ReadAt(m[:], 0); rerr == nil && string(m[:]) == "CTR1" {
@@ -125,7 +115,7 @@ func (st *Store) loadFooter(size int64) error {
 	if footerOff < 0 || footerOff >= size-ctr2TrailerLen {
 		return fmt.Errorf("%w: trailer points outside the file", ErrTornStore)
 	}
-	footer, err := ctr2ReadFrame(st.r, footerOff, 17+8*(maxChunkLen+1))
+	footer, err := ctr2ReadFrame(st.r, footerOff, 17+8*(maxChunkLen+1), nil)
 	if err != nil {
 		return err
 	}
@@ -177,15 +167,16 @@ func (st *Store) chunkBounds(i int) (base int64, count int) {
 	return base, count
 }
 
-// readChunkInto decodes chunk i into ch, bypassing the window cache.
-func (st *Store) readChunkInto(i int, ch *Chunk) error {
+// readChunk decodes chunk i into ch, reusing ch's storage.
+func (st *Store) readChunk(i int, ch *Chunk) error {
 	if i < 0 || i >= len(st.offsets) {
 		return fmt.Errorf("trace: chunk %d out of range [0,%d)", i, len(st.offsets))
 	}
-	payload, err := ctr2ReadFrame(st.r, int64(st.offsets[i]), maxChunkPayload(st.chunkLen))
+	payload, err := ctr2ReadFrame(st.r, int64(st.offsets[i]), maxChunkPayload(st.chunkLen), ch.frame)
 	if err != nil {
 		return err
 	}
+	ch.frame = payload
 	base, count := st.chunkBounds(i)
 	if err := decodeChunk(payload, i, base, st.chunkLen, ch); err != nil {
 		return err
@@ -196,43 +187,13 @@ func (st *Store) readChunkInto(i int, ch *Chunk) error {
 	return nil
 }
 
-// Chunk returns chunk i through the window cache, decoding it on a miss
-// and evicting the least-recently-used resident chunk beyond the window
-// bound. The returned chunk is shared and read-only; it stays valid
-// until evicted, so callers must not retain it across further Chunk
-// calls beyond their window discipline.
-func (st *Store) Chunk(i int) (*Chunk, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.clock++
-	if sc, ok := st.cache[i]; ok {
-		sc.used = st.clock
-		return &sc.ch, nil
-	}
-	sc := &storeChunk{used: st.clock}
-	if err := st.readChunkInto(i, &sc.ch); err != nil {
-		return nil, err
-	}
-	for len(st.cache) >= windowChunks {
-		evict, oldest := -1, st.clock+1
-		for idx, c := range st.cache {
-			if c.used < oldest {
-				evict, oldest = idx, c.used
-			}
-		}
-		delete(st.cache, evict)
-	}
-	st.cache[i] = sc
-	return &sc.ch, nil
-}
-
-// Scan streams every chunk through fn in index order, decoding into a
-// private buffer (the window cache is untouched, so a concurrent
+// Scan streams every chunk through fn in index order, decoding into one
+// private buffer (the window scratch is untouched, so a concurrent
 // windowed consumer is unaffected). fn must not retain the chunk.
 func (st *Store) Scan(fn func(ch *Chunk) error) error {
 	var ch Chunk
 	for i := range st.offsets {
-		if err := st.readChunkInto(i, &ch); err != nil {
+		if err := st.readChunk(i, &ch); err != nil {
 			return err
 		}
 		if err := fn(&ch); err != nil {
@@ -291,33 +252,60 @@ func (st *Store) Load() (*Trace, error) {
 }
 
 // WindowTrace materializes instructions [lo, hi) as a self-contained
-// Trace: dependences are recomputed within the window from a cold
-// register file and store set (exactly Rebuild of the window's
-// instruction slice), which is the segmented-simulation contract — each
-// window is an independent sample, as the paper's own 100M-instruction
-// sampling is. Chunks are fetched through the window cache.
-func (st *Store) WindowTrace(lo, hi int64) (*Trace, error) {
+// Trace in dst's storage (nil means a new trace) and returns it; the
+// caller must be done with dst's previous contents. The stored
+// dependences are cut at the window: a producer before lo becomes None
+// and every other index is rebased to the window. For a store a Writer
+// wrote, whose dependences are the Builder's, that is exactly Rebuild of
+// the window's slice (cold register file and store set) — the
+// segmented-simulation contract: each window is an independent sample,
+// as the paper's own 100M-instruction sampling is. Chunks decode into
+// the store's scratch, so windows sharing a chunk decode it once.
+func (st *Store) WindowTrace(lo, hi int64, dst *Trace) (*Trace, error) {
 	if lo < 0 || hi > st.total || lo > hi {
 		return nil, fmt.Errorf("trace: window [%d,%d) out of range [0,%d)", lo, hi, st.total)
 	}
-	b := NewBuilder(int(hi - lo))
+	if hi-lo > maxInstIndex {
+		return nil, fmt.Errorf("trace: window of %d instructions; too large to materialize", hi-lo)
+	}
+	if dst == nil {
+		dst = new(Trace)
+	}
+	n := int(hi - lo)
+	dst.Insts, dst.Deps = resize(dst.Insts, n), resize(dst.Deps, n)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	ch := &st.scratch
 	for ci := int(lo / int64(st.chunkLen)); int64(ci)*int64(st.chunkLen) < hi; ci++ {
-		ch, err := st.Chunk(ci)
-		if err != nil {
-			return nil, err
+		if st.held != ci {
+			st.held = -1
+			if err := st.readChunk(ci, ch); err != nil {
+				return nil, err
+			}
+			st.held = ci
 		}
-		i0, i1 := int64(0), int64(ch.N)
-		if ch.Base < lo {
-			i0 = lo - ch.Base
-		}
-		if ch.Base+i1 > hi {
-			i1 = hi - ch.Base
-		}
+		i0, i1 := max(lo-ch.Base, 0), min(hi-ch.Base, int64(ch.N))
 		for i := i0; i < i1; i++ {
-			b.Append(ch.Inst(int(i)))
+			k := ch.Base + i - lo
+			dst.Insts[k] = ch.Inst(int(i))
+			dst.Deps[k] = DepInfo{
+				Src: [2]int32{inWindow(ch.DepSrc0[i], lo), inWindow(ch.DepSrc1[i], lo)},
+				Mem: inWindow(ch.Mem[i], lo),
+			}
 		}
 	}
-	return b.Trace(), nil
+	dst.indexProducers()
+	return dst, nil
+}
+
+// inWindow rebases a stored producer index to a window starting at
+// global index lo; None and producers before the window become None.
+// It compares in int64: a store may hold more than 2^31 instructions.
+func inWindow(d int32, lo int64) int32 {
+	if int64(d) < lo {
+		return None
+	}
+	return int32(int64(d) - lo)
 }
 
 // maxInstIndex is the materialization ceiling: DepInfo and the producer

@@ -63,9 +63,9 @@ func (t *Trace) Producers(i int, dst []int32) []int32 {
 // ProducerSpan returns instruction i's producers as a shared read-only
 // subslice of the pre-decoded producer index, in the same order Producers
 // reports them. It builds the index on first use if the trace was
-// assembled by hand; traces from Builder, Rebuild or Store.Load come with
-// the index prebuilt, which is what makes sharing one Trace across
-// concurrent simulations safe.
+// assembled by hand; traces from Builder, Rebuild, Store.Load or
+// Store.WindowTrace come with the index prebuilt, which is what makes
+// sharing one Trace across concurrent simulations safe.
 func (t *Trace) ProducerSpan(i int) []int32 {
 	if t.prodOff == nil {
 		t.EnsureProducerIndex()
@@ -87,11 +87,16 @@ func (t *Trace) ProducerIndex() (off, idx []int32) {
 // it once before sharing a hand-assembled trace between goroutines
 // (Builder and Rebuild do this for you).
 func (t *Trace) EnsureProducerIndex() {
-	if t.prodOff != nil {
-		return
+	if t.prodOff == nil {
+		t.indexProducers()
 	}
-	n := len(t.Deps)
-	off := make([]int32, n+1)
+}
+
+// indexProducers (re)builds the CSR producer index from Deps into the
+// index's own storage, growing it only when it does not fit.
+func (t *Trace) indexProducers() {
+	off := resize(t.prodOff, len(t.Deps)+1)
+	off[0] = 0
 	total := 0
 	for i := range t.Deps {
 		d := &t.Deps[i]
@@ -106,11 +111,25 @@ func (t *Trace) EnsureProducerIndex() {
 		}
 		off[i+1] = int32(total)
 	}
-	idx := make([]int32, 0, total)
+	idx := t.prodIdx[:0]
+	if cap(idx) < total {
+		// A quarter's headroom over the old capacity keeps a reused
+		// trace from reallocating whenever a window has a few more edges.
+		idx = make([]int32, 0, max(total, cap(idx)+cap(idx)/4))
+	}
 	for i := range t.Deps {
 		idx = t.Producers(i, idx)
 	}
 	t.prodOff, t.prodIdx = off, idx
+}
+
+// resize returns s with length n, reusing its storage when it fits.
+// Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Appender is the sink side of trace construction: the in-memory
