@@ -358,16 +358,43 @@ func BenchmarkSchedRun(b *testing.B) {
 	b.ReportMetric(float64(in.Trace.Len()*b.N)/b.Elapsed().Seconds(), "insts/s")
 }
 
-// BenchmarkSchedVariants times the pooled fused engine replaying the
-// oracle priority across all four cluster counts in one call — the
-// dependence CSR and region split are built once and shared. Fused-vs-
+// BenchmarkSchedVariants times the pooled fused engine on the
+// loc-oracle experiment's batch shape: the monolithic oracle baseline,
+// then each of 2, 4 and 8 clusters under the oracle, 16-level LoC,
+// unlimited LoC and binary priorities. The dependence CSR is built once
+// and each priority's issue order popped once; every config places along
+// its priority's order. The input comes from a focused monolithic run
+// with exact criticality tracking, as the experiment's does. Fused-vs-
 // Run equality is gated by TestSchedulerMatchesOracle (internal/listsched).
 func BenchmarkSchedVariants(b *testing.B) {
-	in := benchSchedInput(b)
+	tr, err := GenerateTrace("vpr", 50_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mono, err := NewSim(NewConfig(1), tr, SimOptions{Policy: "focused", TrackExact: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mono.Run()
+	in := listsched.FromMachineRun(mono.m)
 	oracle := listsched.NewOracle(in)
-	var variants []listsched.Variant
-	for _, k := range []int{1, 2, 4, 8} {
-		variants = append(variants, listsched.Variant{Config: listsched.ConfigFor(machine.NewConfig(k)), Pri: oracle})
+	loc16, err := listsched.NewLoCPriority(mono.Exact(), 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	locUnl, err := listsched.NewLoCPriority(mono.Exact(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	binary, err := listsched.NewBinaryPriority(mono.Exact(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	variants := []listsched.Variant{{Config: listsched.ConfigFor(machine.NewConfig(1)), Pri: oracle}}
+	for _, k := range []int{2, 4, 8} {
+		for _, pri := range []listsched.Priority{oracle, loc16, locUnl, binary} {
+			variants = append(variants, listsched.Variant{Config: listsched.ConfigFor(machine.NewConfig(k)), Pri: pri})
+		}
 	}
 	sch := listsched.NewScheduler()
 	defer sch.Recycle()
@@ -375,6 +402,29 @@ func BenchmarkSchedVariants(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sch.ScheduleVariants(in, variants); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(in.Trace.Len()*len(variants)*b.N)/b.Elapsed().Seconds(), "variant-insts/s")
+}
+
+// BenchmarkSchedReplicated times the pooled replicated path on the
+// replication experiment's batch: oracle-priority replicated schedules
+// on 2, 4 and 8 clusters along one shared issue order. Equality with
+// RunReplicated is gated by TestSchedulerMatchesOracle.
+func BenchmarkSchedReplicated(b *testing.B) {
+	in := benchSchedInput(b)
+	oracle := listsched.NewOracle(in)
+	var variants []listsched.Variant
+	for _, k := range []int{2, 4, 8} {
+		variants = append(variants, listsched.Variant{Config: listsched.ConfigFor(machine.NewConfig(k)), Pri: oracle})
+	}
+	sch := listsched.NewScheduler()
+	defer sch.Recycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sch.ScheduleReplicated(in, variants); err != nil {
 			b.Fatal(err)
 		}
 	}

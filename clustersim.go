@@ -246,7 +246,8 @@ func (s *Sim) WriteTimeline(w io.Writer, from, to int64) error {
 // IdealizedSchedule list-schedules the trace of a completed monolithic
 // run onto the given configuration with the Section 2.2 oracle priority,
 // returning the idealized schedule the paper's Figure 2 is built from.
-// The receiver must be a 1-cluster Sim that has Run.
+// The receiver must be a 1-cluster Sim that has Run. The schedule comes
+// from the pooled listsched.Scheduler and is the caller's to keep.
 func (s *Sim) IdealizedSchedule(target Config) (*Schedule, error) {
 	if !s.ran {
 		return nil, fmt.Errorf("clustersim: IdealizedSchedule before Run")
@@ -256,5 +257,7 @@ func (s *Sim) IdealizedSchedule(target Config) (*Schedule, error) {
 			s.m.Config().Name())
 	}
 	in := listsched.FromMachineRun(s.m)
-	return listsched.Run(in, listsched.ConfigFor(target), listsched.NewOracle(in))
+	sch := listsched.NewScheduler()
+	defer sch.Recycle()
+	return sch.Schedule(in, listsched.ConfigFor(target), listsched.NewOracle(in))
 }

@@ -1,8 +1,11 @@
 package clustersim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"clustersim/internal/listsched"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -113,6 +116,15 @@ func TestFacadeIdealizedSchedule(t *testing.T) {
 	ratio := s8.CPI() / s1.CPI()
 	if ratio < 1 || ratio > 1.2 {
 		t.Fatalf("idealized 8x1w/1x8w ratio = %.3f", ratio)
+	}
+	// The pooled scheduler behind IdealizedSchedule matches the oracle.
+	in := listsched.FromMachineRun(mono.m)
+	want, err := listsched.Run(in, listsched.ConfigFor(NewConfig(8)), listsched.NewOracle(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s8, want) {
+		t.Fatal("IdealizedSchedule differs from listsched.Run's oracle schedule")
 	}
 }
 

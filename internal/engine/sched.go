@@ -41,8 +41,9 @@ type SchedKey struct {
 	Harvest SimKey
 	Config  listsched.Config
 	Pri     string
-	// Replicate selects the replicating list scheduler
-	// (listsched.RunReplicated) instead of the plain one.
+	// Replicate selects the replicating list scheduler (the pooled
+	// Scheduler.ScheduleReplicated, byte-identical to its oracle
+	// listsched.RunReplicated) instead of the plain one.
 	Replicate bool
 }
 

@@ -49,12 +49,12 @@ func schedPriority(name string, oracle *listsched.Oracle, h *engine.Harvest) (li
 // one harvest run, positionally aligned with specs, via the engine's
 // content-addressed schedule cache. On a warm cache nothing simulates
 // and nothing is rescheduled; on misses the engine's harvest of the run
-// (simulated at most once while it stays cached) feeds a single pooled
-// fused ScheduleVariants call over the shared dependence structure for
-// every missing plain variant; missing replicated variants run the
-// replicating scheduler on the same input. The LoC and binary
-// priorities need the run's exact tracker, so their callers pass
-// trackExact.
+// (simulated at most once while it stays cached) feeds one pooled
+// Scheduler: each priority name resolves once, so the scheduler pops
+// each priority's issue order once and places every missing plain
+// variant along it (ScheduleVariants), and the missing replicated
+// variants likewise (ScheduleReplicated). The LoC and binary priorities
+// need the run's exact tracker, so their callers pass trackExact.
 func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, specs []schedSpec) ([]engine.SchedSummary, error) {
 	hk := simKey(opts, bench, 1, stack, trackExact)
 	keys := make([]engine.SchedKey, len(specs))
@@ -68,6 +68,24 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		}
 		in := h.In
 		oracle := listsched.NewOracle(in)
+		pris := map[string]listsched.Priority{}
+		var plain, repl []listsched.Variant
+		var plainAt, replAt []int // out positions of each kind
+		for j, i := range miss {
+			pri, ok := pris[specs[i].pri]
+			if !ok {
+				if pri, err = schedPriority(specs[i].pri, oracle, h); err != nil {
+					return nil, err
+				}
+				pris[specs[i].pri] = pri
+			}
+			v := listsched.Variant{Config: keys[i].Config, Pri: pri}
+			if specs[i].replicate {
+				repl, replAt = append(repl, v), append(replAt, j)
+			} else {
+				plain, plainAt = append(plain, v), append(plainAt, j)
+			}
+		}
 		summarize := func(s *listsched.Schedule) engine.SchedSummary {
 			return engine.SchedSummary{
 				Insts:       in.Trace.Len(),
@@ -77,36 +95,26 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 			}
 		}
 		out := make([]engine.SchedSummary, len(miss))
-		var variants []listsched.Variant
-		var plain []int // out positions of the fused variants
-		for j, i := range miss {
-			pri, err := schedPriority(specs[i].pri, oracle, h)
+		sch := listsched.NewScheduler()
+		defer sch.Recycle()
+		if len(plain) > 0 {
+			scheds, err := sch.ScheduleVariants(in, plain)
 			if err != nil {
 				return nil, err
 			}
-			if specs[i].replicate {
-				rs, err := listsched.RunReplicated(in, keys[i].Config, pri)
-				if err != nil {
-					return nil, err
-				}
-				out[j] = summarize(&rs.Schedule)
-				out[j].Replicas = int64(len(rs.Replicas))
-				continue
+			for k, j := range plainAt {
+				out[j] = summarize(scheds[k])
 			}
-			variants = append(variants, listsched.Variant{Config: keys[i].Config, Pri: pri})
-			plain = append(plain, j)
 		}
-		if len(variants) == 0 {
-			return out, nil
-		}
-		sch := listsched.NewScheduler()
-		defer sch.Recycle()
-		scheds, err := sch.ScheduleVariants(in, variants)
-		if err != nil {
-			return nil, err
-		}
-		for k, j := range plain {
-			out[j] = summarize(scheds[k])
+		if len(repl) > 0 {
+			scheds, err := sch.ScheduleReplicated(in, repl)
+			if err != nil {
+				return nil, err
+			}
+			for k, j := range replAt {
+				out[j] = summarize(&scheds[k].Schedule)
+				out[j].Replicas = int64(len(scheds[k].Replicas))
+			}
 		}
 		return out, nil
 	})

@@ -1,6 +1,7 @@
 package listsched_test
 
 import (
+	"fmt"
 	"testing"
 
 	"clustersim/internal/isa"
@@ -17,9 +18,10 @@ const fuzzSchedMaxInsts = 2048
 // FuzzScheduleVariants feeds decoder output into both scheduler paths:
 // any byte stream the tracetest decoder accepts becomes a synthetic
 // scheduling Input (trace-derived latencies, block releases, mispredict
-// marks on a subset of branches), scheduled by the retained oracle Run
-// and by the pooled batched fast path. Both must agree byte-for-byte
-// and satisfy the Check invariants — the decoder must never be able to
+// marks on a subset of branches), scheduled by the retained oracles Run
+// and RunReplicated and by the pooled batched fast paths. Each pair must
+// agree byte-for-byte and satisfy the Check (or CheckReplicated)
+// invariants — the decoder must never be able to
 // produce a trace that derails or desynchronizes the schedulers. This
 // exercises producer shapes the workload generator never emits (e.g.
 // stores whose forwarded value and register source are the same
@@ -106,6 +108,24 @@ func FuzzScheduleVariants(f *testing.F) {
 						got[j].Start[i], got[j].Cluster[i], want.Start[i], want.Cluster[i])
 				}
 			}
+		}
+
+		repl, err := sched.ScheduleReplicated(in, variants)
+		if err != nil {
+			t.Fatalf("replicated fast path failed on decoded trace: %v", err)
+		}
+		for j, v := range variants {
+			want, err := listsched.RunReplicated(in, v.Config, v.Pri)
+			if err != nil {
+				t.Fatalf("replicated oracle failed on decoded trace: %v", err)
+			}
+			if err := listsched.CheckReplicated(in, v.Config, want); err != nil {
+				t.Fatalf("replicated oracle schedule violates invariants: %v", err)
+			}
+			if err := listsched.CheckReplicated(in, v.Config, repl[j]); err != nil {
+				t.Fatalf("replicated fast schedule violates invariants: %v", err)
+			}
+			diffReplicated(t, fmt.Sprintf("replicated variant %d", j), repl[j], want)
 		}
 	})
 }

@@ -14,16 +14,17 @@ import (
 )
 
 // updateGoldens regenerates the committed golden files using the
-// reference Run path (the retained oracle):
+// reference Run and RunReplicated paths (the retained oracles):
 //
 //	go test ./internal/listsched -run Golden -update-goldens
 //
-// The regular test run replays every variant through the pooled batched
-// Scheduler in one fused ScheduleVariants call and requires byte-for-
-// byte equality, so the goldens pin schedule-exact equivalence between
-// the two paths across cluster counts and priority kinds.
+// The regular test run schedules every variant through the pooled
+// batched Scheduler in one fused ScheduleVariants (or ScheduleReplicated)
+// call and requires byte-for-byte equality, so the goldens pin
+// schedule-exact equivalence between the paths across cluster counts and
+// priority kinds.
 var updateGoldens = flag.Bool("update-goldens", false,
-	"regenerate golden files with the reference Run path")
+	"regenerate golden files with the reference Run and RunReplicated paths")
 
 const goldenInsts = 1500
 
@@ -141,4 +142,62 @@ func firstSchedDiff(got, want []byte) string {
 		}
 	}
 	return fmt.Sprintf("length differs: got %d lines, want %d lines", len(g), len(w))
+}
+
+// TestGoldenReplicated pins the replicated fast path the same way:
+// oracle-priority replicated schedules of gcc and vpr on 2, 4 and 8
+// clusters, all from one fused ScheduleReplicated call, must match the
+// goldens RunReplicated wrote byte for byte, replicas included.
+func TestGoldenReplicated(t *testing.T) {
+	for _, bench := range []string{"vpr", "gcc"} {
+		in, _ := prepare(t, bench, goldenInsts)
+		oracle := listsched.NewOracle(in)
+		clusters := []int{2, 4, 8}
+		variants := make([]listsched.Variant, len(clusters))
+		for j, k := range clusters {
+			variants[j] = listsched.Variant{Config: listsched.ConfigFor(machine.NewConfig(k)), Pri: oracle}
+		}
+		sched := listsched.NewScheduler()
+		fast, err := sched.ScheduleReplicated(in, variants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched.Recycle()
+		for j, k := range clusters {
+			name := fmt.Sprintf("%s_repl_%dx", bench, k)
+			t.Run(name, func(t *testing.T) {
+				cfg := variants[j].Config
+				s := fast[j]
+				if *updateGoldens {
+					s, err = listsched.RunReplicated(in, cfg, oracle)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := listsched.CheckReplicated(in, cfg, s); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				writeSchedGolden(&buf, cfg, &s.Schedule)
+				fmt.Fprintf(&buf, "replicas %d\nseq cluster start complete\n", len(s.Replicas))
+				for _, r := range s.Replicas {
+					fmt.Fprintf(&buf, "%d %d %d %d\n", r.Seq, r.Cluster, r.Start, r.Complete)
+				}
+				path := filepath.Join("testdata", "golden", name+".golden")
+				if *updateGoldens {
+					if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing golden (regenerate with -update-goldens): %v", err)
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("golden drift in %s:\n%s", path, firstSchedDiff(buf.Bytes(), want))
+				}
+			})
+		}
+	}
 }

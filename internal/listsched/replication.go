@@ -51,8 +51,14 @@ func (s *ReplicatedSchedule) AvailAt(seq int64, k int) int64 {
 
 // RunReplicated list-schedules like Run but may replicate a producer on
 // the consumer's cluster when re-execution beats forwarding. Replication
-// is single-level: a replica reads its own operands from the original
-// schedule (possibly paying forwarding for them).
+// is single-level in what it creates — it never replicates a producer's
+// producer to speed a replica up — but not in what a replica reads: a
+// replica reads each operand at its AvailAt on the replica's cluster,
+// which is an earlier replica's completion when that operand was already
+// replicated there, and otherwise the original's completion (plus
+// forwarding from another cluster). Unlike Run, it picks the strictly
+// earliest cluster, with no tie-break toward the latest producer.
+// The pooled Scheduler's ScheduleReplicated is its production twin.
 func RunReplicated(in Input, cfg Config, pri Priority) (*ReplicatedSchedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package listsched
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 
 	"clustersim/internal/isa"
@@ -16,23 +17,27 @@ type Variant struct {
 }
 
 // Scheduler is the pooled, batched fast path for the idealized study.
-// It produces schedules byte-identical to Run (the retained oracle) but
-// builds the dependence CSR, region split and per-region readiness
-// counts once per Input and replays them across every variant, with a
-// flat non-boxing ready heap, priority keys precomputed into an array
-// (one Priority.Key call per instruction instead of one interface call
-// per heap push), and bitmap resource lanes that find the next free
-// issue slot by word scan instead of probing cycle by cycle.
+// It produces schedules byte-identical to Run and RunReplicated (the
+// retained oracles) in two steps. The ready-heap pop order depends only
+// on the priority keys, the dependence structure and the region split —
+// a consumer becomes ready when its last intra-region producer pops, and
+// nothing in that rule reads a time — so issueOrder walks the heap once
+// per distinct priority of a batch, and place (placeReplicated for
+// replicated variants) then runs once per config along that shared
+// order, booking bitmap resource lanes that find the next free issue
+// slot by word scan instead of probing cycle by cycle.
 //
 // Priorities must be pure functions of (seq, pc): keys are evaluated
-// once per instruction per variant, not once per heap push as the
-// oracle does, so a stateful Priority would diverge.
+// once per instruction per distinct priority, not once per heap push as
+// the oracles do, so a stateful Priority would diverge. Variants whose
+// Pri values compare equal share one issue order; a Pri of a
+// non-comparable type gets an order of its own.
 //
 // Obtain with NewScheduler, return with Recycle; a recycled Scheduler
-// reuses all internal state, so steady-state replays allocate only the
-// returned Schedule arrays.
+// reuses all internal state, so steady-state batches allocate only the
+// returned schedules.
 type Scheduler struct {
-	// Built once per Input by prepare.
+	// Built once per batch by prepare.
 	n        int
 	prodOff  []int32 // deduped producer CSR: producers of i are prodIdx[prodOff[i]:prodOff[i+1]]
 	prodIdx  []int32
@@ -42,12 +47,19 @@ type Scheduler struct {
 	pendBase []int32 // count of intra-region producers per instruction
 	fu       []uint8 // bitLane index of each instruction's functional unit
 	dyadic   []bool  // NumSrcs() == 2 (the convergent-dataflow indicator)
+	mem      []bool  // memory ops, which are never replicated
 
-	// Per-variant replay state.
-	keys    []int64
-	pending []int32
-	heap    schedHeap
-	lanes   []bitLane
+	// Issue orders, one n-long window per distinct priority of the
+	// batch; variant j places along window group[j].
+	orders []int32
+	group  []int
+
+	// Per-order and per-placement state.
+	keys     []int64
+	pending  []int32
+	heap     schedHeap
+	lanes    []bitLane
+	override []int64 // replicated placement: [seq*clusters+k] replica-backed availability, 0 = none
 
 	scratch []int32 // producer buffer for trace.Producers
 	deg     []int32 // consumer out-degree / CSR fill cursor
@@ -64,28 +76,37 @@ func NewScheduler() *Scheduler { return schedulerPool.Get().(*Scheduler) }
 func (s *Scheduler) Recycle() { schedulerPool.Put(s) }
 
 // ScheduleVariants schedules in once per variant, sharing the dependence
-// build across all of them. Results are positionally aligned with
-// variants and byte-identical to Run(in, v.Config, v.Pri) for each.
+// build across all of them and each issue order across the variants of
+// one priority. Results are positionally aligned with variants and
+// byte-identical to Run(in, v.Config, v.Pri) for each.
 func (s *Scheduler) ScheduleVariants(in Input, variants []Variant) ([]*Schedule, error) {
-	if err := s.prepare(in); err != nil {
+	if err := s.batch(in, variants); err != nil {
 		return nil, err
 	}
-	n := s.n
-	// One backing allocation per array kind; each variant slices a
-	// disjoint full-capacity window, so results stay valid after Recycle.
-	i64 := make([]int64, 2*n*len(variants))
-	i16 := make([]int16, n*len(variants))
-	scheds := make([]Schedule, len(variants))
+	scheds := s.newSchedules(len(variants))
 	out := make([]*Schedule, len(variants))
 	for j, v := range variants {
-		sc := &scheds[j]
-		sc.Start = i64[2*j*n : (2*j+1)*n : (2*j+1)*n]
-		sc.Complete = i64[(2*j+1)*n : (2*j+2)*n : (2*j+2)*n]
-		sc.Cluster = i16[j*n : (j+1)*n : (j+1)*n]
-		if err := s.replay(in, v.Config, v.Pri, sc); err != nil {
-			return nil, err
-		}
-		out[j] = sc
+		s.place(in, v.Config, s.order(j), &scheds[j])
+		out[j] = &scheds[j]
+	}
+	return out, nil
+}
+
+// ScheduleReplicated is ScheduleVariants for the replicating scheduler:
+// results are byte-identical to RunReplicated(in, v.Config, v.Pri),
+// replicas and availability overrides included.
+func (s *Scheduler) ScheduleReplicated(in Input, variants []Variant) ([]*ReplicatedSchedule, error) {
+	if err := s.batch(in, variants); err != nil {
+		return nil, err
+	}
+	scheds := s.newSchedules(len(variants))
+	rscheds := make([]ReplicatedSchedule, len(variants))
+	out := make([]*ReplicatedSchedule, len(variants))
+	for j, v := range variants {
+		rs := &rscheds[j]
+		rs.Schedule = scheds[j]
+		s.placeReplicated(in, v.Config, s.order(j), rs)
+		out[j] = rs
 	}
 	return out, nil
 }
@@ -97,6 +118,73 @@ func (s *Scheduler) Schedule(in Input, cfg Config, pri Priority) (*Schedule, err
 		return nil, err
 	}
 	return out[0], nil
+}
+
+// newSchedules allocates m schedules over one backing allocation per
+// array kind; each slices a disjoint full-capacity window, so results
+// stay valid after Recycle.
+func (s *Scheduler) newSchedules(m int) []Schedule {
+	n := s.n
+	i64 := make([]int64, 2*n*m)
+	i16 := make([]int16, n*m)
+	scheds := make([]Schedule, m)
+	for j := range scheds {
+		sc := &scheds[j]
+		sc.Start = i64[2*j*n : (2*j+1)*n : (2*j+1)*n]
+		sc.Complete = i64[(2*j+1)*n : (2*j+2)*n : (2*j+2)*n]
+		sc.Cluster = i16[j*n : (j+1)*n : (j+1)*n]
+	}
+	return scheds
+}
+
+// batch validates the variants, builds the dependence structure of in
+// and one issue order per distinct priority.
+func (s *Scheduler) batch(in Input, variants []Variant) error {
+	for _, v := range variants {
+		cfg := v.Config
+		if cfg.Clusters < 1 || cfg.Width < 1 || cfg.Int < 1 || cfg.FP < 1 || cfg.Mem < 1 || cfg.Fwd < 0 {
+			return fmt.Errorf("listsched: invalid config %+v", cfg)
+		}
+	}
+	if err := s.prepare(in); err != nil {
+		return err
+	}
+	s.group = s.group[:0]
+	var pris []Priority
+	for _, v := range variants {
+		g := len(pris)
+		for h, p := range pris {
+			if samePriority(p, v.Pri) {
+				g = h
+				break
+			}
+		}
+		if g == len(pris) {
+			pris = append(pris, v.Pri)
+		}
+		s.group = append(s.group, g)
+	}
+	s.orders = growI32(s.orders, len(pris)*s.n)
+	for g, pri := range pris {
+		if err := s.issueOrder(in, pri, s.orders[g*s.n:(g+1)*s.n]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// order returns variant j's issue order.
+func (s *Scheduler) order(j int) []int32 {
+	g := s.group[j]
+	return s.orders[g*s.n : (g+1)*s.n]
+}
+
+// samePriority reports whether a and b are interchangeable for ordering:
+// equal values of one comparable type (comparing non-comparable dynamic
+// types would panic).
+func samePriority(a, b Priority) bool {
+	ta := reflect.TypeOf(a)
+	return ta == reflect.TypeOf(b) && ta.Comparable() && a == b
 }
 
 // prepare builds the Input-dependent state: deduped producer CSR, the
@@ -116,6 +204,7 @@ func (s *Scheduler) prepare(in Input) error {
 	clear(s.deg)
 	s.fu = growU8(s.fu, n)
 	s.dyadic = growBool(s.dyadic, n)
+	s.mem = growBool(s.mem, n)
 	for i := 0; i < n; i++ {
 		s.prodOff[i] = int32(len(s.prodIdx))
 		s.scratch = dedupProducers(tr.Producers(i, s.scratch[:0]))
@@ -126,11 +215,12 @@ func (s *Scheduler) prepare(in Input) error {
 		inst := &tr.Insts[i]
 		s.fu[i] = uint8(fuClass(inst.Op))
 		s.dyadic[i] = inst.NumSrcs() == 2
+		s.mem[i] = inst.Op.IsMem()
 	}
 	s.prodOff[n] = int32(len(s.prodIdx))
 
 	// Reverse CSR. Filling by ascending consumer keeps each producer's
-	// consumer list sorted, which the replay relies on to stop early at
+	// consumer list sorted, which issueOrder relies on to stop early at
 	// the region boundary.
 	s.consOff = growI32(s.consOff, n+1)
 	off := int32(0)
@@ -149,8 +239,8 @@ func (s *Scheduler) prepare(in Input) error {
 	}
 
 	// Region split and intra-region producer counts. Both depend only on
-	// Mispredicted and the dependence structure, so every variant replays
-	// from the same pendBase.
+	// Mispredicted and the dependence structure, so every issue order
+	// starts from the same pendBase.
 	s.regions = s.regions[:0]
 	s.pendBase = growI32(s.pendBase, n)
 	rs := 0
@@ -177,14 +267,12 @@ func (s *Scheduler) prepare(in Input) error {
 	return nil
 }
 
-// replay schedules one variant over the prepared state into out.
-func (s *Scheduler) replay(in Input, cfg Config, pri Priority, out *Schedule) error {
-	if cfg.Clusters < 1 || cfg.Width < 1 || cfg.Int < 1 || cfg.FP < 1 || cfg.Mem < 1 || cfg.Fwd < 0 {
-		return fmt.Errorf("listsched: invalid config %+v", cfg)
-	}
+// issueOrder writes into ord the sequence in which the oracles' ready
+// heap pops instructions under pri. Regions pop in turn, so region r
+// occupies ord[regions[r-1]:regions[r]].
+func (s *Scheduler) issueOrder(in Input, pri Priority, ord []int32) error {
 	tr := in.Trace
 	n := s.n
-
 	s.keys = growI64(s.keys, n)
 	for i := 0; i < n; i++ {
 		s.keys[i] = pri.Key(int64(i), tr.Insts[i].PC)
@@ -193,6 +281,39 @@ func (s *Scheduler) replay(in Input, cfg Config, pri Priority, out *Schedule) er
 	copy(s.pending, s.pendBase)
 	s.heap.reset()
 
+	pos := 0
+	rs := 0
+	for _, re32 := range s.regions {
+		re := int(re32)
+		for i := rs; i < re; i++ {
+			if s.pending[i] == 0 {
+				s.heap.push(heapItem{key: s.keys[i], seq: int32(i)})
+			}
+		}
+		for s.heap.len() > 0 {
+			i := s.heap.pop().seq
+			ord[pos] = i
+			pos++
+			for _, c := range s.consIdx[s.consOff[i]:s.consOff[i+1]] {
+				if int(c) >= re {
+					break // sorted: the rest belong to later regions
+				}
+				s.pending[c]--
+				if s.pending[c] == 0 {
+					s.heap.push(heapItem{key: s.keys[c], seq: c})
+				}
+			}
+		}
+		if pos != re {
+			return fmt.Errorf("listsched: scheduled %d of %d (dependence cycle?)", pos, n)
+		}
+		rs = re
+	}
+	return nil
+}
+
+// resetLanes sizes and clears the bitmap lanes for cfg.
+func (s *Scheduler) resetLanes(cfg Config) {
 	need := cfg.Clusters * lanesPer
 	if cap(s.lanes) < need {
 		grown := make([]bitLane, need)
@@ -208,21 +329,21 @@ func (s *Scheduler) replay(in Input, cfg Config, pri Priority, out *Schedule) er
 			s.lanes[k*lanesPer+c].reset(caps[c])
 		}
 	}
+}
 
+// place schedules one config along ord into out: Run's placement rule
+// (earliest start, ties to the cluster of the latest-arriving producer)
+// and region shift.
+func (s *Scheduler) place(in Input, cfg Config, ord []int32, out *Schedule) {
+	s.resetLanes(cfg)
 	start, complete, cluster := out.Start, out.Complete, out.Cluster
 	fwd := int64(cfg.Fwd)
 	var shift int64
-	scheduled := 0
 	rs := 0
 	for _, re32 := range s.regions {
 		re := int(re32)
-		for i := rs; i < re; i++ {
-			if s.pending[i] == 0 {
-				s.heap.push(heapItem{key: s.keys[i], seq: int32(i)})
-			}
-		}
-		for s.heap.len() > 0 {
-			i := int(s.heap.pop().seq)
+		for _, i32 := range ord[rs:re] {
+			i := int(i32)
 			prods := s.prodIdx[s.prodOff[i]:s.prodOff[i+1]]
 
 			var latest int64 = -1
@@ -234,16 +355,11 @@ func (s *Scheduler) replay(in Input, cfg Config, pri Priority, out *Schedule) er
 				}
 			}
 
+			release := in.Release[i] + shift
 			bestT := int64(1) << 62
 			bestK := 0
-			width := &s.lanes[laneWidth]
-			fuLane := &s.lanes[int(s.fu[i])]
 			for k := 0; k < cfg.Clusters; k++ {
-				if k > 0 {
-					width = &s.lanes[k*lanesPer+laneWidth]
-					fuLane = &s.lanes[k*lanesPer+int(s.fu[i])]
-				}
-				t := in.Release[i] + shift
+				t := release
 				for _, p := range prods {
 					avail := complete[p]
 					if int(cluster[p]) != k {
@@ -253,7 +369,13 @@ func (s *Scheduler) replay(in Input, cfg Config, pri Priority, out *Schedule) er
 						t = avail
 					}
 				}
-				t = nextFree(width, fuLane, t)
+				// nextFree(t) >= t, so a cluster whose data-ready time
+				// already loses (or only ties without the locality
+				// preference) cannot win: skip its lane scan.
+				if t > bestT || (t == bestT && k != latestCluster) {
+					continue
+				}
+				t = nextFree(&s.lanes[k*lanesPer+laneWidth], &s.lanes[k*lanesPer+int(s.fu[i])], t)
 				if t < bestT || (t == bestT && k == latestCluster) {
 					bestT = t
 					bestK = k
@@ -276,30 +398,147 @@ func (s *Scheduler) replay(in Input, cfg Config, pri Priority, out *Schedule) er
 					}
 				}
 			}
-			scheduled++
-
-			for _, c := range s.consIdx[s.consOff[i]:s.consOff[i+1]] {
-				if int(c) >= re {
-					break // sorted: the rest belong to later regions
-				}
-				s.pending[c]--
-				if s.pending[c] == 0 {
-					s.heap.push(heapItem{key: s.keys[c], seq: c})
-				}
-			}
 		}
-		b := re - 1
-		if in.Mispredicted[b] {
+		if b := re - 1; in.Mispredicted[b] {
 			if excess := complete[b] - (in.Complete[b] + shift); excess > 0 {
 				shift += excess
 			}
 		}
 		rs = re
 	}
-	if scheduled != n {
-		return fmt.Errorf("listsched: scheduled %d of %d (dependence cycle?)", scheduled, n)
+}
+
+// placeReplicated schedules one config along ord into out with
+// RunReplicated's rules: the strictly earliest cluster wins (no locality
+// tie-break), then binding remote producers are replicated onto it
+// while re-execution beats forwarding. Replica-backed availability lives
+// in the dense s.override table; out.availAt gets the rows of the
+// replicated instructions at the end.
+func (s *Scheduler) placeReplicated(in Input, cfg Config, ord []int32, out *ReplicatedSchedule) {
+	s.resetLanes(cfg)
+	clusters := cfg.Clusters
+	s.override = growI64(s.override, s.n*clusters)
+	clear(s.override)
+	start, complete, cluster := out.Start, out.Complete, out.Cluster
+	fwd := int64(cfg.Fwd)
+	ov := s.override
+	// availAt mirrors ReplicatedSchedule.AvailAt over the dense table
+	// (replica completions are at least 1, so 0 marks no override).
+	availAt := func(p int32, k int) int64 {
+		if o := ov[int(p)*clusters+k]; o != 0 {
+			return o
+		}
+		if int(cluster[p]) != k {
+			return complete[p] + fwd
+		}
+		return complete[p]
 	}
-	return nil
+	var shift int64
+	rs := 0
+	for _, re32 := range s.regions {
+		re := int(re32)
+		for _, i32 := range ord[rs:re] {
+			i := int(i32)
+			prods := s.prodIdx[s.prodOff[i]:s.prodOff[i+1]]
+			release := in.Release[i] + shift
+
+			bestT := int64(1) << 62
+			bestK := 0
+			for k := 0; k < clusters; k++ {
+				t := release
+				for _, p := range prods {
+					if avail := availAt(p, k); avail > t {
+						t = avail
+					}
+				}
+				if t >= bestT {
+					continue // nextFree(t) >= t cannot beat bestT strictly
+				}
+				t = nextFree(&s.lanes[k*lanesPer+laneWidth], &s.lanes[k*lanesPer+int(s.fu[i])], t)
+				if t < bestT {
+					bestT = t
+					bestK = k
+				}
+			}
+
+			width := &s.lanes[bestK*lanesPer+laneWidth]
+			for improved := true; improved; {
+				improved = false
+				for _, p := range prods {
+					avail := availAt(p, bestK)
+					if avail < bestT || int(cluster[p]) == bestK || s.mem[p] {
+						continue // not binding, already local, or not re-executable
+					}
+					fuLane := &s.lanes[bestK*lanesPer+int(s.fu[p])]
+					rt := in.Release[p] + shift
+					for _, q := range s.prodIdx[s.prodOff[p]:s.prodOff[p+1]] {
+						if qa := availAt(q, bestK); qa > rt {
+							rt = qa
+						}
+					}
+					rt = nextFree(width, fuLane, rt)
+					rc := rt + in.Latency[p]
+					if rc >= avail {
+						continue // forwarding is at least as fast
+					}
+					width.take(rt)
+					fuLane.take(rt)
+					out.Replicas = append(out.Replicas, Replica{Seq: int64(p), Cluster: int16(bestK), Start: rt, Complete: rc})
+					if o := &ov[int(p)*clusters+bestK]; *o == 0 || rc < *o {
+						*o = rc
+					}
+					improved = true
+				}
+				if improved {
+					t := release
+					for _, p := range prods {
+						if avail := availAt(p, bestK); avail > t {
+							t = avail
+						}
+					}
+					bestT = nextFree(width, &s.lanes[bestK*lanesPer+int(s.fu[i])], t)
+				}
+			}
+
+			start[i] = bestT
+			cluster[i] = int16(bestK)
+			complete[i] = bestT + in.Latency[i]
+			width.take(bestT)
+			s.lanes[bestK*lanesPer+int(s.fu[i])].take(bestT)
+			if complete[i] > out.Makespan {
+				out.Makespan = complete[i]
+			}
+			for _, p := range prods {
+				if int(cluster[p]) != bestK {
+					out.CrossEdges++
+					if s.dyadic[i] {
+						out.DyadicCross++
+					}
+				}
+			}
+		}
+		if b := re - 1; in.Mispredicted[b] {
+			if excess := complete[b] - (in.Complete[b] + shift); excess > 0 {
+				shift += excess
+			}
+		}
+		rs = re
+	}
+
+	out.fwd = cfg.Fwd
+	out.availAt = make(map[int64][]int64, len(out.Replicas))
+	for _, r := range out.Replicas {
+		if out.availAt[r.Seq] != nil {
+			continue
+		}
+		row := make([]int64, clusters)
+		for k := range row {
+			if row[k] = ov[int(r.Seq)*clusters+k]; row[k] == 0 {
+				row[k] = -1
+			}
+		}
+		out.availAt[r.Seq] = row
+	}
 }
 
 // fuClass maps an op to the bitLane index of its functional-unit class

@@ -2,6 +2,7 @@ package listsched_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"clustersim/internal/listsched"
@@ -25,11 +26,33 @@ func diffSchedules(t *testing.T, label string, got, want *listsched.Schedule) {
 	}
 }
 
+// diffReplicated fails the test unless got and want are deep-equal:
+// placements, summaries, replicas and availability overrides.
+func diffReplicated(t *testing.T, label string, got, want *listsched.ReplicatedSchedule) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	diffSchedules(t, label, &got.Schedule, &want.Schedule)
+	for i := 0; i < len(got.Replicas) && i < len(want.Replicas); i++ {
+		if got.Replicas[i] != want.Replicas[i] {
+			t.Fatalf("%s: replica %d is %+v, oracle %+v", label, i, got.Replicas[i], want.Replicas[i])
+		}
+	}
+	if len(got.Replicas) != len(want.Replicas) {
+		t.Fatalf("%s: %d replicas, oracle %d", label, len(got.Replicas), len(want.Replicas))
+	}
+	t.Fatalf("%s: availability overrides differ from the oracle's", label)
+}
+
 // TestSchedulerMatchesOracle is the randomized differential gate: the
-// pooled batched fast path must reproduce Run byte-for-byte on real
-// machine-harvested inputs across benchmarks, cluster counts, forwarding
-// latencies and priority kinds — on one Scheduler recycled throughout,
-// so pooled-state leakage between inputs would also surface here.
+// pooled batched fast paths must reproduce Run and RunReplicated
+// byte-for-byte on real machine-harvested inputs across benchmarks,
+// cluster counts, forwarding latencies and priority kinds — on one
+// Scheduler recycled throughout, so pooled-state leakage between inputs
+// would also surface here. Each batch interleaves four priorities, so
+// every config places along an issue order shared with the other
+// variants of its priority and built beside the others' orders.
 func TestSchedulerMatchesOracle(t *testing.T) {
 	sched := listsched.NewScheduler()
 	defer sched.Recycle()
@@ -51,30 +74,61 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			pris := []listsched.Priority{oracle, loc16, locUnl, binary}
 			var variants []listsched.Variant
 			for _, clusters := range []int{1, 2, 4, 8} {
 				for _, fwd := range []int{0, 2, 4} {
 					cfg := listsched.ConfigFor(machine.NewConfig(clusters))
 					cfg.Fwd = fwd
-					for _, pri := range []listsched.Priority{oracle, loc16, locUnl, binary} {
+					for _, pri := range pris {
 						variants = append(variants, listsched.Variant{Config: cfg, Pri: pri})
 					}
 				}
 			}
-			got, err := sched.ScheduleVariants(in, variants)
+			// The loc-oracle experiment's batch: the monolithic oracle
+			// baseline, then per cluster count every priority in turn.
+			locOracle := []listsched.Variant{{Config: listsched.ConfigFor(machine.NewConfig(1)), Pri: oracle}}
+			for _, clusters := range []int{2, 4, 8} {
+				for _, pri := range pris {
+					locOracle = append(locOracle, listsched.Variant{Config: listsched.ConfigFor(machine.NewConfig(clusters)), Pri: pri})
+				}
+			}
+			for _, b := range []struct {
+				name  string
+				batch []listsched.Variant
+			}{{"sweep", variants}, {"loc-oracle", locOracle}} {
+				name, batch := b.name, b.batch
+				got, err := sched.ScheduleVariants(in, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range batch {
+					want, err := listsched.Run(in, v.Config, v.Pri)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s/%d %s v%d %+v", bench, n, name, j, v.Config)
+					if err := listsched.Check(in, v.Config, got[j]); err != nil {
+						t.Fatalf("%s: fast schedule violates invariants: %v", label, err)
+					}
+					diffSchedules(t, label, got[j], want)
+				}
+			}
+
+			repl, err := sched.ScheduleReplicated(in, variants)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for j, v := range variants {
-				want, err := listsched.Run(in, v.Config, v.Pri)
+				want, err := listsched.RunReplicated(in, v.Config, v.Pri)
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("%s/%d v%d %+v", bench, n, j, v.Config)
-				if err := listsched.Check(in, v.Config, got[j]); err != nil {
+				label := fmt.Sprintf("%s/%d replicated v%d %+v", bench, n, j, v.Config)
+				if err := listsched.CheckReplicated(in, v.Config, repl[j]); err != nil {
 					t.Fatalf("%s: fast schedule violates invariants: %v", label, err)
 				}
-				diffSchedules(t, label, got[j], want)
+				diffReplicated(t, label, repl[j], want)
 			}
 		}
 	}
