@@ -46,8 +46,8 @@ func main() {
 	report := flag.String("report", "", "write the named experiments (default: all) as one markdown report to this file")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker-pool size")
 	replayWorkers := flag.Int("replay-workers", 0, "intra-job variant fan-out width (0: a per-job share of GOMAXPROCS); results are byte-identical under any value")
-	cacheDir := flag.String("cache-dir", "", "on-disk cache directory for traces and results; rerunning with it resumes an interrupted run (empty: memory only)")
-	cacheMem := flag.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, "in-memory cache budget in MiB (<0: unlimited)")
+	cacheDir := flag.String("cache-dir", "", "on-disk cache directory for results, analyses and schedules (traces are regenerated); rerunning with it resumes an interrupted run (empty: memory only)")
+	cacheMem := flag.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, cacheMemUsage)
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
 	deadline := flag.Duration("deadline", 0, "cancel the whole run after this duration (0: none)")
 	jobDeadline := flag.Duration("job-deadline", 0, "count simulation jobs exceeding this soft deadline (0: none)")
@@ -56,6 +56,9 @@ func main() {
 	// Reject a bad name before any work: a later typo must not cost the
 	// earlier experiments' simulations first.
 	selected, err := resolve(flag.Args())
+	if err == nil {
+		err = checkCacheMem(*cacheMem)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clustersim:", err)
 		os.Exit(2)
@@ -153,6 +156,18 @@ func resumeHint(eng *engine.Engine, cacheDir string) {
 		return
 	}
 	fmt.Fprintln(os.Stderr, "clustersim: completed work was held in memory only; rerun with -cache-dir to keep it")
+}
+
+// cacheMemUsage is both commands' -cache-mem help.
+const cacheMemUsage = "in-memory cache budget in MiB (<0: unlimited; 0 is rejected)"
+
+// checkCacheMem rejects a -cache-mem of 0, which engine.Config would
+// read as the default budget rather than as no cache.
+func checkCacheMem(mib int64) error {
+	if mib == 0 {
+		return errors.New("-cache-mem 0 is not a budget: give MiB, or <0 for unlimited")
+	}
+	return nil
 }
 
 // batch returns the experiments `all` and -report run, in registry order.

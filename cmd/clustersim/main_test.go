@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"clustersim/internal/engine"
 	"clustersim/internal/experiments"
@@ -59,6 +61,39 @@ func TestBadNameFailsBeforeWork(t *testing.T) {
 	}
 	if msg := stderr.String(); !strings.Contains(msg, `"nope"`) || !strings.Contains(msg, "fig14-detail") {
 		t.Errorf("stderr does not name the bad experiment and the valid ones:\n%s", msg)
+	}
+}
+
+// TestCacheMemZeroRejected runs both commands with -cache-mem 0, which
+// the engine would read as the 1 GiB default: each must exit 2 before
+// any work, naming the flag.
+func TestCacheMemZeroRejected(t *testing.T) {
+	bin, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"clustersim", "-n", "3000", "-benchmarks", "gzip", "-cache-mem", "0", "fig4"},
+		{"serve", "-addr", "127.0.0.1:0", "-cache-mem", "0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		// A serve that accepted the flag would listen until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%q: exit = %v, want status 2; stderr:\n%s", args, err, stderr.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: worked before rejecting the flag:\n%s", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "-cache-mem 0") {
+			t.Errorf("%q: stderr does not name the flag:\n%s", args, stderr.String())
+		}
 	}
 }
 

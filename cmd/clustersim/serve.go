@@ -29,8 +29,8 @@ func serveMain(args []string) int {
 	addr := fs.String("addr", "localhost:8080", "listen address")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "engine worker-pool size")
 	replayWorkers := fs.Int("replay-workers", 0, "default intra-job variant fan-out width (0: a per-job share of GOMAXPROCS); the server clamps per-job requests queue-aware")
-	cacheDir := fs.String("cache-dir", "", "on-disk cache directory (empty: memory only)")
-	cacheMem := fs.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, "in-memory cache budget in MiB (<0: unlimited)")
+	cacheDir := fs.String("cache-dir", "", "on-disk cache directory for results, analyses and schedules (traces are regenerated; empty: memory only)")
+	cacheMem := fs.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, cacheMemUsage)
 	tenantsFlag := fs.String("tenants", "", `tenant fair-share weights as "name:weight,name:weight" (empty: single "default" tenant)`)
 	queueMax := fs.Int("queue", 256, "max queued jobs before submissions get 429")
 	runners := fs.Int("runners", 0, "concurrent job executors (0: GOMAXPROCS)")
@@ -50,6 +50,9 @@ func serveMain(args []string) int {
 	fs.Parse(args)
 
 	tenants, err := parseTenants(*tenantsFlag)
+	if err == nil {
+		err = checkCacheMem(*cacheMem)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clustersim serve:", err)
 		return 2

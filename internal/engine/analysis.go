@@ -50,7 +50,8 @@ type AnalysisKey struct {
 	Full bool
 }
 
-// String returns the canonical form used for dedup and hashing.
+// String returns the canonical form used for dedup and as the disk
+// cache's key.
 func (k AnalysisKey) String() string {
 	depth := "walk"
 	if k.Full {

@@ -114,13 +114,15 @@ func (c *memCache) shrink() {
 // len returns the number of resident entries.
 func (c *memCache) len() int { return c.ll.Len() }
 
-// diskCache persists artifacts across processes. Traces are stored as
-// CTR2 chunked stores, one file each, named by the hash of the canonical
-// key. Simulation results, analyses and schedule summaries are small JSON
-// envelopes, appended as CSF1 frames to one segment file, summaries.csf;
-// result envelopes carry the exact tracker's counts for TrackExact keys,
-// so memory and disk hold the same Artifact value. Schedule harvests are
-// never persisted; the schedule summaries derived from them are.
+// diskCache persists summaries across processes: simulation results,
+// analyses and schedule summaries are small JSON envelopes, appended as
+// CSF1 frames to one segment file, summaries.csf, the only file in the
+// cache dir (plus quarantine/ once damage is seen). Result envelopes
+// carry the exact tracker's counts for TrackExact keys, so memory and
+// disk hold the same Artifact value. Schedule harvests are never
+// persisted; the schedule summaries derived from them are. Traces are
+// never persisted either: a trace is a pure function of its TraceKey,
+// and regenerating one is faster than reading it back.
 //
 // The segment exists because a cache miss used to cost a file: on a
 // 2-vCPU Xeon VM's ext4 volume, creating a 4 KiB entry by temp+rename
@@ -137,20 +139,19 @@ func (c *memCache) len() int { return c.ll.Len() }
 // The disk layer is an accelerator, never a dependency, and every
 // failure mode degrades instead of propagating:
 //
-//   - a summary frame that fails validation (torn, bit-flipped, foreign)
-//     is skipped by resyncing to the next valid frame, counted in
-//     engine.disk.quarantine and copied to <dir>/quarantine/; a trace
-//     entry that fails validation is moved there. Either way the entry
+//   - a frame that fails validation (torn, bit-flipped, foreign) is
+//     skipped by resyncing to the next valid frame, counted in
+//     engine.disk.quarantine and copied to <dir>/quarantine/; the entry
 //     is a miss, so corruption triggers a recompute, never an error;
 //   - transient read/write errors are retried with capped exponential
 //     backoff and then counted as misses;
 //   - after errorBudget hard failures the layer degrades to memory-only
-//     for the rest of the process with a single stderr notice;
-//   - stale *.tmp files from interrupted trace writers are swept on open.
+//     for the rest of the process with a single stderr notice.
 //
-// Summary appends are not fsynced: a lost or torn entry is only a future
-// miss. Summary entries written by older binaries as one file each are
-// ignored.
+// Appends are not fsynced: a lost or torn entry is only a future miss.
+// Files written by older binaries (one file per summary, trace-*.ctr
+// trace entries, .tmp-* temps of interrupted writes) are never read and
+// are safe to delete.
 type diskCache struct {
 	dir string
 
@@ -158,7 +159,6 @@ type diskCache struct {
 	cErr        *metrics.Counter
 	cRetry      *metrics.Counter
 	cQuarantine *metrics.Counter
-	cSwept      *metrics.Counter
 
 	budget   atomic.Int64
 	degraded atomic.Bool
@@ -189,12 +189,8 @@ const (
 	defaultErrorBudget = 32
 )
 
-// Payload bounds for frame validation: derived summaries are small JSON,
-// traces carry a whole CTR2 store.
-const (
-	maxJSONPayload  = 8 << 20
-	maxTracePayload = 1 << 30
-)
+// maxJSONPayload bounds a frame's payload: summaries are small JSON.
+const maxJSONPayload = 8 << 20
 
 // scanWindow is the segment bytes one scan read covers; it grows for a
 // frame larger than itself.
@@ -212,27 +208,10 @@ func newDiskCache(dir string, met *metrics.Registry, errorBudget int) (*diskCach
 		cErr:        met.Counter("engine.disk.error"),
 		cRetry:      met.Counter("engine.disk.retry"),
 		cQuarantine: met.Counter("engine.disk.quarantine"),
-		cSwept:      met.Counter("engine.disk.tmp_swept"),
 		index:       map[string]span{},
 	}
 	d.budget.Store(int64(errorBudget))
-	d.sweepTemps()
 	return d, nil
-}
-
-// sweepTemps removes stale .tmp-* files left by interrupted writers.
-// Writers create temp files and rename them into place, so anything
-// still matching the temp pattern belongs to a dead process.
-func (d *diskCache) sweepTemps() {
-	stale, err := filepath.Glob(filepath.Join(d.dir, ".tmp-*"))
-	if err != nil {
-		return
-	}
-	for _, path := range stale {
-		if os.Remove(path) == nil {
-			d.cSwept.Inc()
-		}
-	}
 }
 
 // available reports whether the disk layer still serves traffic.
@@ -251,23 +230,6 @@ func (d *diskCache) fail(err error) {
 	}
 }
 
-// quarantine moves a failed-validation trace entry to <dir>/quarantine/
-// so it can be inspected post-mortem instead of poisoning every future
-// run. The caller treats the entry as a miss.
-func (d *diskCache) quarantine(path string) {
-	d.cQuarantine.Inc()
-	qdir := filepath.Join(d.dir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		os.Remove(path)
-		return
-	}
-	if err := os.Rename(path, filepath.Join(qdir, filepath.Base(path))); err != nil {
-		// A second process may have quarantined it first; otherwise just
-		// drop it so the recompute's rewrite starts clean.
-		os.Remove(path)
-	}
-}
-
 // quarantineSpan counts damaged segment bytes starting at off and copies
 // them to <dir>/quarantine/summaries.csf@<off> for post-mortem. The
 // segment itself is never rewritten; scans simply skip the bytes.
@@ -279,39 +241,12 @@ func (d *diskCache) quarantineSpan(off int64, data []byte) {
 	}
 }
 
-// readRawEntry loads one trace entry's raw bytes with hit-or-miss
-// semantics: a missing file is a plain miss; an I/O error is transient
-// (counted against the budget); an implausibly large file quarantines.
-// The bytes carry no integrity guarantee yet: the caller validates the
-// CTR2 self-framing and quarantines on failure.
-func (d *diskCache) readRawEntry(path string, maxLen int) ([]byte, bool) {
-	if !d.available() {
-		return nil, false
-	}
-	data, err := os.ReadFile(path)
-	if err == nil {
-		data, err = faultinject.ReadFault("cache.read", data)
-	}
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false
-		}
-		d.fail(Transient(err))
-		return nil, false
-	}
-	if len(data) > maxLen {
-		d.quarantine(path)
-		return nil, false
-	}
-	return data, true
-}
-
 // retry runs write up to writeAttempts times with backoff. Write failures
 // never propagate: by the time an entry is written the computed artifact
 // is already in hand, so the worst case is a future miss. The data
-// written must be self-validating (a CSF1 frame or a CTR2 store):
-// injected write faults may tear it, and the next read's integrity check
-// is the only thing that catches that.
+// written must be a self-validating CSF1 frame: injected write faults may
+// tear it, and the next scan's integrity check is the only thing that
+// catches that.
 func (d *diskCache) retry(write func() error) {
 	if !d.available() {
 		return
@@ -522,10 +457,6 @@ type resultEnvelope struct {
 	Exact  *predictor.ExactCounts `json:",omitempty"`
 }
 
-func (d *diskCache) tracePath(canon string) string {
-	return filepath.Join(d.dir, "trace-"+hashKey(canon)+".ctr")
-}
-
 // analysisEnvelope is the on-disk derived-analysis format, keyed and
 // verified like resultEnvelope (the canon already folds in
 // schemaVersion, analysisVersion and the analysis depth).
@@ -603,99 +534,4 @@ func (d *diskCache) storeResult(key SimKey, res machine.Result, exact *predictor
 		env.Exact = &counts
 	}
 	d.storeSummary(env)
-}
-
-// Trace entries are raw CTR2 chunked stores (see internal/trace): the
-// format is self-framing — per-chunk CRC32-C, a CRC'd footer index and a
-// sealed trailer — so no outer CSF1 frame is added, and the store's meta
-// field carries the canonical key, verified on load exactly like
-// resultEnvelope.Key. (The trace's length cannot be validated against
-// TraceKey.Insts — the generators round the requested count up to block
-// boundaries.) Entries written by older binaries (CSF1-framed CTR1
-// streams) fail the CTR2 magic check, quarantine, and recompute — the
-// established corruption path — so schemaVersion deliberately stays
-// unbumped.
-
-// decodeTraceEntry validates one raw trace entry and returns the open
-// store: CTR2 geometry and key must check out and the trace must be
-// non-empty (an empty entry is worthless and would let a truncated
-// generation masquerade as a hit forever).
-func decodeTraceEntry(data []byte, canon string) (*trace.Store, error) {
-	st, err := trace.OpenBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	if string(st.Meta()) != canon {
-		st.Close()
-		return nil, fmt.Errorf("trace key mismatch")
-	}
-	if st.Len() == 0 {
-		st.Close()
-		return nil, fmt.Errorf("empty trace entry")
-	}
-	return st, nil
-}
-
-func (d *diskCache) loadTrace(key TraceKey) (*trace.Trace, bool) {
-	canon := key.String()
-	path := d.tracePath(canon)
-	data, ok := d.readRawEntry(path, maxTracePayload)
-	if !ok {
-		return nil, false
-	}
-	st, err := decodeTraceEntry(data, canon)
-	if err != nil {
-		d.quarantine(path)
-		return nil, false
-	}
-	defer st.Close()
-	tr, err := st.Load()
-	if err != nil {
-		d.quarantine(path)
-		return nil, false
-	}
-	return tr, true
-}
-
-func (d *diskCache) storeTrace(key TraceKey, tr *trace.Trace) {
-	canon := key.String()
-	var buf bytes.Buffer
-	if err := trace.WriteStore(&buf, tr, trace.WriterOptions{Meta: []byte(canon)}); err != nil {
-		d.fail(Fatal(err))
-		return
-	}
-	path := d.tracePath(canon)
-	d.retry(func() error { return atomicWrite(d.dir, path, buf.Bytes()) })
-}
-
-// atomicWrite writes a trace entry to path via a temp file and rename,
-// so a crashed run never leaves a torn entry under the entry's name.
-// Injected write faults may shorten the data (a "successful" torn
-// write): the CTR2 store's own framing catches it on the next read.
-//
-// Unlike durable.WriteFileAtomic it does not fsync: an entry is an
-// accelerator whose validation turns a lost or torn entry into a
-// quarantined miss.
-func atomicWrite(dir, path string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	data, err = faultinject.WriteFault("cache.write", data)
-	if err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := faultinject.Err("cache.rename"); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

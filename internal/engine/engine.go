@@ -17,9 +17,9 @@
 //  1. an in-memory LRU of values (byte-budgeted; the least recently
 //     used entries are dropped under pressure and recomputed, or reloaded
 //     from disk, on their next request),
-//  2. an optional on-disk cache that survives across processes: one
-//     CTR2 store file per trace, and results, analyses and schedules as
-//     CRC-framed JSON records appended to one segment file; corrupt
+//  2. an optional on-disk cache that survives across processes: results,
+//     analyses and schedules as CRC-framed JSON records appended to one
+//     segment file (traces are regenerated, never written); corrupt
 //     entries are quarantined and recomputed, and repeated I/O failures
 //     degrade the layer to memory-only,
 //  3. a singleflight table so concurrent submissions of one key run the
@@ -260,22 +260,16 @@ func (e *Engine) Trace(key TraceKey, gen func() (*trace.Trace, error)) (*trace.T
 }
 
 // TraceCtx returns the trace for key, generating it with gen on a cache
-// miss. Identical keys generate at most once per process (and at most
-// once per CacheDir across processes). Once ctx is cancelled this
-// submission's misses fail fast without generating, while other
-// submissions of the same engine are untouched; a nil ctx is never
-// cancelled.
+// miss. Identical keys generate at most once per process while the trace
+// stays in the memory cache; traces are never written to disk, because a
+// trace is a pure function of its key and regenerating it is faster than
+// reading it back. Once ctx is cancelled this submission's misses fail
+// fast without generating, while other submissions of the same engine
+// are untouched; a nil ctx is never cancelled.
 func (e *Engine) TraceCtx(ctx context.Context, key TraceKey, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
 	canon := key.String()
 	cached := func(ent *entry) (any, bool) { return ent.tr, ent.tr != nil }
 	v, err := e.doOnce(ctx, canon, e.cTraceHit, cached, func() (any, error) {
-		if e.diskAvailable() {
-			if tr, ok := e.disk.loadTrace(key); ok {
-				e.cTraceHit.Inc()
-				e.storeTrace(canon, key, tr, false)
-				return tr, nil
-			}
-		}
 		if err := checkCtx(ctx); err != nil {
 			return nil, err
 		}
@@ -286,25 +280,15 @@ func (e *Engine) TraceCtx(ctx context.Context, key TraceKey, gen func() (*trace.
 			return nil, err
 		}
 		e.tTrace.Observe(time.Since(start))
-		e.storeTrace(canon, key, tr, true)
+		e.mu.Lock()
+		e.mem.putTrace(canon, tr, tr.Len())
+		e.mu.Unlock()
 		return tr, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*trace.Trace), nil
-}
-
-// storeTrace caches tr in memory and, for fresh generations, on disk.
-// Disk persistence is fire-and-forget: the trace is already in hand, so
-// a write failure is counted inside the disk layer, never returned.
-func (e *Engine) storeTrace(canon string, key TraceKey, tr *trace.Trace, persist bool) {
-	e.mu.Lock()
-	e.mem.putTrace(canon, tr, tr.Len())
-	e.mu.Unlock()
-	if persist && e.diskAvailable() {
-		e.disk.storeTrace(key, tr)
-	}
 }
 
 // SimCtx returns the artifact for key, simulating with run on a cache

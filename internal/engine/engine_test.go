@@ -1,9 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -330,34 +335,101 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskTraceRoundTrip: traces are never written to the cache dir, so
+// a second engine on the same dir generates the trace exactly once and
+// gets the first engine's instructions and dependences.
 func TestDiskTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e1 := New(Config{CacheDir: dir})
-	tr1, err := e1.Trace(testTraceKey(1), func() (*trace.Trace, error) {
+	var gens atomic.Int64
+	gen := func() (*trace.Trace, error) {
+		gens.Add(1)
 		return workload.Generate("gzip", testInsts, 1)
-	})
+	}
+	tr1, err := New(Config{CacheDir: dir}).Trace(testTraceKey(1), gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	gens.Store(0)
 	e2 := New(Config{CacheDir: dir})
-	tr2, err := e2.Trace(testTraceKey(1), func() (*trace.Trace, error) {
-		t.Error("generator must not run on a disk hit")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Len() != tr1.Len() {
-		t.Fatalf("disk trace len = %d, want %d", tr2.Len(), tr1.Len())
-	}
-	for i := range tr1.Insts {
-		if tr1.Insts[i] != tr2.Insts[i] {
-			t.Fatalf("inst %d differs after disk round trip", i)
+	for i := 0; i < 2; i++ {
+		tr2, err := e2.Trace(testTraceKey(1), gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tr2.Insts, tr1.Insts) || !reflect.DeepEqual(tr2.Deps, tr1.Deps) {
+			t.Fatal("second engine's trace differs from the first's")
 		}
 	}
-	if s := e2.Summary(); s.TraceHits != 1 || s.TraceMisses != 0 {
-		t.Errorf("trace hits/misses = %d/%d, want 1/0", s.TraceHits, s.TraceMisses)
+	if gens.Load() != 1 {
+		t.Errorf("second engine ran the generator %d times, want 1", gens.Load())
+	}
+	if s := e2.Summary(); s.TraceHits != 1 || s.TraceMisses != 1 {
+		t.Errorf("trace hits/misses = %d/%d, want 1/1", s.TraceHits, s.TraceMisses)
+	}
+}
+
+// TestCorruptTraceEntryRecomputed: older binaries stored each trace as
+// trace-<hash>.ctr and swept .tmp-* files. The engine reads neither, so
+// whatever such a file holds, the trace is generated, nothing is
+// quarantined and the file is left as it was.
+func TestCorruptTraceEntryRecomputed(t *testing.T) {
+	canon := testTraceKey(1).String()
+	store := func(meta string) []byte {
+		tr, err := workload.Generate("gzip", testInsts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteStore(&buf, tr, trace.WriterOptions{Meta: []byte(meta)}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for name, data := range map[string][]byte{
+		"garbage":     []byte("not a trace store at all"),
+		"foreign-key": store("some other key"),
+		"bit-flip": func() []byte {
+			data := store(canon)
+			data[len(data)/2] ^= 0x40
+			return data
+		}(),
+		"intact": store(canon),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			sum := sha256.Sum256([]byte(canon))
+			old := map[string][]byte{
+				"trace-" + hex.EncodeToString(sum[:16]) + ".ctr": data,
+				".tmp-1234": []byte("orphaned partial write"),
+			}
+			for base, b := range old {
+				if err := os.WriteFile(filepath.Join(dir, base), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e := New(Config{CacheDir: dir})
+			var gens atomic.Int64
+			tr, err := e.Trace(testTraceKey(1), func() (*trace.Trace, error) {
+				gens.Add(1)
+				return workload.Generate("gzip", testInsts, 1)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gens.Load() != 1 || tr.Len() == 0 {
+				t.Fatalf("generator ran %d times for %d insts, want once", gens.Load(), tr.Len())
+			}
+			if s := e.Summary(); s.Quarantines != 0 {
+				t.Errorf("Quarantines = %d, want 0", s.Quarantines)
+			}
+			for base, b := range old {
+				got, err := os.ReadFile(filepath.Join(dir, base))
+				if err != nil || !bytes.Equal(got, b) {
+					t.Errorf("%s changed or went (err %v)", base, err)
+				}
+			}
+		})
 	}
 }
 
@@ -366,7 +438,7 @@ func TestBadCacheDirNonFatal(t *testing.T) {
 	// layer is disabled, and the engine still works.
 	parent := t.TempDir()
 	dir := parent + "/occupied"
-	if err := atomicWrite(parent, dir, []byte("x")); err != nil {
+	if err := os.WriteFile(dir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	e := New(Config{CacheDir: dir})
@@ -570,11 +642,8 @@ func TestKeyCanonicalForms(t *testing.T) {
 	if sk.String() != want {
 		t.Errorf("SimKey = %q, want %q", sk.String(), want)
 	}
-	if h := hashKey(sk.String()); len(h) != 32 {
-		t.Errorf("hashKey length = %d, want 32 hex chars", len(h))
-	}
 	// The ablation and replication dimensions appear only when set, so
-	// every key that predates them keeps its canonical form and hash.
+	// every key that predates them keeps its canonical form.
 	sk.Variant = "thr=0.15"
 	if got := sk.String(); got != want+"|variant=thr=0.15" {
 		t.Errorf("SimKey with variant = %q", got)

@@ -9,43 +9,32 @@ import (
 	"clustersim/internal/machine"
 	"clustersim/internal/metrics"
 	"clustersim/internal/predictor"
-	"clustersim/internal/workload"
 )
 
-// The fuzz targets drive the four disk-cache decode paths (trace,
-// result with and without exact counts, analysis, sched), the summary
-// segment's scan, and the shared frame reader with arbitrary bytes. The
-// contract under fuzz is the cache's corruption promise: a loader may
-// miss (and quarantine), but it must never panic and never return ok
-// for bytes that aren't a well-formed entry of its key. Seeds are real
-// encoded entries produced by the same writers that populate a
-// production cache dir, plus their torn and bit-flipped variants.
+// The fuzz targets drive the three disk-cache decode paths (result with
+// and without exact counts, analysis, sched), the summary segment's scan,
+// and the shared frame reader with arbitrary bytes. The contract under
+// fuzz is the cache's corruption promise: a loader may miss (and
+// quarantine), but it must never panic and never return ok for bytes
+// that aren't a well-formed entry of its key. Seeds are real encoded
+// entries produced by the same writers that populate a production cache
+// dir, plus their torn and bit-flipped variants.
 
-// seedEntries builds genuine on-disk bytes for all four artifact kinds:
-// the trace file, and each summary's frame from the segment.
-func seedEntries(tb testing.TB) (traceBytes, resultBytes, anaBytes, schedBytes []byte) {
+// seedEntries builds genuine segment frames for all three summary kinds.
+func seedEntries(tb testing.TB) (resultBytes, anaBytes, schedBytes []byte) {
 	tb.Helper()
 	d, err := newDiskCache(tb.TempDir(), metrics.NewRegistry(), 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr, err := workload.Generate("gzip", testInsts, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	d.storeTrace(testTraceKey(1), tr)
 	d.storeResult(testSimKey(1), machine.Result{ConfigName: "1x8w", Insts: 300, Cycles: 400}, nil)
 	d.storeAnalysis(testAnaKey(1, false), &CritSummary{})
 	d.storeSched("sched-key", &SchedSummary{Insts: 300, Makespan: 99})
-	traceBytes, err = os.ReadFile(d.tracePath(testTraceKey(1).String()))
-	if err != nil {
-		tb.Fatal(err)
-	}
 	frames := segmentFrames(tb, d)
 	if len(frames) != 3 {
 		tb.Fatalf("segment holds %d frames, want 3", len(frames))
 	}
-	return traceBytes, frames[0], frames[1], frames[2]
+	return frames[0], frames[1], frames[2]
 }
 
 // segmentFrames returns the bytes of each valid frame in d's segment.
@@ -70,41 +59,28 @@ func addSeedVariants(f *testing.F, data []byte) {
 	f.Add(append(append([]byte{}, data...), 0xFF))
 }
 
-// fuzzCache builds a throwaway disk cache holding data at path(d) (the
-// segment, or a trace entry) and returns it; the registry keeps counters
-// isolated per iteration.
-func fuzzCache(t *testing.T, data []byte, path func(d *diskCache) string) *diskCache {
+// fuzzCache builds a throwaway disk cache whose segment holds data and
+// returns it; the registry keeps counters isolated per iteration.
+func fuzzCache(t *testing.T, data []byte) *diskCache {
 	t.Helper()
 	d, err := newDiskCache(t.TempDir(), metrics.NewRegistry(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path(d), data, 0o644); err != nil {
+	if err := os.WriteFile(d.segmentPath(), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
 func FuzzFrameDecode(f *testing.F) {
-	_, resultBytes, _, _ := seedEntries(f)
+	resultBytes, _, _ := seedEntries(f)
 	addSeedVariants(f, resultBytes)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := decodeFrame(data, maxJSONPayload)
 		if err == nil && len(data) != durable.FrameHeaderLen+len(payload) {
 			t.Fatalf("frame accepted with wrong geometry: %d bytes, %d payload", len(data), len(payload))
-		}
-	})
-}
-
-func FuzzLoadTrace(f *testing.F) {
-	traceBytes, _, _, _ := seedEntries(f)
-	addSeedVariants(f, traceBytes)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		key := testTraceKey(1)
-		d := fuzzCache(t, data, func(d *diskCache) string { return d.tracePath(key.String()) })
-		if tr, ok := d.loadTrace(key); ok && tr.Len() == 0 {
-			t.Fatal("loadTrace returned ok with an empty trace")
 		}
 	})
 }
@@ -148,12 +124,12 @@ func newestFrame(data []byte, canon string) []byte {
 // exact-tracking key, so seeds of either kind drive the whole envelope
 // decode.
 func FuzzLoadResult(f *testing.F) {
-	_, resultBytes, _, _ := seedEntries(f)
+	resultBytes, _, _ := seedEntries(f)
 	addSeedVariants(f, resultBytes)
 	addSeedVariants(f, seedExactResult(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, key := range []SimKey{testSimKey(1), exactSimKey()} {
-			d := fuzzCache(t, data, (*diskCache).segmentPath)
+			d := fuzzCache(t, data)
 			res, exact, ok := d.loadResult(key)
 			if !ok {
 				continue
@@ -177,19 +153,19 @@ func FuzzLoadResult(f *testing.F) {
 }
 
 func FuzzLoadAnalysis(f *testing.F) {
-	_, _, anaBytes, _ := seedEntries(f)
+	_, anaBytes, _ := seedEntries(f)
 	addSeedVariants(f, anaBytes)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := fuzzCache(t, data, (*diskCache).segmentPath)
+		d := fuzzCache(t, data)
 		d.loadAnalysis(testAnaKey(1, false))
 	})
 }
 
 func FuzzLoadSched(f *testing.F) {
-	_, _, _, schedBytes := seedEntries(f)
+	_, _, schedBytes := seedEntries(f)
 	addSeedVariants(f, schedBytes)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := fuzzCache(t, data, (*diskCache).segmentPath)
+		d := fuzzCache(t, data)
 		d.loadSched("sched-key")
 	})
 }
@@ -200,7 +176,7 @@ func FuzzLoadSched(f *testing.F) {
 // appended after the bytes must still load, with every indexed span
 // holding a valid frame of its key.
 func FuzzSegmentScan(f *testing.F) {
-	_, resultBytes, anaBytes, schedBytes := seedEntries(f)
+	resultBytes, anaBytes, schedBytes := seedEntries(f)
 	segment := append(append(append([]byte{}, resultBytes...), anaBytes...), schedBytes...)
 	addSeedVariants(f, segment)
 	torn := append(append([]byte{}, resultBytes[:len(resultBytes)/2]...), schedBytes...)
@@ -228,7 +204,7 @@ func FuzzSegmentScan(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes, tiled %d", consumed, len(data), pos)
 		}
 
-		d := fuzzCache(t, data, (*diskCache).segmentPath)
+		d := fuzzCache(t, data)
 		key := testSimKey(7)
 		d.storeResult(key, machine.Result{ConfigName: "1x8w", Insts: 777}, nil)
 		if res, _, ok := d.loadResult(key); !ok || res.Insts != 777 {

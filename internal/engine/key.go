@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-)
+import "fmt"
 
 // schemaVersion is folded into every cache key. Bump it whenever the
 // simulator, workload generators, or policies change behavior, so stale
@@ -20,7 +16,7 @@ type TraceKey struct {
 	Seed  uint64
 }
 
-// String returns the canonical form used for dedup and hashing.
+// String returns the canonical form used for dedup.
 func (k TraceKey) String() string {
 	return fmt.Sprintf("v%d|trace|bench=%s|insts=%d|seed=%d",
 		schemaVersion, k.Bench, k.Insts, k.Seed)
@@ -50,9 +46,9 @@ type SimKey struct {
 	Variant string
 }
 
-// String returns the canonical form used for dedup and hashing. An
-// empty Variant is left out, so unperturbed keys (and their disk
-// hashes) read exactly as they did before the field existed.
+// String returns the canonical form used for dedup and as the disk
+// cache's key. An empty Variant is left out, so unperturbed keys read
+// exactly as they did before the field existed.
 func (k SimKey) String() string {
 	s := fmt.Sprintf("v%d|sim|bench=%s|insts=%d|seed=%d|fwd=%d|epoch=%d|clusters=%d|stack=%s|exact=%t",
 		schemaVersion, k.Bench, k.Insts, k.Seed, k.Fwd, k.EpochLen, k.Clusters, k.Stack, k.TrackExact)
@@ -60,11 +56,4 @@ func (k SimKey) String() string {
 		s += "|variant=" + k.Variant
 	}
 	return s
-}
-
-// hashKey content-addresses a canonical key string for on-disk file
-// names.
-func hashKey(canonical string) string {
-	sum := sha256.Sum256([]byte(canonical))
-	return hex.EncodeToString(sum[:16])
 }

@@ -79,37 +79,6 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestStaleTempSweep pins the regression: interrupted writers leave
-// .tmp-* files behind, and a fresh engine must clean them up on open.
-func TestStaleTempSweep(t *testing.T) {
-	dir := t.TempDir()
-	for i := 0; i < 3; i++ {
-		f, err := os.CreateTemp(dir, ".tmp-*")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.WriteString("orphaned partial write")
-		f.Close()
-	}
-	keeper := filepath.Join(dir, segmentName)
-	os.WriteFile(keeper, []byte("not a temp"), 0o644)
-
-	e := New(Config{CacheDir: dir})
-	if err := e.Summary().DiskErr; err != nil {
-		t.Fatal(err)
-	}
-	left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	if len(left) != 0 {
-		t.Fatalf("%d stale temp files survived engine open", len(left))
-	}
-	if _, err := os.Stat(keeper); err != nil {
-		t.Fatalf("sweep removed a non-temp file: %v", err)
-	}
-	if s := e.Summary(); s.TmpSwept != 3 {
-		t.Errorf("TmpSwept = %d, want 3", s.TmpSwept)
-	}
-}
-
 // segmentSpans reads the summary segment in dir and lists its valid
 // frames.
 func segmentSpans(tb testing.TB, dir string) (data []byte, spans []span) {
@@ -183,49 +152,6 @@ func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 		return runTiny(1)
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTruncatedTraceQuarantined covers the trace reader against torn
-// writes (the file exists but the frame is cut short).
-func TestTruncatedTraceQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	e1 := New(Config{CacheDir: dir})
-	tr1, err := e1.Trace(testTraceKey(1), func() (*trace.Trace, error) {
-		return workload.Generate("gzip", testInsts, 1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, _ := filepath.Glob(filepath.Join(dir, "trace-*.ctr"))
-	if len(paths) != 1 {
-		t.Fatalf("want 1 trace entry, got %d", len(paths))
-	}
-	data, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(paths[0], data[:len(data)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := New(Config{CacheDir: dir})
-	var gens atomic.Int64
-	tr2, err := e2.Trace(testTraceKey(1), func() (*trace.Trace, error) {
-		gens.Add(1)
-		return workload.Generate("gzip", testInsts, 1)
-	})
-	if err != nil {
-		t.Fatalf("truncated trace surfaced as an error: %v", err)
-	}
-	if gens.Load() != 1 {
-		t.Fatalf("truncated trace did not regenerate (gens=%d)", gens.Load())
-	}
-	if tr2.Len() != tr1.Len() {
-		t.Fatalf("regenerated trace len %d != %d", tr2.Len(), tr1.Len())
-	}
-	if s := e2.Summary(); s.Quarantines != 1 {
-		t.Errorf("Quarantines = %d, want 1", s.Quarantines)
 	}
 }
 
@@ -561,8 +487,9 @@ func TestSegmentConcurrentEngines(t *testing.T) {
 	}
 }
 
-// TestCacheDirLayout: summaries of every kind share the one segment, and
-// only traces get files of their own.
+// TestCacheDirLayout: summaries of every kind share the one segment,
+// and the segment is the only file in the cache dir: traces are never
+// written.
 func TestCacheDirLayout(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Config{CacheDir: dir})
@@ -583,22 +510,16 @@ func TestCacheDirLayout(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traces int
-	for _, name := range names {
-		switch base := filepath.Base(name); {
-		case base == segmentName:
-		case strings.HasPrefix(base, "trace-") && strings.HasSuffix(base, ".ctr"):
-			traces++
-		default:
-			t.Errorf("unexpected cache file %s", base)
+	if len(ents) != 1 || ents[0].Name() != segmentName {
+		names := make([]string, len(ents))
+		for i, ent := range ents {
+			names[i] = ent.Name()
 		}
-	}
-	if traces != 1 {
-		t.Errorf("%d trace files, want 1", traces)
+		t.Errorf("cache dir holds %v, want exactly [%s]", names, segmentName)
 	}
 	// One result, one analysis plus its run's result, two schedules.
 	if _, spans := segmentSpans(t, dir); len(spans) != 5 {

@@ -47,9 +47,9 @@ type SchedKey struct {
 	Replicate bool
 }
 
-// String returns the canonical form used for dedup and hashing. Like
-// SimKey.Variant, Replicate appears only when set, so plain schedule
-// keys keep their canonical form.
+// String returns the canonical form used for dedup and as the disk
+// cache's key. Like SimKey.Variant, Replicate appears only when set, so
+// plain schedule keys keep their canonical form.
 func (k SchedKey) String() string {
 	s := fmt.Sprintf("%s|sched=v%d|sc=%d|sw=%d|si=%d|sf=%d|sm=%d|sfwd=%d|pri=%s",
 		k.Harvest.String(), schedVersion, k.Config.Clusters, k.Config.Width,

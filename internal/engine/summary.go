@@ -57,7 +57,6 @@ type Summary struct {
 	FaultsInjected    int64
 	DiskRetries       int64
 	Quarantines       int64
-	TmpSwept          int64
 	DiskDegraded      bool
 	JobDeadlineMisses int64
 
@@ -132,7 +131,6 @@ func (e *Engine) Summary() Summary {
 	if e.disk != nil {
 		s.DiskRetries = e.disk.cRetry.Load()
 		s.Quarantines = e.disk.cQuarantine.Load()
-		s.TmpSwept = e.disk.cSwept.Load()
 		s.DiskDegraded = e.disk.degraded.Load()
 	}
 	e.mu.Lock()
@@ -191,9 +189,9 @@ func (e *Engine) RenderSummary(w io.Writer) {
 	}
 	// Robustness lines appear only when something actually happened, so
 	// a healthy fault-free run's summary is unchanged.
-	if s.FaultsInjected > 0 || s.DiskRetries > 0 || s.Quarantines > 0 || s.TmpSwept > 0 || s.DiskDegraded {
-		fmt.Fprintf(w, "robustness: %d faults injected, %d disk retries, %d entries quarantined, %d stale temps swept",
-			s.FaultsInjected, s.DiskRetries, s.Quarantines, s.TmpSwept)
+	if s.FaultsInjected > 0 || s.DiskRetries > 0 || s.Quarantines > 0 || s.DiskDegraded {
+		fmt.Fprintf(w, "robustness: %d faults injected, %d disk retries, %d entries quarantined",
+			s.FaultsInjected, s.DiskRetries, s.Quarantines)
 		if s.DiskDegraded {
 			fmt.Fprintf(w, "; disk degraded to memory-only")
 		}

@@ -157,8 +157,8 @@ func maxChunkPayload(chunkLen int) int {
 type WriterOptions struct {
 	// ChunkLen is the instructions-per-chunk; 0 means DefaultChunkLen.
 	ChunkLen int
-	// Meta is an application blob stored in the header (the engine's
-	// disk tier records the content-addressed cache key here).
+	// Meta is an application blob stored in the header, such as a key
+	// naming what the trace was generated from.
 	Meta []byte
 }
 

@@ -55,8 +55,8 @@ func Open(path string, opts OpenOptions) (*Store, error) {
 	return st, nil
 }
 
-// OpenBytes opens a CTR2 store held fully in memory (a cache entry that
-// was read and CRC-validated elsewhere, a fuzzing input).
+// OpenBytes opens a CTR2 store held fully in memory, such as a fuzzing
+// input or a store a test wrote to a buffer.
 func OpenBytes(data []byte) (*Store, error) {
 	return newStore(bytes.NewReader(data), int64(len(data)))
 }
@@ -312,8 +312,7 @@ func inWindow(d int32, lo int64) int32 {
 // index address instructions with int32.
 const maxInstIndex = int64(math.MaxInt32)
 
-// WriteStore streams an in-memory trace into CTR2 form — the engine's
-// disk tier uses it to persist cached traces chunked.
+// WriteStore streams an in-memory trace into CTR2 form.
 func WriteStore(w io.Writer, t *Trace, opts WriterOptions) error {
 	cw, err := NewWriter(w, opts)
 	if err != nil {
