@@ -39,9 +39,9 @@ func main() {
 		os.Exit(serveMain(os.Args[2:]))
 	}
 
-	n := flag.Int("n", 200_000, "instructions per benchmark")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	fwd := flag.Int("fwd", 2, "inter-cluster forwarding latency (cycles)")
+	n := flag.Int("n", 200_000, "instructions per benchmark (> 0)")
+	seed := flag.Uint64("seed", 1, "workload seed (0 is rejected)")
+	fwd := flag.Int("fwd", 2, "inter-cluster forwarding latency in cycles (> 0)")
 	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark subset")
 	report := flag.String("report", "", "write the named experiments (default: all) as one markdown report to this file")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker-pool size")
@@ -57,7 +57,7 @@ func main() {
 	// earlier experiments' simulations first.
 	selected, err := resolve(flag.Args())
 	if err == nil {
-		err = checkCacheMem(*cacheMem)
+		err = checkFlags(flag.CommandLine)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clustersim:", err)
@@ -161,11 +161,32 @@ func resumeHint(eng *engine.Engine, cacheDir string) {
 // cacheMemUsage is both commands' -cache-mem help.
 const cacheMemUsage = "in-memory cache budget in MiB (<0: unlimited; 0 is rejected)"
 
-// checkCacheMem rejects a -cache-mem of 0, which engine.Config would
-// read as the default budget rather than as no cache.
-func checkCacheMem(mib int64) error {
-	if mib == 0 {
-		return errors.New("-cache-mem 0 is not a budget: give MiB, or <0 for unlimited")
+// flagRules name the flag values a lower layer would read as "unset"
+// and silently replace with its default: engine.Config reads a zero
+// cache budget as the 1 GiB default, and experiments.Options.WithDefaults
+// reads -n <= 0, -fwd <= 0 and -seed 0 as unset.
+var flagRules = []struct {
+	name string
+	bad  func(v any) bool
+	why  string
+}{
+	{"n", func(v any) bool { return v.(int) <= 0 }, "is not an instruction count: give one > 0"},
+	{"fwd", func(v any) bool { return v.(int) <= 0 }, "is not a latency: give cycles > 0"},
+	{"seed", func(v any) bool { return v.(uint64) == 0 }, "would run as seed 1: give a seed > 0"},
+	{"cache-mem", func(v any) bool { return v.(int64) == 0 }, "is not a budget: give MiB, or <0 for unlimited"},
+}
+
+// checkFlags rejects the flagRules values among the flags fs defines,
+// so both commands refuse them before any work.
+func checkFlags(fs *flag.FlagSet) error {
+	for _, r := range flagRules {
+		f := fs.Lookup(r.name)
+		if f == nil {
+			continue
+		}
+		if v := f.Value.(flag.Getter).Get(); r.bad(v) {
+			return fmt.Errorf("-%s %v %s", r.name, v, r.why)
+		}
 	}
 	return nil
 }

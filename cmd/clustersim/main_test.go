@@ -68,32 +68,48 @@ func TestBadNameFailsBeforeWork(t *testing.T) {
 // the engine would read as the 1 GiB default: each must exit 2 before
 // any work, naming the flag.
 func TestCacheMemZeroRejected(t *testing.T) {
+	wantRejected(t, "-cache-mem 0", "clustersim", "-n", "3000", "-benchmarks", "gzip", "-cache-mem", "0", "fig4")
+	wantRejected(t, "-cache-mem 0", "serve", "-addr", "127.0.0.1:0", "-cache-mem", "0")
+}
+
+// TestDefaultedFlagValuesRejected runs the experiment command with the
+// -n, -fwd and -seed values experiments.Options.WithDefaults reads as
+// unset: each would otherwise run silently at the default, so each must
+// exit 2 before any work, naming the flag and value.
+func TestDefaultedFlagValuesRejected(t *testing.T) {
+	for _, flagArgs := range [][]string{
+		{"-n", "0"}, {"-n", "-5"}, {"-fwd", "0"}, {"-fwd", "-3"}, {"-seed", "0"},
+	} {
+		args := append([]string{"clustersim", "-n", "3000", "-benchmarks", "gzip"}, flagArgs...)
+		wantRejected(t, strings.Join(flagArgs, " "), append(args, "fig2")...)
+	}
+}
+
+// wantRejected re-executes the test binary as the command args name and
+// requires exit status 2, empty stdout and a stderr containing named.
+func wantRejected(t *testing.T, named string, args ...string) {
+	t.Helper()
 	bin, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
-		{"clustersim", "-n", "3000", "-benchmarks", "gzip", "-cache-mem", "0", "fig4"},
-		{"serve", "-addr", "127.0.0.1:0", "-cache-mem", "0"},
-	} {
-		var stdout, stderr bytes.Buffer
-		// A serve that accepted the flag would listen until killed.
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		cmd := exec.CommandContext(ctx, bin, args...)
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%q: exit = %v, want status 2; stderr:\n%s", args, err, stderr.String())
-			continue
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("%q: worked before rejecting the flag:\n%s", args, stdout.String())
-		}
-		if !strings.Contains(stderr.String(), "-cache-mem 0") {
-			t.Errorf("%q: stderr does not name the flag:\n%s", args, stderr.String())
-		}
+	var stdout, stderr bytes.Buffer
+	// A serve that accepted the flag would listen until killed.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("%q: exit = %v, want status 2; stderr:\n%s", args, err, stderr.String())
+		return
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("%q: worked before rejecting the flag:\n%s", args, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), named) {
+		t.Errorf("%q: stderr does not name %q:\n%s", args, named, stderr.String())
 	}
 }
 

@@ -51,7 +51,7 @@ func serveMain(args []string) int {
 
 	tenants, err := parseTenants(*tenantsFlag)
 	if err == nil {
-		err = checkCacheMem(*cacheMem)
+		err = checkFlags(fs)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clustersim serve:", err)

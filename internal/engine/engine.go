@@ -79,7 +79,7 @@ type Config struct {
 	// submissions' context.
 	JobDeadline time.Duration
 	// ReplayWorkers bounds the intra-job variant fan-out
-	// (machine.SimulateVariantsOpts workers) each simulation job may
+	// (machine.SimulateVariants workers) each simulation job may
 	// use; <=0 means a per-job share of the socket,
 	// max(1, GOMAXPROCS/Workers), so a fully loaded job pool does not
 	// oversubscribe cores. The determinism contract makes results
@@ -117,8 +117,7 @@ type Engine struct {
 	cDiskErr                             *metrics.Counter
 	cInsts                               *metrics.Counter
 	cDeadlineMiss                        *metrics.Counter
-	cReplayBusy, cEventsElided           *metrics.Counter
-	cGridGroups, cGridShared             *metrics.Counter
+	cReplayBusy                          *metrics.Counter
 	tSim, tTrace, tAna, tSched           *metrics.Timer
 }
 
@@ -175,9 +174,6 @@ func New(cfg Config) *Engine {
 		cInsts:        met.Counter("engine.sim.insts"),
 		cDeadlineMiss: met.Counter("engine.job.deadline_miss"),
 		cReplayBusy:   met.Counter("engine.replay.busy_ns"),
-		cEventsElided: met.Counter("engine.replay.events_elided"),
-		cGridGroups:   met.Counter("engine.replay.grid_groups"),
-		cGridShared:   met.Counter("engine.replay.grid_shared"),
 		tSim:          met.Timer("engine.sim.run"),
 		tTrace:        met.Timer("engine.trace.gen"),
 		tAna:          met.Timer("engine.analysis.run"),
@@ -206,14 +202,11 @@ func (e *Engine) Workers() int { return e.workers }
 // Config.ReplayWorkers).
 func (e *Engine) ReplayWorkers() int { return e.replayWorkers }
 
-// NoteReplay folds one SimulateVariants batch's sharing stats into the
-// engine's replay-layer metrics. Values are additive across batches;
-// Summary and /v1/stats read the accumulated counters.
+// NoteReplay folds one SimulateVariants batch's replay busy time into
+// the engine's replay-layer metrics. Values are additive across batches;
+// Summary and /v1/stats read the accumulated counter.
 func (e *Engine) NoteReplay(st machine.SharingStats) {
 	e.cReplayBusy.Add(st.ReplayBusyNs)
-	e.cEventsElided.Add(st.EventsElided)
-	e.cGridGroups.Add(int64(st.GridGroups))
-	e.cGridShared.Add(int64(st.GridShared))
 }
 
 // Metrics returns the engine's registry.

@@ -63,14 +63,14 @@ type Summary struct {
 	// Parallel replay layer (see DESIGN.md "Parallel replay").
 	// ReplayWorkers is the configured intra-job fan-out bound;
 	// ReplayBusyNs sums wall time inside per-variant replays across
-	// replay workers; EventsElided counts event-log writes skipped by
-	// the zero-materialization path; GridGroups/GridShared count
-	// prediction-memo groups built and reuses served (fwd-grid fusion).
+	// replay workers.
 	ReplayWorkers int
 	ReplayBusyNs  int64
-	EventsElided  int64
-	GridGroups    int64
-	GridShared    int64
+	// EventsElided and GridShared are always 0: every replay keeps its
+	// full event log and no prediction memos are shared. They remain
+	// because perfbench reports them as layer metrics.
+	EventsElided int64
+	GridShared   int64
 }
 
 // SimInstsPerSec is the simulated-instruction throughput of executed
@@ -124,9 +124,6 @@ func (e *Engine) Summary() Summary {
 
 		ReplayWorkers: e.replayWorkers,
 		ReplayBusyNs:  e.cReplayBusy.Load(),
-		EventsElided:  e.cEventsElided.Load(),
-		GridGroups:    e.cGridGroups.Load(),
-		GridShared:    e.cGridShared.Load(),
 	}
 	if e.disk != nil {
 		s.DiskRetries = e.disk.cRetry.Load()
@@ -200,8 +197,8 @@ func (e *Engine) RenderSummary(w io.Writer) {
 	if s.JobDeadlineMisses > 0 {
 		fmt.Fprintf(w, "jobs over soft deadline: %d\n", s.JobDeadlineMisses)
 	}
-	if s.ReplayBusyNs > 0 || s.EventsElided > 0 || s.GridGroups > 0 {
-		fmt.Fprintf(w, "replay: %d workers/job, %.2f cpu-s busy, %d events elided, %d memo groups (%d shared)\n",
-			s.ReplayWorkers, float64(s.ReplayBusyNs)/1e9, s.EventsElided, s.GridGroups, s.GridShared)
+	if s.ReplayBusyNs > 0 {
+		fmt.Fprintf(w, "replay: %d workers/job, %.2f cpu-s busy\n",
+			s.ReplayWorkers, float64(s.ReplayBusyNs)/1e9)
 	}
 }

@@ -26,7 +26,7 @@ func SlackStudy(opts Options) (*SlackStudyResult, error) {
 	t := &stats.Table{Title: "Slack analysis (4x2w, focused): why LoC beats slack as a static metric",
 		Columns: []string{"mean", "zero-frac", ">=fwd", ">=10", "perPC-sd", "misbr-zero"}}
 	rows, err := parBench(opts, func(bench string) ([]float64, error) {
-		cs, err := analysis(opts, bench, slackClusters, StackFocused)
+		cs, _, err := analysis(opts, bench, slackClusters, StackFocused)
 		if err != nil {
 			return nil, err
 		}

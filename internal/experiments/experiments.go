@@ -51,7 +51,7 @@ type Options struct {
 	// cancels alone). Nil means the run is never cancelled.
 	Ctx context.Context
 	// ReplayWorkers overrides the engine's intra-job variant fan-out
-	// bound for this run (machine.SimulateVariantsOpts workers); <=0
+	// bound for this run (machine.SimulateVariants workers); <=0
 	// uses engine.ReplayWorkers(). Results are byte-identical under any
 	// value — this is purely a throughput/scheduling knob, which is why
 	// it never enters cache keys.
@@ -189,19 +189,28 @@ const (
 )
 
 // analysis submits one (benchmark, clusters, stack) run to the engine and
-// returns its cached critical-path analysis. Figures 5, 6 and 14 read
-// only the walk, but Figure 5 and Figure 14 also analyze the two runs
-// ICost and SlackStudy read, so those keys are Full whoever asks first:
-// the engine caches values, not machines, and a walk-only entry there
-// would make ICost and SlackStudy simulate those runs again. Each analysis
-// happens once per key, and in any process with a warm disk cache, zero
-// times.
-func analysis(opts Options, bench string, clusters int, stack Stack) (engine.CritSummary, error) {
+// returns its cached critical-path analysis and the run's artifact.
+// Figures 5, 6 and 14 read only the walk, but Figure 5 and Figure 14 also
+// analyze the two runs ICost and SlackStudy read, so those keys are Full
+// whoever asks first: the engine caches values, not machines, and a
+// walk-only entry there would make ICost and SlackStudy simulate those
+// runs again. Each analysis happens once per key, and in any process with
+// a warm disk cache, zero times.
+//
+// The analysis is looked up before the artifact: its job caches the
+// run's Result under the sim key, so the second lookup hits. The other
+// order would simulate twice, because a Result alone cannot be analyzed.
+func analysis(opts Options, bench string, clusters int, stack Stack) (engine.CritSummary, engine.Artifact, error) {
 	key := engine.AnalysisKey{
 		Sim:  simKey(opts, bench, clusters, stack, false),
 		Full: stack == StackFocused && (clusters == icostClusters || clusters == slackClusters),
 	}
-	return opts.engine().AnalysisCtx(opts.Ctx, key, simulate(opts, bench, clusters, stack, false))
+	cs, err := opts.engine().AnalysisCtx(opts.Ctx, key, simulate(opts, bench, clusters, stack, false))
+	if err != nil {
+		return engine.CritSummary{}, engine.Artifact{}, err
+	}
+	art, err := sim(opts, bench, clusters, stack, false)
+	return cs, art, err
 }
 
 // stackSetup is the fully-built machine recipe for one (benchmark,
@@ -374,20 +383,14 @@ func simVariants(opts Options, bench string, vs []simVariant, trackExact bool) (
 			variants[j] = machine.Variant{Config: su.cfg, Pol: su.pol, Hooks: su.hooks, Setup: su.bind}
 		}
 		// Fan the per-variant replays out over the engine's per-job
-		// worker share (results are order-stitched and byte-identical
-		// under any fan-out), and skip event-log materialization: an
-		// artifact is a Result (plus the exact tracker, which rides on a
-		// detector and so keeps its variant elide-ineligible inside the
-		// machine layer).
+		// worker share: results are order-stitched and byte-identical
+		// under any fan-out.
 		eng := opts.engine()
 		workers := opts.ReplayWorkers
 		if workers <= 0 {
 			workers = eng.ReplayWorkers()
 		}
-		outs, stats, err := machine.SimulateVariantsOpts(tr, variants, machine.VariantsOptions{
-			Workers:    workers,
-			ResultOnly: true,
-		})
+		outs, stats, err := machine.SimulateVariants(tr, variants, workers)
 		if err != nil {
 			return nil, err
 		}

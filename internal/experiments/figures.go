@@ -168,15 +168,7 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		var bo benchOut
 		var monoCPI float64
 		for _, k := range configs {
-			// The analysis is requested first: its job stores the run's
-			// Result under the sim key, so the result lookup below hits.
-			// The other order would simulate twice — a Result alone
-			// cannot be analyzed.
-			a, err := analysis(opts, bench, k, StackFocused)
-			if err != nil {
-				return bo, err
-			}
-			out, err := sim(opts, bench, k, StackFocused, false)
+			a, out, err := analysis(opts, bench, k, StackFocused)
 			if err != nil {
 				return bo, err
 			}

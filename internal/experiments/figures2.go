@@ -119,13 +119,7 @@ func Figure14(opts Options) (*Figure14Result, error) {
 		var out []cell
 		for _, k := range clusterCounts {
 			for _, stack := range Stacks() {
-				// Analysis before sim, as in Figure 5: the analysis job
-				// caches the Result the sim lookup then hits.
-				a, err := analysis(opts, bench, k, stack)
-				if err != nil {
-					return nil, err
-				}
-				run, err := sim(opts, bench, k, stack, false)
+				a, run, err := analysis(opts, bench, k, stack)
 				if err != nil {
 					return nil, err
 				}

@@ -43,11 +43,7 @@ func ICost(opts Options) (*ICostResult, error) {
 		ni int64
 	}
 	outs, err := parBench(opts, func(bench string) (out, error) {
-		cs, err := analysis(opts, bench, icostClusters, StackFocused)
-		if err != nil {
-			return out{}, err
-		}
-		run, err := sim(opts, bench, icostClusters, StackFocused, false)
+		cs, run, err := analysis(opts, bench, icostClusters, StackFocused)
 		if err != nil {
 			return out{}, err
 		}

@@ -67,7 +67,7 @@ func TestAnalysisDepthFollowsReaders(t *testing.T) {
 	}
 	for _, bench := range opts.Benchmarks {
 		for r := range analyzed {
-			cs, err := analysis(opts.WithDefaults(), bench, r.clusters, r.stack)
+			cs, _, err := analysis(opts.WithDefaults(), bench, r.clusters, r.stack)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,7 +61,7 @@ func TestEngineBounds(t *testing.T) {
 			} else if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("New err = %v, want one mentioning %q", err, tc.want)
 			}
-			outs, _, err := SimulateVariants(tr, []Variant{{Config: NewConfig(2), Pol: ageTestPolicy{}}, {Config: tc.cfg, Pol: ageTestPolicy{}}})
+			outs, _, err := SimulateVariants(tr, []Variant{{Config: NewConfig(2), Pol: ageTestPolicy{}}, {Config: tc.cfg, Pol: ageTestPolicy{}}}, 1)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("SimulateVariants: %v", err)

@@ -5,13 +5,12 @@ import (
 	"sync"
 
 	"clustersim/internal/isa"
-	"clustersim/internal/predictor"
 )
 
 // This file is the packed issue engine, the machine's only production
 // issue loop: every run outside UseOracleIssue replays here, on its own
 // (New/NewPooled + Run) or as one variant of a SimulateVariants batch.
-// It runs on dense per-sequence state instead of the 112-byte Event
+// It runs on dense per-sequence state instead of the 104-byte Event
 // records the scan oracle walks:
 //
 //   - fseq: a 16-byte record of the fields the wakeup/steering paths
@@ -138,11 +137,6 @@ type fusedRun struct {
 	// right-compacting rare FU-blocked survivors) instead of sliding
 	// the whole tail left every cycle.
 	rdHead []int32
-
-	// fetchC is the fetch cycle per seq on elided replays, which have no
-	// event log to keep it in (sized by reset, only for those); each entry
-	// is written before it is read.
-	fetchC []int32
 
 	// Persistent merge scratch — written for [0:clusters) before use
 	// every call, kept across calls so the arrays are never re-zeroed.
@@ -486,9 +480,8 @@ func (m *Machine) fusedIssueMergeMono() int {
 }
 
 // fusedIssueOne is the oracle's issueOne on packed state, writing the
-// same event fields at the same point (none on elided replays). L1Miss
-// is written unconditionally because an uncleared log may hold a stale
-// true.
+// same event fields at the same point. L1Miss is written unconditionally
+// because an uncleared log may hold a stale true.
 func (m *Machine) fusedIssueOne(seq int64, cluster int) {
 	fr := m.fr
 	fs := &fr.st[seq]
@@ -522,14 +515,12 @@ func (m *Machine) fusedIssueOne(seq int64, cluster int) {
 	fs.complete = int32(complete)
 	fs.remoteAvail = int32(remoteAvail)
 	fs.flags |= fIssued
-	if m.mode != modeElided {
-		ev := &m.events[seq]
-		ev.Ready, ev.CritProducer, ev.CritProducerRemote = m.readiness(seq)
-		ev.Issue = m.cycle
-		ev.Complete = complete
-		ev.RemoteAvail = remoteAvail
-		ev.L1Miss = l1miss
-	}
+	ev := &m.events[seq]
+	ev.Ready, ev.CritProducer, ev.CritProducerRemote = m.readiness(seq)
+	ev.Issue = m.cycle
+	ev.Complete = complete
+	ev.RemoteAvail = remoteAvail
+	ev.L1Miss = l1miss
 
 	if m.cfg.Clusters > 1 {
 		// Global-value counting: a no-op on mono geometries (producer and
@@ -540,9 +531,7 @@ func (m *Machine) fusedIssueOne(seq int64, cluster int) {
 			ps := &fr.st[p32]
 			if ps.cluster != myCl && ps.flags&fGlobalCounted == 0 {
 				ps.flags |= fGlobalCounted
-				if m.mode != modeElided {
-					m.events[p32].markGlobalCounted()
-				}
+				m.events[p32].markGlobalCounted()
 				m.globalValues++
 			}
 		}
@@ -734,19 +723,13 @@ func (m *Machine) steerKernelPacked(seq int64) Decision {
 			multi = true
 		}
 		s := 0
-		switch k.spec.Score {
+		switch k.Score {
 		case KernelScoreBinary:
-			if k.predCrit != nil {
-				if k.predCrit[p] {
-					s = 1
-				}
-			} else if m.binary != nil && m.binary.Predict(m.tr.Insts[p].PC) {
+			if m.binary != nil && m.binary.Predict(m.tr.Insts[p].PC) {
 				s = 1
 			}
 		case KernelScoreLoC:
-			if k.locLevel != nil {
-				s = int(k.locLevel[p])
-			} else if m.loc != nil {
+			if m.loc != nil {
 				s = m.loc.Level(m.tr.Insts[p].PC)
 			}
 		}
@@ -764,14 +747,12 @@ func (m *Machine) steerKernelPacked(seq int64) Decision {
 		}
 	}
 
-	if k.spec.Stall && ok && m.kernOcc(bestCl) >= m.cfg.WindowPerCluster {
+	if k.Stall && ok && m.kernOcc(bestCl) >= m.cfg.WindowPerCluster {
 		frac := 0.0
-		if k.locLevel != nil {
-			frac = float64(k.locLevel[seq]) / float64(predictor.LoCLevels-1)
-		} else if m.loc != nil {
+		if m.loc != nil {
 			frac = m.loc.Frac(m.tr.Insts[seq].PC)
 		}
-		if frac >= k.spec.StallThreshold {
+		if frac >= k.StallThreshold {
 			return Decision{Cluster: bestCl, Stall: true, Tag: tag}
 		}
 	}

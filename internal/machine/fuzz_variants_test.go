@@ -96,7 +96,7 @@ func FuzzSimulateVariants(f *testing.F) {
 			return
 		}
 		variants := fuzzVariantList(tr, sel)
-		outs, _, err := machine.SimulateVariants(tr, variants)
+		outs, _, err := machine.SimulateVariants(tr, variants, 1)
 		if err != nil {
 			t.Fatalf("SimulateVariants failed on decoded trace: %v", err)
 		}

@@ -128,7 +128,7 @@ func TestGoldenVariantsReplication(t *testing.T) {
 				names = append(names, fmt.Sprintf("%s_%dx_%s", bench, clusters, v.key))
 			}
 		}
-		outs, _, err := machine.SimulateVariants(tr, variants)
+		outs, _, err := machine.SimulateVariants(tr, variants, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ type Machine struct {
 	bcastCount [][]int16
 
 	// mode is how the run replays: the scan oracle, or the packed engine
-	// with a cleared, an uncleared or no event log.
+	// over a cleared or an uncleared event log.
 	mode replayMode
 
 	// Pipeline state.
@@ -133,14 +133,13 @@ type Machine struct {
 	// the duration of a run.
 	profile *frontProfile
 	graph   *traceGraph
-	kern    *kernelState
+	kern    *KernelSpec
 	fr      *fusedRun
 }
 
-// replayMode selects the issue loop and what the run does with the event
-// log. Each level above modeOracle implies the one before it: a replay
-// may skip the clear only if it is packed, and may drop the log only if
-// nothing reads it mid-run.
+// replayMode selects the issue loop and whether the run clears the event
+// log first. A replay may skip the clear only if it is packed and nothing
+// reads the log mid-run.
 type replayMode uint8
 
 const (
@@ -157,23 +156,15 @@ const (
 	// fetch, dispatch and issue then write every field of every event
 	// exactly once, so the previous run's values never show.
 	modeNoReset
-	// modeElided never materializes the event log at all; Events()
-	// returns an empty slice. Only for callers that read the Result alone
-	// (VariantsOptions.ResultOnly).
-	modeElided
 )
 
-// replayModeFor is the highest mode a replay may use: a steering kernel
-// and no mid-run event readers allow skipping the clear, and a
-// result-only caller allows dropping the log.
-func replayModeFor(kernel, hookFree, resultOnly bool) replayMode {
-	switch {
-	case !kernel || !hookFree:
-		return modeLive
-	case !resultOnly:
+// replayModeFor is the highest mode a packed replay may use: a steering
+// kernel and no mid-run event readers allow skipping the clear.
+func replayModeFor(kernel, hookFree bool) replayMode {
+	if kernel && hookFree {
 		return modeNoReset
 	}
-	return modeElided
+	return modeLive
 }
 
 type clusterState struct {
@@ -255,14 +246,7 @@ func (m *Machine) bind(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks
 		m.profile, m.kern, m.mode = nil, nil, m.soloMode()
 	}
 
-	if m.mode == modeElided {
-		// Zero-materialization replay: nothing reads the event log, so
-		// it is never allocated (cold machines) or resliced to length
-		// (warm ones) — the guarded stages index it only when non-elided.
-		m.events = m.events[:0]
-	} else {
-		m.events = resize(m.events, tr.Len())
-	}
+	m.events = resize(m.events, tr.Len())
 	if m.bp == nil || m.bpBits != cfg.GshareBits {
 		m.bp, m.bpBits = bpred.NewGshare(cfg.GshareBits), cfg.GshareBits
 	}
@@ -294,8 +278,7 @@ func (m *Machine) bind(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks
 // soloMode is the replay mode a one-variant batch of m's policy and
 // hooks (and no Setup) picks.
 func (m *Machine) soloMode() replayMode {
-	_, kernel := kernelSpecOf(m.pol)
-	return replayModeFor(kernel, m.onEpoch == nil && m.onCommitInst == nil, false)
+	return replayModeFor(kernelOf(m.pol) != nil, m.onEpoch == nil && m.onCommitInst == nil)
 }
 
 // resize returns s with length n, reallocating only when capacity is
@@ -349,9 +332,8 @@ func (m *Machine) Config() Config { return m.cfg }
 // Trace returns the trace the machine executes.
 func (m *Machine) Trace() *trace.Trace { return m.tr }
 
-// Events returns the per-instruction event records. Valid after Run,
-// except on zero-materialization replays (VariantsOptions.ResultOnly),
-// which never materialize the log and return an empty slice.
+// Events returns the per-instruction event records, one per trace
+// instruction. Valid after Run, which always completes the log.
 func (m *Machine) Events() []Event { return m.events }
 
 // Result summarizes one run.
@@ -407,11 +389,8 @@ func (m *Machine) Run() Result {
 	if m.mode == modeOracle {
 		return m.run()
 	}
-	hooks := Hooks{Binary: m.binary, LoC: m.loc, OnEpoch: m.onEpoch, OnCommitInst: m.onCommitInst}
-	var stats SharingStats
-	var bank memoBank
-	m.useFrontProfile(newFrontProfile(m.tr, m.cfg.GshareBits))
-	m.kern = buildKernel(m.pol, hooks, m.tr, &stats, &bank)
+	m.profile = newFrontProfile(m.tr, m.cfg.GshareBits)
+	m.kern = kernelOf(m.pol)
 	if m.kern == nil && m.mode > modeLive {
 		m.mode = modeLive // the policy stopped advertising its kernel
 	}
@@ -537,7 +516,7 @@ func (m *Machine) idleCycles() int64 {
 	// "Has the head been fetched" comes from the in-order fetch cursor: an
 	// uncleared log holds the previous run's value for unfetched events.
 	if m.dispHead < m.nextFetch {
-		delivered := m.fetchCycle(m.dispHead) + int64(m.cfg.PipelineDepth)
+		delivered := m.events[m.dispHead].Fetch + int64(m.cfg.PipelineDepth)
 		switch {
 		case delivered > t:
 			consider(delivered)
@@ -565,7 +544,7 @@ func (m *Machine) idleCycles() int64 {
 
 func (m *Machine) reset() {
 	// From modeNoReset on every event field is rewritten before anyone
-	// reads it (see replayMode); clearing 112 bytes per instruction there
+	// reads it (see replayMode); clearing 104 bytes per instruction there
 	// would be pure memory traffic.
 	if m.mode < modeNoReset {
 		for i := range m.events {
@@ -574,9 +553,6 @@ func (m *Machine) reset() {
 	}
 	if m.fr != nil {
 		m.fr.reset()
-		if m.mode == modeElided {
-			m.fr.fetchC = resize(m.fr.fetchC, m.tr.Len())
-		}
 	}
 	m.cycle = 0
 	m.nextFetch = 0
@@ -637,9 +613,7 @@ func (m *Machine) commit() {
 				break
 			}
 		}
-		if m.mode != modeElided {
-			m.events[m.commitIdx].Commit = m.cycle
-		}
+		m.events[m.commitIdx].Commit = m.cycle
 		if m.kern == nil {
 			// Kernel policies declare OnCommit a no-op (KernelSpec
 			// contract), so the engine skips the interface call.
@@ -837,7 +811,7 @@ func (m *Machine) dispatch() {
 		if seq >= m.nextFetch {
 			break // not yet fetched
 		}
-		fetchC := m.fetchCycle(seq)
+		fetchC := m.events[seq].Fetch
 		if fetchC+int64(m.cfg.PipelineDepth) > m.cycle {
 			break // not yet delivered by the front end
 		}
@@ -874,29 +848,10 @@ func (m *Machine) dispatch() {
 		if int(dec.Tag) < len(m.steerCounts) {
 			m.steerCounts[dec.Tag]++
 		}
-		// Dispatch-time prediction sampling. Kernel replays with static
-		// predictors read the per-seq memos — the same values the live
-		// lookups would produce, without the PC load or hash.
-		var memoCrit []bool
-		var memoLoC []uint8
-		if m.kern != nil {
-			memoCrit, memoLoC = m.kern.predCrit, m.kern.locLevel
-		}
-		predCrit := false
-		if m.binary != nil {
-			if memoCrit != nil {
-				predCrit = memoCrit[seq]
-			} else {
-				predCrit = m.binary.Predict(m.tr.Insts[seq].PC)
-			}
-		}
+		predCrit := m.binary != nil && m.binary.Predict(m.tr.Insts[seq].PC)
 		lvl := 0
 		if m.loc != nil {
-			if memoLoC != nil {
-				lvl = int(memoLoC[seq])
-			} else {
-				lvl = m.loc.Level(m.tr.Insts[seq].PC)
-			}
+			lvl = m.loc.Level(m.tr.Insts[seq].PC)
 		}
 		var prio uint16
 		switch m.cfg.SchedMode {
@@ -917,16 +872,14 @@ func (m *Machine) dispatch() {
 		}
 		m.havePending = false
 
-		if m.mode != modeElided {
-			ev := &m.events[seq]
-			ev.Dispatch = m.cycle
-			ev.Cluster = int16(dec.Cluster)
-			ev.SteerTag = dec.Tag
-			ev.PredCritical = predCrit
-			ev.LoCLevel = uint8(lvl)
-			ev.DispatchReason = reason
-			ev.DispatchBlocker = blocker
-		}
+		ev := &m.events[seq]
+		ev.Dispatch = m.cycle
+		ev.Cluster = int16(dec.Cluster)
+		ev.SteerTag = dec.Tag
+		ev.PredCritical = predCrit
+		ev.LoCLevel = uint8(lvl)
+		ev.DispatchReason = reason
+		ev.DispatchBlocker = blocker
 
 		if m.mode == modeOracle {
 			m.clusters[dec.Cluster].entries = append(m.clusters[dec.Cluster].entries,
@@ -1002,25 +955,20 @@ func (m *Machine) fetch() {
 	m.redirectFrom = Unset
 	for w := 0; w < m.cfg.FetchWidth && m.nextFetch < n; w++ {
 		seq := m.nextFetch
-		var ev *Event
-		if m.mode == modeElided {
-			m.fr.fetchC[seq] = int32(m.cycle) // dispatch's one fetch-time read
+		ev := &m.events[seq]
+		ev.Fetch = m.cycle
+		// Set to true later, if at all; an uncleared log (modeNoReset)
+		// needs the false written.
+		ev.Mispredicted, ev.globalDone = false, false
+		if redirect != Unset {
+			ev.FetchReason = FetchRedirect
+			ev.FetchBlocker = redirect
 		} else {
-			ev = &m.events[seq]
-			ev.Fetch = m.cycle
-			// Set to true later, if at all; an uncleared log (modeNoReset)
-			// needs the false written.
-			ev.Mispredicted, ev.globalDone = false, false
-			if redirect != Unset {
-				ev.FetchReason = FetchRedirect
-				ev.FetchBlocker = redirect
+			ev.FetchReason = FetchBW
+			if seq >= int64(m.cfg.FetchWidth) {
+				ev.FetchBlocker = seq - int64(m.cfg.FetchWidth)
 			} else {
-				ev.FetchReason = FetchBW
-				if seq >= int64(m.cfg.FetchWidth) {
-					ev.FetchBlocker = seq - int64(m.cfg.FetchWidth)
-				} else {
-					ev.FetchBlocker = Unset
-				}
+				ev.FetchBlocker = Unset
 			}
 		}
 		m.nextFetch++
@@ -1039,9 +987,7 @@ func (m *Machine) fetch() {
 				correct = m.bp.Update(in.PC, in.Taken)
 			}
 			if !correct {
-				if ev != nil {
-					ev.Mispredicted = true
-				}
+				ev.Mispredicted = true
 				m.mispredicts++
 				m.blockingBranch = seq
 				m.fetchResume = fetchBlocked
@@ -1049,12 +995,4 @@ func (m *Machine) fetch() {
 			}
 		}
 	}
-}
-
-// fetchCycle returns the fetch cycle of an already-fetched instruction.
-func (m *Machine) fetchCycle(seq int64) int64 {
-	if m.mode == modeElided {
-		return int64(m.fr.fetchC[seq])
-	}
-	return m.events[seq].Fetch
 }

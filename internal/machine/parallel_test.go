@@ -13,29 +13,31 @@ import (
 )
 
 // This file gates the intra-job parallel replay layer: the variant
-// fan-out (SimulateVariantsOpts), the zero-materialization result path
-// (VariantsOptions.ResultOnly), the forwarding-latency grid fusion, and
-// the pipelined store streaming (SimulateStorePiped). Every parallel
-// path is differentially pinned byte-identical to its serial reference
-// under several worker counts — the PR 1 determinism contract extended
-// to intra-job parallelism.
+// fan-out (SimulateVariants' workers), a batch across forwarding
+// latencies, and the pipelined store streaming (SimulateStorePiped).
+// Every parallel path is differentially pinned byte-identical to its
+// serial reference under several worker counts — the determinism
+// contract extended to intra-job parallelism.
 
 // runBattery executes the full variant battery at the given fan-out and
 // returns results plus events per variant (events copied so machines
-// can be recycled).
-func runBattery(t *testing.T, tr *trace.Trace, specs []vspec, opt machine.VariantsOptions) ([]machine.Result, [][]machine.Event, machine.SharingStats) {
+// can be recycled). Every variant must come back with its full log.
+func runBattery(t *testing.T, tr *trace.Trace, specs []vspec, workers int) ([]machine.Result, [][]machine.Event, machine.SharingStats) {
 	t.Helper()
 	variants := make([]machine.Variant, len(specs))
 	for i, s := range specs {
 		variants[i] = s.build(tr)
 	}
-	outs, stats, err := machine.SimulateVariantsOpts(tr, variants, opt)
+	outs, stats, err := machine.SimulateVariants(tr, variants, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := make([]machine.Result, len(outs))
 	evs := make([][]machine.Event, len(outs))
 	for i, o := range outs {
+		if got := len(o.M.Events()); got != tr.Len() {
+			t.Fatalf("%s workers %d: %d events for %d instructions", specs[i].name, workers, got, tr.Len())
+		}
 		res[i] = o.Res
 		evs[i] = append([]machine.Event(nil), o.M.Events()...)
 		machine.Recycle(o.M)
@@ -59,9 +61,9 @@ func TestSimulateVariantsParallelMatchesSerial(t *testing.T) {
 // against the serial replay of the same batch.
 func checkParallelMatchesSerial(t *testing.T, tname string, tr *trace.Trace, specs []vspec) {
 	t.Helper()
-	wantRes, wantEv, wantStats := runBattery(t, tr, specs, machine.VariantsOptions{})
+	wantRes, wantEv, wantStats := runBattery(t, tr, specs, 1)
 	for _, workers := range []int{2, 3, runtime.NumCPU() + 1} {
-		gotRes, gotEv, gotStats := runBattery(t, tr, specs, machine.VariantsOptions{Workers: workers})
+		gotRes, gotEv, gotStats := runBattery(t, tr, specs, workers)
 		for i := range wantRes {
 			sameRun(t, fmt.Sprintf("%s/%s workers %d", tname, specs[i].name, workers),
 				gotRes[i], gotEv[i], wantRes[i], wantEv[i])
@@ -77,43 +79,6 @@ func checkParallelMatchesSerial(t *testing.T, tname string, tr *trace.Trace, spe
 	}
 }
 
-// TestSimulateVariantsResultOnly pins the zero-materialization path:
-// identical Results, empty event logs on every eligible variant, and an
-// EventsElided count that matches the eligible set exactly.
-func TestSimulateVariantsResultOnly(t *testing.T) {
-	for tname, tr := range testTraces(t) {
-		wantRes, wantEv, _ := runBattery(t, tr, variantSpecs(), machine.VariantsOptions{})
-		for _, workers := range []int{1, 3} {
-			gotRes, gotEv, stats := runBattery(t, tr, variantSpecs(),
-				machine.VariantsOptions{Workers: workers, ResultOnly: true})
-			elided := 0
-			for i := range wantRes {
-				label := fmt.Sprintf("%s variant %d workers %d", tname, i, workers)
-				if !resultsEqual(gotRes[i], wantRes[i]) {
-					t.Errorf("%s: result differs under ResultOnly:\n got: %+v\nwant: %+v",
-						label, gotRes[i], wantRes[i])
-				}
-				if len(gotEv[i]) == 0 {
-					elided++
-				} else {
-					// Ineligible variants must still materialize the
-					// full, byte-identical log.
-					sameRun(t, label, gotRes[i], gotEv[i], wantRes[i], wantEv[i])
-				}
-			}
-			if elided == 0 {
-				t.Fatalf("%s: no variant took the zero-materialization path", tname)
-			}
-			if want := int64(elided) * int64(tr.Len()); stats.EventsElided != want {
-				t.Errorf("%s: EventsElided = %d, want %d (%d variants × %d insts)",
-					tname, stats.EventsElided, want, elided, tr.Len())
-			}
-		}
-	}
-}
-
-func resultsEqual(a, b machine.Result) bool { return a == b }
-
 // TestSimulateVariantsParallelErrorWins pins the error contract under
 // fan-out: the lowest-index failing variant's error surfaces, no
 // results are returned, and sibling variants still complete (their
@@ -128,7 +93,7 @@ func TestSimulateVariantsParallelErrorWins(t *testing.T) {
 	// Two invalid variants: the lower index must win.
 	variants[4].Config.Clusters = -1
 	variants[2].Config.Clusters = -1
-	out, _, err := machine.SimulateVariantsOpts(tr, variants, machine.VariantsOptions{Workers: 3})
+	out, _, err := machine.SimulateVariants(tr, variants, 3)
 	if err == nil || !strings.Contains(err.Error(), "variant 2") {
 		t.Fatalf("err = %v, want the variant-2 failure", err)
 	}
@@ -137,37 +102,25 @@ func TestSimulateVariantsParallelErrorWins(t *testing.T) {
 	}
 }
 
-// TestFwdGridSharingBoundary pins the forwarding-latency fusion
-// boundary from both sides. Sharing side: variants differing only in
-// FwdLatency carry state-equal predictors, so the batch builds ONE
-// prediction memo group and still reproduces every scan-oracle run
-// exactly.
-// Boundary side: those same variants' dispatch streams diverge — a
-// longer forwarding latency keeps producers outstanding longer, which
-// changes steering decisions — so fusing whole steering/dispatch images
-// across the fwd axis (rather than just prediction memos) would be
-// unsound. Any such fusion would break the differential half above.
-func TestFwdGridSharingBoundary(t *testing.T) {
+// TestFwdLatencyDifferential batches variants that differ only in
+// FwdLatency, each with its own identically trained predictor. Every
+// run must equal its scan-oracle run, and the dispatch streams must
+// differ across latencies: a longer forwarding latency keeps producers
+// outstanding longer, which changes steering decisions, so no
+// steering or dispatch state can be shared along the fwd axis.
+func TestFwdLatencyDifferential(t *testing.T) {
 	tr, err := workload.Generate("gcc", 4000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fwds := []int{1, 2, 4, 8}
-	bin := trainedBinary(tr)
 	variants := make([]machine.Variant, len(fwds))
 	for i, fwd := range fwds {
 		cfg := machine.NewConfig(4)
 		cfg.FwdLatency = fwd
-		// Each variant gets its own predictor instance in the same
-		// state, as the Variant contract requires; StateEqual is what
-		// lets the batch share one memo.
-		pb := trainedBinary(tr)
-		if !bin.StateEqual(pb) {
-			t.Fatal("identically trained predictors report unequal state")
-		}
-		variants[i] = machine.Variant{Config: cfg, Pol: steer.Focused{}, Hooks: machine.Hooks{Binary: pb}}
+		variants[i] = machine.Variant{Config: cfg, Pol: steer.Focused{}, Hooks: machine.Hooks{Binary: trainedBinary(tr)}}
 	}
-	outs, stats, err := machine.SimulateVariants(tr, variants)
+	outs, _, err := machine.SimulateVariants(tr, variants, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,20 +129,13 @@ func TestFwdGridSharingBoundary(t *testing.T) {
 			machine.Recycle(o.M)
 		}
 	}()
-	if stats.GridGroups != 1 || stats.GridShared != len(fwds)-1 {
-		t.Errorf("grid fusion: groups=%d shared=%d, want 1 group serving %d variants",
-			stats.GridGroups, stats.GridShared, len(fwds))
-	}
-	// Differential half: every fused+memo-shared run equals the scan
-	// oracle, which consults the live predictor per dispatch.
 	for i := range variants {
 		oracle, oracleRes := runSolo(t, tr, variants[i], true)
 		sameRun(t, fmt.Sprintf("fwd=%d", fwds[i]),
 			outs[i].Res, outs[i].M.Events(), oracleRes, oracle.Events())
 	}
-	// Boundary half: the fwd axis must actually change dispatch. If this
-	// ever fails, the model lost FwdLatency's feedback into steering and
-	// the unsound "share dispatch images" fusion would masquerade as safe.
+	// If this ever fails, the model lost FwdLatency's feedback into
+	// steering and the fwd axis no longer tests anything.
 	base := outs[0].M.Events()
 	diverged := false
 	for i := 1; i < len(outs) && !diverged; i++ {
@@ -201,7 +147,7 @@ func TestFwdGridSharingBoundary(t *testing.T) {
 		}
 	}
 	if !diverged {
-		t.Error("dispatch streams identical across forwarding latencies; the grid-fusion boundary test has lost its teeth")
+		t.Error("dispatch streams identical across forwarding latencies; the fwd-axis differential has lost its teeth")
 	}
 }
 

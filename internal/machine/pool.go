@@ -21,8 +21,7 @@ func NewPooled(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks) (*Mach
 	return newPooled(cfg, tr, pol, hooks, nil)
 }
 
-// newPooled is NewPooled bound to a prepared replay (see bind); an
-// elided prep keeps the event log unallocated.
+// newPooled is NewPooled bound to a prepared replay (see bind).
 func newPooled(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks, prep *variantPrep) (*Machine, error) {
 	m := pool.Get().(*Machine)
 	if err := m.bind(cfg, tr, pol, hooks, prep); err != nil {

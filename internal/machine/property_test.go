@@ -119,7 +119,7 @@ func TestRandomTracesVariantsMatchSolo(t *testing.T) {
 			}
 			return vs
 		}
-		outs, _, err := machine.SimulateVariants(tr, mk())
+		outs, _, err := machine.SimulateVariants(tr, mk(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

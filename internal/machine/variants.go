@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"clustersim/internal/bpred"
-	"clustersim/internal/predictor"
 	"clustersim/internal/trace"
 )
 
@@ -35,14 +34,13 @@ import (
 //     trace's producer CSR, built once per batch into pooled buffers and
 //     shared read-only by every variant's replay.
 //
-//  3. Steering kernel (kernelState). Stateless policies advertise a
+//  3. Steering kernel (KernelSpec). Stateless policies advertise a
 //     KernelSpec; the machine then replicates their Steer decision
 //     procedure inline — no SteerView, no interface calls, no per-call
 //     map allocation — and skips their (no-op, per the Kernel contract)
-//     OnIssue/OnCommit notifications. When the variant's hooks carry no
-//     training callbacks the per-PC predictions are additionally
-//     memoized per sequence number. Stateful policies use the interface
-//     path, counted in SharingStats.
+//     OnIssue/OnCommit notifications. Predictions are looked up live, so
+//     training hooks may update the predictors mid-run. Stateful
+//     policies use the interface path, counted in SharingStats.
 //
 // Every replay runs on the packed engine (fusedissue.go). The full-scan
 // loop behind UseOracleIssue is the reference every replay is
@@ -71,33 +69,12 @@ type VariantResult struct {
 }
 
 // SharingStats counts, per SimulateVariants call, how many variants ran
-// on each shared/fused facility and how many fell back. The fallbacks
-// are correctness guards, not errors: a fallback variant still produces
-// byte-identical output, just without that facility's speedup.
+// on the inlined steering kernel and how the replay phase was spread.
 type SharingStats struct {
-	// BpredShared counts variants that replayed the shared front-end
-	// profile; BpredFallback counts variants that kept a live per-variant
-	// gshare because the profile failed the sharing guard.
-	BpredShared, BpredFallback int
 	// KernelUsed counts variants steered by the inlined kernel;
 	// KernelFallback counts variants whose policy does not advertise a
 	// kernel and used the SteerPolicy interface path.
 	KernelUsed, KernelFallback int
-	// MemoUsed counts kernel variants with static predictors whose
-	// per-instruction predictions were memoized; MemoFallback counts
-	// kernel variants that kept live predictor lookups because training
-	// hooks (OnEpoch/OnCommitInst) were attached.
-	MemoUsed, MemoFallback int
-	// GridGroups counts distinct prediction memos built for the batch
-	// (one per distinct predictor state); GridShared counts memo
-	// attachments served from an already-built group instead of a fresh
-	// O(n) prediction pass — the forwarding-latency grid fusion win,
-	// since fwd-axis variants share geometry, stack and predictor state.
-	GridGroups, GridShared int
-	// EventsElided counts per-instruction event-log writes skipped by
-	// zero-materialization replays (VariantsOptions.ResultOnly): one per
-	// instruction per elided variant.
-	EventsElided int64
 	// ReplayWorkers is the worker count the replay phase ran with;
 	// ReplayBusyNs sums wall time spent inside per-variant replays
 	// across those workers (busy / elapsed ≈ achieved parallelism).
@@ -105,56 +82,30 @@ type SharingStats struct {
 	ReplayBusyNs  int64
 }
 
-// VariantsOptions tunes how SimulateVariants replays a prepared batch.
-// The zero value reproduces the serial reference path exactly.
-type VariantsOptions struct {
-	// Workers bounds the replay fan-out: after the shared prepare
-	// (consumer CSR, branch profiles, steering kernels),
-	// per-variant replays are stolen off a shared cursor by this many
-	// workers, each owning its own pooled packed-engine state. Results
-	// are stitched in input order, so output is byte-identical to the
-	// serial path under any worker count. <=1 means serial.
-	Workers int
-	// ResultOnly declares that the caller consumes only each variant's
-	// Result (never Events): eligible variants skip event-log
-	// materialization entirely — no allocation, no clear, no writes
-	// pass. Eligibility is per-variant: a steering kernel, no training
-	// hooks, no Setup; ineligible variants still materialize, so the
-	// option is always safe. Elided machines return empty Events().
-	ResultOnly bool
-}
-
-// SimulateVariants runs every variant over tr sequentially, sharing the
-// producer index and its transpose and the front-end branch profile, and
-// returns the per-variant machines and results in variant order. It is
-// the serial reference for SimulateVariantsOpts.
-//
-// Output is byte-identical to running each variant on its own (New +
-// Run) and to the scan oracle: variants neither observe each other nor
-// share mutable state, so permuting the variant list permutes the
-// results and nothing else. A variant New would reject (see Config.
-// Validate and MaxInsts) fails the batch before anything runs. On error,
-// machines built so far are recycled and none are returned.
-func SimulateVariants(tr *trace.Trace, variants []Variant) ([]VariantResult, SharingStats, error) {
-	return SimulateVariantsOpts(tr, variants, VariantsOptions{})
-}
-
 // variantPrep is the serial prepare phase's output for one variant:
-// everything the replay needs that is shared, deterministic, or must be
-// computed in variant order (memo grouping).
+// everything the replay needs that is shared or deterministic.
 type variantPrep struct {
 	profile *frontProfile
-	kern    *kernelState
+	kern    *KernelSpec
 	mode    replayMode
 }
 
-// SimulateVariantsOpts is SimulateVariants with a bounded parallel
-// replay phase and the zero-materialization result path. The prepare
-// phase (CSRs, branch profiles, kernels, memo grouping) always runs
-// serially in variant order, so SharingStats and all shared state are
-// identical under any worker count; replays share nothing mutable, so
-// results are byte-identical to the serial path regardless of Workers.
-func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptions) ([]VariantResult, SharingStats, error) {
+// SimulateVariants runs every variant over tr, sharing the producer
+// index and its transpose and the front-end branch profile, and returns
+// the per-variant machines and results in variant order.
+//
+// workers bounds the replay fan-out: after the serial prepare phase
+// (consumer CSR, branch profiles, steering kernels), per-variant replays
+// are stolen off a shared cursor by this many workers, each owning its
+// own pooled packed working set; <=1 replays serially. Results are
+// stitched in input order, and variants neither observe each other nor
+// share mutable state, so output is byte-identical under any worker
+// count, to running each variant on its own (New + Run) and to the scan
+// oracle; permuting the variant list permutes the results and nothing
+// else. A variant New would reject (see Config.Validate and MaxInsts)
+// fails the batch before anything runs. On error, machines built so far
+// are recycled and none are returned.
+func SimulateVariants(tr *trace.Trace, variants []Variant, workers int) ([]VariantResult, SharingStats, error) {
 	var stats SharingStats
 	if tr == nil || tr.Len() == 0 {
 		return nil, stats, fmt.Errorf("machine: empty trace")
@@ -175,11 +126,10 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 		maxClusters = max(maxClusters, variants[i].Config.Clusters)
 	}
 
-	// Prepare phase: profiles per predictor geometry, kernels with
-	// cross-variant memo sharing, replay modes — all serial.
+	// Prepare phase: one profile per predictor geometry, kernels and
+	// replay modes — all serial.
 	profiles := map[uint]*frontProfile{}
 	preps := make([]variantPrep, len(variants))
-	var bank memoBank
 	for i := range variants {
 		v := &variants[i]
 		p := profiles[v.Config.GshareBits]
@@ -187,28 +137,18 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 			p = newFrontProfile(tr, v.Config.GshareBits)
 			profiles[v.Config.GshareBits] = p
 		}
-		// The profile sharing guard; profiles built here always pass it.
-		if p.fits(v.Config, tr) {
-			preps[i].profile = p
-			stats.BpredShared++
+		preps[i].profile = p
+		preps[i].kern = kernelOf(v.Pol)
+		if preps[i].kern != nil {
+			stats.KernelUsed++
 		} else {
-			stats.BpredFallback++
+			stats.KernelFallback++
 		}
-		preps[i].kern = buildKernel(v.Pol, v.Hooks, tr, &stats, &bank)
 		hookFree := v.Hooks.OnEpoch == nil && v.Hooks.OnCommitInst == nil && v.Setup == nil
-		preps[i].mode = replayModeFor(preps[i].kern != nil, hookFree, opt.ResultOnly)
-		if preps[i].mode == modeElided {
-			stats.EventsElided += int64(tr.Len())
-		}
+		preps[i].mode = replayModeFor(preps[i].kern != nil, hookFree)
 	}
 
-	workers := opt.Workers
-	if workers > len(variants) {
-		workers = len(variants)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = min(max(workers, 1), len(variants))
 	stats.ReplayWorkers = workers
 
 	out := make([]VariantResult, len(variants))
@@ -232,9 +172,9 @@ func SimulateVariantsOpts(tr *trace.Trace, variants []Variant, opt VariantsOptio
 	} else {
 		// Parallel fan-out: workers steal variant indices off a shared
 		// cursor; each owns its own pooled packed working set. All
-		// shared state (tr, g, profiles, kernel memos) is read-only
-		// during this phase; everything mutable is per-variant. The
-		// lowest-index error wins, matching engine.MapCtx.
+		// shared state (tr, g, profiles) is read-only during this phase;
+		// everything mutable is per-variant. The lowest-index error wins,
+		// matching engine.MapCtx.
 		var next atomic.Int64
 		errs := make([]error, len(variants))
 		var wg sync.WaitGroup
@@ -307,13 +247,11 @@ func runVariantSafe(tr *trace.Trace, g *traceGraph, v *Variant, prep *variantPre
 }
 
 // frontProfile is the shared front-end replay: one program-order gshare
-// pass over the trace, recording which branches mispredict. Valid for
-// any configuration with the same GshareBits (see the sharing-contract
-// comment at the top of this file); useFrontProfile is the guard.
+// pass over the trace, recording which branches mispredict. It serves
+// every configuration with the same GshareBits over the same trace (see
+// the sharing-contract comment at the top of this file).
 type frontProfile struct {
-	bits  uint
-	insts int
-	miss  []uint64 // bitset over seq: set iff that branch mispredicted
+	miss []uint64 // bitset over seq: set iff that branch mispredicted
 }
 
 // gsharePool recycles the predictors newFrontProfile trains: only their
@@ -324,8 +262,7 @@ var gsharePool sync.Pool
 // order — exactly the update sequence fetch performs — and records the
 // outcome per branch.
 func newFrontProfile(tr *trace.Trace, bits uint) *frontProfile {
-	n := tr.Len()
-	p := &frontProfile{bits: bits, insts: n, miss: make([]uint64, (n+63)/64)}
+	p := &frontProfile{miss: make([]uint64, (tr.Len()+63)/64)}
 	bp, ok := gsharePool.Get().(*bpred.Gshare)
 	if ok && bp.Bits() == bits {
 		bp.Reset()
@@ -347,25 +284,6 @@ func newFrontProfile(tr *trace.Trace, bits uint) *frontProfile {
 // mispredicted reports the recorded outcome for branch seq.
 func (p *frontProfile) mispredicted(seq int64) bool {
 	return p.miss[seq>>6]>>(uint64(seq)&63)&1 != 0
-}
-
-// useFrontProfile attaches p as m's branch-outcome source for the next
-// Run. It refuses — returning false, leaving the live per-variant
-// gshare in place — when p was recorded under a different predictor
-// geometry or trace than m's own, i.e. when sharing would violate the
-// front-end contract.
-func (m *Machine) useFrontProfile(p *frontProfile) bool {
-	if p == nil || !p.fits(m.cfg, m.tr) {
-		return false
-	}
-	m.profile = p
-	return true
-}
-
-// fits reports whether p was recorded under cfg's predictor geometry
-// over tr.
-func (p *frontProfile) fits(cfg Config, tr *trace.Trace) bool {
-	return p.bits == cfg.GshareBits && p.insts == tr.Len()
 }
 
 // traceGraph is a trace's dependence graph in the shape the packed
@@ -465,114 +383,18 @@ type SteerKernel interface {
 	Kernel() (spec KernelSpec, ok bool)
 }
 
-// kernelState is one variant's resolved steering kernel: the spec plus
-// (when the variant's predictors are static for the whole run) per-seq
-// memoized predictions serving both kernel scoring and dispatch-time
-// event sampling.
-type kernelState struct {
-	spec     KernelSpec
-	predCrit []bool  // nil: consult m.binary live
-	locLevel []uint8 // nil: consult m.loc live
-}
-
-// memoBank deduplicates kernel prediction memos across a variant batch:
-// the forwarding-latency grid fusion. A fwd-axis sweep varies only
-// FwdLatency, so its variants carry predictors in identical states; the
-// memo arrays (predCrit, locLevel) are pure functions of predictor
-// state and the trace PC column, so one array serves every such
-// variant. Sharing whole steering/dispatch images across the fwd axis
-// would NOT be sound — FwdLatency feeds RemoteAvail, which feeds the
-// outstanding-producer test inside steering itself (pinned by
-// TestFwdGridSharingBoundary) — so only the prediction memos fuse.
-// The guard is predictor state equality (predictor.Binary.StateEqual /
-// predictor.LoC.StateEqual); memos are only built for variants with no
-// training hooks, so states cannot diverge mid-batch.
-type memoBank struct {
-	bins []binMemo
-	locs []locMemo
-}
-
-type binMemo struct {
-	pred *predictor.Binary
-	arr  []bool
-}
-
-type locMemo struct {
-	pred *predictor.LoC
-	arr  []uint8
-}
-
-// predCritFor returns the criticality memo for b, reusing a state-equal
-// group's array when one exists.
-func (mb *memoBank) predCritFor(b *predictor.Binary, tr *trace.Trace, stats *SharingStats) []bool {
-	for i := range mb.bins {
-		if mb.bins[i].pred == b || mb.bins[i].pred.StateEqual(b) {
-			stats.GridShared++
-			return mb.bins[i].arr
-		}
-	}
-	arr := make([]bool, tr.Len())
-	for s := range tr.Insts {
-		arr[s] = b.Predict(tr.Insts[s].PC)
-	}
-	mb.bins = append(mb.bins, binMemo{pred: b, arr: arr})
-	stats.GridGroups++
-	return arr
-}
-
-// locLevelFor returns the LoC-level memo for l, reusing a state-equal
-// group's array when one exists.
-func (mb *memoBank) locLevelFor(l *predictor.LoC, tr *trace.Trace, stats *SharingStats) []uint8 {
-	for i := range mb.locs {
-		if mb.locs[i].pred == l || mb.locs[i].pred.StateEqual(l) {
-			stats.GridShared++
-			return mb.locs[i].arr
-		}
-	}
-	arr := make([]uint8, tr.Len())
-	for s := range tr.Insts {
-		arr[s] = uint8(l.Level(tr.Insts[s].PC))
-	}
-	mb.locs = append(mb.locs, locMemo{pred: l, arr: arr})
-	stats.GridGroups++
-	return arr
-}
-
-// kernelSpecOf returns pol's steering kernel spec, if it advertises one.
-func kernelSpecOf(pol SteerPolicy) (KernelSpec, bool) {
+// kernelOf returns pol's steering kernel spec, or nil when pol does not
+// advertise one.
+func kernelOf(pol SteerPolicy) *KernelSpec {
 	kp, ok := pol.(SteerKernel)
 	if !ok {
-		return KernelSpec{}, false
-	}
-	return kp.Kernel()
-}
-
-// buildKernel resolves pol's steering kernel, if any, updating stats.
-// Prediction memos are only safe when nothing trains the predictors
-// during the run: kernel policies never do (no-op notifications, per
-// the KernelSpec contract), so the remaining writers are the hooks'
-// training callbacks — any of those attached forces live lookups.
-// Memos are deduplicated through bank across the batch (grid fusion).
-func buildKernel(pol SteerPolicy, hooks Hooks, tr *trace.Trace, stats *SharingStats, bank *memoBank) *kernelState {
-	spec, ok := kernelSpecOf(pol)
-	if !ok {
-		stats.KernelFallback++
 		return nil
 	}
-	k := &kernelState{spec: spec}
-	stats.KernelUsed++
-	if hooks.OnEpoch != nil || hooks.OnCommitInst != nil {
-		stats.MemoFallback++
-		return k
+	spec, ok := kp.Kernel()
+	if !ok {
+		return nil
 	}
-	if hooks.Binary != nil {
-		k.predCrit = bank.predCritFor(hooks.Binary, tr, stats)
-	}
-	if hooks.LoC != nil {
-		k.locLevel = bank.locLevelFor(hooks.LoC, tr, stats)
-	}
-	stats.MemoUsed++
-	return k
+	return &spec
 }
 
 // kernOcc is the kernel's view of cluster c's occupancy — the

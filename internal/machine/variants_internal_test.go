@@ -7,7 +7,7 @@ import (
 	"clustersim/internal/trace"
 )
 
-// guardTrace builds a small branch-bearing trace for the guard tests.
+// guardTrace builds a small branch-bearing trace for the profile tests.
 func guardTrace(n int) *trace.Trace {
 	b := trace.NewBuilder(n)
 	for i := 0; i < n; i++ {
@@ -23,37 +23,6 @@ func guardTrace(n int) *trace.Trace {
 		b.Append(in)
 	}
 	return b.Trace()
-}
-
-// TestFrontProfileGuard exercises the sharing guard directly: a profile
-// recorded under a different gshare geometry or trace length must be
-// refused — the fallback SimulateVariants counts in
-// SharingStats.BpredFallback.
-func TestFrontProfileGuard(t *testing.T) {
-	tr := guardTrace(200)
-	cfg := NewConfig(2)
-	m, err := New(cfg, tr, ageTestPolicy{}, Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	good := newFrontProfile(tr, cfg.GshareBits)
-	if !m.useFrontProfile(good) || m.profile != good {
-		t.Fatal("matching profile refused")
-	}
-	m.profile = nil
-
-	wrongBits := newFrontProfile(tr, cfg.GshareBits+1)
-	if m.useFrontProfile(wrongBits) || m.profile != nil {
-		t.Fatal("profile with mismatched GshareBits accepted")
-	}
-	wrongTrace := newFrontProfile(guardTrace(100), cfg.GshareBits)
-	if m.useFrontProfile(wrongTrace) || m.profile != nil {
-		t.Fatal("profile for a different trace accepted")
-	}
-	if m.useFrontProfile(nil) || m.profile != nil {
-		t.Fatal("nil profile accepted")
-	}
 }
 
 // TestFrontProfileMatchesLiveGshare pins that the precomputed profile

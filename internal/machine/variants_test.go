@@ -20,9 +20,9 @@ import (
 // same configuration (New + Run, a one-variant batch), and to themselves
 // under (c) any variant ordering and (d) pooled-machine reuse after
 // Recycle. Every fused facility — shared front-end profile, steering
-// kernel, prediction memos, packed replay — is covered because the spec
-// list spans kernel and non-kernel policies, static and detector-trained
-// predictors, group steering, bypass limits and every scheduling mode.
+// kernel, packed replay — is covered because the spec list spans kernel
+// and non-kernel policies, static and detector-trained predictors, group
+// steering, bypass limits and every scheduling mode.
 
 // vspec builds one variant fresh per call, so each simulation path
 // (fused, solo, oracle, permuted, recycled) gets its own predictor and
@@ -98,7 +98,7 @@ func variantSpecs() []vspec {
 		}},
 		{"focused-8x-detector", func(tr *trace.Trace) machine.Variant {
 			// Online detector training the binary predictor mid-run: the
-			// kernel must consult the live predictor (memo fallback).
+			// kernel must see every update as it lands.
 			cfg := machine.NewConfig(8)
 			cfg.SchedMode = machine.SchedBinaryCritical
 			hooks := machine.Hooks{Binary: predictor.NewDefaultBinary(), EpochLen: 256}
@@ -189,14 +189,14 @@ func checkMatchesSoloAndOracle(t *testing.T, tname string, tr *trace.Trace, spec
 	for i, s := range specs {
 		variants[i] = s.build(tr)
 	}
-	outs, stats, err := machine.SimulateVariants(tr, variants)
+	outs, stats, err := machine.SimulateVariants(tr, variants, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(outs) != len(specs) {
 		t.Fatalf("%d results for %d variants", len(outs), len(specs))
 	}
-	if stats.KernelUsed == 0 || stats.BpredShared != len(specs) {
+	if stats.KernelUsed == 0 {
 		t.Fatalf("unexpected sharing stats: %+v", stats)
 	}
 	for i, s := range specs {
@@ -236,7 +236,7 @@ func TestSimulateVariantsOrderInvariance(t *testing.T) {
 		for j, si := range perm {
 			variants[j] = specs[si].build(tr)
 		}
-		outs, _, err := machine.SimulateVariants(tr, variants)
+		outs, _, err := machine.SimulateVariants(tr, variants, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestSimulateVariantsAfterRecycle(t *testing.T) {
 		for i, s := range specs {
 			variants[i] = s.build(tr)
 		}
-		outs, _, err := machine.SimulateVariants(tr, variants)
+		outs, _, err := machine.SimulateVariants(tr, variants, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,31 +296,21 @@ func TestSimulateVariantsSharingStats(t *testing.T) {
 	for i, s := range specs {
 		variants[i] = s.build(tr)
 	}
-	outs, stats, err := machine.SimulateVariants(tr, variants)
+	outs, stats, err := machine.SimulateVariants(tr, variants, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range outs {
 		machine.Recycle(o.M)
 	}
-	// The spec list has exactly one non-kernel policy (proactive) and
-	// one kernel variant with training hooks (the detector variant).
-	// Grid fusion: the two trainedLoC variants carry state-equal
-	// predictors (same seed, same training pass) and share one locLevel
-	// memo; the trainedBinary variant and the focused-8x live binary
-	// build their own groups.
+	// The spec list has exactly one non-kernel policy (proactive).
 	if stats.ReplayBusyNs <= 0 {
 		t.Errorf("ReplayBusyNs = %d, want > 0", stats.ReplayBusyNs)
 	}
 	stats.ReplayBusyNs = 0 // wall time: nondeterministic by nature
 	want := machine.SharingStats{
-		BpredShared:    len(specs),
 		KernelUsed:     len(specs) - 1,
 		KernelFallback: 1,
-		MemoUsed:       len(specs) - 2,
-		MemoFallback:   1,
-		GridGroups:     3,
-		GridShared:     1,
 		ReplayWorkers:  1,
 	}
 	if stats != want {

@@ -17,7 +17,6 @@
 package predictor
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -88,21 +87,6 @@ func (b *Binary) Reset() {
 	}
 }
 
-// StateEqual reports whether b and o would return identical predictions
-// for every PC: same geometry, same counter table. It is the sharing
-// guard for the fused forwarding-latency grids (machine.SimulateVariants
-// memoizes per-PC predictions once per distinct predictor state and
-// shares the memo across variants whose predictors pass this test).
-func (b *Binary) StateEqual(o *Binary) bool {
-	if b == o {
-		return true
-	}
-	if b == nil || o == nil || b.mask != o.mask {
-		return false
-	}
-	return bytes.Equal(b.counters, o.counters)
-}
-
 // LoCLevels is the number of likelihood-of-criticality strata. Section 7:
 // "stratifying LoC into 16 levels produces results almost equivalent to a
 // counter with unlimited precision".
@@ -165,20 +149,6 @@ func (l *LoC) Reset() {
 	for i := range l.counters {
 		l.counters[i] = 0
 	}
-}
-
-// StateEqual reports whether l and o would return identical Level and
-// Frac readings for every PC: same geometry, same counter table. The
-// rng is deliberately not compared — it only influences future Train
-// calls, and the memo-sharing paths guarded by this test never train.
-func (l *LoC) StateEqual(o *LoC) bool {
-	if l == o {
-		return true
-	}
-	if l == nil || o == nil || l.mask != o.mask {
-		return false
-	}
-	return bytes.Equal(l.counters, o.counters)
 }
 
 // Exact tracks per-static-instruction criticality frequency with unlimited

@@ -939,9 +939,6 @@ type Stats struct {
 	// Parallel replay layer (see DESIGN.md "Parallel replay").
 	ReplayWorkers int   `json:"replay_workers"`
 	ReplayBusyNs  int64 `json:"replay_busy_ns"`
-	EventsElided  int64 `json:"events_elided"`
-	GridGroups    int64 `json:"grid_groups"`
-	GridShared    int64 `json:"grid_shared"`
 }
 
 // StatsSnapshot returns the current Stats (also served at /v1/stats).
@@ -981,9 +978,6 @@ func (s *Server) StatsSnapshot() Stats {
 
 		ReplayWorkers: es.ReplayWorkers,
 		ReplayBusyNs:  es.ReplayBusyNs,
-		EventsElided:  es.EventsElided,
-		GridGroups:    es.GridGroups,
-		GridShared:    es.GridShared,
 	}
 }
 
