@@ -44,7 +44,7 @@ func main() {
 	fwd := flag.Int("fwd", 2, "inter-cluster forwarding latency in cycles (> 0)")
 	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark subset")
 	report := flag.String("report", "", "write the named experiments (default: all) as one markdown report to this file")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker-pool size")
+	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker-pool size (> 0)")
 	replayWorkers := flag.Int("replay-workers", 0, "intra-job variant fan-out width (0: a per-job share of GOMAXPROCS); results are byte-identical under any value")
 	cacheDir := flag.String("cache-dir", "", "on-disk cache directory for results, analyses and schedules (traces are regenerated); rerunning with it resumes an interrupted run (empty: memory only)")
 	cacheMem := flag.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, cacheMemUsage)
@@ -163,8 +163,11 @@ const cacheMemUsage = "in-memory cache budget in MiB (<0: unlimited; 0 is reject
 
 // flagRules name the flag values a lower layer would read as "unset"
 // and silently replace with its default: engine.Config reads a zero
-// cache budget as the 1 GiB default, and experiments.Options.WithDefaults
-// reads -n <= 0, -fwd <= 0 and -seed 0 as unset.
+// cache budget as the 1 GiB default and -j <= 0 as GOMAXPROCS,
+// experiments.Options.WithDefaults reads -n <= 0, -fwd <= 0 and -seed 0
+// as unset, and server.Config reads -queue <= 0 as 256 and -max-insts
+// <= 0 as 2,000,000. (serve's -runners 0 means GOMAXPROCS by design, and
+// says so.)
 var flagRules = []struct {
 	name string
 	bad  func(v any) bool
@@ -174,6 +177,9 @@ var flagRules = []struct {
 	{"fwd", func(v any) bool { return v.(int) <= 0 }, "is not a latency: give cycles > 0"},
 	{"seed", func(v any) bool { return v.(uint64) == 0 }, "would run as seed 1: give a seed > 0"},
 	{"cache-mem", func(v any) bool { return v.(int64) == 0 }, "is not a budget: give MiB, or <0 for unlimited"},
+	{"j", func(v any) bool { return v.(int) <= 0 }, "is not a pool size: give workers > 0"},
+	{"queue", func(v any) bool { return v.(int) <= 0 }, "is not a queue bound: give jobs > 0"},
+	{"max-insts", func(v any) bool { return v.(int) <= 0 }, "is not an instruction cap: give one > 0"},
 }
 
 // checkFlags rejects the flagRules values among the flags fs defines,

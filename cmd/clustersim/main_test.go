@@ -72,16 +72,24 @@ func TestCacheMemZeroRejected(t *testing.T) {
 	wantRejected(t, "-cache-mem 0", "serve", "-addr", "127.0.0.1:0", "-cache-mem", "0")
 }
 
-// TestDefaultedFlagValuesRejected runs the experiment command with the
-// -n, -fwd and -seed values experiments.Options.WithDefaults reads as
-// unset: each would otherwise run silently at the default, so each must
-// exit 2 before any work, naming the flag and value.
+// TestDefaultedFlagValuesRejected runs both commands with the flag
+// values a lower layer reads as unset: -n, -fwd and -seed that
+// experiments.Options.WithDefaults defaults, -j that engine.New reads as
+// GOMAXPROCS, and serve's -queue and -max-insts that server.New
+// defaults. Each would otherwise run silently at the default, so each
+// must exit 2 before any work, naming the flag and value.
 func TestDefaultedFlagValuesRejected(t *testing.T) {
 	for _, flagArgs := range [][]string{
 		{"-n", "0"}, {"-n", "-5"}, {"-fwd", "0"}, {"-fwd", "-3"}, {"-seed", "0"},
+		{"-j", "0"}, {"-j", "-2"},
 	} {
 		args := append([]string{"clustersim", "-n", "3000", "-benchmarks", "gzip"}, flagArgs...)
 		wantRejected(t, strings.Join(flagArgs, " "), append(args, "fig2")...)
+	}
+	for _, flagArgs := range [][]string{
+		{"-j", "0"}, {"-queue", "0"}, {"-queue", "-1"}, {"-max-insts", "0"}, {"-max-insts", "-9"},
+	} {
+		wantRejected(t, strings.Join(flagArgs, " "), append([]string{"serve", "-addr", "127.0.0.1:0"}, flagArgs...)...)
 	}
 }
 

@@ -27,14 +27,14 @@ import (
 func serveMain(args []string) int {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address")
-	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "engine worker-pool size")
+	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "engine worker-pool size (> 0)")
 	replayWorkers := fs.Int("replay-workers", 0, "default intra-job variant fan-out width (0: a per-job share of GOMAXPROCS); the server clamps per-job requests queue-aware")
 	cacheDir := fs.String("cache-dir", "", "on-disk cache directory for results, analyses and schedules (traces are regenerated; empty: memory only)")
 	cacheMem := fs.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, cacheMemUsage)
 	tenantsFlag := fs.String("tenants", "", `tenant fair-share weights as "name:weight,name:weight" (empty: single "default" tenant)`)
-	queueMax := fs.Int("queue", 256, "max queued jobs before submissions get 429")
+	queueMax := fs.Int("queue", 256, "max queued jobs before submissions get 429 (> 0)")
 	runners := fs.Int("runners", 0, "concurrent job executors (0: GOMAXPROCS)")
-	maxInsts := fs.Int("max-insts", 2_000_000, "per-benchmark instruction cap on submitted specs")
+	maxInsts := fs.Int("max-insts", 2_000_000, "per-benchmark instruction cap on submitted specs (> 0)")
 	jobLog := fs.String("job-log", "", "durable job log path: accepted jobs are fsynced there before the 202 and replayed on restart (empty: in-memory only)")
 	jobDeadline := fs.Duration("job-deadline", 0, "default stuck-job watchdog deadline per job (0: none)")
 	maxJobDeadline := fs.Duration("max-job-deadline", 0, "clamp on spec-requested deadline_secs (0: no clamp)")

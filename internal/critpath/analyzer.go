@@ -98,28 +98,6 @@ func (az *Analyzer) ReplayScenarios(m *machine.Machine, zeros []ZeroSet) ([]int6
 	return out, nil
 }
 
-// AnalyzeInteraction computes the forwarding/contention interaction cost
-// with one fused pass over the event log (the 4-element zero-set lattice
-// {∅, fwd, cont, fwd+cont} as one ReplayScenarios batch).
-func (az *Analyzer) AnalyzeInteraction(m *machine.Machine) (InteractionCosts, error) {
-	lattice := [4]ZeroSet{
-		{},
-		{Fwd: true},
-		{Contention: true},
-		{Fwd: true, Contention: true},
-	}
-	var ic InteractionCosts
-	if err := az.replay(m, lattice[:]); err != nil {
-		return ic, err
-	}
-	ic.Base = az.runtimes[0]
-	ic.CostFwd = ic.Base - az.runtimes[1]
-	ic.CostCont = ic.Base - az.runtimes[2]
-	ic.CostBoth = ic.Base - az.runtimes[3]
-	ic.ICost = ic.CostBoth - ic.CostFwd - ic.CostCont
-	return ic, nil
-}
-
 // InteractionMatrix computes the full 2^4 zero-set lattice over {Fwd,
 // Contention, MemLatency, BrMispredict} in one fused pass and derives
 // every pairwise interaction cost.

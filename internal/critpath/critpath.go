@@ -13,8 +13,8 @@
 //
 // Analysis entry points come in two flavors: the package-level Analyze
 // and AnalyzeRun allocate fresh result storage and are safe to retain,
-// while the pooled Analyzer (its Analyze, ReplayScenarios,
-// AnalyzeInteraction and InteractionMatrix) reuses its scratch across
+// while the pooled Analyzer (its Analyze, ReplayScenarios and
+// InteractionMatrix) reuses its scratch across
 // calls for allocation-free analysis in hot loops (the online detector,
 // the experiment engine).
 package critpath

@@ -65,10 +65,11 @@ func TestZeroingFwdMatchesZeroLatencyMachineDirection(t *testing.T) {
 	m.Run()
 	az := critpath.NewAnalyzer()
 	defer az.Recycle()
-	ic, err := az.AnalyzeInteraction(m)
+	im, err := az.InteractionMatrix(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ic := im.Interaction()
 	if ic.CostFwd <= 0 {
 		t.Errorf("forwarding cost %d, want positive", ic.CostFwd)
 	}
@@ -81,10 +82,11 @@ func TestZeroingFwdMatchesZeroLatencyMachineDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.Run()
-	ic1, err := az.AnalyzeInteraction(m1)
+	im1, err := az.InteractionMatrix(m1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ic1 := im1.Interaction()
 	if ic1.CostFwd != 0 {
 		t.Errorf("monolithic forwarding cost %d, want 0", ic1.CostFwd)
 	}

@@ -70,45 +70,20 @@ func (k AnalysisKey) String() string {
 // fail fast without simulating or analyzing, while other submissions of
 // the same engine are untouched; a nil ctx is never cancelled.
 func (e *Engine) AnalysisCtx(ctx context.Context, key AnalysisKey, run Run) (CritSummary, error) {
-	canon := key.String()
-	cached := func(ent *entry) (any, bool) { return ent.crit, ent.crit != nil }
-	v, err := e.doOnce(ctx, canon, e.cAnaHit, cached, func() (any, error) {
-		if e.diskAvailable() {
-			if cs, ok := e.disk.loadAnalysis(key); ok {
-				e.cAnaDiskHit.Inc()
-				e.mu.Lock()
-				e.mem.putAnalysis(canon, cs)
-				e.mu.Unlock()
-				return cs, nil
-			}
-		}
-		if err := checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		e.cAnaMiss.Inc()
-		var cs *CritSummary
-		_, err := e.simulate(ctx, key.Sim, run, func(m *machine.Machine) (err error) {
+	cs, err := e.analyses.one(ctx, key, func() (cs *CritSummary, err error) {
+		_, err = e.simulate(key.Sim, run, func(m *machine.Machine) (err error) {
 			start := time.Now()
 			if cs, err = computeCritSummary(m, key.Full); err == nil {
 				e.tAna.Observe(time.Since(start))
 			}
 			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.mem.putAnalysis(canon, cs)
-		e.mu.Unlock()
-		if e.diskAvailable() {
-			e.disk.storeAnalysis(key, cs)
-		}
-		return cs, nil
+		return cs, err
 	})
 	if err != nil {
 		return CritSummary{}, err
 	}
-	return *v.(*CritSummary), nil
+	return *cs, nil
 }
 
 // computeCritSummary analyzes a finished machine with one pooled

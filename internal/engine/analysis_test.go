@@ -97,8 +97,8 @@ func TestAnalysisConcurrentDedup(t *testing.T) {
 
 // TestAnalysisLeadsItsSimFlight: while an analysis job simulates, it
 // holds its key's sim flight, so a SimCtx of the key submitted meanwhile
-// joins that run (doOnce) instead of simulating again; the flight ends
-// with the simulation.
+// joins that run instead of simulating again; the flight ends with the
+// simulation.
 func TestAnalysisLeadsItsSimFlight(t *testing.T) {
 	e := New(Config{Workers: 2})
 	canon := testSimKey(1).String()

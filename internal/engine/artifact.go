@@ -4,6 +4,7 @@ import (
 	"clustersim/internal/listsched"
 	"clustersim/internal/machine"
 	"clustersim/internal/predictor"
+	"clustersim/internal/trace"
 )
 
 // Artifact is the cached value of one simulation: the run's Result and,
@@ -49,7 +50,7 @@ const (
 )
 
 // artifactCost estimates the resident size of a cached artifact.
-func artifactCost(a *Artifact) int64 {
+func artifactCost(a Artifact) int64 {
 	if a.Exact != nil {
 		return baseCost + exactCost
 	}
@@ -65,4 +66,4 @@ func harvestCost(h *Harvest) int64 {
 	return cost
 }
 
-func traceCost(insts int) int64 { return baseCost + int64(insts)*bytesPerInst }
+func traceCost(tr *trace.Trace) int64 { return baseCost + int64(tr.Len())*bytesPerInst }

@@ -18,19 +18,14 @@ import (
 	"clustersim/internal/machine"
 	"clustersim/internal/metrics"
 	"clustersim/internal/predictor"
-	"clustersim/internal/trace"
 )
 
-// entry is one memory-cache slot.
+// entry is one memory-cache slot; val's type is its key's kind's.
 type entry struct {
-	key     string
-	tr      *trace.Trace
-	art     *Artifact
-	crit    *CritSummary
-	sched   *SchedSummary
-	harvest *Harvest
-	cost    int64
-	elem    *list.Element
+	key  string
+	val  any
+	cost int64
+	elem *list.Element
 }
 
 // memCache is a byte-budgeted LRU over traces and the values derived
@@ -59,29 +54,6 @@ func (c *memCache) get(key string) *entry {
 	}
 	c.ll.MoveToFront(e.elem)
 	return e
-}
-
-func (c *memCache) putTrace(key string, tr *trace.Trace, insts int) {
-	c.put(&entry{key: key, tr: tr, cost: traceCost(insts)})
-}
-
-func (c *memCache) putSim(key string, a *Artifact) {
-	c.put(&entry{key: key, art: a, cost: artifactCost(a)})
-}
-
-// putAnalysis caches a derived critical-path summary.
-func (c *memCache) putAnalysis(key string, cs *CritSummary) {
-	c.put(&entry{key: key, crit: cs, cost: baseCost})
-}
-
-// putSched caches a derived schedule summary.
-func (c *memCache) putSched(key string, ss *SchedSummary) {
-	c.put(&entry{key: key, sched: ss, cost: baseCost})
-}
-
-// putHarvest caches a schedule harvest, charged per instruction.
-func (c *memCache) putHarvest(key string, h *Harvest) {
-	c.put(&entry{key: key, harvest: h, cost: harvestCost(h)})
 }
 
 func (c *memCache) put(e *entry) {
@@ -248,9 +220,6 @@ func (d *diskCache) quarantineSpan(off int64, data []byte) {
 // tear it, and the next scan's integrity check is the only thing that
 // catches that.
 func (d *diskCache) retry(write func() error) {
-	if !d.available() {
-		return
-	}
 	var err error
 	for attempt := 0; attempt < writeAttempts; attempt++ {
 		if attempt > 0 {
@@ -276,8 +245,12 @@ func decodeFrame(data []byte, maxLen int) ([]byte, error) {
 
 func (d *diskCache) segmentPath() string { return filepath.Join(d.dir, segmentName) }
 
-// storeSummary appends one envelope to the segment as a CSF1 frame.
+// storeSummary appends one envelope to the segment as a CSF1 frame
+// while the layer is available.
 func (d *diskCache) storeSummary(envelope any) {
+	if !d.available() {
+		return
+	}
 	payload, err := json.Marshal(envelope)
 	if err != nil {
 		d.fail(Fatal(err))
@@ -491,12 +464,10 @@ type schedEnvelope struct {
 	Summary SchedSummary
 }
 
-func (d *diskCache) loadSched(canon string) (*SchedSummary, bool) {
+func (d *diskCache) loadSched(canon string) (SchedSummary, bool) {
 	var env schedEnvelope
-	if !d.loadSummary(canon, &env, func() bool { return env.Key == canon }) {
-		return nil, false
-	}
-	return &env.Summary, true
+	ok := d.loadSummary(canon, &env, func() bool { return env.Key == canon })
+	return env.Summary, ok
 }
 
 func (d *diskCache) storeSched(canon string, ss *SchedSummary) {
@@ -526,8 +497,12 @@ func (d *diskCache) loadResult(key SimKey) (machine.Result, *predictor.Exact, bo
 	return env.Result, exact, true
 }
 
-// storeResult persists res, plus exact's counts when exact is non-nil.
+// storeResult persists res, plus exact's counts when exact is non-nil,
+// while the layer is available.
 func (d *diskCache) storeResult(key SimKey, res machine.Result, exact *predictor.Exact) {
+	if !d.available() {
+		return
+	}
 	env := resultEnvelope{Key: key.String(), Result: res}
 	if exact != nil {
 		counts := exact.Counts()

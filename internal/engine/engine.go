@@ -12,18 +12,21 @@
 // is indistinguishable from a fresh computation. The determinism test
 // suite in internal/experiments pins this property.
 //
-// Three layers serve a lookup, in order:
+// Every submission, of one key (TraceCtx, SimCtx, AnalysisCtx,
+// HarvestCtx) or of a batch (SimVariantsCtx, SchedulesCtx), takes one
+// lookup path, in order:
 //
 //  1. an in-memory LRU of values (byte-budgeted; the least recently
 //     used entries are dropped under pressure and recomputed, or reloaded
 //     from disk, on their next request),
-//  2. an optional on-disk cache that survives across processes: results,
+//  2. a flight table: a key another submission is computing is shared
+//     from it, never computed twice at once,
+//  3. an optional on-disk cache that survives across processes: results,
 //     analyses and schedules as CRC-framed JSON records appended to one
 //     segment file (traces are regenerated, never written); corrupt
 //     entries are quarantined and recomputed, and repeated I/O failures
 //     degrade the layer to memory-only,
-//  3. a singleflight table so concurrent submissions of one key run the
-//     simulation exactly once.
+//  4. one compute call for the batch's remaining keys.
 //
 // For failure semantics — the Transient/Corrupt/Fatal error taxonomy,
 // fault injection, resuming from the disk cache, and cancellation — see
@@ -99,33 +102,27 @@ type Engine struct {
 
 	mu       sync.Mutex
 	mem      *memCache
-	inflight map[string]*call
+	inflight map[string]*flight
 
-	// beforeLookup, when set (tests only), runs before every cache lookup
-	// that can start a computation: doOnce's, and the recheck of
-	// SimVariantsCtx' and SchedulesCtx' misses. The singleflight tests
+	// beforeLookup, when set (tests only), runs before every lookup
+	// attempt, with the first key it looks up. The singleflight tests
 	// finish a leader inside it.
 	beforeLookup func(key string)
 
 	disk    *diskCache
 	diskErr error
 
-	cTraceHit, cTraceMiss                *metrics.Counter
-	cSimHit, cSimDiskHit, cSimMiss       *metrics.Counter
-	cAnaHit, cAnaDiskHit, cAnaMiss       *metrics.Counter
-	cSchedHit, cSchedDiskHit, cSchedMiss *metrics.Counter
-	cDiskErr                             *metrics.Counter
-	cInsts                               *metrics.Counter
-	cDeadlineMiss                        *metrics.Counter
-	cReplayBusy                          *metrics.Counter
-	tSim, tTrace, tAna, tSched           *metrics.Timer
-}
+	traces   kind[TraceKey, *trace.Trace]
+	sims     kind[SimKey, Artifact]
+	analyses kind[AnalysisKey, *CritSummary]
+	harvests kind[harvestKey, *Harvest]
+	scheds   kind[SchedKey, SchedSummary]
 
-// call is one in-flight singleflight execution.
-type call struct {
-	done chan struct{}
-	val  any
-	err  error
+	cDiskErr      *metrics.Counter
+	cInsts        *metrics.Counter
+	cDeadlineMiss *metrics.Counter
+	cReplayBusy   *metrics.Counter
+	tAna          *metrics.Timer
 }
 
 // New builds an engine from cfg. A bad cache directory disables the disk
@@ -157,27 +154,12 @@ func New(cfg Config) *Engine {
 		met:           met,
 		jobDeadline:   cfg.JobDeadline,
 		mem:           newMemCache(maxBytes),
-		inflight:      map[string]*call{},
-
-		cTraceHit:     met.Counter("engine.trace.hit"),
-		cTraceMiss:    met.Counter("engine.trace.miss"),
-		cSimHit:       met.Counter("engine.sim.hit"),
-		cSimDiskHit:   met.Counter("engine.sim.disk_hit"),
-		cSimMiss:      met.Counter("engine.sim.miss"),
-		cAnaHit:       met.Counter("engine.analysis.hit"),
-		cAnaDiskHit:   met.Counter("engine.analysis.disk_hit"),
-		cAnaMiss:      met.Counter("engine.analysis.miss"),
-		cSchedHit:     met.Counter("engine.sched.hit"),
-		cSchedDiskHit: met.Counter("engine.sched.disk_hit"),
-		cSchedMiss:    met.Counter("engine.sched.miss"),
+		inflight:      map[string]*flight{},
 		cDiskErr:      met.Counter("engine.disk.error"),
 		cInsts:        met.Counter("engine.sim.insts"),
 		cDeadlineMiss: met.Counter("engine.job.deadline_miss"),
 		cReplayBusy:   met.Counter("engine.replay.busy_ns"),
-		tSim:          met.Timer("engine.sim.run"),
-		tTrace:        met.Timer("engine.trace.gen"),
 		tAna:          met.Timer("engine.analysis.run"),
-		tSched:        met.Timer("engine.sched.run"),
 	}
 	met.Func("engine.faults.injected", func() int64 { return faultinject.Snapshot().Total() })
 	if cfg.CacheDir != "" {
@@ -191,6 +173,45 @@ func New(cfg Config) *Engine {
 			}
 			return 0
 		})
+	}
+	d := e.disk
+	e.traces = kind[TraceKey, *trace.Trace]{e: e,
+		hit: met.Counter("engine.trace.hit"), miss: met.Counter("engine.trace.miss"),
+		timer: met.Timer("engine.trace.gen"),
+		cost:  traceCost,
+	}
+	e.sims = kind[SimKey, Artifact]{e: e,
+		hit: met.Counter("engine.sim.hit"), diskHit: met.Counter("engine.sim.disk_hit"),
+		miss: met.Counter("engine.sim.miss"), timer: met.Timer("engine.sim.run"),
+		load: func(k SimKey) (Artifact, bool) {
+			res, exact, ok := d.loadResult(k)
+			a := Artifact{Res: res, Exact: exact}
+			return a, ok && a.complete(k)
+		},
+		store: e.storeSim, cost: artifactCost,
+	}
+	e.analyses = kind[AnalysisKey, *CritSummary]{e: e,
+		hit: met.Counter("engine.analysis.hit"), diskHit: met.Counter("engine.analysis.disk_hit"),
+		miss: met.Counter("engine.analysis.miss"),
+		load: d.loadAnalysis,
+		store: func(k AnalysisKey, cs *CritSummary) error {
+			d.storeAnalysis(k, cs)
+			return nil
+		},
+		cost: func(*CritSummary) int64 { return baseCost },
+	}
+	// A harvest hit serves the run without simulating, so it counts as a
+	// sim hit; its miss is the simulation's own.
+	e.harvests = kind[harvestKey, *Harvest]{e: e, hit: e.sims.hit, cost: harvestCost}
+	e.scheds = kind[SchedKey, SchedSummary]{e: e,
+		hit: met.Counter("engine.sched.hit"), diskHit: met.Counter("engine.sched.disk_hit"),
+		miss: met.Counter("engine.sched.miss"), timer: met.Timer("engine.sched.run"),
+		load: func(k SchedKey) (SchedSummary, bool) { return d.loadSched(k.String()) },
+		store: func(k SchedKey, ss SchedSummary) error {
+			d.storeSched(k.String(), &ss)
+			return nil
+		},
+		cost: func(SchedSummary) int64 { return baseCost },
 	}
 	return e
 }
@@ -243,10 +264,6 @@ func isCancellation(err error) bool {
 // its own (foreign) context.
 const maxForeignCancelRetries = 16
 
-// diskAvailable reports whether the disk layer exists and has not
-// degraded to memory-only.
-func (e *Engine) diskAvailable() bool { return e.disk.available() }
-
 // Trace is TraceCtx with no cancellation.
 func (e *Engine) Trace(key TraceKey, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
 	return e.TraceCtx(nil, key, gen)
@@ -260,28 +277,7 @@ func (e *Engine) Trace(key TraceKey, gen func() (*trace.Trace, error)) (*trace.T
 // fast without generating, while other submissions of the same engine
 // are untouched; a nil ctx is never cancelled.
 func (e *Engine) TraceCtx(ctx context.Context, key TraceKey, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
-	canon := key.String()
-	cached := func(ent *entry) (any, bool) { return ent.tr, ent.tr != nil }
-	v, err := e.doOnce(ctx, canon, e.cTraceHit, cached, func() (any, error) {
-		if err := checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		e.cTraceMiss.Inc()
-		start := time.Now()
-		tr, err := gen()
-		if err != nil {
-			return nil, err
-		}
-		e.tTrace.Observe(time.Since(start))
-		e.mu.Lock()
-		e.mem.putTrace(canon, tr, tr.Len())
-		e.mu.Unlock()
-		return tr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*trace.Trace), nil
+	return e.traces.one(ctx, key, gen)
 }
 
 // SimCtx returns the artifact for key, simulating with run on a cache
@@ -292,172 +288,80 @@ func (e *Engine) TraceCtx(ctx context.Context, key TraceKey, gen func() (*trace.
 // tenants' jobs on a shared server engine) are untouched; a nil ctx is
 // never cancelled.
 func (e *Engine) SimCtx(ctx context.Context, key SimKey, run Run) (Artifact, error) {
-	canon := key.String()
-	cached := func(ent *entry) (any, bool) {
-		if !ent.art.complete(key) {
-			return nil, false
-		}
-		return *ent.art, true
-	}
-	v, err := e.doOnce(ctx, canon, e.cSimHit, cached, func() (any, error) {
-		if a, ok := e.diskSim(key, canon); ok {
-			return a, nil
-		}
-		return e.simulate(ctx, key, run, nil)
+	return e.sims.one(ctx, key, func() (Artifact, error) {
+		m, a, err := run()
+		machine.Recycle(m)
+		return a, err
 	})
-	if err != nil {
-		return Artifact{}, err
-	}
-	return v.(Artifact), nil
 }
 
-// diskSim serves key from the disk result cache; a TrackExact key's
-// entry serves only if it persisted the exact tracker. A hit is cached
-// in memory.
-func (e *Engine) diskSim(key SimKey, canon string) (Artifact, bool) {
-	if !e.diskAvailable() {
-		return Artifact{}, false
-	}
-	res, exact, ok := e.disk.loadResult(key)
-	a := Artifact{Res: res, Exact: exact}
-	if !ok || !a.complete(key) {
-		return Artifact{}, false
-	}
-	e.mu.Lock()
-	e.mem.putSim(canon, &a)
-	e.mu.Unlock()
-	e.cSimDiskHit.Inc()
-	return a, true
-}
-
-// simulate is the one job that runs a machine for key. It counts and
-// times a sim miss, runs run, lets derive (when non-nil) read the live
-// machine, caches the artifact under key's sim entry (memory and disk),
-// and recycles the machine before returning.
+// SimVariantsCtx returns the simulation artifacts for keys, positionally
+// aligned, through the same memory, flight and disk layers as SimCtx:
+// compute receives the indices of the remaining misses (in key order)
+// and must return their artifacts in that order — typically one fused
+// machine.SimulateVariants call over the batch's shared trace, which is
+// why the misses are batched instead of resolved one key at a time: the
+// fused run decodes the trace, builds the producer index, and trains the
+// shared front-end exactly once for every variant in the sweep. compute
+// owns the machines it runs and recycles them before returning.
 //
-// A derived-product job also leads key's sim flight when none is in
-// progress, so a SimCtx of key submitted meanwhile shares this run. (A
-// sim already in flight cannot lend its machine; the job then runs
-// alone.)
-func (e *Engine) simulate(ctx context.Context, key SimKey, run Run, derive func(*machine.Machine) error) (Artifact, error) {
-	if err := checkCtx(ctx); err != nil {
-		return Artifact{}, err
-	}
-	canon := key.String()
-	var flight *call
-	if derive != nil {
-		e.mu.Lock()
-		if _, busy := e.inflight[canon]; !busy {
-			flight = e.lead(canon)
-		}
-		e.mu.Unlock()
-	}
-	e.cSimMiss.Inc()
-	start := time.Now()
-	m, a, err := run()
+// Each artifact is cached under its own SimKey, so a later SimCtx of any
+// variant hits, and vice versa. A key another submission is computing
+// is shared, not computed again. ctx behaves as in SimCtx.
+func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, compute func(miss []int) ([]Artifact, error)) ([]Artifact, error) {
+	return e.sims.lookup(ctx, keys, compute)
+}
+
+// simulate is the job that runs a machine for a derived product (an
+// analysis, a harvest). It simulates key with run, caches the artifact
+// under key's sim entry as a SimCtx miss would, lets derive read the
+// live machine, and recycles it.
+func (e *Engine) simulate(key SimKey, run Run, derive func(*machine.Machine) error) (Artifact, error) {
+	m, a, err := e.simulateLeading(key, run)
 	defer machine.Recycle(m)
-	if err == nil {
-		e.tSim.Observe(time.Since(start))
-		err = e.storeSim(key, a)
-	}
-	if flight != nil {
-		e.land(canon, flight, a, err)
-	}
 	if err != nil {
 		return Artifact{}, err
 	}
-	if derive != nil {
-		if err := derive(m); err != nil {
-			return Artifact{}, err
-		}
-	}
-	return a, nil
+	return a, derive(m)
 }
 
-// storeSim caches a freshly computed artifact in memory and on disk
-// (with its exact tracker, if any). An artifact that is incomplete for
-// its key is an error, never cached.
+// simulateLeading runs key's simulation for simulate. It leads key's sim
+// flight when none is in progress, so a SimCtx of key submitted
+// meanwhile shares this run, and lands it from a defer. (A sim already
+// in flight cannot lend its machine; the job then runs alone.)
+func (e *Engine) simulateLeading(key SimKey, run Run) (m *machine.Machine, a Artifact, err error) {
+	var fs []*flight
+	canon := key.String()
+	e.mu.Lock()
+	if e.inflight[canon] == nil {
+		fs = append(fs, e.lead(canon))
+	}
+	e.mu.Unlock()
+	defer func() { e.sims.land(fs, err) }()
+	e.sims.miss.Inc()
+	start := time.Now()
+	if m, a, err = run(); err != nil {
+		return m, a, err
+	}
+	e.sims.timer.Observe(time.Since(start))
+	if err = e.storeSim(key, a); err == nil {
+		for _, f := range fs {
+			f.val, f.err = a, nil
+		}
+	}
+	return m, a, err
+}
+
+// storeSim vets and persists a freshly computed artifact (with its exact
+// tracker, if any). An artifact that is incomplete for its key is an
+// error, never cached.
 func (e *Engine) storeSim(key SimKey, a Artifact) error {
 	if !a.complete(key) {
 		return fmt.Errorf("engine: artifact for %s lacks the exact tracker its key promises", key)
 	}
-	canon := key.String()
 	e.cInsts.Add(a.Res.Insts)
-	e.mu.Lock()
-	e.mem.putSim(canon, &a)
-	e.mu.Unlock()
-	if e.diskAvailable() {
-		e.disk.storeResult(key, a.Res, a.Exact)
-	}
+	e.disk.storeResult(key, a.Res, a.Exact)
 	return nil
-}
-
-// doOnce serves key from the memory cache or collapses concurrent
-// executions of it into a single call of fn. cached reports whether a
-// memory entry can serve this caller, and with what; it runs in the same
-// e.mu hold as the in-flight check, so a leader that stores its value
-// and leaves the flight is always seen one way or the other, never
-// recomputed. Cache hits and later arrivals that share the leader's
-// value count on hitCtr (the work was deduplicated even though no cache
-// entry existed yet). Errors are not memoized — the key is retried on
-// the next submission.
-//
-// A cancellation shared from a leader that was cancelled by its own
-// submission context is not this caller's: while ctx (and the engine's
-// context) is live, the lookup retries, and this caller either becomes
-// the new leader or joins a live one.
-func (e *Engine) doOnce(ctx context.Context, key string, hitCtr *metrics.Counter, cached func(*entry) (any, bool), fn func() (any, error)) (any, error) {
-	for attempt := 0; ; attempt++ {
-		v, err := e.doOnceAttempt(key, hitCtr, cached, fn)
-		if err != nil && isCancellation(err) && checkCtx(ctx) == nil && attempt < maxForeignCancelRetries {
-			continue
-		}
-		return v, err
-	}
-}
-
-// doOnceAttempt is one lookup-or-compute attempt of doOnce.
-func (e *Engine) doOnceAttempt(key string, hitCtr *metrics.Counter, cached func(*entry) (any, bool), fn func() (any, error)) (any, error) {
-	if e.beforeLookup != nil {
-		e.beforeLookup(key)
-	}
-	e.mu.Lock()
-	if ent := e.mem.get(key); ent != nil {
-		if v, ok := cached(ent); ok {
-			e.mu.Unlock()
-			hitCtr.Inc()
-			return v, nil
-		}
-	}
-	if c, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
-		<-c.done
-		if c.err == nil {
-			hitCtr.Inc()
-		}
-		return c.val, c.err
-	}
-	c := e.lead(key)
-	e.mu.Unlock()
-	v, err := fn()
-	e.land(key, c, v, err)
-	return v, err
-}
-
-// lead registers a new flight for key; e.mu must be held.
-func (e *Engine) lead(key string) *call {
-	c := &call{done: make(chan struct{})}
-	e.inflight[key] = c
-	return c
-}
-
-// land hands a leader's outcome to the flight's followers and ends it.
-func (e *Engine) land(key string, c *call, v any, err error) {
-	c.val, c.err = v, err
-	e.mu.Lock()
-	delete(e.inflight, key)
-	e.mu.Unlock()
-	close(c.done)
 }
 
 // MapCtx runs fn once per item on the engine's worker pool and returns

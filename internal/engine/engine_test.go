@@ -169,9 +169,8 @@ func TestSimConcurrentDedup(t *testing.T) {
 // caller's decision to look a key up and the lookup itself, and lets
 // the key's leader store its value and leave the flight inside it. The
 // follower must be served that value, not compute the key again: the
-// cache lookup and the in-flight check share one lock hold (and
-// SimVariantsCtx and SchedulesCtx recheck their misses under the lock before
-// computing).
+// cache lookup and the in-flight check share one lock hold, for single
+// keys and batches alike.
 func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
 	schedKeys := []SchedKey{testSchedKey("oracle", 2), testSchedKey("oracle", 4)}
 	variantKeys := []SimKey{testSimKey(1), testSimKey(2)}
@@ -497,13 +496,13 @@ func TestDroppedUnderPressure(t *testing.T) {
 
 func TestMemCacheEviction(t *testing.T) {
 	c := newMemCache(2 * baseCost)
-	c.put(&entry{key: "a", art: &Artifact{}, cost: baseCost})
-	c.put(&entry{key: "b", art: &Artifact{}, cost: baseCost})
+	c.put(&entry{key: "a", val: Artifact{}, cost: baseCost})
+	c.put(&entry{key: "b", val: Artifact{}, cost: baseCost})
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	c.get("a") // refresh a: b becomes LRU
-	c.put(&entry{key: "c", art: &Artifact{}, cost: baseCost})
+	c.put(&entry{key: "c", val: Artifact{}, cost: baseCost})
 	if c.get("b") != nil {
 		t.Error("LRU entry b survived over-budget insert")
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"clustersim/internal/listsched"
 	"clustersim/internal/machine"
@@ -60,8 +59,10 @@ func (k SchedKey) String() string {
 	return s
 }
 
-// harvestCanon derives the harvest cache key from the simulation key.
-func harvestCanon(key SimKey) string { return key.String() + "|harvest" }
+// harvestKey names the schedule harvest of a SimKey's run.
+type harvestKey SimKey
+
+func (k harvestKey) String() string { return SimKey(k).String() + "|harvest" }
 
 // HarvestCtx returns the schedule harvest of key's run, the input a
 // SchedulesCtx compute replays. On a miss the harvest job simulates with
@@ -72,125 +73,25 @@ func harvestCanon(key SimKey) string { return key.String() + "|harvest" }
 // are dropped, like every entry, under pressure; the next request
 // re-simulates. ctx behaves as in SimCtx.
 func (e *Engine) HarvestCtx(ctx context.Context, key SimKey, run Run) (*Harvest, error) {
-	canon := harvestCanon(key)
-	cached := func(ent *entry) (any, bool) { return ent.harvest, ent.harvest != nil }
-	v, err := e.doOnce(ctx, canon, e.cSimHit, cached, func() (any, error) {
+	return e.harvests.one(ctx, harvestKey(key), func() (*Harvest, error) {
 		h := &Harvest{}
-		a, err := e.simulate(ctx, key, run, func(m *machine.Machine) error {
+		a, err := e.simulate(key, run, func(m *machine.Machine) error {
 			h.In = listsched.FromMachineRun(m)
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
 		h.Exact = a.Exact
-		e.mu.Lock()
-		e.mem.putHarvest(canon, h)
-		e.mu.Unlock()
-		return h, nil
+		return h, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Harvest), nil
 }
 
 // SchedulesCtx returns the schedule summaries for keys, positionally
-// aligned. Hits are served from memory or disk; compute receives the
-// indices of the remaining misses (in key order) and must return their
-// summaries in that order — typically one pooled ScheduleVariants call
-// over the shared harvest, which is exactly why the misses are batched
-// instead of resolved one key at a time.
-//
-// Unlike SimCtx and AnalysisCtx there is no singleflight: drivers submit one
-// fused batch per harvest run, so concurrent duplicate schedules can
-// only arise across drivers racing the same figure — they would
-// duplicate a cheap replay, not corrupt state, and the second writer
-// simply overwrites the first's identical entry. Only overlapping
-// computations duplicate: the misses are rechecked under the lock just
-// before compute runs, so a batch stored meanwhile is served from memory.
-// Once ctx is cancelled the batch's misses fail fast without computing,
-// while other submissions of the same engine are untouched; a nil ctx is
-// never cancelled.
+// aligned, through the same memory, flight and disk layers as SimCtx:
+// compute receives the indices of the remaining misses (in key order)
+// and must return their summaries in that order — typically one pooled
+// ScheduleVariants call over the shared harvest, which is exactly why the
+// misses are batched instead of resolved one key at a time. A key another
+// submission is computing is shared, not computed again. ctx behaves as
+// in SimCtx.
 func (e *Engine) SchedulesCtx(ctx context.Context, keys []SchedKey, compute func(miss []int) ([]SchedSummary, error)) ([]SchedSummary, error) {
-	out := make([]SchedSummary, len(keys))
-	var miss []int
-	for i, k := range keys {
-		canon := k.String()
-		e.mu.Lock()
-		hit := e.memSched(canon, &out[i])
-		e.mu.Unlock()
-		if hit {
-			continue
-		}
-		if e.diskAvailable() {
-			if ss, ok := e.disk.loadSched(canon); ok {
-				out[i] = *ss
-				e.mu.Lock()
-				e.mem.putSched(canon, ss)
-				e.mu.Unlock()
-				e.cSchedDiskHit.Inc()
-				continue
-			}
-		}
-		miss = append(miss, i)
-	}
-	if len(miss) == 0 {
-		return out, nil
-	}
-	// Recheck the misses under one lock hold: with no flight to join, this
-	// is what keeps a batch that a concurrent caller finished meanwhile
-	// from being computed twice.
-	if e.beforeLookup != nil {
-		e.beforeLookup(keys[miss[0]].String())
-	}
-	e.mu.Lock()
-	still := miss[:0]
-	for _, i := range miss {
-		if !e.memSched(keys[i].String(), &out[i]) {
-			still = append(still, i)
-		}
-	}
-	e.mu.Unlock()
-	if miss = still; len(miss) == 0 {
-		return out, nil
-	}
-	if err := checkCtx(ctx); err != nil {
-		return nil, err
-	}
-	e.cSchedMiss.Add(int64(len(miss)))
-	start := time.Now()
-	computed, err := compute(miss)
-	if err != nil {
-		return nil, err
-	}
-	e.tSched.Observe(time.Since(start))
-	if len(computed) != len(miss) {
-		return nil, fmt.Errorf("engine: schedule compute returned %d summaries for %d misses",
-			len(computed), len(miss))
-	}
-	for j, i := range miss {
-		out[i] = computed[j]
-		ss := computed[j]
-		canon := keys[i].String()
-		e.mu.Lock()
-		e.mem.putSched(canon, &ss)
-		e.mu.Unlock()
-		if e.diskAvailable() {
-			e.disk.storeSched(canon, &ss)
-		}
-	}
-	return out, nil
-}
-
-// memSched serves one schedule key from the memory cache into out,
-// counting the hit; e.mu must be held.
-func (e *Engine) memSched(canon string, out *SchedSummary) bool {
-	ent := e.mem.get(canon)
-	if ent == nil || ent.sched == nil {
-		return false
-	}
-	*out = *ent.sched
-	e.cSchedHit.Inc()
-	return true
+	return e.scheds.lookup(ctx, keys, compute)
 }

@@ -96,27 +96,27 @@ func (s Summary) HitRate() float64 {
 func (e *Engine) Summary() Summary {
 	s := Summary{
 		Workers:       e.workers,
-		TraceHits:     e.cTraceHit.Load(),
-		TraceMisses:   e.cTraceMiss.Load(),
-		SimHits:       e.cSimHit.Load(),
-		SimDiskHits:   e.cSimDiskHit.Load(),
-		SimMisses:     e.cSimMiss.Load(),
-		AnaHits:       e.cAnaHit.Load(),
-		AnaDiskHits:   e.cAnaDiskHit.Load(),
-		AnaMisses:     e.cAnaMiss.Load(),
-		SchedHits:     e.cSchedHit.Load(),
-		SchedDiskHits: e.cSchedDiskHit.Load(),
-		SchedMisses:   e.cSchedMiss.Load(),
+		TraceHits:     e.traces.hit.Load(),
+		TraceMisses:   e.traces.miss.Load(),
+		SimHits:       e.sims.hit.Load(),
+		SimDiskHits:   e.sims.diskHit.Load(),
+		SimMisses:     e.sims.miss.Load(),
+		AnaHits:       e.analyses.hit.Load(),
+		AnaDiskHits:   e.analyses.diskHit.Load(),
+		AnaMisses:     e.analyses.miss.Load(),
+		SchedHits:     e.scheds.hit.Load(),
+		SchedDiskHits: e.scheds.diskHit.Load(),
+		SchedMisses:   e.scheds.miss.Load(),
 		DiskErrors:    e.cDiskErr.Load(),
-		SimJobs:       e.tSim.Count(),
-		SimWallNs:     e.tSim.TotalNs(),
+		SimJobs:       e.sims.timer.Count(),
+		SimWallNs:     e.sims.timer.TotalNs(),
 		SimInsts:      e.cInsts.Load(),
-		TraceJobs:     e.tTrace.Count(),
-		TraceWallNs:   e.tTrace.TotalNs(),
+		TraceJobs:     e.traces.timer.Count(),
+		TraceWallNs:   e.traces.timer.TotalNs(),
 		AnaJobs:       e.tAna.Count(),
 		AnaWallNs:     e.tAna.TotalNs(),
-		SchedJobs:     e.tSched.Count(),
-		SchedWallNs:   e.tSched.TotalNs(),
+		SchedJobs:     e.scheds.timer.Count(),
+		SchedWallNs:   e.scheds.timer.TotalNs(),
 		DiskErr:       e.diskErr,
 
 		FaultsInjected:    faultinject.Snapshot().Total(),

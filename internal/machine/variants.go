@@ -40,7 +40,7 @@ import (
 //     map allocation — and skips their (no-op, per the Kernel contract)
 //     OnIssue/OnCommit notifications. Predictions are looked up live, so
 //     training hooks may update the predictors mid-run. Stateful
-//     policies use the interface path, counted in SharingStats.
+//     policies use the interface path.
 //
 // Every replay runs on the packed engine (fusedissue.go). The full-scan
 // loop behind UseOracleIssue is the reference every replay is
@@ -68,18 +68,11 @@ type VariantResult struct {
 	Res Result
 }
 
-// SharingStats counts, per SimulateVariants call, how many variants ran
-// on the inlined steering kernel and how the replay phase was spread.
+// SharingStats describes one SimulateVariants call's replay phase.
 type SharingStats struct {
-	// KernelUsed counts variants steered by the inlined kernel;
-	// KernelFallback counts variants whose policy does not advertise a
-	// kernel and used the SteerPolicy interface path.
-	KernelUsed, KernelFallback int
-	// ReplayWorkers is the worker count the replay phase ran with;
-	// ReplayBusyNs sums wall time spent inside per-variant replays
-	// across those workers (busy / elapsed ≈ achieved parallelism).
-	ReplayWorkers int
-	ReplayBusyNs  int64
+	// ReplayBusyNs sums wall time spent inside per-variant replays across
+	// the replay workers (busy / elapsed ≈ achieved parallelism).
+	ReplayBusyNs int64
 }
 
 // variantPrep is the serial prepare phase's output for one variant:
@@ -139,17 +132,11 @@ func SimulateVariants(tr *trace.Trace, variants []Variant, workers int) ([]Varia
 		}
 		preps[i].profile = p
 		preps[i].kern = kernelOf(v.Pol)
-		if preps[i].kern != nil {
-			stats.KernelUsed++
-		} else {
-			stats.KernelFallback++
-		}
 		hookFree := v.Hooks.OnEpoch == nil && v.Hooks.OnCommitInst == nil && v.Setup == nil
 		preps[i].mode = replayModeFor(preps[i].kern != nil, hookFree)
 	}
 
 	workers = min(max(workers, 1), len(variants))
-	stats.ReplayWorkers = workers
 
 	out := make([]VariantResult, len(variants))
 	var busy atomic.Int64

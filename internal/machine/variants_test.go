@@ -189,15 +189,12 @@ func checkMatchesSoloAndOracle(t *testing.T, tname string, tr *trace.Trace, spec
 	for i, s := range specs {
 		variants[i] = s.build(tr)
 	}
-	outs, stats, err := machine.SimulateVariants(tr, variants, 1)
+	outs, _, err := machine.SimulateVariants(tr, variants, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(outs) != len(specs) {
 		t.Fatalf("%d results for %d variants", len(outs), len(specs))
-	}
-	if stats.KernelUsed == 0 {
-		t.Fatalf("unexpected sharing stats: %+v", stats)
 	}
 	for i, s := range specs {
 		label := tname + "/" + s.name
@@ -303,18 +300,32 @@ func TestSimulateVariantsSharingStats(t *testing.T) {
 	for _, o := range outs {
 		machine.Recycle(o.M)
 	}
-	// The spec list has exactly one non-kernel policy (proactive).
 	if stats.ReplayBusyNs <= 0 {
 		t.Errorf("ReplayBusyNs = %d, want > 0", stats.ReplayBusyNs)
 	}
-	stats.ReplayBusyNs = 0 // wall time: nondeterministic by nature
-	want := machine.SharingStats{
-		KernelUsed:     len(specs) - 1,
-		KernelFallback: 1,
-		ReplayWorkers:  1,
-	}
-	if stats != want {
-		t.Fatalf("sharing stats:\n got: %+v\nwant: %+v", stats, want)
+}
+
+// TestKernelSelection pins which policies steer on the inlined kernel:
+// the four stateless ones, each with its own score and stall rule, while
+// the stateful proactive policy takes the SteerPolicy interface path.
+func TestKernelSelection(t *testing.T) {
+	for _, tc := range []struct {
+		pol  machine.SteerPolicy
+		want *machine.KernelSpec
+	}{
+		{steer.DepBased{}, &machine.KernelSpec{Score: machine.KernelScoreNone}},
+		{steer.Focused{}, &machine.KernelSpec{Score: machine.KernelScoreBinary}},
+		{steer.LoC{}, &machine.KernelSpec{Score: machine.KernelScoreLoC}},
+		{&steer.StallOverSteer{}, &machine.KernelSpec{Score: machine.KernelScoreLoC, Stall: true,
+			StallThreshold: steer.DefaultStallThreshold}},
+		{&steer.StallOverSteer{Threshold: 0.5}, &machine.KernelSpec{Score: machine.KernelScoreLoC, Stall: true,
+			StallThreshold: 0.5}},
+		{steer.NewProactive(), nil},
+	} {
+		got := machine.KernelOf(tc.pol)
+		if (got == nil) != (tc.want == nil) || got != nil && *got != *tc.want {
+			t.Errorf("%s: kernel %+v, want %+v", tc.pol.Name(), got, tc.want)
+		}
 	}
 }
 
