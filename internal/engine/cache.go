@@ -68,6 +68,17 @@ func (c *memCache) put(e *entry) {
 	c.shrink()
 }
 
+// grow adds bytes to the cost of key's entry while it still holds val
+// (a value that grows after it is cached, like a harvest memoizing an
+// issue order) and enforces the budget.
+func (c *memCache) grow(key string, val any, bytes int64) {
+	if e, ok := c.entries[key]; ok && e.val == val {
+		e.cost += bytes
+		c.bytes += bytes
+		c.shrink()
+	}
+}
+
 // shrink enforces the byte budget by dropping least recently used
 // entries.
 func (c *memCache) shrink() {

@@ -52,9 +52,10 @@ import (
 // DefaultMaxCacheBytes bounds the in-memory cache when Config leaves it
 // unset. The cache holds values, not machines: results and summaries
 // cost a few KiB each, so traces (64 B/inst) and schedule harvests
-// (25 B/inst) dominate. Rendering every paper experiment at 12,000
-// instructions per benchmark holds about 28 MiB, which scales to about
-// half the budget at the default 200,000.
+// (25 B/inst, plus 4 B/inst per memoized issue order) dominate.
+// Rendering every paper experiment at 12,000 instructions per benchmark
+// holds about 24 MiB, which scales to under half the budget at the
+// default 200,000.
 const DefaultMaxCacheBytes = 1 << 30
 
 // maxInjectedPanicRetries bounds how often MapCtx re-runs a job killed by

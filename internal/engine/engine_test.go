@@ -657,6 +657,21 @@ func TestKeyCanonicalForms(t *testing.T) {
 	if got := sched.String(); got != plain+"|repl=true" {
 		t.Errorf("replicated SchedKey = %q", got)
 	}
+	// A 1-cluster harvest is keyed without the forwarding latency its
+	// run cannot read; a clustered one keeps it.
+	mono := "v1|sim|bench=gzip|insts=300|seed=7|fwd=0|epoch=1024|clusters=1|stack=depbased|exact=false|harvest"
+	for _, fwd := range []int{1, 2, 4} {
+		k := testSimKey(7)
+		k.Fwd = fwd
+		if got := newHarvestKey(k).String(); got != mono {
+			t.Errorf("harvestKey at fwd %d = %q, want %q", fwd, got, mono)
+		}
+	}
+	clustered := testSimKey(7)
+	clustered.Clusters = 4
+	if got, want := newHarvestKey(clustered).String(), clustered.String()+"|harvest"; got != want {
+		t.Errorf("clustered harvestKey = %q, want %q", got, want)
+	}
 }
 
 // TestDiskExactRoundTrip: a TrackExact key's disk entry persists the

@@ -59,22 +59,45 @@ func (k SchedKey) String() string {
 	return s
 }
 
-// harvestKey names the schedule harvest of a SimKey's run.
+// harvestKey names the schedule harvest of a SimKey's run by what the
+// run reads (newHarvestKey). Harvests are memory-only, so no disk entry
+// is ever written under this form.
 type harvestKey SimKey
+
+// newHarvestKey is the harvest key of key's run. A 1-cluster machine
+// never forwards a value between clusters, so its run, and with it the
+// harvest, is the same at every forwarding latency: Fwd is zeroed, and
+// every latency's request shares one harvest.
+func newHarvestKey(key SimKey) harvestKey {
+	if key.Clusters == 1 {
+		key.Fwd = 0
+	}
+	return harvestKey(key)
+}
 
 func (k harvestKey) String() string { return SimKey(k).String() + "|harvest" }
 
 // HarvestCtx returns the schedule harvest of key's run, the input a
-// SchedulesCtx compute replays. On a miss the harvest job simulates with
-// run, copies the list scheduler's Input out of the live machine, and
-// recycles it; the run's artifact is cached under key's sim entry as a
-// SimCtx miss would cache it. A harvest hit is counted as a sim hit — it
-// serves the run without simulating. Harvests live in memory only and
-// are dropped, like every entry, under pressure; the next request
-// re-simulates. ctx behaves as in SimCtx.
+// SchedulesCtx compute replays. The harvest is keyed by what the run
+// reads (newHarvestKey), so a 1-cluster key at any forwarding latency is
+// served by the harvest of whichever latency came first. On a miss the
+// harvest job simulates with run, copies the list scheduler's Input out
+// of the live machine, and recycles it; the run's artifact is cached
+// under key's sim entry as a SimCtx miss would cache it. A harvest hit
+// is counted as a sim hit — it serves the run without simulating.
+// Harvests live in memory only, with the issue orders memoized on them
+// (Harvest.KeepOrder), and are dropped, like every entry, under
+// pressure; the next request re-simulates. ctx behaves as in SimCtx.
 func (e *Engine) HarvestCtx(ctx context.Context, key SimKey, run Run) (*Harvest, error) {
-	return e.harvests.one(ctx, harvestKey(key), func() (*Harvest, error) {
+	hk := newHarvestKey(key)
+	return e.harvests.one(ctx, hk, func() (*Harvest, error) {
 		h := &Harvest{}
+		canon := hk.String()
+		h.charge = func(bytes int64) {
+			e.mu.Lock()
+			e.mem.grow(canon, h, bytes)
+			e.mu.Unlock()
+		}
 		a, err := e.simulate(key, run, func(m *machine.Machine) error {
 			h.In = listsched.FromMachineRun(m)
 			return nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -48,6 +49,112 @@ func TestHarvestSharesItsRun(t *testing.T) {
 	}
 	if s := e.Summary(); runs.Load() != 1 || s.SimMisses != 1 || s.SimHits != 2 {
 		t.Errorf("runs/sim misses/hits = %d/%d/%d, want 1/1/2", runs.Load(), s.SimMisses, s.SimHits)
+	}
+}
+
+// TestHarvestSharedAcrossFwdOnOneCluster: a 1-cluster harvest serves
+// every forwarding latency from one simulation, while each latency
+// keeps its own schedule keys.
+func TestHarvestSharedAcrossFwdOnOneCluster(t *testing.T) {
+	e := New(Config{Workers: 1})
+	var runs atomic.Int64
+	run := func() (*machine.Machine, Artifact, error) { runs.Add(1); return runTiny(1) }
+	var first *Harvest
+	for _, fwd := range []int{2, 1, 4} {
+		k := testSimKey(1)
+		k.Fwd = fwd
+		h, err := e.HarvestCtx(nil, k, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = h
+		} else if h != first {
+			t.Errorf("fwd %d harvest is not the fwd 2 one", fwd)
+		}
+	}
+	if s := e.Summary(); runs.Load() != 1 || s.SimMisses != 1 || s.SimHits != 2 {
+		t.Errorf("runs/sim misses/hits = %d/%d/%d, want 1/1/2", runs.Load(), s.SimMisses, s.SimHits)
+	}
+}
+
+// TestHarvestOrderMemo: a harvest keeps the first issue order of each
+// priority name as a copy, charges it to the harvest's memory entry at
+// 4 B/inst, and loses it with the entry.
+func TestHarvestOrderMemo(t *testing.T) {
+	e := New(Config{Workers: 1})
+	h, err := e.HarvestCtx(nil, testSimKey(1), tinyRun(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(h.In.Release)
+	if h.Order("oracle") != nil {
+		t.Fatal("fresh harvest holds an order")
+	}
+	before := e.Summary().CacheBytes
+	ord := make([]int32, n)
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	h.KeepOrder("oracle", ord)
+	ord[0] = -1 // the memo holds a copy
+	if got := h.Order("oracle"); len(got) != n || got[0] != 0 {
+		t.Fatalf("kept order = %v..., want the identity", got[:1])
+	}
+	h.KeepOrder("oracle", make([]int32, n)) // the first order stays
+	if got := h.Order("oracle"); len(got) != n || got[1] != 1 {
+		t.Error("a second KeepOrder replaced the first order")
+	}
+	if got, want := e.Summary().CacheBytes-before, int64(n)*bytesPerOrderInst; got != want {
+		t.Errorf("memo charged %d bytes, want %d", got, want)
+	}
+
+	// Once the harvest is dropped, a new one starts with no orders and
+	// an order kept on the old one charges nothing.
+	e.mu.Lock()
+	budget := e.mem.max
+	e.mem.max = 1
+	e.mem.shrink()
+	e.mem.max = budget
+	e.mu.Unlock()
+	h.KeepOrder("loc16", ord)
+	if b := e.Summary().CacheBytes; b != 0 {
+		t.Errorf("dropped harvest's order charged %d bytes", b)
+	}
+	h2, err := e.HarvestCtx(nil, testSimKey(1), tinyRun(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2 == h || h2.Order("oracle") != nil {
+		t.Error("re-simulated harvest carries the dropped harvest's orders")
+	}
+}
+
+// TestHarvestOrderConcurrent: batches reading and keeping orders on one
+// harvest at once keep exactly one order per name.
+func TestHarvestOrderConcurrent(t *testing.T) {
+	e := New(Config{Workers: 4})
+	h, err := e.HarvestCtx(nil, testSimKey(1), tinyRun(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(h.In.Release)
+	before := e.Summary().CacheBytes
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, pri := range []string{"oracle", "loc16", "binary"} {
+				if h.Order(pri) == nil {
+					h.KeepOrder(pri, make([]int32, n))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := e.Summary().CacheBytes-before, 3*int64(n)*bytesPerOrderInst; got != want {
+		t.Errorf("memo charged %d bytes, want %d", got, want)
 	}
 }
 

@@ -181,20 +181,28 @@ func FwdSweep(opts Options) (*FwdSweepResult, error) {
 	r := &FwdSweepResult{Avg: map[int][]float64{}, Lats: []int{1, 2, 4}}
 	// rows[bench][latIdx][clusterIdx]
 	rows, err := parBench(opts, func(bench string) ([][]float64, error) {
+		// A 1-cluster schedule never forwards between clusters, so the
+		// monolithic baseline is the same at every latency: take it once,
+		// at opts.Fwd, where Figure 2 cached it.
+		base, err := idealSchedules(opts, bench, StackDepBased, false, oracleSweepSpecs(opts.Fwd)[:1])
+		if err != nil {
+			return nil, err
+		}
 		out := make([][]float64, len(r.Lats))
 		for li, lat := range r.Lats {
 			out[li] = make([]float64, len(clusterCounts))
-			// Vary the forwarding latency through the job key, so the
-			// lat == opts.Fwd row shares the cached Figure 2 run and its
-			// cached schedules.
+			// Vary the clustered schedules' latency through the job key,
+			// so the lat == opts.Fwd row shares Figure 2's cached
+			// schedules; every latency's harvest is Figure 2's run, which
+			// the engine keys without Fwd.
 			latOpts := opts
 			latOpts.Fwd = lat
-			ss, err := idealSchedules(latOpts, bench, StackDepBased, false, oracleSweepSpecs(lat))
+			ss, err := idealSchedules(latOpts, bench, StackDepBased, false, oracleSweepSpecs(lat)[1:])
 			if err != nil {
 				return nil, err
 			}
 			for i := range clusterCounts {
-				out[li][i] = float64(ss[i+1].Makespan) / float64(ss[0].Makespan)
+				out[li][i] = float64(ss[i].Makespan) / float64(base[0].Makespan)
 			}
 		}
 		return out, nil

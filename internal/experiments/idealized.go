@@ -31,10 +31,10 @@ func (sp schedSpec) config() listsched.Config {
 // schedPriority resolves a spec's named priority against the harvest:
 // the oracle comes from the scheduler input itself, the LoC and binary
 // priorities from the run's exact criticality tracker.
-func schedPriority(name string, oracle *listsched.Oracle, h *engine.Harvest) (listsched.Priority, error) {
+func schedPriority(name string, h *engine.Harvest) (listsched.Priority, error) {
 	switch name {
 	case PriOracle:
-		return oracle, nil
+		return listsched.NewOracle(h.In), nil
 	case PriLoC16:
 		return listsched.NewLoCPriority(h.Exact, 16)
 	case PriLoCUnlimited:
@@ -45,16 +45,24 @@ func schedPriority(name string, oracle *listsched.Oracle, h *engine.Harvest) (li
 	return nil, fmt.Errorf("experiments: unknown schedule priority %q", name)
 }
 
+// orderPopped, when set (tests only), is called with the benchmark and
+// priority name each time idealSchedules pops an issue order, that is,
+// resolves a priority whose order the harvest does not hold.
+var orderPopped func(bench, pri string)
+
 // idealSchedules returns summaries for the given schedule variants of
 // one harvest run, positionally aligned with specs, via the engine's
 // content-addressed schedule cache. On a warm cache nothing simulates
-// and nothing is rescheduled; on misses the engine's harvest of the run
-// (simulated at most once while it stays cached) feeds one pooled
-// Scheduler: each priority name resolves once, so the scheduler pops
-// each priority's issue order once and places every missing plain
-// variant along it (ScheduleVariants), and the missing replicated
-// variants likewise (ScheduleReplicated). The LoC and binary priorities
-// need the run's exact tracker, so their callers pass trackExact.
+// and nothing is rescheduled. On misses the engine's harvest of the run
+// (simulated at most once while it stays cached, and shared by every
+// forwarding latency of the 1-cluster run) feeds one pooled Scheduler:
+// first the missing plain variants (ScheduleVariants), then the missing
+// replicated ones (ScheduleReplicated). Each variant places along the
+// issue order its priority name has memoized on the harvest; a name
+// without one resolves its priority once (the oracle is built only
+// then), its order is popped once, and the harvest keeps it for every
+// later batch of the run. The LoC and binary priorities need the run's
+// exact tracker, so their callers pass trackExact.
 func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, specs []schedSpec) ([]engine.SchedSummary, error) {
 	hk := simKey(opts, bench, 1, stack, trackExact)
 	keys := make([]engine.SchedKey, len(specs))
@@ -66,29 +74,29 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		if err != nil {
 			return nil, err
 		}
-		in := h.In
-		oracle := listsched.NewOracle(in)
 		pris := map[string]listsched.Priority{}
-		var plain, repl []listsched.Variant
-		var plainAt, replAt []int // out positions of each kind
-		for j, i := range miss {
-			pri, ok := pris[specs[i].pri]
+		variant := func(sp schedSpec, cfg listsched.Config) (listsched.Variant, error) {
+			v := listsched.Variant{Config: cfg, Order: h.Order(sp.pri)}
+			if v.Order != nil {
+				return v, nil
+			}
+			pri, ok := pris[sp.pri]
 			if !ok {
-				if pri, err = schedPriority(specs[i].pri, oracle, h); err != nil {
-					return nil, err
+				var err error
+				if pri, err = schedPriority(sp.pri, h); err != nil {
+					return v, err
 				}
-				pris[specs[i].pri] = pri
+				pris[sp.pri] = pri
+				if orderPopped != nil {
+					orderPopped(bench, sp.pri)
+				}
 			}
-			v := listsched.Variant{Config: keys[i].Config, Pri: pri}
-			if specs[i].replicate {
-				repl, replAt = append(repl, v), append(replAt, j)
-			} else {
-				plain, plainAt = append(plain, v), append(plainAt, j)
-			}
+			v.Pri = pri
+			return v, nil
 		}
 		summarize := func(s *listsched.Schedule) engine.SchedSummary {
 			return engine.SchedSummary{
-				Insts:       in.Trace.Len(),
+				Insts:       h.In.Trace.Len(),
 				Makespan:    s.Makespan,
 				CrossEdges:  s.CrossEdges,
 				DyadicCross: s.DyadicCross,
@@ -97,23 +105,44 @@ func idealSchedules(opts Options, bench string, stack Stack, trackExact bool, sp
 		out := make([]engine.SchedSummary, len(miss))
 		sch := listsched.NewScheduler()
 		defer sch.Recycle()
-		if len(plain) > 0 {
-			scheds, err := sch.ScheduleVariants(in, plain)
-			if err != nil {
-				return nil, err
+		for _, replicate := range []bool{false, true} {
+			var vs []listsched.Variant
+			var at []int // positions in miss of vs
+			for j, i := range miss {
+				if specs[i].replicate != replicate {
+					continue
+				}
+				v, err := variant(specs[i], keys[i].Config)
+				if err != nil {
+					return nil, err
+				}
+				vs, at = append(vs, v), append(at, j)
 			}
-			for k, j := range plainAt {
-				out[j] = summarize(scheds[k])
+			if len(vs) == 0 {
+				continue
 			}
-		}
-		if len(repl) > 0 {
-			scheds, err := sch.ScheduleReplicated(in, repl)
-			if err != nil {
-				return nil, err
+			if replicate {
+				scheds, err := sch.ScheduleReplicated(h.In, vs)
+				if err != nil {
+					return nil, err
+				}
+				for k, j := range at {
+					out[j] = summarize(&scheds[k].Schedule)
+					out[j].Replicas = int64(len(scheds[k].Replicas))
+				}
+			} else {
+				scheds, err := sch.ScheduleVariants(h.In, vs)
+				if err != nil {
+					return nil, err
+				}
+				for k, j := range at {
+					out[j] = summarize(scheds[k])
+				}
 			}
-			for k, j := range replAt {
-				out[j] = summarize(&scheds[k].Schedule)
-				out[j].Replicas = int64(len(scheds[k].Replicas))
+			for k, j := range at {
+				if ord := sch.PoppedOrder(k); ord != nil {
+					h.KeepOrder(specs[miss[j]].pri, ord)
+				}
 			}
 		}
 		return out, nil

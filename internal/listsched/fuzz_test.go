@@ -22,7 +22,8 @@ const fuzzSchedMaxInsts = 2048
 // and RunReplicated and by the pooled batched fast paths. Each pair must
 // agree byte-for-byte and satisfy the Check (or CheckReplicated)
 // invariants — the decoder must never be able to
-// produce a trace that derails or desynchronizes the schedulers. This
+// produce a trace that derails or desynchronizes the schedulers — and
+// the 1-cluster schedules must not depend on the forwarding latency. This
 // exercises producer shapes the workload generator never emits (e.g.
 // stores whose forwarded value and register source are the same
 // instruction), which is exactly where the per-value dedup semantics
@@ -127,5 +128,7 @@ func FuzzScheduleVariants(f *testing.F) {
 			}
 			diffReplicated(t, fmt.Sprintf("replicated variant %d", j), repl[j], want)
 		}
+
+		checkMonoIgnoresFwd(t, "decoded trace", sched, in, oracle)
 	})
 }

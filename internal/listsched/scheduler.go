@@ -14,6 +14,10 @@ import (
 type Variant struct {
 	Config Config
 	Pri    Priority
+	// Order, when set, is the issue order Pri pops over the batch's
+	// Input, as an earlier batch's PoppedOrder returned it: the variant
+	// is placed along it, no heap is popped for it, and Pri is not read.
+	Order []int32
 }
 
 // Scheduler is the pooled, batched fast path for the idealized study.
@@ -25,7 +29,10 @@ type Variant struct {
 // per distinct priority of a batch, and place (placeReplicated for
 // replicated variants) then runs once per config along that shared
 // order, booking bitmap resource lanes that find the next free issue
-// slot by word scan instead of probing cycle by cycle.
+// slot by word scan instead of probing cycle by cycle. An order depends
+// on nothing else, so a caller that keeps one (PoppedOrder) can hand it
+// to later batches over the same Input (Variant.Order), which then pop
+// nothing for that priority.
 //
 // Priorities must be pure functions of (seq, pc): keys are evaluated
 // once per instruction per distinct priority, not once per heap push as
@@ -49,8 +56,9 @@ type Scheduler struct {
 	dyadic   []bool  // NumSrcs() == 2 (the convergent-dataflow indicator)
 	mem      []bool  // memory ops, which are never replicated
 
-	// Issue orders, one n-long window per distinct priority of the
-	// batch; variant j places along window group[j].
+	// Issue orders popped by the batch, one n-long window per distinct
+	// priority of the variants without an Order; variant j places along
+	// window group[j], or along its own Order when group[j] is -1.
 	orders []int32
 	group  []int
 
@@ -86,7 +94,7 @@ func (s *Scheduler) ScheduleVariants(in Input, variants []Variant) ([]*Schedule,
 	scheds := s.newSchedules(len(variants))
 	out := make([]*Schedule, len(variants))
 	for j, v := range variants {
-		s.place(in, v.Config, s.order(j), &scheds[j])
+		s.place(in, v.Config, s.order(j, v), &scheds[j])
 		out[j] = &scheds[j]
 	}
 	return out, nil
@@ -105,7 +113,7 @@ func (s *Scheduler) ScheduleReplicated(in Input, variants []Variant) ([]*Replica
 	for j, v := range variants {
 		rs := &rscheds[j]
 		rs.Schedule = scheds[j]
-		s.placeReplicated(in, v.Config, s.order(j), rs)
+		s.placeReplicated(in, v.Config, s.order(j, v), rs)
 		out[j] = rs
 	}
 	return out, nil
@@ -138,7 +146,8 @@ func (s *Scheduler) newSchedules(m int) []Schedule {
 }
 
 // batch validates the variants, builds the dependence structure of in
-// and one issue order per distinct priority.
+// and pops one issue order per distinct priority of the variants that
+// bring no Order.
 func (s *Scheduler) batch(in Input, variants []Variant) error {
 	for _, v := range variants {
 		cfg := v.Config
@@ -152,6 +161,13 @@ func (s *Scheduler) batch(in Input, variants []Variant) error {
 	s.group = s.group[:0]
 	var pris []Priority
 	for _, v := range variants {
+		if v.Order != nil {
+			if len(v.Order) != s.n {
+				return fmt.Errorf("listsched: issue order of %d instructions for an input of %d", len(v.Order), s.n)
+			}
+			s.group = append(s.group, -1)
+			continue
+		}
 		g := len(pris)
 		for h, p := range pris {
 			if samePriority(p, v.Pri) {
@@ -173,9 +189,23 @@ func (s *Scheduler) batch(in Input, variants []Variant) error {
 	return nil
 }
 
-// order returns variant j's issue order.
-func (s *Scheduler) order(j int) []int32 {
+// order returns the issue order variant j, v, places along.
+func (s *Scheduler) order(j int, v Variant) []int32 {
+	if v.Order != nil {
+		return v.Order
+	}
+	return s.PoppedOrder(j)
+}
+
+// PoppedOrder returns the issue order the last batch popped for its
+// variant j, or nil when that variant brought its own Order. The slice
+// is the Scheduler's, valid until its next batch or Recycle: copy it to
+// keep it.
+func (s *Scheduler) PoppedOrder(j int) []int32 {
 	g := s.group[j]
+	if g < 0 {
+		return nil
+	}
 	return s.orders[g*s.n : (g+1)*s.n]
 }
 

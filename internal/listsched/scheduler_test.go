@@ -259,3 +259,115 @@ func TestSchedulerErrors(t *testing.T) {
 		t.Error("accepted mis-sized input")
 	}
 }
+
+// TestScheduleAlongKeptOrder: a batch whose variants bring the issue
+// orders an earlier batch popped (Variant.Order, no priority) places
+// exactly as the popping batch did, plain and replicated, and pops
+// nothing itself; an order of the wrong length is rejected.
+func TestScheduleAlongKeptOrder(t *testing.T) {
+	in, _ := prepare(t, "gcc", 3000)
+	oracle := listsched.NewOracle(in)
+	loc16, err := listsched.NewLoCPriority(trainedExact(in, oracle), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var popped []listsched.Variant
+	for _, k := range []int{1, 2, 4, 8} {
+		cfg := listsched.ConfigFor(machine.NewConfig(k))
+		popped = append(popped, listsched.Variant{Config: cfg, Pri: oracle}, listsched.Variant{Config: cfg, Pri: loc16})
+	}
+	sched := listsched.NewScheduler()
+	defer sched.Recycle()
+	want, err := sched.ScheduleVariants(in, popped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make([]listsched.Variant, len(popped))
+	for j, v := range popped {
+		kept[j] = listsched.Variant{Config: v.Config, Order: append([]int32(nil), sched.PoppedOrder(j)...)}
+	}
+	wantRepl, err := sched.ScheduleReplicated(in, popped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sched.ScheduleVariants(in, kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range kept {
+		diffSchedules(t, fmt.Sprintf("kept order, variant %d", j), got[j], want[j])
+		if sched.PoppedOrder(j) != nil {
+			t.Errorf("variant %d: a batch that brought its order popped one", j)
+		}
+	}
+	gotRepl, err := sched.ScheduleReplicated(in, kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range kept {
+		diffReplicated(t, fmt.Sprintf("kept order, replicated variant %d", j), gotRepl[j], wantRepl[j])
+	}
+	short := []listsched.Variant{{Config: kept[0].Config, Order: kept[0].Order[:10]}}
+	if _, err := sched.ScheduleVariants(in, short); err == nil {
+		t.Error("accepted an issue order shorter than the input")
+	}
+}
+
+// checkMonoIgnoresFwd fails the test unless pri's plain and replicated
+// 1-cluster schedules of in are identical at every forwarding latency:
+// with one cluster no value is ever forwarded, which is why the engine
+// shares one monolithic harvest across latencies.
+func checkMonoIgnoresFwd(t *testing.T, label string, sched *listsched.Scheduler, in listsched.Input, pri listsched.Priority) {
+	t.Helper()
+	var variants []listsched.Variant
+	for _, fwd := range []int{0, 1, 2, 4, 64} {
+		cfg := listsched.ConfigFor(machine.NewConfig(1))
+		cfg.Fwd = fwd
+		variants = append(variants, listsched.Variant{Config: cfg, Pri: pri})
+	}
+	plain, err := sched.ScheduleVariants(in, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := sched.ScheduleReplicated(in, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range variants {
+		at := fmt.Sprintf("%s, fwd %d", label, v.Config.Fwd)
+		diffSchedules(t, at, plain[j], plain[0])
+		diffSchedules(t, at+" (replicated)", &repl[j].Schedule, plain[0])
+		if len(repl[j].Replicas) != 0 {
+			t.Fatalf("%s: %d replicas on one cluster", at, len(repl[j].Replicas))
+		}
+		want, err := listsched.Run(in, v.Config, pri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffSchedules(t, at+" (oracle Run)", want, plain[0])
+	}
+}
+
+// TestMonoScheduleIgnoresFwd runs checkMonoIgnoresFwd over the golden
+// traces and every priority kind; FuzzScheduleVariants runs it over the
+// fuzz seeds.
+func TestMonoScheduleIgnoresFwd(t *testing.T) {
+	sched := listsched.NewScheduler()
+	defer sched.Recycle()
+	for _, bench := range []string{"vpr", "gcc"} {
+		in, _ := prepare(t, bench, goldenInsts)
+		oracle := listsched.NewOracle(in)
+		exact := trainedExact(in, oracle)
+		loc16, err := listsched.NewLoCPriority(exact, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary, err := listsched.NewBinaryPriority(exact, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pri := range map[string]listsched.Priority{"oracle": oracle, "loc16": loc16, "binary": binary} {
+			checkMonoIgnoresFwd(t, bench+"/"+name, sched, in, pri)
+		}
+	}
+}

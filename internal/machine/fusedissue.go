@@ -31,9 +31,13 @@ import (
 //     prio<<32|seq, whose uint64 order IS the scan oracle's (prio, seq)
 //     candidate order, so the k-way merge compares one word.
 //
-// Every event the scan oracle records is written to m.events at the same
-// stage with the same value, so output stays byte-identical to the
-// oracle, which the differential battery
+// Every event the scan oracle records is written to m.events with the
+// same value, at the same stage except for readiness: Ready,
+// CritProducer and CritProducerRemote are final once the last producer
+// issues, so fusedWake writes them then, before the instruction issues.
+// No reader looks at an unissued instruction's event (detectors walk
+// retired instructions; steering policies read no events). Output stays
+// byte-identical to the oracle, which the differential battery
 // (oracle_test.go, variants_test.go, parallel_test.go and
 // FuzzSimulateVariants) and the oracle-generated goldens enforce.
 
@@ -96,8 +100,9 @@ const (
 
 // fseq is the packed per-instruction state of one replay. Cycle fields
 // are -1 until the event happens, mirroring Unset. Readiness is not
-// stored: it is a function of the dispatch cycle and the producers'
-// final completion (readiness), recomputed where the event log needs it.
+// stored here: it is a function of the dispatch cycle and the producers'
+// final completion (readiness), computed once in fusedWake and written
+// to the event log.
 type fseq struct {
 	complete    int32
 	remoteAvail int32
@@ -480,7 +485,8 @@ func (m *Machine) fusedIssueMergeMono() int {
 }
 
 // fusedIssueOne is the oracle's issueOne on packed state, writing the
-// same event fields at the same point. L1Miss is written unconditionally
+// same event fields at the same point, except readiness, which fusedWake
+// wrote already. L1Miss is written unconditionally
 // because an uncleared log may hold a stale true.
 func (m *Machine) fusedIssueOne(seq int64, cluster int) {
 	fr := m.fr
@@ -516,7 +522,6 @@ func (m *Machine) fusedIssueOne(seq int64, cluster int) {
 	fs.remoteAvail = int32(remoteAvail)
 	fs.flags |= fIssued
 	ev := &m.events[seq]
-	ev.Ready, ev.CritProducer, ev.CritProducerRemote = m.readiness(seq)
 	ev.Issue = m.cycle
 	ev.Complete = complete
 	ev.RemoteAvail = remoteAvail
@@ -580,18 +585,21 @@ func (m *Machine) fusedWakeConsumers(seq int64) {
 	}
 }
 
-// fusedWake pushes seq, whose producers have all issued, onto its
-// cluster's wake ring at its now-final ready cycle.
+// fusedWake records the now-final readiness of seq, whose producers
+// have all issued, in the event log and pushes seq onto its cluster's
+// wake ring at its ready cycle.
 func (m *Machine) fusedWake(seq int64) {
-	ready, _, _ := m.readiness(seq)
-	m.fusedPushWake(int(m.fr.st[seq].cluster), ready, seq)
+	ev := &m.events[seq]
+	ev.Ready, ev.CritProducer, ev.CritProducerRemote = m.readiness(seq)
+	m.fusedPushWake(int(m.fr.st[seq].cluster), ev.Ready, seq)
 }
 
 // readiness is the oracle's readyAt on the packed state: the cycle seq's
 // operands are all available at its cluster, the binding producer
 // (Unset when dispatch bounds it) and whether that operand crossed
 // clusters. Every producer must have issued; from then on the answer
-// never changes, so the wake ring and the event log may each ask for it.
+// never changes, so fusedWake asks once, for the wake ring and the event
+// log both.
 func (m *Machine) readiness(seq int64) (ready, crit int64, remote bool) {
 	st := m.fr.st
 	fs := &st[seq]
