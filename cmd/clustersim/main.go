@@ -101,7 +101,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics (pprof on /debug/pprof)\n", addr)
 	}
 
-	opts := experiments.Options{Insts: *n, Seed: *seed, Fwd: *fwd, Engine: eng, Ctx: ctx, ReplayWorkers: *replayWorkers}
+	opts := experiments.Options{Insts: *n, Seed: *seed, Fwd: *fwd, Engine: eng, Ctx: ctx}
 	if *benchmarks != "" {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")
 	}

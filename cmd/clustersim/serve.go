@@ -28,7 +28,7 @@ func serveMain(args []string) int {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "engine worker-pool size (> 0)")
-	replayWorkers := fs.Int("replay-workers", 0, "default intra-job variant fan-out width (0: a per-job share of GOMAXPROCS); the server clamps per-job requests queue-aware")
+	replayWorkers := fs.Int("replay-workers", 0, "intra-job variant fan-out width of every job (0: a per-job share of GOMAXPROCS); a spec's replay_workers is ignored; results are byte-identical under any value")
 	cacheDir := fs.String("cache-dir", "", "on-disk cache directory for results, analyses and schedules (traces are regenerated; empty: memory only)")
 	cacheMem := fs.Int64("cache-mem", engine.DefaultMaxCacheBytes>>20, cacheMemUsage)
 	tenantsFlag := fs.String("tenants", "", `tenant fair-share weights as "name:weight,name:weight" (empty: single "default" tenant)`)

@@ -32,7 +32,42 @@ func TestDesignIndexNamesExist(t *testing.T) {
 
 	declared := map[string]bool{}
 	decl := regexp.MustCompile(`(?m)^func ((?:Benchmark|Test)\w*)\(`)
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	walkGo(t, func(path string, src []byte) {
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+				declared[m[1]] = true
+			}
+		}
+	})
+	for _, m := range cited {
+		if !declared[m[1]] {
+			t.Errorf("DESIGN.md's per-experiment index cites %s, which no _test.go declares", m[1])
+		}
+	}
+}
+
+// TestNoMachineEscapes: production code runs machines only inside
+// machine.SimulateVariants batches, which recycle each machine once the
+// caller's consume returns. Outside internal/machine, no non-test file
+// may pool or recycle a machine itself; the facade's caller-owned
+// machine.New stays allowed.
+func TestNoMachineEscapes(t *testing.T) {
+	banned := regexp.MustCompile(`machine\.(Recycle|NewPooled)\(`)
+	walkGo(t, func(path string, src []byte) {
+		if strings.HasSuffix(path, "_test.go") || filepath.ToSlash(filepath.Dir(path)) == "internal/machine" {
+			return
+		}
+		for _, m := range banned.FindAll(src, -1) {
+			t.Errorf("%s calls %s: only a SimulateVariants batch may own a pooled machine", path, m)
+		}
+	})
+}
+
+// walkGo calls fn with the path and contents of every .go file of this
+// module, skipping hidden directories and nested modules.
+func walkGo(t *testing.T, fn func(path string, src []byte)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -48,24 +83,17 @@ func TestDesignIndexNamesExist(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
-			declared[m[1]] = true
-		}
+		fn(path, src)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, m := range cited {
-		if !declared[m[1]] {
-			t.Errorf("DESIGN.md's per-experiment index cites %s, which no _test.go declares", m[1])
-		}
 	}
 }

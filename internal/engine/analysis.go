@@ -62,16 +62,17 @@ func (k AnalysisKey) String() string {
 
 // AnalysisCtx returns the critical-path analysis that key names,
 // computing it at most once per process (and at most once per CacheDir
-// across processes). On a miss the analysis job simulates with run,
-// analyzes the live machine with a pooled critpath.Analyzer, and
-// recycles it. The run's artifact is cached under key.Sim's entry
-// exactly as a SimCtx miss would cache it, so a SimCtx of key.Sim after
-// its AnalysisCtx hits. Once ctx is cancelled this submission's misses
-// fail fast without simulating or analyzing, while other submissions of
-// the same engine are untouched; a nil ctx is never cancelled.
+// across processes). On a miss the analysis job simulates with run and
+// analyzes the live machine with a pooled critpath.Analyzer inside the
+// run's batch. The run's artifact is cached under key.Sim's entry
+// exactly as a SimVariantsCtx miss would cache it, so a SimVariantsCtx
+// of key.Sim after its AnalysisCtx hits. Once ctx is cancelled this
+// submission's misses fail fast without simulating or analyzing, while
+// other submissions of the same engine are untouched; a nil ctx is
+// never cancelled. engine.analysis.run times the analysis alone.
 func (e *Engine) AnalysisCtx(ctx context.Context, key AnalysisKey, run Run) (CritSummary, error) {
 	cs, err := e.analyses.one(ctx, key, func() (cs *CritSummary, err error) {
-		_, err = e.simulate(key.Sim, run, func(m *machine.Machine) (err error) {
+		_, err = e.simulateLeading(key.Sim, run, func(m *machine.Machine) (err error) {
 			start := time.Now()
 			if cs, err = computeCritSummary(m, key.Full); err == nil {
 				e.tAna.Observe(time.Since(start))

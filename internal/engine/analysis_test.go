@@ -13,9 +13,9 @@ import (
 func TestAnalysisCachesAndSharesSimArtifact(t *testing.T) {
 	e := New(Config{Workers: 2})
 	var runs atomic.Int64
-	run := func() (*machine.Machine, Artifact, error) {
+	run := func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs.Add(1)
-		return runTiny(1)
+		return runTiny(1, derive)
 	}
 	cs1, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), run)
 	if err != nil {
@@ -49,14 +49,14 @@ func TestAnalysisCachesAndSharesSimArtifact(t *testing.T) {
 		t.Errorf("analysis hits/misses/jobs = %d/%d/%d, want 1/1/1",
 			s.AnaHits, s.AnaMisses, s.AnaJobs)
 	}
-	// The simulation the analysis triggered is itself cached: a SimCtx
-	// submission must hit without running.
+	// The simulation the analysis triggered is itself cached: a one-key
+	// SimVariantsCtx submission must hit without running.
 	before := runs.Load()
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
+	if _, err := simOne(e, context.Background(), testSimKey(1), run); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != before {
-		t.Error("analysis did not share its simulation artifact with SimCtx")
+		t.Error("analysis did not share its simulation artifact with SimVariantsCtx")
 	}
 }
 
@@ -70,9 +70,9 @@ func TestAnalysisConcurrentDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cs, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), func() (*machine.Machine, Artifact, error) {
+			cs, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), func(derive func(*machine.Machine) error) (Artifact, error) {
 				runs.Add(1)
-				return runTiny(1)
+				return runTiny(1, derive)
 			})
 			if err != nil {
 				t.Error(err)
@@ -96,18 +96,18 @@ func TestAnalysisConcurrentDedup(t *testing.T) {
 }
 
 // TestAnalysisLeadsItsSimFlight: while an analysis job simulates, it
-// holds its key's sim flight, so a SimCtx of the key submitted meanwhile
-// joins that run instead of simulating again; the flight ends with the
-// simulation.
+// holds its key's sim flight, so a SimVariantsCtx of the key submitted
+// meanwhile joins that run instead of simulating again; the flight ends
+// with the simulation.
 func TestAnalysisLeadsItsSimFlight(t *testing.T) {
 	e := New(Config{Workers: 2})
 	canon := testSimKey(1).String()
 	var leading bool
-	run := func() (*machine.Machine, Artifact, error) {
+	run := func(derive func(*machine.Machine) error) (Artifact, error) {
 		e.mu.Lock()
 		_, leading = e.inflight[canon]
 		e.mu.Unlock()
-		return runTiny(1)
+		return runTiny(1, derive)
 	}
 	if _, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), run); err != nil {
 		t.Fatal(err)
@@ -135,9 +135,9 @@ func TestAnalysisDiskRoundTrip(t *testing.T) {
 	// disk without simulating or re-analyzing.
 	e2 := New(Config{Workers: 2, CacheDir: dir})
 	var runs atomic.Int64
-	cs2, err := e2.AnalysisCtx(context.Background(), testAnaKey(1, true), func() (*machine.Machine, Artifact, error) {
+	cs2, err := e2.AnalysisCtx(context.Background(), testAnaKey(1, true), func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs.Add(1)
-		return runTiny(1)
+		return runTiny(1, derive)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,9 +167,9 @@ func TestAnalysisDiskRoundTrip(t *testing.T) {
 func TestAnalysisDepth(t *testing.T) {
 	e := New(Config{Workers: 2})
 	var runs atomic.Int64
-	run := func() (*machine.Machine, Artifact, error) {
+	run := func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs.Add(1)
-		return runTiny(1)
+		return runTiny(1, derive)
 	}
 	walk, err := e.AnalysisCtx(context.Background(), testAnaKey(1, false), run)
 	if err != nil {

@@ -26,12 +26,14 @@ func (a *Artifact) complete(key SimKey) bool {
 	return a != nil && (!key.TrackExact || a.Exact != nil)
 }
 
-// Run is one simulation job body. It builds and runs a machine and
-// returns it, still live, with the run's artifact. The engine derives
-// whatever product the request's key names from the machine (nothing,
-// a critical-path summary, a schedule harvest) and recycles it before
-// the job returns, so no cache entry ever holds a machine.
-type Run func() (*machine.Machine, Artifact, error)
+// Run is the simulation behind an analysis or harvest job. It runs one
+// machine, calls derive on it while it is live — inside its
+// machine.SimulateVariants batch, before the batch recycles it — and
+// returns the run's artifact. An error from derive fails the run. The
+// engine derives whatever product the request's key names (a
+// critical-path summary, a schedule harvest) and never touches a
+// machine outside derive, so no cache entry ever holds one.
+type Run func(derive func(*machine.Machine) error) (Artifact, error)
 
 // Harvest is the idealized list scheduler's view of one run: the
 // retirement-trace Input (release, latency, misprediction and

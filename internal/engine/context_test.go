@@ -65,8 +65,9 @@ func TestPerJobContextIsolation(t *testing.T) {
 	}
 }
 
-// TestSimCtxCancelledFailsFast verifies a cancelled submission context
-// prevents the job body from running at all, while a live submission of
+// TestSimCtxCancelledFailsFast verifies a cancelled context on a
+// one-key simulation submission (SimVariantsCtx) prevents the job body
+// from running at all, while a live submission of
 // the same key on the same engine still computes.
 func TestSimCtxCancelledFailsFast(t *testing.T) {
 	e := New(Config{Workers: 2})
@@ -74,21 +75,21 @@ func TestSimCtxCancelledFailsFast(t *testing.T) {
 	cancel()
 
 	var runs atomic.Int64
-	run := func() (*machine.Machine, Artifact, error) {
+	run := func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs.Add(1)
-		return runTiny(1)
+		return runTiny(1, derive)
 	}
-	if _, err := e.SimCtx(cancelled, testSimKey(1), run); err == nil {
-		t.Fatal("SimCtx with cancelled context returned no error")
+	if _, err := simOne(e, cancelled, testSimKey(1), run); err == nil {
+		t.Fatal("simulation with cancelled context returned no error")
 	} else if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SimCtx error = %v, want context.Canceled", err)
+		t.Fatalf("simulation error = %v, want context.Canceled", err)
 	}
 	if runs.Load() != 0 {
 		t.Fatalf("cancelled submission ran the job body %d times", runs.Load())
 	}
 	// The same key under a live context is unaffected by the earlier
 	// cancellation (errors are not memoized).
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
+	if _, err := simOne(e, context.Background(), testSimKey(1), run); err != nil {
 		t.Fatalf("live submission after cancelled one: %v", err)
 	}
 	if runs.Load() != 1 {
@@ -113,14 +114,14 @@ func TestForeignCancellationRetry(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, leaderErr = e.SimCtx(leaderCtx, key, func() (*machine.Machine, Artifact, error) {
+		_, leaderErr = simOne(e, leaderCtx, key, func(derive func(*machine.Machine) error) (Artifact, error) {
 			close(leaderStarted)
 			<-releaseLeader
 			// The leader's driver observed its own cancellation mid-job
-			// (as a nested MapCtx/SimCtx inside a real driver would) and
+			// (as a nested MapCtx/SimVariantsCtx inside a real driver would) and
 			// surfaces it.
 			cancelLeader()
-			return nil, Artifact{}, Fatal(fmt.Errorf("engine: job cancelled: %w", leaderCtx.Err()))
+			return Artifact{}, Fatal(fmt.Errorf("engine: job cancelled: %w", leaderCtx.Err()))
 		})
 	}()
 
@@ -133,9 +134,9 @@ func TestForeignCancellationRetry(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		followerArt, followerErr = e.SimCtx(context.Background(), key, func() (*machine.Machine, Artifact, error) {
+		followerArt, followerErr = simOne(e, context.Background(), key, func(derive func(*machine.Machine) error) (Artifact, error) {
 			followerRan.Add(1)
-			return runTiny(1)
+			return runTiny(1, derive)
 		})
 	}()
 	// Give the follower time to join the leader's flight before releasing

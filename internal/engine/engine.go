@@ -12,9 +12,9 @@
 // is indistinguishable from a fresh computation. The determinism test
 // suite in internal/experiments pins this property.
 //
-// Every submission, of one key (TraceCtx, SimCtx, AnalysisCtx,
-// HarvestCtx) or of a batch (SimVariantsCtx, SchedulesCtx), takes one
-// lookup path, in order:
+// Every submission, of one key (TraceCtx, AnalysisCtx, HarvestCtx) or
+// of a batch (SimVariantsCtx, SchedulesCtx), takes one lookup path, in
+// order:
 //
 //  1. an in-memory LRU of values (byte-budgeted; the least recently
 //     used entries are dropped under pressure and recomputed, or reloaded
@@ -27,6 +27,12 @@
 //     entries are quarantined and recomputed, and repeated I/O failures
 //     degrade the layer to memory-only,
 //  4. one compute call for the batch's remaining keys.
+//
+// The engine never holds a machine. Simulations are the callers' jobs:
+// a SimVariantsCtx compute runs its misses as one
+// machine.SimulateVariants batch, and the Run behind an analysis or a
+// harvest runs a one-variant batch and derives the product from the
+// live machine inside it, before the batch recycles the machine.
 //
 // For failure semantics — the Transient/Corrupt/Fatal error taxonomy,
 // fault injection, resuming from the disk cache, and cancellation — see
@@ -83,11 +89,11 @@ type Config struct {
 	// submissions' context.
 	JobDeadline time.Duration
 	// ReplayWorkers bounds the intra-job variant fan-out
-	// (machine.SimulateVariants workers) each simulation job may
-	// use; <=0 means a per-job share of the socket,
-	// max(1, GOMAXPROCS/Workers), so a fully loaded job pool does not
-	// oversubscribe cores. The determinism contract makes results
-	// identical under any value.
+	// (machine.SimulateVariants workers) of every batch a job runs,
+	// and is the only setting of it; <=0 means a per-job share of the
+	// socket, max(1, GOMAXPROCS/Workers), so a fully loaded job pool
+	// does not oversubscribe cores. The determinism contract makes
+	// results identical under any value.
 	ReplayWorkers int
 	// Metrics receives the engine's counters and timers; a private
 	// registry is created when nil.
@@ -237,8 +243,8 @@ func (e *Engine) Metrics() *metrics.Registry { return e.met }
 // checkCtx returns a Fatal-classified cancellation error once the
 // submission's context (nil means none) is cancelled, nil otherwise.
 //
-// Every submission (TraceCtx, SimCtx, AnalysisCtx, SimVariantsCtx,
-// SchedulesCtx, HarvestCtx, MapCtx) carries its own context, so
+// Every submission (TraceCtx, AnalysisCtx, SimVariantsCtx, SchedulesCtx,
+// HarvestCtx, MapCtx) carries its own context, so
 // cancelling one — a tenant's job on a shared server engine, or a CLI
 // run's Ctrl-C — fails only that submission's pending work: MapCtx skips
 // its not-yet-started items and its cache misses fail fast instead of
@@ -281,56 +287,36 @@ func (e *Engine) TraceCtx(ctx context.Context, key TraceKey, gen func() (*trace.
 	return e.traces.one(ctx, key, gen)
 }
 
-// SimCtx returns the artifact for key, simulating with run on a cache
-// miss. Concurrent submissions of one key — e.g. two figure drivers
-// sharing a focused-stack run — simulate once and share the artifact.
-// Once ctx is cancelled this submission's misses fail fast without
-// simulating, while concurrent submissions of the same engine (other
-// tenants' jobs on a shared server engine) are untouched; a nil ctx is
-// never cancelled.
-func (e *Engine) SimCtx(ctx context.Context, key SimKey, run Run) (Artifact, error) {
-	return e.sims.one(ctx, key, func() (Artifact, error) {
-		m, a, err := run()
-		machine.Recycle(m)
-		return a, err
-	})
-}
-
 // SimVariantsCtx returns the simulation artifacts for keys, positionally
-// aligned, through the same memory, flight and disk layers as SimCtx:
-// compute receives the indices of the remaining misses (in key order)
-// and must return their artifacts in that order — typically one fused
-// machine.SimulateVariants call over the batch's shared trace, which is
-// why the misses are batched instead of resolved one key at a time: the
-// fused run decodes the trace, builds the producer index, and trains the
-// shared front-end exactly once for every variant in the sweep. compute
-// owns the machines it runs and recycles them before returning.
+// aligned: compute receives the indices of the remaining misses (in key
+// order) and must return their artifacts in that order — typically one
+// fused machine.SimulateVariants call over the batch's shared trace,
+// which is why the misses are batched instead of resolved one key at a
+// time: the fused run decodes the trace, builds the producer index, and
+// trains the shared front-end exactly once for every variant in the
+// sweep. A single simulation is a one-key batch.
 //
-// Each artifact is cached under its own SimKey, so a later SimCtx of any
-// variant hits, and vice versa. A key another submission is computing
-// is shared, not computed again. ctx behaves as in SimCtx.
+// Each artifact is cached under its own SimKey, so a later submission of
+// any variant hits, whichever batch computed it; an analysis or harvest
+// job caches its run's artifact under the same key. A key another
+// submission is computing is shared, not computed again. Once ctx is
+// cancelled this submission's misses fail fast without simulating,
+// while concurrent submissions of the same engine (other tenants' jobs
+// on a shared server engine) are untouched; a nil ctx is never
+// cancelled.
 func (e *Engine) SimVariantsCtx(ctx context.Context, keys []SimKey, compute func(miss []int) ([]Artifact, error)) ([]Artifact, error) {
 	return e.sims.lookup(ctx, keys, compute)
 }
 
-// simulate is the job that runs a machine for a derived product (an
-// analysis, a harvest). It simulates key with run, caches the artifact
-// under key's sim entry as a SimCtx miss would, lets derive read the
-// live machine, and recycles it.
-func (e *Engine) simulate(key SimKey, run Run, derive func(*machine.Machine) error) (Artifact, error) {
-	m, a, err := e.simulateLeading(key, run)
-	defer machine.Recycle(m)
-	if err != nil {
-		return Artifact{}, err
-	}
-	return a, derive(m)
-}
-
-// simulateLeading runs key's simulation for simulate. It leads key's sim
-// flight when none is in progress, so a SimCtx of key submitted
-// meanwhile shares this run, and lands it from a defer. (A sim already
-// in flight cannot lend its machine; the job then runs alone.)
-func (e *Engine) simulateLeading(key SimKey, run Run) (m *machine.Machine, a Artifact, err error) {
+// simulateLeading is the simulation inside an analysis or harvest job:
+// it runs key's simulation with run, which calls derive on the live
+// machine, and caches the artifact under key's sim entry as a
+// SimVariantsCtx miss would. It leads key's sim flight when none is in
+// progress, so a SimVariantsCtx of key submitted meanwhile shares this
+// run, and lands it from a defer. (A sim already in flight cannot lend
+// its machine; the job then runs alone.) engine.sim.run times the
+// simulation without derive.
+func (e *Engine) simulateLeading(key SimKey, run Run, derive func(*machine.Machine) error) (a Artifact, err error) {
 	var fs []*flight
 	canon := key.String()
 	e.mu.Lock()
@@ -340,17 +326,23 @@ func (e *Engine) simulateLeading(key SimKey, run Run) (m *machine.Machine, a Art
 	e.mu.Unlock()
 	defer func() { e.sims.land(fs, err) }()
 	e.sims.miss.Inc()
+	var derived time.Duration
 	start := time.Now()
-	if m, a, err = run(); err != nil {
-		return m, a, err
+	a, err = run(func(m *machine.Machine) error {
+		t := time.Now()
+		defer func() { derived += time.Since(t) }()
+		return derive(m)
+	})
+	if err != nil {
+		return a, err
 	}
-	e.sims.timer.Observe(time.Since(start))
+	e.sims.timer.Observe(time.Since(start) - derived)
 	if err = e.storeSim(key, a); err == nil {
 		for _, f := range fs {
 			f.val, f.err = a, nil
 		}
 	}
-	return m, a, err
+	return a, err
 }
 
 // storeSim vets and persists a freshly computed artifact (with its exact

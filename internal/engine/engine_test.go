@@ -41,23 +41,45 @@ func testAnaKey(seed uint64, full bool) AnalysisKey {
 	return AnalysisKey{Sim: testSimKey(seed), Full: full}
 }
 
-// runTiny executes a real miniature simulation and hands back the live
-// machine, as production jobs do.
-func runTiny(seed uint64) (*machine.Machine, Artifact, error) {
+// runTiny executes a real miniature simulation as a one-variant
+// machine.SimulateVariants batch and calls derive (when non-nil) on the
+// live machine, as production jobs do.
+func runTiny(seed uint64, derive func(*machine.Machine) error) (Artifact, error) {
 	tr, err := workload.Generate("gzip", testInsts, seed)
 	if err != nil {
-		return nil, Artifact{}, err
+		return Artifact{}, err
 	}
-	m, err := machine.New(machine.NewConfig(1), tr, steer.DepBased{}, machine.Hooks{})
-	if err != nil {
-		return nil, Artifact{}, err
-	}
-	return m, Artifact{Res: m.Run()}, nil
+	var a Artifact
+	v := machine.Variant{Config: machine.NewConfig(1), Pol: steer.DepBased{}}
+	_, err = machine.SimulateVariants(tr, []machine.Variant{v}, 1, func(_ int, m *machine.Machine, res machine.Result) error {
+		a.Res = res
+		if derive == nil {
+			return nil
+		}
+		return derive(m)
+	})
+	return a, err
 }
 
 // tinyRun is runTiny as a job body.
 func tinyRun(seed uint64) Run {
-	return func() (*machine.Machine, Artifact, error) { return runTiny(seed) }
+	return func(derive func(*machine.Machine) error) (Artifact, error) { return runTiny(seed, derive) }
+}
+
+// simOne submits key as a one-key SimVariantsCtx batch computed by run,
+// the way production submits a single simulation.
+func simOne(e *Engine, ctx context.Context, key SimKey, run Run) (Artifact, error) {
+	arts, err := e.SimVariantsCtx(ctx, []SimKey{key}, func([]int) ([]Artifact, error) {
+		a, err := run(nil)
+		if err != nil {
+			return nil, err
+		}
+		return []Artifact{a}, nil
+	})
+	if err != nil {
+		return Artifact{}, err
+	}
+	return arts[0], nil
 }
 
 func TestTraceCaching(t *testing.T) {
@@ -96,13 +118,13 @@ func TestTraceCaching(t *testing.T) {
 func TestSimCacheHitMissAccounting(t *testing.T) {
 	e := New(Config{Workers: 2})
 	var runs atomic.Int64
-	run := func() (*machine.Machine, Artifact, error) {
+	run := func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs.Add(1)
-		return runTiny(1)
+		return runTiny(1, derive)
 	}
 	var art Artifact
 	for i := 0; i < 3; i++ {
-		a, err := e.SimCtx(context.Background(), testSimKey(1), run)
+		a, err := simOne(e, context.Background(), testSimKey(1), run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,10 +157,10 @@ func TestSimConcurrentDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a, err := e.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+			a, err := simOne(e, context.Background(), testSimKey(1), func(derive func(*machine.Machine) error) (Artifact, error) {
 				runs.Add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
-				return runTiny(1)
+				return runTiny(1, derive)
 			})
 			if err != nil {
 				t.Error(err)
@@ -190,9 +212,9 @@ func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
 			return err
 		}, func(s Summary) int64 { return s.TraceMisses }},
 		{"sim", testSimKey(1).String(), func(e *Engine, work func()) error {
-			_, err := e.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+			_, err := simOne(e, context.Background(), testSimKey(1), func(derive func(*machine.Machine) error) (Artifact, error) {
 				work()
-				return runTiny(1)
+				return runTiny(1, derive)
 			})
 			return err
 		}, func(s Summary) int64 { return s.SimMisses }},
@@ -204,9 +226,9 @@ func TestLeaderFinishingBeforeLookupIsShared(t *testing.T) {
 			return err
 		}, func(s Summary) int64 { return s.SimMisses / int64(len(variantKeys)) }},
 		{"analysis", testAnaKey(1, true).String(), func(e *Engine, work func()) error {
-			_, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), func() (*machine.Machine, Artifact, error) {
+			_, err := e.AnalysisCtx(context.Background(), testAnaKey(1, true), func(derive func(*machine.Machine) error) (Artifact, error) {
 				work()
-				return runTiny(1)
+				return runTiny(1, derive)
 			})
 			return err
 		}, func(s Summary) int64 { return s.AnaMisses }},
@@ -259,18 +281,18 @@ func TestSimErrorsNotCached(t *testing.T) {
 	e := New(Config{Workers: 2})
 	boom := errors.New("boom")
 	var runs int
-	run := func() (*machine.Machine, Artifact, error) {
+	run := func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs++
 		if runs == 1 {
-			return nil, Artifact{}, boom
+			return Artifact{}, boom
 		}
-		return runTiny(1)
+		return runTiny(1, derive)
 	}
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); !errors.Is(err, boom) {
+	if _, err := simOne(e, context.Background(), testSimKey(1), run); !errors.Is(err, boom) {
 		t.Fatalf("first Sim err = %v, want boom", err)
 	}
 	// The failure must not be memoized: the next submission retries.
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
+	if _, err := simOne(e, context.Background(), testSimKey(1), run); err != nil {
 		t.Fatalf("second Sim err = %v, want success", err)
 	}
 	if runs != 2 {
@@ -284,7 +306,7 @@ func TestSimErrorsNotCached(t *testing.T) {
 func TestDiskResultRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{CacheDir: dir})
-	a1, err := e1.SimCtx(context.Background(), testSimKey(1), tinyRun(1))
+	a1, err := simOne(e1, context.Background(), testSimKey(1), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +314,9 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	// A second engine (fresh process, same cache dir) serves the key
 	// from disk without simulating.
 	e2 := New(Config{CacheDir: dir})
-	a2, err := e2.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	a2, err := simOne(e2, context.Background(), testSimKey(1), func(derive func(*machine.Machine) error) (Artifact, error) {
 		t.Error("run must not be called on a disk hit")
-		return nil, Artifact{}, nil
+		return Artifact{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,18 +332,18 @@ func TestDiskResultRoundTrip(t *testing.T) {
 	// Result, not the machine the analysis reads. The analysis job
 	// re-stores the same Result under the sim key.
 	var runs atomic.Int64
-	if _, err := e2.AnalysisCtx(context.Background(), testAnaKey(1, true), func() (*machine.Machine, Artifact, error) {
+	if _, err := e2.AnalysisCtx(context.Background(), testAnaKey(1, true), func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs.Add(1)
-		return runTiny(1)
+		return runTiny(1, derive)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 1 {
 		t.Errorf("analysis after disk hit ran %d times, want 1", runs.Load())
 	}
-	a3, err := e2.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	a3, err := simOne(e2, context.Background(), testSimKey(1), func(derive func(*machine.Machine) error) (Artifact, error) {
 		t.Error("run must not be called: the analysis job cached the result")
-		return nil, Artifact{}, nil
+		return Artifact{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +466,7 @@ func TestBadCacheDirNonFatal(t *testing.T) {
 	if e.Summary().DiskErr == nil {
 		t.Error("expected DiskErr for unusable cache dir")
 	}
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := simOne(e, context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatalf("engine without disk layer failed: %v", err)
 	}
 }
@@ -455,7 +477,7 @@ func TestBadCacheDirNonFatal(t *testing.T) {
 func TestDroppedUnderPressure(t *testing.T) {
 	e := New(Config{MaxCacheBytes: baseCost + 1}) // room for one small value
 	var runs atomic.Int64
-	run := func() (*machine.Machine, Artifact, error) { runs.Add(1); return runTiny(1) }
+	run := func(derive func(*machine.Machine) error) (Artifact, error) { runs.Add(1); return runTiny(1, derive) }
 	h1, err := e.HarvestCtx(nil, testSimKey(1), run)
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +507,7 @@ func TestDroppedUnderPressure(t *testing.T) {
 	// ...and so does the sim entry the harvest's own insert pushed out;
 	// once resident, it serves without running.
 	for i := 0; i < 2; i++ {
-		if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
+		if _, err := simOne(e, context.Background(), testSimKey(1), run); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -614,10 +636,10 @@ func TestMapEmpty(t *testing.T) {
 
 func TestRenderSummary(t *testing.T) {
 	e := New(Config{Workers: 2})
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := simOne(e, context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := simOne(e, context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -685,17 +707,17 @@ func TestDiskExactRoundTrip(t *testing.T) {
 	for i := 0; i < 90; i++ {
 		exact.Train(uint64(i%11)*4, i%4 == 0)
 	}
-	withExact := func() (*machine.Machine, Artifact, error) {
-		return nil, Artifact{Res: machine.Result{ConfigName: "1x8w", Insts: 90, Cycles: 120}, Exact: exact}, nil
+	withExact := func(derive func(*machine.Machine) error) (Artifact, error) {
+		return Artifact{Res: machine.Result{ConfigName: "1x8w", Insts: 90, Cycles: 120}, Exact: exact}, nil
 	}
 	e1 := New(Config{CacheDir: dir})
-	if _, err := e1.SimCtx(context.Background(), key, withExact); err != nil {
+	if _, err := simOne(e1, context.Background(), key, withExact); err != nil {
 		t.Fatal(err)
 	}
 	e2 := New(Config{CacheDir: dir})
-	a, err := e2.SimCtx(context.Background(), key, func() (*machine.Machine, Artifact, error) {
+	a, err := simOne(e2, context.Background(), key, func(derive func(*machine.Machine) error) (Artifact, error) {
 		t.Error("run must not be called: the disk entry carries the exact tracker")
-		return nil, Artifact{}, nil
+		return Artifact{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -713,9 +735,9 @@ func TestDiskExactRoundTrip(t *testing.T) {
 	old.TrackExact = true
 	e2.disk.storeResult(old, machine.Result{Insts: 90}, nil)
 	var runs atomic.Int64
-	if _, err := e2.SimCtx(context.Background(), old, func() (*machine.Machine, Artifact, error) {
+	if _, err := simOne(e2, context.Background(), old, func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs.Add(1)
-		return withExact()
+		return withExact(derive)
 	}); err != nil {
 		t.Fatal(err)
 	}

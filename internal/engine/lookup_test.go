@@ -32,13 +32,13 @@ func within(t *testing.T, d time.Duration, what string, fn func()) {
 // must land, so the next submission of each key computes instead of
 // waiting forever.
 func TestPanickingLeaderReleasesKey(t *testing.T) {
-	panicking := func() (*machine.Machine, Artifact, error) { panic("run exploded") }
+	panicking := func(derive func(*machine.Machine) error) (Artifact, error) { panic("run exploded") }
 	for _, tc := range []struct {
 		name   string
 		submit func(e *Engine, run Run) error
 	}{
 		{"sim", func(e *Engine, run Run) error {
-			_, err := e.SimCtx(context.Background(), testSimKey(1), run)
+			_, err := simOne(e, context.Background(), testSimKey(1), run)
 			return err
 		}},
 		{"analysis", func(e *Engine, run Run) error {
@@ -64,7 +64,7 @@ func TestPanickingLeaderReleasesKey(t *testing.T) {
 				}
 			})
 			within(t, 3*time.Second, "sim of the same run", func() {
-				if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
+				if _, err := simOne(e, context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 					t.Error(err)
 				}
 			})

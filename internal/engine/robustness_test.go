@@ -116,7 +116,7 @@ func corruptSegment(t *testing.T, dir string) int {
 func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	e1 := New(Config{CacheDir: dir})
-	a1, err := e1.SimCtx(context.Background(), testSimKey(1), tinyRun(1))
+	a1, err := simOne(e1, context.Background(), testSimKey(1), tinyRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +124,9 @@ func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 
 	e2 := New(Config{CacheDir: dir})
 	var runs atomic.Int64
-	a2, err := e2.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	a2, err := simOne(e2, context.Background(), testSimKey(1), func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs.Add(1)
-		return runTiny(1)
+		return runTiny(1, derive)
 	})
 	if err != nil {
 		t.Fatalf("corruption surfaced as an error: %v", err)
@@ -147,9 +147,9 @@ func TestCorruptResultQuarantinedAndRecomputed(t *testing.T) {
 	// The recompute appended a valid frame: a third engine skips the
 	// damaged one and gets a clean disk hit.
 	e3 := New(Config{CacheDir: dir})
-	if _, err := e3.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	if _, err := simOne(e3, context.Background(), testSimKey(1), func(derive func(*machine.Machine) error) (Artifact, error) {
 		t.Error("clean rewritten entry missed")
-		return runTiny(1)
+		return runTiny(1, derive)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestWriteFaultsNeverFailRuns(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Config{CacheDir: dir, DiskErrorBudget: 4})
 	faultinject.Enable(1234, 1)
-	a, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1))
+	a, err := simOne(e, context.Background(), testSimKey(1), tinyRun(1))
 	faultinject.Disable()
 	if err != nil {
 		t.Fatalf("write faults leaked into the run: %v", err)
@@ -187,7 +187,7 @@ func TestDegradedModeAfterBudget(t *testing.T) {
 	faultinject.Enable(99, 1)
 	for seed := uint64(1); seed <= 6; seed++ {
 		s := seed
-		if _, err := e.SimCtx(context.Background(), testSimKey(s), tinyRun(s)); err != nil {
+		if _, err := simOne(e, context.Background(), testSimKey(s), tinyRun(s)); err != nil {
 			t.Fatalf("seed %d: %v", s, err)
 		}
 	}
@@ -201,9 +201,9 @@ func TestDegradedModeAfterBudget(t *testing.T) {
 	}
 	// Degraded means memory-only, not broken: cached entries still hit.
 	var runs atomic.Int64
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	if _, err := simOne(e, context.Background(), testSimKey(1), func(derive func(*machine.Machine) error) (Artifact, error) {
 		runs.Add(1)
-		return runTiny(1)
+		return runTiny(1, derive)
 	}); err != nil || runs.Load() != 0 {
 		t.Fatalf("memory cache broken after degrade: err=%v runs=%d", err, runs.Load())
 	}
@@ -233,11 +233,11 @@ func TestContextCancellationDrains(t *testing.T) {
 		t.Fatalf("ran %d items after cancel, want 2", got)
 	}
 	// The cancelled context also refuses new cache misses...
-	if _, err := e.SimCtx(ctx, testSimKey(1), tinyRun(1)); err == nil {
-		t.Fatal("SimCtx miss succeeded under a cancelled context")
+	if _, err := simOne(e, ctx, testSimKey(1), tinyRun(1)); err == nil {
+		t.Fatal("simulation miss succeeded under a cancelled context")
 	}
 	// ...while a live one on the same engine still computes.
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := simOne(e, context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -335,11 +335,11 @@ func TestSegmentTornFrameQuarantined(t *testing.T) {
 		dir := t.TempDir()
 		e1 := New(Config{CacheDir: dir})
 		for seed := uint64(1); seed <= 2; seed++ {
-			if _, err := e1.SimCtx(context.Background(), testSimKey(seed), tinyRun(seed)); err != nil {
+			if _, err := simOne(e1, context.Background(), testSimKey(seed), tinyRun(seed)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		_, res, _ := runTiny(3)
+		res, _ := runTiny(3, nil)
 		payload, err := json.Marshal(resultEnvelope{Key: testSimKey(3).String(), Result: res.Res})
 		if err != nil {
 			t.Fatal(err)
@@ -347,16 +347,16 @@ func TestSegmentTornFrameQuarantined(t *testing.T) {
 		if err := appendFrame(e1.disk.segmentPath(), durable.EncodeFrame(payload)[:cut]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e1.SimCtx(context.Background(), testSimKey(4), tinyRun(4)); err != nil {
+		if _, err := simOne(e1, context.Background(), testSimKey(4), tinyRun(4)); err != nil {
 			t.Fatal(err)
 		}
 
 		e2 := New(Config{CacheDir: dir})
 		for seed := uint64(1); seed <= 4; seed++ {
 			var runs atomic.Int64
-			if _, err := e2.SimCtx(context.Background(), testSimKey(seed), func() (*machine.Machine, Artifact, error) {
+			if _, err := simOne(e2, context.Background(), testSimKey(seed), func(derive func(*machine.Machine) error) (Artifact, error) {
 				runs.Add(1)
-				return runTiny(seed)
+				return runTiny(seed, derive)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -414,12 +414,12 @@ func TestSegmentSeesLaterAppends(t *testing.T) {
 	dir := t.TempDir()
 	b := New(Config{CacheDir: dir})
 	a := New(Config{CacheDir: dir})
-	if _, err := a.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := simOne(a, context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SimCtx(context.Background(), testSimKey(1), func() (*machine.Machine, Artifact, error) {
+	if _, err := simOne(b, context.Background(), testSimKey(1), func(derive func(*machine.Machine) error) (Artifact, error) {
 		t.Error("b missed a's first entry")
-		return runTiny(1)
+		return runTiny(1, derive)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +429,9 @@ func TestSegmentSeesLaterAppends(t *testing.T) {
 		}
 	}
 	for seed := uint64(2); seed <= 3; seed++ {
-		if _, err := b.AnalysisCtx(context.Background(), testAnaKey(seed, true), func() (*machine.Machine, Artifact, error) {
+		if _, err := b.AnalysisCtx(context.Background(), testAnaKey(seed, true), func(derive func(*machine.Machine) error) (Artifact, error) {
 			t.Errorf("b missed a's analysis of seed %d", seed)
-			return runTiny(seed)
+			return runTiny(seed, derive)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -471,11 +471,11 @@ func TestSegmentConcurrentEngines(t *testing.T) {
 	}
 	fresh := New(Config{CacheDir: dir})
 	for seed := uint64(1); seed <= keys; seed++ {
-		run := func() (*machine.Machine, Artifact, error) {
+		run := func(derive func(*machine.Machine) error) (Artifact, error) {
 			t.Errorf("seed %d missed after concurrent appends", seed)
-			return runTiny(seed)
+			return runTiny(seed, derive)
 		}
-		if _, err := fresh.SimCtx(context.Background(), testSimKey(seed), run); err != nil {
+		if _, err := simOne(fresh, context.Background(), testSimKey(seed), run); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fresh.AnalysisCtx(context.Background(), testAnaKey(seed, true), run); err != nil {
@@ -498,7 +498,7 @@ func TestCacheDirLayout(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), tinyRun(1)); err != nil {
+	if _, err := simOne(e, context.Background(), testSimKey(1), tinyRun(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.AnalysisCtx(context.Background(), testAnaKey(2, true), tinyRun(2)); err != nil {

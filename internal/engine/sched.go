@@ -81,13 +81,14 @@ func (k harvestKey) String() string { return SimKey(k).String() + "|harvest" }
 // SchedulesCtx compute replays. The harvest is keyed by what the run
 // reads (newHarvestKey), so a 1-cluster key at any forwarding latency is
 // served by the harvest of whichever latency came first. On a miss the
-// harvest job simulates with run, copies the list scheduler's Input out
-// of the live machine, and recycles it; the run's artifact is cached
-// under key's sim entry as a SimCtx miss would cache it. A harvest hit
-// is counted as a sim hit — it serves the run without simulating.
-// Harvests live in memory only, with the issue orders memoized on them
-// (Harvest.KeepOrder), and are dropped, like every entry, under
-// pressure; the next request re-simulates. ctx behaves as in SimCtx.
+// harvest job simulates with run and copies the list scheduler's Input
+// out of the live machine inside the run's batch; the run's artifact is
+// cached under key's sim entry as a SimVariantsCtx miss would cache it.
+// A harvest hit is counted as a sim hit — it serves the run without
+// simulating. Harvests live in memory only, with the issue orders
+// memoized on them (Harvest.KeepOrder), and are dropped, like every
+// entry, under pressure; the next request re-simulates. ctx behaves as
+// in SimVariantsCtx.
 func (e *Engine) HarvestCtx(ctx context.Context, key SimKey, run Run) (*Harvest, error) {
 	hk := newHarvestKey(key)
 	return e.harvests.one(ctx, hk, func() (*Harvest, error) {
@@ -98,7 +99,7 @@ func (e *Engine) HarvestCtx(ctx context.Context, key SimKey, run Run) (*Harvest,
 			e.mem.grow(canon, h, bytes)
 			e.mu.Unlock()
 		}
-		a, err := e.simulate(key, run, func(m *machine.Machine) error {
+		a, err := e.simulateLeading(key, run, func(m *machine.Machine) error {
 			h.In = listsched.FromMachineRun(m)
 			return nil
 		})
@@ -108,13 +109,14 @@ func (e *Engine) HarvestCtx(ctx context.Context, key SimKey, run Run) (*Harvest,
 }
 
 // SchedulesCtx returns the schedule summaries for keys, positionally
-// aligned, through the same memory, flight and disk layers as SimCtx:
+// aligned, through the same memory, flight and disk layers as
+// SimVariantsCtx:
 // compute receives the indices of the remaining misses (in key order)
 // and must return their summaries in that order — typically one pooled
 // ScheduleVariants call over the shared harvest, which is exactly why the
 // misses are batched instead of resolved one key at a time. A key another
 // submission is computing is shared, not computed again. ctx behaves as
-// in SimCtx.
+// in SimVariantsCtx.
 func (e *Engine) SchedulesCtx(ctx context.Context, keys []SchedKey, compute func(miss []int) ([]SchedSummary, error)) ([]SchedSummary, error) {
 	return e.scheds.lookup(ctx, keys, compute)
 }

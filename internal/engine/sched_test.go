@@ -25,16 +25,19 @@ func testSchedKey(pri string, clusters int) SchedKey {
 func TestHarvestSharesItsRun(t *testing.T) {
 	e := New(Config{Workers: 2})
 	var runs atomic.Int64
-	run := func() (*machine.Machine, Artifact, error) { runs.Add(1); return runTiny(1) }
+	run := func(derive func(*machine.Machine) error) (Artifact, error) { runs.Add(1); return runTiny(1, derive) }
 	h1, err := e.HarvestCtx(nil, testSimKey(1), run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := runTiny(1)
-	if err != nil {
+	var want listsched.Input
+	if _, err := runTiny(1, func(m *machine.Machine) error {
+		want = listsched.FromMachineRun(m)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := listsched.FromMachineRun(m); !reflect.DeepEqual(h1.In, want) {
+	if !reflect.DeepEqual(h1.In, want) {
 		t.Error("harvest input differs from a fresh run's")
 	}
 	h2, err := e.HarvestCtx(nil, testSimKey(1), run)
@@ -44,7 +47,7 @@ func TestHarvestSharesItsRun(t *testing.T) {
 	if h2 != h1 {
 		t.Error("second harvest is not the cached one")
 	}
-	if _, err := e.SimCtx(context.Background(), testSimKey(1), run); err != nil {
+	if _, err := simOne(e, context.Background(), testSimKey(1), run); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Summary(); runs.Load() != 1 || s.SimMisses != 1 || s.SimHits != 2 {
@@ -58,7 +61,7 @@ func TestHarvestSharesItsRun(t *testing.T) {
 func TestHarvestSharedAcrossFwdOnOneCluster(t *testing.T) {
 	e := New(Config{Workers: 1})
 	var runs atomic.Int64
-	run := func() (*machine.Machine, Artifact, error) { runs.Add(1); return runTiny(1) }
+	run := func(derive func(*machine.Machine) error) (Artifact, error) { runs.Add(1); return runTiny(1, derive) }
 	var first *Harvest
 	for _, fwd := range []int{2, 1, 4} {
 		k := testSimKey(1)

@@ -87,7 +87,7 @@ func TestAblationRejectsInapplicableAxes(t *testing.T) {
 		{StackStall, Ablation{Detector: "bogus"}, false},
 		{StackStall, Ablation{Detector: DetectorToken}, true},
 	} {
-		if _, err := buildStack(opts, "gzip", 8, tc.stack, tc.ab, tc.trackExact); err == nil {
+		if _, _, err := buildStack(opts, "gzip", 8, tc.stack, tc.ab, tc.trackExact); err == nil {
 			t.Errorf("buildStack accepted %q on the %s stack (exact=%v)", tc.ab, tc.stack, tc.trackExact)
 		}
 	}

@@ -107,8 +107,9 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // TestDeterminismAcrossReplayWorkers extends the byte-identity suite to
 // the intra-job parallel replay layer: every figure must render
 // identically whether variant batches replay serially, on 2 workers, or
-// on NumCPU workers. Fresh engines per run, so nothing is served from
-// cache — the parallel fan-out really executes.
+// on NumCPU workers, as set by the engine's one fan-out setting
+// (engine.Config.ReplayWorkers). Fresh engines per run, so nothing is
+// served from cache — the parallel fan-out really executes.
 func TestDeterminismAcrossReplayWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism suite runs every driver several times")
@@ -116,9 +117,7 @@ func TestDeterminismAcrossReplayWorkers(t *testing.T) {
 	render := func(name string, run func(Options) (renderer, error), replay int) string {
 		t.Helper()
 		eng := engine.New(engine.Config{Workers: 2, ReplayWorkers: replay})
-		o := determinismOpts(eng)
-		o.ReplayWorkers = replay
-		r, err := run(o)
+		r, err := run(determinismOpts(eng))
 		if err != nil {
 			t.Fatalf("%s (replay=%d): %v", name, replay, err)
 		}

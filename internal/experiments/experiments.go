@@ -50,12 +50,6 @@ type Options struct {
 	// runs sharing the same engine (one tenant's job on a server engine
 	// cancels alone). Nil means the run is never cancelled.
 	Ctx context.Context
-	// ReplayWorkers overrides the engine's intra-job variant fan-out
-	// bound for this run (machine.SimulateVariants workers); <=0
-	// uses engine.ReplayWorkers(). Results are byte-identical under any
-	// value — this is purely a throughput/scheduling knob, which is why
-	// it never enters cache keys.
-	ReplayWorkers int
 }
 
 // defaultEngine serves Options with no explicit engine, so library
@@ -173,10 +167,14 @@ func simKey(opts Options, bench string, clusters int, stack Stack, trackExact bo
 }
 
 // sim submits one (benchmark, clusters, stack) simulation job to the
-// engine. Identical jobs submitted by different figures simulate once.
+// engine, as a one-variant batch. Identical jobs submitted by different
+// figures simulate once.
 func sim(opts Options, bench string, clusters int, stack Stack, trackExact bool) (engine.Artifact, error) {
-	return opts.engine().SimCtx(opts.Ctx, simKey(opts, bench, clusters, stack, trackExact),
-		simulate(opts, bench, clusters, stack, trackExact))
+	arts, err := simVariants(opts, bench, stackVariants(stack, clusters), trackExact)
+	if err != nil {
+		return engine.Artifact{}, err
+	}
+	return arts[0], nil
 }
 
 // Full analyses — the interaction lattice and slack on top of the walk —
@@ -213,37 +211,28 @@ func analysis(opts Options, bench string, clusters int, stack Stack) (engine.Cri
 	return cs, art, err
 }
 
-// stackSetup is the fully-built machine recipe for one (benchmark,
-// clusters, stack, ablation) job: everything in it is determined by
-// (opts, bench, clusters, stack, ablation, trackExact) — the purity
-// contract the engine's caching relies on.
-type stackSetup struct {
-	cfg   machine.Config
-	pol   machine.SteerPolicy
-	hooks machine.Hooks
-	bind  func(*machine.Machine) // binds the detector; nil for StackDepBased
-	exact *predictor.Exact       // nil unless trackExact (and never for depbased)
-}
-
-// buildStack constructs the machine configuration, policy, hooks and
-// (for criticality stacks) the online detector for one job, without
-// running anything. simulate and simVariants share it so the solo and
-// fused submission paths build byte-identical machines. ab perturbs the
+// buildStack constructs the machine variant for one (benchmark,
+// clusters, stack, ablation) job — configuration, policy, hooks and, for
+// criticality stacks, the online detector bound by its Setup — without
+// running anything, plus the exact tracker the detector feeds (nil
+// unless trackExact; never for depbased). Everything in it is
+// determined by (opts, bench, clusters, stack, ab, trackExact): the
+// purity contract the engine's caching relies on. ab perturbs the
 // stack; an axis the stack has no use for is an error, not a no-op, so
 // no two keys can name one machine.
-func buildStack(opts Options, bench string, clusters int, stack Stack, ab Ablation, trackExact bool) (stackSetup, error) {
+func buildStack(opts Options, bench string, clusters int, stack Stack, ab Ablation, trackExact bool) (machine.Variant, *predictor.Exact, error) {
 	cfg := machine.NewConfig(clusters)
 	cfg.FwdLatency = opts.Fwd
 	hooks := machine.Hooks{EpochLen: opts.EpochLen}
 
 	if stack == StackDepBased {
 		if ab != (Ablation{}) {
-			return stackSetup{}, fmt.Errorf("experiments: ablation %q on the %s stack", ab, stack)
+			return machine.Variant{}, nil, fmt.Errorf("experiments: ablation %q on the %s stack", ab, stack)
 		}
-		return stackSetup{cfg: cfg, pol: steer.DepBased{}, hooks: hooks}, nil
+		return machine.Variant{Config: cfg, Pol: steer.DepBased{}, Hooks: hooks}, nil, nil
 	}
 	if err := ab.check(stack, trackExact); err != nil {
-		return stackSetup{}, err
+		return machine.Variant{}, nil, err
 	}
 	if ab.Window != 0 {
 		cfg.WindowPerCluster = ab.Window
@@ -273,7 +262,7 @@ func buildStack(opts Options, bench string, clusters int, stack Stack, ab Ablati
 			pol = steer.NewReadyBalance()
 		}
 	default:
-		return stackSetup{}, fmt.Errorf("experiments: unknown stack %q", stack)
+		return machine.Variant{}, nil, fmt.Errorf("experiments: unknown stack %q", stack)
 	}
 	// The binary predictor stays attached on every stack so Figure 6's
 	// predicted-critical attribution is meaningful everywhere.
@@ -286,50 +275,39 @@ func buildStack(opts Options, bench string, clusters int, stack Stack, ab Ablati
 		hooks.LoC = predictor.NewLoC(bits, xrand.New(seedFor(opts.Seed, bench, locSeed)))
 	}
 
-	su := stackSetup{cfg: cfg, pol: pol}
+	v := machine.Variant{Config: cfg, Pol: pol}
+	var exact *predictor.Exact
 	switch ab.Detector {
 	case DetectorGraph:
 		det := critpath.NewDetector(hooks.Binary, hooks.LoC)
 		if trackExact {
-			su.exact = predictor.NewExact()
-			det.TrackExact(su.exact)
+			exact = predictor.NewExact()
+			det.TrackExact(exact)
 		}
 		hooks.OnEpoch = det.OnEpoch
-		su.bind = det.Bind
+		v.Setup = det.Bind
 	case DetectorToken:
 		det := critpath.NewTokenDetector(hooks.Binary, hooks.LoC, xrand.New(seedFor(opts.Seed, bench, "tok")))
 		hooks.OnCommitInst = det.OnCommit
-		su.bind = det.Bind
+		v.Setup = det.Bind
 	}
-	su.hooks = hooks
-	return su, nil
+	v.Hooks = hooks
+	return v, exact, nil
 }
 
-// simulate is the engine job body for one (benchmark, clusters, stack)
-// simulation: it builds and runs the machine under the policy stack,
-// with the online criticality detector training the appropriate
-// predictors, and hands the engine the live machine. trackExact
+// simulate is the engine job body behind an analysis or a harvest of
+// one (benchmark, clusters, stack) simulation: a one-variant batch whose
+// live machine derive reads before the batch recycles it. trackExact
 // additionally records unlimited-precision criticality frequencies.
 // Everything the job does is determined by (opts, bench, clusters,
 // stack, trackExact).
 func simulate(opts Options, bench string, clusters int, stack Stack, trackExact bool) engine.Run {
-	return func() (*machine.Machine, engine.Artifact, error) {
-		tr, err := genTrace(opts, bench)
+	return func(derive func(*machine.Machine) error) (engine.Artifact, error) {
+		arts, err := runBatch(opts, bench, stackVariants(stack, clusters), trackExact, derive)
 		if err != nil {
-			return nil, engine.Artifact{}, err
+			return engine.Artifact{}, err
 		}
-		su, err := buildStack(opts, bench, clusters, stack, Ablation{}, trackExact)
-		if err != nil {
-			return nil, engine.Artifact{}, err
-		}
-		m, err := machine.NewPooled(su.cfg, tr, su.pol, su.hooks)
-		if err != nil {
-			return nil, engine.Artifact{}, err
-		}
-		if su.bind != nil {
-			su.bind(m)
-		}
-		return m, engine.Artifact{Res: m.Run(), Exact: su.exact}, nil
+		return arts[0], nil
 	}
 }
 
@@ -352,10 +330,8 @@ func stackVariants(stack Stack, clusters ...int) []simVariant {
 
 // simVariants submits every variant of one benchmark's sweep as a single
 // batch: cached variants are served individually under their usual
-// SimKeys, and whatever remains is computed by one fused
-// machine.SimulateVariants call that decodes the trace, builds the
-// producer index and trains the shared front-end once for the whole
-// sweep. The returned artifacts align with vs.
+// SimKeys, and whatever remains is computed by one runBatch call. The
+// returned artifacts align with vs.
 func simVariants(opts Options, bench string, vs []simVariant, trackExact bool) ([]engine.Artifact, error) {
 	// Canonical ablations only: a perturbation that reproduces its stack
 	// builds, and keys, as the stack itself.
@@ -367,39 +343,44 @@ func simVariants(opts Options, bench string, vs []simVariant, trackExact bool) (
 		keys[i].Variant = vs[i].ab.String()
 	}
 	return opts.engine().SimVariantsCtx(opts.Ctx, keys, func(miss []int) ([]engine.Artifact, error) {
-		tr, err := genTrace(opts, bench)
-		if err != nil {
-			return nil, err
-		}
-		variants := make([]machine.Variant, len(miss))
-		setups := make([]stackSetup, len(miss))
+		todo := make([]simVariant, len(miss))
 		for j, i := range miss {
-			v := vs[i]
-			su, err := buildStack(opts, bench, v.clusters, v.stack, v.ab, trackExact)
-			if err != nil {
-				return nil, err
-			}
-			setups[j] = su
-			variants[j] = machine.Variant{Config: su.cfg, Pol: su.pol, Hooks: su.hooks, Setup: su.bind}
+			todo[j] = vs[i]
 		}
-		// Fan the per-variant replays out over the engine's per-job
-		// worker share: results are order-stitched and byte-identical
-		// under any fan-out.
-		eng := opts.engine()
-		workers := opts.ReplayWorkers
-		if workers <= 0 {
-			workers = eng.ReplayWorkers()
-		}
-		outs, stats, err := machine.SimulateVariants(tr, variants, workers)
-		if err != nil {
+		return runBatch(opts, bench, todo, trackExact, nil)
+	})
+}
+
+// runBatch simulates vs over bench's trace as one fused
+// machine.SimulateVariants call, which decodes the trace, builds the
+// producer index and trains the shared front-end once for the whole
+// batch, and returns the artifacts aligned with vs. derive, when
+// non-nil, reads each variant's live machine before the batch recycles
+// it. The replays fan out over the engine's replay workers: results are
+// byte-identical under any fan-out.
+func runBatch(opts Options, bench string, vs []simVariant, trackExact bool, derive func(*machine.Machine) error) ([]engine.Artifact, error) {
+	tr, err := genTrace(opts, bench)
+	if err != nil {
+		return nil, err
+	}
+	variants := make([]machine.Variant, len(vs))
+	arts := make([]engine.Artifact, len(vs))
+	for i, v := range vs {
+		if variants[i], arts[i].Exact, err = buildStack(opts, bench, v.clusters, v.stack, v.ab, trackExact); err != nil {
 			return nil, err
 		}
-		eng.NoteReplay(stats)
-		arts := make([]engine.Artifact, len(miss))
-		for j := range outs {
-			machine.Recycle(outs[j].M)
-			arts[j] = engine.Artifact{Res: outs[j].Res, Exact: setups[j].exact}
+	}
+	eng := opts.engine()
+	stats, err := machine.SimulateVariants(tr, variants, eng.ReplayWorkers(), func(i int, m *machine.Machine, res machine.Result) error {
+		arts[i].Res = res
+		if derive == nil {
+			return nil
 		}
-		return arts, nil
+		return derive(m)
 	})
+	if err != nil {
+		return nil, err
+	}
+	eng.NoteReplay(stats)
+	return arts, nil
 }

@@ -86,7 +86,7 @@ func Figure4(opts Options) (*Figure4Result, error) {
 		// All four geometries of one benchmark run as a single fused
 		// batch: one trace decode, one producer index, one shared
 		// front-end profile — cached misses only, under the same SimKeys
-		// solo submissions use.
+		// single-simulation submissions use.
 		arts, err := simVariants(opts, bench, stackVariants(StackFocused, append([]int{1}, clusterCounts...)...), false)
 		if err != nil {
 			return nil, err

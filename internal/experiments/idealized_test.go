@@ -20,12 +20,15 @@ func TestMonoHarvestIgnoresFwd(t *testing.T) {
 	harvest := func(bench string, stack Stack, exact bool, fwd int) engine.Harvest {
 		o := opts
 		o.Fwd = fwd
-		m, a, err := simulate(o, bench, 1, stack, exact)()
+		var in listsched.Input
+		a, err := simulate(o, bench, 1, stack, exact)(func(m *machine.Machine) error {
+			in = listsched.FromMachineRun(m)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer machine.Recycle(m)
-		return engine.Harvest{In: listsched.FromMachineRun(m), Exact: a.Exact}
+		return engine.Harvest{In: in, Exact: a.Exact}
 	}
 	for _, bench := range opts.Benchmarks {
 		for _, st := range []struct {

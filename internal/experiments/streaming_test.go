@@ -63,15 +63,15 @@ func streamedTrace(t *testing.T, bench string) (*trace.Store, *trace.Trace) {
 // comparison. The caller owns the machine.
 func runFocused(t *testing.T, tr *trace.Trace) (*machine.Machine, machine.Result) {
 	t.Helper()
-	su, err := buildStack(Options{Fwd: 2}, "gate", 4, StackFocused, Ablation{}, false)
+	v, _, err := buildStack(Options{Fwd: 2}, "gate", 4, StackFocused, Ablation{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := machine.New(su.cfg, tr, su.pol, su.hooks)
+	m, err := machine.New(v.Config, tr, v.Pol, v.Hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	su.bind(m)
+	v.Setup(m)
 	return m, m.Run()
 }
 

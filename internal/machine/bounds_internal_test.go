@@ -61,13 +61,11 @@ func TestEngineBounds(t *testing.T) {
 			} else if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("New err = %v, want one mentioning %q", err, tc.want)
 			}
-			outs, _, err := SimulateVariants(tr, []Variant{{Config: NewConfig(2), Pol: ageTestPolicy{}}, {Config: tc.cfg, Pol: ageTestPolicy{}}}, 1)
+			_, err = SimulateVariants(tr, []Variant{{Config: NewConfig(2), Pol: ageTestPolicy{}}, {Config: tc.cfg, Pol: ageTestPolicy{}}}, 1,
+				func(int, *Machine, Result) error { return nil })
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("SimulateVariants: %v", err)
-				}
-				for _, o := range outs {
-					Recycle(o.M)
 				}
 			} else if err == nil || !strings.Contains(err.Error(), "variant 1") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("SimulateVariants err = %v, want variant 1's %q", err, tc.want)

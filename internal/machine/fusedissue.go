@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the packed issue engine, the machine's only production
-// issue loop: every run outside UseOracleIssue replays here, on its own
-// (New/NewPooled + Run) or as one variant of a SimulateVariants batch.
+// issue loop: every run outside UseOracleIssue replays here, as one
+// variant of a SimulateVariants batch or on its own (New + Run).
 // It runs on dense per-sequence state instead of the 104-byte Event
 // records the scan oracle walks:
 //

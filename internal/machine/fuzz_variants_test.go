@@ -96,33 +96,24 @@ func FuzzSimulateVariants(f *testing.F) {
 			return
 		}
 		variants := fuzzVariantList(tr, sel)
-		outs, _, err := machine.SimulateVariants(tr, variants, 1)
-		if err != nil {
-			t.Fatalf("SimulateVariants failed on decoded trace: %v", err)
-		}
+		outs := simulateAll(t, tr, variants, 1)
 		ref := fuzzVariantList(tr, sel)
 		for i := range outs {
-			if err := machine.Check(outs[i].M); err != nil {
-				t.Fatalf("variant %d: invariants violated: %v", i, err)
-			}
 			m, err := machine.New(ref[i].Config, tr, ref[i].Pol, ref[i].Hooks)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m.UseOracleIssue(true)
 			res := m.Run()
-			if outs[i].Res != res {
-				t.Fatalf("variant %d: fused result %+v != oracle %+v", i, outs[i].Res, res)
+			if outs[i].res != res {
+				t.Fatalf("variant %d: fused result %+v != oracle %+v", i, outs[i].res, res)
 			}
-			oev, fev := m.Events(), outs[i].M.Events()
+			oev, fev := m.Events(), outs[i].ev
 			for s := range fev {
 				if fev[s] != oev[s] {
 					t.Fatalf("variant %d: event %d differs:\n fused: %+v\noracle: %+v", i, s, fev[s], oev[s])
 				}
 			}
-		}
-		for _, o := range outs {
-			machine.Recycle(o.M)
 		}
 	})
 }

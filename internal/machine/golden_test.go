@@ -128,29 +128,30 @@ func TestGoldenVariantsReplication(t *testing.T) {
 				names = append(names, fmt.Sprintf("%s_%dx_%s", bench, clusters, v.key))
 			}
 		}
-		outs, _, err := machine.SimulateVariants(tr, variants, 1)
+		rendered := make([][]byte, len(variants))
+		_, err = machine.SimulateVariants(tr, variants, 1, func(i int, m *machine.Machine, res machine.Result) error {
+			if err := machine.Check(m); err != nil {
+				return fmt.Errorf("%s: %w", names[i], err)
+			}
+			var buf bytes.Buffer
+			writeGolden(&buf, m, res)
+			rendered[i] = buf.Bytes()
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, out := range outs {
+		for i, got := range rendered {
 			t.Run(names[i], func(t *testing.T) {
-				if err := machine.Check(out.M); err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				writeGolden(&buf, out.M, out.Res)
 				path := filepath.Join("testdata", "golden", names[i]+".golden")
 				want, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatalf("missing golden (regenerate with -update-goldens): %v", err)
 				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Fatalf("fused run drifted from golden %s:\n%s", path, firstDiff(buf.Bytes(), want))
+				if !bytes.Equal(got, want) {
+					t.Fatalf("fused run drifted from golden %s:\n%s", path, firstDiff(got, want))
 				}
 			})
-		}
-		for _, out := range outs {
-			machine.Recycle(out.M)
 		}
 	}
 }

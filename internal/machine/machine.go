@@ -41,9 +41,16 @@ type Hooks struct {
 // rebinds the machine to a new configuration/trace/policy while reusing
 // its allocations, which is what the NewPooled/Recycle pool builds on.
 //
-// Every run replays on the packed issue engine (fusedissue.go): a run on
-// its own is a one-variant SimulateVariants batch, with pooled packed
-// state, the trace's consumer CSR and a front-end profile. The engine is
+// Production code runs machines only through SimulateVariants: the batch
+// draws each variant's machine from the pool, hands it to the caller's
+// consume callback and recycles it as soon as consume returns, so no
+// machine leaves its batch. New builds a caller-owned machine for the
+// facade, the tools and the tests.
+//
+// Every run replays on the packed issue engine (fusedissue.go): Run
+// prepares a machine's replay as a one-variant batch would (prepare),
+// with pooled packed state, the trace's consumer CSR and a front-end
+// profile. The engine is
 // wakeup-driven — each dispatched instruction counts its unissued
 // producers and joins its cluster's wake ring the moment the last one
 // issues — and stretches of cycles that provably perform no work are
@@ -158,15 +165,6 @@ const (
 	modeNoReset
 )
 
-// replayModeFor is the highest mode a packed replay may use: a steering
-// kernel and no mid-run event readers allow skipping the clear.
-func replayModeFor(kernel, hookFree bool) replayMode {
-	if kernel && hookFree {
-		return modeNoReset
-	}
-	return modeLive
-}
-
 type clusterState struct {
 	occ int // window occupancy (every mode)
 
@@ -209,16 +207,9 @@ func New(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks) (*Machine, e
 // cluster state and broadcast rings from previous runs wherever
 // capacities allow. It leaves m in the same state New leaves a fresh
 // machine in; NewPooled/Recycle build the allocation-free reuse path on
-// top of it.
+// top of it. The front-end profile, steering kernel and replay mode are
+// prepared when the machine runs (Run, or its SimulateVariants batch).
 func (m *Machine) Reinit(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks) error {
-	return m.bind(cfg, tr, pol, hooks, nil)
-}
-
-// bind is Reinit with an optional prepared replay: a SimulateVariants
-// batch passes each variant's shared profile, kernel and mode; a machine
-// built on its own (prep == nil) gets the mode a one-variant batch would
-// pick and prepares the rest when it runs.
-func (m *Machine) bind(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks, prep *variantPrep) error {
 	if tr == nil || tr.Len() == 0 {
 		return fmt.Errorf("machine: empty trace")
 	}
@@ -239,12 +230,8 @@ func (m *Machine) bind(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks
 		m.epochLen = DefaultEpochLen
 	}
 	m.onEpoch, m.onCommitInst = hooks.OnEpoch, hooks.OnCommitInst
-	m.graph, m.fr = nil, nil
-	if prep != nil {
-		m.profile, m.kern, m.mode = prep.profile, prep.kern, prep.mode
-	} else {
-		m.profile, m.kern, m.mode = nil, nil, m.soloMode()
-	}
+	m.profile, m.graph, m.kern, m.fr = nil, nil, nil, nil
+	m.mode = modeLive
 
 	m.events = resize(m.events, tr.Len())
 	if m.bp == nil || m.bpBits != cfg.GshareBits {
@@ -275,12 +262,6 @@ func (m *Machine) bind(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks
 	return nil
 }
 
-// soloMode is the replay mode a one-variant batch of m's policy and
-// hooks (and no Setup) picks.
-func (m *Machine) soloMode() replayMode {
-	return replayModeFor(kernelOf(m.pol) != nil, m.onEpoch == nil && m.onCommitInst == nil)
-}
-
 // resize returns s with length n, reallocating only when capacity is
 // short. Contents are unspecified; every user fully rewrites them.
 func resize[T any](s []T, n int) []T {
@@ -297,10 +278,9 @@ func resize[T any](s []T, n int) []T {
 // called before Run; Reinit switches it off again.
 func (m *Machine) UseOracleIssue(on bool) {
 	m.profile, m.kern = nil, nil
+	m.mode = modeLive
 	if on {
 		m.mode = modeOracle
-	} else {
-		m.mode = m.soloMode()
 	}
 }
 
@@ -383,17 +363,15 @@ func (r Result) MispredictRate() float64 {
 
 // Run simulates the whole trace and returns the run summary. Outside
 // oracle mode a machine run on its own replays as a one-variant batch:
-// it builds its front-end profile and steering kernel and borrows a
-// pooled consumer CSR and packed working set for the duration of the run.
+// it prepares its front-end profile, steering kernel and replay mode as
+// the batch does (prepare) and borrows a pooled consumer CSR and packed
+// working set for the duration of the run.
 func (m *Machine) Run() Result {
 	if m.mode == modeOracle {
 		return m.run()
 	}
-	m.profile = newFrontProfile(m.tr, m.cfg.GshareBits)
-	m.kern = kernelOf(m.pol)
-	if m.kern == nil && m.mode > modeLive {
-		m.mode = modeLive // the policy stopped advertising its kernel
-	}
+	p := prepare(m.tr, m.cfg.GshareBits, m.pol, m.onEpoch == nil && m.onCommitInst == nil, nil)
+	m.profile, m.kern, m.mode = p.profile, p.kern, p.mode
 	g := getTraceGraph(m.tr)
 	fr := getFusedRun(m.tr.Len(), m.cfg.Clusters)
 	res := m.replay(g, fr)

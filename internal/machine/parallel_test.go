@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"clustersim/internal/machine"
@@ -20,29 +22,21 @@ import (
 // contract extended to intra-job parallelism.
 
 // runBattery executes the full variant battery at the given fan-out and
-// returns results plus events per variant (events copied so machines
-// can be recycled). Every variant must come back with its full log.
-func runBattery(t *testing.T, tr *trace.Trace, specs []vspec, workers int) ([]machine.Result, [][]machine.Event) {
+// returns every variant's run. Every variant must come back with its
+// full log.
+func runBattery(t *testing.T, tr *trace.Trace, specs []vspec, workers int) []simulated {
 	t.Helper()
 	variants := make([]machine.Variant, len(specs))
 	for i, s := range specs {
 		variants[i] = s.build(tr)
 	}
-	outs, _, err := machine.SimulateVariants(tr, variants, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := make([]machine.Result, len(outs))
-	evs := make([][]machine.Event, len(outs))
+	outs := simulateAll(t, tr, variants, workers)
 	for i, o := range outs {
-		if got := len(o.M.Events()); got != tr.Len() {
+		if got := len(o.ev); got != tr.Len() {
 			t.Fatalf("%s workers %d: %d events for %d instructions", specs[i].name, workers, got, tr.Len())
 		}
-		res[i] = o.Res
-		evs[i] = append([]machine.Event(nil), o.M.Events()...)
-		machine.Recycle(o.M)
 	}
-	return res, evs
+	return outs
 }
 
 // TestSimulateVariantsParallelMatchesSerial is the fan-out differential
@@ -60,20 +54,20 @@ func TestSimulateVariantsParallelMatchesSerial(t *testing.T) {
 // against the serial replay of the same batch.
 func checkParallelMatchesSerial(t *testing.T, tname string, tr *trace.Trace, specs []vspec) {
 	t.Helper()
-	wantRes, wantEv := runBattery(t, tr, specs, 1)
+	want := runBattery(t, tr, specs, 1)
 	for _, workers := range []int{2, 3, runtime.NumCPU() + 1} {
-		gotRes, gotEv := runBattery(t, tr, specs, workers)
-		for i := range wantRes {
+		got := runBattery(t, tr, specs, workers)
+		for i := range want {
 			sameRun(t, fmt.Sprintf("%s/%s workers %d", tname, specs[i].name, workers),
-				gotRes[i], gotEv[i], wantRes[i], wantEv[i])
+				got[i].res, got[i].ev, want[i].res, want[i].ev)
 		}
 	}
 }
 
 // TestSimulateVariantsParallelErrorWins pins the error contract under
-// fan-out: the lowest-index failing variant's error surfaces, no
-// results are returned, and sibling variants still complete (their
-// machines are recycled, not leaked to the caller).
+// fan-out: the lowest-index failing variant's error surfaces, and a
+// variant the machine would reject fails the batch before any variant
+// runs.
 func TestSimulateVariantsParallelErrorWins(t *testing.T) {
 	tr := testTraces(t)["random"]
 	specs := variantSpecs()
@@ -84,12 +78,86 @@ func TestSimulateVariantsParallelErrorWins(t *testing.T) {
 	// Two invalid variants: the lower index must win.
 	variants[4].Config.Clusters = -1
 	variants[2].Config.Clusters = -1
-	out, _, err := machine.SimulateVariants(tr, variants, 3)
+	var consumed atomic.Int64
+	_, err := machine.SimulateVariants(tr, variants, 3, func(int, *machine.Machine, machine.Result) error {
+		consumed.Add(1)
+		return nil
+	})
 	if err == nil || !strings.Contains(err.Error(), "variant 2") {
 		t.Fatalf("err = %v, want the variant-2 failure", err)
 	}
-	if out != nil {
-		t.Fatalf("got %d results alongside an error", len(out))
+	if n := consumed.Load(); n != 0 {
+		t.Fatalf("consume ran %d times in a batch that failed admission", n)
+	}
+}
+
+// TestSimulateVariantsParallelPanicContained: a panic in a variant's
+// Setup fails the batch with an error that names the variant and
+// carries the panic value and stack, at one worker (the inline loop)
+// and at several; consume never sees the panicking variant.
+func TestSimulateVariantsParallelPanicContained(t *testing.T) {
+	tr := testTraces(t)["random"]
+	specs := variantSpecs()
+	for _, workers := range []int{1, 3} {
+		variants := make([]machine.Variant, len(specs))
+		for i, s := range specs {
+			variants[i] = s.build(tr)
+		}
+		variants[1].Setup = func(*machine.Machine) { panic("setup exploded") }
+		var sawPanicker atomic.Bool
+		_, err := machine.SimulateVariants(tr, variants, workers, func(i int, _ *machine.Machine, _ machine.Result) error {
+			if i == 1 {
+				sawPanicker.Store(true)
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("workers %d: a panicking Setup returned no error", workers)
+		}
+		for _, want := range []string{"variant 1 panicked", "setup exploded", "runtime/debug.Stack"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("workers %d: error lacks %q:\n%v", workers, want, err)
+			}
+		}
+		if sawPanicker.Load() {
+			t.Errorf("workers %d: consume saw the panicking variant", workers)
+		}
+	}
+}
+
+// TestSimulateVariantsRecyclesAfterConsume: the batch owns its machines.
+// Once it returns, every machine consume saw has been recycled (it no
+// longer holds its trace), at one worker and at several.
+func TestSimulateVariantsRecyclesAfterConsume(t *testing.T) {
+	tr := testTraces(t)["gzip"]
+	specs := variantSpecs()
+	for _, workers := range []int{1, 3} {
+		variants := make([]machine.Variant, len(specs))
+		for i, s := range specs {
+			variants[i] = s.build(tr)
+		}
+		var mu sync.Mutex
+		var seen []*machine.Machine
+		_, err := machine.SimulateVariants(tr, variants, workers, func(_ int, m *machine.Machine, _ machine.Result) error {
+			if m.Trace() != tr {
+				return fmt.Errorf("consume got a machine bound to another trace")
+			}
+			mu.Lock()
+			seen = append(seen, m)
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != len(variants) {
+			t.Fatalf("workers %d: consume ran %d times for %d variants", workers, len(seen), len(variants))
+		}
+		for _, m := range seen {
+			if m.Trace() != nil {
+				t.Fatalf("workers %d: a consumed machine still holds its trace after the batch returned", workers)
+			}
+		}
 	}
 }
 
@@ -111,26 +179,17 @@ func TestFwdLatencyDifferential(t *testing.T) {
 		cfg.FwdLatency = fwd
 		variants[i] = machine.Variant{Config: cfg, Pol: steer.Focused{}, Hooks: machine.Hooks{Binary: trainedBinary(tr)}}
 	}
-	outs, _, err := machine.SimulateVariants(tr, variants, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, o := range outs {
-			machine.Recycle(o.M)
-		}
-	}()
+	outs := simulateAll(t, tr, variants, 1)
 	for i := range variants {
 		oracle, oracleRes := runSolo(t, tr, variants[i], true)
-		sameRun(t, fmt.Sprintf("fwd=%d", fwds[i]),
-			outs[i].Res, outs[i].M.Events(), oracleRes, oracle.Events())
+		sameRun(t, fmt.Sprintf("fwd=%d", fwds[i]), outs[i].res, outs[i].ev, oracleRes, oracle.Events())
 	}
 	// If this ever fails, the model lost FwdLatency's feedback into
 	// steering and the fwd axis no longer tests anything.
-	base := outs[0].M.Events()
+	base := outs[0].ev
 	diverged := false
 	for i := 1; i < len(outs) && !diverged; i++ {
-		for s, ev := range outs[i].M.Events() {
+		for s, ev := range outs[i].ev {
 			if ev.Dispatch != base[s].Dispatch || ev.Cluster != base[s].Cluster {
 				diverged = true
 				break

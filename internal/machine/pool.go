@@ -18,13 +18,8 @@ var pool = sync.Pool{New: func() any { return new(Machine) }}
 // capacities fit. Call Recycle when done with the machine and everything
 // reachable from it (Events, Trace).
 func NewPooled(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks) (*Machine, error) {
-	return newPooled(cfg, tr, pol, hooks, nil)
-}
-
-// newPooled is NewPooled bound to a prepared replay (see bind).
-func newPooled(cfg Config, tr *trace.Trace, pol SteerPolicy, hooks Hooks, prep *variantPrep) (*Machine, error) {
 	m := pool.Get().(*Machine)
-	if err := m.bind(cfg, tr, pol, hooks, prep); err != nil {
+	if err := m.Reinit(cfg, tr, pol, hooks); err != nil {
 		Recycle(m)
 		return nil, err
 	}

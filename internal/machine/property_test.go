@@ -119,25 +119,16 @@ func TestRandomTracesVariantsMatchSolo(t *testing.T) {
 			}
 			return vs
 		}
-		outs, _, err := machine.SimulateVariants(tr, mk(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		outs := simulateAll(t, tr, mk(), 1)
 		solo := mk()
 		for i := range outs {
-			if err := machine.Check(outs[i].M); err != nil {
-				t.Fatalf("trial %d variant %d: %v", trial, i, err)
-			}
 			m, err := machine.New(solo[i].Config, tr, solo[i].Pol, solo[i].Hooks)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m.UseOracleIssue(true)
 			res := m.Run()
-			sameRun(t, fmt.Sprintf("trial %d variant %d", trial, i), outs[i].Res, outs[i].M.Events(), res, m.Events())
-		}
-		for _, o := range outs {
-			machine.Recycle(o.M)
+			sameRun(t, fmt.Sprintf("trial %d variant %d", trial, i), outs[i].res, outs[i].ev, res, m.Events())
 		}
 	}
 }

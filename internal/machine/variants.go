@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,11 +12,13 @@ import (
 )
 
 // This file implements SimulateVariants: fused simulation of several
-// machine configurations over one trace. The listsched package proved
-// the shape for the idealized scheduler (prepare once, replay per
-// variant, validate against a retained reference); this is the same
-// fusion for the full machine. A machine run on its own (New + Run) is a
-// one-variant batch. Three kinds of work are shared or specialized:
+// machine configurations over one trace, and the only way production
+// code runs a machine. The listsched package proved the shape for the
+// idealized scheduler (prepare once, replay per variant, validate
+// against a retained reference); this is the same fusion for the full
+// machine. A machine run on its own (New + Run) prepares its replay the
+// way a one-variant batch does (prepare). Three kinds of work are shared
+// or specialized:
 //
 //  1. Front-end profile (frontProfile). Fetch processes instructions
 //     strictly in program order and consults gshare exactly once per
@@ -55,17 +58,9 @@ type Variant struct {
 	Pol    SteerPolicy
 	Hooks  Hooks
 	// Setup, if non-nil, runs after the variant's machine is built and
-	// bound but before Run — the hook point for binding a criticality
-	// detector to the machine.
+	// bound but before its replay — the hook point for binding a
+	// criticality detector to the machine.
 	Setup func(*Machine)
-}
-
-// VariantResult pairs one variant's live machine with its run summary.
-// Machines come from the shared pool; the caller owns them and should
-// Recycle each once its events are no longer needed.
-type VariantResult struct {
-	M   *Machine
-	Res Result
 }
 
 // SharingStats describes one SimulateVariants call's replay phase.
@@ -75,162 +70,160 @@ type SharingStats struct {
 	ReplayBusyNs int64
 }
 
-// variantPrep is the serial prepare phase's output for one variant:
-// everything the replay needs that is shared or deterministic.
+// variantPrep is what a packed replay reads besides its machine: the
+// front-end profile, the steering kernel and the replay mode.
 type variantPrep struct {
 	profile *frontProfile
 	kern    *KernelSpec
 	mode    replayMode
 }
 
+// prepare builds the variantPrep of a packed replay of pol over tr, for
+// a batch's variant and for Run alike. The profile is taken from
+// profiles for equal GshareBits when one is there, and added to it when
+// profiles is non-nil. The mode is the highest one the run allows: a
+// steering kernel and no mid-run event readers (hookFree) let the
+// replay skip the event log's clear.
+func prepare(tr *trace.Trace, bits uint, pol SteerPolicy, hookFree bool, profiles map[uint]*frontProfile) variantPrep {
+	p := profiles[bits]
+	if p == nil {
+		p = newFrontProfile(tr, bits)
+		if profiles != nil {
+			profiles[bits] = p
+		}
+	}
+	vp := variantPrep{profile: p, kern: kernelOf(pol), mode: modeLive}
+	if vp.kern != nil && hookFree {
+		vp.mode = modeNoReset
+	}
+	return vp
+}
+
 // SimulateVariants runs every variant over tr, sharing the producer
-// index and its transpose and the front-end branch profile, and returns
-// the per-variant machines and results in variant order.
+// index and its transpose and the front-end branch profile, and hands
+// each finished variant to consume(i, m, res): its index in variants,
+// its live machine and its run summary. The batch owns every machine: m
+// is valid only until consume returns, and is recycled then, so a batch
+// holds at most one event log per worker. consume may be called
+// concurrently for distinct i.
 //
-// workers bounds the replay fan-out: after the serial prepare phase
-// (consumer CSR, branch profiles, steering kernels), per-variant replays
-// are stolen off a shared cursor by this many workers, each owning its
-// own pooled packed working set; <=1 replays serially. Results are
-// stitched in input order, and variants neither observe each other nor
-// share mutable state, so output is byte-identical under any worker
-// count, to running each variant on its own (New + Run) and to the scan
-// oracle; permuting the variant list permutes the results and nothing
-// else. A variant New would reject (see Config.Validate and MaxInsts)
-// fails the batch before anything runs. On error, machines built so far
-// are recycled and none are returned.
-func SimulateVariants(tr *trace.Trace, variants []Variant, workers int) ([]VariantResult, SharingStats, error) {
+// workers bounds the replay fan-out. After the serial prepare phase
+// (consumer CSR, branch profiles, steering kernels, replay modes),
+// workers take variants off a shared cursor, each with its own pooled
+// packed working set; at one worker (or one variant) the loop runs
+// inline on the caller's goroutine. Variants neither observe each other
+// nor share mutable state, so each variant's run is byte-identical
+// under any worker count, to running it on its own (New + Run) and to
+// the scan oracle; permuting the variant list permutes the consume
+// calls and nothing else.
+//
+// A variant New would reject (see Config.Validate and MaxInsts) fails
+// the batch before anything runs. A variant whose run fails (a panic in
+// its Setup or replay, or one in consume, is contained and reported
+// with its stack) or whose consume returns an error fails the batch:
+// no variant starts after a failure, and the lowest-index error wins.
+// consume's own errors are returned as they are; the others name the
+// variant.
+func SimulateVariants(tr *trace.Trace, variants []Variant, workers int, consume func(i int, m *Machine, res Result) error) (SharingStats, error) {
 	var stats SharingStats
 	if tr == nil || tr.Len() == 0 {
-		return nil, stats, fmt.Errorf("machine: empty trace")
+		return stats, fmt.Errorf("machine: empty trace")
 	}
 	if len(variants) == 0 {
-		return nil, stats, nil
+		return stats, nil
 	}
 	for i := range variants {
 		if err := Admit(variants[i].Config, tr.Len()); err != nil {
-			return nil, stats, fmt.Errorf("machine: variant %d: %w", i, err)
+			return stats, fmt.Errorf("machine: variant %d: %w", i, err)
 		}
 	}
 	tr.EnsureProducerIndex()
 	g := getTraceGraph(tr)
 	defer putTraceGraph(g)
-	maxClusters := 0
-	for i := range variants {
-		maxClusters = max(maxClusters, variants[i].Config.Clusters)
-	}
 
-	// Prepare phase: one profile per predictor geometry, kernels and
-	// replay modes — all serial.
+	// Prepare phase, serial: one profile per predictor geometry, and
+	// each variant's kernel and replay mode.
+	maxClusters := 0
 	profiles := map[uint]*frontProfile{}
 	preps := make([]variantPrep, len(variants))
 	for i := range variants {
 		v := &variants[i]
-		p := profiles[v.Config.GshareBits]
-		if p == nil {
-			p = newFrontProfile(tr, v.Config.GshareBits)
-			profiles[v.Config.GshareBits] = p
-		}
-		preps[i].profile = p
-		preps[i].kern = kernelOf(v.Pol)
+		maxClusters = max(maxClusters, v.Config.Clusters)
 		hookFree := v.Hooks.OnEpoch == nil && v.Hooks.OnCommitInst == nil && v.Setup == nil
-		preps[i].mode = replayModeFor(preps[i].kern != nil, hookFree)
+		preps[i] = prepare(tr, v.Config.GshareBits, v.Pol, hookFree, profiles)
 	}
 
-	workers = min(max(workers, 1), len(variants))
-
-	out := make([]VariantResult, len(variants))
-	var busy atomic.Int64
-	var firstErr error
-	if workers == 1 {
-		// Serial replay: one packed working set serves the whole batch
-		// (each run resets it).
+	// Replay phase: every shared value (tr, g, profiles) is read-only;
+	// everything mutable is per variant or per worker.
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		busy   atomic.Int64
+		errs   = make([]error, len(variants))
+	)
+	work := func() {
 		fr := getFusedRun(tr.Len(), maxClusters)
 		defer putFusedRun(fr)
-		for i := range variants {
-			start := time.Now()
-			m, res, err := runVariant(tr, g, &variants[i], &preps[i], fr)
-			busy.Add(time.Since(start).Nanoseconds())
-			if err != nil {
-				firstErr = fmt.Errorf("machine: variant %d: %w", i, err)
-				break
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(variants) {
+				return
 			}
-			out[i] = VariantResult{M: m, Res: res}
+			if errs[i] = runVariant(i, tr, g, &variants[i], &preps[i], fr, &busy, consume); errs[i] != nil {
+				failed.Store(true)
+			}
 		}
+	}
+	if workers = min(max(workers, 1), len(variants)); workers == 1 {
+		work()
 	} else {
-		// Parallel fan-out: workers steal variant indices off a shared
-		// cursor; each owns its own pooled packed working set. All
-		// shared state (tr, g, profiles) is read-only during this phase;
-		// everything mutable is per-variant. The lowest-index error wins,
-		// matching engine.MapCtx.
-		var next atomic.Int64
-		errs := make([]error, len(variants))
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for range workers {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				fr := getFusedRun(tr.Len(), maxClusters)
-				defer putFusedRun(fr)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(variants) {
-						return
-					}
-					start := time.Now()
-					m, res, err := runVariantSafe(tr, g, &variants[i], &preps[i], fr)
-					busy.Add(time.Since(start).Nanoseconds())
-					if err != nil {
-						errs[i] = err
-						continue
-					}
-					out[i] = VariantResult{M: m, Res: res}
-				}
+				work()
 			}()
 		}
 		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				firstErr = fmt.Errorf("machine: variant %d: %w", i, err)
-				break
-			}
-		}
 	}
 	stats.ReplayBusyNs = busy.Load()
-	if firstErr != nil {
-		for _, r := range out {
-			Recycle(r.M)
+	for _, err := range errs {
+		if err != nil {
+			return stats, err
 		}
-		return nil, stats, firstErr
 	}
-	return out, stats, nil
+	return stats, nil
 }
 
-// runVariant replays one prepared variant on the batch's g and fr and
-// returns its machine and result. The machine outlives the call; g and
-// fr are detached before returning.
-func runVariant(tr *trace.Trace, g *traceGraph, v *Variant, prep *variantPrep, fr *fusedRun) (*Machine, Result, error) {
-	m, err := newPooled(v.Config, tr, v.Pol, v.Hooks, prep)
+// runVariant builds variant i's machine from the pool, replays it on the
+// batch's g and fr (adding the build and replay time to busy), hands it
+// to consume and recycles it once consume returns. A panic is contained
+// as the variant's error, value and stack included: on a worker
+// goroutine it would otherwise crash the process, out of reach of the
+// engine's per-job recovery. A machine whose run panicked is dropped,
+// not recycled.
+func runVariant(i int, tr *trace.Trace, g *traceGraph, v *Variant, prep *variantPrep, fr *fusedRun,
+	busy *atomic.Int64, consume func(int, *Machine, Result) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("machine: variant %d panicked: %v\n%s", i, r, debug.Stack())
+		}
+	}()
+	start := time.Now()
+	m, err := NewPooled(v.Config, tr, v.Pol, v.Hooks)
 	if err != nil {
-		return nil, Result{}, err
+		return fmt.Errorf("machine: variant %d: %w", i, err)
 	}
+	m.profile, m.kern, m.mode = prep.profile, prep.kern, prep.mode
 	if v.Setup != nil {
 		v.Setup(m)
 	}
-	return m, m.replay(g, fr), nil
-}
-
-// runVariantSafe is runVariant with panic containment for the parallel
-// workers: a panicking replay must surface as that variant's error, not
-// crash the process from a goroutine the engine's job recovery cannot
-// see. The serial path keeps the raw panic (it unwinds through the
-// caller, where the engine's own containment applies).
-func runVariantSafe(tr *trace.Trace, g *traceGraph, v *Variant, prep *variantPrep, fr *fusedRun) (m *Machine, res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, fmt.Errorf("machine: variant replay panicked: %v", r)
-		}
-	}()
-	return runVariant(tr, g, v, prep, fr)
+	res := m.replay(g, fr)
+	busy.Add(time.Since(start).Nanoseconds())
+	err = consume(i, m, res)
+	Recycle(m)
+	return err
 }
 
 // frontProfile is the shared front-end replay: one program-order gshare

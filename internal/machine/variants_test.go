@@ -3,6 +3,7 @@ package machine_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"clustersim/internal/critpath"
@@ -19,7 +20,7 @@ import (
 // to (a) the full-scan oracle, the reference, (b) a standalone run of the
 // same configuration (New + Run, a one-variant batch), and to themselves
 // under (c) any variant ordering and (d) pooled-machine reuse after
-// Recycle. Every fused facility — shared front-end profile, steering
+// the batch recycles its machines. Every fused facility — shared front-end profile, steering
 // kernel, packed replay — is covered because the spec list spans kernel
 // and non-kernel policies, static and detector-trained predictors, group
 // steering, bypass limits and every scheduling mode.
@@ -159,6 +160,32 @@ func sameRun(t *testing.T, label string, got machine.Result, gotEv []machine.Eve
 	}
 }
 
+// simulated is one variant's run as its batch's consume saw it, with
+// the event log copied out before the batch recycled the machine.
+type simulated struct {
+	res machine.Result
+	ev  []machine.Event
+}
+
+// simulateAll runs variants as one SimulateVariants batch at the given
+// fan-out, checks every live machine's invariants, and returns each
+// variant's run in variant order.
+func simulateAll(t *testing.T, tr *trace.Trace, variants []machine.Variant, workers int) []simulated {
+	t.Helper()
+	out := make([]simulated, len(variants))
+	_, err := machine.SimulateVariants(tr, variants, workers, func(i int, m *machine.Machine, res machine.Result) error {
+		if err := machine.Check(m); err != nil {
+			return fmt.Errorf("variant %d violates invariants: %w", i, err)
+		}
+		out[i] = simulated{res: res, ev: slices.Clone(m.Events())}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // testTraces returns the battery's traces: a synthetic benchmark slice
 // and a random program.
 func testTraces(t *testing.T) map[string]*trace.Trace {
@@ -189,25 +216,13 @@ func checkMatchesSoloAndOracle(t *testing.T, tname string, tr *trace.Trace, spec
 	for i, s := range specs {
 		variants[i] = s.build(tr)
 	}
-	outs, _, err := machine.SimulateVariants(tr, variants, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(specs) {
-		t.Fatalf("%d results for %d variants", len(outs), len(specs))
-	}
+	outs := simulateAll(t, tr, variants, 1)
 	for i, s := range specs {
 		label := tname + "/" + s.name
-		if err := machine.Check(outs[i].M); err != nil {
-			t.Fatalf("%s: fused run violates invariants: %v", label, err)
-		}
 		solo, soloRes := runSolo(t, tr, s.build(tr), false)
-		sameRun(t, label+"/vs-solo", outs[i].Res, outs[i].M.Events(), soloRes, solo.Events())
+		sameRun(t, label+"/vs-solo", outs[i].res, outs[i].ev, soloRes, solo.Events())
 		oracle, oracleRes := runSolo(t, tr, s.build(tr), true)
-		sameRun(t, label+"/vs-oracle", outs[i].Res, outs[i].M.Events(), oracleRes, oracle.Events())
-	}
-	for _, o := range outs {
-		machine.Recycle(o.M)
+		sameRun(t, label+"/vs-oracle", outs[i].res, outs[i].ev, oracleRes, oracle.Events())
 	}
 }
 
@@ -223,29 +238,16 @@ func TestSimulateVariantsOrderInvariance(t *testing.T) {
 		perms[1][i] = n - 1 - i
 		perms[2][i] = (i + 3) % n
 	}
-	type snap struct {
-		res machine.Result
-		ev  []machine.Event
-	}
-	var base map[string]snap
+	var base map[string]simulated
 	for pi, perm := range perms {
 		variants := make([]machine.Variant, n)
 		for j, si := range perm {
 			variants[j] = specs[si].build(tr)
 		}
-		outs, _, err := machine.SimulateVariants(tr, variants, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[string]snap{}
+		outs := simulateAll(t, tr, variants, 1)
+		got := map[string]simulated{}
 		for j, si := range perm {
-			got[specs[si].name] = snap{
-				res: outs[j].Res,
-				ev:  append([]machine.Event(nil), outs[j].M.Events()...),
-			}
-		}
-		for _, o := range outs {
-			machine.Recycle(o.M)
+			got[specs[si].name] = outs[j]
 		}
 		if pi == 0 {
 			base = got
@@ -261,28 +263,17 @@ func TestSimulateVariantsOrderInvariance(t *testing.T) {
 func TestSimulateVariantsAfterRecycle(t *testing.T) {
 	tr := testTraces(t)["random"]
 	specs := variantSpecs()
-	run := func() ([]machine.Result, [][]machine.Event) {
+	run := func() []simulated {
 		variants := make([]machine.Variant, len(specs))
 		for i, s := range specs {
 			variants[i] = s.build(tr)
 		}
-		outs, _, err := machine.SimulateVariants(tr, variants, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := make([]machine.Result, len(outs))
-		evs := make([][]machine.Event, len(outs))
-		for i, o := range outs {
-			res[i] = o.Res
-			evs[i] = append([]machine.Event(nil), o.M.Events()...)
-			machine.Recycle(o.M)
-		}
-		return res, evs
+		return simulateAll(t, tr, variants, 1)
 	}
-	res1, evs1 := run()
-	res2, evs2 := run() // pooled machines now carry recycled state
+	first := run()
+	second := run() // pooled machines now carry recycled state
 	for i, s := range specs {
-		sameRun(t, "recycled/"+s.name, res2[i], evs2[i], res1[i], evs1[i])
+		sameRun(t, "recycled/"+s.name, second[i].res, second[i].ev, first[i].res, first[i].ev)
 	}
 }
 
@@ -293,12 +284,9 @@ func TestSimulateVariantsSharingStats(t *testing.T) {
 	for i, s := range specs {
 		variants[i] = s.build(tr)
 	}
-	outs, stats, err := machine.SimulateVariants(tr, variants, 1)
+	stats, err := machine.SimulateVariants(tr, variants, 1, func(int, *machine.Machine, machine.Result) error { return nil })
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, o := range outs {
-		machine.Recycle(o.M)
 	}
 	if stats.ReplayBusyNs <= 0 {
 		t.Errorf("ReplayBusyNs = %d, want > 0", stats.ReplayBusyNs)

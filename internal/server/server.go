@@ -449,7 +449,6 @@ func (s *Server) runJob(j *Job) {
 	opts := j.Spec.options()
 	opts.Engine = s.eng
 	opts.Ctx = ctx
-	opts.ReplayWorkers = s.clampReplayWorkers(j.Spec.ReplayWorkers)
 
 	artifacts := make([]ResultArtifact, 0, len(j.Spec.Experiments))
 	var runErr error
@@ -545,33 +544,6 @@ func (s *Server) logAppend(rec jlRecord, required bool) error {
 func (s *Server) logFinished(j *Job) {
 	arts, state, errMsg := j.results()
 	s.logAppend(jlRecord{Kind: jlFinished, ID: j.ID, State: state, Artifacts: arts, Err: errMsg}, false)
-}
-
-// clampReplayWorkers resolves a job's intra-job variant fan-out width
-// queue-aware: requested (or the engine default when the spec left it
-// 0) but never more than this job's fair share of the socket given how
-// many jobs are running right now. More concurrent jobs ⇒ narrower
-// per-job fan-out, so a busy server never oversubscribes cores just
-// because every tenant asked for the full machine. The clamp only
-// changes scheduling, never results — the replay layer is
-// byte-identical under any worker count.
-func (s *Server) clampReplayWorkers(requested int) int {
-	w := requested
-	if w <= 0 {
-		w = s.eng.ReplayWorkers()
-	}
-	running := int(s.running.Load())
-	if running < 1 {
-		running = 1
-	}
-	share := runtime.GOMAXPROCS(0) / running
-	if share < 1 {
-		share = 1
-	}
-	if w > share {
-		w = share
-	}
-	return w
 }
 
 // noteDuration folds one job's wall time into the EWMA behind Retry-After.

@@ -235,43 +235,37 @@ func TestCrossTenantSingleflight(t *testing.T) {
 	}
 }
 
-// TestClampReplayWorkers pins the queue-aware fan-out clamp: a lone job
-// gets what it asked for (bounded by the socket), concurrent jobs split
-// the socket, zero falls back to the engine default, and the clamp
-// never drops below one worker.
-func TestClampReplayWorkers(t *testing.T) {
-	eng := engine.New(engine.Config{Workers: 1, ReplayWorkers: 3})
-	srv, err := New(Config{Engine: eng})
-	if err != nil {
-		t.Fatal(err)
+// TestReplayWorkersAcceptedAndIgnored: a spec's replay_workers is wire
+// format only; the job's fan-out is the engine's. Specs differing only
+// there (0 and 8) share a Key, are both accepted, and render identical
+// bytes, each on its own fresh server so that both really simulate; and
+// /v1/stats keeps reporting the engine's fan-out.
+func TestReplayWorkersAcceptedAndIgnored(t *testing.T) {
+	base := Spec{Tenant: "default", Experiments: []string{"fig4"}, Benchmarks: []string{"gzip"}, Insts: 2000}
+	wide := base
+	wide.ReplayWorkers = 8
+	if base.Key() != wide.Key() {
+		t.Fatalf("replay_workers changed the key:\n 0: %s\n 8: %s", base.Key(), wide.Key())
 	}
-	defer srv.Close()
-	procs := runtime.GOMAXPROCS(0)
-
-	min := func(a, b int) int {
-		if a < b {
-			return a
+	var outs [][]ResultArtifact
+	for _, sp := range []Spec{base, wide} {
+		eng := engine.New(engine.Config{Workers: 1, ReplayWorkers: 3})
+		_, ts := startTestServer(t, Config{Engine: eng})
+		id := submitOK(t, ts, sp) // fails unless 202
+		if st := waitTerminal(t, ts, id); st.State != StateDone {
+			t.Fatalf("replay_workers %d: job ended %s (%s)", sp.ReplayWorkers, st.State, st.Error)
 		}
-		return b
+		outs = append(outs, jobArtifacts(t, ts, id))
+		var stats Stats
+		if code := getJSONT(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+			t.Fatalf("GET /v1/stats: HTTP %d", code)
+		}
+		if stats.ReplayWorkers != 3 {
+			t.Errorf("replay_workers %d: /v1/stats reports fan-out %d, want the engine's 3", sp.ReplayWorkers, stats.ReplayWorkers)
+		}
 	}
-	// Lone job (running counter includes this job itself in production,
-	// but clamp is called before the increment is observable here).
-	if got, want := srv.clampReplayWorkers(2), min(2, procs); got != want {
-		t.Errorf("lone job requested 2: got %d, want %d", got, want)
-	}
-	// Zero means the engine default.
-	if got, want := srv.clampReplayWorkers(0), min(3, procs); got != want {
-		t.Errorf("lone job default: got %d, want %d", got, want)
-	}
-	// Saturated server: many running jobs squeeze each fan-out to 1.
-	srv.running.Store(int64(procs * 4))
-	if got := srv.clampReplayWorkers(64); got != 1 {
-		t.Errorf("saturated server: got %d, want 1", got)
-	}
-	srv.running.Store(0)
-	// A huge request is still capped at the socket share.
-	if got := srv.clampReplayWorkers(10_000); got != procs {
-		t.Errorf("oversized request: got %d, want %d", got, procs)
+	if !reflect.DeepEqual(outs[0], outs[1]) {
+		t.Fatalf("replay_workers 8 rendered\n%v\nwant (replay_workers 0)\n%v", outs[1], outs[0])
 	}
 }
 

@@ -37,13 +37,13 @@ type Spec struct {
 	// EpochLen overrides the criticality-detector epoch (0 means the
 	// machine default).
 	EpochLen int64 `json:"epoch_len,omitempty"`
-	// ReplayWorkers requests an intra-job variant fan-out width for this
-	// job; 0 lets the server pick a per-job share of the socket. The
-	// server clamps it queue-aware (more concurrent jobs, narrower
-	// fan-out). Deliberately EXCLUDED from Key(): the determinism
-	// contract makes results byte-identical under any worker count, so
-	// jobs differing only here must share cache entries and divergence
-	// baselines.
+	// ReplayWorkers is accepted and ignored: a job's variant fan-out is
+	// the engine's (engine.Config.ReplayWorkers, the server's
+	// -replay-workers flag). Older clients send it, so it stays in the
+	// wire format, and a negative value is still refused. It is
+	// EXCLUDED from Key(): results are byte-identical under any worker
+	// count, so jobs differing only here share cache entries and
+	// divergence baselines.
 	ReplayWorkers int `json:"replay_workers,omitempty"`
 	// DeadlineSecs is the job's wall-clock deadline: if the job is still
 	// running this many seconds after it starts, the stuck-job watchdog
